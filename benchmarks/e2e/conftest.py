@@ -1,0 +1,8 @@
+"""Makes ``repro`` importable for ``pytest benchmarks/e2e`` without PYTHONPATH."""
+
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
