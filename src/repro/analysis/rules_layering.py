@@ -9,8 +9,8 @@ enforce it:
 strictly higher rank is a violation.  Additionally the *consumer*
 packages (``repro.databases``, ``repro.workloads``) may not import
 ``repro.storage.block_device`` or engine internals at all — their whole
-engine surface is ``repro.core.api`` plus the VFS
-(``repro.fs.vfs`` / ``repro.fs.compressfs``).
+engine surface is the VFS (``repro.fs.vfs`` / ``repro.fs.compressfs``,
+whose ``ops`` carries the pushdown operations).
 
 **Exceptions.**  The VFS boundary speaks errno
 (:mod:`repro.fs.errors`): a ``FileSystem`` storage primitive or
@@ -61,7 +61,6 @@ _CONSUMER_PACKAGES = ("repro.databases", "repro.workloads")
 
 #: What the consumer packages may use from below the VFS.
 _CONSUMER_ALLOWED_PREFIXES = (
-    "repro.core.api",
     "repro.fs.",
     "repro.obs",  # observability, not a data path
     "repro.storage.simclock",  # timing/cost model, not a data path
@@ -141,7 +140,7 @@ class LayeringChecker(Checker):
     severity = Severity.ERROR
     description = (
         "layer cake: no imports from higher layers; databases/workloads "
-        "only use repro.core.api + the VFS; only repro.fs.errors types "
+        "only use the VFS; only repro.fs.errors types "
         "cross the VFS boundary"
     )
 
@@ -184,8 +183,7 @@ class LayeringChecker(Checker):
                         ctx,
                         imp_node,
                         f"{ctx.module} reaches the engine through {target} — "
-                        "databases/workloads may only use repro.core.api "
-                        "and the VFS (repro.fs)",
+                        "databases/workloads may only use the VFS (repro.fs)",
                     )
 
     @staticmethod

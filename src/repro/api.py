@@ -19,12 +19,11 @@ Both deployments expose the same surface — ``client.fs`` (a
 :class:`~repro.fs.vfs.FileSystem`), ``client.session()`` (a
 snapshot-isolated MVCC transaction scope), ``client.sql`` /
 ``client.column`` / ``client.kv`` (the three database front ends), and
-``client.search`` / ``client.count`` (compressed-domain pushdown) —
-and raise the same exception types, because the wire protocol maps
-every failure onto the stable code table in :mod:`repro.fs.errors`.
-
-The legacy entry points (:class:`repro.core.api.DirectAPI` and the
-socket pair) keep working but are deprecated in favour of this module.
+``client.search`` / ``client.count`` / ``client.word_count`` and
+``client.insert`` / ``client.delete`` (compressed-domain pushdown; the
+paper's replace/append/extract are ``client.fs`` positional writes and
+reads) — and raise the same exception types, because the wire protocol
+maps every failure onto the stable code table in :mod:`repro.fs.errors`.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 from repro.core.engine import CompressDB
+from repro.core.operations import OperationError, OperationModule
 from repro.databases.minicolumn import MiniColumn
 from repro.databases.minileveldb import MiniLevelDB
 from repro.databases.minisql import MiniSQL
@@ -134,6 +134,18 @@ class Client:
         """Compressed-domain occurrence count."""
         return self._backend.count(path, pattern)
 
+    def word_count(self, path: str) -> dict[bytes, int]:
+        """Compressed-domain whitespace-token counts."""
+        return self._backend.word_count(path)
+
+    def insert(self, path: str, offset: int, data: bytes) -> None:
+        """Insert ``data`` at ``offset`` without rewriting the file tail."""
+        self._backend.insert(path, offset, data)
+
+    def delete(self, path: str, offset: int, length: int) -> None:
+        """Remove ``length`` bytes at ``offset``, leaving holes."""
+        self._backend.delete(path, offset, length)
+
     def session(self) -> SessionScope:
         """Open one snapshot-isolated MVCC transaction."""
         return SessionScope(self._backend, self._backend.session_begin())
@@ -175,6 +187,15 @@ class _Backend:
         raise NotImplementedError
 
     def count(self, path: str, pattern: bytes) -> int:
+        raise NotImplementedError
+
+    def word_count(self, path: str) -> dict[bytes, int]:
+        raise NotImplementedError
+
+    def insert(self, path: str, offset: int, data: bytes) -> None:
+        raise NotImplementedError
+
+    def delete(self, path: str, offset: int, length: int) -> None:
         raise NotImplementedError
 
     def session_begin(self) -> object:
@@ -246,15 +267,31 @@ class _DirectBackend(_Backend):
     def kv_scan(self, start, end, session) -> Iterator[tuple[bytes, bytes]]:
         return self._db("kv", session).scan(start, end)
 
-    def search(self, path: str, pattern: bytes) -> list[int]:
+    def _ops(self, path: str) -> OperationModule:
         if not self.fs.exists(path):
             raise FileNotFound(path)
-        return self.engine.ops.search(path, pattern)
+        return self.engine.ops
+
+    def search(self, path: str, pattern: bytes) -> list[int]:
+        return self._ops(path).search(path, pattern)
 
     def count(self, path: str, pattern: bytes) -> int:
-        if not self.fs.exists(path):
-            raise FileNotFound(path)
-        return self.engine.ops.count(path, pattern)
+        return self._ops(path).count(path, pattern)
+
+    def word_count(self, path: str) -> dict[bytes, int]:
+        return dict(self._ops(path).word_count(path))
+
+    def insert(self, path: str, offset: int, data: bytes) -> None:
+        try:
+            self._ops(path).insert(path, offset, data)
+        except OperationError as exc:
+            raise InvalidArgument(str(exc)) from None
+
+    def delete(self, path: str, offset: int, length: int) -> None:
+        try:
+            self._ops(path).delete(path, offset, length)
+        except OperationError as exc:
+            raise InvalidArgument(str(exc)) from None
 
     def session_begin(self) -> object:
         session = self.engine.mvcc.begin()
@@ -320,6 +357,15 @@ class _WireBackend(_Backend):
 
     def count(self, path: str, pattern: bytes) -> int:
         return self.wire.count(path, pattern)
+
+    def word_count(self, path: str) -> dict[bytes, int]:
+        return self.wire.word_count(path)
+
+    def insert(self, path: str, offset: int, data: bytes) -> None:
+        self.wire.insert(path, offset, data)
+
+    def delete(self, path: str, offset: int, length: int) -> None:
+        self.wire.delete(path, offset, length)
 
     def session_begin(self) -> object:
         return self.wire.session_begin()

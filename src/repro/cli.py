@@ -22,7 +22,6 @@ import sys
 from typing import Optional
 
 from repro.core import superblock as sb
-from repro.core.api import SocketServer
 from repro.core.engine import CompressDB, FileExistsInEngine, FileNotFoundInEngine
 from repro.core.operations import OperationError
 from repro.fs.errors import FSError
@@ -501,20 +500,6 @@ def _serving_stack(engine: CompressDB, args):
 def cmd_serve(args) -> int:
     engine = _mount(args.image)
     try:
-        if args.legacy_json:  # pragma: no cover - interactive loop
-            server = SocketServer(engine, args.socket)
-            server.start()
-            print(f"serving {args.image} on {args.socket} (legacy json); Ctrl-C to stop")
-            try:
-                import time
-
-                while True:
-                    time.sleep(1)
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.stop()
-            return 0
         __, front = _serving_stack(engine, args)
         front.start()
         print(f"serving {args.image} on {args.socket} (protocol v1); Ctrl-C to stop")
@@ -824,11 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-admission",
         action="store_true",
         help="disable admission control (accept everything, queue unboundedly)",
-    )
-    p.add_argument(
-        "--legacy-json",
-        action="store_true",
-        help="serve the deprecated line-oriented JSON protocol instead",
     )
     p.set_defaults(func=cmd_serve)
 

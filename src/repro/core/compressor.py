@@ -20,7 +20,6 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.hashtable import BlockHashTable
 from repro.core.refcount import BlockRefCount
-from repro.obs.compat import install_legacy_fields
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.block_device import BlockDevice
 from repro.storage.inode import Inode, Slot
@@ -42,8 +41,7 @@ COMPRESSOR_FIELDS = (
 class CompressorStats:
     """Counters describing the compressor's behaviour (registry-backed).
 
-    Mutation goes through :meth:`record`; the legacy attribute surface
-    (``stats.dedup_hits``) survives as deprecated property shims.
+    Mutation goes through :meth:`record`; reads through :meth:`snapshot`.
     """
 
     def __init__(
@@ -68,8 +66,6 @@ class CompressorStats:
         for counter in self._counters.values():
             counter.force(0)  # reprolint: disable=OBS001 -- reset() is the sanctioned zeroing path; force() keeps the shared instrument object while discarding its history
 
-
-install_legacy_fields(CompressorStats, "CompressorStats", COMPRESSOR_FIELDS)
 
 
 @dataclass

@@ -239,10 +239,8 @@ class CompressDB:
 
     # -- namespace -----------------------------------------------------------
     @transactional
-    def create(self, path: str, *, session=None) -> None:
+    def create(self, path: str) -> None:
         """Create an empty file at ``path``."""
-        if session is not None:
-            return session.create(path)
         if path in self._inodes:
             raise FileExistsInEngine(path)
         self._inodes[path] = Inode(
@@ -251,9 +249,7 @@ class CompressDB:
             device=self.device,
         )
 
-    def exists(self, path: str, *, session=None) -> bool:
-        if session is not None:
-            return session.exists(path)
+    def exists(self, path: str) -> bool:
         return path in self._inodes
 
     def inode(self, path: str) -> Inode:
@@ -305,10 +301,8 @@ class CompressDB:
         self._flush_pending(path)
 
     @transactional
-    def unlink(self, path: str, *, session=None) -> None:
+    def unlink(self, path: str) -> None:
         """Delete a file, releasing every block it references."""
-        if session is not None:
-            return session.unlink(path)
         inode = self._inode_raw(path)
         self._pending.pop(path, None)  # buffered bytes die with the file
         for slot in inode.iter_slots():
@@ -316,7 +310,7 @@ class CompressDB:
         del self._inodes[path]
 
     @transactional
-    def rename(self, old: str, new: str, *, session=None) -> None:
+    def rename(self, old: str, new: str) -> None:
         """Move a file to a new name.
 
         In memory this is a dict move; durably it is atomic, because
@@ -324,8 +318,6 @@ class CompressDB:
         — any published image carries either the old name or the new
         one, never both or neither.
         """
-        if session is not None:
-            return session.rename(old, new)
         if new in self._inodes:
             raise FileExistsInEngine(new)
         self._inodes[new] = self._inode_raw(old)
@@ -365,15 +357,11 @@ class CompressDB:
             raise
         self._inodes[dst] = clone
 
-    def list_files(self, prefix: str = "", *, session=None) -> list[str]:
+    def list_files(self, prefix: str = "") -> list[str]:
         """Paths in the namespace, optionally filtered by prefix."""
-        if session is not None:
-            return session.list_files(prefix)
         return sorted(p for p in self._inodes if p.startswith(prefix))
 
-    def file_size(self, path: str, *, session=None) -> int:
-        if session is not None:
-            return session.file_size(path)
+    def file_size(self, path: str) -> int:
         # Pending coalesced bytes count toward the logical size without
         # forcing a flush, so append loops polling the size stay cheap.
         buffered = self._pending.get(path)
@@ -433,15 +421,11 @@ class CompressDB:
         )
 
     # -- POSIX-like data access -------------------------------------------------
-    def read(self, path: str, offset: int, size: int, *, session=None) -> bytes:
+    def read(self, path: str, offset: int, size: int) -> bytes:
         """POSIX ``read``: short reads at end of file, never an error."""
-        if session is not None:
-            return session.read(path, offset, size)
         return self.ops.extract(path, offset, size)
 
-    def readv(
-        self, path: str, spans: Sequence[tuple[int, int]], *, session=None
-    ) -> list[bytes]:
+    def readv(self, path: str, spans: Sequence[tuple[int, int]]) -> list[bytes]:
         """Vectored read: serve every ``(offset, size)`` span at once.
 
         The slot runs covering all spans are planned first, then every
@@ -450,8 +434,6 @@ class CompressDB:
         N sequential ones.  Each span follows POSIX ``read`` semantics
         (short reads at end of file).
         """
-        if session is not None:
-            return session.readv(path, spans)
         self._flush_pending(path)
         inode = self._inode_raw(path)
         with self.obs.tracer.span("engine.readv", path=path, spans=len(spans)):
@@ -500,7 +482,7 @@ class CompressDB:
         return results
 
     @transactional
-    def write(self, path: str, offset: int, data: bytes, *, session=None) -> int:
+    def write(self, path: str, offset: int, data: bytes) -> int:
         """POSIX ``write``: overwrite in place, extend past end of file.
 
         Writing beyond the current end fills the gap with zero bytes
@@ -512,8 +494,6 @@ class CompressDB:
         read-modify-write per call.  Any overlapping or backward write
         flushes the buffer first and takes the in-place path.
         """
-        if session is not None:
-            return session.write(path, offset, data)
         inode = self._inode_raw(path)
         if offset < 0:
             raise ValueError("offset must be non-negative")
@@ -552,10 +532,8 @@ class CompressDB:
         return len(data)
 
     @transactional
-    def truncate(self, path: str, size: int, *, session=None) -> None:
+    def truncate(self, path: str, size: int) -> None:
         """Grow (zero-fill) or shrink the file to exactly ``size`` bytes."""
-        if session is not None:
-            return session.truncate(path, size)
         inode = self.inode(path)
         if size < 0:
             raise ValueError("size must be non-negative")
@@ -564,17 +542,13 @@ class CompressDB:
         elif size > inode.size:
             self.ops.append(path, b"\x00" * (size - inode.size))
 
-    def read_file(self, path: str, *, session=None) -> bytes:
+    def read_file(self, path: str) -> bytes:
         """Whole-file read convenience."""
-        if session is not None:
-            return session.read_file(path)
         return self.ops.extract(path, 0, self.inode(path).size)
 
     @transactional
-    def write_file(self, path: str, data: bytes, *, session=None) -> None:
+    def write_file(self, path: str, data: bytes) -> None:
         """Create-or-replace a file with ``data``."""
-        if session is not None:
-            return session.write_file(path, data)
         if self.exists(path):
             self.unlink(path)
         self.create(path)

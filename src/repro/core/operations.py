@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core import kmp
-from repro.obs.compat import install_legacy_fields
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.inode import Inode, Slot
 from repro.storage.journal import require_transaction, transactional
@@ -46,8 +45,7 @@ OPERATION_FIELDS = (
 class OperationStats:
     """Per-operation invocation counters (registry-backed).
 
-    Mutation goes through :meth:`record`; the legacy attribute surface
-    (``stats.extract``) survives as deprecated property shims.
+    Mutation goes through :meth:`record`; reads through :meth:`snapshot`.
     """
 
     def __init__(
@@ -72,8 +70,6 @@ class OperationStats:
         for counter in self._counters.values():
             counter.force(0)  # reprolint: disable=OBS001 -- reset() is the sanctioned zeroing path; force() keeps the shared instrument object while discarding its history
 
-
-install_legacy_fields(OperationStats, "OperationStats", OPERATION_FIELDS)
 
 
 def _tokenize_block(content: bytes) -> tuple[bool, bytes, Counter, bytes]:

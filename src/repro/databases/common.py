@@ -101,7 +101,7 @@ def frame_record(payload: bytes) -> bytes:
     return _FRAME_HEADER.pack(zlib.crc32(payload), len(payload)) + payload
 
 
-def read_frames(data: bytes) -> list[bytes]:
+def read_frames(data: bytes, align_to: int = 1) -> list[bytes]:
     """Decode a sequence of frames; a torn tail frame is dropped.
 
     Tolerating a truncated final record is WAL-recovery semantics: a
@@ -109,6 +109,10 @@ def read_frames(data: bytes) -> list[bytes]:
     Runs of zero bytes between frames are alignment padding (written
     so large records start on block boundaries, which is what lets the
     storage layer deduplicate identical records) and are skipped.
+    ``align_to`` is the boundary the writer pads to: a padded frame
+    starts *on* it, and its header may itself begin with zero bytes
+    (a CRC whose low byte is 0x00), so the scanner lands on the
+    boundary rather than on the first non-zero byte.
     """
     frames: list[bytes] = []
     offset = 0
@@ -116,13 +120,13 @@ def read_frames(data: bytes) -> list[bytes]:
     while offset + _FRAME_HEADER.size <= n:
         crc, length = _FRAME_HEADER.unpack_from(data, offset)
         if crc == 0 and length == 0:
-            # Alignment padding: skip to the next non-zero byte.
-            cursor = offset
+            # Alignment padding: find the next non-zero byte, then back
+            # up to the boundary its frame started on — never into the
+            # all-zero header just read, so the scan always advances.
+            cursor = offset + _FRAME_HEADER.size
             while cursor < n and data[cursor] == 0:
                 cursor += 1
-            if cursor == offset:  # pragma: no cover - defensive
-                break
-            offset = cursor
+            offset = max(cursor - cursor % align_to, offset + _FRAME_HEADER.size)
             continue
         body_start = offset + _FRAME_HEADER.size
         if body_start + length > n:

@@ -59,7 +59,6 @@ from repro.databases.sql_parser import (
     Update,
     parse,
 )
-from repro.fs.sessionfs import SessionFS
 from repro.fs.vfs import FileSystem
 
 _FIXED = struct.Struct("<q")  # INT cell
@@ -841,12 +840,7 @@ class MiniColumn(Database):
         directory: str = "/columndb",
         encodings: bool = True,
         vectorized: bool = True,
-        session=None,
     ) -> None:
-        if session is not None:
-            # The whole database runs inside one MVCC session: queries
-            # see its stable snapshot, updates buffer for its commit.
-            fs = SessionFS(fs, session)
         super().__init__(fs)
         self.directory = directory.rstrip("/")
         self.encodings = encodings

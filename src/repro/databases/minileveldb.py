@@ -31,7 +31,6 @@ from repro.databases.common import (
     read_frames,
 )
 from repro.databases.sstable import SSTableReader, SSTableWriter
-from repro.fs.sessionfs import SessionFS
 from repro.fs.vfs import FileSystem
 
 #: In-memory tombstone marker inside the memtable.
@@ -52,12 +51,7 @@ class MiniLevelDB(Database):
         l0_limit: int = 4,
         block_target: int = 4096,
         align_records: object = "auto",
-        session=None,
     ) -> None:
-        if session is not None:
-            # The whole database runs inside one MVCC session: queries
-            # see its stable snapshot, updates buffer for its commit.
-            fs = SessionFS(fs, session)
         super().__init__(fs)
         self.directory = directory.rstrip("/")
         self.codec = codec if codec is not None else IdentityCodec()

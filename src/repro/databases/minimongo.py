@@ -118,7 +118,8 @@ class Collection:
         self._records = []
         self._index = {}
         self._dead = 0
-        for ordinal, frame in enumerate(read_frames(self.fs.read_file(self.path))):
+        frames = read_frames(self.fs.read_file(self.path), self.align_to or 1)
+        for ordinal, frame in enumerate(frames):
             flag = frame[0]
             payload = json.loads(frame[1:].decode("utf-8"))
             if flag == 1:

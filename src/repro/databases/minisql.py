@@ -50,7 +50,6 @@ from repro.databases.sql_parser import (
     Update,
     parse,
 )
-from repro.fs.sessionfs import SessionFS
 from repro.fs.vfs import FileSystem
 
 _PAGE_HEADER = struct.Struct("<I")  # row count
@@ -464,12 +463,7 @@ class MiniSQL(Database):
         fs: FileSystem,
         directory: str = "/minisql",
         page_size: int = 4096,
-        session=None,
     ) -> None:
-        if session is not None:
-            # The whole database runs inside one MVCC session: queries
-            # see its stable snapshot, updates buffer for its commit.
-            fs = SessionFS(fs, session)
         super().__init__(fs)
         self.directory = directory.rstrip("/")
         self.page_size = page_size

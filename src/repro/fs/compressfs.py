@@ -4,8 +4,8 @@ This is the integration of Section 4.1/5: databases "set the system
 directory" to a CompressDB mount and their ``read``/``write`` system
 calls are handled by the engine, gaining compressed-data direct
 processing transparently.  The extra non-POSIX operations are available
-through :attr:`CompressFS.ops` (in-process) or the unix-socket API of
-:mod:`repro.core.api`.
+through :attr:`CompressFS.ops` (in-process) or, for remote callers,
+through :func:`repro.api.connect` over the serving layer's protocol v1.
 """
 
 from __future__ import annotations
@@ -81,25 +81,14 @@ class CompressFS(FileSystem):
         path: str,
         flags: int = fdmod.O_RDONLY,
         snapshot: Optional[str] = None,
-        session: Optional[object] = None,
     ) -> int:
         """Open a live file — or, with ``snapshot``, its frozen image.
 
         ``open(path, snapshot="monday")`` is sugar for opening the
         virtual path ``/.snap/monday/<path>``; either spelling yields a
         read-only descriptor backed by the frozen inode table.
-
-        ``open(path, flags, session=s)`` binds the descriptor to an
-        MVCC session: reads resolve against the session's snapshot,
-        writes buffer for its commit, and the descriptor is force-
-        closed when the session finishes (so a conflict abort cannot
-        leak fd slots or pinned snapshot images).
         """
         if snapshot is not None:
-            if session is not None:
-                raise InvalidArgument(
-                    "snapshot and session views cannot be combined"
-                )
             if flags & _WRITE_FLAGS:
                 raise PermissionDenied(
                     f"snapshot {snapshot!r} is read-only: open with O_RDONLY"
@@ -107,36 +96,7 @@ class CompressFS(FileSystem):
             path = f"{SNAP_ROOT}/{snapshot}" + (
                 path if path.startswith("/") else "/" + path
             )
-        if session is not None:
-            return self._open_with_session(path, flags, session)
         return super().open(path, flags)
-
-    def _open_with_session(self, path: str, flags: int, session) -> int:
-        if path.startswith(SNAP_ROOT + "/") or path == SNAP_ROOT:
-            raise PermissionDenied(f"{SNAP_ROOT} is a read-only snapshot view")
-        try:
-            exists = session.exists(path)
-            if not exists:
-                if not flags & fdmod.O_CREAT:
-                    raise FileNotFound(path)
-                session.create(path)
-            elif flags & fdmod.O_CREAT and flags & fdmod.O_EXCL:
-                raise FileExists(path)
-            fd = self._fds.allocate(path, flags, session=session)
-            if flags & fdmod.O_TRUNC and self._fds.lookup(fd).writable:
-                session.truncate(path, 0)
-        except FileExistsInEngine:
-            raise FileExists(path) from None
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
-        # One cleanup per (fs, session): when the session finishes —
-        # commit, abort, or conflict — every descriptor it still holds
-        # in this table is reclaimed.
-        session.add_cleanup(
-            lambda: self._fds.release_session(session),
-            key=f"fds:{id(self)}",
-        )
-        return fd
 
     # -- primitives -----------------------------------------------------------
     def _create(self, path: str) -> None:
@@ -248,37 +208,6 @@ class CompressFS(FileSystem):
             raise InvalidArgument("size must be non-negative")
         try:
             self.engine.truncate(path, size)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
-
-    # -- session primitives ---------------------------------------------------
-    def _session_pread(self, session, path: str, offset: int, size: int) -> bytes:
-        if offset < 0 or size < 0:
-            raise InvalidArgument("offset and size must be non-negative")
-        try:
-            return session.read(path, offset, size)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
-
-    def _session_pwrite(self, session, path: str, offset: int, data: bytes) -> int:
-        if offset < 0:
-            raise InvalidArgument("offset must be non-negative")
-        try:
-            return session.write(path, offset, data)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
-
-    def _session_truncate(self, session, path: str, size: int) -> None:
-        if size < 0:
-            raise InvalidArgument("size must be non-negative")
-        try:
-            session.truncate(path, size)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
-
-    def _session_size(self, session, path: str) -> int:
-        try:
-            return session.file_size(path)
         except FileNotFoundInEngine:
             raise FileNotFound(path) from None
 

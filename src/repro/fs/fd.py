@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.fs.errors import BadFileDescriptor, InvalidArgument
 
@@ -38,10 +37,6 @@ class OpenFile:
     path: str
     flags: int
     position: int = 0
-    #: MVCC session the descriptor is bound to (None = direct I/O).
-    #: Session descriptors read the session's snapshot and buffer
-    #: writes for its commit; they all close when the session finishes.
-    session: Optional[object] = None
 
     @property
     def readable(self) -> bool:
@@ -66,13 +61,11 @@ class FDTable:
         self._next_fd = 3  # skip stdin/stdout/stderr, like a real process
         self._free: list[int] = []
 
-    def allocate(
-        self, path: str, flags: int, session: Optional[object] = None
-    ) -> int:
+    def allocate(self, path: str, flags: int) -> int:
         fd = self._free.pop() if self._free else self._next_fd
         if fd == self._next_fd:
             self._next_fd += 1
-        self._open[fd] = OpenFile(path=path, flags=flags, session=session)
+        self._open[fd] = OpenFile(path=path, flags=flags)
         return fd
 
     def lookup(self, fd: int) -> OpenFile:
@@ -86,23 +79,6 @@ class FDTable:
         del self._open[fd]
         self._free.append(fd)
         return state
-
-    def release_session(self, session: object) -> list[int]:
-        """Force-close every descriptor bound to ``session``.
-
-        Runs when the session finishes (commit, conflict abort, or
-        explicit abort) so an aborted transaction cannot leak open
-        slots.  Every matching fd is removed and recycled even if the
-        caller's surrounding teardown is mid-failure — the loop itself
-        performs no fallible work.  Returns the released fds.
-        """
-        released = [
-            fd for fd, state in self._open.items() if state.session is session
-        ]
-        for fd in released:
-            del self._open[fd]
-            self._free.append(fd)
-        return sorted(released)
 
     def open_count(self, path: str) -> int:
         """Number of descriptors currently open on ``path``."""

@@ -6,8 +6,8 @@ sessions.  ``SessionFS`` wraps an existing (CompressFS-backed) file
 system so that *every* operation — namespace checks, descriptor I/O,
 whole-file helpers — routes through one session: queries see the
 session's stable snapshot, updates buffer for its first-committer-wins
-commit.  Constructing ``MiniSQL(fs, session=s)`` is exactly
-``MiniSQL(SessionFS(fs, s))``.
+commit.  This is the one way to bind a session: a database runs in
+a transaction as ``MiniSQL(SessionFS(fs, s))``.
 
 Durability is deliberately deferred: ``fsync``/``close`` are no-ops
 here because nothing the session wrote is publishable before its
@@ -21,10 +21,7 @@ fd slots nor pinned snapshot images.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.engine import FileExistsInEngine, FileNotFoundInEngine
-from repro.fs import fd as fdmod
 from repro.fs.errors import FileExists, FileNotFound, InvalidArgument
 from repro.fs.vfs import FileSystem
 
@@ -98,22 +95,6 @@ class SessionFS(FileSystem):
         return self.session.list_files()
 
     # -- overrides ------------------------------------------------------------
-    def open(
-        self,
-        path: str,
-        flags: int = fdmod.O_RDONLY,
-        snapshot: Optional[str] = None,
-        session: Optional[object] = None,
-    ) -> int:
-        if snapshot is not None:
-            raise InvalidArgument(
-                "SessionFS serves one session's snapshot; use the base "
-                "file system for named snapshot reads"
-            )
-        if session is not None and session is not self.session:
-            raise InvalidArgument("SessionFS is already bound to a session")
-        return super().open(path, flags)
-
     def rename(self, old: str, new: str) -> None:
         try:
             self.session.rename(old, new)

@@ -108,48 +108,6 @@ class FileSystem:
     def _list(self) -> list[str]:
         raise NotImplementedError
 
-    # -- session primitives (MVCC-capable subclasses override) ---------------
-    def _session_pread(
-        self, session: object, path: str, offset: int, size: int
-    ) -> bytes:
-        raise InvalidArgument("this file system does not support sessions")
-
-    def _session_pwrite(
-        self, session: object, path: str, offset: int, data: bytes
-    ) -> int:
-        raise InvalidArgument("this file system does not support sessions")
-
-    def _session_truncate(self, session: object, path: str, size: int) -> None:
-        raise InvalidArgument("this file system does not support sessions")
-
-    def _session_size(self, session: object, path: str) -> int:
-        raise InvalidArgument("this file system does not support sessions")
-
-    # -- descriptor routing --------------------------------------------------
-    # A descriptor bound to an MVCC session reads the session's snapshot
-    # and buffers writes for its commit; an unbound descriptor hits the
-    # storage primitives directly.
-    def _route_pread(self, state: fdmod.OpenFile, offset: int, size: int) -> bytes:
-        if state.session is not None:
-            return self._session_pread(state.session, state.path, offset, size)
-        return self._pread(state.path, offset, size)
-
-    def _route_pwrite(self, state: fdmod.OpenFile, offset: int, data: bytes) -> int:
-        if state.session is not None:
-            return self._session_pwrite(state.session, state.path, offset, data)
-        return self._pwrite(state.path, offset, data)
-
-    def _route_truncate(self, state: fdmod.OpenFile, size: int) -> None:
-        if state.session is not None:
-            self._session_truncate(state.session, state.path, size)
-        else:
-            self._truncate(state.path, size)
-
-    def _route_size(self, state: fdmod.OpenFile) -> int:
-        if state.session is not None:
-            return self._session_size(state.session, state.path)
-        return self._size(state.path)
-
     # -- namespace ---------------------------------------------------------
     def exists(self, path: str) -> bool:
         return self._exists(path)
@@ -189,23 +147,16 @@ class FileSystem:
         path: str,
         flags: int = fdmod.O_RDONLY,
         snapshot: Optional[str] = None,
-        session: Optional[object] = None,
     ) -> int:
         """Open ``path``; ``snapshot`` requests a time-travel view.
 
         Passing ``snapshot`` opens the file exactly as it was when that
-        snapshot was taken (read-only).  Passing ``session`` binds the
-        descriptor to an MVCC session: reads come from its snapshot,
-        writes buffer for its commit.  Only capable file systems
-        support either; the base implementation rejects both.
+        snapshot was taken (read-only).  Only capable file systems
+        support it; the base implementation rejects it.
         """
         if snapshot is not None:
             raise InvalidArgument(
                 "this file system does not support snapshot reads"
-            )
-        if session is not None:
-            raise InvalidArgument(
-                "this file system does not support sessions"
             )
         exists = self._exists(path)
         if not exists:
@@ -225,11 +176,9 @@ class FileSystem:
             # POSIX does not promise durability on close, but every
             # database in this repo treats close-after-write as a commit
             # point (as ext4's auto_da_alloc heuristic does), so map it
-            # to a sync.  Session descriptors defer durability to the
-            # session's commit instead.
-            if state.session is None:
-                with self.obs.tracer.span("vfs.close", path=state.path):
-                    self._sync(state.path)
+            # to a sync.
+            with self.obs.tracer.span("vfs.close", path=state.path):
+                self._sync(state.path)
         finally:
             # The slot is reclaimed even when the sync fails: a close
             # that raises must not leak the descriptor.
@@ -237,14 +186,14 @@ class FileSystem:
 
     def lseek(self, fd: int, offset: int, whence: int = fdmod.SEEK_SET) -> int:
         state = self._fds.lookup(fd)
-        return self._fds.seek(fd, offset, whence, self._route_size(state))
+        return self._fds.seek(fd, offset, whence, self._size(state.path))
 
     def read(self, fd: int, size: int) -> bytes:
         state = self._fds.lookup(fd)
         if not state.readable:
             raise PermissionDenied(f"fd {fd} not open for reading")
         with self.obs.tracer.span("vfs.read", path=state.path, size=size):
-            data = self._route_pread(state, state.position, size)
+            data = self._pread(state.path, state.position, size)
         state.position += len(data)
         return data
 
@@ -253,9 +202,9 @@ class FileSystem:
         if not state.writable:
             raise PermissionDenied(f"fd {fd} not open for writing")
         if state.append_mode:
-            state.position = self._route_size(state)
+            state.position = self._size(state.path)
         with self.obs.tracer.span("vfs.write", path=state.path, nbytes=len(data)):
-            written = self._route_pwrite(state, state.position, data)
+            written = self._pwrite(state.path, state.position, data)
         state.position += written
         return written
 
@@ -264,14 +213,14 @@ class FileSystem:
         if not state.readable:
             raise PermissionDenied(f"fd {fd} not open for reading")
         with self.obs.tracer.span("vfs.pread", path=state.path, size=size):
-            return self._route_pread(state, offset, size)
+            return self._pread(state.path, offset, size)
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         state = self._fds.lookup(fd)
         if not state.writable:
             raise PermissionDenied(f"fd {fd} not open for writing")
         with self.obs.tracer.span("vfs.pwrite", path=state.path, nbytes=len(data)):
-            return self._route_pwrite(state, offset, data)
+            return self._pwrite(state.path, offset, data)
 
     def preadv(self, fd: int, spans: list[tuple[int, int]]) -> list[bytes]:
         """``preadv``: read every ``(offset, size)`` span in one request."""
@@ -279,11 +228,6 @@ class FileSystem:
         if not state.readable:
             raise PermissionDenied(f"fd {fd} not open for reading")
         with self.obs.tracer.span("vfs.preadv", path=state.path, spans=len(spans)):
-            if state.session is not None:
-                return [
-                    self._session_pread(state.session, state.path, offset, size)
-                    for offset, size in spans
-                ]
             return self._preadv(state.path, spans)
 
     def pwritev(self, fd: int, spans: list[tuple[int, bytes]]) -> int:
@@ -292,18 +236,13 @@ class FileSystem:
         if not state.writable:
             raise PermissionDenied(f"fd {fd} not open for writing")
         with self.obs.tracer.span("vfs.pwritev", path=state.path, spans=len(spans)):
-            if state.session is not None:
-                return sum(
-                    self._session_pwrite(state.session, state.path, offset, data)
-                    for offset, data in spans
-                )
             return self._pwritev(state.path, spans)
 
     def ftruncate(self, fd: int, size: int) -> None:
         state = self._fds.lookup(fd)
         if not state.writable:
             raise PermissionDenied(f"fd {fd} not open for writing")
-        self._route_truncate(state, size)
+        self._truncate(state.path, size)
 
     def truncate(self, path: str, size: int) -> None:
         if not self._exists(path):

@@ -25,7 +25,6 @@ facades translate them identically on both paths.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -122,18 +121,6 @@ class Session:
             raise SessionClosed(
                 f"session {self.session_id} is {self.state}"
             )
-
-    @contextlib.contextmanager
-    def txn_scope(self):
-        """Transaction evidence for session-routed engine mutators.
-
-        Session mutations are buffered in memory, so there is nothing
-        to journal yet — the real engine transaction happens inside
-        :meth:`SessionManager.commit`.  This scope only asserts the
-        session is still open.
-        """
-        self._check_active()
-        yield self
 
     def add_cleanup(
         self, callback: Callable[[], None], key: Optional[str] = None

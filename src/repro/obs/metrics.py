@@ -73,8 +73,7 @@ class Counter:
     def force(self, value: int) -> None:
         """Set the counter to an absolute value.
 
-        The sanctioned escape hatch for ``reset()`` and the legacy
-        attribute shims (:mod:`repro.obs.compat`); ordinary code must
+        The sanctioned escape hatch for ``reset()``; ordinary code must
         only :meth:`inc`.
         """
         if value < 0:

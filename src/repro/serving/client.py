@@ -186,6 +186,16 @@ class WireClient:
     def count(self, path: str, pattern: bytes) -> int:
         return self.call("OPS_COUNT", path=path, pattern=pattern)["count"]
 
+    def insert(self, path: str, offset: int, data: bytes) -> None:
+        self.call("OPS_INSERT", path=path, offset=offset, data=data)
+
+    def delete(self, path: str, offset: int, length: int) -> None:
+        self.call("OPS_DELETE", path=path, offset=offset, length=length)
+
+    def word_count(self, path: str) -> dict[bytes, int]:
+        body = self.call("OPS_WORD_COUNT", path=path)
+        return {word: n for word, n in body["counts"]}
+
 
 class RemoteFS(FileSystem):
     """A :class:`FileSystem` whose storage primitives cross the wire.

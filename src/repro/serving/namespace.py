@@ -229,14 +229,13 @@ class NamespaceFS(FileSystem):
         path: str,
         flags: int = fdmod.O_RDONLY,
         snapshot: Optional[str] = None,
-        session: Optional[object] = None,
     ) -> int:
         if self.fd_limit is not None and len(self._fds.open_fds()) >= self.fd_limit:
             raise QuotaExceeded(
                 f"tenant {self.tenant!r} descriptor quota "
                 f"({self.fd_limit}) exhausted"
             )
-        return super().open(path, flags, snapshot=snapshot, session=session)
+        return super().open(path, flags, snapshot=snapshot)
 
     def release_fds(self) -> int:
         """Force-close every open descriptor (connection teardown)."""

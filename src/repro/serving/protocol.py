@@ -19,12 +19,12 @@ request or response — is one **frame**::
 Payloads are dictionaries serialized with a small deterministic tagged
 binary encoding (:func:`pack_payload` / :func:`unpack_payload`) that
 carries ``bytes`` natively — file contents and key-value pairs never
-pay a hex/base64 detour like the legacy JSON protocol of
-:mod:`repro.core.api` does.
+pay a hex/base64 detour.
 
 The opcode set is **versioned**: :data:`OPCODES` is protocol v1 and is
 append-only.  It covers the VFS surface, MVCC session control, the
-three database front ends, and compressed-domain aggregate pushdown.
+three database front ends, and the compressed-domain pushdown
+operations (search/count/aggregate, insert/delete, word count).
 
 Framing errors subclass :class:`ProtocolError`, which the error table
 in :mod:`repro.fs.errors` maps onto stable wire codes; a server
@@ -92,6 +92,9 @@ OPCODES: dict[str, int] = {
     "OPS_SEARCH": 0x40,
     "OPS_COUNT": 0x41,
     "AGGREGATE": 0x42,
+    "OPS_INSERT": 0x43,
+    "OPS_DELETE": 0x44,
+    "OPS_WORD_COUNT": 0x45,
 }
 
 OPCODE_NAMES: dict[int, str] = {code: name for name, code in OPCODES.items()}

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.analysis.sanitizer import TrackedLock
+from repro.core.operations import OperationError
 from repro.databases.minicolumn import MiniColumn
 from repro.databases.minileveldb import MiniLevelDB
 from repro.databases.minisql import MiniSQL
@@ -236,6 +237,9 @@ class Server:
             OPCODES["OPS_SEARCH"]: self._op_ops_search,
             OPCODES["OPS_COUNT"]: self._op_ops_count,
             OPCODES["AGGREGATE"]: self._op_aggregate,
+            OPCODES["OPS_INSERT"]: self._op_ops_insert,
+            OPCODES["OPS_DELETE"]: self._op_ops_delete,
+            OPCODES["OPS_WORD_COUNT"]: self._op_ops_word_count,
         }
 
     # -- provisioning ---------------------------------------------------------
@@ -595,6 +599,35 @@ class Server:
     def _op_ops_count(self, state: _TenantState, payload: dict) -> dict:
         mapped = self._mapped_path(state, payload["path"])
         return {"count": self.engine.ops.count(mapped, payload["pattern"])}
+
+    def _op_ops_insert(self, state: _TenantState, payload: dict) -> dict:
+        mapped = self._mapped_path(state, payload["path"])
+        data = payload["data"]
+        state.ledger.charge(bytes_delta=len(data))
+        try:
+            self.engine.ops.insert(mapped, payload["offset"], data)
+        except BaseException as exc:
+            state.ledger.charge(bytes_delta=-len(data))
+            if isinstance(exc, OperationError):
+                raise InvalidArgument(str(exc)) from None
+            raise
+        return {"ok": True}
+
+    def _op_ops_delete(self, state: _TenantState, payload: dict) -> dict:
+        mapped = self._mapped_path(state, payload["path"])
+        length = payload["length"]
+        try:
+            self.engine.ops.delete(mapped, payload["offset"], length)
+        except OperationError as exc:
+            raise InvalidArgument(str(exc)) from None
+        state.ledger.charge(bytes_delta=-length)
+        return {"ok": True}
+
+    def _op_ops_word_count(self, state: _TenantState, payload: dict) -> dict:
+        mapped = self._mapped_path(state, payload["path"])
+        counts = self.engine.ops.word_count(mapped)
+        # Payload dict keys must be str; words are bytes.
+        return {"counts": [[word, n] for word, n in sorted(counts.items())]}
 
     def _op_aggregate(self, state: _TenantState, payload: dict) -> dict:
         # Aggregates push down to the column store's compressed-domain

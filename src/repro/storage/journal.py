@@ -104,20 +104,10 @@ def transactional(method: _Method) -> _Method:
     point — ``fsync``/``flush``, ``close``, or the outermost explicit
     ``engine.transaction()`` exit — never partway through the method.
     TXN001 accepts this decorator as proof of transaction scope.
-
-    When the call carries a ``session`` keyword (an MVCC session), the
-    method routes the mutation into that session's private buffers
-    instead of the engine, so the unit of atomicity is the *session
-    commit*: the wrapper enters the session's transaction scope (which
-    asserts the session is still open) rather than the engine's.
     """
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
-        session = kwargs.get("session")
-        if session is not None:
-            with session.txn_scope():
-                return method(self, *args, **kwargs)
         scope = getattr(self, "_txn_scope", None)
         if scope is None:
             scope = self.engine._txn_scope

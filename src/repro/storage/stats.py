@@ -6,9 +6,7 @@ Since PR 4 every counter lives in a
 keeps the familiar :class:`IOStats` recording API — ``record_read``,
 ``record_batched_write``, … — as a thin facade over those registry
 counters.  Reads go through :meth:`IOStats.snapshot`, which returns a
-frozen :class:`IOStatsSnapshot`; the old mutable attribute access
-(``stats.block_reads``) still works for one release via
-``DeprecationWarning``-emitting property shims.
+frozen :class:`IOStatsSnapshot`.
 
 :class:`StatsRegistry` is the named-component directory the cluster
 simulator uses; its :meth:`StatsRegistry.total` sums components
@@ -20,11 +18,9 @@ once.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
-from repro.obs.compat import install_legacy_fields
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["IOStats", "IOStatsSnapshot", "StatsRegistry"]
@@ -184,11 +180,6 @@ class IOStats:
         return self.snapshot().total_bytes
 
 
-# Legacy mutable-dataclass surface: stats.block_reads reads/writes keep
-# working for one release, warning toward snapshot()/the registry.
-install_legacy_fields(IOStats, "IOStats", IO_FIELDS)
-
-
 def _default_prefix(name: str) -> str:
     cleaned = _PREFIX_SANITIZE.sub("_", name.lower()) or "component"
     if not cleaned[0].isalpha():
@@ -239,8 +230,7 @@ class StatsRegistry:
         """Sum of every *distinct* component's counters.
 
         Components are deduplicated by identity: one IOStats registered
-        under two names contributes once (the historical ``aggregate``
-        double-counted aliases).
+        under two names contributes once.
         """
         total = IOStatsSnapshot()
         seen: set[int] = set()
@@ -250,12 +240,3 @@ class StatsRegistry:
             seen.add(id(stats))
             total = total.merge(stats.snapshot())
         return total
-
-    def aggregate(self) -> IOStatsSnapshot:
-        """Deprecated alias of :meth:`total`."""
-        warnings.warn(
-            "StatsRegistry.aggregate() is deprecated; use total()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.total()

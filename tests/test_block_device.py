@@ -77,10 +77,10 @@ class TestStatsAndClock:
         block = device.allocate()
         device.write_block(block, b"a")
         device.read_block(block)
-        assert device.stats.block_writes == 1
-        assert device.stats.block_reads == 1
-        assert device.stats.bytes_written == device.block_size
-        assert device.stats.bytes_read == device.block_size
+        assert device.stats.snapshot().block_writes == 1
+        assert device.stats.snapshot().block_reads == 1
+        assert device.stats.snapshot().bytes_written == device.block_size
+        assert device.stats.snapshot().bytes_read == device.block_size
 
     def test_io_charges_simulated_time(self):
         clock = SimClock()
@@ -94,7 +94,7 @@ class TestStatsAndClock:
         before = clock.now
         device.charge_metadata_access(write=True)
         assert clock.now > before
-        assert device.stats.metadata_writes == 1
+        assert device.stats.snapshot().metadata_writes == 1
 
 
 class TestCache:
@@ -104,16 +104,16 @@ class TestCache:
         device.read_block(block)
         device.read_block(block)
         assert device.cache_hits == 0
-        assert device.stats.block_reads == 2
+        assert device.stats.snapshot().block_reads == 2
 
     def test_cached_read_is_free(self):
         device = MemoryBlockDevice(block_size=64, cache_blocks=4)
         block = device.allocate()
         device.write_block(block, b"a")
-        reads_before = device.stats.block_reads
+        reads_before = device.stats.snapshot().block_reads
         device.read_block(block)  # hits the write-through entry
         assert device.cache_hits == 1
-        assert device.stats.block_reads == reads_before
+        assert device.stats.snapshot().block_reads == reads_before
 
     def test_cache_eviction_is_lru(self):
         device = MemoryBlockDevice(block_size=64, cache_blocks=2)

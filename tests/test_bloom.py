@@ -79,7 +79,7 @@ class TestSSTableBloom:
             misses += 1
         # Nearly every lookup must be answered by the filter alone.
         assert reader.bloom_negatives > misses * 0.9
-        assert fs.device.stats.block_reads < misses
+        assert fs.device.stats.snapshot().block_reads < misses
 
     def test_present_keys_unaffected(self):
         fs = PassthroughFS(block_size=256)
@@ -103,7 +103,7 @@ class TestSSTableBloom:
         fs.device.stats.reset()
         for i in range(300):
             assert db.get(b"missing%04d" % i) is None
-        reads_with_bloom = fs.device.stats.block_reads
+        reads_with_bloom = fs.device.stats.snapshot().block_reads
         # The same lookups without filters would touch a data block per
         # (table, key) pair; with filters almost nothing is read.
         assert reads_with_bloom < 50

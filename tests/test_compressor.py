@@ -24,7 +24,7 @@ class TestStore:
         slot = compressor.store(b"unique-content!!", 16)
         assert refcount.get(slot.block_no) == 1
         assert device.read_block(slot.block_no) == b"unique-content!!"
-        assert compressor.stats.fresh_allocations == 1
+        assert compressor.stats.snapshot()["fresh_allocations"] == 1
 
     def test_duplicate_content_shares_block(self, setup):
         __, __, refcount, compressor = setup
@@ -32,7 +32,7 @@ class TestStore:
         second = compressor.store(b"same", 4)
         assert first.block_no == second.block_no
         assert refcount.get(first.block_no) == 2
-        assert compressor.stats.dedup_hits == 1
+        assert compressor.stats.snapshot()["dedup_hits"] == 1
 
     def test_padding_makes_short_content_shareable(self, setup):
         """b'x' and b'x\\x00...' occupy the same padded block."""
@@ -63,7 +63,7 @@ class TestCommit:
         assert inode.slot_at(0).block_no == block  # updated in place
         assert device.read_block(block).startswith(b"new-content")
         assert hashtable.find_duplicate(b"new-content" + b"\x00" * 5) == block
-        assert compressor.stats.in_place_updates == 1
+        assert compressor.stats.snapshot()["in_place_updates"] == 1
 
     def test_copy_on_write_when_shared(self, setup):
         device, __, refcount, compressor = setup
@@ -72,7 +72,7 @@ class TestCommit:
         compressor.commit(inode, 0, b"edited", 6)
         assert inode.slot_at(0).block_no != original
         assert refcount.get(original) == 1  # the other slot still points there
-        assert compressor.stats.cow_allocations == 1
+        assert compressor.stats.snapshot()["cow_allocations"] == 1
 
     def test_redirect_to_existing_duplicate(self, setup):
         device, __, refcount, compressor = setup
@@ -90,16 +90,16 @@ class TestCommit:
         compressor.commit(inode, 1, b"aaa", 3)
         assert refcount.get(block_b) == 0
         assert block_b not in hashtable
-        assert compressor.stats.blocks_freed == 1
+        assert compressor.stats.snapshot()["blocks_freed"] == 1
 
     def test_noop_commit_keeps_block(self, setup):
         device, __, __, compressor = setup
         inode = self._file_with(compressor, [b"stay"])
         block = inode.slot_at(0).block_no
-        writes_before = device.stats.block_writes
+        writes_before = device.stats.snapshot().block_writes
         compressor.commit(inode, 0, b"stay", 4)
         assert inode.slot_at(0).block_no == block
-        assert device.stats.block_writes == writes_before
+        assert device.stats.snapshot().block_writes == writes_before
 
     def test_commit_can_move_hole_boundary_only(self, setup):
         __, __, __, compressor = setup
@@ -157,4 +157,4 @@ class TestDedupDisabled:
         first = compressor.store(b"same", 4)
         second = compressor.store(b"same", 4)
         assert first.block_no != second.block_no
-        assert compressor.stats.dedup_hits == 0
+        assert compressor.stats.snapshot()["dedup_hits"] == 0

@@ -166,11 +166,11 @@ class TestReflinkCopy:
     def test_copy_shares_all_blocks(self, engine):
         engine.write_file("/src", bytes(range(256)))
         blocks_before = engine.physical_data_blocks()
-        writes_before = engine.device.stats.block_writes
+        writes_before = engine.device.stats.snapshot().block_writes
         engine.copy_file("/src", "/dst")
         assert engine.read_file("/dst") == bytes(range(256))
         assert engine.physical_data_blocks() == blocks_before
-        assert engine.device.stats.block_writes == writes_before  # zero data I/O
+        assert engine.device.stats.snapshot().block_writes == writes_before  # zero data I/O
         engine.check_invariants()
 
     def test_copies_diverge_on_write(self, engine):

@@ -172,7 +172,7 @@ class TestMetadataCharging:
     def test_mutations_charge_device_metadata(self, device):
         inode = Inode(block_size=device.block_size, page_capacity=4, device=device)
         inode.append_slot(Slot(block_no=0, used=1))
-        assert device.stats.metadata_writes >= 1
+        assert device.stats.snapshot().metadata_writes >= 1
 
     def test_reads_are_served_from_memory(self, device):
         inode = Inode(block_size=device.block_size, page_capacity=4, device=device)

@@ -26,6 +26,7 @@ from repro.distributed.interleave import run_mvcc_sessions
 from repro.fs import fd as fdmod
 from repro.fs.compressfs import CompressFS
 from repro.fs.errors import BadFileDescriptor, InvalidArgument
+from repro.fs.sessionfs import SessionFS
 from repro.mvcc import (
     HistoryEvent,
     SessionClosed,
@@ -121,15 +122,6 @@ class TestSessionBasics:
                 session.write_file("/ctx", b"never lands")
                 raise RuntimeError("boom")
         assert engine.read_file("/ctx") == b"committed"
-
-    def test_engine_mutators_accept_session_kwarg(self):
-        engine = _engine()
-        with engine.session() as session:
-            engine.create("/via-kwarg", session=session)
-            engine.write("/via-kwarg", 0, b"routed", session=session)
-            assert engine.read("/via-kwarg", 0, 6, session=session) == b"routed"
-            assert not engine.exists("/via-kwarg")
-        assert engine.read_file("/via-kwarg") == b"routed"
 
 
 class TestConflicts:
@@ -362,12 +354,13 @@ class TestSessionDescriptors:
         engine.write_file("/doc", b"committed state")
         fs = CompressFS(engine=engine)
         session = engine.mvcc.begin()
-        fd = fs.open("/doc", fdmod.O_RDWR, session=session)
-        assert fs.read(fd, 9) == b"committed"
-        fs.pwrite(fd, b"SESSION", 0)
-        assert fs.pread(fd, 7, 0) == b"SESSION"
+        view = SessionFS(fs, session)
+        fd = view.open("/doc", fdmod.O_RDWR)
+        assert view.read(fd, 9) == b"committed"
+        view.pwrite(fd, b"SESSION", 0)
+        assert view.pread(fd, 7, 0) == b"SESSION"
         assert engine.read_file("/doc") == b"committed state"
-        fs.close(fd)
+        view.close(fd)
         session.commit()
         assert engine.read_file("/doc") == b"SESSIONed state"
 
@@ -376,23 +369,25 @@ class TestSessionDescriptors:
         engine.write_file("/doc", b"data")
         fs = CompressFS(engine=engine)
         session = engine.mvcc.begin()
-        fd = fs.open("/doc", fdmod.O_RDONLY, session=session)
+        view = SessionFS(fs, session)
+        fd = view.open("/doc", fdmod.O_RDONLY)
         session.commit()
         with pytest.raises(BadFileDescriptor):
-            fs.read(fd, 1)
+            view.read(fd, 1)
 
     def test_conflict_abort_releases_fds_and_pins(self):
         engine = _engine()
         engine.write_file("/contested", b"base " * 40)
         fs = CompressFS(engine=engine)
         loser = engine.mvcc.begin()
-        fd = fs.open("/contested", fdmod.O_RDWR, session=loser)
-        fs.pwrite(fd, b"loser", 0)
+        view = SessionFS(fs, loser)
+        fd = view.open("/contested", fdmod.O_RDWR)
+        view.pwrite(fd, b"loser", 0)
         with engine.session() as winner:
             winner.write_file("/contested", b"winner " * 40)
         with pytest.raises(WriteConflict):
             loser.commit()
-        assert fs._fds.open_fds() == []
+        assert view._fds.open_fds() == []
         assert engine.refcount.total_pins() == 0
 
     def test_failed_sync_on_close_does_not_leak_the_fd(self):
@@ -418,8 +413,13 @@ class TestSessionDescriptors:
         engine.write_file("/doc", b"data")
         fs = CompressFS(engine=engine)
         session = engine.mvcc.begin()
+        engine.snapshots.create("snap")
+        view = SessionFS(fs, session)
         with pytest.raises(InvalidArgument):
-            fs.open("/doc", fdmod.O_RDONLY, snapshot="snap", session=session)
+            view.open("/doc", fdmod.O_RDONLY, snapshot="snap")
+        assert view._fds.open_fds() == []
+        # The named snapshot is served by the base file system.
+        fs.close(fs.open("/doc", fdmod.O_RDONLY, snapshot="snap"))
         session.abort()
 
 
@@ -430,7 +430,7 @@ class TestDatabasesOnSessions:
         engine = _engine()
         fs = CompressFS(engine=engine)
         with engine.session() as session:
-            db = MiniSQL(fs, page_size=512, session=session)
+            db = MiniSQL(SessionFS(fs, session), page_size=512)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
             db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
             assert engine.list_files() == []  # everything buffered
@@ -444,14 +444,14 @@ class TestDatabasesOnSessions:
         engine = _engine()
         fs = CompressFS(engine=engine)
         with engine.session() as setup:
-            db = MiniSQL(fs, page_size=512, session=setup)
+            db = MiniSQL(SessionFS(fs, setup), page_size=512)
             db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
             db.execute("INSERT INTO t VALUES (1, 10)")
         loser = engine.mvcc.begin()
-        loser_db = MiniSQL(fs, page_size=512, session=loser)
+        loser_db = MiniSQL(SessionFS(fs, loser), page_size=512)
         loser_db.execute("UPDATE t SET v = 99 WHERE id = 1")
         with engine.session() as winner:
-            MiniSQL(fs, page_size=512, session=winner).execute(
+            MiniSQL(SessionFS(fs, winner), page_size=512).execute(
                 "UPDATE t SET v = 42 WHERE id = 1"
             )
         with pytest.raises(WriteConflict):
@@ -464,7 +464,7 @@ class TestDatabasesOnSessions:
         engine = _engine()
         fs = CompressFS(engine=engine)
         with engine.session() as session:
-            db = MiniColumn(fs, session=session)
+            db = MiniColumn(SessionFS(fs, session))
             db.execute("CREATE TABLE t (id INT, name TEXT)")
             db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
         rows = MiniColumn(fs).execute("SELECT id FROM t")
@@ -476,7 +476,7 @@ class TestDatabasesOnSessions:
         engine = _engine()
         fs = CompressFS(engine=engine)
         with engine.session() as session:
-            db = MiniLevelDB(fs, session=session, memtable_limit=1 << 20)
+            db = MiniLevelDB(SessionFS(fs, session), memtable_limit=1 << 20)
             db.put(b"k1", b"v1")
             db.put(b"k2", b"v2")
             db.close()

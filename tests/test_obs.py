@@ -7,8 +7,8 @@ CompressFS write producing one connected VFS → engine → journal →
 device trace), the sampled hook sites, byte-stable exporter output
 against golden files, a Prometheus text-format validator over
 ``repro stats --prom``, the identity-deduplication fix in
-``StatsRegistry.total()``, and the deprecated attribute shims on the
-four legacy stats classes.
+``StatsRegistry.total()``, and the snapshot-only read surface of the
+stats classes.
 """
 
 from __future__ import annotations
@@ -467,33 +467,15 @@ class TestStatsRegistryDedup:
         assert registry.total().block_reads == 2
         assert registry.total().bytes_read == 30
 
-    def test_aggregate_is_deprecated_alias(self):
-        registry = StatsRegistry()
-        registry.register("a").record_write(7)
-        with pytest.warns(DeprecationWarning, match="use total"):
-            snap = registry.aggregate()
-        assert snap.block_writes == 1
-
 
 class TestLegacyShims:
-    def test_attribute_read_warns_and_matches_snapshot(self):
-        stats = IOStats()
-        stats.record_read(100)
-        with pytest.warns(DeprecationWarning, match="IOStats.block_reads"):
-            assert stats.block_reads == 1
-        assert stats.snapshot().block_reads == 1
+    """The PR 4 attribute shims are gone: counters are read through
+    frozen snapshots only."""
 
-    def test_attribute_write_warns_and_lands_in_registry(self):
-        stats = IOStats()
-        with pytest.warns(DeprecationWarning):
-            stats.allocations = 3
-        assert stats.registry.snapshot().counter("storage.device.allocations") == 3
-
-    def test_compressor_stats_shim(self):
-        stats = CompressorStats()
-        stats.record("dedup_hits")
-        with pytest.warns(DeprecationWarning):
-            assert stats.dedup_hits == 1
+    def test_legacy_attributes_are_gone(self):
+        assert not hasattr(IOStats(), "block_reads")
+        assert not hasattr(CompressorStats(), "dedup_hits")
+        assert not hasattr(StatsRegistry(), "aggregate")
 
     def test_snapshot_is_frozen(self):
         snap = IOStats().snapshot()

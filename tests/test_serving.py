@@ -86,6 +86,47 @@ class TestFraming:
             "640373047061746873022f6173066f6666736574690673046461746162020001"
         )
 
+    def test_golden_frame_bytes_of_appended_opcodes(self):
+        """OPS_INSERT/OPS_DELETE/OPS_WORD_COUNT were appended after
+        0x42; their codes and request encodings are frozen too."""
+        assert [
+            protocol.OPCODES[name]
+            for name in ("OPS_INSERT", "OPS_DELETE", "OPS_WORD_COUNT")
+        ] == [0x43, 0x44, 0x45]
+        assert max(
+            code
+            for name, code in protocol.OPCODES.items()
+            if name not in ("OPS_INSERT", "OPS_DELETE", "OPS_WORD_COUNT")
+        ) == 0x42
+        insert = protocol.encode_frame(
+            protocol.OPCODES["OPS_INSERT"],
+            8,
+            {"path": "/a", "offset": 3, "data": b"\x00\x01"},
+        )
+        assert insert.hex() == (
+            "43444257014300000000000800000020"
+            "4a23e853"
+            "640373047061746873022f6173066f6666736574690673046461746162020001"
+        )
+        delete = protocol.encode_frame(
+            protocol.OPCODES["OPS_DELETE"],
+            9,
+            {"path": "/a", "offset": 3, "length": 2},
+        )
+        assert delete.hex() == (
+            "43444257014400000000000900000020"
+            "9a1549fa"
+            "640373047061746873022f6173066f6666736574690673066c656e6774686904"
+        )
+        word_count = protocol.encode_frame(
+            protocol.OPCODES["OPS_WORD_COUNT"], 10, {"path": "/a"}
+        )
+        assert word_count.hex() == (
+            "43444257014500000000000a0000000c"
+            "3b5a366a"
+            "640173047061746873022f61"
+        )
+
     def test_roundtrip_all_value_types(self):
         payload = {
             "none": None,
@@ -147,17 +188,35 @@ class TestFraming:
         """Arbitrary corruption either decodes or raises ProtocolError —
         nothing else (no struct.error, no KeyError) reaches the caller."""
         rng = random.Random(20260808)
-        base = protocol.encode_frame(
-            protocol.OPCODES["SQL_EXECUTE"], 9, {"sql": "SELECT 1", "rows": [1, 2]}
-        )
-        for __ in range(400):
-            mutated = bytearray(base)
-            for __ in range(rng.randint(1, 6)):
-                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
-            try:
-                protocol.decode_frame(bytes(mutated[: rng.randint(0, len(mutated))]))
-            except protocol.ProtocolError:
-                pass
+        bases = [
+            protocol.encode_frame(
+                protocol.OPCODES["SQL_EXECUTE"], 9, {"sql": "SELECT 1", "rows": [1, 2]}
+            ),
+            protocol.encode_frame(
+                protocol.OPCODES["OPS_INSERT"],
+                10,
+                {"path": "/doc", "offset": 6, "data": b"INS \x00\xff"},
+            ),
+            protocol.encode_frame(
+                protocol.OPCODES["OPS_DELETE"],
+                11,
+                {"path": "/doc", "offset": 6, "length": 4},
+            ),
+            protocol.encode_frame(
+                protocol.OPCODES["OPS_WORD_COUNT"], 12, {"path": "/doc"}
+            ),
+        ]
+        for base in bases:
+            for __ in range(400):
+                mutated = bytearray(base)
+                for __ in range(rng.randint(1, 6)):
+                    mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+                try:
+                    protocol.decode_frame(
+                        bytes(mutated[: rng.randint(0, len(mutated))])
+                    )
+                except protocol.ProtocolError:
+                    pass
 
     def test_oversized_payload_rejected_both_ways(self):
         with pytest.raises(protocol.ProtocolError):
@@ -567,6 +626,130 @@ class TestWireDatabases:
             client.search("/nope", b"x")
 
 
+class TestWireManipulation:
+    """OPS_INSERT / OPS_DELETE / OPS_WORD_COUNT: the operations the
+    deleted JSON socket was the only remote path for."""
+
+    DOC = b"alpha beta gamma alpha beta " * 4
+
+    def _tenant(self, server, name="t", **config):
+        server.add_tenant(TenantConfig(name=name, **config))
+        client = make_client(server, name)
+        RemoteFS(client).write_file("/doc", self.DOC)
+        return client
+
+    def test_insert_delete_word_count_roundtrip(self):
+        server = make_server()
+        client = self._tenant(server)
+        fs = RemoteFS(client)
+        client.insert("/doc", 6, b"INS ")
+        assert fs.read_file("/doc")[:14] == b"alpha INS beta"
+        client.delete("/doc", 6, 4)
+        assert fs.read_file("/doc") == self.DOC
+        counts = client.word_count("/doc")
+        assert counts[b"alpha"] == 8 and counts[b"gamma"] == 4
+        assert set(counts) == {b"alpha", b"beta", b"gamma"}
+        server.engine.check_invariants()
+
+    def test_binary_payload_survives_insert(self):
+        server = make_server()
+        client = self._tenant(server)
+        payload = bytes(range(256))
+        client.insert("/doc", len(self.DOC), payload)
+        assert RemoteFS(client).read_file("/doc")[len(self.DOC):] == payload
+
+    def test_cannot_name_another_tenants_path(self):
+        from repro.fs.errors import InvalidArgument
+
+        server = make_server()
+        alice = self._tenant(server, "alice")
+        server.add_tenant("bob")
+        bob = make_client(server, "bob")
+        # The same client path maps under bob's own root, where it is absent.
+        for call in (
+            lambda: bob.insert("/doc", 0, b"x"),
+            lambda: bob.delete("/doc", 0, 1),
+            lambda: bob.word_count("/doc"),
+        ):
+            with pytest.raises(FileNotFound):
+                call()
+        # Escaping the root, or naming the image path outright, fails too.
+        with pytest.raises(InvalidArgument):
+            bob.insert("/../alice/doc", 0, b"x")
+        with pytest.raises(FileNotFound):
+            bob.delete("/t/alice/doc", 0, 1)
+        assert RemoteFS(alice).read_file("/doc") == self.DOC
+
+    def test_unknown_file_is_file_not_found(self):
+        server = make_server()
+        client = self._tenant(server)
+        with pytest.raises(FileNotFound):
+            client.insert("/missing", 0, b"x")
+        with pytest.raises(FileNotFound):
+            client.delete("/missing", 0, 1)
+        with pytest.raises(FileNotFound):
+            client.word_count("/missing")
+
+    def test_bad_range_is_invalid_argument_on_both_backends(self):
+        from repro.fs.errors import InvalidArgument
+
+        server = make_server()
+        self._tenant(server)
+        wire = api.connect(server, tenant="t")
+        direct = api.connect(CompressFS(block_size=256, page_capacity=8))
+        direct.fs.write_file("/doc", self.DOC)
+        for client in (wire, direct):
+            with pytest.raises(InvalidArgument):
+                client.insert("/doc", len(self.DOC) + 1, b"x")
+            with pytest.raises(InvalidArgument):
+                client.delete("/doc", len(self.DOC) - 1, 2)
+            assert client.fs.read_file("/doc") == self.DOC
+
+    def test_insert_and_delete_meter_the_byte_quota(self):
+        from repro.fs.errors import InvalidArgument
+
+        server = make_server()
+        client = self._tenant(server, quota_bytes=len(self.DOC) + 16)
+        ledger = server._tenants["t"].ledger
+        assert ledger.used_bytes == len(self.DOC)
+        client.insert("/doc", 0, b"x" * 16)
+        assert ledger.used_bytes == len(self.DOC) + 16
+        # Past the quota: refused before the engine is touched.
+        with pytest.raises(QuotaExceeded):
+            client.insert("/doc", 0, b"y")
+        assert ledger.used_bytes == len(self.DOC) + 16
+        assert RemoteFS(client).stat("/doc").size == len(self.DOC) + 16
+        # A charge whose operation then fails is refunded.
+        client.delete("/doc", 0, 8)
+        assert ledger.used_bytes == len(self.DOC) + 8
+        with pytest.raises(InvalidArgument):
+            client.insert("/doc", 10_000, b"zzzz")
+        assert ledger.used_bytes == len(self.DOC) + 8
+        # A failed delete credits nothing; a good one frees room again.
+        with pytest.raises(InvalidArgument):
+            client.delete("/doc", 0, 10_000)
+        assert ledger.used_bytes == len(self.DOC) + 8
+        client.insert("/doc", 0, b"w" * 8)
+        assert ledger.used_bytes == RemoteFS(client).stat("/doc").size
+
+    def test_edits_persist_across_remount(self):
+        device = MemoryBlockDevice(block_size=256)
+        server = Server(
+            fs=CompressFS(engine=CompressDB.mount(device, journal_blocks=64))
+        )
+        client = self._tenant(server)
+        client.insert("/doc", 6, b"INS ")
+        client.delete("/doc", 0, 6)
+        RemoteFS(client)._sync("/doc")
+        reopened = Server(fs=CompressFS(engine=CompressDB.mount(device)))
+        reopened.add_tenant("t")
+        again = make_client(reopened, "t")
+        assert RemoteFS(again).read_file("/doc") == b"INS " + self.DOC[6:]
+        assert again.word_count("/doc")[b"INS"] == 1
+        # The ledger is re-seeded from the files found under the root.
+        assert reopened._tenants["t"].ledger.used_bytes == len(self.DOC) - 2
+
+
 # ---------------------------------------------------------------------------
 # The repro.api facade
 # ---------------------------------------------------------------------------
@@ -587,6 +770,15 @@ def drive_facade(client: api.Client) -> dict:
             raise RuntimeError("boom")
     except RuntimeError:
         pass
+    fingerprint = _facade_fingerprint(client)
+    client.insert("/facade", 6, b" more")
+    client.delete("/facade", 0, 7)
+    fingerprint["edited"] = client.fs.read_file("/facade")
+    fingerprint["word_count"] = client.word_count("/facade")
+    return fingerprint
+
+
+def _facade_fingerprint(client: api.Client) -> dict:
     return {
         "read": client.fs.read_file("/facade"),
         "kv": list(client.kv.scan()),
@@ -615,16 +807,6 @@ class TestFacade:
             api.connect(CompressFS(), tenant="t")  # tenant needs a server
         with pytest.raises(InvalidArgument):
             api.connect(object())
-
-    def test_legacy_entry_points_warn_but_work(self):
-        from repro.core.api import DirectAPI
-
-        engine = CompressDB(block_size=256, page_capacity=8)
-        engine.create("/x")
-        with pytest.warns(DeprecationWarning):
-            legacy = DirectAPI(engine)
-        legacy.append("/x", b"still works")
-        assert legacy.extract("/x", 0, 11) == b"still works"
 
 
 # ---------------------------------------------------------------------------

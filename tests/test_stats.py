@@ -9,14 +9,14 @@ class TestIOStats:
     def test_record_read(self):
         stats = IOStats()
         stats.record_read(1024)
-        assert stats.block_reads == 1
-        assert stats.bytes_read == 1024
+        assert stats.snapshot().block_reads == 1
+        assert stats.snapshot().bytes_read == 1024
 
     def test_record_write(self):
         stats = IOStats()
         stats.record_write(512)
-        assert stats.block_writes == 1
-        assert stats.bytes_written == 512
+        assert stats.snapshot().block_writes == 1
+        assert stats.snapshot().bytes_written == 512
 
     def test_totals(self):
         stats = IOStats()
@@ -30,10 +30,12 @@ class TestIOStats:
     def test_reset_zeroes_everything(self):
         stats = IOStats()
         stats.record_read(10)
-        stats.allocations = 3
+        for __ in range(3):
+            stats.record_allocation()
+        assert stats.snapshot().allocations == 3
         stats.reset()
         assert stats.total_ops == 0
-        assert stats.allocations == 0
+        assert stats.snapshot().allocations == 0
 
     def test_snapshot_is_independent(self):
         stats = IOStats()
@@ -41,7 +43,7 @@ class TestIOStats:
         snap = stats.snapshot()
         stats.record_read(10)
         assert snap.block_reads == 1
-        assert stats.block_reads == 2
+        assert stats.snapshot().block_reads == 2
 
     def test_delta(self):
         stats = IOStats()
@@ -72,7 +74,7 @@ class TestStatsRegistry:
         registry.register("a").record_read(10)
         registry.register("b").record_read(20)
         registry.get("b").record_write(5)
-        total = registry.aggregate()
+        total = registry.total()
         assert total.block_reads == 2
         assert total.bytes_read == 30
         assert total.bytes_written == 5
@@ -81,4 +83,4 @@ class TestStatsRegistry:
         registry = StatsRegistry()
         registry.register("a").record_read(10)
         registry.reset_all()
-        assert registry.aggregate().total_ops == 0
+        assert registry.total().total_ops == 0

@@ -81,10 +81,10 @@ class TestPruning:
         fs = db.fs
         fs.device.stats.reset()
         db.execute("SELECT id FROM t WHERE id >= 100 AND id <= 120")
-        selective = fs.device.stats.bytes_read
+        selective = fs.device.stats.snapshot().bytes_read
         fs.device.stats.reset()
         db.execute("SELECT id FROM t")
-        full = fs.device.stats.bytes_read
+        full = fs.device.stats.snapshot().bytes_read
         assert selective < full / 3
 
     def test_updates_widen_zone(self, db):
@@ -107,7 +107,7 @@ class TestPruning:
         rows = db.execute("SELECT id FROM t WHERE id > 100000")
         assert rows == []
         # Only zone maps (a few hundred bytes) were read, no column data.
-        assert fs.device.stats.bytes_read < 2048
+        assert fs.device.stats.snapshot().bytes_read < 2048
 
     def test_zone_maps_survive_reopen(self, db):
         reopened = MiniColumn(db.fs)
@@ -115,10 +115,10 @@ class TestPruning:
         fs.device.stats.reset()
         rows = reopened.execute("SELECT id FROM t WHERE id >= 480")
         assert len(rows) == 20
-        selective = fs.device.stats.bytes_read
+        selective = fs.device.stats.snapshot().bytes_read
         fs.device.stats.reset()
         reopened.execute("SELECT id FROM t")
-        assert selective < fs.device.stats.bytes_read
+        assert selective < fs.device.stats.snapshot().bytes_read
 
     def test_random_equivalence_with_full_scan(self, db):
         rng = random.Random(4)
@@ -137,7 +137,7 @@ class TestMetadataAggregates:
         result = db.execute("SELECT min(id) lo, max(id) hi, count(*) c FROM t")
         assert result == [{"lo": 0, "hi": 499, "c": 500}]
         # Only the tiny zone-map files were read, no column data.
-        assert fs.device.stats.bytes_read < 4096
+        assert fs.device.stats.snapshot().bytes_read < 4096
 
     def test_matches_scan_answer(self, db):
         metadata = db.execute("SELECT min(score) lo, max(score) hi FROM t")
