@@ -2,10 +2,12 @@
 
 Raft's replica-interchangeability argument rests on one property: the
 same committed command sequence produces the same state on every node.
-The state machine (``repro.raft.statemachine``) therefore must be a
-pure function of ``(state, command)`` — anything a replica reads from
-its *environment* while applying breaks the digests silently, and the
-divergence only surfaces after a failover loses data.
+The apply step (``repro.raft.statemachine``, a table lookup) and the
+``Master`` mutators it dispatches to (``repro.distributed.master``, the
+apply *bodies*) therefore must be a pure function of
+``(state, command)`` — anything a replica reads from its *environment*
+while applying breaks the digests silently, and the divergence only
+surfaces after a failover loses data.
 
 Three nondeterminism sources are flagged lexically, anywhere in the
 scoped modules:
@@ -14,8 +16,8 @@ scoped modules:
   ``time.perf_counter()``, ``datetime.now()`` / ``utcnow()`` /
   ``today()``, and any ``<...>clock.now`` access.  Replicas apply at
   different instants (a restarted node replays years of log in one
-  tick); time-dependent arguments (lease deadlines) must be computed by
-  the proposer and carried inside the command.
+  tick); a time-dependent argument must be computed by the proposer and
+  carried inside the command.
 * **unseeded randomness** — calls through the ``random`` *module*
   (``random.choice(...)``).  A ``random.Random(seed)`` instance held by
   the node is fine — but placement-style choices belong at propose
@@ -37,7 +39,7 @@ from repro.analysis.framework import Checker, FileContext, register
 from repro.analysis.symbols import dotted_name
 
 #: Modules whose code must be deterministic (exact module or prefix).
-DETERMINISTIC_MODULES = ("repro.raft.statemachine",)
+DETERMINISTIC_MODULES = ("repro.raft.statemachine", "repro.distributed.master")
 
 #: Functions of the ``time`` module that read a clock.
 _TIME_READS = frozenset(

@@ -14,14 +14,17 @@ deterministic rule, which matters because under replication
 (:mod:`repro.distributed.replicated`) every mutator here runs as a Raft
 state-machine command that must produce identical results on every
 replica.  For the same reason the mutators take no nondeterministic
-input: time and randomness, where needed (leases), are computed by the
-proposer and passed in as arguments.
+input: time and randomness, where needed, are computed by the proposer
+and passed in as arguments.
+
+:data:`METADATA_PLANE` declares that interface once; the Raft apply
+step, the replicated facade and the shard router are derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.analysis.sanitizer import TrackedLock, tracked_lock
 
@@ -107,8 +110,6 @@ class Master:
         #: Bumped on every membership change; chunk servers compare it
         #: on (re)registration to learn their placement view is stale.
         self.placement_epoch = 0
-        #: path -> (holder, expiry in proposer SimClock seconds).
-        self._leases: dict[str, tuple[str, float]] = {}
 
     # -- namespace ---------------------------------------------------------
     def create(self, path: str) -> FileEntry:
@@ -164,7 +165,9 @@ class Master:
         )
         if name not in self.server_names:
             self.server_names.append(name)
-            self._server_load.setdefault(name, 0)
+            # A re-admitted server still holds the replicas it had when
+            # it left; starting it at 0 would dog-pile placement onto it.
+            self._server_load[name] = len(self.chunks_on(name))
         if domain:
             self._domains[name] = domain
         if changed:
@@ -226,27 +229,19 @@ class Master:
                 )
 
     def allocate_chunk(
-        self,
-        path: str,
-        server: Optional[str] = None,
-        servers: Optional[list[str]] = None,
+        self, path: str, servers: Optional[list[str]] = None
     ) -> ChunkInfo:
         """Append a fresh chunk to the file.
 
-        Placement defaults to the domain-aware greedy rule; an explicit
-        ``server`` (single replica) or ``servers`` list pins it — the
-        replicated path pins placement chosen by the leader at propose
-        time, so replaying followers never re-run the placement rule on
-        a membership that may since have changed.
+        Placement defaults to the domain-aware greedy rule — identical
+        load state on every replica (it is itself command-built) means
+        identical placement, no coordination; an explicit ``servers``
+        list pins it.
         """
         self.lock.require_held()
         entry = self.lookup(path)
         if servers is None:
-            if server is not None:
-                servers = [server]
-                self._note_placement(servers, +1)
-            else:
-                servers = self._pick_servers()
+            servers = self._pick_servers()
         else:
             servers = list(servers)
             self._note_placement(servers, +1)
@@ -257,25 +252,6 @@ class Master:
         )
         self._next_chunk += 1
         entry.chunks.append(chunk)
-        return chunk
-
-    def insert_chunk_after(self, path: str, index: int, server: str) -> ChunkInfo:
-        """Splice a fresh chunk after position ``index`` (for big inserts)."""
-        return self.insert_chunk_after_replicas(path, index, [server])
-
-    def insert_chunk_after_replicas(
-        self, path: str, index: int, servers: list[str]
-    ) -> ChunkInfo:
-        self.lock.require_held()
-        entry = self.lookup(path)
-        chunk = ChunkInfo(
-            chunk_id=f"{self.chunk_prefix}{self._next_chunk:08d}",
-            servers=list(servers),
-            length=0,
-        )
-        self._next_chunk += 1
-        self._note_placement(chunk.servers, +1)
-        entry.chunks.insert(index + 1, chunk)
         return chunk
 
     def drop_chunk(self, path: str, chunk_id: str) -> ChunkInfo:
@@ -328,24 +304,6 @@ class Master:
         chunk.servers = list(servers)
         self._note_placement(chunk.servers, +1)
         return chunk
-
-    # -- leases ----------------------------------------------------------------
-    def grant_lease(self, path: str, holder: str, until: float) -> dict:
-        """Record a client lease; ``until`` is supplied by the proposer
-        (SimClock seconds) so replaying replicas never read a clock."""
-        self.lock.require_held()
-        self.lookup(path)
-        self._leases[path] = (holder, until)
-        return {"path": path, "holder": holder, "until": until}
-
-    def lease_holder(self, path: str, now: float) -> Optional[str]:
-        held = self._leases.get(path)
-        if held is None or held[1] <= now:
-            return None
-        return held[0]
-
-    def leases(self) -> dict[str, tuple[str, float]]:
-        return {path: self._leases[path] for path in sorted(self._leases)}
 
     # -- addressing ------------------------------------------------------------------
     def locate(self, path: str, offset: int) -> tuple[int, ChunkInfo, int]:
@@ -455,3 +413,45 @@ class Master:
                         live[src] -= 1
                     live[dst] += 1
         return moves
+
+
+#: The metadata plane, declared once: one row per public ``Master``
+#: method (and per attribute the facades expose) giving its Raft log
+#: opcode — ``None`` for a read, served from the leader's local state —
+#: and how a sharded plane answers it.  ``path`` routes to the shard
+#: owning the first argument and ``any`` asks one shard (all agree); the
+#: others ask every shard in sorted order and merge the answers with
+#: ``sum``, ``max``, a ``sorted`` concat or a flat ``concat``.  The apply
+#: step (:mod:`repro.raft.statemachine`), ``ReplicatedMaster`` and
+#: ``ShardedMaster`` are derived from this table at import, so a new
+#: metadata op is one method above plus one row here.  Opcodes and
+#: argument names are log bytes — renaming either changes every
+#: persisted log and the simulated network cost of every propose.
+METADATA_PLANE: Mapping[str, tuple[Optional[str], str]] = {
+    "chunk_capacity": (None, "any"),
+    "replication": (None, "any"),
+    "server_names": (None, "any"),
+    "placement_epoch": (None, "max"),
+    "create": ("create", "path"),
+    "lookup": (None, "path"),
+    "exists": (None, "path"),
+    "unlink": ("unlink", "path"),
+    "list_files": (None, "sorted"),
+    "file_size": (None, "path"),
+    "domain_of": (None, "any"),
+    "server_domains": (None, "any"),
+    "register_server": ("register_server", "max"),
+    "remove_server": ("remove_server", "max"),
+    "allocate_chunk": ("alloc", "path"),
+    "drop_chunk": ("drop", "path"),
+    "find_chunk": (None, "path"),
+    "extend_chunk": ("extend", "path"),
+    "set_chunk_length": ("set_length", "path"),
+    "place_chunk": ("place", "path"),
+    "locate": (None, "path"),
+    "chunks_in_range": (None, "path"),
+    "chunks_on": (None, "concat"),
+    "total_logical_bytes": (None, "sum"),
+    "chunk_count": (None, "sum"),
+    "placement_moves": (None, "concat"),
+}

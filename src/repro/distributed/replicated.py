@@ -5,10 +5,11 @@
 plain :class:`~repro.distributed.master.Master` as local state, and a
 :class:`~repro.raft.node.RaftNode` — on one synchronous transport and
 one SimClock.  :class:`ReplicatedMaster` is the facade the rest of the
-cluster talks to: it quacks like a ``Master``, but every mutator is
-proposed to the Raft leader as a state-machine command, and every read
-is served from the leader's local state under its lease (no quorum
-round trip on the read path).
+cluster talks to: it quacks like a ``Master`` (its members are derived
+from :data:`~repro.distributed.master.METADATA_PLANE`), but every
+mutator is proposed to the Raft leader as a state-machine command, and
+every read is served from the leader's local state under its lease (no
+quorum round trip on the read path).
 
 Locking: the whole group shares ONE rank-0 master lock.  Composite
 operations in :class:`~repro.distributed.client.ClusterClient` hold it
@@ -29,11 +30,12 @@ matrix drives every window of the propose path).
 
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 from repro.analysis.sanitizer import TrackedLock, tracked_lock
-from repro.distributed.master import ChunkInfo, FileEntry, Master
+from repro.distributed.master import METADATA_PLANE, Master
 from repro.obs import Observability
 from repro.raft.log import RaftLog
 from repro.raft.node import (
@@ -261,135 +263,51 @@ class MasterGroup:
 class ReplicatedMaster:
     """``Master``-compatible facade over a :class:`MasterGroup`.
 
-    Reads delegate to the leased leader's local state; mutators become
-    replicated commands.  Mutators return the leader's live metadata
+    Its members are derived from :data:`METADATA_PLANE` below: a row
+    with an opcode proposes that command, a read row asks the leased
+    leader's local state.  Mutators return the leader's live metadata
     objects (``ChunkInfo`` / ``FileEntry``), so callers that poke at
     the returned objects keep working — but true replication-safe
-    length updates must go through :meth:`extend_chunk` /
-    :meth:`set_chunk_length`, which the cluster client does.
+    length updates must go through ``extend_chunk`` /
+    ``set_chunk_length``, which the cluster client does.
     """
 
     def __init__(self, group: MasterGroup) -> None:
         self.group = group
         self.lock = group.lock
 
-    # -- delegated attributes -------------------------------------------------
-    @property
-    def chunk_capacity(self) -> int:
-        return self.group.leader_master().chunk_capacity
 
-    @property
-    def replication(self) -> int:
-        return self.group.leader_master().replication
+def _facade_member(name: str, opcode: Optional[str]) -> Any:
+    """What one ``METADATA_PLANE`` row is on the facade."""
+    method = vars(Master).get(name)
+    if method is None:  # an attribute of the leader's state
 
-    @property
-    def server_names(self) -> list[str]:
-        return self.group.leader_master().server_names
+        def attribute(self: ReplicatedMaster) -> Any:
+            return getattr(self.group.leader_master(), name)
 
-    @property
-    def placement_epoch(self) -> int:
-        return self.group.leader_master().placement_epoch
+        return property(attribute)
+    if opcode is None:
 
-    # -- reads (leader-local under lease) -------------------------------------
-    def lookup(self, path: str) -> FileEntry:
-        return self.group.leader_master().lookup(path)
+        def member(self: ReplicatedMaster, *args: Any, **kwargs: Any) -> Any:
+            return getattr(self.group.leader_master(), name)(*args, **kwargs)
 
-    def exists(self, path: str) -> bool:
-        return self.group.leader_master().exists(path)
+    else:
+        # Argument names are log bytes; resolved here, once, defaults
+        # included, so the propose path binds nothing through ``inspect``.
+        params = list(inspect.signature(method).parameters.values())[1:]
+        names = [param.name for param in params]
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
 
-    def list_files(self) -> list[str]:
-        return self.group.leader_master().list_files()
+        def member(self: ReplicatedMaster, *args: Any, **kwargs: Any) -> Any:
+            named = {**defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or named.keys() != set(names):
+                raise TypeError(f"{name}() takes arguments {names}")
+            return self.group.propose(opcode, **named)
 
-    def file_size(self, path: str) -> int:
-        return self.group.leader_master().file_size(path)
+    member.__name__ = name
+    member.__qualname__ = f"ReplicatedMaster.{name}"
+    return member
 
-    def locate(self, path: str, offset: int):
-        return self.group.leader_master().locate(path, offset)
 
-    def chunks_in_range(self, path: str, offset: int, length: int):
-        return self.group.leader_master().chunks_in_range(path, offset, length)
-
-    def chunks_on(self, server_name: str) -> list[ChunkInfo]:
-        return self.group.leader_master().chunks_on(server_name)
-
-    def find_chunk(self, path: str, chunk_id: str) -> ChunkInfo:
-        return self.group.leader_master().find_chunk(path, chunk_id)
-
-    def total_logical_bytes(self) -> int:
-        return self.group.leader_master().total_logical_bytes()
-
-    def chunk_count(self) -> int:
-        return self.group.leader_master().chunk_count()
-
-    def domain_of(self, name: str) -> str:
-        return self.group.leader_master().domain_of(name)
-
-    def server_domains(self) -> dict[str, str]:
-        return self.group.leader_master().server_domains()
-
-    def placement_moves(self) -> list[tuple[str, str, str, str]]:
-        return self.group.leader_master().placement_moves()
-
-    def lease_holder(self, path: str, now: float) -> Optional[str]:
-        return self.group.leader_master().lease_holder(path, now)
-
-    def leases(self) -> dict[str, tuple[str, float]]:
-        return self.group.leader_master().leases()
-
-    # -- replicated mutators ---------------------------------------------------
-    def create(self, path: str) -> FileEntry:
-        return self.group.propose("create", path=path)
-
-    def unlink(self, path: str) -> FileEntry:
-        return self.group.propose("unlink", path=path)
-
-    def allocate_chunk(
-        self,
-        path: str,
-        server: Optional[str] = None,
-        servers: Optional[list[str]] = None,
-    ) -> ChunkInfo:
-        if server is not None and servers is None:
-            servers = [server]
-        return self.group.propose("alloc", path=path, servers=servers)
-
-    def insert_chunk_after(self, path: str, index: int, server: str) -> ChunkInfo:
-        return self.group.propose(
-            "splice", path=path, index=index, servers=[server]
-        )
-
-    def insert_chunk_after_replicas(
-        self, path: str, index: int, servers: list[str]
-    ) -> ChunkInfo:
-        return self.group.propose(
-            "splice", path=path, index=index, servers=list(servers)
-        )
-
-    def drop_chunk(self, path: str, chunk_id: str) -> ChunkInfo:
-        return self.group.propose("drop", path=path, chunk_id=chunk_id)
-
-    def extend_chunk(self, path: str, chunk_id: str, delta: int) -> int:
-        return self.group.propose(
-            "extend", path=path, chunk_id=chunk_id, delta=delta
-        )
-
-    def set_chunk_length(self, path: str, chunk_id: str, length: int) -> int:
-        return self.group.propose(
-            "set_length", path=path, chunk_id=chunk_id, length=length
-        )
-
-    def place_chunk(self, path: str, chunk_id: str, servers: list[str]) -> ChunkInfo:
-        return self.group.propose(
-            "place", path=path, chunk_id=chunk_id, servers=list(servers)
-        )
-
-    def register_server(self, name: str, domain: str = "") -> int:
-        return self.group.propose("register_server", name=name, domain=domain)
-
-    def remove_server(self, name: str) -> int:
-        return self.group.propose("remove_server", name=name)
-
-    def grant_lease(self, path: str, holder: str, until: float) -> dict:
-        return self.group.propose(
-            "lease", path=path, holder=holder, until=until
-        )
+for _name, (_opcode, __) in METADATA_PLANE.items():
+    setattr(ReplicatedMaster, _name, _facade_member(_name, _opcode))

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
+from itertools import chain
 from typing import Any, Callable, Optional
 
 from repro.analysis.sanitizer import TrackedLock, tracked_lock
+from repro.distributed.master import METADATA_PLANE, Master
 from repro.fs.errors import TryAgain
 from repro.obs import Observability
 
@@ -171,11 +173,13 @@ class ClientShardCache:
 class ShardedMaster:
     """``Master``-compatible facade over per-shard master facades.
 
-    Path-scoped operations route through the ring to one shard;
-    membership operations fan out to every shard (all groups must share
-    one view of the chunk servers); namespace-wide reads merge
-    deterministically.  All shards share ONE rank-0 master lock, so the
-    cluster client's composite-operation locking protocol is unchanged.
+    Its members are derived from the route column of
+    :data:`METADATA_PLANE` below: path-scoped operations route through
+    the ring to one shard; membership operations fan out to every shard
+    (all groups must share one view of the chunk servers);
+    namespace-wide reads merge deterministically.  All shards share ONE
+    rank-0 master lock, so the cluster client's composite-operation
+    locking protocol is unchanged.
     """
 
     def __init__(
@@ -202,114 +206,44 @@ class ShardedMaster:
     def _all(self) -> list[Any]:
         return [self.shards[name] for name in sorted(self.shards)]
 
-    # -- delegated attributes ----------------------------------------------
-    @property
-    def chunk_capacity(self) -> int:
-        return self._first().chunk_capacity
 
-    @property
-    def replication(self) -> int:
-        return self._first().replication
+#: How the answers of every shard (in sorted-shard order) become one.
+_MERGES: dict[str, Callable[[list], Any]] = {
+    "sum": sum,
+    "max": max,
+    "sorted": lambda answers: sorted(chain.from_iterable(answers)),
+    "concat": lambda answers: list(chain.from_iterable(answers)),
+}
 
-    @property
-    def server_names(self) -> list[str]:
-        return self._first().server_names
 
-    @property
-    def placement_epoch(self) -> int:
-        return max(shard.placement_epoch for shard in self._all())
+def _router_member(name: str, route: str) -> Any:
+    """What one ``METADATA_PLANE`` row is on the router."""
+    is_method = name in vars(Master)  # else an attribute: read, not called
 
-    # -- path-routed operations --------------------------------------------
-    def create(self, path: str):
-        return self.shard_for(path).create(path)
+    def ask(shard: Any, *args: Any, **kwargs: Any) -> Any:
+        member = getattr(shard, name)
+        return member(*args, **kwargs) if is_method else member
 
-    def unlink(self, path: str):
-        return self.shard_for(path).unlink(path)
+    if route == "path":
 
-    def exists(self, path: str) -> bool:
-        return self.shard_for(path).exists(path)
+        def routed(self: ShardedMaster, path: str, *args: Any, **kwargs: Any) -> Any:
+            return ask(self.shard_for(path), path, *args, **kwargs)
 
-    def lookup(self, path: str):
-        return self.shard_for(path).lookup(path)
+    elif route == "any":
 
-    def file_size(self, path: str) -> int:
-        return self.shard_for(path).file_size(path)
+        def routed(self: ShardedMaster, *args: Any, **kwargs: Any) -> Any:
+            return ask(self._first(), *args, **kwargs)
 
-    def locate(self, path: str, offset: int):
-        return self.shard_for(path).locate(path, offset)
+    else:
+        merge = _MERGES[route]
 
-    def chunks_in_range(self, path: str, offset: int, length: int):
-        return self.shard_for(path).chunks_in_range(path, offset, length)
+        def routed(self: ShardedMaster, *args: Any, **kwargs: Any) -> Any:
+            return merge([ask(shard, *args, **kwargs) for shard in self._all()])
 
-    def allocate_chunk(self, path: str, server=None, servers=None):
-        return self.shard_for(path).allocate_chunk(
-            path, server=server, servers=servers
-        )
+    routed.__name__ = name
+    routed.__qualname__ = f"ShardedMaster.{name}"
+    return routed if is_method else property(routed)
 
-    def insert_chunk_after(self, path: str, index: int, server: str):
-        return self.shard_for(path).insert_chunk_after(path, index, server)
 
-    def insert_chunk_after_replicas(self, path: str, index: int, servers: list[str]):
-        return self.shard_for(path).insert_chunk_after_replicas(
-            path, index, servers
-        )
-
-    def drop_chunk(self, path: str, chunk_id: str):
-        return self.shard_for(path).drop_chunk(path, chunk_id)
-
-    def find_chunk(self, path: str, chunk_id: str):
-        return self.shard_for(path).find_chunk(path, chunk_id)
-
-    def extend_chunk(self, path: str, chunk_id: str, delta: int) -> int:
-        return self.shard_for(path).extend_chunk(path, chunk_id, delta)
-
-    def set_chunk_length(self, path: str, chunk_id: str, length: int) -> int:
-        return self.shard_for(path).set_chunk_length(path, chunk_id, length)
-
-    def place_chunk(self, path: str, chunk_id: str, servers: list[str]):
-        return self.shard_for(path).place_chunk(path, chunk_id, servers)
-
-    def grant_lease(self, path: str, holder: str, until: float) -> dict:
-        return self.shard_for(path).grant_lease(path, holder, until)
-
-    def lease_holder(self, path: str, now: float) -> Optional[str]:
-        return self.shard_for(path).lease_holder(path, now)
-
-    # -- fan-out / merged operations ---------------------------------------
-    def register_server(self, name: str, domain: str = "") -> int:
-        return max(
-            shard.register_server(name, domain) for shard in self._all()
-        )
-
-    def remove_server(self, name: str) -> int:
-        return max(shard.remove_server(name) for shard in self._all())
-
-    def list_files(self) -> list[str]:
-        merged: list[str] = []
-        for shard in self._all():
-            merged.extend(shard.list_files())
-        return sorted(merged)
-
-    def chunks_on(self, server_name: str) -> list:
-        found = []
-        for shard in self._all():
-            found.extend(shard.chunks_on(server_name))
-        return found
-
-    def placement_moves(self) -> list[tuple[str, str, str, str]]:
-        moves: list[tuple[str, str, str, str]] = []
-        for shard in self._all():
-            moves.extend(shard.placement_moves())
-        return moves
-
-    def domain_of(self, name: str) -> str:
-        return self._first().domain_of(name)
-
-    def server_domains(self) -> dict[str, str]:
-        return self._first().server_domains()
-
-    def total_logical_bytes(self) -> int:
-        return sum(shard.total_logical_bytes() for shard in self._all())
-
-    def chunk_count(self) -> int:
-        return sum(shard.chunk_count() for shard in self._all())
+for _name, (__, _route) in METADATA_PLANE.items():
+    setattr(ShardedMaster, _name, _router_member(_name, _route))

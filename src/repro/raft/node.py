@@ -477,8 +477,9 @@ class RaftNode:
 
         Raises :class:`NotLeaderError` (with a redirect hint) on a
         non-leader, :class:`NodeCrashed` if an installed crash point
-        fires mid-operation, and :class:`TryAgain` if the entry could
-        not reach a majority (minority partition).
+        fires mid-operation, :class:`TryAgain` if the entry could not
+        reach a majority (minority partition), and the state machine's
+        typed rejection of a committed command (e.g. an existing path).
         """
         self._ensure_alive()
         if self.role != LEADER:
@@ -499,4 +500,7 @@ class RaftNode:
                 f"entry {entry.index} did not reach a majority",
                 retry_after_ms=self.config.heartbeat_interval * 1e3,
             )
-        return self._results.pop(entry.index, None)
+        result = self._results.pop(entry.index, None)
+        if isinstance(result, Exception):
+            raise result  # the state machine rejected this command
+        return result

@@ -1,21 +1,25 @@
 """Deterministic metadata state machine replicated by the Raft log.
 
 Every mutation of cluster metadata — namespace entries, chunk maps,
-placements, server membership, leases — is a **command**: an opcode
-plus arguments, canonically encoded (sorted keys, fixed separators) so
-the same command produces identical bytes on every node.  Commands are
+placements, server membership — is a **command**: an opcode plus
+arguments, canonically encoded (sorted keys, fixed separators) so the
+same command produces identical bytes on every node.  Commands are
 appended to the Raft log and applied, in log order, to a plain
 :class:`~repro.distributed.master.Master` on each replica.  Raft's
-guarantee (identical committed logs) plus determinism here (identical
-apply results) is what makes the replicas interchangeable after a
-leader crash.
+guarantee (identical committed logs) plus determinism (identical apply
+results) is what makes the replicas interchangeable after a leader
+crash.
 
-Determinism rules for this module (enforced by reprolint DET001):
+Which opcode runs which ``Master`` mutator is one column of
+:data:`~repro.distributed.master.METADATA_PLANE`; the apply step here
+is a lookup in it.  The apply *bodies* are therefore the ``Master``
+mutators, and the determinism rules (enforced by reprolint DET001 on
+this module and on :mod:`repro.distributed.master`) bind them:
 
-* no wall-clock reads — any time-dependent argument (lease deadlines)
-  is computed by the *proposer* and carried inside the command;
-* no module-level ``random`` — nondeterministic choices (placement)
-  are likewise resolved at propose time, never during apply;
+* no wall-clock reads — any time-dependent argument is computed by the
+  *proposer* and carried inside the command;
+* no module-level ``random`` — nondeterministic choices are likewise
+  resolved at propose time, never during apply;
 * no dict-iteration-order dependence — anything iterated is sorted.
 """
 
@@ -23,9 +27,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any
 
-from repro.distributed.master import ChunkInfo, FileEntry, Master
+from repro.distributed.master import (
+    METADATA_PLANE,
+    ClusterFileExists,
+    ClusterFileNotFound,
+    Master,
+)
+
+#: Log opcode -> the ``Master`` mutator that applies it.
+_MUTATORS = {
+    opcode: method
+    for method, (opcode, __) in sorted(METADATA_PLANE.items())
+    if opcode is not None
+}
 
 
 class CommandError(Exception):
@@ -67,59 +83,22 @@ class MetadataStateMachine:
                 f"apply out of order: index {index} after {self.applied_index}"
             )
         op, args = decode_command(command)
-        handler = getattr(self, f"_apply_{op}", None)
-        if handler is None:
+        if op == "noop":  # leader barrier: commits the preceding term's tail
+            result = None
+        elif op in _MUTATORS:
+            try:
+                result = getattr(self.master, _MUTATORS[op])(**args)
+            except (ClusterFileExists, ClusterFileNotFound, ValueError) as rejected:
+                # A rejected command is a result, not a failed apply: the
+                # mutators validate before they mutate, so it is the same
+                # no-op on every replica, and only its proposer sees it
+                # raised (RaftNode.propose).  Raised here it would stop
+                # every replica's apply cursor at this index for good.
+                result = rejected
+        else:
             raise CommandError(f"unknown command op {op!r}")
-        result = handler(**args)
         self.applied_index = index
         return result
-
-    # -- handlers (alphabetical; each mirrors one Master mutator) ----------
-    def _apply_alloc(
-        self, path: str, servers: Optional[list[str]] = None
-    ) -> ChunkInfo:
-        """``servers=None`` runs the Master's deterministic placement
-        rule — identical load state on every replica (it is itself
-        command-built) means identical placement, no coordination."""
-        return self.master.allocate_chunk(path, servers=servers)
-
-    def _apply_create(self, path: str) -> FileEntry:
-        return self.master.create(path)
-
-    def _apply_drop(self, path: str, chunk_id: str) -> ChunkInfo:
-        return self.master.drop_chunk(path, chunk_id)
-
-    def _apply_extend(self, path: str, chunk_id: str, delta: int) -> int:
-        return self.master.extend_chunk(path, chunk_id, delta)
-
-    def _apply_lease(self, path: str, holder: str, until: float) -> dict:
-        """Record a client lease; ``until`` is proposer-computed
-        (SimClock seconds), never read from a clock here."""
-        return self.master.grant_lease(path, holder, until)
-
-    def _apply_noop(self) -> None:
-        """Leader barrier entry: commits the preceding term's tail."""
-        return None
-
-    def _apply_place(self, path: str, chunk_id: str, servers: list[str]) -> ChunkInfo:
-        return self.master.place_chunk(path, chunk_id, servers)
-
-    def _apply_register_server(self, name: str, domain: str) -> int:
-        return self.master.register_server(name, domain)
-
-    def _apply_remove_server(self, name: str) -> int:
-        return self.master.remove_server(name)
-
-    def _apply_set_length(self, path: str, chunk_id: str, length: int) -> int:
-        return self.master.set_chunk_length(path, chunk_id, length)
-
-    def _apply_splice(
-        self, path: str, index: int, servers: list[str]
-    ) -> ChunkInfo:
-        return self.master.insert_chunk_after_replicas(path, index, servers)
-
-    def _apply_unlink(self, path: str) -> FileEntry:
-        return self.master.unlink(path)
 
 
 def snapshot_state(master: Master) -> dict:
@@ -136,7 +115,10 @@ def snapshot_state(master: Master) -> dict:
         "files": files,
         "servers": master.server_domains(),
         "placement_epoch": master.placement_epoch,
-        "leases": master.leases(),
+        # What replica-side placement is computed from: a replica that
+        # diverged here hands out colliding ids once it becomes leader.
+        "next_chunk": master._next_chunk,
+        "server_load": dict(sorted(master._server_load.items())),
     }
 
 

@@ -3,18 +3,33 @@
 Covers the persistent log (recovery, torn tails, truncation), leader
 election (safety under a seeded 200-interleaving storm), the
 kill-the-leader crash matrix (zero committed-metadata loss), leader
-leases, and the NotLeader wire mapping.
+leases, the NotLeader wire mapping, and the metadata-plane table the
+apply step, the facade and the shard router derive from.
 """
 
+import inspect
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.distributed.master import (
+    METADATA_PLANE,
+    ClusterFileExists,
+    ClusterFileNotFound,
+    Master,
+)
 from repro.distributed.replicated import MasterGroup, ReplicatedMaster
+from repro.distributed.shardmap import ShardedMaster
 from repro.fs.errors import TryAgain, wire_code, wire_error_payload
 from repro.raft.log import LogEntry, RaftLog, RaftLogError
 from repro.raft.node import LEADER, NodeCrashed, NotLeaderError, RaftConfig
-from repro.raft.statemachine import encode_command
+from repro.raft.statemachine import (
+    CommandError,
+    MetadataStateMachine,
+    encode_command,
+)
 from repro.serving.client import raise_wire_error
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.simclock import RAM_DISK, SimClock
@@ -103,6 +118,12 @@ def _group(masters=3, seed=0, **kwargs):
     return MasterGroup(
         ["node0", "node1", "node2"], masters=masters, seed=seed, **kwargs
     )
+
+
+def _settle(group):
+    for __ in range(30):
+        group.tick()
+        group.clock.charge(0.05)
 
 
 class TestElection:
@@ -221,15 +242,132 @@ class TestKillLeaderMatrix:
         group.elect()
         facade.create("/after-failover")
         group.restart(killed)
-        for __ in range(30):
-            group.tick()
-            group.clock.charge(0.05)
+        _settle(group)
         digests = group.state_digests()
         assert len(digests) == 3
         assert len(set(digests.values())) == 1, digests
         survivor = group.leader_master()
         assert survivor.exists("/durable")
         assert survivor.exists("/after-failover")
+
+
+class TestMetadataPlane:
+    """``METADATA_PLANE`` is the contract: one row per metadata op."""
+
+    def test_table_is_exhaustive(self):
+        methods = {
+            name
+            for name, member in vars(Master).items()
+            if inspect.isfunction(member) and not name.startswith("_")
+        }
+        attributes = set(METADATA_PLANE) - methods
+        assert methods <= set(METADATA_PLANE), "a Master method has no table row"
+        assert attributes == {
+            "chunk_capacity", "replication", "server_names", "placement_epoch",
+        }
+        plain = Master(["n0"])
+        for name in attributes:
+            assert hasattr(plain, name)
+        # A mutator declares the lock contract; every such method — and
+        # nothing else — crosses the log, so none can hide as a "read".
+        for name in methods:
+            locked = "self.lock.require_held()" in inspect.getsource(vars(Master)[name])
+            assert locked == (METADATA_PLANE[name][0] is not None), name
+
+    @pytest.mark.parametrize("surface", [ReplicatedMaster, ShardedMaster])
+    def test_every_row_is_a_real_member_of_the_derived_surfaces(self, surface):
+        assert "__getattr__" not in vars(surface)
+        for name in METADATA_PLANE:
+            member = vars(surface)[name]
+            if name in vars(Master):
+                assert inspect.isfunction(member) and member.__name__ == name
+            else:
+                assert isinstance(member, property)
+        # ...and the class bodies hold no hand-written per-op method.
+        own = {"shard_for", "_first", "_all"} if surface is ShardedMaster else set()
+        public = {n for n in vars(surface) if not n.startswith("__")}
+        assert public == set(METADATA_PLANE) | own
+
+    def test_command_bytes_match_golden(self):
+        """Log bytes are frozen: opcodes, argument names (defaults
+        included) and the canonical JSON are what every persisted log
+        holds and what the transport charges for."""
+        group = _group()
+        facade = ReplicatedMaster(group)
+        facade.create("/f")
+        first = facade.allocate_chunk("/f")  # defaulted: servers=None
+        facade.allocate_chunk("/f", ["node1"])
+        facade.extend_chunk("/f", first.chunk_id, 5)
+        facade.set_chunk_length("/f", first.chunk_id, 3)
+        facade.place_chunk("/f", first.chunk_id, ["node2", "node0"])
+        facade.drop_chunk("/f", first.chunk_id)
+        facade.register_server("node3")  # defaulted: domain=""
+        facade.register_server("node4", "rackA")
+        facade.remove_server("node3")
+        facade.unlink("/f")
+        log = [e.command.decode("utf-8") for e in group.leader().log.entries_from(1)]
+        golden = Path(__file__).parent / "goldens" / "raft_commands.json"
+        assert log == json.loads(golden.read_text())
+        opcodes = {op for op, __ in METADATA_PLANE.values() if op is not None}
+        assert {json.loads(command)["op"] for command in log} == opcodes | {"noop"}
+
+    def test_facade_rejects_misbound_arguments_before_proposing(self):
+        group = _group()
+        facade = ReplicatedMaster(group)
+        group.elect()
+        before = group.leader().log.last_index
+        for call in (
+            lambda: facade.create(),
+            lambda: facade.create("/a", "/b"),
+            lambda: facade.create(pth="/a"),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert group.leader().log.last_index == before
+
+    def test_apply_rejects_unknown_and_out_of_order_commands(self):
+        machine = MetadataStateMachine(Master(["n0"]))
+        with pytest.raises(CommandError, match="unknown"):
+            machine.apply(1, encode_command("splice", path="/f"))
+        with pytest.raises(CommandError, match="out of order"):
+            machine.apply(3, encode_command("noop"))
+        assert machine.applied_index == 0
+
+    def test_rejected_command_reaches_only_its_proposer(self):
+        """A command the state machine rejects is committed like any
+        other; it must not stop any replica's apply cursor."""
+        group = _group()
+        facade = ReplicatedMaster(group)
+        facade.create("/a")
+        chunk = facade.allocate_chunk("/a")
+        with pytest.raises(ClusterFileExists):
+            facade.create("/a")
+        with pytest.raises(ClusterFileNotFound):
+            facade.unlink("/missing")
+        with pytest.raises(ValueError):
+            facade.extend_chunk("/a", chunk.chunk_id, -1)
+        facade.create("/b")
+        _settle(group)
+        assert facade.list_files() == ["/a", "/b"]
+        assert len(set(group.state_digests().values())) == 1
+        for node in group.nodes.values():
+            assert node.sm.applied_index == node.commit_index == node.log.last_index
+
+    def test_digest_exposes_a_follower_with_diverged_placement_state(self):
+        group = _group()
+        facade = ReplicatedMaster(group)
+        facade.create("/f")
+        facade.allocate_chunk("/f")
+        _settle(group)
+        assert len(set(group.state_digests().values())) == 1
+        follower = next(
+            node for __, node in sorted(group.nodes.items()) if node.role != LEADER
+        )
+        follower.sm.master._server_load["node2"] += 1
+        assert len(set(group.state_digests().values())) == 2
+        follower.sm.master._server_load["node2"] -= 1
+        follower.sm.master._next_chunk += 1
+        assert len(set(group.state_digests().values())) == 2
 
 
 class TestLease:

@@ -918,6 +918,11 @@ class TestDeterminismRule:
         assert len(findings) == 1 and findings[0].suppressed
 
     def test_shipped_statemachine_is_deterministic(self):
+        # The apply step is a table lookup; its bodies are the Master
+        # mutators.  Both modules must be in scope, and both clean.
+        for path in (self.PATH, "src/repro/distributed/master.py"):
+            probe = lint("import time\nstamp = time.time()\n", path, rules=["DET001"])
+            assert rule_ids(probe) == ["DET001"], f"{path} is out of DET001 scope"
         result = run_paths([default_target()], rules=["DET001"])
         assert [f for f in result.findings if not f.suppressed] == []
 

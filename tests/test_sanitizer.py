@@ -8,6 +8,8 @@ injected inversion must be caught by both sides.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.analysis import build_program_for, default_target
@@ -23,6 +25,7 @@ from repro.analysis.sanitizer import (
 )
 from repro.distributed import run_interleaved_sessions
 from repro.distributed.cluster import build_cluster
+from repro.distributed.master import METADATA_PLANE, Master
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +78,15 @@ class TestTrackedLock:
             lock.require_held()
         with lock:
             lock.require_held()  # held: passes
+
+    def test_every_metadata_command_requires_the_master_lock(self, strict_sanitizer):
+        master = Master(["n0"])
+        commands = [name for name, (op, __) in METADATA_PLANE.items() if op]
+        assert commands
+        for name in commands:
+            arity = len(inspect.signature(getattr(master, name)).parameters)
+            with pytest.raises(LockContractError):
+                getattr(master, name)(*["x"] * arity)
 
     def test_require_held_distinguishes_sessions(self, strict_sanitizer):
         lock = TrackedLock("master.lock")

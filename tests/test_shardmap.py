@@ -1,15 +1,27 @@
 """Tests for the consistent-hash shard map and the sharded/replicated
 cluster assembly: ring stability, epoch invalidation, failure-domain
-spread, restart re-registration, and diff-based rebalancing."""
+spread, restart re-registration, diff-based rebalancing, and the
+plain / replicated / sharded metadata planes behaving as one."""
+
+import random
 
 import pytest
 
+from repro.analysis.sanitizer import tracked_lock
 from repro.distributed import (
+    ChunkInfo,
+    ClusterFileExists,
+    ClusterFileNotFound,
+    FileEntry,
+    Master,
+    MasterGroup,
+    ReplicatedMaster,
     ShardMap,
     ShardedMaster,
     StaleShardMap,
     build_replicated_cluster,
 )
+from repro.distributed.master import METADATA_PLANE
 from repro.distributed.shardmap import ClientShardCache
 
 
@@ -205,3 +217,169 @@ class TestRebalance:
         cluster.client.rebalance()
         moves, __, __ = cluster.client.rebalance()
         assert moves == 0
+
+
+SERVERS = ["n0", "n1", "n2"]
+
+
+def _plane(kind):
+    """One metadata plane and the Raft groups under it."""
+    if kind == "plain":
+        return Master(SERVERS), []
+    if kind == "replicated":
+        group = MasterGroup(SERVERS, masters=3, seed=3)
+        return ReplicatedMaster(group), [group]
+    lock = tracked_lock("master.group.lock", rank=0)
+    groups = [
+        MasterGroup(SERVERS, masters=3, seed=5 + 17 * i, chunk_prefix=f"s{i}c", lock=lock)
+        for i in range(2)
+    ]
+    facades = {f"g{i}": ReplicatedMaster(group) for i, group in enumerate(groups)}
+    return ShardedMaster(facades, lock=lock), groups
+
+
+#: Owned g1, g0, g1, g0: a sorted listing interleaves the two shards.
+PATHS = [f"/d/f{i}" for i in (3, 4, 5, 6)]
+POOL = SERVERS + ["n3"]
+#: Merged reads whose raw form legitimately differs under sharding (shard
+#: order; a per-shard balance plan) — their projections are compared.
+SHARD_SENSITIVE = {"chunks_on", "placement_moves"}
+
+
+def _drive(master, seed, steps, pinned):
+    """Run one seeded op sequence; returns ``(op, outcome)`` per call with
+    chunk ids replaced by their allocation ordinal."""
+    rng = random.Random(seed)
+    labels = {}  # this plane's chunk id -> allocation ordinal
+    trace = []
+
+    def norm(value):
+        if isinstance(value, ChunkInfo):
+            return ("chunk", labels[value.chunk_id], list(value.servers), value.length)
+        if isinstance(value, FileEntry):
+            return ("file", value.path, [norm(chunk) for chunk in value.chunks])
+        if isinstance(value, (list, tuple)):
+            return [norm(item) for item in value]
+        if isinstance(value, dict):
+            return {key: norm(item) for key, item in value.items()}
+        return labels.get(value, value) if isinstance(value, str) else value
+
+    def call(op, *args):
+        try:
+            result = getattr(master, op)(*args)
+        except (ClusterFileExists, ClusterFileNotFound, ValueError) as exc:
+            trace.append((op, type(exc).__name__))
+            return None
+        if op == "allocate_chunk":
+            labels[result.chunk_id] = len(labels)
+        trace.append((op, norm(result)))
+        return result
+
+    def some_chunk(path):
+        chunks = master.lookup(path).chunks if master.exists(path) else []
+        if not chunks or rng.random() < 0.1:
+            return "no-such-chunk"
+        return rng.choice(chunks).chunk_id
+
+    def some_servers():
+        return rng.sample(POOL, rng.randint(1, 2))
+
+    def read_everything(path):
+        for name in ("chunk_capacity", "replication", "server_names", "placement_epoch"):
+            trace.append((name, norm(getattr(master, name))))
+        call("lookup", path)
+        call("exists", path)
+        call("list_files")
+        call("file_size", path)
+        call("find_chunk", path, some_chunk(path))
+        call("locate", path, rng.randint(-1, 40))
+        call("chunks_in_range", path, rng.randint(0, 20), rng.randint(0, 40))
+        call("total_logical_bytes")
+        call("chunk_count")
+        call("server_domains")
+        server = rng.choice(POOL)
+        call("domain_of", server)
+        on = call("chunks_on", server)
+        trace.append(("chunks_on.sorted", sorted(norm(on))))
+        moves = call("placement_moves")
+        live = set(master.server_names)
+        trace.append((
+            "placement_moves.mandatory",
+            sorted(norm(move[:3]) for move in moves if move[2] not in live),
+        ))
+
+    with master.lock:
+        for __ in range(steps):
+            path = rng.choice(PATHS)
+            roll = rng.random()
+            if roll < 0.2:
+                call("create", path)
+            elif roll < 0.45:  # append-shaped: a chunk, then its bytes
+                chunk = call("allocate_chunk", path, some_servers() if pinned else None)
+                if chunk is not None:
+                    call("extend_chunk", path, chunk.chunk_id, rng.randint(1, 16))
+            elif roll < 0.55:
+                call("extend_chunk", path, some_chunk(path), rng.randint(-20, 8))
+            elif roll < 0.65:
+                call("set_chunk_length", path, some_chunk(path), rng.randint(-2, 24))
+            elif roll < 0.72:
+                call("drop_chunk", path, some_chunk(path))
+            elif roll < 0.75:
+                call("unlink", path)
+            elif roll < 0.85:
+                call("place_chunk", path, some_chunk(path), some_servers())
+            elif roll < 0.93:
+                call("register_server", rng.choice(POOL), rng.choice(["", "rackA", "rackB"]))
+            else:
+                call("remove_server", rng.choice(POOL))
+            read_everything(rng.choice(PATHS))
+    return trace
+
+
+class TestThreePlanes:
+    @pytest.mark.parametrize("kind", ["plain", "replicated", "sharded"])
+    def test_readmitted_server_keeps_its_load(self, kind):
+        """Regression: a re-registered server re-entered placement at
+        load 0 while still holding its replicas, so the next allocations
+        dog-piled it (n1, n1, n0, n1 -> 3/5/2)."""
+        master, __ = _plane(kind)
+        with master.lock:
+            master.create("/f")
+            for __ in range(6):
+                master.allocate_chunk("/f")
+            master.remove_server("n1")
+            master.register_server("n1")
+            picked = [master.allocate_chunk("/f").server for __ in range(4)]
+            assert picked == ["n0", "n1", "n2", "n0"]
+            assert [len(master.chunks_on(name)) for name in SERVERS] == [4, 3, 3]
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "default-placement"])
+    def test_same_op_sequence_same_answers(self, pinned):
+        """One seeded sequence of every command and every read through
+        the plain, replicated and sharded planes: same results, same
+        typed errors, converged replicas.
+
+        The default placement rule reads a per-master load table, so a
+        sharded plane legitimately places (and plans balance moves)
+        differently from one master: the sharded plane joins the
+        comparison with placement pinned, on everything but the two
+        ``SHARD_SENSITIVE`` raw forms."""
+        plain = _drive(_plane("plain")[0], seed=20260928, steps=200, pinned=pinned)
+        seen = {op for op, __ in plain}
+        assert set(METADATA_PLANE) <= seen
+        assert {
+            outcome for __, outcome in plain if isinstance(outcome, str)
+        } >= {"ClusterFileExists", "ClusterFileNotFound", "ValueError"}
+        for kind in ["replicated", "sharded"] if pinned else ["replicated"]:
+            master, groups = _plane(kind)
+            trace = _drive(master, seed=20260928, steps=200, pinned=pinned)
+            skip = SHARD_SENSITIVE if kind == "sharded" else set()
+            assert len(trace) == len(plain)
+            for step, (mine, reference) in enumerate(zip(trace, plain)):
+                if mine[0] not in skip:
+                    assert mine == reference, f"{kind} diverged at call {step}"
+            for group in groups:
+                for __ in range(30):
+                    group.tick()
+                    group.clock.charge(0.05)
+                assert len(set(group.state_digests().values())) == 1
