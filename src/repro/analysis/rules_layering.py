@@ -35,7 +35,6 @@ from repro.analysis.symbols import dotted_name
 LAYER_RANKS = {
     "repro.obs": 0,
     "repro.storage": 0,
-    "repro.journal": 0,
     "repro.compression": 0,
     "repro.analysis": 0,
     "repro.succinct": 1,
@@ -43,6 +42,9 @@ LAYER_RANKS = {
     "repro.snap": 1,
     "repro.core": 1,
     "repro.mvcc": 1,
+    # The errno vocabulary is what every layer from the engine up raises
+    # (listed before its package: the first matching prefix wins).
+    "repro.fs.errors": 0,
     "repro.fs": 2,
     "repro.databases": 3,
     "repro.distributed": 3,

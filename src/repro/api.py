@@ -28,50 +28,42 @@ maps every failure onto the stable code table in :mod:`repro.fs.errors`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Optional, Union
 
 from repro.core.engine import CompressDB
-from repro.core.operations import OperationError, OperationModule
-from repro.databases.minicolumn import MiniColumn
-from repro.databases.minileveldb import MiniLevelDB
-from repro.databases.minisql import MiniSQL
+from repro.core.operations import OperationModule
 from repro.fs.compressfs import CompressFS
 from repro.fs.errors import FileNotFound, InvalidArgument
 from repro.fs.sessionfs import SessionFS
 from repro.fs.vfs import FileSystem
-from repro.serving.client import LoopbackTransport, RemoteFS, WireClient
-from repro.serving.server import Server
+from repro.mvcc.session import SessionClosed
+from repro.serving.client import LoopbackTransport, WireClient
+from repro.serving.server import Server, open_database
 
 __all__ = ["connect", "Client", "SessionScope", "KVHandle"]
-
-#: Database directories shared by both deployments, so data written
-#: in-process is served unchanged when a Server is pointed at the
-#: same image (under the tenant root).
-SQL_DIR = "/sql"
-KV_DIR = "/kv"
-COLUMN_DIR = "/col"
 
 
 class KVHandle:
     """``client.kv``: the key-value front end."""
 
-    def __init__(self, backend: "_Backend", session: Optional[int] = None) -> None:
+    def __init__(self, backend: "Backend", session: Optional[int] = None) -> None:
         self._backend = backend
         self._session = session
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._backend.kv_put(key, value, self._session)
+        self._backend.kv_put(key, value, session=self._session)
 
     def get(self, key: bytes) -> Optional[bytes]:
-        return self._backend.kv_get(key, self._session)
+        return self._backend.kv_get(key, session=self._session)
 
     def delete(self, key: bytes) -> None:
-        self._backend.kv_delete(key, self._session)
+        self._backend.kv_delete(key, session=self._session)
 
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
-        return self._backend.kv_scan(start, end, self._session)
+        return self._backend.kv_scan(start, end, session=self._session)
 
 
 class SessionScope:
@@ -82,49 +74,54 @@ class SessionScope:
     transaction won first-committer-wins), an exception aborts.
     """
 
-    def __init__(self, backend: "_Backend", handle: object) -> None:
+    def __init__(self, backend: "Backend", session: int) -> None:
         self._backend = backend
-        self._handle = handle
-        self.fs = backend.session_fs(handle)
-        self.kv = KVHandle(backend, backend.session_id(handle))
+        self._session = session
+        self.fs = backend.fs(session)
+        self.kv = KVHandle(backend, session)
 
     def sql(self, sql: str) -> list[dict]:
-        return self._backend.sql(sql, self._backend.session_id(self._handle))
+        return self._backend.sql(sql, session=self._session)
 
     def column(self, sql: str) -> list[dict]:
-        return self._backend.column(sql, self._backend.session_id(self._handle))
+        return self._backend.column(sql, session=self._session)
 
     def commit(self) -> dict:
-        return self._backend.session_commit(self._handle)
+        return self._backend.session_commit(self._session)
 
     def abort(self) -> None:
-        self._backend.session_abort(self._handle)
+        self._backend.session_abort(self._session)
 
     def __enter__(self) -> "SessionScope":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self._backend.session_abort_quietly(self._handle)
-        else:
+        if exc_type is None:
             self.commit()
+            return
+        try:
+            self.abort()
+        except Exception:
+            # Unwinding from an exception inside the scope: the abort
+            # is best-effort (the session may already be finished).
+            pass
 
 
 class Client:
     """The unified client; see the module docstring."""
 
-    def __init__(self, backend: "_Backend") -> None:
+    def __init__(self, backend: "Backend") -> None:
         self._backend = backend
-        self.fs: FileSystem = backend.fs
+        self.fs: FileSystem = backend.fs()
         self.kv = KVHandle(backend)
 
     def sql(self, sql: str) -> list[dict]:
         """Run one MiniSQL statement; SELECTs return rows."""
-        return self._backend.sql(sql, None)
+        return self._backend.sql(sql)
 
     def column(self, sql: str) -> list[dict]:
         """Run one MiniColumn statement (vectorized aggregates)."""
-        return self._backend.column(sql, None)
+        return self._backend.column(sql)
 
     def search(self, path: str, pattern: bytes) -> list[int]:
         """Compressed-domain substring search; match offsets."""
@@ -151,7 +148,7 @@ class Client:
         return SessionScope(self._backend, self._backend.session_begin())
 
     def close(self) -> None:
-        self._backend.close()
+        self._backend.goodbye()
 
     def __enter__(self) -> "Client":
         return self
@@ -160,115 +157,63 @@ class Client:
         self.close()
 
 
-class _Backend:
-    """Interface both deployments implement (see subclasses)."""
+class _DirectBackend:
+    """In-process deployment: engines linked into the caller.
 
-    fs: FileSystem
-
-    def sql(self, sql: str, session: Optional[int]) -> list[dict]:
-        raise NotImplementedError
-
-    def column(self, sql: str, session: Optional[int]) -> list[dict]:
-        raise NotImplementedError
-
-    def kv_put(self, key: bytes, value: bytes, session: Optional[int]) -> None:
-        raise NotImplementedError
-
-    def kv_get(self, key: bytes, session: Optional[int]) -> Optional[bytes]:
-        raise NotImplementedError
-
-    def kv_delete(self, key: bytes, session: Optional[int]) -> None:
-        raise NotImplementedError
-
-    def kv_scan(self, start, end, session) -> Iterator[tuple[bytes, bytes]]:
-        raise NotImplementedError
-
-    def search(self, path: str, pattern: bytes) -> list[int]:
-        raise NotImplementedError
-
-    def count(self, path: str, pattern: bytes) -> int:
-        raise NotImplementedError
-
-    def word_count(self, path: str) -> dict[bytes, int]:
-        raise NotImplementedError
-
-    def insert(self, path: str, offset: int, data: bytes) -> None:
-        raise NotImplementedError
-
-    def delete(self, path: str, offset: int, length: int) -> None:
-        raise NotImplementedError
-
-    def session_begin(self) -> object:
-        raise NotImplementedError
-
-    def session_id(self, handle: object) -> int:
-        raise NotImplementedError
-
-    def session_fs(self, handle: object) -> FileSystem:
-        raise NotImplementedError
-
-    def session_commit(self, handle: object) -> dict:
-        raise NotImplementedError
-
-    def session_abort(self, handle: object) -> None:
-        raise NotImplementedError
-
-    def session_abort_quietly(self, handle: object) -> None:
-        try:
-            self.session_abort(handle)
-        except Exception:
-            # Unwinding from an exception inside the scope: the abort
-            # is best-effort (the session may already be finished).
-            pass
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class _DirectBackend(_Backend):
-    """In-process deployment: engines linked into the caller."""
+    It has the method signatures of
+    :class:`~repro.serving.client.WireClient` (sessions are named by
+    their integer id on both), so the classes above hold either.
+    """
 
     def __init__(self, fs: CompressFS) -> None:
-        self.fs = fs
+        self._fs = fs
         self.engine = fs.engine
         self._dbs: dict[str, object] = {}
-        self._session_dbs: dict[int, dict[str, object]] = {}
-        self._session_fs: dict[int, FileSystem] = {}
+        #: session id -> (session, its SessionFS, its database front ends)
+        self._sessions: dict[int, tuple] = {}
+
+    def _open(self, session: int) -> tuple:
+        view = self._sessions.get(session)
+        if view is None:
+            raise SessionClosed(f"no open session {session}")
+        return view
+
+    def fs(self, session: Optional[int] = None) -> FileSystem:
+        return self._fs if session is None else self._open(session)[1]
 
     def _db(self, kind: str, session: Optional[int]) -> object:
-        cache = self._dbs if session is None else self._session_dbs[session]
+        cache = self._dbs if session is None else self._open(session)[2]
         found = cache.get(kind)
         if found is None:
-            fs = self.fs if session is None else self._session_fs[session]
-            if kind == "sql":
-                found = MiniSQL(fs, directory=SQL_DIR)
-            elif kind == "kv":
-                found = MiniLevelDB(fs, directory=KV_DIR)
-            else:
-                found = MiniColumn(fs, directory=COLUMN_DIR)
-            cache[kind] = found
+            found = cache[kind] = open_database(kind, self.fs(session))
         return found
 
-    def sql(self, sql: str, session: Optional[int]) -> list[dict]:
+    def sql(self, sql: str, session: Optional[int] = None) -> list[dict]:
         return self._db("sql", session).execute(sql)
 
-    def column(self, sql: str, session: Optional[int]) -> list[dict]:
+    def column(self, sql: str, session: Optional[int] = None) -> list[dict]:
         return self._db("column", session).execute(sql)
 
-    def kv_put(self, key: bytes, value: bytes, session: Optional[int]) -> None:
+    def kv_put(self, key: bytes, value: bytes, session: Optional[int] = None) -> None:
         self._db("kv", session).put(key, value)
 
-    def kv_get(self, key: bytes, session: Optional[int]) -> Optional[bytes]:
+    def kv_get(self, key: bytes, session: Optional[int] = None) -> Optional[bytes]:
         return self._db("kv", session).get(key)
 
-    def kv_delete(self, key: bytes, session: Optional[int]) -> None:
+    def kv_delete(self, key: bytes, session: Optional[int] = None) -> None:
         self._db("kv", session).delete(key)
 
-    def kv_scan(self, start, end, session) -> Iterator[tuple[bytes, bytes]]:
-        return self._db("kv", session).scan(start, end)
+    def kv_scan(
+        self,
+        start: Optional[bytes] = None,
+        end: Optional[bytes] = None,
+        limit: Optional[int] = None,
+        session: Optional[int] = None,
+    ) -> Iterator[tuple[bytes, bytes]]:
+        return itertools.islice(self._db("kv", session).scan(start, end), limit)
 
     def _ops(self, path: str) -> OperationModule:
-        if not self.fs.exists(path):
+        if not self._fs.exists(path):
             raise FileNotFound(path)
         return self.engine.ops
 
@@ -282,35 +227,19 @@ class _DirectBackend(_Backend):
         return dict(self._ops(path).word_count(path))
 
     def insert(self, path: str, offset: int, data: bytes) -> None:
-        try:
-            self._ops(path).insert(path, offset, data)
-        except OperationError as exc:
-            raise InvalidArgument(str(exc)) from None
+        self._ops(path).insert(path, offset, data)
 
     def delete(self, path: str, offset: int, length: int) -> None:
-        try:
-            self._ops(path).delete(path, offset, length)
-        except OperationError as exc:
-            raise InvalidArgument(str(exc)) from None
+        self._ops(path).delete(path, offset, length)
 
-    def session_begin(self) -> object:
+    def session_begin(self) -> int:
         session = self.engine.mvcc.begin()
-        self._session_fs[session.session_id] = SessionFS(self.fs, session)
-        self._session_dbs[session.session_id] = {}
-        return session
+        self._sessions[session.session_id] = (session, SessionFS(self._fs, session), {})
+        return session.session_id
 
-    def session_id(self, handle: object) -> int:
-        return handle.session_id
-
-    def session_fs(self, handle: object) -> FileSystem:
-        return self._session_fs[handle.session_id]
-
-    def _forget(self, handle: object) -> None:
-        self._session_fs.pop(handle.session_id, None)
-        self._session_dbs.pop(handle.session_id, None)
-
-    def session_commit(self, handle: object) -> dict:
-        self._forget(handle)
+    def session_commit(self, session: int) -> dict:
+        handle = self._open(session)[0]
+        del self._sessions[session]
         ticket = handle.commit()
         return {
             "csn": ticket.csn,
@@ -318,72 +247,19 @@ class _DirectBackend(_Backend):
             "read_only": ticket.read_only,
         }
 
-    def session_abort(self, handle: object) -> None:
-        self._forget(handle)
+    def session_abort(self, session: int) -> None:
+        handle = self._open(session)[0]
+        del self._sessions[session]
         if handle.active:
             self.engine.mvcc.abort(handle, "client abort")
 
-    def close(self) -> None:
+    def goodbye(self) -> None:
         self._dbs.clear()
 
 
-class _WireBackend(_Backend):
-    """Serving-layer deployment: one tenant's wire connection."""
-
-    def __init__(self, wire: WireClient) -> None:
-        self.wire = wire
-        self.fs = RemoteFS(wire)
-
-    def sql(self, sql: str, session: Optional[int]) -> list[dict]:
-        return self.wire.sql(sql, session=session)
-
-    def column(self, sql: str, session: Optional[int]) -> list[dict]:
-        return self.wire.column(sql, session=session)
-
-    def kv_put(self, key: bytes, value: bytes, session: Optional[int]) -> None:
-        self.wire.kv_put(key, value, session=session)
-
-    def kv_get(self, key: bytes, session: Optional[int]) -> Optional[bytes]:
-        return self.wire.kv_get(key, session=session)
-
-    def kv_delete(self, key: bytes, session: Optional[int]) -> None:
-        self.wire.kv_delete(key, session=session)
-
-    def kv_scan(self, start, end, session) -> Iterator[tuple[bytes, bytes]]:
-        return self.wire.kv_scan(start, end, session=session)
-
-    def search(self, path: str, pattern: bytes) -> list[int]:
-        return self.wire.search(path, pattern)
-
-    def count(self, path: str, pattern: bytes) -> int:
-        return self.wire.count(path, pattern)
-
-    def word_count(self, path: str) -> dict[bytes, int]:
-        return self.wire.word_count(path)
-
-    def insert(self, path: str, offset: int, data: bytes) -> None:
-        self.wire.insert(path, offset, data)
-
-    def delete(self, path: str, offset: int, length: int) -> None:
-        self.wire.delete(path, offset, length)
-
-    def session_begin(self) -> object:
-        return self.wire.session_begin()
-
-    def session_id(self, handle: object) -> int:
-        return handle
-
-    def session_fs(self, handle: object) -> FileSystem:
-        return RemoteFS(self.wire, session_id=handle)
-
-    def session_commit(self, handle: object) -> dict:
-        return self.wire.session_commit(handle)
-
-    def session_abort(self, handle: object) -> None:
-        self.wire.session_abort(handle)
-
-    def close(self) -> None:
-        self.wire.goodbye()
+#: What a :class:`Client` holds: one tenant's wire connection, or the
+#: in-process engines behind the same method names.
+Backend = Union[WireClient, _DirectBackend]
 
 
 def connect(
@@ -406,7 +282,7 @@ def connect(
             raise InvalidArgument("connecting to a Server requires tenant=...")
         wire = WireClient(LoopbackTransport(target, tenant))
         wire.hello()  # fail fast on unknown tenants
-        return Client(_WireBackend(wire))
+        return Client(wire)
     if tenant is not None:
         raise InvalidArgument("tenant= only applies to Server targets")
     if isinstance(target, CompressFS):

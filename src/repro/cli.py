@@ -22,8 +22,7 @@ import sys
 from typing import Optional
 
 from repro.core import superblock as sb
-from repro.core.engine import CompressDB, FileExistsInEngine, FileNotFoundInEngine
-from repro.core.operations import OperationError
+from repro.core.engine import CompressDB
 from repro.fs.errors import FSError
 from repro.snap.manager import SnapshotError
 from repro.storage.block_device import FileBlockDevice
@@ -836,15 +835,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        FileNotFoundError,
-        FileNotFoundInEngine,
-        FileExistsInEngine,
-        OperationError,
-        FSError,
-        SnapshotError,
-        sb.PersistenceError,
-    ) as exc:
+    except (FileNotFoundError, FSError, SnapshotError, sb.PersistenceError) as exc:
         # Engine/VFS failures are expected user-facing conditions (missing
         # path, bad range), not crashes — report, don't traceback.
         print(f"error: {exc}", file=sys.stderr)

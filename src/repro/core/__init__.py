@@ -8,13 +8,13 @@ Public surface:
 * the data-structure module pieces for inspection and benchmarking.
 """
 
+# The engine raises the rank-0 error vocabulary of repro.fs.errors.
+# Importing that module runs repro.fs's package init, which imports the
+# engine back; the cycle only resolves when it is entered from the fs
+# side, so load it before any core module.
+import repro.fs.errors  # noqa: F401
 from repro.core.compressor import Compressor, CompressorStats
-from repro.core.engine import (
-    BlockHandle,
-    CompressDB,
-    FileExistsInEngine,
-    FileNotFoundInEngine,
-)
+from repro.core.engine import BlockHandle, CompressDB
 from repro.core.superblock import PersistenceError
 from repro.core.hashtable import BlockHashTable, hash_block
 from repro.core.holes import Hole, HoleDirectory
@@ -28,8 +28,6 @@ __all__ = [
     "CompressDB",
     "Compressor",
     "CompressorStats",
-    "FileExistsInEngine",
-    "FileNotFoundInEngine",
     "Hole",
     "HoleDirectory",
     "OperationError",

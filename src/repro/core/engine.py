@@ -28,20 +28,13 @@ from repro.core.hashtable import BlockHashTable
 from repro.core.holes import HoleDirectory
 from repro.core.operations import OperationModule, OperationStats
 from repro.core.refcount import BlockRefCount
+from repro.fs.errors import FileExists, FileNotFound, InvalidArgument
 from repro.obs import Observability
 from repro.obs.metrics import MetricsSnapshot
 from repro.snap.manager import SnapshotManager
 from repro.storage.block_device import BlockDevice, MemoryBlockDevice
 from repro.storage.inode import Inode, Slot
 from repro.storage.journal import Journal, JournalDevice, transactional
-
-
-class FileExistsInEngine(Exception):
-    """Raised when creating a path that already exists."""
-
-
-class FileNotFoundInEngine(Exception):
-    """Raised when operating on a path that does not exist."""
 
 
 @dataclass
@@ -242,7 +235,7 @@ class CompressDB:
     def create(self, path: str) -> None:
         """Create an empty file at ``path``."""
         if path in self._inodes:
-            raise FileExistsInEngine(path)
+            raise FileExists(path)
         self._inodes[path] = Inode(
             block_size=self.device.block_size,
             page_capacity=self.page_capacity,
@@ -267,7 +260,7 @@ class CompressDB:
         try:
             return self._inodes[path]
         except KeyError:
-            raise FileNotFoundInEngine(path) from None
+            raise FileNotFound(path) from None
 
     # -- write coalescing -----------------------------------------------------
     @transactional
@@ -319,7 +312,7 @@ class CompressDB:
         one, never both or neither.
         """
         if new in self._inodes:
-            raise FileExistsInEngine(new)
+            raise FileExists(new)
         self._inodes[new] = self._inode_raw(old)
         del self._inodes[old]
         buffered = self._pending.pop(old, None)
@@ -337,7 +330,7 @@ class CompressDB:
         """
         source = self.inode(src)
         if dst in self._inodes:
-            raise FileExistsInEngine(dst)
+            raise FileExists(dst)
         clone = Inode(
             block_size=self.device.block_size,
             page_capacity=self.page_capacity,
@@ -446,7 +439,7 @@ class CompressDB:
         block_nos: list[int] = []
         for offset, size in spans:
             if offset < 0 or size < 0:
-                raise ValueError("offset and size must be non-negative")
+                raise InvalidArgument("offset and size must be non-negative")
             if offset >= inode.size or size == 0:
                 plans.append(None)
                 continue
@@ -496,7 +489,7 @@ class CompressDB:
         """
         inode = self._inode_raw(path)
         if offset < 0:
-            raise ValueError("offset must be non-negative")
+            raise InvalidArgument("offset must be non-negative")
         if not data:
             return 0  # POSIX: a zero-length write changes nothing
         with self.obs.tracer.span(
@@ -536,7 +529,7 @@ class CompressDB:
         """Grow (zero-fill) or shrink the file to exactly ``size`` bytes."""
         inode = self.inode(path)
         if size < 0:
-            raise ValueError("size must be non-negative")
+            raise InvalidArgument("size must be non-negative")
         if size < inode.size:
             self.ops.delete(path, size, inode.size - size)
         elif size > inode.size:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core import kmp
+from repro.fs.errors import InvalidArgument
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.inode import Inode, Slot
 from repro.storage.journal import require_transaction, transactional
@@ -24,8 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import CompressDB
 
 
-class OperationError(Exception):
-    """Raised on invalid operation arguments (bad range, unknown file)."""
+class OperationError(InvalidArgument):
+    """Invalid operation arguments (a range outside the file): EINVAL."""
 
 
 #: The seven pushed-down operations plus word_count, registered as

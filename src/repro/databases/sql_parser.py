@@ -21,8 +21,10 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.databases.common import DatabaseError
 
-class SQLSyntaxError(Exception):
+
+class SQLSyntaxError(DatabaseError):
     """Raised on tokenizer or parser failures, with position context."""
 
 

@@ -6,21 +6,24 @@ calls are handled by the engine, gaining compressed-data direct
 processing transparently.  The extra non-POSIX operations are available
 through :attr:`CompressFS.ops` (in-process) or, for remote callers,
 through :func:`repro.api.connect` over the serving layer's protocol v1.
+
+The primitives adapt one **store surface** — ``create / unlink / exists
+/ file_size / read / readv / write / truncate / rename / list_files`` —
+which :class:`~repro.core.engine.CompressDB` and
+:class:`~repro.mvcc.session.Session` both expose and which raises
+:mod:`repro.fs.errors` types itself, so nothing is translated here.
+``CompressFS.store`` is the engine; :class:`~repro.fs.sessionfs.SessionFS`
+is this same adapter with a session as its store.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.engine import CompressDB, FileExistsInEngine, FileNotFoundInEngine
+from repro.core.engine import CompressDB
 from repro.core.operations import OperationModule
 from repro.fs import fd as fdmod
-from repro.fs.errors import (
-    FileExists,
-    FileNotFound,
-    InvalidArgument,
-    PermissionDenied,
-)
+from repro.fs.errors import FileNotFound, InvalidArgument, PermissionDenied
 from repro.fs.vfs import FileSystem
 from repro.storage.block_device import BlockDevice
 
@@ -47,7 +50,10 @@ class CompressFS(FileSystem):
             self.engine = engine
         else:
             self.engine = CompressDB(device=device, block_size=block_size, **engine_kwargs)
-        super().__init__(device=self.engine.device)
+        #: What the primitives read and write (see the module docstring).
+        self.store = self.engine
+        self.device = self.engine.device
+        super().__init__(self.engine.block_size, self.engine.obs)
 
     @property
     def ops(self) -> OperationModule:
@@ -102,23 +108,17 @@ class CompressFS(FileSystem):
     def _create(self, path: str) -> None:
         if path.startswith(SNAP_ROOT + "/") or path == SNAP_ROOT:
             raise PermissionDenied(f"{SNAP_ROOT} is a read-only snapshot view")
-        try:
-            self.engine.create(path)
-        except FileExistsInEngine:
-            raise FileExists(path) from None
+        self.store.create(path)
 
     def _unlink(self, path: str) -> None:
         if self._snapshot_target(path) is not None:
             raise PermissionDenied(f"{path}: snapshots are read-only")
-        try:
-            self.engine.unlink(path)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
+        self.store.unlink(path)
 
     def _exists(self, path: str) -> bool:
         if self._snapshot_target(path) is not None:
             return self._frozen(path) is not None
-        return self.engine.exists(path)
+        return self.store.exists(path)
 
     def _size(self, path: str) -> int:
         frozen = self._frozen(path)
@@ -126,16 +126,13 @@ class CompressFS(FileSystem):
             return frozen.size
         if self._snapshot_target(path) is not None:
             raise FileNotFound(path)
-        try:
-            return self.engine.file_size(path)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
+        return self.store.file_size(path)
 
     def _list(self) -> list[str]:
         # Virtual .snap entries are deliberately absent: they carry no
         # logical bytes of their own and must not leak into database
         # directory scans.  ``listdir("/.snap...")`` surfaces them.
-        return self.engine.list_files()
+        return self.store.list_files()
 
     def listdir(self, prefix: str = "") -> list[str]:
         if prefix.startswith(SNAP_ROOT):
@@ -158,20 +155,12 @@ class CompressFS(FileSystem):
             return frozen.read(self.engine.device, offset, size)
         if self._snapshot_target(path) is not None:
             raise FileNotFound(path)
-        try:
-            return self.engine.read(path, offset, size)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
+        return self.store.read(path, offset, size)
 
     def _pwrite(self, path: str, offset: int, data: bytes) -> int:
         if self._snapshot_target(path) is not None:
             raise PermissionDenied(f"{path}: snapshots are read-only")
-        if offset < 0:
-            raise InvalidArgument("offset must be non-negative")
-        try:
-            return self.engine.write(path, offset, data)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
+        return self.store.write(path, offset, data)
 
     def _preadv(self, path: str, spans: list[tuple[int, int]]) -> list[bytes]:
         """Serve every span from one scatter-gather engine read."""
@@ -184,10 +173,7 @@ class CompressFS(FileSystem):
             return [frozen.read(device, offset, size) for offset, size in spans]
         if self._snapshot_target(path) is not None:
             raise FileNotFound(path)
-        try:
-            return self.engine.readv(path, spans)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
+        return self.store.readv(path, spans)
 
     def _pwritev(self, path: str, spans: list[tuple[int, bytes]]) -> int:
         """Vectored write; sequential spans coalesce in the engine buffer."""
@@ -196,20 +182,12 @@ class CompressFS(FileSystem):
         for offset, _ in spans:
             if offset < 0:
                 raise InvalidArgument("offset must be non-negative")
-        try:
-            return sum(self.engine.write(path, offset, data) for offset, data in spans)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
+        return sum(self.store.write(path, offset, data) for offset, data in spans)
 
     def _truncate(self, path: str, size: int) -> None:
         if self._snapshot_target(path) is not None:
             raise PermissionDenied(f"{path}: snapshots are read-only")
-        if size < 0:
-            raise InvalidArgument("size must be non-negative")
-        try:
-            self.engine.truncate(path, size)
-        except FileNotFoundInEngine:
-            raise FileNotFound(path) from None
+        self.store.truncate(path, size)
 
     def _sync(self, path: str) -> None:
         """``fsync``/``close`` durability: reach the device, not a buffer.
@@ -230,12 +208,7 @@ class CompressFS(FileSystem):
 
     def rename(self, old: str, new: str) -> None:
         """Metadata-only rename (no data copy, unlike the baseline)."""
-        try:
-            self.engine.rename(old, new)
-        except FileNotFoundInEngine:
-            raise FileNotFound(old) from None
-        except FileExistsInEngine:
-            raise FileExists(new) from None
+        self.store.rename(old, new)
 
     # -- accounting ---------------------------------------------------------------
     def metrics(self):

@@ -58,9 +58,10 @@ class CompressedOverlayFS(FileSystem):
     ) -> None:
         if segment_bytes <= 0:
             raise ValueError("segment_bytes must be positive")
-        # Share the backing device so simulated time accumulates in one place.
-        super().__init__(device=backing.device)
+        super().__init__(backing.block_size, backing.obs)
         self.backing = backing
+        #: The backing file system's device (where simulated time accumulates).
+        self.device = backing.device
         self.segment_bytes = segment_bytes
         self.codec = codec if codec is not None else LZ4Codec()
         self.compaction_threshold = compaction_threshold

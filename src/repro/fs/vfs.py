@@ -4,7 +4,12 @@
 repo is written against — the equivalent of the system-call boundary a
 FUSE mount intercepts.  The descriptor plumbing (open flags, positions,
 append mode) is implemented once here; concrete file systems provide
-five storage primitives.
+the storage primitives (``_create`` … ``_list``), a ``block_size`` and
+the observability bundle their spans go to.  The base class holds no
+device: a file system that owns storage (:class:`PassthroughFS`,
+:class:`~repro.fs.compressfs.CompressFS`) keeps its own, and a wrapper
+(``SessionFS``, ``NamespaceFS``, ``RemoteFS``) takes ``block_size`` and
+``obs`` from what it wraps.
 
 :class:`PassthroughFS` is the *baseline* of the evaluation: it stores
 file bytes on a block device one private block at a time, with no
@@ -41,17 +46,13 @@ class FileStat:
 class FileSystem:
     """Abstract POSIX-like file system with descriptor semantics."""
 
-    def __init__(self, device: Optional[BlockDevice] = None, block_size: int = 1024) -> None:
-        self.device = device if device is not None else MemoryBlockDevice(block_size=block_size)
-        # Share the device's observability bundle: VFS spans nest over
-        # engine and device spans in one trace.
-        obs = getattr(self.device, "obs", None)
-        self.obs = obs if obs is not None else Observability()
+    def __init__(self, block_size: int, obs: Observability) -> None:
+        #: Block size of the storage beneath (what ``stat`` counts in).
+        self.block_size = block_size
+        # One bundle per stack: VFS spans nest over engine and device
+        # spans in one trace.
+        self.obs = obs
         self._fds = fdmod.FDTable()
-
-    @property
-    def block_size(self) -> int:
-        return self.device.block_size
 
     def metrics(self) -> MetricsSnapshot:
         """Snapshot of every metric reported beneath this file system."""
@@ -303,7 +304,8 @@ class PassthroughFS(FileSystem):
     """Baseline file system: raw blocks, no dedup, no holes, no pushdown."""
 
     def __init__(self, device: Optional[BlockDevice] = None, block_size: int = 1024) -> None:
-        super().__init__(device=device, block_size=block_size)
+        self.device = device if device is not None else MemoryBlockDevice(block_size=block_size)
+        super().__init__(self.device.block_size, self.device.obs)
         self._files: dict[str, _PlainFile] = {}
 
     # -- primitives ------------------------------------------------------------

@@ -18,9 +18,9 @@ buffers inside one engine transaction, and enrolls the session in the
 journal group commit.  ``abort()`` throws the buffers away.  Either way
 the snapshot pins are released and the session is finished.
 
-The session raises the same exceptions as the engine
-(``FileNotFoundInEngine`` / ``FileExistsInEngine``) so the filesystem
-facades translate them identically on both paths.
+The session has the engine's path-level store surface and raises the
+same :mod:`repro.fs.errors` types, so one VFS adapter
+(:class:`~repro.fs.compressfs.CompressFS`) serves both.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.engine import FileExistsInEngine, FileNotFoundInEngine
+from repro.fs.errors import FileExists, FileNotFound, InvalidArgument
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (manager -> session)
     from repro.mvcc.manager import SessionManager
@@ -166,11 +166,11 @@ class Session:
         if path in self._buffers:
             buffer = self._buffers[path]
             if buffer is None:
-                raise FileNotFoundInEngine(path)
+                raise FileNotFound(path)
             return buffer
         frozen = self._snapshot_lookup(path)
         if frozen is None:
-            raise FileNotFoundInEngine(path)
+            raise FileNotFound(path)
         buffer = bytearray(frozen.read(self.engine.device, 0, frozen.size))
         self._buffers[path] = buffer
         return buffer
@@ -180,16 +180,16 @@ class Session:
         """POSIX read against the snapshot view (+ own buffered writes)."""
         self._check_active()
         if offset < 0 or size < 0:
-            raise ValueError("offset and size must be non-negative")
+            raise InvalidArgument("offset and size must be non-negative")
         if path in self._buffers:
             buffer = self._buffers[path]
             if buffer is None:
-                raise FileNotFoundInEngine(path)
+                raise FileNotFound(path)
             data = bytes(buffer[offset : offset + size])
         else:
             frozen = self._snapshot_lookup(path)
             if frozen is None:
-                raise FileNotFoundInEngine(path)
+                raise FileNotFound(path)
             if offset >= frozen.size or size == 0:
                 data = b""
             else:
@@ -210,11 +210,11 @@ class Session:
         if path in self._buffers:
             buffer = self._buffers[path]
             if buffer is None:
-                raise FileNotFoundInEngine(path)
+                raise FileNotFound(path)
             return len(buffer)
         frozen = self._snapshot_lookup(path)
         if frozen is None:
-            raise FileNotFoundInEngine(path)
+            raise FileNotFound(path)
         return frozen.size
 
     def exists(self, path: str) -> bool:
@@ -241,14 +241,14 @@ class Session:
     def create(self, path: str) -> None:
         self._check_active()
         if self.exists(path):
-            raise FileExistsInEngine(path)
+            raise FileExists(path)
         self._buffers[path] = bytearray()
         self._record_op(("create", path))
 
     def write(self, path: str, offset: int, data: bytes) -> int:
         self._check_active()
         if offset < 0:
-            raise ValueError("offset must be non-negative")
+            raise InvalidArgument("offset must be non-negative")
         buffer = self._materialize(path)
         if not data:
             return 0
@@ -264,7 +264,7 @@ class Session:
     def truncate(self, path: str, size: int) -> None:
         self._check_active()
         if size < 0:
-            raise ValueError("size must be non-negative")
+            raise InvalidArgument("size must be non-negative")
         buffer = self._materialize(path)
         if size < len(buffer):
             del buffer[size:]
@@ -275,7 +275,7 @@ class Session:
     def unlink(self, path: str) -> None:
         self._check_active()
         if not self.exists(path):
-            raise FileNotFoundInEngine(path)
+            raise FileNotFound(path)
         self._buffers[path] = None
         self._record_op(("unlink", path))
 
@@ -287,10 +287,10 @@ class Session:
     def rename(self, old: str, new: str) -> None:
         self._check_active()
         if self.exists(new):
-            raise FileExistsInEngine(new)
+            raise FileExists(new)
         content = self._view(old)
         if content is None:
-            raise FileNotFoundInEngine(old)
+            raise FileNotFound(old)
         self.write_file(new, content)
         self.unlink(old)
 

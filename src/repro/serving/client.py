@@ -12,7 +12,9 @@ one ``Client`` interface for both deployments.
 :class:`RemoteFS` subclasses :class:`~repro.fs.vfs.FileSystem` and
 implements the storage primitives as wire calls, which buys the whole
 descriptor API (open/read/write/seek/fsync) for free: descriptors are
-client-local, primitives are remote.
+client-local, primitives are remote.  It holds no device: its
+``block_size`` is the server's, learned from the HELLO reply, and its
+spans go to the connection's observability bundle.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.databases.common import DatabaseError
 from repro.fs import errors as fserrors
 from repro.fs.vfs import FileStat, FileSystem
 from repro.mvcc.session import SessionClosed, WriteConflict
+from repro.obs import Observability
 from repro.serving import protocol
 from repro.serving.protocol import OPCODES, Frame, decode_frame, encode_frame
 
@@ -93,6 +96,10 @@ class WireClient:
         self._request_ids = itertools.count(1)
         self.retries = retries
         self.clock = clock
+        #: Client-side bundle, shared by every RemoteFS on this connection.
+        self.obs = Observability()
+        #: The server's block size; ``None`` until :meth:`hello`.
+        self.block_size: Optional[int] = None
 
     def call(self, opcode_name: str, **payload) -> dict:
         """One request/response round trip; raises on error responses."""
@@ -131,13 +138,19 @@ class WireClient:
     def hello(self, tenant: Optional[str] = None) -> dict:
         # ``tenant`` binds a fresh socket connection to a namespace; the
         # loopback transport already knows its tenant and may omit it.
-        return self.call("HELLO", tenant=tenant)
+        reply = self.call("HELLO", tenant=tenant)
+        self.block_size = reply.get("block_size")
+        return reply
 
     def ping(self) -> dict:
         return self.call("PING")
 
     def goodbye(self) -> dict:
         return self.call("GOODBYE")
+
+    def fs(self, session: Optional[int] = None) -> "RemoteFS":
+        """This tenant's namespace (or one open session's view of it)."""
+        return RemoteFS(self, session_id=session)
 
     # -- sessions -------------------------------------------------------------
     def session_begin(self) -> int:
@@ -206,7 +219,9 @@ class RemoteFS(FileSystem):
     """
 
     def __init__(self, client: WireClient, session_id: Optional[int] = None) -> None:
-        super().__init__(device=None)
+        if client.block_size is None:
+            client.hello()  # mounting is a handshake when none happened yet
+        super().__init__(client.block_size, client.obs)
         self.client = client
         self.session_id = session_id
 

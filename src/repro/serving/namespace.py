@@ -14,10 +14,11 @@ charge a **provisional** child ledger (:meth:`QuotaLedger.provisional`)
 that the server folds into the committed ledger when the session
 commits, or drops when it aborts.
 
-Layering note: like :class:`repro.fs.sessionfs.SessionFS`, this class
-implements the :class:`~repro.fs.vfs.FileSystem` storage primitives by
-delegating to the wrapped filesystem's primitives, and speaks only
-:mod:`repro.fs.errors` upward.
+Layering note: this class implements the
+:class:`~repro.fs.vfs.FileSystem` storage primitives by delegating to
+the wrapped filesystem's primitives (``NamespaceFS(SessionFS(fs, s))``
+is the transactional composition), takes ``block_size`` and ``obs``
+from it, holds no device, and speaks only :mod:`repro.fs.errors` upward.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class NamespaceFS(FileSystem):
         ledger: Optional[QuotaLedger] = None,
         fd_limit: Optional[int] = None,
     ) -> None:
-        super().__init__(device=base.device)
+        super().__init__(base.block_size, base.obs)
         self.base = base
         self.tenant = tenant
         self.root = tenant_root(tenant)

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.analysis.sanitizer import TrackedLock
-from repro.core.operations import OperationError
 from repro.databases.minicolumn import MiniColumn
 from repro.databases.minileveldb import MiniLevelDB
 from repro.databases.minisql import MiniSQL
@@ -66,6 +65,22 @@ from repro.serving.protocol import (
 )
 from repro.serving.slo import TenantSLO
 from repro.storage.simclock import DATACENTER_LAN, NetworkProfile, Stopwatch
+
+#: kind -> (front end, directory): the one database layout of both
+#: deployments, so data written in-process is served unchanged when a
+#: Server is pointed at the same image (under the tenant root).
+DATABASES = {
+    "sql": (MiniSQL, "/sql"),
+    "kv": (MiniLevelDB, "/kv"),
+    "column": (MiniColumn, "/col"),
+}
+
+
+def open_database(kind: str, fs: FileSystem):
+    """The ``kind`` front end over ``fs``, in its place in the layout."""
+    front_end, directory = DATABASES[kind]
+    return front_end(fs, directory=directory)
+
 
 #: The serving-layer lock tier: below every storage-side tier (master,
 #: server, client, inode), so holding the serving lock while the MVCC
@@ -167,16 +182,7 @@ class _TenantState:
         )
         found = cache.get(kind)
         if found is None:
-            fs = self.fs_view(session_id)
-            if kind == "sql":
-                found = MiniSQL(fs, directory="/sql")
-            elif kind == "kv":
-                found = MiniLevelDB(fs, directory="/kv")
-            elif kind == "column":
-                found = MiniColumn(fs, directory="/col")
-            else:  # pragma: no cover - internal misuse
-                raise InvalidArgument(f"unknown database kind {kind!r}")
-            cache[kind] = found
+            found = cache[kind] = open_database(kind, self.fs_view(session_id))
         return found
 
 
@@ -423,6 +429,7 @@ class Server:
             "protocol": protocol.PROTOCOL_VERSION,
             "tenant": state.config.name,
             "root": state.ns.root,
+            "block_size": self.engine.block_size,
         }
 
     def _op_ping(self, state: _TenantState, payload: dict) -> dict:
@@ -606,20 +613,15 @@ class Server:
         state.ledger.charge(bytes_delta=len(data))
         try:
             self.engine.ops.insert(mapped, payload["offset"], data)
-        except BaseException as exc:
+        except BaseException:
             state.ledger.charge(bytes_delta=-len(data))
-            if isinstance(exc, OperationError):
-                raise InvalidArgument(str(exc)) from None
             raise
         return {"ok": True}
 
     def _op_ops_delete(self, state: _TenantState, payload: dict) -> dict:
         mapped = self._mapped_path(state, payload["path"])
         length = payload["length"]
-        try:
-            self.engine.ops.delete(mapped, payload["offset"], length)
-        except OperationError as exc:
-            raise InvalidArgument(str(exc)) from None
+        self.engine.ops.delete(mapped, payload["offset"], length)
         state.ledger.charge(bytes_delta=-length)
         return {"ok": True}
 

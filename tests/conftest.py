@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.engine import CompressDB
 from repro.fs.compressfs import CompressFS
+from repro.fs.sessionfs import SessionFS
 from repro.fs.vfs import PassthroughFS
+from repro.serving import LoopbackTransport, NamespaceFS, Server, WireClient
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.simclock import SimClock
 
@@ -38,9 +40,41 @@ def passthrough_fs() -> PassthroughFS:
     return PassthroughFS(block_size=64)
 
 
-@pytest.fixture(params=["passthrough", "compress"])
-def any_fs(request):
-    """Parametrized over both file systems — they must behave identically."""
-    if request.param == "passthrough":
+def build_fs_stack(kind: str):
+    """One of the seven VFS stacks a database may be mounted on.
+
+    ``passthrough`` and ``compress`` own storage; the rest wrap a
+    ``CompressFS``: ``session`` binds an MVCC session, ``namespace`` is
+    a tenant's jailed view, ``remote`` crosses the wire to a loopback
+    ``Server`` — alone or, with ``+session``, inside a transaction.
+    """
+    if kind == "passthrough":
         return PassthroughFS(block_size=64)
-    return CompressFS(block_size=64, page_capacity=4)
+    base = CompressFS(block_size=64, page_capacity=4)
+    if kind == "compress":
+        return base
+    if kind.startswith("remote"):
+        server = Server(fs=base)
+        server.add_tenant("t")
+        wire = WireClient(LoopbackTransport(server, "t"))
+        return wire.fs(wire.session_begin() if kind == "remote+session" else None)
+    if kind.endswith("session"):
+        base = SessionFS(base, base.engine.mvcc.begin())
+    return NamespaceFS(base, "t") if kind.startswith("namespace") else base
+
+
+FS_STACKS = (
+    "passthrough",
+    "compress",
+    "session",
+    "namespace",
+    "namespace+session",
+    "remote",
+    "remote+session",
+)
+
+
+@pytest.fixture(params=FS_STACKS)
+def any_fs(request):
+    """Parametrized over every stack — they must behave identically."""
+    return build_fs_stack(request.param)

@@ -2,30 +2,30 @@
 
 import pytest
 
-from repro.core.engine import CompressDB, FileNotFoundInEngine
+from repro.core.engine import CompressDB
 from repro.core.operations import OperationError
-from repro.fs import CompressFS, FileNotFound, PassthroughFS
+from repro.fs import CompressFS, FileNotFound, InvalidArgument, PassthroughFS
 from repro.fs.overlay_lz4 import CompressedOverlayFS
 from repro.storage.inode import Inode, Slot
 
 
 class TestEngineEdges:
     def test_ops_on_missing_file_raise(self, engine):
-        with pytest.raises(FileNotFoundInEngine):
+        with pytest.raises(FileNotFound):
             engine.read("/missing", 0, 1)
-        with pytest.raises(FileNotFoundInEngine):
+        with pytest.raises(FileNotFound):
             engine.write("/missing", 0, b"x")
-        with pytest.raises(FileNotFoundInEngine):
+        with pytest.raises(FileNotFound):
             engine.ops.insert("/missing", 0, b"x")
 
     def test_write_negative_offset(self, engine):
         engine.create("/f")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             engine.write("/f", -1, b"x")
 
     def test_truncate_negative(self, engine):
         engine.create("/f")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             engine.truncate("/f", -1)
 
     def test_extract_zero_from_empty_file(self, engine):

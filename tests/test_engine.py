@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.engine import FileExistsInEngine, FileNotFoundInEngine
+from repro.fs.errors import FileExists, FileNotFound
 
 
 class TestNamespace:
@@ -13,7 +13,7 @@ class TestNamespace:
 
     def test_create_duplicate_raises(self, engine):
         engine.create("/a")
-        with pytest.raises(FileExistsInEngine):
+        with pytest.raises(FileExists):
             engine.create("/a")
 
     def test_unlink(self, engine):
@@ -22,7 +22,7 @@ class TestNamespace:
         assert not engine.exists("/a")
 
     def test_unlink_missing_raises(self, engine):
-        with pytest.raises(FileNotFoundInEngine):
+        with pytest.raises(FileNotFound):
             engine.unlink("/missing")
 
     def test_unlink_releases_blocks(self, engine):
@@ -42,7 +42,7 @@ class TestNamespace:
     def test_rename_over_existing_raises(self, engine):
         engine.create("/a")
         engine.create("/b")
-        with pytest.raises(FileExistsInEngine):
+        with pytest.raises(FileExists):
             engine.rename("/a", "/b")
 
     def test_list_files_with_prefix(self, engine):
@@ -191,7 +191,7 @@ class TestReflinkCopy:
     def test_copy_over_existing_rejected(self, engine):
         engine.write_file("/src", b"a")
         engine.write_file("/dst", b"b")
-        with pytest.raises(FileExistsInEngine):
+        with pytest.raises(FileExists):
             engine.copy_file("/src", "/dst")
 
     def test_unlink_original_keeps_copy(self, engine):

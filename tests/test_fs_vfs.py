@@ -1,10 +1,14 @@
-"""POSIX-semantics tests, parametrized over both file systems.
+"""POSIX-semantics tests, parametrized over every file-system stack.
 
-The baseline and CompressFS must be observationally identical through
-the VFS: that is what lets unmodified databases run on either.
+The baseline, CompressFS and every wrapper over it (session, tenant
+namespace, the wire) must be observationally identical through the
+VFS: that is what lets unmodified databases run on any of them.
 """
 
 import pytest
+
+from repro.storage.block_device import BlockDevice
+from tests.conftest import FS_STACKS, build_fs_stack
 
 from repro.fs import (
     BadFileDescriptor,
@@ -196,6 +200,22 @@ class TestAccounting:
             fs.write_file("/a", block * 8)
         assert compress_fs.physical_bytes() == 64
         assert passthrough_fs.physical_bytes() == 64 * 8
+
+
+class TestWrappersHoldNoDevice:
+    @pytest.mark.parametrize("kind", FS_STACKS[2:])
+    def test_only_the_storage_owner_builds_a_device(self, kind, monkeypatch):
+        built = []
+        init = BlockDevice.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BlockDevice, "__init__", counting_init)
+        fs = build_fs_stack(kind)
+        assert len(built) == 1  # the CompressFS at the bottom, none per wrapper
+        assert fs.block_size == built[0].block_size == 64
 
 
 class TestUnlinkBusy:

@@ -21,11 +21,11 @@ from repro.analysis.sanitizer import (
     rank_of,
     uninstall_sanitizer,
 )
-from repro.core.engine import CompressDB, FileExistsInEngine, FileNotFoundInEngine
+from repro.core.engine import CompressDB
 from repro.distributed.interleave import run_mvcc_sessions
 from repro.fs import fd as fdmod
 from repro.fs.compressfs import CompressFS
-from repro.fs.errors import BadFileDescriptor, InvalidArgument
+from repro.fs.errors import BadFileDescriptor, FileExists, FileNotFound, InvalidArgument
 from repro.fs.sessionfs import SessionFS
 from repro.mvcc import (
     HistoryEvent,
@@ -96,9 +96,9 @@ class TestSessionBasics:
         engine = _engine()
         engine.write_file("/f", b"x")
         session = engine.mvcc.begin()
-        with pytest.raises(FileExistsInEngine):
+        with pytest.raises(FileExists):
             session.create("/f")
-        with pytest.raises(FileNotFoundInEngine):
+        with pytest.raises(FileNotFound):
             session.unlink("/missing")
         session.abort()
 

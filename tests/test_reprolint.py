@@ -275,11 +275,11 @@ class TestLayeringRule:
     def test_engine_internal_exception_across_vfs_flagged(self):
         findings = lint(
             """
-            from repro.core.engine import FileNotFoundInEngine
+            from repro.core.superblock import PersistenceError
 
             class LeakyFS(FileSystem):
                 def _size(self, path):
-                    raise FileNotFoundInEngine(path)
+                    raise PersistenceError(path)
             """,
             "src/repro/fs/fixture.py",
             rules=["LAYER001"],

@@ -23,6 +23,7 @@ import pytest
 
 import repro.api as api
 from repro.core.engine import CompressDB
+from repro.databases.common import DatabaseError
 from repro.fs.compressfs import CompressFS
 from repro.fs.errors import (
     FileNotFound,
@@ -775,6 +776,10 @@ def drive_facade(client: api.Client) -> dict:
     client.delete("/facade", 0, 7)
     fingerprint["edited"] = client.fs.read_file("/facade")
     fingerprint["word_count"] = client.word_count("/facade")
+    # The commonest user error is typed the same on both backends.
+    with pytest.raises(DatabaseError) as syntax:
+        client.sql("SELEKT 1")
+    fingerprint["syntax_error"] = str(syntax.value)
     return fingerprint
 
 
