@@ -1,11 +1,10 @@
 """reprolint smoke benchmark: the analyzer must stay CI-cheap.
 
-Lints the full ``src/repro`` tree and reports per-stage timings (file
-walk + parse + symbol tables + all rules).  The acceptance gate is that
-a whole-tree run finishes in a few seconds — the CI lint job runs before
-the tier-1 tests, so a slow analyzer would tax every push.  The
-interprocedural pass (call graph + summaries + program rules) is timed
-as its own row under the same budget.
+Lints the full ``src/repro`` tree as one program (file walk + parse +
+symbol tables + call graph + summaries + every rule) and reports the
+wall time.  The acceptance gate is that a whole-tree run finishes in a
+few seconds — the CI lint job runs before the tier-1 tests, so a slow
+analyzer would tax every push.
 
 Runnable standalone (``python benchmarks/bench_lint.py [--smoke]``) or
 under pytest with the rest of the benchmark suite.
@@ -26,22 +25,20 @@ FULL_TREE_BUDGET_S = 10.0
 SMOKE_RULES = ["IO001"]  # cheapest single rule for the reduced run
 
 
-def run_once(rules=None, interprocedural=False):
+def run_once(rules=None):
     """(report, wall seconds) for one whole-tree lint."""
     start = time.perf_counter()
-    report = run_paths(
-        [default_target()], rules=rules, interprocedural=interprocedural
-    )
+    report = run_paths([default_target()], rules=rules)
     return report, time.perf_counter() - start
 
 
 def run_all(smoke: bool = False) -> list[dict]:
     results = []
-    passes = [("all rules", None, False), ("interprocedural", None, True)]
+    passes = [("all rules", None)]
     if not smoke:
-        passes.append(("single rule (IO001)", SMOKE_RULES, False))
-    for label, rules, interprocedural in passes:
-        report, wall = run_once(rules, interprocedural=interprocedural)
+        passes.append(("single rule (IO001)", SMOKE_RULES))
+    for label, rules in passes:
+        report, wall = run_once(rules)
         results.append(
             {
                 "pass": label,
@@ -79,11 +76,10 @@ def _check(results: list[dict]) -> None:
     assert slowest <= FULL_TREE_BUDGET_S, (
         f"whole-tree lint took {slowest:.2f}s, budget is {FULL_TREE_BUDGET_S}s"
     )
-    for entry in results[:2]:  # all rules + interprocedural
-        assert entry["active"] == 0, (
-            f"the shipped tree must lint clean ({entry['pass']}), "
-            f"found {entry['active']} violation(s)"
-        )
+    assert results[0]["active"] == 0, (
+        "the shipped tree must lint clean, "
+        f"found {results[0]['active']} violation(s)"
+    )
 
 
 def test_lint_smoke(benchmark):

@@ -7,7 +7,8 @@ as checkers over Python ASTs.  Entry points:
 
 * ``repro lint`` (CLI) — lint the tree, exit non-zero on violations;
 * :func:`repro.analysis.runner.run_paths` — programmatic API;
-* :class:`repro.analysis.framework.Analyzer` — single-file analysis.
+* :class:`repro.analysis.framework.Analyzer` — analysis of in-memory
+  sources (one fixture or many, always as one program).
 
 Rules ship in the ``rules_*`` modules and self-register via
 :func:`repro.analysis.framework.register`.
@@ -23,6 +24,7 @@ from repro.analysis.framework import (
     Checker,
     FileContext,
     Suppression,
+    build_context,
     register,
 )
 from repro.analysis.runner import (
@@ -31,17 +33,6 @@ from repro.analysis.runner import (
     collect_files,
     default_target,
     run_paths,
-)
-from repro.analysis.sanitizer import (
-    LockContractError,
-    LockOrderSanitizer,
-    LockOrderViolation,
-    TrackedLock,
-    check_agreement,
-    current_sanitizer,
-    install_sanitizer,
-    tracked_lock,
-    uninstall_sanitizer,
 )
 
 # Imported for their registration side effect: each rule module adds its
@@ -54,7 +45,6 @@ from repro.analysis import rules_io  # noqa: E402,F401
 from repro.analysis import rules_layering  # noqa: E402,F401
 from repro.analysis import rules_locks  # noqa: E402,F401
 from repro.analysis import rules_mutation  # noqa: E402,F401
-from repro.analysis import rules_obs  # noqa: E402,F401
 from repro.analysis import rules_refcount  # noqa: E402,F401
 from repro.analysis import rules_txn  # noqa: E402,F401
 
@@ -66,20 +56,12 @@ __all__ = [
     "FileContext",
     "Finding",
     "LintReport",
-    "LockContractError",
-    "LockOrderSanitizer",
-    "LockOrderViolation",
     "Severity",
     "Suppression",
-    "TrackedLock",
+    "build_context",
     "build_program_for",
-    "check_agreement",
     "collect_files",
-    "current_sanitizer",
     "default_target",
-    "install_sanitizer",
     "register",
     "run_paths",
-    "tracked_lock",
-    "uninstall_sanitizer",
 ]

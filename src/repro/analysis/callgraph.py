@@ -1,9 +1,9 @@
-"""Whole-program call graph for reprolint's interprocedural mode.
+"""The whole-program index every reprolint rule runs over.
 
-The per-file checkers see one AST at a time; the rules that guard the
-MVCC arc (lock order across helpers, transaction scopes established by
-callers, refcount obligations handed over a ``return``) need to follow
-*call edges*.  This module builds the program-level index those rules
+Lexical rules read the parsed files (:attr:`ProgramContext.files`); the
+rules that guard the MVCC arc (lock order across helpers, transaction
+scopes established by callers, refcount obligations handed over a
+``return``) follow *call edges*.  This module builds the index they
 share:
 
 * a **class index** — every class with its (import-resolved) bases, its
@@ -21,18 +21,21 @@ Resolution is deliberately *bounded*: attribute chains deeper than
 :data:`MAX_CHAIN_DEPTH`, inheritance walks past :data:`MAX_MRO_DEPTH`,
 or more than :data:`MAX_CANDIDATES` candidate classes make the edge
 unresolved rather than exploding the graph.  Unresolved calls simply
-carry no interprocedural findings — the intraprocedural rules still see
-them — so the analysis degrades to PR 2 behaviour instead of guessing.
+carry no cross-call findings — the analysis degrades to what one
+function body shows instead of guessing.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from repro.analysis.framework import FileContext
+from repro.analysis.summaries import SummaryIndex, first_witnesses
 from repro.analysis.symbols import dotted_name
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.framework import FileContext
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -100,10 +103,13 @@ class CallEdge:
 
 
 class ProgramContext:
-    """Everything the interprocedural checkers can know about the tree."""
+    """Everything the checkers can know about the files they are given."""
 
     def __init__(self, contexts: Sequence[FileContext]) -> None:
-        #: module name -> file context.
+        #: every parsed file, in the order given (what lexical rules walk).
+        self.files: list[FileContext] = list(contexts)
+        #: module name -> file context (what name resolution indexes;
+        #: files outside a ``repro`` tree may share a bare-stem name).
         self.contexts: dict[str, FileContext] = {ctx.module: ctx for ctx in contexts}
         self.classes: dict[str, ClassInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
@@ -112,9 +118,10 @@ class ProgramContext:
         #: callee qualname -> incoming edges (with the call node).
         self.callers_of: dict[str, list[tuple[CallEdge, ast.Call]]] = {}
         self._local_envs: dict[str, dict[str, tuple[str, ...]]] = {}
-        self._summaries = None
         self._index()
         self._link()
+        #: per-function facts and their transitive closures.
+        self.summaries = SummaryIndex(self)
 
     # -- construction -------------------------------------------------------
     def _index(self) -> None:
@@ -137,6 +144,13 @@ class ProgramContext:
                     info.return_types, info.return_elem_types = self._annotation_types(
                         ctx, returns
                     )
+                previous = self.functions.get(info.qualname)
+                if previous is not None:
+                    # A redefinition (branch-local def, property setter):
+                    # the last one keeps the name, as at runtime; the
+                    # earlier stays analyzable under a line-suffixed key.
+                    previous.qualname += f"@{previous.node.lineno}"
+                    self.functions[previous.qualname] = previous
                 self.functions[info.qualname] = info
         # Second pass: attribute types may reference classes indexed later.
         for ctx in self.contexts.values():
@@ -478,22 +492,6 @@ class ProgramContext:
             if edges:
                 self.calls_from[info.qualname] = edges
 
-    # -- shared facts -------------------------------------------------------
-    @property
-    def summaries(self):
-        """The lazily built :class:`~repro.analysis.summaries.SummaryIndex`."""
-        if self._summaries is None:
-            from repro.analysis.summaries import SummaryIndex
-
-            self._summaries = SummaryIndex(self)
-        return self._summaries
-
-    def context_for_path(self, path: str) -> Optional[FileContext]:
-        for ctx in self.contexts.values():
-            if ctx.path == path:
-                return ctx
-        return None
-
 
 def _merge_types(
     a: tuple[tuple[str, ...], tuple[str, ...]],
@@ -502,11 +500,6 @@ def _merge_types(
     direct = tuple(sorted(set(a[0]) | set(b[0])))[:MAX_CANDIDATES]
     elem = tuple(sorted(set(a[1]) | set(b[1])))[:MAX_CANDIDATES]
     return direct, elem
-
-
-def build_program(contexts: Sequence[FileContext]) -> ProgramContext:
-    """Index ``contexts`` into one :class:`ProgramContext`."""
-    return ProgramContext(contexts)
 
 
 def _short(name: str) -> str:
@@ -539,13 +532,13 @@ def program_dot(program: ProgramContext) -> str:
     lines.append("  }")
     lines.append("  subgraph cluster_locks {")
     lines.append('    label="lock order";')
-    lock_edges = program.summaries.lock_order_edges()
+    lock_edges = first_witnesses(program.summaries.lock_order_edges()).values()
     lock_nodes = sorted(
         {_short(name) for edge in lock_edges for name in (edge.outer, edge.inner)}
     )
     for node in lock_nodes:
         lines.append(f'    "{node}" [shape=ellipse];')
-    for edge in sorted(lock_edges, key=lambda e: (e.outer, e.inner)):
+    for edge in lock_edges:
         chain = " \\n ".join(_short(hop) for hop in edge.chain)
         lines.append(
             f'    "{_short(edge.outer)}" -> "{_short(edge.inner)}" '

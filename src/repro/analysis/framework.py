@@ -1,9 +1,11 @@
 """The reprolint checker framework.
 
-A :class:`Checker` inspects one parsed file (:class:`FileContext`) and
-yields :class:`~repro.analysis.findings.Finding` objects.  The
-:class:`Analyzer` parses files, builds symbol tables, runs every
-registered checker, and applies inline suppressions.
+A :class:`Checker` inspects the indexed program (one
+:class:`~repro.analysis.callgraph.ProgramContext` holding every parsed
+:class:`FileContext`) and yields
+:class:`~repro.analysis.findings.Finding` objects.  The
+:class:`Analyzer` parses files, indexes them, runs every registered
+checker, and applies inline suppressions.
 
 Suppressions
 ------------
@@ -25,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Type
 
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.symbols import SymbolTable
 
@@ -70,48 +73,24 @@ class FileContext:
     symbols: SymbolTable
     suppressions: dict[int, Suppression] = field(default_factory=dict)
 
-    @property
-    def package(self) -> str:
-        """The package holding this module (``repro.core`` for
-        ``repro.core.engine``)."""
-        if self.module.endswith(".__init__"):
-            return self.module.rsplit(".", 1)[0]
-        return self.module.rsplit(".", 1)[0] if "." in self.module else self.module
-
 
 class Checker:
-    """Base class for one rule.  Subclasses set the class attributes and
-    implement :meth:`check`; rules with a whole-program pass also
-    implement :meth:`check_program` and set :attr:`interprocedural`."""
+    """Base class for one rule: set the class attributes and implement
+    :meth:`check` over the whole indexed program."""
 
     rule_id: str = ""
     severity: Severity = Severity.ERROR
     description: str = ""
-    #: the rule gains extra findings in ``--interprocedural`` mode.
-    interprocedural: bool = False
-    #: the rule *only* works over the whole program (no per-file pass);
-    #: selecting it implies interprocedural analysis.
-    program_only: bool = False
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
+        """Yield findings; each carries the path of the file it blames,
+        which is where its suppression comment is looked up."""
         raise NotImplementedError
 
-    def check_program(self, program) -> Iterator[Finding]:
-        """Whole-program pass over a
-        :class:`~repro.analysis.callgraph.ProgramContext`; findings must
-        carry the path of the file they blame so suppressions apply."""
-        return iter(())
-
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            rule_id=self.rule_id,
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            severity=self.severity,
-            message=message,
-        )
+        return self.finding_at(ctx.path, getattr(node, "lineno", 1), message)
 
-    def program_finding(self, path: str, line: int, message: str) -> Finding:
+    def finding_at(self, path: str, line: int, message: str) -> Finding:
         return Finding(
             rule_id=self.rule_id,
             path=path,
@@ -158,35 +137,34 @@ class AnalysisError(Exception):
     """A target file could not be parsed."""
 
 
+def build_context(source: str, path: str) -> FileContext:
+    """Parse one file into the context the checkers consume."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise AnalysisError(f"{path}: {exc}") from exc
+    lines = source.splitlines()
+    return FileContext(
+        path=path,
+        module=module_name_for(path),
+        tree=tree,
+        source_lines=lines,
+        symbols=SymbolTable.build(tree),
+        suppressions=parse_suppressions(lines),
+    )
+
+
 class Analyzer:
     """Runs a set of checkers over files and applies suppressions.
 
-    With ``interprocedural=True`` (or when a ``program_only`` rule like
-    CONC001/CONC002 is selected) the analyzed files are additionally
-    indexed into one whole-program call graph
-    (:mod:`repro.analysis.callgraph`) and every checker's
-    :meth:`Checker.check_program` pass runs over it.  Suppressions apply
-    to program findings exactly as to per-file findings — by the blamed
-    file and line.
+    Whatever it is given — one fixture or the whole tree — is indexed
+    into one :class:`~repro.analysis.callgraph.ProgramContext` (symbol
+    tables, call graph, function summaries) and every selected rule
+    runs once over that.  Suppressions apply by the blamed file and
+    line.
     """
 
-    def __init__(
-        self,
-        rules: Optional[Iterable[str]] = None,
-        interprocedural: bool = False,
-    ) -> None:
-        # Import for side effect: the rule modules register themselves.
-        from repro.analysis import rules_concurrency  # noqa: F401
-        from repro.analysis import rules_determinism  # noqa: F401
-        from repro.analysis import rules_encoding  # noqa: F401
-        from repro.analysis import rules_io  # noqa: F401
-        from repro.analysis import rules_layering  # noqa: F401
-        from repro.analysis import rules_locks  # noqa: F401
-        from repro.analysis import rules_mutation  # noqa: F401
-        from repro.analysis import rules_obs  # noqa: F401
-        from repro.analysis import rules_refcount  # noqa: F401
-        from repro.analysis import rules_txn  # noqa: F401
-
+    def __init__(self, rules: Optional[Iterable[str]] = None) -> None:
         selected = set(rules) if rules is not None else None
         if selected is not None:
             unknown = selected - set(CHECKER_REGISTRY) - {"SUP001"}
@@ -198,25 +176,6 @@ class Analyzer:
             for rule_id, checker_cls in CHECKER_REGISTRY.items()
             if selected is None or rule_id in selected
         ]
-        # Explicitly asking for a program-only rule implies the mode.
-        self.interprocedural = interprocedural or any(
-            checker.program_only for checker in self.checkers if selected is not None
-        )
-
-    def build_context(self, source: str, path: str) -> FileContext:
-        """Parse one file into the context the checkers consume."""
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            raise AnalysisError(f"{path}: {exc}") from exc
-        return FileContext(
-            path=path,
-            module=module_name_for(path),
-            tree=tree,
-            source_lines=source.splitlines(),
-            symbols=SymbolTable.build(tree),
-            suppressions=parse_suppressions(source.splitlines()),
-        )
 
     def run_source(self, source: str, path: str) -> list[Finding]:
         """Analyze one file's source text."""
@@ -225,32 +184,19 @@ class Analyzer:
     def run_sources(self, items: Iterable[tuple[str, str]]) -> list[Finding]:
         """Analyze ``(path, source)`` pairs as one program."""
         return self.run_contexts(
-            [self.build_context(source, path) for path, source in items]
+            [build_context(source, path) for path, source in items]
         )
 
     def run_contexts(self, contexts: list[FileContext]) -> list[Finding]:
+        program = ProgramContext(contexts)
+        by_path = {ctx.path: ctx for ctx in contexts}
         findings: list[Finding] = []
+        for checker in self.checkers:
+            for finding in checker.check(program):
+                findings.append(self._apply_suppression(by_path[finding.path], finding))
         for ctx in contexts:
-            for checker in self.checkers:
-                for finding in checker.check(ctx):
-                    findings.append(self._apply_suppression(ctx, finding))
             findings.extend(self._suppression_hygiene(ctx))
-        if self.interprocedural:
-            from repro.analysis.callgraph import build_program
-
-            program = build_program(contexts)
-            by_path = {ctx.path: ctx for ctx in contexts}
-            for checker in self.checkers:
-                for finding in checker.check_program(program):
-                    ctx = by_path.get(finding.path)
-                    findings.append(
-                        self._apply_suppression(ctx, finding) if ctx else finding
-                    )
         return sorted(findings, key=lambda f: f.sort_key)
-
-    def run_file(self, path: str) -> list[Finding]:
-        with open(path, "r", encoding="utf-8") as handle:
-            return self.run_source(handle.read(), path)
 
     def _apply_suppression(self, ctx: FileContext, finding: Finding) -> Finding:
         suppression = ctx.suppressions.get(finding.line)

@@ -1,9 +1,8 @@
 """CONC001 / CONC002 — concurrency-readiness rules for the MVCC arc.
 
-Both rules are **program-only**: they need the whole-program call graph
+Both rules read the whole-program call graph
 (:mod:`repro.analysis.callgraph`) and the function summaries
-(:mod:`repro.analysis.summaries`), so they run under
-``repro lint --interprocedural`` (or when selected explicitly).
+(:mod:`repro.analysis.summaries`).
 
 CONC001 — shared mutable state mutated outside a lock/transaction scope
 -----------------------------------------------------------------------
@@ -28,12 +27,12 @@ the call graph; unknown callers mean *not* scoped).
 CONC002 — lock acquisition-order cycles
 ---------------------------------------
 
-The interprocedural summaries induce a global lock-order graph: an edge
+The function summaries induce one global lock-order graph: an edge
 ``L -> M`` whenever ``M`` can be acquired (directly or through calls)
 while ``L`` is held.  Any cycle in that graph is a potential deadlock
 under interleaving; each is reported once with the witness call chains
-forming it.  The runtime twin is
-:class:`repro.analysis.sanitizer.LockOrderSanitizer`, which observes the
+forming it (LOCK001 filters the same graph by tier rank).  The runtime
+twin is :class:`repro.locks.LockOrderSanitizer`, which observes the
 same edges dynamically.
 """
 
@@ -42,12 +41,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, FileContext, register
-from repro.analysis.symbols import call_tail, dotted_name
+from repro.analysis.summaries import find_lock_cycles, inside_scope_with
+from repro.analysis.symbols import call_tail
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_WITH_NODES = (ast.With, ast.AsyncWith)
 
 #: Packages whose state the MVCC arc will share across sessions.
 _SCOPE_PREFIXES = ("repro.distributed", "repro.storage", "repro.core", "repro.serving")
@@ -68,12 +68,6 @@ _MUTATOR_METHOD_TAILS = frozenset(
         "setdefault",
     }
 )
-
-#: Transaction-scope context-manager tails (mirrors rules_txn).
-_TXN_SCOPE_TAILS = frozenset({"transaction", "_txn_scope"})
-
-#: Obligation-declaring guard tails recognized on a method body.
-_GUARD_TAILS = frozenset({"require_held", "require_transaction"})
 
 _MAX_WALK_DEPTH = 8
 
@@ -114,39 +108,6 @@ def _receiver_self_attr(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def _under_scope_with(ctx: FileContext, node: ast.AST, func: ast.AST) -> bool:
-    """Lexically inside ``with <lock>:`` or a transaction ``with``."""
-    for ancestor in ctx.symbols.ancestors(node):
-        if ancestor is func:
-            return False
-        if isinstance(ancestor, _WITH_NODES):
-            for item in ancestor.items:
-                expr = item.context_expr
-                if "lock" in ast.unparse(expr).lower():
-                    return True
-                if isinstance(expr, ast.Call) and call_tail(expr) in _TXN_SCOPE_TAILS:
-                    return True
-    return False
-
-
-def _has_decorator(func: ast.AST, tail: str) -> bool:
-    if not isinstance(func, _FUNCTION_NODES):
-        return False
-    for decorator in func.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        dotted = dotted_name(target)
-        if dotted and dotted.rsplit(".", 1)[-1] == tail:
-            return True
-    return False
-
-
-def _declares_guard(func: ast.AST) -> bool:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and call_tail(node) in _GUARD_TAILS:
-            return True
-    return False
-
-
 @register
 class SharedStateChecker(Checker):
     rule_id = "CONC001"
@@ -156,13 +117,8 @@ class SharedStateChecker(Checker):
         "attributes) must only be mutated under a lock or transaction "
         "scope after construction"
     )
-    interprocedural = True
-    program_only = True
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_program(self, program) -> Iterator[Finding]:
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
         self._program = program
         self._init_only_memo: dict[str, bool] = {}
         self._always_scoped_memo: dict[str, bool] = {}
@@ -207,11 +163,11 @@ class SharedStateChecker(Checker):
                 target_name = self._global_mutation(node, shared, locals_bound)
                 if target_name is None:
                     continue
-                if self._site_scoped(ctx, func, node):
+                if inside_scope_with(ctx, node, locks=True):
                     continue
-                yield self.program_finding(
-                    ctx.path,
-                    getattr(node, "lineno", 1),
+                yield self.finding(
+                    ctx,
+                    node,
                     f"{qualname}: module-level mutable {target_name!r} "
                     "mutated outside any lock/transaction scope — shared "
                     "across sessions once the MVCC arc lands",
@@ -289,13 +245,13 @@ class SharedStateChecker(Checker):
                     attr = self._attr_mutation(site)
                     if attr is None:
                         continue
-                    if self._method_scoped(ctx, method, method_qual, class_qual):
+                    if self._method_scoped(method_qual, class_qual):
                         continue
-                    if self._site_scoped(ctx, method, site):
+                    if inside_scope_with(ctx, site, locks=True):
                         continue
-                    yield self.program_finding(
-                        ctx.path,
-                        getattr(site, "lineno", 1),
+                    yield self.finding(
+                        ctx,
+                        site,
                         f"{node.name}.{method.name}: self.{attr} mutated "
                         "outside any lock/transaction scope after "
                         "construction — will race once sessions interleave",
@@ -326,19 +282,21 @@ class SharedStateChecker(Checker):
                     return attr
         return None
 
-    def _site_scoped(self, ctx: FileContext, func: ast.AST, node: ast.AST) -> bool:
-        return _under_scope_with(ctx, node, func)
+    def _declares_scope(self, qualname: str) -> bool:
+        """``@transactional``, or a guard handing the obligation up."""
+        summary = self._program.summaries.summaries.get(qualname)
+        return summary is not None and (
+            summary.establishes_txn
+            or summary.declares_require_txn
+            or summary.declares_require_held
+        )
 
-    def _method_scoped(
-        self, ctx: FileContext, method: ast.AST, method_qual: str, class_qual: str
-    ) -> bool:
-        if _has_decorator(method, "transactional"):
-            return True
-        if _declares_guard(method):
-            return True
-        if self._init_only(method_qual, class_qual):
-            return True
-        return self._always_scoped(method_qual)
+    def _method_scoped(self, method_qual: str, class_qual: str) -> bool:
+        return (
+            self._declares_scope(method_qual)
+            or self._init_only(method_qual, class_qual)
+            or self._always_scoped(method_qual)
+        )
 
     def _init_only(self, method_qual: str, class_qual: str, depth: int = 0) -> bool:
         """Reachable only from ``__init__`` (constructor-local escape)."""
@@ -374,12 +332,9 @@ class SharedStateChecker(Checker):
             if caller_info is None:
                 result = False
                 break
-            caller_ctx = caller_info.ctx
-            if _under_scope_with(caller_ctx, call, caller_info.node):
+            if inside_scope_with(caller_info.ctx, call, locks=True):
                 continue
-            if _has_decorator(caller_info.node, "transactional"):
-                continue
-            if _declares_guard(caller_info.node):
+            if self._declares_scope(edge.caller):
                 continue
             if self._always_scoped(edge.caller, depth + 1):
                 continue
@@ -394,18 +349,11 @@ class LockGraphChecker(Checker):
     rule_id = "CONC002"
     severity = Severity.ERROR
     description = (
-        "the interprocedural lock acquisition-order graph must be "
+        "the whole-program lock acquisition-order graph must be "
         "acyclic; any cycle is a potential deadlock under interleaving"
     )
-    interprocedural = True
-    program_only = True
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_program(self, program) -> Iterator[Finding]:
-        from repro.analysis.summaries import find_lock_cycles
-
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
         edges = program.summaries.lock_order_edges()
         for nodes, cycle_edges in find_lock_cycles(edges):
             ring = " -> ".join(nodes + (nodes[0],))
@@ -415,7 +363,7 @@ class LockGraphChecker(Checker):
                 for edge in cycle_edges
             )
             first = cycle_edges[0]
-            yield self.program_finding(
+            yield self.finding_at(
                 first.path,
                 first.line,
                 f"lock-order cycle: {ring} (witness chains: {witnesses})",

@@ -34,6 +34,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, FileContext, register
 from repro.analysis.symbols import dotted_name
@@ -60,9 +61,6 @@ def _call_target(node: ast.Call) -> Optional[str]:
 @register
 class DeterminismChecker(Checker):
     rule_id = "DET001"
-    #: Purely lexical rule: one file is the whole story, so the
-    #: interprocedural pass adds nothing.
-    interprocedural = False
     severity = Severity.ERROR
     description = (
         "replicated apply() paths must be deterministic: no wall-clock "
@@ -70,7 +68,11 @@ class DeterminismChecker(Checker):
         "dependence"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
+        for ctx in program.files:
+            yield from self._check_file(ctx)
+
+    def _check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if not self._in_scope(ctx.module):
             return
         for node in ast.walk(ctx.tree):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, FileContext, register
 from repro.analysis.symbols import call_tail
@@ -122,9 +123,6 @@ class _BlockBytesTaint:
 @register
 class EncodingBoundaryChecker(Checker):
     rule_id = "ENC001"
-    #: Purely lexical rule: one file is the whole story, so the
-    #: interprocedural pass adds nothing.
-    interprocedural = False
     severity = Severity.ERROR
     description = (
         "column block formats (.col/.seg/.zmap payloads) are decoded "
@@ -132,7 +130,11 @@ class EncodingBoundaryChecker(Checker):
         "them or import colcodec privates"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
+        for ctx in program.files:
+            yield from self._check_file(ctx)
+
+    def _check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.module.startswith("repro."):
             return
         if ctx.module.startswith(_EXEMPT_MODULES):

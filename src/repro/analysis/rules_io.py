@@ -25,6 +25,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis import dataflow
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, FileContext, register
 from repro.analysis.symbols import call_name, call_tail
@@ -49,16 +50,17 @@ def _is_compressor_call(call: ast.Call) -> bool:
 @register
 class UnbatchedIOChecker(Checker):
     rule_id = "IO001"
-    #: Purely lexical rule: one file is the whole story, so the
-    #: interprocedural pass adds nothing.
-    interprocedural = False
     severity = Severity.WARNING
     description = (
         "per-block read_block/write_block/store/commit inside a loop; "
         "use the batched read_blocks/write_blocks/store_many/commit_many"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
+        for ctx in program.files:
+            yield from self._check_file(ctx)
+
+    def _check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.module.startswith("repro."):
             return
         if ctx.module.startswith(_EXEMPT_MODULES):

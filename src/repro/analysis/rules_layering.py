@@ -26,6 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, FileContext, register
 from repro.analysis.symbols import dotted_name
@@ -36,7 +37,10 @@ LAYER_RANKS = {
     "repro.obs": 0,
     "repro.storage": 0,
     "repro.compression": 0,
-    "repro.analysis": 0,
+    # The lock-order table + TrackedLock, and the one LEB128 codec: leaf
+    # modules every layer may use.
+    "repro.locks": 0,
+    "repro.varint": 0,
     "repro.succinct": 1,
     "repro.tadoc": 1,
     "repro.snap": 1,
@@ -55,7 +59,11 @@ LAYER_RANKS = {
     "repro.bench": 4,
     "repro.serving": 4,
     "repro.api": 5,
-    "repro.cli": 5,
+    # The linter reads the runtime's declarations (``repro.locks``); the
+    # runtime never imports its linter.  Only the CLI front end
+    # (``repro lint``) sits beside it.
+    "repro.analysis": 6,
+    "repro.cli": 6,
 }
 
 #: Packages restricted to the public engine surface.
@@ -136,9 +144,6 @@ def _package_rank(module: str) -> Optional[int]:
 @register
 class LayeringChecker(Checker):
     rule_id = "LAYER001"
-    #: Purely lexical rule: one file is the whole story, so the
-    #: interprocedural pass adds nothing.
-    interprocedural = False
     severity = Severity.ERROR
     description = (
         "layer cake: no imports from higher layers; databases/workloads "
@@ -146,7 +151,11 @@ class LayeringChecker(Checker):
         "cross the VFS boundary"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
+        for ctx in program.files:
+            yield from self._check_file(ctx)
+
+    def _check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.module.startswith("repro."):
             return
         yield from self._check_imports(ctx)

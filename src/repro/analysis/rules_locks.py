@@ -1,65 +1,30 @@
-"""LOCK001 — cluster lock ordering.
+"""LOCK001 — the declared lock order.
 
-The lock hierarchy follows one declared acquisition order to stay
-deadlock-free, from the cluster tiers down to the engine-level MVCC
-tier::
+The lock hierarchy follows the one acquisition order declared in
+:data:`repro.locks.LOCK_TIERS` (serving → master → chunkserver →
+client → inode) to stay deadlock-free.  The rule is a filter over the
+whole-program lock-order graph
+(:meth:`~repro.analysis.summaries.SummaryIndex.lock_order_edges`, the
+same graph CONC002 searches for cycles): an edge whose inner lock ranks
+**at or below** its outer lock inverts the order, and an edge from a
+lock to itself re-acquires a non-reentrant ``threading.Lock`` — a
+self-deadlock.  Unranked locks nest freely under ranked ones.
 
-    master (rank 0)  →  chunkserver (rank 1)  →  client (rank 2)
-    →  inode (rank 3)
-
-Any nested ``with <lock>:`` acquisition in ``repro.distributed`` whose
-inner lock ranks **at or below** the outer lock inverts (or re-enters)
-the order and is flagged.  Lock expressions are classified by name:
-anything containing ``lock`` is a lock; its tier comes from the first
-tier keyword (``master`` / ``chunk``/``server`` / ``client`` /
-``inode``) appearing in the dotted expression.  Unranked locks nest
-freely under ranked ones — but re-acquiring the *same* expression is
-always a self-deadlock for a non-reentrant ``threading.Lock`` and is
-flagged too.
+Edges witnessed through a call chain are judged anywhere in ``repro``;
+purely lexical nestings only in ``repro.distributed``, where every lock
+spelled with a tier keyword is a cluster lock.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.framework import Checker, FileContext, register
+from repro.analysis.framework import Checker, register
+from repro.locks import rank_of
 
-#: Declared master → chunkserver → client → inode order.  The ``inode``
-#: tier is the per-inode MVCC write lock taken during session commit —
-#: always innermost, so engine-level commits can run under any cluster
-#: lock but never the reverse.
-LOCK_TIERS = (
-    # "serving" must come before "server": matching is first-keyword-
-    # wins and every serving-layer lock name contains "serv".  The
-    # serving tier sits BELOW the cluster tiers (rank -1): the request
-    # dispatch lock is held around engine calls that take inode locks.
-    ("serving", -1),
-    ("master", 0),
-    ("chunk", 1),
-    ("server", 1),
-    ("client", 2),
-    ("inode", 3),
-)
-
-
-def _lock_expressions(node: ast.With) -> list[tuple[str, ast.expr]]:
-    """Lock-like context expressions of one ``with`` statement."""
-    found = []
-    for item in node.items:
-        source = ast.unparse(item.context_expr)
-        if "lock" in source.lower():
-            found.append((source, item.context_expr))
-    return found
-
-
-def _rank(source: str) -> Optional[int]:
-    lowered = source.lower()
-    for keyword, rank in LOCK_TIERS:
-        if keyword in lowered:
-            return rank
-    return None
+_ORDER = "master -> chunkserver -> client -> inode"
 
 
 @register
@@ -67,104 +32,33 @@ class LockOrderChecker(Checker):
     rule_id = "LOCK001"
     severity = Severity.ERROR
     description = (
-        "nested lock acquisitions in repro.distributed must follow the "
-        "declared master -> chunkserver -> client -> inode order"
+        "lock acquisitions, nested lexically or across calls, must follow "
+        f"the declared {_ORDER} order"
     )
-    interprocedural = True
 
-    def check_program(self, program) -> Iterator[Finding]:
-        """Cross-call-edge pass: a lock held lexically at a call site is
-        ordered against everything the callee may acquire downstream
-        (bounded transitive summary), which the per-file pass cannot
-        see.  Findings carry the witness call chain."""
-        summaries = program.summaries
-        seen: set[tuple[str, int, str, str]] = set()
-        for qualname in sorted(program.functions):
-            info = program.functions[qualname]
-            if not info.module.startswith("repro."):
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
+        for edge in program.summaries.lock_order_edges():
+            module = program.functions[edge.chain[0]].module
+            lexical = len(edge.chain) == 1
+            if not module.startswith("repro.distributed" if lexical else "repro."):
                 continue
-            for edge, call in program.calls_from.get(qualname, ()):
-                held = summaries.held_locks_at(info, call)
-                if not held:
-                    continue
-                transitive = summaries.transitive_locks(edge.callee)
-                for inner_canonical in sorted(transitive):
-                    chain = transitive[inner_canonical]
-                    via = " -> ".join((qualname,) + chain)
-                    for outer in held:
-                        key = (edge.path, edge.line, outer.canonical, inner_canonical)
-                        if key in seen:
-                            continue
-                        if inner_canonical == outer.canonical:
-                            seen.add(key)
-                            yield self.program_finding(
-                                edge.path,
-                                edge.line,
-                                f"re-acquisition of {outer.canonical!r} "
-                                f"through call chain {via} — self-deadlock "
-                                "for a non-reentrant Lock",
-                            )
-                            continue
-                        inner_rank = _rank(inner_canonical)
-                        if inner_rank is None or outer.rank is None:
-                            continue
-                        if inner_rank <= outer.rank:
-                            seen.add(key)
-                            yield self.program_finding(
-                                edge.path,
-                                edge.line,
-                                f"lock order inversion across calls: "
-                                f"{inner_canonical!r} (rank {inner_rank}) "
-                                f"acquired via {via} while holding "
-                                f"{outer.canonical!r} (rank {outer.rank}); "
-                                "declared order is master -> chunkserver -> "
-                                "client -> inode",
-                            )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.module.startswith("repro.distributed"):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.With):
-                yield from self._check_with(ctx, node)
-
-    def _check_with(self, ctx: FileContext, node: ast.With) -> Iterator[Finding]:
-        inner_locks = _lock_expressions(node)
-        if not inner_locks:
-            return
-        held = self._held_locks(ctx, node)
-        # Multiple items in one ``with a, b:`` acquire left to right.
-        for index, (source, expr) in enumerate(inner_locks):
-            for outer_source in held + [s for s, __ in inner_locks[:index]]:
-                if outer_source == source:
-                    yield self.finding(
-                        ctx,
-                        expr,
-                        f"re-acquisition of {source!r} while already held — "
-                        "self-deadlock for a non-reentrant Lock",
-                    )
-                    continue
-                outer_rank, inner_rank = _rank(outer_source), _rank(source)
-                if outer_rank is None or inner_rank is None:
-                    continue
-                if inner_rank <= outer_rank:
-                    yield self.finding(
-                        ctx,
-                        expr,
-                        f"lock order inversion: {source!r} (rank {inner_rank}) "
-                        f"acquired while holding {outer_source!r} (rank "
-                        f"{outer_rank}); declared order is master -> "
-                        "chunkserver -> client -> inode",
-                    )
-
-    def _held_locks(self, ctx: FileContext, node: ast.With) -> list[str]:
-        """Lock expressions held by enclosing ``with`` statements, outermost
-        first (within the enclosing function)."""
-        func = ctx.symbols.enclosing_function(node)
-        held: list[str] = []
-        for ancestor in ctx.symbols.ancestors(node):
-            if ancestor is func:
-                break
-            if isinstance(ancestor, ast.With):
-                held = [source for source, __ in _lock_expressions(ancestor)] + held
-        return held
+            via = "" if lexical else " through call chain " + " -> ".join(edge.chain)
+            if edge.inner == edge.outer:
+                yield self.finding_at(
+                    edge.path,
+                    edge.line,
+                    f"re-acquisition of {edge.outer!r} while already held{via} "
+                    "— self-deadlock for a non-reentrant Lock",
+                )
+                continue
+            outer_rank, inner_rank = rank_of(edge.outer), rank_of(edge.inner)
+            if outer_rank is None or inner_rank is None or inner_rank > outer_rank:
+                continue
+            yield self.finding_at(
+                edge.path,
+                edge.line,
+                f"lock order inversion{' across calls' if via else ''}: "
+                f"{edge.inner!r} (rank {inner_rank}) acquired{via} while "
+                f"holding {edge.outer!r} (rank {outer_rank}); declared "
+                f"order is {_ORDER}",
+            )

@@ -24,6 +24,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.dataflow import TaintTracker
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, FileContext, register
 from repro.analysis.symbols import call_tail
@@ -50,16 +51,17 @@ def _subscript_root(node: ast.AST) -> ast.AST:
 @register
 class RawMutationChecker(Checker):
     rule_id = "MUT001"
-    #: Purely lexical rule: one file is the whole story, so the
-    #: interprocedural pass adds nothing.
-    interprocedural = False
     severity = Severity.ERROR
     description = (
         "in-place mutation of raw block bytes; shared leaf blocks may "
         "only change through the hole API or a checked-out BlockHandle"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
+        for ctx in program.files:
+            yield from self._check_file(ctx)
+
+    def _check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.module.startswith("repro."):
             return
         if ctx.module.startswith(_EXEMPT_MODULES):

@@ -24,8 +24,15 @@ Two failure shapes are reported:
    counted; unless the loop is wrapped in a ``try`` whose handler or
    ``finally`` calls ``decref`` (rollback), those references leak.
 
-Scope: ``repro.core`` and ``repro.fs`` — the only packages allowed to
-touch ``blockRefCount`` at all.
+A callee with a *counted return* (incref-then-return — rightly accepted
+above as an ownership transfer) hands its caller an open obligation:
+the caller must not drop the result, and from the assignment onward the
+same straight-line discipline applies as if the caller had incref'd the
+name itself.
+
+Scope: ``repro.core``, ``repro.fs``, ``repro.snap`` and
+``repro.serving`` — the only packages allowed to touch
+``blockRefCount`` at all.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis import dataflow
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, FileContext, register
 from repro.analysis.symbols import call_tail
@@ -79,44 +87,32 @@ class RefcountPairingChecker(Checker):
         "every incref must reach a decref or an ownership transfer on "
         "all paths, including exception edges"
     )
-    interprocedural = True
 
-    def check_program(self, program) -> Iterator[Finding]:
-        """Cross-call-edge pass: a callee with a *counted return*
-        (incref-then-return — the per-file pass rightly accepts it as an
-        ownership transfer) hands its caller an open obligation.  The
-        caller must not drop the result, and from the assignment onward
-        the same straight-line discipline applies as if the caller had
-        incref'd the name itself."""
-        import ast as _ast
-
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
         summaries = program.summaries
-        for qualname in sorted(program.functions):
-            info = program.functions[qualname]
+        for qualname, info in program.functions.items():
             if not info.module.startswith(_SCOPES):
                 continue
+            short = qualname[len(info.module) + 1 :]
+            yield from self._check_function(info.ctx, info.node, short)
             for edge, call in program.calls_from.get(qualname, ()):
                 if not summaries.counted_return(edge.callee):
                     continue
                 stmt = info.ctx.symbols.enclosing_statement(call)
-                if stmt is None:
-                    continue
-                if isinstance(stmt, _ast.Expr) and stmt.value is call:
-                    yield self.program_finding(
-                        edge.path,
-                        edge.line,
+                if isinstance(stmt, ast.Expr) and stmt.value is call:
+                    yield self.finding(
+                        info.ctx,
+                        call,
                         f"{qualname}: discards the counted return of "
                         f"{edge.callee}() — the incref it took is leaked; "
                         "bind the result and decref or transfer it",
                     )
-                    continue
-                if (
-                    isinstance(stmt, _ast.Assign)
+                elif (
+                    isinstance(stmt, ast.Assign)
                     and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], _ast.Name)
+                    and isinstance(stmt.targets[0], ast.Name)
                     and stmt.value is call
                 ):
-                    short = qualname.split(".", 2)[-1]
                     yield from self._check_straight_line(
                         info.ctx,
                         info.node,
@@ -124,12 +120,6 @@ class RefcountPairingChecker(Checker):
                         stmt,
                         stmt.targets[0].id,
                     )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.module.startswith(_SCOPES):
-            return
-        for func, qualname in ctx.symbols.functions:
-            yield from self._check_function(ctx, func, qualname)
 
     def _check_function(
         self, ctx: FileContext, func: ast.AST, qualname: str

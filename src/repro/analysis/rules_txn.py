@@ -15,6 +15,12 @@ of the following holds:
 * the call is lexically inside ``with ...transaction():`` or
   ``with ..._txn_scope():``.
 
+A function that *declares* the obligation hands it to its callers:
+calling one from a function that neither establishes a scope, declares
+the obligation itself (passing it further up), nor wraps the call in a
+transaction ``with`` is the same violation one call edge removed — the
+runtime guard would fire on that path.
+
 Scope: all of ``repro`` except the structures' own modules
 (``repro.core.refcount``, ``repro.core.hashtable`` — they implement the
 primitives, they do not decide when to call them), the storage
@@ -27,9 +33,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.framework import Checker, FileContext, register
-from repro.analysis.symbols import call_name, call_tail, dotted_name
+from repro.analysis.framework import Checker, register
+from repro.analysis.summaries import inside_scope_with
+from repro.analysis.symbols import call_name, call_tail
 
 #: Calls that mutate durable metadata structures.
 _MUTATOR_TAILS = frozenset(
@@ -46,17 +54,12 @@ _MUTATOR_TAILS = frozenset(
     }
 )
 
-#: Context-manager call tails that establish a transaction scope.
-_SCOPE_TAILS = frozenset({"transaction", "_txn_scope"})
-
 _EXEMPT_MODULES = (
     "repro.core.refcount",
     "repro.core.hashtable",
     "repro.storage.",
     "repro.analysis.",
 )
-
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _is_metadata_mutator(call: ast.Call) -> bool:
@@ -71,36 +74,6 @@ def _is_metadata_mutator(call: ast.Call) -> bool:
     return False
 
 
-def _has_transactional_decorator(func: ast.AST) -> bool:
-    if not isinstance(func, _FUNCTION_NODES):
-        return False
-    for decorator in func.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        dotted = dotted_name(target)
-        if dotted and dotted.rsplit(".", 1)[-1] == "transactional":
-            return True
-    return False
-
-
-def _calls_require_transaction(func: ast.AST) -> bool:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and call_tail(node) == "require_transaction":
-            return True
-    return False
-
-
-def _inside_transaction_with(ctx: FileContext, node: ast.AST) -> bool:
-    for ancestor in ctx.symbols.ancestors(node):
-        if isinstance(ancestor, (ast.With, ast.AsyncWith)):
-            for item in ancestor.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call) and call_tail(expr) in _SCOPE_TAILS:
-                    return True
-        if isinstance(ancestor, _FUNCTION_NODES):
-            return False
-    return False
-
-
 @register
 class TransactionScopeChecker(Checker):
     rule_id = "TXN001"
@@ -110,70 +83,47 @@ class TransactionScopeChecker(Checker):
         "the mutator @transactional, guard it with require_transaction, "
         "or wrap the call in a transaction scope"
     )
-    interprocedural = True
 
-    def check_program(self, program) -> Iterator[Finding]:
-        """Cross-call-edge pass: calling a function that *declares* its
-        transactional obligation (``require_transaction(...)`` in its
-        body) from a caller that neither establishes a scope
-        (``@transactional``), declares the obligation itself (passing it
-        up), nor sits inside a transaction ``with`` is the interprocedural
-        version of the mutation the per-file pass flags.  The per-file
-        pass accepts the declaring helper — the runtime guard moves the
-        obligation to the caller — so only this pass can see the broken
-        edge."""
-        summaries = program.summaries
-        for qualname in sorted(program.functions):
-            info = program.functions[qualname]
+    def check(self, program: ProgramContext) -> Iterator[Finding]:
+        summaries = program.summaries.summaries
+        for qualname, info in program.functions.items():
             if not info.module.startswith("repro."):
                 continue
             if info.module.startswith(_EXEMPT_MODULES):
                 continue
-            caller_summary = summaries.summaries[qualname]
-            if caller_summary.establishes_txn or caller_summary.declares_require_txn:
+            summary = summaries[qualname]
+            if summary.establishes_txn or summary.declares_require_txn:
                 continue
+            short = qualname[len(info.module) + 1 :]
+            for node in ast.walk(info.node):
+                if not isinstance(node, ast.Call) or not _is_metadata_mutator(node):
+                    continue
+                if info.ctx.symbols.enclosing_function(node) is not info.node:
+                    continue  # belongs to a nested function; judged there
+                if inside_scope_with(info.ctx, node):
+                    continue
+                yield self.finding(
+                    info.ctx,
+                    node,
+                    f"{short}: {call_name(node) or call_tail(node)}() "
+                    "mutates durable metadata outside a transaction scope — "
+                    "a crash here tears the journal's atomic unit",
+                )
             for edge, call in program.calls_from.get(qualname, ()):
-                callee_summary = summaries.summaries.get(edge.callee)
-                if callee_summary is None or not callee_summary.declares_require_txn:
+                callee = summaries.get(edge.callee)
+                if callee is None or not callee.declares_require_txn:
                     continue
                 if not edge.callee.startswith("repro."):
                     continue
-                if _inside_transaction_with(info.ctx, call):
+                if inside_scope_with(info.ctx, call):
                     continue
-                yield self.program_finding(
-                    edge.path,
-                    edge.line,
+                yield self.finding(
+                    info.ctx,
+                    call,
                     f"{qualname}: calls {edge.callee}() which requires an "
                     "active transaction (require_transaction in its body), "
                     "but no scope is established on this path — decorate "
                     f"{qualname.rsplit('.', 1)[-1]} @transactional, wrap "
                     "the call in a transaction scope, or declare the "
                     "obligation with require_transaction",
-                )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.module.startswith("repro."):
-            return
-        if ctx.module.startswith(_EXEMPT_MODULES):
-            return
-        for func, qualname in ctx.symbols.functions:
-            if _has_transactional_decorator(func):
-                continue
-            if _calls_require_transaction(func):
-                continue
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not _is_metadata_mutator(node):
-                    continue
-                if ctx.symbols.enclosing_function(node) is not func:
-                    continue  # belongs to a nested function; judged there
-                if _inside_transaction_with(ctx, node):
-                    continue
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{qualname}: {call_name(node) or call_tail(node)}() "
-                    "mutates durable metadata outside a transaction scope — "
-                    "a crash here tears the journal's atomic unit",
                 )

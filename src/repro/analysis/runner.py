@@ -14,8 +14,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding
-from repro.analysis.framework import AnalysisError, Analyzer
+from repro.analysis.framework import AnalysisError, Analyzer, FileContext, build_context
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
@@ -125,52 +126,38 @@ class LintReport:
         return dict(sorted(counts.items()))
 
 
-def build_program_for(targets: Sequence[str]):
-    """Index ``targets`` into a
-    :class:`~repro.analysis.callgraph.ProgramContext` (parse errors are
-    skipped — the lint pass reports them)."""
-    from repro.analysis.callgraph import build_program
-
-    resolved = list(targets) if targets else [default_target()]
-    analyzer = Analyzer(rules=())
-    contexts = []
-    for path in collect_files(resolved):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                contexts.append(analyzer.build_context(handle.read(), path))
-        except AnalysisError:
-            continue
-    return build_program(contexts)
-
-
-def run_paths(
-    targets: Sequence[str],
-    rules: Optional[Iterable[str]] = None,
-    interprocedural: bool = False,
-) -> LintReport:
-    """Lint ``targets`` (defaulting to the installed repro tree).
-
-    ``interprocedural=True`` additionally indexes every scanned file
-    into one call graph and runs the whole-program rule passes
-    (cross-call LOCK001/TXN001/RC001 plus CONC001/CONC002).
-    """
-    resolved = list(targets) if targets else [default_target()]
-    report = LintReport()
+def _load(targets: Sequence[str], report: LintReport) -> list[FileContext]:
+    """Parse every Python file under ``targets`` (defaulting to the
+    installed repro tree), recording unusable ones on ``report``."""
+    contexts: list[FileContext] = []
     try:
-        files = collect_files(resolved)
+        files = collect_files(list(targets) if targets else [default_target()])
     except FileNotFoundError as exc:
         report.errors.append(f"no such file or directory: {exc}")
-        return report
-    analyzer = Analyzer(rules=rules, interprocedural=interprocedural)
-    contexts = []
+        return contexts
     for path in files:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                contexts.append(analyzer.build_context(handle.read(), path))
+                contexts.append(build_context(handle.read(), path))
         except AnalysisError as exc:
             report.errors.append(str(exc))
-            continue
-        report.files_scanned += 1
-    report.findings.extend(analyzer.run_contexts(contexts))
-    report.findings.sort(key=lambda f: f.sort_key)
+    report.files_scanned = len(contexts)
+    return contexts
+
+
+def build_program_for(targets: Sequence[str]) -> ProgramContext:
+    """Index ``targets`` into a
+    :class:`~repro.analysis.callgraph.ProgramContext` (unparseable files
+    are skipped — the lint pass reports them)."""
+    return ProgramContext(_load(targets, LintReport()))
+
+
+def run_paths(
+    targets: Sequence[str], rules: Optional[Iterable[str]] = None
+) -> LintReport:
+    """Lint ``targets`` (defaulting to the installed repro tree) as one
+    program: every selected rule over one call graph."""
+    analyzer = Analyzer(rules=rules)
+    report = LintReport()
+    report.findings.extend(analyzer.run_contexts(_load(targets, report)))
     return report

@@ -1,21 +1,21 @@
 """Bounded-depth function summaries over the call graph.
 
 Each function gets one :class:`FunctionSummary` describing the facts the
-interprocedural rules compose:
+cross-call rules compose:
 
 * **locks** — every ``with <lock>:`` acquisition, under a *canonical*
   lock identity (``repro.distributed.master.Master.lock``) derived by
-  typing the receiver chain, plus its tier rank from the declared
-  master → chunkserver → client order;
-* **transactions** — whether the function establishes a scope
-  (``@transactional``) or declares the obligation with a
-  ``require_transaction(...)`` guard;
+  typing the receiver chain;
+* **scopes** — whether the function establishes a transaction scope
+  (``@transactional``) or declares its caller's obligation with a
+  ``require_transaction(...)`` / ``lock.require_held()`` guard;
 * **refcounts** — whether the function returns a value it incref'd
   (a *counted return*: the caller inherits the discharge obligation).
 
 :class:`SummaryIndex` memoizes the transitive closures the rules need —
 ``transitive_locks`` (what a call may acquire downstream, with the
-witness call chain) and the global lock-order graph — all bounded by
+witness call chain) and the one global lock-order graph that LOCK001,
+CONC002, ``--callgraph-dot`` and ``--sanitize`` all read — bounded by
 :data:`MAX_SUMMARY_DEPTH` so recursion and deep towers degrade to
 "unknown" instead of diverging.
 """
@@ -26,10 +26,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
+from repro.analysis import dataflow
 from repro.analysis.symbols import call_tail, dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.callgraph import FunctionInfo, ProgramContext
+    from repro.analysis.framework import FileContext
 
 #: Call-chain depth beyond which summaries stop composing.
 MAX_SUMMARY_DEPTH = 8
@@ -37,49 +39,57 @@ MAX_SUMMARY_DEPTH = 8
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _WITH_NODES = (ast.With, ast.AsyncWith)
 
-
-def lock_rank(canonical: str) -> Optional[int]:
-    """Tier of a canonical lock name under the declared cluster order."""
-    from repro.analysis.rules_locks import LOCK_TIERS
-
-    lowered = canonical.lower()
-    for keyword, rank in LOCK_TIERS:
-        if keyword in lowered:
-            return rank
-    return None
+#: Context-manager call tails that establish a transaction scope.
+TXN_SCOPE_TAILS = frozenset({"transaction", "_txn_scope"})
 
 
-@dataclass(frozen=True)
-class LockSite:
-    """One lexical lock acquisition."""
+def is_lock_expr(expr: ast.expr) -> bool:
+    """Lock expressions are classified by name: anything spelled with
+    ``lock`` in a ``with`` item is one."""
+    return "lock" in ast.unparse(expr).lower()
 
-    canonical: str
-    rank: Optional[int]
-    path: str
-    line: int
+
+def inside_scope_with(ctx: "FileContext", node: ast.AST, locks: bool = False) -> bool:
+    """Whether ``node`` sits, within its own function, lexically inside
+    ``with ...transaction():`` / ``with ..._txn_scope():`` — or, with
+    ``locks``, inside any ``with <lock>:``."""
+    for ancestor in ctx.symbols.ancestors(node):
+        if isinstance(ancestor, _FUNCTION_NODES):
+            return False
+        if isinstance(ancestor, _WITH_NODES):
+            for item in ancestor.items:
+                expr = item.context_expr
+                if isinstance(expr, ast.Call) and call_tail(expr) in TXN_SCOPE_TAILS:
+                    return True
+                if locks and is_lock_expr(expr):
+                    return True
+    return False
 
 
 @dataclass(frozen=True)
 class LockEdge:
-    """Observed (statically) ``outer`` held while ``inner`` is acquired."""
+    """``inner`` is acquired at ``path:line`` while ``outer`` is held."""
 
     outer: str
     inner: str
     path: str
     line: int
-    #: function qualnames witnessing the edge, outermost caller first.
+    #: function qualnames witnessing the edge, outermost caller first; a
+    #: one-element chain is a lexical nesting inside that function.
     chain: tuple[str, ...]
 
 
 @dataclass
 class FunctionSummary:
     qualname: str
-    #: direct ``with`` acquisitions in this function's own body.
-    locks: list[LockSite] = field(default_factory=list)
+    #: canonical names of the ``with`` acquisitions in the function's own body.
+    locks: list[str] = field(default_factory=list)
     #: decorated ``@transactional`` (joins/establishes the ambient scope).
     establishes_txn: bool = False
     #: calls ``require_transaction(...)`` — obligation passed to callers.
     declares_require_txn: bool = False
+    #: calls ``<lock>.require_held()`` — obligation passed to callers.
+    declares_require_held: bool = False
     #: returns a value the function itself incref'd.
     counted_return: bool = False
 
@@ -92,6 +102,7 @@ class SummaryIndex:
         self.summaries: dict[str, FunctionSummary] = {}
         self._transitive: dict[str, dict[str, tuple[str, ...]]] = {}
         self._counted: dict[str, bool] = {}
+        self._lock_edges: Optional[list[LockEdge]] = None
         for info in program.functions.values():
             self.summaries[info.qualname] = self._summarize(info)
 
@@ -100,30 +111,34 @@ class SummaryIndex:
         summary = FunctionSummary(qualname=info.qualname)
         summary.establishes_txn = _has_transactional_decorator(info.node)
         for node in ast.walk(info.node):
+            if not isinstance(node, (ast.Call,) + _WITH_NODES):
+                continue
+            if info.ctx.symbols.enclosing_function(node) is not info.node:
+                continue  # belongs to a nested function
             if isinstance(node, ast.Call):
-                if info.ctx.symbols.enclosing_function(node) is not info.node:
-                    continue
-                if call_tail(node) == "require_transaction":
+                tail = call_tail(node)
+                if tail == "require_transaction":
                     summary.declares_require_txn = True
-            elif isinstance(node, _WITH_NODES):
-                if info.ctx.symbols.enclosing_function(node) is not info.node:
-                    continue
-                for item in node.items:
-                    canonical = self.canonical_lock(info, item.context_expr)
-                    if canonical is not None:
-                        summary.locks.append(
-                            LockSite(
-                                canonical=canonical,
-                                rank=lock_rank(canonical),
-                                path=info.ctx.path,
-                                line=item.context_expr.lineno,
-                            )
-                        )
+                elif tail == "require_held":
+                    summary.declares_require_held = True
+            else:
+                summary.locks.extend(name for name, __ in self._with_locks(info, node))
         summary.counted_return = self._direct_counted_return(info)
         return summary
 
-    def canonical_lock(self, info: "FunctionInfo", expr: ast.expr) -> Optional[str]:
-        """Canonical identity of a lock-like ``with`` item, or None.
+    def _with_locks(
+        self, info: "FunctionInfo", node: ast.With | ast.AsyncWith
+    ) -> list[tuple[str, int]]:
+        """``(canonical name, line)`` of one ``with`` statement's lock
+        items, in acquisition (left to right) order."""
+        return [
+            (self.canonical_lock(info, item.context_expr), item.context_expr.lineno)
+            for item in node.items
+            if is_lock_expr(item.context_expr)
+        ]
+
+    def canonical_lock(self, info: "FunctionInfo", expr: ast.expr) -> str:
+        """Canonical identity of a lock-like ``with`` item.
 
         ``self.master.lock`` canonicalizes through the typed receiver to
         ``repro.distributed.master.Master.lock`` so the same lock object
@@ -131,15 +146,12 @@ class SummaryIndex:
         receivers fall back to a module-local spelling, which still
         dedupes acquisitions within one file.
         """
-        source = ast.unparse(expr)
-        if "lock" not in source.lower():
-            return None
         if isinstance(expr, ast.Attribute):
             env = self.program.local_env(info)
             direct, __ = self.program.expr_types(info, env, expr.value)
             if direct:
                 return f"{sorted(direct)[0]}.{expr.attr}"
-        return f"{info.module}:{source}"
+        return f"{info.module}:{ast.unparse(expr)}"
 
     def _direct_counted_return(self, info: "FunctionInfo") -> bool:
         counted: set[str] = set()
@@ -153,8 +165,6 @@ class SummaryIndex:
                 counted.add(ast.unparse(node.args[0]))
         if not counted:
             return False
-        from repro.analysis import dataflow
-
         for node in ast.walk(info.node):
             if (
                 isinstance(node, ast.Return)
@@ -184,8 +194,8 @@ class SummaryIndex:
         acquired: dict[str, tuple[str, ...]] = {}
         summary = self.summaries.get(qualname)
         if summary is not None:
-            for site in summary.locks:
-                acquired.setdefault(site.canonical, (qualname,))
+            for canonical in summary.locks:
+                acquired.setdefault(canonical, (qualname,))
         for edge, __ in self.program.calls_from.get(qualname, ()):
             for canonical, chain in self.transitive_locks(
                 edge.callee, depth + 1
@@ -225,93 +235,60 @@ class SummaryIndex:
         self._counted[qualname] = result
         return result
 
-    def held_locks_at(
-        self, info: "FunctionInfo", node: ast.AST
-    ) -> list[LockSite]:
-        """Locks lexically held at ``node``, outermost first."""
-        held: list[LockSite] = []
-        for ancestor in info.ctx.symbols.ancestors(node):
-            if ancestor is info.node:
-                break
-            if isinstance(ancestor, _WITH_NODES):
-                sites: list[LockSite] = []
-                for item in ancestor.items:
-                    canonical = self.canonical_lock(info, item.context_expr)
-                    if canonical is not None:
-                        sites.append(
-                            LockSite(
-                                canonical=canonical,
-                                rank=lock_rank(canonical),
-                                path=info.ctx.path,
-                                line=item.context_expr.lineno,
-                            )
-                        )
-                held = sites + held
-        return held
-
     def lock_order_edges(self) -> list[LockEdge]:
-        """The whole-program lock acquisition-order graph.
+        """The whole-program lock acquisition-order graph, built once.
 
         For every ``with L:`` in every function, anything acquired under
-        it adds an edge ``L -> M``: lexically nested ``with M:`` blocks,
-        and the transitive acquisitions of every call made while ``L``
-        is held.  Each (outer, inner) pair keeps its first witness.
+        it adds an edge ``L -> M``: later items of the same ``with``,
+        lexically nested ``with M:`` blocks, and the transitive
+        acquisitions of every call made while ``L`` is held.  Every
+        witnessing site is kept (sorted, so the first per lock pair is
+        stable); ``L -> L`` is a re-acquisition.
         """
-        edges: dict[tuple[str, str], LockEdge] = {}
+        if self._lock_edges is not None:
+            return self._lock_edges
+        edges: dict[tuple[str, str, str, int], LockEdge] = {}
 
         def add(outer: str, inner: str, path: str, line: int, chain: tuple[str, ...]) -> None:
-            if outer == inner:
-                return
             edges.setdefault(
-                (outer, inner),
-                LockEdge(outer=outer, inner=inner, path=path, line=line, chain=chain),
+                (outer, inner, path, line), LockEdge(outer, inner, path, line, chain)
             )
 
         for info in self.program.functions.values():
+            path, here = info.ctx.path, (info.qualname,)
             for node in ast.walk(info.node):
                 if not isinstance(node, _WITH_NODES):
                     continue
                 if info.ctx.symbols.enclosing_function(node) is not info.node:
                     continue
-                outer_sites = [
-                    canonical
-                    for item in node.items
-                    if (canonical := self.canonical_lock(info, item.context_expr))
-                    is not None
-                ]
-                if not outer_sites:
+                held = self._with_locks(info, node)
+                if not held:
                     continue
+                for index, (inner, line) in enumerate(held):
+                    for outer, __ in held[:index]:
+                        add(outer, inner, path, line, here)
                 for body_stmt in node.body:
                     for child in ast.walk(body_stmt):
                         if info.ctx.symbols.enclosing_function(child) is not info.node:
                             continue
                         if isinstance(child, _WITH_NODES):
-                            for item in child.items:
-                                inner = self.canonical_lock(info, item.context_expr)
-                                if inner is None:
-                                    continue
-                                for outer in outer_sites:
-                                    add(
-                                        outer,
-                                        inner,
-                                        info.ctx.path,
-                                        item.context_expr.lineno,
-                                        (info.qualname,),
-                                    )
+                            acquired = [
+                                (inner, line, here)
+                                for inner, line in self._with_locks(info, child)
+                            ]
                         elif isinstance(child, ast.Call):
-                            for callee in self.program.resolve_call(info, child):
-                                for inner, chain in self.transitive_locks(
-                                    callee
-                                ).items():
-                                    for outer in outer_sites:
-                                        add(
-                                            outer,
-                                            inner,
-                                            info.ctx.path,
-                                            child.lineno,
-                                            (info.qualname,) + chain,
-                                        )
-        return sorted(edges.values(), key=lambda e: (e.outer, e.inner))
+                            acquired = [
+                                (inner, child.lineno, here + chain)
+                                for callee in self.program.resolve_call(info, child)
+                                for inner, chain in self.transitive_locks(callee).items()
+                            ]
+                        else:
+                            continue
+                        for inner, line, chain in acquired:
+                            for outer, __ in held:
+                                add(outer, inner, path, line, chain)
+        self._lock_edges = [edges[key] for key in sorted(edges)]
+        return self._lock_edges
 
 
 def _has_transactional_decorator(func: ast.AST) -> bool:
@@ -325,16 +302,26 @@ def _has_transactional_decorator(func: ast.AST) -> bool:
     return False
 
 
+def first_witnesses(edges: list[LockEdge]) -> dict[tuple[str, str], LockEdge]:
+    """``(outer, inner)`` -> the first site witnessing that ordering of
+    two distinct locks (re-acquisitions are LOCK001's finding alone)."""
+    by_pair: dict[tuple[str, str], LockEdge] = {}
+    for edge in edges:
+        if edge.outer != edge.inner:
+            by_pair.setdefault((edge.outer, edge.inner), edge)
+    return by_pair
+
+
 def find_lock_cycles(edges: list[LockEdge]) -> list[tuple[tuple[str, ...], list[LockEdge]]]:
     """Elementary cycles in the lock-order graph.
 
     Returns ``(cycle-node-tuple, edges-forming-it)`` pairs, each cycle
     reported once (rotated so its lexicographically smallest lock leads).
     """
+    by_pair = first_witnesses(edges)
     adjacency: dict[str, list[LockEdge]] = {}
-    for edge in edges:
+    for edge in by_pair.values():
         adjacency.setdefault(edge.outer, []).append(edge)
-    by_pair = {(edge.outer, edge.inner): edge for edge in edges}
     cycles: dict[tuple[str, ...], list[LockEdge]] = {}
 
     def rotate(nodes: tuple[str, ...]) -> tuple[str, ...]:

@@ -327,10 +327,7 @@ def cmd_lint(args) -> int:
     if args.sanitize:
         return _lint_sanitize(args)
     try:
-        report = runner.run_paths(
-            args.paths, rules=args.rule or None,
-            interprocedural=args.interprocedural,
-        )
+        report = runner.run_paths(args.paths, rules=args.rule or None)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     if args.json:
@@ -362,14 +359,14 @@ def _lint_sanitize(args) -> int:
     """``repro lint --sanitize``: run the interleaving smoke test under the
     runtime sanitizer and cross-check observed lock order against the
     static lock-order graph."""
-    from repro.analysis import (
+    from repro.analysis import build_program_for
+    from repro.distributed import run_interleaved_sessions
+    from repro.locks import (
         LockOrderSanitizer,
-        build_program_for,
         check_agreement,
         install_sanitizer,
         uninstall_sanitizer,
     )
-    from repro.distributed import run_interleaved_sessions
     from repro.distributed.cluster import build_cluster
 
     program = build_program_for(args.paths)
@@ -722,11 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--list-rules", action="store_true", help="list registered rules and exit"
-    )
-    p.add_argument(
-        "--interprocedural",
-        action="store_true",
-        help="also run the whole-program passes (call graph + summaries)",
     )
     p.add_argument(
         "--callgraph-dot",

@@ -19,6 +19,8 @@ I/O time separately from codec CPU time.
 
 from __future__ import annotations
 
+from repro.varint import VarintError, read_varint, write_varint
+
 _MIN_MATCH = 4
 _MAX_OFFSET = 0xFFFF
 _HASH_LOG = 16
@@ -162,29 +164,6 @@ def lz4_decompress(data: bytes) -> bytes:
 # Snappy format
 # ---------------------------------------------------------------------------
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _read_uvarint(data: bytes, i: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        if i >= len(data):
-            raise CorruptStream("truncated uvarint")
-        byte = data[i]
-        i += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, i
-        shift += 7
-        if shift > 35:
-            raise CorruptStream("uvarint too long")
-
-
 def _emit_snappy_literal(out: bytearray, chunk: bytes) -> None:
     length = len(chunk) - 1
     if length < 60:
@@ -223,7 +202,7 @@ def _emit_snappy_copy(out: bytearray, offset: int, length: int) -> None:
 def snappy_compress(data: bytes) -> bytes:
     """Compress ``data`` into Snappy format."""
     out = bytearray()
-    _write_uvarint(out, len(data))
+    write_varint(out, len(data))
     table: dict[int, int] = {}
     i = 0
     anchor = 0
@@ -248,7 +227,10 @@ def snappy_compress(data: bytes) -> bytes:
 
 def snappy_decompress(data: bytes) -> bytes:
     """Decompress a Snappy-format byte string."""
-    expected, i = _read_uvarint(data, 0)
+    try:
+        expected, i = read_varint(data, 0)
+    except VarintError as exc:
+        raise CorruptStream(f"bad length header: {exc}") from exc
     out = bytearray()
     n = len(data)
     while i < n:

@@ -41,8 +41,11 @@ COMPRESSOR_FIELDS = (
 class CompressorStats:
     """Counters describing the compressor's behaviour (registry-backed).
 
-    Mutation goes through :meth:`record`; reads through :meth:`snapshot`.
+    Mutation goes through :meth:`record`; reads through :meth:`snapshot`
+    (``__slots__``: a stray attribute write raises).
     """
+
+    __slots__ = ("registry", "prefix", "_counters")
 
     def __init__(
         self,
@@ -64,8 +67,7 @@ class CompressorStats:
 
     def reset(self) -> None:
         for counter in self._counters.values():
-            counter.force(0)  # reprolint: disable=OBS001 -- reset() is the sanctioned zeroing path; force() keeps the shared instrument object while discarding its history
-
+            counter.reset()
 
 
 @dataclass

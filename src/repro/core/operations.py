@@ -46,8 +46,11 @@ OPERATION_FIELDS = (
 class OperationStats:
     """Per-operation invocation counters (registry-backed).
 
-    Mutation goes through :meth:`record`; reads through :meth:`snapshot`.
+    Mutation goes through :meth:`record`; reads through :meth:`snapshot`
+    (``__slots__``: a stray attribute write raises).
     """
+
+    __slots__ = ("registry", "prefix", "_counters")
 
     def __init__(
         self,
@@ -69,8 +72,7 @@ class OperationStats:
 
     def reset(self) -> None:
         for counter in self._counters.values():
-            counter.force(0)  # reprolint: disable=OBS001 -- reset() is the sanctioned zeroing path; force() keeps the shared instrument object while discarding its history
-
+            counter.reset()
 
 
 def _tokenize_block(content: bytes) -> tuple[bool, bytes, Counter, bytes]:

@@ -25,7 +25,8 @@ import struct
 from typing import NamedTuple
 
 from repro.storage.block_device import BlockDevice
-from repro.storage.inode import Inode, Slot
+from repro.storage.inode import Inode, InodeError, Slot
+from repro.varint import VarintError, read_varint, write_varint
 
 _MAGIC = 0x434F4D5052444200  # "COMPRDB\0"
 _VERSION = 4
@@ -58,27 +59,6 @@ class Layout(NamedTuple):
 
 class PersistenceError(Exception):
     """The device does not carry a valid CompressDB image."""
-
-
-# -- varints (local to keep the storage layer self-contained) -----------------
-
-def _write_varint(out: bytearray, value: int) -> None:
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
 
 
 # -- metadata chain ------------------------------------------------------------
@@ -125,19 +105,19 @@ def serialize_metadata(
 ) -> bytes:
     """Pack the namespace, slot tables, and refcount-partition pointers."""
     out = bytearray()
-    _write_varint(out, len(partition_blocks))
+    write_varint(out, len(partition_blocks))
     for block_no in partition_blocks:
-        _write_varint(out, block_no)
-    _write_varint(out, len(inodes))
+        write_varint(out, block_no)
+    write_varint(out, len(inodes))
     for path in sorted(inodes):
         raw_path = path.encode("utf-8")
-        _write_varint(out, len(raw_path))
+        write_varint(out, len(raw_path))
         out += raw_path
         inode = inodes[path]
-        _write_varint(out, inode.num_slots)
+        write_varint(out, inode.num_slots)
         for slot in inode.iter_slots():
-            _write_varint(out, slot.block_no)
-            _write_varint(out, slot.used)
+            write_varint(out, slot.block_no)
+            write_varint(out, slot.used)
     return bytes(out)
 
 
@@ -147,26 +127,32 @@ def deserialize_metadata(
     page_capacity: int,
     device: BlockDevice,
 ) -> tuple[dict[str, Inode], list[int]]:
-    """Invert :func:`serialize_metadata`."""
-    offset = 0
-    count, offset = _read_varint(payload, offset)
-    partition_blocks = []
-    for __ in range(count):
-        block_no, offset = _read_varint(payload, offset)
-        partition_blocks.append(block_no)
-    file_count, offset = _read_varint(payload, offset)
-    inodes: dict[str, Inode] = {}
-    for __ in range(file_count):
-        path_len, offset = _read_varint(payload, offset)
-        path = payload[offset : offset + path_len].decode("utf-8")
-        offset += path_len
-        slot_count, offset = _read_varint(payload, offset)
-        inode = Inode(block_size=block_size, page_capacity=page_capacity, device=device)
-        for __slot in range(slot_count):
-            block_no, offset = _read_varint(payload, offset)
-            used, offset = _read_varint(payload, offset)
-            inode.append_slot(Slot(block_no=block_no, used=used))  # reprolint: disable=TXN001 -- deserialisation builds fresh in-memory inodes from an already-durable image at mount time; nothing on the device changes, so there is no transaction to be in
-        inodes[path] = inode
+    """Invert :func:`serialize_metadata`; a malformed payload raises
+    :class:`PersistenceError`, never a stray builtin."""
+    try:
+        offset = 0
+        count, offset = read_varint(payload, offset)
+        partition_blocks = []
+        for __ in range(count):
+            block_no, offset = read_varint(payload, offset)
+            partition_blocks.append(block_no)
+        file_count, offset = read_varint(payload, offset)
+        inodes: dict[str, Inode] = {}
+        for __ in range(file_count):
+            path_len, offset = read_varint(payload, offset)
+            if offset + path_len > len(payload):
+                raise PersistenceError("metadata image: path runs past the end")
+            path = payload[offset : offset + path_len].decode("utf-8")
+            offset += path_len
+            slot_count, offset = read_varint(payload, offset)
+            inode = Inode(block_size=block_size, page_capacity=page_capacity, device=device)
+            for __slot in range(slot_count):
+                block_no, offset = read_varint(payload, offset)
+                used, offset = read_varint(payload, offset)
+                inode.append_slot(Slot(block_no=block_no, used=used))  # reprolint: disable=TXN001 -- deserialisation builds fresh in-memory inodes from an already-durable image at mount time; nothing on the device changes, so there is no transaction to be in
+            inodes[path] = inode
+    except (VarintError, UnicodeDecodeError, InodeError) as exc:
+        raise PersistenceError(f"corrupt metadata image: {exc}") from exc
     return inodes, partition_blocks
 
 

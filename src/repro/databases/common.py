@@ -17,6 +17,7 @@ import struct
 import zlib
 
 from repro.fs.vfs import FileSystem
+from repro.varint import VarintError, read_varint, write_varint
 
 
 class DatabaseError(Exception):
@@ -33,31 +34,17 @@ class CorruptRecord(DatabaseError):
 
 def encode_varint(value: int) -> bytes:
     """LEB128 unsigned varint."""
-    if value < 0:
-        raise ValueError("varint requires a non-negative value")
     out = bytearray()
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
+    write_varint(out, value)
     return bytes(out)
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a varint at ``offset``; returns (value, next offset)."""
-    value = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise CorruptRecord("truncated varint")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
-        if shift > 63:
-            raise CorruptRecord("varint too long")
+    try:
+        return read_varint(data, offset)
+    except VarintError as exc:
+        raise CorruptRecord(str(exc)) from exc
 
 
 def encode_bytes(value: bytes) -> bytes:

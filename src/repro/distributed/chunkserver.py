@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.analysis.sanitizer import tracked_lock
+from repro.locks import LOCK_TIERS, tracked_lock
 from repro.core.engine import CompressDB
 from repro.databases.colcodec import fold_int_cells
 from repro.fs.compressfs import CompressFS
@@ -82,7 +82,9 @@ class ChunkServer:
         #: Rank-1 lock of the cluster order; serializes chunk-mutating
         #: RPCs and node state flips on this server.  Reads stay
         #: lock-free (they will become MVCC snapshot reads).
-        self._lock = tracked_lock(f"chunkserver.{name}.lock", rank=1)
+        self._lock = tracked_lock(
+            f"chunkserver.{name}.lock", rank=LOCK_TIERS["chunk"]
+        )
         self.online = True
 
     def fail(self) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.analysis.sanitizer import tracked_lock
+from repro.locks import LOCK_TIERS, tracked_lock
 from repro.distributed.chunkserver import ChunkServer
 from repro.distributed.client import ClusterClient
 from repro.distributed.master import Master
@@ -171,7 +171,7 @@ def build_replicated_cluster(
         if racks > 0
         else {}
     )
-    lock = tracked_lock("master.group.lock", rank=0)
+    lock = tracked_lock("master.group.lock", rank=LOCK_TIERS["master"])
     groups: list[MasterGroup] = []
     facades: dict[str, ReplicatedMaster] = {}
     for index in range(shards):

@@ -8,7 +8,7 @@ scripted client workload, and every operation runs inside
 acquisition stacks per session.  Cooperative interleaving is enough to
 exercise every lock *pairing* the protocol allows (master before
 chunkserver, journal under both), which is exactly what the static
-lock-order graph predicts; :func:`repro.analysis.sanitizer.check_agreement`
+lock-order graph predicts; :func:`repro.locks.check_agreement`
 then cross-checks observed edges against the static ones.
 
 ``inject_inversion=True`` deliberately acquires a rank-2 client-tier
@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.analysis.sanitizer import LockOrderSanitizer, TrackedLock
+from repro.locks import LOCK_TIERS, LockOrderSanitizer, TrackedLock
 from repro.core.engine import CompressDB
 from repro.distributed.cluster import Cluster, build_cluster
 from repro.mvcc import Session, WriteConflict
@@ -223,7 +223,7 @@ def _inject_inversion(
 ) -> None:
     """Acquire client-tier (rank 2) then master (rank 0): a deliberate
     inversion of the declared order, for exercising detection paths."""
-    inject = TrackedLock("client.inject.lock", rank=2)
+    inject = TrackedLock("client.inject.lock", rank=LOCK_TIERS["client"])
     label = "inject"
     if sanitizer is None:
         with inject:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.analysis.sanitizer import TrackedLock, tracked_lock
+from repro.locks import LOCK_TIERS, TrackedLock, tracked_lock
 
 
 class ClusterFileNotFound(Exception):
@@ -96,7 +96,9 @@ class Master:
         #: A replicated master group passes ONE shared lock to all its
         #: replicas, so the contract holds on every replica while the
         #: facade's caller owns the group lock.
-        self.lock = lock if lock is not None else tracked_lock("master.lock", rank=0)
+        self.lock = lock if lock is not None else tracked_lock(
+            "master.lock", rank=LOCK_TIERS["master"]
+        )
         #: Prefix of generated chunk ids — shard groups use distinct
         #: prefixes so ids stay cluster-unique across masters.
         self.chunk_prefix = chunk_prefix

@@ -34,7 +34,7 @@ import inspect
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-from repro.analysis.sanitizer import TrackedLock, tracked_lock
+from repro.locks import LOCK_TIERS, TrackedLock, tracked_lock
 from repro.distributed.master import METADATA_PLANE, Master
 from repro.obs import Observability
 from repro.raft.log import RaftLog
@@ -75,7 +75,7 @@ class MasterGroup:
         self.seed = seed
         #: The one lock shared by the facade and every replica Master.
         self.lock = lock if lock is not None else tracked_lock(
-            "master.lock", rank=0
+            "master.lock", rank=LOCK_TIERS["master"]
         )
         self._ctor_args = dict(
             server_names=list(server_names),

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from itertools import chain
 from typing import Any, Callable, Optional
 
-from repro.analysis.sanitizer import TrackedLock, tracked_lock
+from repro.locks import TrackedLock, tracked_lock
 from repro.distributed.master import METADATA_PLANE, Master
 from repro.fs.errors import TryAgain
 from repro.obs import Observability

@@ -1,22 +1,31 @@
-"""Runtime lock-order sanitizer — the dynamic twin of CONC002.
+"""The lock order, and the locks that obey it.
 
-The static side (:mod:`repro.analysis.summaries`) derives a lock
-acquisition-order graph from the call graph; this module observes the
-*actual* order at runtime and fails loudly when they disagree.  It is
-opt-in and free when off:
+One table (:data:`LOCK_TIERS`) declares the acquisition order of every
+ranked lock in the program::
 
-* ``repro lint --sanitize`` installs a :class:`LockOrderSanitizer`,
-  runs the multi-session interleaving smoke workload, and cross-checks
-  the observed edges against the static graph;
-* setting ``REPRO_SANITIZE=1`` in the environment installs a sanitizer
-  at import time, so any test run records (and enforces) lock order;
-* with no sanitizer installed, :class:`TrackedLock` costs one ``None``
-  check per acquisition.
+    serving (-1)  →  master (0)  →  chunkserver (1)  →  client (2)
+    →  inode (3)
 
-Locks participate by being :class:`TrackedLock` instances (see
-:func:`tracked_lock`).  Each carries an ``order_key`` (the runtime
-spelling of the static canonical name) and a tier ``rank`` under the
-declared master → chunkserver → client → inode order.  The sanitizer keeps one
+Runtime components build their locks as :class:`TrackedLock` instances
+(:func:`tracked_lock`) naming a tier from that table; the static side
+(``repro lint``: LOCK001 ranks and CONC002 cycles over one derived
+lock-order graph) imports the same table, so the two cannot drift.
+This module sits at layer rank 0 and imports nothing from ``repro``:
+the runtime never depends on its linter.
+
+:class:`LockOrderSanitizer` is the dynamic twin of the static graph.
+It is opt-in and free when off:
+
+* ``repro lint --sanitize`` installs one, runs the multi-session
+  interleaving smoke workload, and cross-checks the observed edges
+  against the static graph (:func:`check_agreement`);
+* setting ``REPRO_SANITIZE=1`` in the environment installs one at
+  import time, so any test run records (and enforces) lock order;
+* with none installed, a :class:`TrackedLock` costs one ``None`` check
+  per acquisition.
+
+Each lock carries an ``order_key`` (the runtime spelling of the static
+canonical name) and a tier ``rank``.  The sanitizer keeps one
 acquisition stack per ``(thread, logical session)`` — SimClock
 interleaving is cooperative, so logical sessions on one thread are
 distinguished with the :meth:`LockOrderSanitizer.session` context
@@ -33,32 +42,33 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from contextlib import contextmanager
-
-#: Keyword tiers, mirroring rules_locks.LOCK_TIERS (kept literal here so
-#: the runtime side has no import-time dependency on the AST machinery).
-#: ``inode`` is the engine-level MVCC tier below the cluster locks:
-#: per-inode write locks taken during session commit.
-#: "serving" precedes "server" because matching is first-keyword-wins
-#: and serving-layer lock names contain both substrings.  Rank -1 puts
-#: the serving dispatch lock below every cluster/engine tier: it is
-#: held across engine calls that take inode locks.
-_TIERS = (
-    ("serving", -1),
-    ("master", 0),
-    ("chunk", 1),
-    ("server", 1),
-    ("client", 2),
-    ("inode", 3),
-)
+#: The declared lock order: tier keyword -> rank, outermost first.  A
+#: lock's tier is the first keyword its name contains, so "serving" is
+#: listed before "server" (serving-layer names contain both).  The
+#: serving dispatch lock ranks below every cluster tier because it is
+#: held across engine calls; ``inode`` is the per-inode MVCC write lock
+#: taken during session commit — always innermost, so commits can run
+#: under any cluster lock but never the reverse.  Unranked locks nest
+#: freely.
+LOCK_TIERS = {
+    "serving": -1,
+    "master": 0,
+    "chunk": 1,
+    "server": 1,
+    "client": 2,
+    "inode": 3,
+}
 
 
-def rank_of(order_key: str) -> Optional[int]:
-    lowered = order_key.lower()
-    for keyword, rank in _TIERS:
+def rank_of(name: str) -> Optional[int]:
+    """Tier rank of a lock name (runtime order key or static canonical
+    name); ``None`` when it names no tier."""
+    lowered = name.lower()
+    for keyword, rank in LOCK_TIERS.items():
         if keyword in lowered:
             return rank
     return None
@@ -179,7 +189,7 @@ class LockOrderSanitizer:
 
 #: The installed sanitizer, if any.  Module-level mutable state is safe
 #: here: installation happens before workloads start, under test or CLI
-#: control.  # reprolint: disable=CONC001 -- install/uninstall run single-threaded before any workload
+#: control, single-threaded.
 _ACTIVE: Optional[LockOrderSanitizer] = None
 
 
@@ -272,7 +282,7 @@ class TrackedLock:
         if self._owner != self._context_key():
             raise LockContractError(
                 f"{self.order_key!r} must be held by the caller "
-                "(see the cluster locking protocol in DESIGN.md §12)"
+                "(see the cluster locking protocol in DESIGN.md §7)"
             )
 
 
@@ -297,11 +307,12 @@ def check_agreement(
     a list of problems — empty when the graphs agree.
     """
 
+    # rank -> the first keyword declared for it.
+    names = {rank: keyword for keyword, rank in reversed(LOCK_TIERS.items())}
+
     def tier_name(key: str) -> str:
         rank = rank_of(key)
-        if rank is None:
-            return key
-        return {-1: "serving", 0: "master", 1: "chunk", 2: "client", 3: "inode"}[rank]
+        return key if rank is None else names[rank]
 
     def normalize(edges: Sequence[tuple[str, str]]) -> set[tuple[str, str]]:
         return {
@@ -317,13 +328,12 @@ def check_agreement(
         for outer, inner in sorted(observed_norm)
         if (inner, outer) in static_norm
     ]
-    tier_rank = {"serving": -1, "master": 0, "chunk": 1, "client": 2, "inode": 3}
     problems += [
         f"observed edge {outer!r} -> {inner!r} inverts the declared tier order"
         for outer, inner in sorted(observed_norm)
-        if outer in tier_rank
-        and inner in tier_rank
-        and tier_rank[inner] <= tier_rank[outer]
+        if outer in LOCK_TIERS
+        and inner in LOCK_TIERS
+        and LOCK_TIERS[inner] <= LOCK_TIERS[outer]
     ]
     combined = static_norm | observed_norm
     adjacency: dict[str, set[str]] = {}

@@ -12,7 +12,6 @@ sequence over every session in a group.  See DESIGN.md §13.
 from repro.mvcc.checker import HistoryEvent, check_history
 from repro.mvcc.manager import (
     INODE_LOCK_ORDER_KEY,
-    INODE_LOCK_RANK,
     SessionManager,
 )
 from repro.mvcc.session import (
@@ -29,7 +28,6 @@ __all__ = [
     "CommitTicket",
     "HistoryEvent",
     "INODE_LOCK_ORDER_KEY",
-    "INODE_LOCK_RANK",
     "RetainedVersion",
     "Session",
     "SessionClosed",

@@ -11,7 +11,7 @@ The manager owns everything sessions share:
   the pins come off; blocks whose combined count reaches zero are
   orphans and are freed here (hashtable record dropped, device block
   returned);
-* the per-path :class:`~repro.analysis.sanitizer.TrackedLock` table —
+* the per-path :class:`~repro.locks.TrackedLock` table —
   rank 3 (``inode``), a tier below master → chunkserver → client, all
   sharing one ``order_key`` so the sanitizer checks tier position but
   not the (sorted, hence safe) ordering among siblings;
@@ -40,7 +40,7 @@ import contextlib
 import itertools
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.analysis.sanitizer import TrackedLock
+from repro.locks import LOCK_TIERS, TrackedLock
 from repro.mvcc.checker import HistoryEvent
 from repro.mvcc.session import (
     CommitTicket,
@@ -54,8 +54,6 @@ from repro.snap.record import FrozenInode
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import CompressDB
 
-#: Lock tier below master(0) -> chunkserver(1) -> client(2).
-INODE_LOCK_RANK = 3
 #: Shared order key: sibling inode locks are acquired in sorted path
 #: order, which the sanitizer cannot see — equal keys opt out of the
 #: tier check while re-acquisition and cross-tier checks still apply.
@@ -301,7 +299,7 @@ class SessionManager:
         if lock is None:
             lock = TrackedLock(
                 f"{INODE_LOCK_ORDER_KEY}[{path}]",
-                rank=INODE_LOCK_RANK,
+                rank=LOCK_TIERS["inode"],
                 order_key=INODE_LOCK_ORDER_KEY,
             )
             self._inode_locks[path] = lock

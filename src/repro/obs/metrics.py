@@ -57,56 +57,60 @@ def _check_name(name: str) -> str:
 
 
 class Counter:
-    """A monotonically increasing counter."""
+    """A monotonically increasing counter.
 
-    __slots__ = ("name", "value")
+    ``value`` is read-only: a counter changes through :meth:`inc` and
+    :meth:`reset` alone, which is what keeps the snapshot
+    ``delta``/``merge`` algebra sound.
+    """
+
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0
+        self._value = 0
+
+    @property
+    def value(self) -> int:
+        return self._value
 
     def inc(self, n: int = 1) -> None:
         if n < 0:
             raise ValueError(f"counter {self.name}: cannot add {n} < 0")
-        self.value += n
-
-    def force(self, value: int) -> None:
-        """Set the counter to an absolute value.
-
-        The sanctioned escape hatch for ``reset()``; ordinary code must
-        only :meth:`inc`.
-        """
-        if value < 0:
-            raise ValueError(f"counter {self.name}: cannot force to {value} < 0")
-        self.value = value
+        self._value += n
 
     def reset(self) -> None:
-        self.value = 0
+        self._value = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
 
 
 class Gauge:
-    """A point-in-time value (files, bytes, ratio)."""
+    """A point-in-time value (files, bytes, ratio); ``value`` is
+    read-only, written through :meth:`set`/:meth:`inc`/:meth:`dec`."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0.0
+        self._value = 0.0
+
+    @property
+    def value(self) -> float:
+        return self._value
 
     def set(self, value: float) -> None:
-        self.value = value
+        self._value = value
 
     def inc(self, n: float = 1.0) -> None:
-        self.value += n
+        self._value += n
 
     def dec(self, n: float = 1.0) -> None:
-        self.value -= n
+        self._value -= n
 
     def reset(self) -> None:
-        self.value = 0.0
+        self._value = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}={self.value})"
@@ -162,9 +166,6 @@ class _NullCounter(Counter):
     __slots__ = ()
 
     def inc(self, n: int = 1) -> None:
-        pass
-
-    def force(self, value: int) -> None:
         pass
 
 

@@ -83,19 +83,14 @@ class LoopbackTransport:
 class WireClient:
     """One tenant's protocol-v1 connection.
 
-    ``retries > 0`` opts in to transparent retry of ``TryAgain``
-    responses — admission backpressure and replicated-master NotLeader
-    redirects both surface as EAGAIN — backing off by the server's
-    ``retry_after_ms`` hint (charged to ``clock`` when one is given, so
-    simulated deployments account for the wait).  The last attempt's
-    error propagates.
+    Error responses are raised, never retried here: ``TryAgain``
+    (admission backpressure, a NotLeader redirect) carries the server's
+    ``retry_after_ms`` hint for the caller's own policy.
     """
 
-    def __init__(self, transport, retries: int = 0, clock=None) -> None:
+    def __init__(self, transport) -> None:
         self._transport = transport
         self._request_ids = itertools.count(1)
-        self.retries = retries
-        self.clock = clock
         #: Client-side bundle, shared by every RemoteFS on this connection.
         self.obs = Observability()
         #: The server's block size; ``None`` until :meth:`hello`.
@@ -107,21 +102,13 @@ class WireClient:
         # Optional fields are omitted, not sent as None: the server
         # treats absence as the default.
         body = {key: value for key, value in payload.items() if value is not None}
-        for attempt in range(self.retries + 1):
-            request_id = next(self._request_ids)
-            raw = self._transport.request(encode_frame(opcode, request_id, body))
-            frame, _end = decode_frame(raw)
-            self._check(frame, request_id)
-            if not frame.is_error:
-                return frame.payload
-            try:
-                raise_wire_error(frame.payload)
-            except fserrors.TryAgain as exc:
-                if attempt >= self.retries:
-                    raise
-                if self.clock is not None and exc.retry_after_ms:
-                    self.clock.charge(exc.retry_after_ms / 1e3)
-        raise AssertionError("unreachable")  # pragma: no cover
+        request_id = next(self._request_ids)
+        raw = self._transport.request(encode_frame(opcode, request_id, body))
+        frame, _end = decode_frame(raw)
+        self._check(frame, request_id)
+        if frame.is_error:
+            raise_wire_error(frame.payload)
+        return frame.payload
 
     @staticmethod
     def _check(frame: Frame, request_id: int) -> None:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.fs.errors import FSError
+from repro.varint import VarintError, read_varint, write_varint
 
 MAGIC = b"CDBW"
 PROTOCOL_VERSION = 1
@@ -107,7 +108,9 @@ class ProtocolError(FSError):
 
 
 class TruncatedFrame(ProtocolError):
-    """The buffer ended before the advertised frame did."""
+    """The buffer ended before the advertised frame did (raised by
+    :func:`decode_frame`'s header and length checks only — a stream
+    reader treats it as "need more bytes")."""
 
 
 class BadMagic(ProtocolError):
@@ -136,31 +139,6 @@ class UnknownOpcode(ProtocolError):
 # Tags: N none, T true, F false, i zigzag-varint int, f 8-byte float,
 # s utf-8 string, b raw bytes, l list, d dict (insertion order).
 
-def _varint(value: int) -> bytes:
-    out = bytearray()
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-    return bytes(out)
-
-
-def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise TruncatedFrame("truncated varint in payload")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
-        if shift > 70:
-            raise ProtocolError("varint too long")
-
-
 def _pack_value(value: object, out: bytearray) -> None:
     if value is None:
         out.append(ord("N"))
@@ -171,28 +149,28 @@ def _pack_value(value: object, out: bytearray) -> None:
     elif isinstance(value, int):
         out.append(ord("i"))
         zigzag = (value << 1) ^ (value >> 63) if value < 0 else value << 1
-        out += _varint(zigzag)
+        write_varint(out, zigzag)
     elif isinstance(value, float):
         out.append(ord("f"))
         out += struct.pack("!d", value)
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(ord("s"))
-        out += _varint(len(raw))
+        write_varint(out, len(raw))
         out += raw
     elif isinstance(value, (bytes, bytearray, memoryview)):
         raw = bytes(value)
         out.append(ord("b"))
-        out += _varint(len(raw))
+        write_varint(out, len(raw))
         out += raw
     elif isinstance(value, (list, tuple)):
         out.append(ord("l"))
-        out += _varint(len(value))
+        write_varint(out, len(value))
         for item in value:
             _pack_value(item, out)
     elif isinstance(value, dict):
         out.append(ord("d"))
-        out += _varint(len(value))
+        write_varint(out, len(value))
         for key, item in value.items():
             if not isinstance(key, str):
                 raise ProtocolError(f"payload dict keys must be str, got {key!r}")
@@ -203,8 +181,10 @@ def _pack_value(value: object, out: bytearray) -> None:
 
 
 def _unpack_value(data: bytes, offset: int) -> tuple[object, int]:
+    # ``data`` is always one whole CRC-checked payload, so running off
+    # its end is a structural error, not "wait for more bytes".
     if offset >= len(data):
-        raise TruncatedFrame("truncated payload value")
+        raise ProtocolError("truncated payload value")
     tag = data[offset]
     offset += 1
     if tag == ord("N"):
@@ -214,28 +194,28 @@ def _unpack_value(data: bytes, offset: int) -> tuple[object, int]:
     if tag == ord("F"):
         return False, offset
     if tag == ord("i"):
-        zigzag, offset = _read_varint(data, offset)
+        zigzag, offset = read_varint(data, offset)
         return (zigzag >> 1) ^ -(zigzag & 1), offset
     if tag == ord("f"):
         if offset + 8 > len(data):
-            raise TruncatedFrame("truncated float")
+            raise ProtocolError("truncated float")
         return struct.unpack_from("!d", data, offset)[0], offset + 8
     if tag in (ord("s"), ord("b")):
-        length, offset = _read_varint(data, offset)
+        length, offset = read_varint(data, offset)
         if offset + length > len(data):
-            raise TruncatedFrame("truncated string/bytes")
+            raise ProtocolError("truncated string/bytes")
         raw = data[offset : offset + length]
         offset += length
         return (raw.decode("utf-8") if tag == ord("s") else raw), offset
     if tag == ord("l"):
-        count, offset = _read_varint(data, offset)
+        count, offset = read_varint(data, offset)
         items = []
         for __ in range(count):
             item, offset = _unpack_value(data, offset)
             items.append(item)
         return items, offset
     if tag == ord("d"):
-        count, offset = _read_varint(data, offset)
+        count, offset = read_varint(data, offset)
         table: dict = {}
         for __ in range(count):
             key, offset = _unpack_value(data, offset)
@@ -254,8 +234,13 @@ def pack_payload(payload: dict) -> bytes:
 
 
 def unpack_payload(data: bytes) -> dict:
-    """Deserialize one payload; trailing garbage is a protocol error."""
-    value, offset = _unpack_value(data, 0)
+    """Deserialize one whole payload; anything malformed inside it —
+    truncation, an overlong varint, invalid UTF-8, trailing garbage — is
+    a :class:`ProtocolError`."""
+    try:
+        value, offset = _unpack_value(data, 0)
+    except (VarintError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"malformed payload: {exc}") from exc
     if offset != len(data):
         raise ProtocolError(f"{len(data) - offset} trailing payload byte(s)")
     if not isinstance(value, dict):

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.analysis.sanitizer import TrackedLock
+from repro.locks import LOCK_TIERS, TrackedLock
 from repro.databases.minicolumn import MiniColumn
 from repro.databases.minileveldb import MiniLevelDB
 from repro.databases.minisql import MiniSQL
@@ -58,7 +58,6 @@ from repro.serving.namespace import NamespaceFS, QuotaLedger, seed_ledger
 from repro.serving.protocol import (
     FLAG_ERROR,
     FLAG_RESPONSE,
-    Frame,
     OPCODES,
     encode_frame,
     pack_payload,
@@ -80,12 +79,6 @@ def open_database(kind: str, fs: FileSystem):
     """The ``kind`` front end over ``fs``, in its place in the layout."""
     front_end, directory = DATABASES[kind]
     return front_end(fs, directory=directory)
-
-
-#: The serving-layer lock tier: below every storage-side tier (master,
-#: server, client, inode), so holding the serving lock while the MVCC
-#: commit path takes inode locks is a strictly increasing acquisition.
-SERVING_LOCK_RANK = -1
 
 
 @dataclass(frozen=True)
@@ -132,6 +125,14 @@ class ServingRequest:
         if self.wire_bytes == 0:
             self.wire_bytes = protocol.HEADER_BYTES + len(pack_payload(self.payload))
         return self
+
+
+class _Payload(dict):
+    """A request body: reading a field the client did not send is the
+    client's error (EINVAL), not a server fault."""
+
+    def __missing__(self, key: str):
+        raise InvalidArgument(f"missing required field {key!r}")
 
 
 @dataclass
@@ -209,43 +210,16 @@ class Server:
         )
         self.scheduler = DeficitRoundRobin()
         self._tenants: dict[str, _TenantState] = {}
-        self._lock = TrackedLock("serving.state", rank=SERVING_LOCK_RANK)
+        self._lock = TrackedLock("serving.state", rank=LOCK_TIERS["serving"])
         self._c_requests = self.registry.counter("serving.server.requests")
         self._c_shed = self.registry.counter("serving.server.shed")
         self._c_errors = self.registry.counter("serving.server.errors")
         self._g_tenants = self.registry.gauge("serving.server.tenants")
+        # One ``_op_<name>`` method per protocol opcode; an opcode
+        # without a handler fails here, not at its first request.
         self._handlers: dict[int, Callable[[_TenantState, dict], dict]] = {
-            OPCODES["HELLO"]: self._op_hello,
-            OPCODES["PING"]: self._op_ping,
-            OPCODES["GOODBYE"]: self._op_goodbye,
-            OPCODES["FS_OPEN"]: self._op_fs_open,
-            OPCODES["FS_CLOSE"]: self._op_fs_close,
-            OPCODES["FS_PREAD"]: self._op_fs_pread,
-            OPCODES["FS_PWRITE"]: self._op_fs_pwrite,
-            OPCODES["FS_CREATE"]: self._op_fs_create,
-            OPCODES["FS_READ_FILE"]: self._op_fs_read_file,
-            OPCODES["FS_WRITE_FILE"]: self._op_fs_write_file,
-            OPCODES["FS_UNLINK"]: self._op_fs_unlink,
-            OPCODES["FS_STAT"]: self._op_fs_stat,
-            OPCODES["FS_LIST"]: self._op_fs_list,
-            OPCODES["FS_RENAME"]: self._op_fs_rename,
-            OPCODES["FS_TRUNCATE"]: self._op_fs_truncate,
-            OPCODES["FS_FSYNC"]: self._op_fs_fsync,
-            OPCODES["SESSION_BEGIN"]: self._op_session_begin,
-            OPCODES["SESSION_COMMIT"]: self._op_session_commit,
-            OPCODES["SESSION_ABORT"]: self._op_session_abort,
-            OPCODES["SQL_EXECUTE"]: self._op_sql_execute,
-            OPCODES["KV_PUT"]: self._op_kv_put,
-            OPCODES["KV_GET"]: self._op_kv_get,
-            OPCODES["KV_DELETE"]: self._op_kv_delete,
-            OPCODES["KV_SCAN"]: self._op_kv_scan,
-            OPCODES["COLUMN_EXECUTE"]: self._op_column_execute,
-            OPCODES["OPS_SEARCH"]: self._op_ops_search,
-            OPCODES["OPS_COUNT"]: self._op_ops_count,
-            OPCODES["AGGREGATE"]: self._op_aggregate,
-            OPCODES["OPS_INSERT"]: self._op_ops_insert,
-            OPCODES["OPS_DELETE"]: self._op_ops_delete,
-            OPCODES["OPS_WORD_COUNT"]: self._op_ops_word_count,
+            code: getattr(self, f"_op_{name.lower()}")
+            for name, code in OPCODES.items()
         }
 
     # -- provisioning ---------------------------------------------------------
@@ -296,7 +270,7 @@ class Server:
             )
         state = self._state(tenant)
         with self._lock:
-            return handler(state, payload)
+            return handler(state, _Payload(payload))
 
     def serve_frame(self, tenant: str, data: bytes) -> bytes:
         """The wire path: one request frame in, one response frame out."""

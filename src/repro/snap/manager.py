@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from repro.snap.diff import DiffEntry, diff_tables
 from repro.snap.record import (
     FrozenInode,
+    SnapshotError,
     SnapshotRecord,
     deserialize_snapshots,
     serialize_snapshots,
@@ -33,10 +34,6 @@ from repro.storage.journal import transactional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine owns us)
     from repro.core.engine import CompressDB
-
-
-class SnapshotError(Exception):
-    """Base class for snapshot failures (bad name, bad target, ...)."""
 
 
 class SnapshotNotFound(SnapshotError):

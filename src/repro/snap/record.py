@@ -18,6 +18,15 @@ from typing import Iterable, Iterator
 
 from repro.storage.block_device import BlockDevice
 from repro.storage.inode import Slot
+from repro.varint import VarintError, read_varint, write_varint
+
+
+class SnapshotError(Exception):
+    """Base class for snapshot failures (bad name, bad target, ...)."""
+
+
+class CorruptSnapshotTable(SnapshotError):
+    """The persisted snapshot table does not decode."""
 
 
 class FrozenInode:
@@ -117,72 +126,59 @@ class SnapshotRecord:
         return sum(frozen.num_slots for frozen in self.files.values())
 
 
-# -- serialisation (varints, self-contained like repro.core.superblock) -------
-
-def _write_varint(out: bytearray, value: int) -> None:
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
-
+# -- serialisation ------------------------------------------------------------
 
 def serialize_snapshots(records: Iterable[SnapshotRecord]) -> bytes:
     """Pack the whole snapshot table into one byte stream."""
     ordered = sorted(records, key=lambda record: record.snap_id)
     out = bytearray()
-    _write_varint(out, len(ordered))
+    write_varint(out, len(ordered))
     for record in ordered:
         raw_name = record.name.encode("utf-8")
-        _write_varint(out, record.snap_id)
-        _write_varint(out, len(raw_name))
+        write_varint(out, record.snap_id)
+        write_varint(out, len(raw_name))
         out += raw_name
-        _write_varint(out, len(record.files))
+        write_varint(out, len(record.files))
         for path in sorted(record.files):
             raw_path = path.encode("utf-8")
-            _write_varint(out, len(raw_path))
+            write_varint(out, len(raw_path))
             out += raw_path
             frozen = record.files[path]
-            _write_varint(out, frozen.num_slots)
+            write_varint(out, frozen.num_slots)
             for slot in frozen.iter_slots():
-                _write_varint(out, slot.block_no)
-                _write_varint(out, slot.used)
+                write_varint(out, slot.block_no)
+                write_varint(out, slot.used)
     return bytes(out)
 
 
 def deserialize_snapshots(payload: bytes, block_size: int) -> list[SnapshotRecord]:
-    """Invert :func:`serialize_snapshots`."""
-    offset = 0
-    count, offset = _read_varint(payload, offset)
-    records: list[SnapshotRecord] = []
-    for __ in range(count):
-        snap_id, offset = _read_varint(payload, offset)
-        name_len, offset = _read_varint(payload, offset)
-        name = payload[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        file_count, offset = _read_varint(payload, offset)
-        files: dict[str, FrozenInode] = {}
-        for __file in range(file_count):
-            path_len, offset = _read_varint(payload, offset)
-            path = payload[offset : offset + path_len].decode("utf-8")
-            offset += path_len
-            slot_count, offset = _read_varint(payload, offset)
-            slots: list[Slot] = []
-            for __slot in range(slot_count):
-                block_no, offset = _read_varint(payload, offset)
-                used, offset = _read_varint(payload, offset)
-                slots.append(Slot(block_no=block_no, used=used))
-            files[path] = FrozenInode(block_size, slots)
-        records.append(SnapshotRecord(name=name, snap_id=snap_id, files=files))
+    """Invert :func:`serialize_snapshots`; a malformed payload raises
+    :class:`CorruptSnapshotTable`, never a stray builtin."""
+
+    def text(offset: int) -> tuple[str, int]:
+        length, offset = read_varint(payload, offset)
+        if offset + length > len(payload):
+            raise CorruptSnapshotTable("snapshot table: name runs past the end")
+        return payload[offset : offset + length].decode("utf-8"), offset + length
+
+    try:
+        count, offset = read_varint(payload, 0)
+        records: list[SnapshotRecord] = []
+        for __ in range(count):
+            snap_id, offset = read_varint(payload, offset)
+            name, offset = text(offset)
+            file_count, offset = read_varint(payload, offset)
+            files: dict[str, FrozenInode] = {}
+            for __file in range(file_count):
+                path, offset = text(offset)
+                slot_count, offset = read_varint(payload, offset)
+                slots: list[Slot] = []
+                for __slot in range(slot_count):
+                    block_no, offset = read_varint(payload, offset)
+                    used, offset = read_varint(payload, offset)
+                    slots.append(Slot(block_no=block_no, used=used))
+                files[path] = FrozenInode(block_size, slots)
+            records.append(SnapshotRecord(name=name, snap_id=snap_id, files=files))
+    except (VarintError, UnicodeDecodeError) as exc:
+        raise CorruptSnapshotTable(f"corrupt snapshot table: {exc}") from exc
     return records

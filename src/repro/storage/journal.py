@@ -47,7 +47,7 @@ import struct
 import zlib
 from typing import Callable, Optional, Sequence, TypeVar
 
-from repro.analysis.sanitizer import tracked_lock
+from repro.locks import tracked_lock
 from repro.storage.block_device import BlockDevice, BlockDeviceError, DeviceWrapper
 
 _DESC = struct.Struct("<QQI")  # magic, lsn, n_tags / n_writes

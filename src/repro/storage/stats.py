@@ -102,8 +102,12 @@ class IOStats:
     counters named ``<prefix>.<field>`` in the backing registry.  A
     standalone ``IOStats()`` creates a private registry; components
     sharing an :class:`~repro.obs.Observability` bundle pass its
-    registry so everything lands in one place.
+    registry so everything lands in one place.  ``__slots__`` makes a
+    stray ``stats.block_reads += 1`` an ``AttributeError`` instead of a
+    silent divergence from the registry.
     """
+
+    __slots__ = ("registry", "prefix", "_counters")
 
     def __init__(
         self,
@@ -154,7 +158,7 @@ class IOStats:
     def reset(self) -> None:
         """Zero every counter of this component."""
         for counter in self._counters.values():
-            counter.force(0)  # reprolint: disable=OBS001 -- reset() is the sanctioned zeroing path; force() keeps the shared instrument object while discarding its history
+            counter.reset()
 
     # -- reading ------------------------------------------------------
     def snapshot(self) -> IOStatsSnapshot:

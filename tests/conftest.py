@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.engine import CompressDB
@@ -11,6 +13,23 @@ from repro.fs.vfs import PassthroughFS
 from repro.serving import LoopbackTransport, NamespaceFS, Server, WireClient
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.simclock import SimClock
+
+
+def mutate(rng: random.Random, base: bytes) -> bytes:
+    """One seeded mutation of ``base``: flip a few bytes, truncate, or
+    extend — the three ways stored or received bytes go wrong.  Decoder
+    fuzz tests draw thousands of these and accept only the decoder's
+    own typed error."""
+    data = bytearray(base)
+    kind = rng.randrange(3)
+    if kind == 0 and data:
+        for __ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+    elif kind == 1:
+        del data[rng.randrange(len(data) + 1) :]
+    else:
+        data += rng.randbytes(rng.randint(1, 8))
+    return bytes(data)
 
 
 @pytest.fixture

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.analysis import Analyzer
-from repro.analysis.callgraph import build_program, program_dot
+from repro.analysis import build_context
+from repro.analysis.callgraph import ProgramContext, program_dot
 from repro.analysis.summaries import find_lock_cycles
 
 
 def program_for(*items):
     """Build a ProgramContext from (path, source) pairs."""
-    analyzer = Analyzer(rules=())
     contexts = [
-        analyzer.build_context(textwrap.dedent(source), path)
+        build_context(textwrap.dedent(source), path)
         for path, source in items
     ]
-    return build_program(contexts)
+    return ProgramContext(contexts)
 
 
 def edges_of(program, caller):

@@ -12,7 +12,7 @@ and lost-update histories.
 
 import pytest
 
-from repro.analysis.sanitizer import (
+from repro.locks import (
     LockOrderSanitizer,
     LockOrderViolation,
     TrackedLock,

@@ -1,10 +1,13 @@
 """Tests for full on-device persistence (superblock + metadata chain)."""
 
+import random
+
 import pytest
 
 from repro.core import superblock as sb
 from repro.core.engine import CompressDB
 from repro.storage.block_device import FileBlockDevice, MemoryBlockDevice
+from tests.conftest import mutate
 
 
 @pytest.fixture
@@ -39,6 +42,29 @@ class TestChain:
         payload, blocks = sb.read_chain(device, head)
         assert payload == b""
         assert len(blocks) == 1
+
+
+class TestMetadataImage:
+    def test_mutated_image_fails_only_with_persistence_error(self):
+        """3,000 seeded flip/truncate/extend mutations of a real metadata
+        image: each decodes or raises PersistenceError — no IndexError,
+        UnicodeDecodeError or InodeError reaches mount()."""
+        device = MemoryBlockDevice(block_size=256)
+        engine = CompressDB.mount(device)
+        for index in range(6):
+            engine.write_file(f"/dir/fïle-{index}", bytes([index]) * (100 + 90 * index))
+        engine.fsync()
+        payload, __ = sb.read_chain(device, sb.read_layout(device).meta_head)
+        inodes, partition = sb.deserialize_metadata(payload, 256, 8, device)
+        assert sorted(inodes) == sorted(engine.list_files())
+        rng = random.Random(20260928)
+        rejected = 0
+        for __ in range(3000):
+            try:
+                sb.deserialize_metadata(mutate(rng, payload), 256, 8, device)
+            except sb.PersistenceError:
+                rejected += 1
+        assert rejected > 300  # the mutations do reach the failure paths
 
 
 class TestSuperblock:

@@ -13,7 +13,7 @@ import inspect
 import pytest
 
 from repro.analysis import build_program_for, default_target
-from repro.analysis.sanitizer import (
+from repro.locks import (
     LockContractError,
     LockOrderSanitizer,
     LockOrderViolation,
@@ -68,6 +68,16 @@ class TestTrackedLock:
         assert TrackedLock("chunkserver.node0.lock").rank == 1
         assert TrackedLock("client.session.lock").rank == 2
         assert TrackedLock("journal.commit.lock").rank is None
+
+    def test_one_tier_table_serves_runtime_and_linter(self):
+        from repro.analysis import rules_locks
+        from repro.locks import LOCK_TIERS, rank_of
+
+        assert rules_locks.rank_of is rank_of
+        # First keyword wins: serving-layer names also contain "serv".
+        assert rank_of("serving.state") == LOCK_TIERS["serving"] < LOCK_TIERS["master"]
+        assert rank_of("repro.distributed.chunkserver.ChunkServer._lock") == LOCK_TIERS["chunk"]
+        assert list(LOCK_TIERS.values()) == sorted(LOCK_TIERS.values())
 
     def test_require_held_is_noop_without_sanitizer(self):
         TrackedLock("master.lock").require_held()  # must not raise

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import random
+import zlib
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,7 @@ from repro.serving import protocol
 from repro.serving.slo import metric_segment
 from repro.storage.block_device import CrashPointDevice, MemoryBlockDevice
 from repro.workloads import open_loop_arrivals
+from tests.conftest import mutate
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -66,6 +68,23 @@ def make_server(**config_kwargs) -> Server:
 
 def make_client(server: Server, tenant: str) -> WireClient:
     return WireClient(LoopbackTransport(server, tenant))
+
+
+def checksummed_frame(payload: bytes, request_id: int = 7) -> bytes:
+    """A structurally valid PING frame around arbitrary payload bytes."""
+    header = protocol._HEADER.pack(
+        protocol.MAGIC,
+        protocol.PROTOCOL_VERSION,
+        protocol.OPCODES["PING"],
+        0,
+        request_id,
+        len(payload),
+    )
+    return header + protocol._CRC.pack(zlib.crc32(payload)) + payload
+
+
+#: `d 1 s 1 p s 2 ff fe`: dict {"p": <two bytes that are not UTF-8>}.
+INVALID_UTF8_PAYLOAD = b"d\x01s\x01ps\x02\xff\xfe"
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +238,52 @@ class TestFraming:
                 except protocol.ProtocolError:
                     pass
 
+    def test_payload_mutations_never_escape_protocol_error(self):
+        """The CRC guards the wire, not the sender: a frame whose payload
+        is malformed but correctly checksummed reaches the value decoder,
+        which must also fail with ProtocolError only — and never with
+        TruncatedFrame, which a stream reader takes for "wait"."""
+        rng = random.Random(20260928)
+        bases = [
+            protocol.pack_payload(
+                {"sql": "SELECT 1", "rows": [1, -2, 3.5, None, True], "d": {"k": b"v"}}
+            ),
+            protocol.pack_payload({"path": "/döc", "offset": 1 << 40, "data": b"\x00\xff" * 9}),
+        ]
+        for base in bases:
+            for __ in range(1600):
+                payload = mutate(rng, base)
+                for decode in (
+                    protocol.unpack_payload,
+                    lambda raw: protocol.decode_frame(checksummed_frame(raw)),
+                ):
+                    try:
+                        decode(payload)
+                    except protocol.TruncatedFrame:
+                        raise
+                    except protocol.ProtocolError:
+                        pass
+
+    def test_regression_invalid_utf8_in_valid_frame_is_protocol_error(self):
+        decoder = protocol.FrameDecoder()
+        with pytest.raises(protocol.ProtocolError):
+            decoder.feed(checksummed_frame(INVALID_UTF8_PAYLOAD))
+        with pytest.raises(protocol.ProtocolError):  # poisoned
+            decoder.feed(protocol.encode_frame(protocol.OPCODES["PING"], 1, {}))
+
+    def test_regression_truncation_inside_payload_poisons_not_wedges(self):
+        # `d 1 s 1 p s 9 ab`: a complete, CRC-valid frame whose string
+        # claims 9 bytes and has 2.  It used to read as "need more
+        # bytes", so the good frame behind it was never delivered.
+        bad = checksummed_frame(b"d\x01s\x01ps\x09ab")
+        good = protocol.encode_frame(protocol.OPCODES["PING"], 2, {})
+        decoder = protocol.FrameDecoder()
+        with pytest.raises(protocol.ProtocolError) as caught:
+            decoder.feed(bad + good)
+        assert not isinstance(caught.value, protocol.TruncatedFrame)
+        with pytest.raises(protocol.ProtocolError):  # poisoned
+            decoder.feed(good)
+
     def test_oversized_payload_rejected_both_ways(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.encode_frame(
@@ -286,6 +351,33 @@ class TestServerRobustness:
         assert frame.payload["error"] == "ChecksumError"
         frame, __ = protocol.decode_frame(server.serve_frame("t", good))
         assert not frame.is_error and frame.request_id == 3
+
+    def test_regression_invalid_utf8_frame_is_answered_not_thrown(self):
+        server = make_server()
+        server.add_tenant("t")
+        raw = server.serve_frame("t", checksummed_frame(INVALID_UTF8_PAYLOAD))
+        frame, __ = protocol.decode_frame(raw)
+        assert frame.is_error and frame.request_id == 0
+        assert frame.payload["code"] == WIRE_CODES["ProtocolError"]
+        assert make_client(server, "t").ping()["pong"] is True
+
+    def test_missing_required_field_is_invalid_argument(self):
+        server = make_server()
+        server.add_tenant("t")
+        raw = server.serve_frame(
+            "t", protocol.encode_frame(protocol.OPCODES["FS_READ_FILE"], 4, {})
+        )
+        frame, __ = protocol.decode_frame(raw)
+        assert frame.is_error and frame.request_id == 4
+        assert frame.payload["code"] == WIRE_CODES["InvalidArgument"] == 22
+        assert "'path'" in frame.payload["message"]
+
+    def test_every_opcode_has_a_handler_or_construction_fails(self, monkeypatch):
+        server = make_server()
+        assert set(server._handlers) == set(protocol.OPCODES.values())
+        monkeypatch.setitem(protocol.OPCODES, "FS_TELEPORT", 0x1D)
+        with pytest.raises(AttributeError, match="_op_fs_teleport"):
+            make_server()
 
     def test_engine_errors_normalize_to_wire_codes(self):
         server = make_server()
@@ -848,7 +940,9 @@ class TestCrashMidRequest:
         frame, __ = protocol.decode_frame(
             server.serve_frame(
                 "t",
-                protocol.encode_frame(protocol.OPCODES["FS_FSYNC"], 11, {}),
+                protocol.encode_frame(
+                    protocol.OPCODES["FS_FSYNC"], 11, {"path": "/mid-crash"}
+                ),
             )
         )
         assert frame.is_error and frame.request_id == 11

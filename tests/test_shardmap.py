@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.analysis.sanitizer import tracked_lock
+from repro.locks import tracked_lock
 from repro.distributed import (
     ChunkInfo,
     ClusterFileExists,

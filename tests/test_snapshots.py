@@ -7,6 +7,8 @@ table survives a remount through the superblock-v4 chain, and the
 block-level diff is sound enough to drive incremental replication.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,9 @@ from repro.fs.compressfs import CompressFS
 from repro.fs.errors import FileNotFound, InvalidArgument, PermissionDenied
 from repro.fs.vfs import PassthroughFS
 from repro.snap import Extent, SnapshotError, SnapshotExists, SnapshotNotFound
+from repro.snap.record import CorruptSnapshotTable, deserialize_snapshots
 from repro.storage.block_device import MemoryBlockDevice
+from tests.conftest import mutate
 
 
 @pytest.fixture
@@ -317,6 +321,28 @@ class TestDiff:
 
 
 class TestPersistence:
+    def test_mutated_snapshot_table_fails_only_with_typed_error(self):
+        """3,000 seeded mutations of a real snapshot table: each decodes
+        or raises CorruptSnapshotTable (a SnapshotError, so the CLI
+        reports it) — never IndexError or UnicodeDecodeError."""
+        __, engine = _mounted()
+        for index in range(4):
+            engine.write_file(f"/f{index}", bytes([65 + index]) * (200 + 300 * index))
+            engine.snapshots.create(f"snäp-{index}")
+        payload = engine.snapshots.serialize()
+        assert [r.name for r in deserialize_snapshots(payload, 256)] == [
+            f"snäp-{index}" for index in range(4)
+        ]
+        rng = random.Random(20260928)
+        rejected = 0
+        for __ in range(3000):
+            try:
+                deserialize_snapshots(mutate(rng, payload), 256)
+            except CorruptSnapshotTable as exc:
+                assert isinstance(exc, SnapshotError)
+                rejected += 1
+        assert rejected > 300
+
     def test_snapshots_survive_remount(self):
         device, engine = _mounted()
         engine.write_file("/f", b"persisted " * 40)
