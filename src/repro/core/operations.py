@@ -10,12 +10,12 @@ each distinct block once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from repro.core import kmp
+from repro.core import match
 from repro.fs.errors import InvalidArgument
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.inode import Inode, Slot
@@ -379,71 +379,91 @@ class OperationModule:
         return total
 
     # -- search / count ------------------------------------------------------------------
-    def search(self, path: str, pattern: bytes, workers: Optional[int] = None) -> list[int]:
-        """All logical offsets where ``pattern`` occurs in the file.
-
-        Phase 1 scans each *distinct* (block, used) pair once and maps
-        the local matches to every slot referencing that block — the
-        data-reuse saving of Section 4.4.  Phase 2 slides a window over
-        slot junctions to catch cross-block occurrences.  Overlapping
-        matches are reported.
-
-        ``workers`` runs the in-block phase on a thread pool — the
-        paper's parallel block-level search (Figure 3e); results are
-        identical to the sequential scan.
-        """
+    def search(self, path: str, pattern: bytes) -> list[int]:
+        """All logical offsets where ``pattern`` occurs (overlaps included)."""
         self.stats.record("search")
-        return self._search_impl(path, pattern, workers=workers)
+        in_block, crossing = self._scan(path, pattern)
+        found = list(crossing)
+        for start, local, valid in in_block:
+            found.extend([start + offset for offset in local[:valid]])
+        found.sort()
+        return found
 
     def count(self, path: str, pattern: bytes) -> int:
-        """Number of occurrences of ``pattern`` in the file.
-
-        Unlike ``search``, count does not materialise offsets: the
-        per-block frequency is computed once per *distinct* (block,
-        used) pair and multiplied by how often that pair occurs — the
-        Section 4.4 saving of reading frequencies "directly" from the
-        shared-block structure — plus the cross-junction occurrences.
-        """
+        """``len(search(path, pattern))`` — by construction, it is the
+        same scan — with no offset materialised: the frequencies are
+        read "directly" from the shared-block structure (Section 4.4)."""
         self.stats.record("count")
+        in_block, crossing = self._scan(path, pattern)
+        return sum(valid for __, __, valid in in_block) + sum(1 for __ in crossing)
+
+    def _scan(
+        self, path: str, pattern: bytes
+    ) -> tuple[list[tuple[int, list[int], int]], Iterable[int]]:
+        """The two stitched passes behind ``search`` and ``count``.
+
+        Pass 1 scans each *distinct* block once — the data-reuse saving
+        of Section 4.4 — and returns, per slot whose block has matches,
+        ``(slot offset, the block's ascending match offsets, how many of
+        them end within the slot's used bytes)``: hole padding never
+        completes a match.  Pass 2 is :meth:`_crossing`.
+        """
         inode = self._inode(path)
         m = len(pattern)
-        if m == 0 or inode.size == 0 or m > inode.size:
-            return 0
+        if m == 0 or m > inode.size:
+            return [], ()
         slot_offsets, contents = self._gather(inode)
-        combo_counts: dict[tuple[int, int], int] = {}
-        multiplicity: dict[tuple[int, int], int] = {}
-        for slot, __ in slot_offsets:
-            key = (slot.block_no, slot.used)
-            multiplicity[key] = multiplicity.get(key, 0) + 1
-            if key not in combo_counts:
-                combo_counts[key] = kmp.count_matches(
-                    contents[slot.block_no][: slot.used], pattern
-                )
-        total = sum(
-            combo_counts[key] * occurrences
-            for key, occurrences in multiplicity.items()
-        )
-        # Cross-junction matches: each is attributed to the first
-        # junction it crosses, i.e. it starts inside the slot just left
-        # of that junction — so every crossing match counts exactly once.
-        for junction_index in range(1, len(slot_offsets)):
-            junction = slot_offsets[junction_index][1]
-            left_slot = slot_offsets[junction_index - 1][0]
-            window, window_start = self._junction_window(
-                slot_offsets, contents, junction_index, m
-            )
-            if len(window) < m:
-                continue
-            first_start = junction - left_slot.used
-            for local in kmp.iter_matches(window, pattern):
-                absolute = window_start + local
-                if first_start <= absolute < junction < absolute + m:
-                    total += 1
-        return total
+        blocks = list(contents)
+        hits: dict[int, list[int]] = {}
+        for index, offset in match.find_strided(contents.values(), inode.block_size, pattern):
+            hits.setdefault(blocks[index], []).append(offset)
+        in_block = [
+            (start, hits[slot.block_no], bisect_right(hits[slot.block_no], slot.used - m))
+            for slot, start in slot_offsets
+            if slot.block_no in hits
+        ]
+        return in_block, self._crossing(slot_offsets, contents, pattern)
 
-    def _gather(
-        self, inode: Inode
-    ) -> tuple[list[tuple[Slot, int]], dict[int, bytes]]:
+    def _crossing(
+        self, slot_offsets: list[tuple[Slot, int]], contents: dict[int, bytes], pattern: bytes
+    ) -> Iterator[int]:
+        """Logical offsets of the matches that cross a slot junction.
+
+        A junction's window is the last ``m-1`` bytes of the slot left
+        of it plus the next ``m-1`` bytes of the file, so a match inside
+        it starts in that slot: each crossing match belongs to the
+        first junction it crosses and is seen once.  Where both slots
+        hold ``m-1`` bytes the window is ``2(m-1)`` long; those are
+        stitched and scanned together, the rest built one by one.
+        """
+        edge = len(pattern) - 1
+        starts: list[int] = []  # logical offset of each stitched window
+        loose: list[int] = []  # matches of the windows scanned one by one
+
+        def slot_bytes(index: int) -> bytes:
+            slot = slot_offsets[index][0]
+            return contents[slot.block_no][: slot.used]
+
+        def windows() -> Iterator[bytes]:
+            for index in range(1, len(slot_offsets)):
+                left = slot_offsets[index - 1][0]
+                right, junction = slot_offsets[index]
+                if left.used >= edge and right.used >= edge:
+                    starts.append(junction - edge)
+                    tail = contents[left.block_no][left.used - edge : left.used]
+                    yield tail + contents[right.block_no][:edge]
+                else:
+                    tail = slot_bytes(index - 1)[-edge:]
+                    following = map(slot_bytes, range(index, len(slot_offsets)))
+                    hits = match.find_crossing(tail, following, pattern)
+                    loose.extend(junction - len(tail) + hit for hit in hits)
+
+        if edge:  # 2(m-1) >= m, so find_strided drains windows()
+            for index, offset in match.find_strided(windows(), 2 * edge, pattern):
+                yield starts[index] + offset
+            yield from loose
+
+    def _gather(self, inode: Inode) -> tuple[list[tuple[Slot, int]], dict[int, bytes]]:
         """Slots with their logical offsets + each distinct block's bytes.
 
         Each distinct block is read from the device exactly once — the
@@ -459,62 +479,3 @@ class OperationModule:
         unique = list(dict.fromkeys(slot.block_no for slot, __ in slot_offsets))
         contents = dict(zip(unique, self.engine.device.read_blocks(unique)))
         return slot_offsets, contents
-
-    def _junction_window(
-        self,
-        slot_offsets: list[tuple[Slot, int]],
-        contents: dict[int, bytes],
-        junction_index: int,
-        m: int,
-    ) -> tuple[bytes, int]:
-        """The up-to-2(m-1)-byte window around one slot junction."""
-        junction = slot_offsets[junction_index][1]
-        left_slot = slot_offsets[junction_index - 1][0]
-        window_left = contents[left_slot.block_no][: left_slot.used][-(m - 1) :]
-        window_right = bytearray()
-        for slot, __ in slot_offsets[junction_index:]:
-            if len(window_right) >= m - 1:
-                break
-            window_right += contents[slot.block_no][: slot.used]
-        window = window_left + bytes(window_right[: m - 1])
-        return window, junction - len(window_left)
-
-    def _search_impl(
-        self, path: str, pattern: bytes, workers: Optional[int] = None
-    ) -> list[int]:
-        inode = self._inode(path)
-        m = len(pattern)
-        if m == 0 or inode.size == 0 or m > inode.size:
-            return []
-        matches: set[int] = set()
-        slot_offsets, contents = self._gather(inode)
-        # Phase 1: in-block search, one scan per distinct (block, used).
-        keys = {(slot.block_no, slot.used) for slot, __ in slot_offsets}
-        if workers and workers > 1:
-            def scan(key: tuple[int, int]) -> tuple[tuple[int, int], list[int]]:
-                block_no, used = key
-                return key, kmp.find_all(contents[block_no][:used], pattern)
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                local_cache = dict(pool.map(scan, keys))
-        else:
-            local_cache = {
-                (block_no, used): kmp.find_all(contents[block_no][:used], pattern)
-                for block_no, used in keys
-            }
-        for slot, slot_start in slot_offsets:
-            for local in local_cache[(slot.block_no, slot.used)]:
-                matches.add(slot_start + local)
-        # Phase 2: cross-block windows around each junction between slots.
-        for junction_index in range(1, len(slot_offsets)):
-            junction = slot_offsets[junction_index][1]
-            window, window_start = self._junction_window(
-                slot_offsets, contents, junction_index, m
-            )
-            if len(window) < m:
-                continue
-            for local in kmp.iter_matches(window, pattern):
-                absolute = window_start + local
-                if absolute < junction < absolute + m:
-                    matches.add(absolute)
-        return sorted(matches)

@@ -267,9 +267,16 @@ class ChunkServer:
                 return self.fs.ops.search(path, pattern)
             return self._posix_ops.search(path, pattern)
 
-    def search_with_edges(
-        self, chunk_id: str, pattern: bytes
-    ) -> tuple[list[int], bytes, bytes]:
+    def _edges(self, chunk_id: str, pattern: bytes) -> tuple[bytes, bytes]:
+        """The chunk's first and last ``len(pattern)-1`` bytes."""
+        edge = max(0, len(pattern) - 1)
+        path = self._path(chunk_id)
+        length = self.fs.stat(path).size
+        head = self.fs._pread(path, 0, min(edge, length))
+        tail_start = max(0, length - edge)
+        return head, self.fs._pread(path, tail_start, length - tail_start)
+
+    def search_with_edges(self, chunk_id: str, pattern: bytes) -> tuple[list[int], bytes, bytes]:
         """Search one chunk and piggyback its edge bytes.
 
         Returns (local offsets, first ``len(pattern)-1`` bytes, last
@@ -277,14 +284,11 @@ class ChunkServer:
         occurrences without issuing extra read RPCs — one round trip
         per chunk total.
         """
-        offsets = self.search(chunk_id, pattern)
-        edge = max(0, len(pattern) - 1)
-        path = self._path(chunk_id)
-        length = self.fs.stat(path).size
-        head = self.fs._pread(path, 0, min(edge, length))
-        tail_start = max(0, length - edge)
-        tail = self.fs._pread(path, tail_start, length - tail_start)
-        return offsets, head, tail
+        return (self.search(chunk_id, pattern), *self._edges(chunk_id, pattern))
+
+    def count_with_edges(self, chunk_id: str, pattern: bytes) -> tuple[int, bytes, bytes]:
+        """:meth:`search_with_edges` with the count in place of the offsets."""
+        return (self.count(chunk_id, pattern), *self._edges(chunk_id, pattern))
 
     def aggregate_cells(
         self, chunk_id: str, offset: int, length: int

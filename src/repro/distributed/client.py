@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.kmp import iter_matches
+from repro.core.match import count_matches, find_all, find_crossing
 from repro.databases.colcodec import fold_int_cells, merge_folds
 from repro.distributed.chunkserver import ChunkServer
 from repro.distributed.master import Master
@@ -25,6 +25,8 @@ from repro.storage.simclock import DATACENTER_LAN, NetworkProfile, SimClock
 _RPC_OVERHEAD = 64
 #: Bytes per offset in a search result.
 _OFFSET_BYTES = 8
+#: A chunk's match count on the wire.
+_COUNT_BYTES = 8
 #: One int64 cell of a packed aggregate column.
 _CELL_BYTES = 8
 #: A (count, sum, min, max) fold result on the wire.
@@ -526,63 +528,60 @@ class ClusterClient:
             return self._search(path, pattern)
 
     def _search(self, path: str, pattern: bytes) -> list[int]:
-        m = len(pattern)
-        entry = self.master.lookup(path)
         if not self.pushdown:
-            data = self.read_file(path)
-            return list(iter_matches(data, pattern))
-        matches: set[int] = set()
-        edge = m - 1
+            return find_all(self.read_file(path), pattern)
+        chunks, replies, matches = self._scan_chunks(
+            path, pattern, ChunkServer.search_with_edges,
+            lambda offsets: len(offsets) * _OFFSET_BYTES,
+        )
         position = 0
-        boundaries: list[int] = []
-        heads: list[bytes] = []
-        tails: list[bytes] = []
-        lengths: list[int] = []
-        for chunk in entry.chunks:
-            # One round trip per chunk: the request carries the pattern,
-            # the response the offsets plus the chunk's edge bytes.
-            local, head, tail = self._read_server(chunk).search_with_edges(
-                chunk.chunk_id, pattern
-            )
-            self._charge(
-                len(pattern) + len(local) * _OFFSET_BYTES + len(head) + len(tail)
-            )
-            matches.update(position + offset for offset in local)
-            heads.append(head)
-            tails.append(tail)
-            lengths.append(chunk.length)
+        for chunk, offsets in zip(chunks, replies):
+            matches.extend(position + offset for offset in offsets)
             position += chunk.length
-            boundaries.append(position)
-        # Cross-chunk windows assembled from the piggybacked edges —
-        # no further network traffic.
-        for index, boundary in enumerate(boundaries[:-1]):
-            left = b""
-            k = index
-            while len(left) < edge and k >= 0:
-                piece = tails[k]
-                left = piece[max(0, len(piece) - (edge - len(left))) :] + left
-                if len(piece) < lengths[k]:
-                    break  # the tail did not cover the whole chunk
-                k -= 1
-            right = bytearray()
-            k = index + 1
-            while len(right) < edge and k < len(heads):
-                right += heads[k]
-                if len(heads[k]) < lengths[k]:
-                    break
-                k += 1
-            window = left + bytes(right[:edge])
-            if len(window) < m:
-                continue
-            window_start = boundary - len(left)
-            for local in iter_matches(window, pattern):
-                absolute = window_start + local
-                if absolute < boundary < absolute + m:
-                    matches.add(absolute)
-        return sorted(matches)
+        matches.sort()
+        return matches
 
     def count(self, path: str, pattern: bytes) -> int:
-        return len(self.search(path, pattern))
+        """Number of occurrences.  Pushdown: each server ships its chunk's
+        *count*, never the offsets — traffic is O(chunks), not O(matches)."""
+        if not pattern:
+            return 0
+        if not self.pushdown:
+            return count_matches(self.read_file(path), pattern)
+        __, counts, crossing = self._scan_chunks(
+            path, pattern, ChunkServer.count_with_edges, lambda count: _COUNT_BYTES
+        )
+        return sum(counts) + len(crossing)
+
+    def _scan_chunks(
+        self, path: str, pattern: bytes, rpc, reply_bytes
+    ) -> tuple[list, list, list[int]]:
+        """The file's chunks, ``rpc``'s result per chunk, the cross-chunk matches.
+
+        One round trip per chunk: the request carries the pattern, the
+        reply the result and the chunk's first and last ``m-1`` bytes,
+        from which the cross-chunk windows are assembled — no further
+        traffic.  A boundary's window is the tail of the chunk left of
+        it plus the next ``m-1`` bytes of the file, so a match inside it
+        starts in that chunk: each crossing match is found once, at the
+        first boundary it crosses.
+        """
+        chunks = self.master.lookup(path).chunks
+        replies, heads, tails = [], [], []
+        for chunk in chunks:
+            result, head, tail = rpc(self._read_server(chunk), chunk.chunk_id, pattern)
+            self._charge(len(pattern) + reply_bytes(result) + len(head) + len(tail))
+            replies.append(result)
+            heads.append(head)
+            tails.append(tail)
+        crossing: list[int] = []
+        boundary = 0
+        for index, left in enumerate(tails[:-1]):
+            boundary += chunks[index].length
+            following = map(heads.__getitem__, range(index + 1, len(heads)))
+            hits = find_crossing(left, following, pattern)
+            crossing.extend(boundary - len(left) + hit for hit in hits)
+        return chunks, replies, crossing
 
     # -- aggregate pushdown --------------------------------------------------------
     def aggregate(

@@ -15,8 +15,9 @@ same protocol so benchmark code can treat both sides uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from repro.core import kmp
+from repro.core import match
 from repro.fs.compressfs import CompressFS
 from repro.fs.vfs import FileSystem
 
@@ -64,33 +65,34 @@ class PosixOperations:
             written += len(chunk)
         self.fs.truncate(path, size - length)
 
-    def search(self, path: str, pattern: bytes) -> list[int]:
-        """Streaming linear scan with an overlap window; no block reuse."""
-        m = len(pattern)
+    def _windows(self, path: str, m: int) -> Iterator[tuple[int, bytes]]:
+        """The file as ``(offset, window)`` pieces — each ``io_chunk`` read
+        after the ``m-1`` bytes before it: a match lies in the one it ends in."""
         if m == 0:
-            return []
+            return
         size = self.fs.stat(path).size
-        matches: list[int] = []
         position = 0
         carry = b""
         while position < size:
             chunk = self.fs._pread(path, position, self.io_chunk)
-            window = carry + chunk
-            base = position - len(carry)
-            for local in kmp.iter_matches(window, pattern):
-                offset = base + local
-                # The carry region was already scanned in the previous
-                # window except for matches that spill into this chunk.
-                if offset + m > position:
-                    matches.append(offset)
-            carry = window[-(m - 1) :] if m > 1 else b""
-            position += len(chunk)
             if not chunk:
                 break
-        return matches
+            window = carry + chunk
+            yield position - len(carry), window
+            carry = window[-(m - 1) :] if m > 1 else b""
+            position += len(chunk)
+
+    def search(self, path: str, pattern: bytes) -> list[int]:
+        """Streaming linear scan with an overlap window; no block reuse."""
+        return [
+            base + local
+            for base, window in self._windows(path, len(pattern))
+            for local in match.find_all(window, pattern)
+        ]
 
     def count(self, path: str, pattern: bytes) -> int:
-        return len(self.search(path, pattern))
+        windows = self._windows(path, len(pattern))
+        return sum(match.count_matches(window, pattern) for __, window in windows)
 
 
 @dataclass

@@ -1,8 +1,9 @@
-"""Knuth-Morris-Pratt string matching over bytes.
+"""Knuth-Morris-Pratt string matching over bytes — a test oracle.
 
-The paper's ``search`` operation (Section 4.4) uses KMP for both the
-in-block phase and the cross-block sliding-window phase.  Occurrences
-may overlap; all are reported.
+The byte-at-a-time matcher ``search``/``count`` (Section 4.4) ran on
+until ``repro.core.match`` took its place; kept here as the reference
+the kernel is tested against.  Occurrences may overlap; all are
+reported.
 """
 
 from __future__ import annotations

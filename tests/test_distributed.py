@@ -107,6 +107,8 @@ class TestChunkServer:
         server.write("c1", 0, b"ab ab ab")
         assert server.search("c1", b"ab") == [0, 3, 6]
         assert server.count("c1", b"ab") == 3
+        assert server.search_with_edges("c1", b"ab a") == ([0, 3], b"ab ", b" ab")
+        assert server.count_with_edges("c1", b"ab a") == (2, b"ab ", b" ab")
 
     def test_append_and_replace(self, server):
         server.create_chunk("c1")
@@ -179,6 +181,44 @@ class TestCluster:
         data = b"a" * 30 + b"SPLIT" + b"b" * 30  # straddles the 32-byte chunk
         cluster.client.write_file("/f", data)
         assert cluster.client.search("/f", b"SPLIT") == [30]
+
+    @pytest.mark.parametrize("compressed", [True, False])
+    @pytest.mark.parametrize("chunk_capacity", [3, 7, 40])
+    def test_count_is_len_search_across_short_chunks(self, chunk_capacity, compressed):
+        """Chunks shorter than the pattern: a match crosses several
+        boundaries and belongs to the first; self-overlapping patterns."""
+        cluster = build_cluster(nodes=3, chunk_capacity=chunk_capacity, compressed=compressed)
+        data = b"aaaaaaaaaa" + b"abaababaab" * 6 + b"aaaa"
+        cluster.client.write_file("/f", data)
+        cluster.client.insert("/f", 17, b"ab")
+        cluster.client.delete("/f", 40, 9)
+        data = data[:17] + b"ab" + data[17:]
+        data = data[:40] + data[49:]
+        for pattern in (b"a", b"aa", b"aba", b"abaab", b"aaaaaaaaa", b"baababaabab", b"zz"):
+            expected = [
+                i for i in range(len(data) - len(pattern) + 1)
+                if data[i : i + len(pattern)] == pattern
+            ]
+            assert cluster.client.search("/f", pattern) == expected
+            assert cluster.client.count("/f", pattern) == len(expected)
+        assert cluster.client.count("/f", b"") == 0
+
+    def test_count_ships_counts_not_offsets(self):
+        """A count's network bytes depend on the chunks, not the matches."""
+        cluster = build_cluster(nodes=2, chunk_capacity=1024)
+        cluster.client.write_file("/f", b"a" * 4096)
+        counter = cluster.client.obs.registry.counter("cluster.rpc.bytes")
+
+        def traffic(call, pattern):
+            before = counter.value
+            call("/f", pattern)
+            return counter.value - before
+
+        envelopes = 4 * (64 + 1)  # four chunks: RPC overhead + pattern, no edges at m = 1
+        assert cluster.client.count("/f", b"a") == 4096
+        assert traffic(cluster.client.count, b"a") == envelopes + 4 * 8
+        assert traffic(cluster.client.count, b"b") == envelopes + 4 * 8
+        assert traffic(cluster.client.search, b"a") == envelopes + 4096 * 8
 
     def test_pushdown_is_cheaper_than_rewrite(self):
         data = b"payload block " * 4000

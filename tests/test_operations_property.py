@@ -133,3 +133,96 @@ def test_extract_any_range_matches_slice(data, offsets):
         offset = int(fraction * len(data))
         size = len(data) - offset
         assert engine.ops.extract("/f", offset, size) == data[offset : offset + size]
+
+
+# -- search/count on adversarial slot layouts --------------------------------
+_BS = 8
+_SYMBOL = st.sampled_from([b"a", b"b", b"\x00"])
+_PIECE = st.one_of(st.integers(1, 3), st.integers(1, _BS)).flatmap(
+    lambda size: st.lists(_SYMBOL, min_size=size, max_size=size).map(b"".join)
+)
+
+
+def _engine_with_slots(pieces):
+    """An engine whose ``/f`` holds exactly one slot per piece: an
+    insert at offset 0 is slot-aligned, so it splices its own slot in
+    front instead of filling a neighbour's hole."""
+    engine = CompressDB(block_size=_BS, page_capacity=3)
+    engine.create("/f")
+    for piece in reversed(pieces):
+        engine.ops.insert("/f", 0, piece)
+    assert [slot.used for slot in engine.inode("/f").iter_slots()] == [len(p) for p in pieces]
+    return engine
+
+
+def _check_search_and_count(engine, reference, pattern):
+    """search == a naive scan, count == len(search), and the scan costs
+    one ``read_blocks`` over the distinct blocks (the parent's I/O)."""
+    reference = bytes(reference)
+    expected = [
+        i for i in range(len(reference) - len(pattern) + 1)
+        if pattern and reference[i : i + len(pattern)] == pattern
+    ]
+    distinct = len({slot.block_no for slot in engine.inode("/f").iter_slots()})
+    scans = 0 < len(pattern) <= len(reference)
+    for call, want in ((engine.ops.search, expected), (engine.ops.count, len(expected))):
+        before = engine.device.stats.snapshot()
+        assert call("/f", pattern) == want
+        after = engine.device.stats.snapshot()
+        assert after.block_reads - before.block_reads == (distinct if scans else 0)
+        assert after.batched_reads - before.batched_reads == int(scans and distinct > 1)
+
+
+@given(
+    pieces=st.lists(_PIECE, min_size=1, max_size=14),
+    edits=st.lists(
+        st.tuples(st.booleans(), st.floats(0, 1), st.integers(1, 2 * _BS), _PIECE), max_size=4
+    ),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_and_count_on_adversarial_layouts(pieces, edits, data):
+    """Runs of 1-3-byte slots (``delete(merge_holes=False)`` and
+    unaligned inserts add more), zero bytes in the data *and* in the
+    holes' padding, patterns from one byte to over two blocks."""
+    engine = _engine_with_slots(pieces)
+    reference = bytearray(b"".join(pieces))
+    for is_delete, position, length, payload in edits:
+        offset = int(position * len(reference))
+        if is_delete:
+            length = min(length, len(reference) - offset)
+            engine.ops.delete("/f", offset, length, merge_holes=False)
+            del reference[offset : offset + length]
+        else:
+            engine.ops.insert("/f", offset, payload)
+            reference[offset:offset] = payload
+    assert engine.read_file("/f") == bytes(reference)
+    patterns = [b"\x00\x00", b"aa", b"ab\x00"]
+    for m in (1, _BS, _BS + 3, 2 * _BS + 5):
+        if m <= len(reference):  # a pattern the file is known to hold
+            start = data.draw(st.integers(0, len(reference) - m))
+            patterns.append(bytes(reference[start : start + m]))
+        patterns.append(b"".join(data.draw(st.lists(_SYMBOL, min_size=m, max_size=m))))
+    for pattern in patterns:
+        _check_search_and_count(engine, reference, pattern)
+
+
+def test_hole_padding_never_completes_a_match():
+    """One block behind four slots with different ``used``: the bytes
+    past ``used`` are zero padding, in the stitched buffer but not in
+    the file."""
+    pieces = [b"ab", b"ab\x00", b"ab\x00\x00\x00", b"ab" + bytes(6), b"b"]
+    engine = _engine_with_slots(pieces)
+    assert len({slot.block_no for slot in engine.inode("/f").iter_slots()}) == 2
+    for pattern in (
+        b"\x00\x00", b"\x00", b"b\x00", b"\x00a", b"\x00\x00\x00ab", b"b" + bytes(6) + b"b",
+    ):
+        _check_search_and_count(engine, b"".join(pieces), pattern)
+
+
+def test_match_ending_exactly_at_used_is_kept():
+    pieces = [b"xxab", b"xab", b"ab", b"a", b"b"]
+    engine = _engine_with_slots(pieces)
+    assert engine.ops.search("/f", b"ab") == [2, 5, 7, 9]
+    for pattern in (b"ab", b"b", b"xab", b"abxab", b"ababab", b""):
+        _check_search_and_count(engine, b"".join(pieces), pattern)

@@ -77,18 +77,6 @@ class TestWordCount:
         assert loaded_engine.ops.stats.snapshot()["word_count"] == 1
 
 
-class TestParallelSearch:
-    def test_workers_match_sequential(self, loaded_engine):
-        sequential = loaded_engine.ops.search("/f", b"at")
-        parallel = loaded_engine.ops.search("/f", b"at", workers=3)
-        assert sequential == parallel
-
-    def test_single_worker_is_sequential_path(self, loaded_engine):
-        assert loaded_engine.ops.search("/f", b"cat", workers=1) == loaded_engine.ops.search(
-            "/f", b"cat"
-        )
-
-
 @given(st.text(alphabet=" abc\n", max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_word_count_property(text):
