@@ -16,13 +16,13 @@ Two shapes of shared state, in the concurrency-critical packages
   chunk servers, cluster clients) mutated after construction.
 
 A mutation site is accepted when it provably runs under a scope:
-lexically inside ``with <lock>:`` or a transaction ``with``; in a
-``@transactional`` method; in a method that declares its caller's
-obligation via ``lock.require_held()`` or ``require_transaction(...)``;
-or — the escape analysis — in a method reachable *only* from
-``__init__`` (constructor-local initialization never escapes to other
-sessions) or whose every call site is itself scoped (bounded walk over
-the call graph; unknown callers mean *not* scoped).
+lexically inside ``with <lock>:``; in a ``@transactional`` method; in a
+method that declares its caller's obligation via ``lock.require_held()``
+or ``require_transaction(...)``; or — the escape analysis — in a method
+reachable *only* from ``__init__`` (constructor-local initialization
+never escapes to other sessions) or whose every call site is itself
+scoped (bounded walk over the call graph; unknown callers mean *not*
+scoped).
 
 CONC002 — lock acquisition-order cycles
 ---------------------------------------
@@ -44,7 +44,7 @@ from typing import Iterator, Optional
 from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, FileContext, register
-from repro.analysis.summaries import find_lock_cycles, inside_scope_with
+from repro.analysis.summaries import find_lock_cycles, inside_lock_with
 from repro.analysis.symbols import call_tail
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -163,7 +163,7 @@ class SharedStateChecker(Checker):
                 target_name = self._global_mutation(node, shared, locals_bound)
                 if target_name is None:
                     continue
-                if inside_scope_with(ctx, node, locks=True):
+                if inside_lock_with(ctx, node):
                     continue
                 yield self.finding(
                     ctx,
@@ -247,7 +247,7 @@ class SharedStateChecker(Checker):
                         continue
                     if self._method_scoped(method_qual, class_qual):
                         continue
-                    if inside_scope_with(ctx, site, locks=True):
+                    if inside_lock_with(ctx, site):
                         continue
                     yield self.finding(
                         ctx,
@@ -332,7 +332,7 @@ class SharedStateChecker(Checker):
             if caller_info is None:
                 result = False
                 break
-            if inside_scope_with(caller_info.ctx, call, locks=True):
+            if inside_lock_with(caller_info.ctx, call):
                 continue
             if self._declares_scope(edge.caller):
                 continue

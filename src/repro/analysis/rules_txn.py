@@ -7,19 +7,17 @@ one crash-consistent unit, not a refcount bump that survives without
 its slot).  A mutation site is considered transaction-aware when any
 of the following holds:
 
-* its enclosing function is decorated ``@transactional`` (the decorator
-  joins the engine's ambient transaction scope);
+* its enclosing function is decorated ``@transactional`` (it is one
+  unit of the journal's ambient epoch and never commits partway);
 * the enclosing function calls ``require_transaction(...)`` (the
-  runtime guard for helpers that are only ever invoked from decorated
-  entry points);
-* the call is lexically inside ``with ...transaction():`` or
-  ``with ..._txn_scope():``.
+  declaration of helpers that are only ever invoked from decorated
+  entry points).
 
-A function that *declares* the obligation hands it to its callers:
-calling one from a function that neither establishes a scope, declares
-the obligation itself (passing it further up), nor wraps the call in a
-transaction ``with`` is the same violation one call edge removed — the
-runtime guard would fire on that path.
+Both are declarations with no run-time half, so this rule is the only
+thing that checks them.  A function that *declares* the obligation
+hands it to its callers: calling one from a function that neither is
+``@transactional`` nor declares the obligation itself (passing it
+further up) is the same violation one call edge removed.
 
 Scope: all of ``repro`` except the structures' own modules
 (``repro.core.refcount``, ``repro.core.hashtable`` — they implement the
@@ -36,7 +34,6 @@ from typing import Iterator
 from repro.analysis.callgraph import ProgramContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.framework import Checker, register
-from repro.analysis.summaries import inside_scope_with
 from repro.analysis.symbols import call_name, call_tail
 
 #: Calls that mutate durable metadata structures.
@@ -79,9 +76,9 @@ class TransactionScopeChecker(Checker):
     rule_id = "TXN001"
     severity = Severity.ERROR
     description = (
-        "metadata-mutating call outside an active Transaction; decorate "
-        "the mutator @transactional, guard it with require_transaction, "
-        "or wrap the call in a transaction scope"
+        "metadata-mutating call outside a declared transaction scope; "
+        "decorate the mutator @transactional or declare the caller's "
+        "obligation with require_transaction"
     )
 
     def check(self, program: ProgramContext) -> Iterator[Finding]:
@@ -100,8 +97,6 @@ class TransactionScopeChecker(Checker):
                     continue
                 if info.ctx.symbols.enclosing_function(node) is not info.node:
                     continue  # belongs to a nested function; judged there
-                if inside_scope_with(info.ctx, node):
-                    continue
                 yield self.finding(
                     info.ctx,
                     node,
@@ -115,15 +110,12 @@ class TransactionScopeChecker(Checker):
                     continue
                 if not edge.callee.startswith("repro."):
                     continue
-                if inside_scope_with(info.ctx, call):
-                    continue
                 yield self.finding(
                     info.ctx,
                     call,
                     f"{qualname}: calls {edge.callee}() which requires an "
                     "active transaction (require_transaction in its body), "
                     "but no scope is established on this path — decorate "
-                    f"{qualname.rsplit('.', 1)[-1]} @transactional, wrap "
-                    "the call in a transaction scope, or declare the "
-                    "obligation with require_transaction",
+                    f"{qualname.rsplit('.', 1)[-1]} @transactional or "
+                    "declare the obligation with require_transaction",
                 )

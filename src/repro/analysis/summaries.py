@@ -39,9 +39,6 @@ MAX_SUMMARY_DEPTH = 8
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _WITH_NODES = (ast.With, ast.AsyncWith)
 
-#: Context-manager call tails that establish a transaction scope.
-TXN_SCOPE_TAILS = frozenset({"transaction", "_txn_scope"})
-
 
 def is_lock_expr(expr: ast.expr) -> bool:
     """Lock expressions are classified by name: anything spelled with
@@ -49,20 +46,15 @@ def is_lock_expr(expr: ast.expr) -> bool:
     return "lock" in ast.unparse(expr).lower()
 
 
-def inside_scope_with(ctx: "FileContext", node: ast.AST, locks: bool = False) -> bool:
+def inside_lock_with(ctx: "FileContext", node: ast.AST) -> bool:
     """Whether ``node`` sits, within its own function, lexically inside
-    ``with ...transaction():`` / ``with ..._txn_scope():`` — or, with
-    ``locks``, inside any ``with <lock>:``."""
+    any ``with <lock>:``."""
     for ancestor in ctx.symbols.ancestors(node):
         if isinstance(ancestor, _FUNCTION_NODES):
             return False
         if isinstance(ancestor, _WITH_NODES):
-            for item in ancestor.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call) and call_tail(expr) in TXN_SCOPE_TAILS:
-                    return True
-                if locks and is_lock_expr(expr):
-                    return True
+            if any(is_lock_expr(item.context_expr) for item in ancestor.items):
+                return True
     return False
 
 
@@ -84,7 +76,7 @@ class FunctionSummary:
     qualname: str
     #: canonical names of the ``with`` acquisitions in the function's own body.
     locks: list[str] = field(default_factory=list)
-    #: decorated ``@transactional`` (joins/establishes the ambient scope).
+    #: decorated ``@transactional`` (one unit of the journal's ambient epoch).
     establishes_txn: bool = False
     #: calls ``require_transaction(...)`` — obligation passed to callers.
     declares_require_txn: bool = False

@@ -68,8 +68,6 @@ class CompressDB:
         Block device to operate on; a fresh in-memory device by default.
     page_capacity:
         Leaf pointers per pointer page (bounds metadata fan-out).
-    hash_table_length:
-        Bucket count of blockHashTable.
     dedup:
         Disable to measure the engine without its compression module
         (used by the index-construction ablation).
@@ -90,7 +88,6 @@ class CompressDB:
         device: Optional[BlockDevice] = None,
         block_size: int = 1024,
         page_capacity: int = 256,
-        hash_table_length: int = 1 << 16,
         dedup: bool = True,
         coalesce_writes: bool = True,
         coalesce_blocks: int = 16,
@@ -106,7 +103,6 @@ class CompressDB:
         self.obs = obs if obs is not None else Observability()
         self.page_capacity = page_capacity
         self._inodes: dict[str, Inode] = {}
-        self._txn_depth = 0
         # Cached at construction: whether the device carries a superblock
         # (and therefore whether flush/fsync publish the metadata image).
         # Probing per sync point would charge a device read to every
@@ -116,9 +112,7 @@ class CompressDB:
             coalesce_blocks * self.device.block_size if coalesce_writes else 0
         )
         self._pending: dict[str, bytearray] = {}
-        self.hashtable = BlockHashTable(
-            reader=self.device.read_block, length=hash_table_length
-        )
+        self.hashtable = BlockHashTable(reader=self.device.read_block)
         self.refcount = BlockRefCount(self.device)
         self.holes = HoleDirectory(self._inodes)
         self.compressor = Compressor(
@@ -143,46 +137,10 @@ class CompressDB:
     def block_size(self) -> int:
         return self.device.block_size
 
-    # -- transactions --------------------------------------------------------
     @property
     def journaled(self) -> bool:
         """Whether mutations stage in a write-ahead journal."""
         return isinstance(self.device, JournalDevice)
-
-    @contextlib.contextmanager
-    def _txn_scope(self):
-        """Join the ambient transaction without forcing a commit.
-
-        Every ``@transactional`` mutator enters this scope; nesting is
-        free, and durability is decided only at sync points (``fsync``,
-        ``flush``, or the outermost :meth:`transaction` exit).
-        """
-        self._txn_depth += 1
-        try:
-            yield
-        finally:
-            self._txn_depth -= 1
-
-    @contextlib.contextmanager
-    def transaction(self):
-        """Explicit transaction scope: commit durably on clean exit.
-
-        Mutations inside the ``with`` block stage as one atomic unit;
-        the outermost successful exit runs :meth:`fsync` (publishing
-        the metadata image and committing the journal epoch).  An
-        exception propagates without committing, so on a journaled
-        device the whole scope simply never becomes durable.
-        """
-        self._txn_depth += 1
-        try:
-            yield self
-        except BaseException:
-            self._txn_depth -= 1
-            raise
-        else:
-            self._txn_depth -= 1
-            if self._txn_depth == 0:
-                self.fsync()
 
     # -- MVCC sessions -------------------------------------------------------
     @property
@@ -304,16 +262,21 @@ class CompressDB:
 
     @transactional
     def rename(self, old: str, new: str) -> None:
-        """Move a file to a new name.
+        """Move a file to a new name, replacing ``new`` if it exists.
 
         In memory this is a dict move; durably it is atomic, because
         the namespace only exists inside the serialized metadata image
         — any published image carries either the old name or the new
-        one, never both or neither.
+        one, never both or neither.  A replaced target's blocks are
+        released in the same epoch, so that image is also the one that
+        stops referencing them.
         """
+        inode = self._inode_raw(old)
+        if old == new:
+            return
         if new in self._inodes:
-            raise FileExists(new)
-        self._inodes[new] = self._inode_raw(old)
+            self.unlink(new)
+        self._inodes[new] = inode
         del self._inodes[old]
         buffered = self._pending.pop(old, None)
         if buffered:
@@ -610,6 +573,7 @@ class CompressDB:
         return self.obs.registry.snapshot()
 
     # -- remount / durability -----------------------------------------------------------
+    @transactional
     def flush(self) -> None:
         """Persist the durable structures.
 
@@ -625,41 +589,40 @@ class CompressDB:
         clock = self.obs.clock
         started = clock.now if clock is not None else 0.0
         with self.obs.tracer.span("engine.flush", journaled=self.journaled):
-            with self._txn_scope():
-                self._flush_pending()
-                self.refcount.persist()
-                if self._formatted:
-                    layout = sb.read_layout(self.device)
-                    snap_head = layout.snap_head
-                    if layout.meta_head != sb.NO_BLOCK:
-                        __, old_chain = sb.read_chain(self.device, layout.meta_head)
-                        sb.update_superblock(self.device, sb.NO_BLOCK)
-                        for block_no in old_chain:
+            self._flush_pending()
+            self.refcount.persist()
+            if self._formatted:
+                layout = sb.read_layout(self.device)
+                snap_head = layout.snap_head
+                if layout.meta_head != sb.NO_BLOCK:
+                    __, old_chain = sb.read_chain(self.device, layout.meta_head)
+                    sb.update_superblock(self.device, sb.NO_BLOCK)
+                    for block_no in old_chain:
+                        self.device.free(block_no)
+                if self.snapshots.dirty:
+                    # Same crash discipline as the metadata chain:
+                    # unregister, free the old chain, write the new
+                    # one, then re-register — any crash lands on a
+                    # superblock pointing at a whole chain (or none).
+                    if snap_head != sb.NO_BLOCK:
+                        __, old_snaps = sb.read_chain(self.device, snap_head)
+                        sb.update_superblock(
+                            self.device, sb.NO_BLOCK, snap_head=sb.NO_BLOCK
+                        )
+                        for block_no in old_snaps:
                             self.device.free(block_no)
-                    if self.snapshots.dirty:
-                        # Same crash discipline as the metadata chain:
-                        # unregister, free the old chain, write the new
-                        # one, then re-register — any crash lands on a
-                        # superblock pointing at a whole chain (or none).
-                        if snap_head != sb.NO_BLOCK:
-                            __, old_snaps = sb.read_chain(self.device, snap_head)
-                            sb.update_superblock(
-                                self.device, sb.NO_BLOCK, snap_head=sb.NO_BLOCK
-                            )
-                            for block_no in old_snaps:
-                                self.device.free(block_no)
-                        if len(self.snapshots):
-                            snap_head = sb.write_chain(
-                                self.device, self.snapshots.serialize()
-                            )
-                        else:
-                            snap_head = sb.NO_BLOCK
-                        self.snapshots.mark_clean()
-                    payload = sb.serialize_metadata(
-                        self._inodes, self.refcount.partition_blocks
-                    )
-                    head = sb.write_chain(self.device, payload)
-                    sb.update_superblock(self.device, head, snap_head=snap_head)
+                    if len(self.snapshots):
+                        snap_head = sb.write_chain(
+                            self.device, self.snapshots.serialize()
+                        )
+                    else:
+                        snap_head = sb.NO_BLOCK
+                    self.snapshots.mark_clean()
+                payload = sb.serialize_metadata(
+                    self._inodes, self.refcount.partition_blocks
+                )
+                head = sb.write_chain(self.device, payload)
+                sb.update_superblock(self.device, head, snap_head=snap_head)
             if self.journaled:
                 self.device.commit()
         self._c_txn_commits.inc()

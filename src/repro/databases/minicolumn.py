@@ -157,9 +157,6 @@ class _ColumnFile:
         last = _Segment(*_SEGMENT.unpack(raw))
         return last.start + last.count
 
-    def has_demoted_blocks(self) -> bool:
-        return any(segment.flags & _SEG_DEMOTED for segment in self.segments())
-
     # -- zone map (sparse min/max index, one entry per insert batch) -----------
     def _append_zone(self, start_row: int, values: Sequence[object]) -> None:
         if not self.numeric or not values:
@@ -266,9 +263,6 @@ class _ColumnFile:
         )
 
     # -- read -------------------------------------------------------------------
-    def read_all(self) -> list[object]:
-        return self.read_range(0, self.row_count())
-
     def read_range(self, start: int, count: int) -> list[object]:
         """Values of rows [start, start+count)."""
         return self.read_ranges([(start, count)])[0]
@@ -578,9 +572,6 @@ class ColumnTable:
         """Physical rows, including rows marked deleted."""
         first = self.column_names[0]
         return self._files[first].row_count()
-
-    def live_row_count(self) -> int:
-        return self.row_count() - self.deleted_count()
 
     # -- deletion mask -----------------------------------------------------
     def _mask(self) -> bytes:
@@ -934,7 +925,7 @@ class MiniColumn(Database):
             if vectorized is not None:
                 table.maybe_morph()
                 return vectorized
-        needed = self._referenced_columns(statement, table)
+        needed, __ = _scanned_columns(statement, table.column_names)
         ranges = _range_constraints(statement.where)
         rows = table.scan(columns=needed, ranges=ranges)
         return run_select(statement, rows)
@@ -1002,29 +993,6 @@ class MiniColumn(Database):
         for row_no, changes in updates:
             table.update_row(row_no, changes)
         return []
-
-    def _referenced_columns(self, statement: Select, table: ColumnTable) -> list[str]:
-        """Projection pruning: only the columns the query touches."""
-        referenced: set[str] = set()
-        star = False
-        for item in statement.items:
-            if isinstance(item.expr, Star):
-                star = True
-            else:
-                referenced |= _columns_of(item.expr)
-        if statement.where is not None:
-            referenced |= _columns_of(statement.where)
-        for column in statement.group_by:
-            referenced.add(column.name)
-        for order in statement.order_by:
-            referenced |= _columns_of(order.expr)
-        if star:
-            return table.column_names
-        known = [name for name in table.column_names if name in referenced]
-        if not known:
-            # e.g. SELECT count(*): scan the cheapest (first) column.
-            return table.column_names[:1]
-        return known
 
     # -- benchmark interface -----------------------------------------------------------
     BENCH_TABLE = "events"
@@ -1114,6 +1082,35 @@ def _columns_of(expr: Optional[Expr]) -> set[str]:
             return set()
         return _columns_of(expr.argument)
     return set()
+
+
+def _scanned_columns(
+    select: Select, column_names: Sequence[str]
+) -> tuple[list[str], set[str]]:
+    """Projection pruning, shared by the row and the vector path:
+    ``(scanned, required)``.
+
+    ``scanned`` is the table columns the query touches, in table order —
+    all of them for ``*``, the cheapest (first) one when it touches none
+    (``SELECT count(*)``).  ``required`` columns (projection, WHERE,
+    GROUP BY) must exist in the table; ORDER BY references may instead
+    be projection aliases (``ORDER BY avg_cnt``), which the shared
+    ORDER BY code resolves against the output rows."""
+    required = _columns_of(select.where)
+    star = False
+    for item in select.items:
+        if isinstance(item.expr, Star):
+            star = True
+        else:
+            required |= _columns_of(item.expr)
+    required.update(column.name for column in select.group_by)
+    if star:
+        return list(column_names), required
+    referenced = set(required)
+    for order in select.order_by:
+        referenced |= _columns_of(order.expr)
+    scanned = [name for name in column_names if name in referenced]
+    return scanned or list(column_names[:1]), required
 
 
 # Re-exported for callers that referenced the sentinels here (the

@@ -269,13 +269,6 @@ class Table:
                 return row
         return None
 
-    def upsert(self, row: Row) -> None:
-        key = row.get(self.schema.primary_key)
-        if self.get(key) is None:
-            self.insert(row)
-        else:
-            self.update_by_key(key, row)
-
     def update_by_key(self, key: RowValue, changes: Row) -> bool:
         slot = self._directory_slot(key)
         if slot < 0:
@@ -368,7 +361,6 @@ class SecondaryIndex:
         self._entries: dict[RowValue, set[RowValue]] = {}
         self._sorted_values: list[RowValue] = []
         self._sorted_dirty = False
-        self._log_records = 0
         if fs.exists(path):
             self._replay()
         else:
@@ -386,13 +378,11 @@ class SecondaryIndex:
                     keys.discard(key)
                     if not keys:
                         del self._entries[value]
-            self._log_records += 1
         self._sorted_dirty = True
 
     def _log(self, flag: int, value: RowValue, key: RowValue) -> None:
         payload = bytes([flag]) + json.dumps([value, key]).encode("utf-8")
         self.fs.append_file(self.path, frame_record(payload))
-        self._log_records += 1
 
     # -- maintenance ---------------------------------------------------------
     def add(self, value: RowValue, key: RowValue) -> None:
@@ -417,7 +407,6 @@ class SecondaryIndex:
     def compact(self) -> None:
         """Rewrite the log with only the live entries."""
         self.fs.write_file(self.path, b"")
-        self._log_records = 0
         for value, keys in self._entries.items():
             for key in keys:
                 self._log(0, value, key)

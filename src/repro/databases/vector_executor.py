@@ -128,56 +128,21 @@ class _VectorAccumulator(_Accumulator):
             self.maximum = value
 
 
-def _referenced(select: Select) -> tuple[set[str], set[str], bool]:
-    """``(required, ordering, star)`` column references.
-
-    ``required`` columns (projection, WHERE, GROUP BY) must exist in the
-    table; ``ordering`` columns may instead be projection aliases (e.g.
-    ``ORDER BY avg_cnt``), which the shared ORDER BY code resolves
-    against the output rows."""
-    from repro.databases.minicolumn import _columns_of
-
-    required: set[str] = set()
-    star = False
-    for item in select.items:
-        if isinstance(item.expr, Star):
-            star = True
-        else:
-            required |= _columns_of(item.expr)
-    if select.where is not None:
-        required |= _columns_of(select.where)
-    for column in select.group_by:
-        required.add(column.name)
-    ordering: set[str] = set()
-    for order in select.order_by:
-        ordering |= _columns_of(order.expr)
-    return required, ordering, star
-
-
 def try_run_select_vectorized(
     select: Select, table: "ColumnTable"
 ) -> Optional[list[dict[str, object]]]:
     """Run a SELECT through the vectorized path, or return ``None``
     when its shape is unsupported (the caller falls back to rows)."""
-    from repro.databases.minicolumn import _range_constraints
+    from repro.databases.minicolumn import _range_constraints, _scanned_columns
 
     if select.join is not None:
         return None
     conjuncts = _conjuncts(select.where)
     if conjuncts is None:
         return None
-    required, ordering, star = _referenced(select)
+    names, required = _scanned_columns(select, table.column_names)
     if not required.issubset(table.column_names):
         return None  # unknown column: the row path raises the error
-    if star:
-        names = list(table.column_names)
-    else:
-        # Scan exactly what the row path would: ORDER BY references that
-        # are not table columns are projection aliases, resolved later.
-        referenced = required | ordering
-        names = [name for name in table.column_names if name in referenced]
-        if not names:
-            names = list(table.column_names[:1])
 
     grouped = bool(select.group_by) or any(
         contains_aggregate(item.expr) for item in select.items

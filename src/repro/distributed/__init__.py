@@ -19,8 +19,6 @@ from repro.distributed.cluster import (
 from repro.distributed.interleave import run_interleaved_sessions
 from repro.distributed.master import (
     ChunkInfo,
-    ClusterFileExists,
-    ClusterFileNotFound,
     FileEntry,
     Master,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "ClientShardCache",
     "Cluster",
     "ClusterClient",
-    "ClusterFileExists",
-    "ClusterFileNotFound",
     "FileEntry",
     "Master",
     "MasterGroup",

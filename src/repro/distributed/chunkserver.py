@@ -22,7 +22,7 @@ from repro.fs.posix_ops import PosixOperations
 from repro.fs.vfs import PassthroughFS
 from repro.snap.diff import diff_inodes
 from repro.storage.block_device import MemoryBlockDevice
-from repro.storage.simclock import CLOUD_ESSD, DeviceProfile, SimClock
+from repro.storage.simclock import CLOUD_ESSD, SimClock
 from repro.storage.stats import IOStats
 
 
@@ -39,7 +39,6 @@ class ChunkServer:
         clock: SimClock,
         compressed: bool = True,
         block_size: int = 1024,
-        profile: DeviceProfile = CLOUD_ESSD,
         stats: Optional[IOStats] = None,
         cache_blocks: int = 128,
         durable: bool = False,
@@ -59,7 +58,7 @@ class ChunkServer:
         self.compressed = compressed
         device = MemoryBlockDevice(
             block_size=block_size,
-            profile=profile,
+            profile=CLOUD_ESSD,
             clock=clock,
             stats=stats,
             cache_blocks=cache_blocks,
@@ -78,7 +77,11 @@ class ChunkServer:
             self.fs = CompressFS(device=device)
         else:
             self.fs = PassthroughFS(device=device)
-        self._posix_ops = PosixOperations(self.fs)
+        #: The seven-operation object every pushed-down RPC dispatches
+        #: to, chosen once: the engine's operation module on a CompressDB
+        #: server, POSIX emulation (read + rewrite) on a baseline server —
+        #: the cluster still *works* without CompressDB, it just pays.
+        self._ops = self.fs.ops if compressed else PosixOperations(self.fs)
         #: Rank-1 lock of the cluster order; serializes chunk-mutating
         #: RPCs and node state flips on this server.  Reads stay
         #: lock-free (they will become MVCC snapshot reads).
@@ -110,7 +113,7 @@ class ChunkServer:
         with self._lock:
             engine = CompressDB.mount(self._raw_device)
             self.fs = CompressFS(engine=engine)
-            self._posix_ops = PosixOperations(self.fs)
+            self._ops = self.fs.ops
             self.online = True
         # A restarted node must not assume its pre-restart placement
         # view: re-register the failure-domain label and adopt whatever
@@ -141,7 +144,6 @@ class ChunkServer:
     def _commit(self) -> None:
         """Group-commit hook: durable servers sync after each mutation RPC."""
         if self.durable:
-            assert isinstance(self.fs, CompressFS)
             self.fs.engine.fsync()
 
     def _path(self, chunk_id: str) -> str:
@@ -232,19 +234,12 @@ class ChunkServer:
             self._commit()
 
     # -- pushed-down operations -----------------------------------------------------
-    # On a CompressDB server these run against the compressed form; on a
-    # baseline server they fall back to POSIX emulation (read + rewrite)
-    # so the cluster still *works* without CompressDB — it just pays for it.
     def insert(self, chunk_id: str, offset: int, data: bytes) -> None:
         path = self._path(chunk_id)
         with self.obs.tracer.span(
             "chunkserver.insert", server=self.name, nbytes=len(data)
         ), self._lock:
-            if self.compressed:
-                assert isinstance(self.fs, CompressFS)
-                self.fs.ops.insert(path, offset, data)
-            else:
-                self._posix_ops.insert(path, offset, data)
+            self._ops.insert(path, offset, data)
             self._commit()
 
     def delete_range(self, chunk_id: str, offset: int, length: int) -> None:
@@ -252,20 +247,13 @@ class ChunkServer:
         with self.obs.tracer.span(
             "chunkserver.delete_range", server=self.name, length=length
         ), self._lock:
-            if self.compressed:
-                assert isinstance(self.fs, CompressFS)
-                self.fs.ops.delete(path, offset, length)
-            else:
-                self._posix_ops.delete(path, offset, length)
+            self._ops.delete(path, offset, length)
             self._commit()
 
     def search(self, chunk_id: str, pattern: bytes) -> list[int]:
         path = self._path(chunk_id)
         with self.obs.tracer.span("chunkserver.search", server=self.name):
-            if self.compressed:
-                assert isinstance(self.fs, CompressFS)
-                return self.fs.ops.search(path, pattern)
-            return self._posix_ops.search(path, pattern)
+            return self._ops.search(path, pattern)
 
     def _edges(self, chunk_id: str, pattern: bytes) -> tuple[bytes, bytes]:
         """The chunk's first and last ``len(pattern)-1`` bytes."""
@@ -310,31 +298,20 @@ class ChunkServer:
 
     def count(self, chunk_id: str, pattern: bytes) -> int:
         path = self._path(chunk_id)
-        if self.compressed:
-            assert isinstance(self.fs, CompressFS)
-            return self.fs.ops.count(path, pattern)
-        return self._posix_ops.count(path, pattern)
+        return self._ops.count(path, pattern)
 
     def append(self, chunk_id: str, data: bytes) -> None:
         path = self._path(chunk_id)
         with self.obs.tracer.span(
             "chunkserver.append", server=self.name, nbytes=len(data)
         ), self._lock:
-            if self.compressed:
-                assert isinstance(self.fs, CompressFS)
-                self.fs.ops.append(path, data)
-            else:
-                self.fs.append_file(path, data)
+            self._ops.append(path, data)
             self._commit()
 
     def replace(self, chunk_id: str, offset: int, data: bytes) -> None:
         path = self._path(chunk_id)
         with self._lock:
-            if self.compressed:
-                assert isinstance(self.fs, CompressFS)
-                self.fs.ops.replace(path, offset, data)
-            else:
-                self.fs._pwrite(path, offset, data)
+            self._ops.replace(path, offset, data)
             self._commit()
 
     # -- snapshots -------------------------------------------------------------------
@@ -345,7 +322,6 @@ class ChunkServer:
         self._ensure_online()
         if not self.compressed:
             raise ValueError(f"chunkserver {self.name} has no snapshot support")
-        assert isinstance(self.fs, CompressFS)
         return self.fs.engine
 
     def snap_create(self, name: str) -> None:

@@ -295,34 +295,67 @@ class ClusterClient:
             raise ValueError(f"server {server_name} is offline; recover it first")
         repaired = 0
         with self.master.lock:
-            repaired = self._resync_locked(target)
+            for path in self.master.list_files():
+                for chunk in self.master.lookup(path).chunks:
+                    if server_name not in chunk.servers:
+                        continue
+                    peers = self._live_peers(chunk, server_name)
+                    if not peers:
+                        continue
+                    missing = chunk.chunk_id not in target.chunk_ids()
+                    if self._copy_if_different(target, peers[0], chunk, missing) is not None:
+                        repaired += 1
         return repaired
 
-    def _resync_locked(self, target: ChunkServer) -> int:
-        server_name = target.name
-        repaired = 0
-        for path in self.master.list_files():
-            for chunk in self.master.lookup(path).chunks:
-                if server_name not in chunk.servers:
-                    continue
-                peers = [
-                    self.servers[name]
-                    for name in chunk.servers
-                    if name != server_name and self.servers[name].online
-                ]
-                if not peers:
-                    continue
-                authoritative = peers[0].read(chunk.chunk_id, 0, chunk.length)
-                local_missing = chunk.chunk_id not in target.chunk_ids()
-                if local_missing:
-                    target.create_chunk(chunk.chunk_id)
-                local = target.read(chunk.chunk_id, 0, target.chunk_length(chunk.chunk_id))
-                if local != authoritative:
-                    self._charge(len(authoritative))  # replica transfer
-                    target.truncate(chunk.chunk_id, 0)
-                    target.write(chunk.chunk_id, 0, authoritative)
-                    repaired += 1
-        return repaired
+    def _live_peers(self, chunk, server_name: str) -> list[ChunkServer]:
+        """Online replicas of ``chunk`` other than ``server_name``."""
+        return [
+            self.servers[name]
+            for name in chunk.servers
+            if name != server_name and self.servers[name].online
+        ]
+
+    def _copy_if_different(
+        self, target: ChunkServer, peer: ChunkServer, chunk, missing: bool
+    ) -> Optional[int]:
+        """Full copy of one chunk from ``peer``, skipped when ``target``'s
+        replica already matches.  Returns the bytes shipped, ``None`` when
+        nothing had to move."""
+        authoritative = peer.read(chunk.chunk_id, 0, chunk.length)
+        if missing:
+            target.create_chunk(chunk.chunk_id)
+        local = target.read(chunk.chunk_id, 0, target.chunk_length(chunk.chunk_id))
+        if local == authoritative:
+            return None
+        self._charge(len(authoritative))  # replica transfer
+        target.truncate(chunk.chunk_id, 0)
+        target.write(chunk.chunk_id, 0, authoritative)
+        return len(authoritative)
+
+    def _ship_delta(
+        self,
+        target: ChunkServer,
+        donor: ChunkServer,
+        chunk_id: str,
+        base_snap: str,
+        missing: bool,
+    ) -> Optional[int]:
+        """Bring ``target``'s replica of one chunk up to ``donor``'s by
+        shipping only what changed since ``base_snap``: one writev of the
+        extents, then a truncate to the donor's length.  Returns like
+        :meth:`_copy_if_different`."""
+        self._charge(0)  # delta request RPC
+        length, extents = donor.chunk_delta(chunk_id, base_snap)
+        if missing:
+            target.create_chunk(chunk_id)
+        payload = sum(len(data) for __, data in extents)
+        if extents:
+            self._charge(payload)
+            target.writev([(chunk_id, offset, data) for offset, data in extents])
+        resized = target.chunk_length(chunk_id) != length
+        if resized:
+            target.truncate(chunk_id, length)
+        return payload if extents or resized else None
 
     def snapshot(self, name: str) -> list[str]:
         """Take (or refresh) cluster snapshot ``name`` on every server.
@@ -368,49 +401,20 @@ class ClusterClient:
         ), self.master.lock:
             local_chunks = set(target.chunk_ids())
             for chunk in self.master.chunks_on(server_name):
-                peers = [
-                    self.servers[name]
-                    for name in chunk.servers
-                    if name != server_name and self.servers[name].online
-                ]
+                peers = self._live_peers(chunk, server_name)
                 if not peers:
                     continue
                 peer = peers[0]
-                if not (peer.compressed and peer.has_snapshot(base_snap)):
+                missing = chunk.chunk_id not in local_chunks
+                if peer.compressed and peer.has_snapshot(base_snap):
+                    moved = self._ship_delta(
+                        target, peer, chunk.chunk_id, base_snap, missing
+                    )
+                else:
                     # No delta source: authoritative full copy, as resync().
-                    authoritative = peer.read(chunk.chunk_id, 0, chunk.length)
-                    if chunk.chunk_id not in local_chunks:
-                        target.create_chunk(chunk.chunk_id)
-                    local = target.read(
-                        chunk.chunk_id, 0, target.chunk_length(chunk.chunk_id)
-                    )
-                    if local != authoritative:
-                        self._charge(len(authoritative))
-                        shipped += len(authoritative)
-                        target.truncate(chunk.chunk_id, 0)
-                        target.write(chunk.chunk_id, 0, authoritative)
-                        repaired += 1
-                    continue
-                self._charge(0)  # delta request RPC
-                length, extents = peer.chunk_delta(chunk.chunk_id, base_snap)
-                if chunk.chunk_id not in local_chunks:
-                    target.create_chunk(chunk.chunk_id)
-                changed = False
-                if extents:
-                    payload = sum(len(data) for __, data in extents)
-                    self._charge(payload)
-                    shipped += payload
-                    target.writev(
-                        [
-                            (chunk.chunk_id, offset, data)
-                            for offset, data in extents
-                        ]
-                    )
-                    changed = True
-                if target.chunk_length(chunk.chunk_id) != length:
-                    target.truncate(chunk.chunk_id, length)
-                    changed = True
-                if changed:
+                    moved = self._copy_if_different(target, peer, chunk, missing)
+                if moved is not None:
+                    shipped += moved
                     repaired += 1
         return repaired, shipped
 
@@ -473,17 +477,9 @@ class ClusterClient:
                     and donor.compressed
                     and donor.has_snapshot(base_snap)
                 ):
-                    self._charge(0)  # delta request RPC
-                    length, extents = donor.chunk_delta(chunk_id, base_snap)
-                    if extents:
-                        payload = sum(len(data) for __, data in extents)
-                        self._charge(payload)
-                        shipped += payload
-                        target.writev(
-                            [(chunk_id, offset, data) for offset, data in extents]
-                        )
-                    if target.chunk_length(chunk_id) != length:
-                        target.truncate(chunk_id, length)
+                    shipped += self._ship_delta(
+                        target, donor, chunk_id, base_snap, missing=False
+                    ) or 0
                 else:
                     authoritative = donor.read(chunk_id, 0, chunk.length)
                     self._charge(len(authoritative))

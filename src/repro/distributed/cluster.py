@@ -9,7 +9,7 @@ nodes, 50k-IOPS ESSDs, datacenter LAN).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from repro.locks import LOCK_TIERS, tracked_lock
 from repro.distributed.chunkserver import ChunkServer
@@ -18,8 +18,7 @@ from repro.distributed.master import Master
 from repro.distributed.replicated import MasterGroup, ReplicatedMaster
 from repro.distributed.shardmap import ShardedMaster
 from repro.obs import Observability
-from repro.raft.node import RaftConfig
-from repro.storage.simclock import CLOUD_ESSD, DATACENTER_LAN, DeviceProfile, NetworkProfile, SimClock
+from repro.storage.simclock import DATACENTER_LAN, NetworkProfile, SimClock
 from repro.storage.stats import StatsRegistry
 
 
@@ -55,7 +54,6 @@ def _build_chunk_servers(
     nodes: int,
     compressed: bool,
     block_size: int,
-    device_profile: DeviceProfile,
     durable: bool,
     racks: int = 0,
 ) -> tuple[SimClock, Observability, StatsRegistry, dict[str, ChunkServer]]:
@@ -77,7 +75,6 @@ def _build_chunk_servers(
             clock=clock,
             compressed=compressed,
             block_size=block_size,
-            profile=device_profile,
             stats=stats.register(name, prefix=f"cluster.{name}.device"),
             durable=durable,
             obs=obs,
@@ -92,7 +89,6 @@ def build_cluster(
     pushdown: bool = True,
     block_size: int = 1024,
     chunk_capacity: int = 64 * 1024,
-    device_profile: DeviceProfile = CLOUD_ESSD,
     network: NetworkProfile = DATACENTER_LAN,
     replication: int = 1,
     durable: bool = False,
@@ -107,7 +103,7 @@ def build_cluster(
     every mutating RPC), as the crash-consistency experiments do.
     """
     clock, obs, stats, servers = _build_chunk_servers(
-        nodes, compressed, block_size, device_profile, durable
+        nodes, compressed, block_size, durable
     )
     master = Master(list(servers), chunk_capacity=chunk_capacity, replication=replication)
     client = ClusterClient(
@@ -144,13 +140,11 @@ def build_replicated_cluster(
     pushdown: bool = True,
     block_size: int = 1024,
     chunk_capacity: int = 64 * 1024,
-    device_profile: DeviceProfile = CLOUD_ESSD,
     network: NetworkProfile = DATACENTER_LAN,
     replication: int = 1,
     durable: bool = False,
     racks: int = 0,
     seed: int = 0,
-    raft_config: Optional[RaftConfig] = None,
 ) -> ReplicatedCluster:
     """Build a cluster with a Raft-replicated, optionally sharded master.
 
@@ -163,9 +157,8 @@ def build_replicated_cluster(
     its own domain).
     """
     clock, obs, stats, servers = _build_chunk_servers(
-        nodes, compressed, block_size, device_profile, durable, racks
+        nodes, compressed, block_size, durable, racks
     )
-    config = raft_config if raft_config is not None else RaftConfig()
     domains = (
         {name: server.domain for name, server in servers.items()}
         if racks > 0
@@ -183,7 +176,6 @@ def build_replicated_cluster(
             clock=clock,
             seed=seed + 17 * index,
             obs=obs,
-            config=config,
             chunk_prefix=f"s{index}c" if shards > 1 else "c",
             domains=domains,
             lock=lock,

@@ -26,15 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from repro.fs.errors import FileExists, FileNotFound
 from repro.locks import LOCK_TIERS, TrackedLock, tracked_lock
-
-
-class ClusterFileNotFound(Exception):
-    """No such file in the cluster namespace."""
-
-
-class ClusterFileExists(Exception):
-    """A file with this path already exists."""
 
 
 @dataclass
@@ -117,7 +110,7 @@ class Master:
     def create(self, path: str) -> FileEntry:
         self.lock.require_held()
         if path in self._files:
-            raise ClusterFileExists(path)
+            raise FileExists(path)
         entry = FileEntry(path=path)
         self._files[path] = entry
         return entry
@@ -126,7 +119,7 @@ class Master:
         try:
             return self._files[path]
         except KeyError:
-            raise ClusterFileNotFound(path) from None
+            raise FileNotFound(path) from None
 
     def exists(self, path: str) -> bool:
         return path in self._files
@@ -263,14 +256,14 @@ class Master:
             if chunk.chunk_id == chunk_id:
                 self._note_placement(chunk.servers, -1)
                 return entry.chunks.pop(index)
-        raise ClusterFileNotFound(f"{path}:{chunk_id}")
+        raise FileNotFound(f"{path}:{chunk_id}")
 
     def find_chunk(self, path: str, chunk_id: str) -> ChunkInfo:
         entry = self.lookup(path)
         for chunk in entry.chunks:
             if chunk.chunk_id == chunk_id:
                 return chunk
-        raise ClusterFileNotFound(f"{path}:{chunk_id}")
+        raise FileNotFound(f"{path}:{chunk_id}")
 
     def extend_chunk(self, path: str, chunk_id: str, delta: int) -> int:
         """Grow (or shrink, negative ``delta``) a chunk's logical length."""

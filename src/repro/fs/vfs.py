@@ -135,6 +135,8 @@ class FileSystem:
     def rename(self, old: str, new: str) -> None:
         """Default rename: copy + unlink (subclasses may override)."""
         data = self.read_file(old)
+        if old == new:
+            return
         if self._exists(new):
             self._unlink(new)
         self._create(new)

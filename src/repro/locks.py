@@ -103,7 +103,7 @@ class LockOrderSanitizer:
         self.raise_on_violation = raise_on_violation
         self.violations: list[str] = []
         self._contexts: dict[tuple[int, Optional[str]], _Context] = {}
-        self._edges: dict[tuple[str, str], int] = {}
+        self._edges: set[tuple[str, str]] = set()
         self._local = threading.local()
         self._mutex = threading.Lock()
 
@@ -163,8 +163,7 @@ class LockOrderSanitizer:
                     "reverses an edge of the static lock-order graph"
                 )
             with self._mutex:
-                edge = (held.order_key, lock.order_key)
-                self._edges[edge] = self._edges.get(edge, 0) + 1
+                self._edges.add((held.order_key, lock.order_key))
         context.stack.append(lock)
 
     def note_release(self, lock: "TrackedLock") -> None:
@@ -181,10 +180,6 @@ class LockOrderSanitizer:
     def observed_edges(self) -> set[tuple[str, str]]:
         with self._mutex:
             return set(self._edges)
-
-    def edge_counts(self) -> dict[tuple[str, str], int]:
-        with self._mutex:
-            return dict(self._edges)
 
 
 #: The installed sanitizer, if any.  Module-level mutable state is safe
@@ -213,11 +208,11 @@ class TrackedLock:
 
     ``order_key`` is the runtime identity matched against the static
     lock-order graph; ``rank`` is the cluster tier (None = unranked,
-    nests freely).  ``require_held()`` is the runtime counterpart of the
-    transaction guard: helpers that mutate shared state without taking
-    the lock themselves declare the caller's obligation, and the static
-    CONC001 pass recognizes the call exactly like
-    ``require_transaction``.
+    nests freely).  ``require_held()`` is the lock-side counterpart of
+    ``require_transaction``: helpers that mutate shared state without
+    taking the lock themselves declare the caller's obligation, the
+    static CONC001 pass recognizes both calls alike, and this one is
+    also checked at run time while a sanitizer is installed.
     """
 
     __slots__ = ("name", "order_key", "rank", "_lock", "_owner")

@@ -30,7 +30,7 @@ Commit protocol (first-committer-wins):
 3. pre-image retention — paths other active sessions may still read
    are frozen and pinned before being overwritten;
 4. buffered contents applied through the ordinary engine mutators
-   inside one transaction scope;
+   in one journal epoch (``commit`` is ``@transactional``);
 5. the ticket joins the group-commit queue.
 """
 
@@ -50,6 +50,7 @@ from repro.mvcc.session import (
 )
 from repro.mvcc.versions import VersionStore
 from repro.snap.record import FrozenInode
+from repro.storage.journal import transactional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import CompressDB
@@ -99,9 +100,7 @@ class SessionManager:
         self._g_active.set(len(self._active))
         return session
 
-    def active_sessions(self) -> list[Session]:
-        return list(self._active.values())
-
+    @transactional
     def commit(self, session: Session) -> CommitTicket:
         """First-committer-wins commit; see the module docstring."""
         if session.read_only:
@@ -134,22 +133,21 @@ class SessionManager:
             for path in writes:
                 stack.enter_context(self._inode_lock(path))
             new_csn = self.versions.next_csn()
-            with engine._txn_scope():
-                for path in writes:
-                    content = session._buffers[path]
-                    if engine.exists(path):
-                        self._retain_pre_image(session, path, new_csn)
-                        if content is None:
-                            engine.unlink(path)
-                        else:
-                            data = bytes(content)
-                            if data:
-                                engine.write(path, 0, data)
-                            engine.truncate(path, len(data))
-                    elif content is not None:
-                        engine.create(path)
-                        if content:
-                            engine.write(path, 0, bytes(content))
+            for path in writes:
+                content = session._buffers[path]
+                if engine.exists(path):
+                    self._retain_pre_image(session, path, new_csn)
+                    if content is None:
+                        engine.unlink(path)
+                    else:
+                        data = bytes(content)
+                        if data:
+                            engine.write(path, 0, data)
+                        engine.truncate(path, len(data))
+                elif content is not None:
+                    engine.create(path)
+                    if content:
+                        engine.write(path, 0, bytes(content))
             self.versions.record_commit(writes, new_csn)
         ticket = CommitTicket(session.session_id, new_csn)
         session.ticket = ticket
@@ -257,6 +255,7 @@ class SessionManager:
         for slot in frozen.iter_slots():
             refcount.pin(slot.block_no)
 
+    @transactional
     def _unpin_frozen(self, frozen: FrozenInode) -> None:
         """Release a frozen image's pins, freeing orphaned blocks.
 
@@ -267,12 +266,11 @@ class SessionManager:
         zero.
         """
         engine = self.engine
-        with engine._txn_scope():
-            for slot in frozen.iter_slots():
-                if engine.refcount.unpin(slot.block_no) == 0:
-                    if slot.block_no in engine.hashtable:
-                        engine.hashtable.delete_record(slot.block_no)
-                    engine.device.free(slot.block_no)
+        for slot in frozen.iter_slots():
+            if engine.refcount.unpin(slot.block_no) == 0:
+                if slot.block_no in engine.hashtable:
+                    engine.hashtable.delete_record(slot.block_no)
+                engine.device.free(slot.block_no)
 
     def iter_pinned_inodes(self) -> Iterator[FrozenInode]:
         """Every frozen image currently holding pins (index rebuilds)."""

@@ -102,8 +102,6 @@ class Session:
         self._owned: dict[str, "FrozenInode"] = {}
         #: Buffered mutations: path -> full content, None = deleted.
         self._buffers: dict[str, Optional[bytearray]] = {}
-        #: Replayable mutation log for the SI checker.
-        self._ops: list[tuple] = []
         #: LIFO cleanups run when the session finishes (fd release &c).
         self._cleanups: list[tuple[Optional[str], Callable[[], None]]] = []
 
@@ -234,16 +232,12 @@ class Session:
         return sorted(path for path in names if path.startswith(prefix))
 
     # -- buffered mutations --------------------------------------------------
-    def _record_op(self, op: tuple) -> None:
-        self._ops.append(op)
-        self.manager._record_mutate(self, op)
-
     def create(self, path: str) -> None:
         self._check_active()
         if self.exists(path):
             raise FileExists(path)
         self._buffers[path] = bytearray()
-        self._record_op(("create", path))
+        self.manager._record_mutate(self, ("create", path))
 
     def write(self, path: str, offset: int, data: bytes) -> int:
         self._check_active()
@@ -255,7 +249,7 @@ class Session:
         if offset > len(buffer):
             buffer.extend(b"\x00" * (offset - len(buffer)))
         buffer[offset : offset + len(data)] = data
-        self._record_op(("write", path, offset, bytes(data)))
+        self.manager._record_mutate(self, ("write", path, offset, bytes(data)))
         return len(data)
 
     def append(self, path: str, data: bytes) -> int:
@@ -270,27 +264,27 @@ class Session:
             del buffer[size:]
         else:
             buffer.extend(b"\x00" * (size - len(buffer)))
-        self._record_op(("truncate", path, size))
+        self.manager._record_mutate(self, ("truncate", path, size))
 
     def unlink(self, path: str) -> None:
         self._check_active()
         if not self.exists(path):
             raise FileNotFound(path)
         self._buffers[path] = None
-        self._record_op(("unlink", path))
+        self.manager._record_mutate(self, ("unlink", path))
 
     def write_file(self, path: str, data: bytes) -> None:
         self._check_active()
         self._buffers[path] = bytearray(data)
-        self._record_op(("write_file", path, bytes(data)))
+        self.manager._record_mutate(self, ("write_file", path, bytes(data)))
 
     def rename(self, old: str, new: str) -> None:
         self._check_active()
-        if self.exists(new):
-            raise FileExists(new)
         content = self._view(old)
         if content is None:
             raise FileNotFound(old)
+        if old == new:
+            return
         self.write_file(new, content)
         self.unlink(old)
 

@@ -21,8 +21,8 @@ __all__ = ["chrome_trace_json", "metrics_json", "prometheus_text"]
 _PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _prom_name(name: str, namespace: str) -> str:
-    return _PROM_INVALID.sub("_", f"{namespace}_{name}" if namespace else name)
+def _prom_name(name: str) -> str:
+    return _PROM_INVALID.sub("_", f"repro_{name}")
 
 
 def _prom_value(value: float) -> str:
@@ -33,7 +33,7 @@ def _prom_value(value: float) -> str:
     return repr(value)
 
 
-def prometheus_text(snapshot: MetricsSnapshot, namespace: str = "repro") -> str:
+def prometheus_text(snapshot: MetricsSnapshot) -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
     Dots in metric names become underscores; histograms expand to the
@@ -41,18 +41,18 @@ def prometheus_text(snapshot: MetricsSnapshot, namespace: str = "repro") -> str:
     """
     lines: list[str] = []
     for name in sorted(snapshot.counters):
-        prom = _prom_name(name, namespace)
+        prom = _prom_name(name)
         lines.append(f"# HELP {prom} Counter {name}")
         lines.append(f"# TYPE {prom} counter")
         lines.append(f"{prom} {snapshot.counters[name]}")
     for name in sorted(snapshot.gauges):
-        prom = _prom_name(name, namespace)
+        prom = _prom_name(name)
         lines.append(f"# HELP {prom} Gauge {name}")
         lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom} {_prom_value(snapshot.gauges[name])}")
     for name in sorted(snapshot.histograms):
         hist = snapshot.histograms[name]
-        prom = _prom_name(name, namespace)
+        prom = _prom_name(name)
         lines.append(f"# HELP {prom} Histogram {name}")
         lines.append(f"# TYPE {prom} histogram")
         cumulative = hist.cumulative()
@@ -83,16 +83,16 @@ def metrics_json(snapshot: MetricsSnapshot) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def chrome_trace_json(spans: Iterable[Span], time_unit_s: float = 1.0) -> str:
+def chrome_trace_json(spans: Iterable[Span]) -> str:
     """Render spans as Chrome ``trace_event`` JSON (load via chrome://tracing).
 
     Each span becomes one complete ("X") event.  Simulated seconds are
-    scaled by ``time_unit_s`` then expressed in microseconds, the
-    format's native unit.  Parent/child structure is carried both
-    implicitly (containment of ``ts``/``dur`` intervals) and explicitly
-    through ``args.span_id`` / ``args.parent_id``.
+    expressed in microseconds, the format's native unit.  Parent/child
+    structure is carried both implicitly (containment of ``ts``/``dur``
+    intervals) and explicitly through ``args.span_id`` /
+    ``args.parent_id``.
     """
-    scale = 1e6 * time_unit_s
+    scale = 1e6
     events = []
     for span in spans:
         event_args = {"span_id": span.span_id, "parent_id": span.parent_id}

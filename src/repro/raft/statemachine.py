@@ -29,12 +29,8 @@ import hashlib
 import json
 from typing import Any
 
-from repro.distributed.master import (
-    METADATA_PLANE,
-    ClusterFileExists,
-    ClusterFileNotFound,
-    Master,
-)
+from repro.distributed.master import METADATA_PLANE, Master
+from repro.fs.errors import FileExists, FileNotFound
 
 #: Log opcode -> the ``Master`` mutator that applies it.
 _MUTATORS = {
@@ -88,7 +84,7 @@ class MetadataStateMachine:
         elif op in _MUTATORS:
             try:
                 result = getattr(self.master, _MUTATORS[op])(**args)
-            except (ClusterFileExists, ClusterFileNotFound, ValueError) as rejected:
+            except (FileExists, FileNotFound, ValueError) as rejected:
                 # A rejected command is a result, not a failed apply: the
                 # mutators validate before they mutate, so it is the same
                 # no-op on every replica, and only its proposer sees it

@@ -248,7 +248,7 @@ class NamespaceFS(FileSystem):
     # -- namespace overrides --------------------------------------------------
     def rename(self, old: str, new: str) -> None:
         mapped_old, mapped_new = self._map(old), self._map(new)
-        replaced = self.base._exists(mapped_new)
+        replaced = mapped_new != mapped_old and self.base._exists(mapped_new)
         replaced_size = self.base._size(mapped_new) if replaced else 0
         self.base.rename(mapped_old, mapped_new)
         if replaced:

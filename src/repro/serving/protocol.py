@@ -36,7 +36,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.fs.errors import FSError
 from repro.varint import VarintError, read_varint, write_varint
@@ -322,14 +322,6 @@ def decode_frame(buffer: bytes, offset: int = 0) -> tuple[Frame, int]:
     return Frame(opcode, request_id, unpack_payload(raw), flags), body_start + length
 
 
-def iter_frames(buffer: bytes) -> Iterator[Frame]:
-    """Decode back-to-back frames until the buffer is exhausted."""
-    offset = 0
-    while offset < len(buffer):
-        frame, offset = decode_frame(buffer, offset)
-        yield frame
-
-
 class FrameDecoder:
     """Incremental decoder for a byte stream carrying frames.
 
@@ -346,11 +338,12 @@ class FrameDecoder:
         if self._poisoned is not None:
             raise self._poisoned
         self._buffer += chunk
+        data = bytes(self._buffer)  # one copy per feed, not one per frame
         frames: list[Frame] = []
         offset = 0
         while True:
             try:
-                frame, offset = decode_frame(bytes(self._buffer), offset)
+                frame, offset = decode_frame(data, offset)
             except TruncatedFrame:
                 break
             except ProtocolError as exc:
@@ -360,7 +353,3 @@ class FrameDecoder:
             frames.append(frame)
         del self._buffer[:offset]
         return frames
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)

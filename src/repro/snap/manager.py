@@ -7,7 +7,7 @@ copy-on-write machinery does all the work — any live mutation of a
 shared block sees ``refcount > 1`` and diverges, so the frozen image
 stays readable forever at zero incremental cost.
 
-Every mutator runs inside the engine's ambient transaction
+Every mutator is one unit of the journal's ambient epoch
 (``@transactional``), so on a journaled device snapshot create /
 delete / rollback / clone commit atomically with the metadata image:
 a crash at any device write recovers to exactly the pre- or

@@ -15,7 +15,6 @@ from repro.storage.journal import (
     JournalDevice,
     JournalError,
     Transaction,
-    TransactionError,
     require_transaction,
     transactional,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "StatsRegistry",
     "Stopwatch",
     "Transaction",
-    "TransactionError",
     "require_transaction",
     "transactional",
 ]

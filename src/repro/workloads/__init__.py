@@ -14,7 +14,6 @@ from repro.workloads.filebench import FilebenchResult, build_fileset, run_filese
 from repro.workloads.metrics import (
     LatencyRecorder,
     LatencySummary,
-    ThroughputResult,
     percentile,
 )
 from repro.workloads.querygen import (
@@ -46,7 +45,6 @@ __all__ = [
     "QueryMixGenerator",
     "ReadOp",
     "STRUCTURED_DATASETS",
-    "ThroughputResult",
     "TimedOp",
     "WriteOp",
     "YCSBGenerator",

@@ -180,16 +180,19 @@ def generate_dataset(
     )
 
 
+#: Size of the shared (repeating) block pool of a redundancy sweep point.
+SWEEP_POOL_BLOCKS = 64
+
+
 def generate_redundancy_sweep(
     duplicate_fraction: float,
     total_bytes: int = 512 * 1024,
     block_size: int = 1024,
-    pool_blocks: int = 64,
     seed: int = 7,
 ) -> Dataset:
     """A single-knob dataset for the Figure 9 compression-ratio sweep."""
     rng = random.Random(f"{seed}-{duplicate_fraction:.4f}")
-    pool = [_text_block(rng, block_size, "html") for __ in range(pool_blocks)]
+    pool = [_text_block(rng, block_size, "html") for __ in range(SWEEP_POOL_BLOCKS)]
     blocks: list[bytes] = []
     for __ in range(max(1, total_bytes // block_size)):
         if rng.random() < duplicate_fraction:

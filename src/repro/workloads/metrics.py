@@ -82,24 +82,3 @@ def percentile(ordered: list[float], fraction: float) -> float:
         raise ValueError("fraction must be in [0, 1]")
     rank = max(0, min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1))
     return ordered[rank]
-
-
-@dataclass(frozen=True)
-class ThroughputResult:
-    """Operations and bytes over a span of (simulated) time."""
-
-    operations: int
-    elapsed_seconds: float
-    bytes_moved: int = 0
-
-    @property
-    def ops_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.operations / self.elapsed_seconds
-
-    @property
-    def mb_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.bytes_moved / (1024 * 1024) / self.elapsed_seconds

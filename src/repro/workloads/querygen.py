@@ -31,11 +31,15 @@ class WriteOp:
 Operation = Union[ReadOp, WriteOp]
 
 
-def zipf_rank(rng: random.Random, universe: int, skew: float = 1.1) -> int:
+#: Exponent of the approximate Zipf distribution :func:`zipf_rank` draws.
+ZIPF_SKEW = 1.1
+
+
+def zipf_rank(rng: random.Random, universe: int) -> int:
     """Approximate Zipf sampling by inverse-power transform."""
     # u in (0, 1]; rank ~ u^(-1/(skew-1)) clipped to the universe.
     u = 1.0 - rng.random()
-    rank = int(u ** (-1.0 / skew)) - 1
+    rank = int(u ** (-1.0 / ZIPF_SKEW)) - 1
     return min(rank, universe - 1)
 
 

@@ -163,12 +163,15 @@ def open_loop_arrivals(
         schedule.append(TimedOp(arrival_s=now, op=next(ops)))
 
 
+#: Bytes per stored value in :func:`run_ycsb`.
+VALUE_BYTES = 256
+
+
 def run_ycsb(
     db,
     workload: str,
     operations: int = 500,
     record_count: int = 300,
-    value_bytes: int = 256,
     seed: int = 7,
     corpus: Optional[bytes] = None,
 ) -> dict[str, int]:
@@ -187,9 +190,9 @@ def run_ycsb(
 
     def value_for(key: int) -> bytes:
         if corpus:
-            start = (key * value_bytes) % max(1, len(corpus) - value_bytes)
-            return corpus[start : start + value_bytes]
-        return (b"v%08d" % rng.randrange(10**8)) * (value_bytes // 9 + 1)
+            start = (key * VALUE_BYTES) % max(1, len(corpus) - VALUE_BYTES)
+            return corpus[start : start + VALUE_BYTES]
+        return (b"v%08d" % rng.randrange(10**8)) * (VALUE_BYTES // 9 + 1)
 
     for key in generator.preload_keys():
         db.put(key_bytes(key), value_for(key))
@@ -209,5 +212,5 @@ def run_ycsb(
                     break
         elif op.kind == "rmw":
             current = db.get(key_bytes(op.key)) or b""
-            db.put(key_bytes(op.key), current[: value_bytes // 2] + value_for(op.key)[: value_bytes // 2])
+            db.put(key_bytes(op.key), current[: VALUE_BYTES // 2] + value_for(op.key)[: VALUE_BYTES // 2])
     return counts

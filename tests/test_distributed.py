@@ -7,11 +7,12 @@ import pytest
 from repro.databases.colcodec import pack_int_cells
 from repro.distributed import (
     ChunkServer,
-    ClusterFileExists,
-    ClusterFileNotFound,
     Master,
     build_cluster,
 )
+from repro.core.operations import OperationModule
+from repro.fs.errors import FileExists, FileNotFound
+from repro.fs.posix_ops import PosixOperations
 from repro.storage.simclock import SimClock
 
 
@@ -31,11 +32,11 @@ class TestMaster:
 
     def test_duplicate_create(self, master):
         master.create("/f")
-        with pytest.raises(ClusterFileExists):
+        with pytest.raises(FileExists):
             master.create("/f")
 
     def test_lookup_missing(self, master):
-        with pytest.raises(ClusterFileNotFound):
+        with pytest.raises(FileNotFound):
             master.lookup("/missing")
 
     def test_round_robin_allocation(self, master):
@@ -115,6 +116,40 @@ class TestChunkServer:
         server.append("c1", b"1234")
         server.replace("c1", 0, b"ab")
         assert server.read("c1", 0, 4) == b"ab34"
+
+    def test_dispatched_ops_round_trip_against_a_byte_model(self, server):
+        """The operations object is chosen once, at construction: the
+        engine's own module on a CompressDB server (called directly, so
+        no adapter sits on the RPC path), POSIX emulation on a baseline
+        one.  A wrong choice fails every step below."""
+        expected = OperationModule if server.compressed else PosixOperations
+        assert type(server._ops) is expected
+        rng = random.Random(18)
+        model = bytearray()
+        server.create_chunk("c1")
+        for step in range(120):
+            data = bytes(rng.choices(b"abc ", k=rng.randrange(1, 2500)))
+            at = rng.randrange(len(model) + 1)
+            op = rng.choice(["append", "insert", "replace", "delete_range"])
+            if op == "append":
+                server.append("c1", data)
+                model += data
+            elif op == "insert":
+                server.insert("c1", at, data)
+                model[at:at] = data
+            elif op == "replace":
+                data = data[: len(model) - at]  # replace never extends
+                server.replace("c1", at, data)
+                model[at : at + len(data)] = data
+            else:
+                length = rng.randrange(len(model) - at + 1)
+                server.delete_range("c1", at, length)
+                del model[at : at + length]
+            assert server.read("c1", 0, len(model) + 1) == bytes(model), (step, op)
+            pattern = bytes(rng.choices(b"abc ", k=rng.randrange(1, 4)))
+            offsets = [i for i in range(len(model)) if model.startswith(pattern, i)]
+            assert server.search("c1", pattern) == offsets
+            assert server.count("c1", pattern) == len(offsets)
 
 
 class TestCluster:

@@ -39,11 +39,20 @@ class TestNamespace:
         assert not engine.exists("/a")
         assert engine.read_file("/b") == b"payload"
 
-    def test_rename_over_existing_raises(self, engine):
-        engine.create("/a")
-        engine.create("/b")
-        with pytest.raises(FileExists):
-            engine.rename("/a", "/b")
+    def test_rename_over_existing_replaces(self, engine):
+        engine.write_file("/a", b"a" * 300)
+        engine.write_file("/b", b"b" * 900)
+        engine.write("/b", 900, b"buffered tail")  # dies with the target
+        engine.rename("/a", "/b")
+        assert engine.list_files() == ["/b"]
+        assert engine.read_file("/b") == b"a" * 300
+        engine.rename("/b", "/b")  # onto itself: nothing to do
+        assert engine.read_file("/b") == b"a" * 300
+        with pytest.raises(FileNotFound):
+            engine.rename("/missing", "/missing")
+        engine.check_invariants()
+        engine.unlink("/b")
+        assert engine.physical_data_blocks() == 0  # the target's blocks were released
 
     def test_list_files_with_prefix(self, engine):
         for path in ("/x/1", "/x/2", "/y/1"):

@@ -213,7 +213,7 @@ def _assert_clean(engine):
 
 
 def _mixed_workload(engine):
-    """Mixed create/write/insert/truncate/rename/unlink ops, one commit each.
+    """Mixed create/write/insert/truncate/rename(-over)/unlink ops, one commit each.
 
     A generator: yields after every fsync so the harness can snapshot
     (when observing) or count completed operations (when crashing).
@@ -229,6 +229,9 @@ def _mixed_workload(engine):
     engine.fsync()
     yield
     engine.rename("/new", "/moved")
+    engine.fsync()
+    yield
+    engine.rename("/moved", "/keep")  # replaces /keep, releasing its blocks
     engine.fsync()
     yield
     engine.unlink("/keep")

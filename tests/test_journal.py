@@ -12,8 +12,8 @@ from repro.storage.journal import (
     Journal,
     JournalDevice,
     JournalError,
-    TransactionError,
     require_transaction,
+    transactional,
 )
 from repro.storage.block_device import (
     BlockDeviceError,
@@ -248,14 +248,10 @@ class TestRequireTransaction:
         device = MemoryBlockDevice(block_size=BLOCK)
         require_transaction(device)  # must not raise
 
-    def test_journal_device_reports_open_transaction(self):
+    def test_declarations_have_no_run_time_half(self):
+        def mutate(self):
+            return "done"
+
+        assert transactional(mutate) is mutate
         dev, __, __ = TestJournalDevice()._journaled()
-        assert dev.in_transaction
-        require_transaction(dev)  # must not raise
-
-    def test_closed_transaction_rejected(self):
-        class Stale:
-            in_transaction = False
-
-        with pytest.raises(TransactionError):
-            require_transaction(Stale())
+        assert require_transaction(dev) is None

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.databases.minicolumn import ColumnStoreError, MiniColumn
+from repro.databases.minicolumn import ColumnStoreError, MiniColumn, _scanned_columns
+from repro.databases.sql_parser import parse
 from repro.fs import CompressFS, PassthroughFS
 
 
@@ -95,12 +96,10 @@ class TestColumnarAccess:
     def test_count_star_scans_one_column(self, db):
         insert_rows(db, 10)
         table = db.table("t")
-        assert db._referenced_columns(
-            __import__("repro.databases.sql_parser", fromlist=["parse"]).parse(
-                "SELECT count(*) FROM t"
-            ),
-            table,
-        ) == ["id"]
+        scanned, required = _scanned_columns(
+            parse("SELECT count(*) FROM t"), table.column_names
+        )
+        assert (scanned, required) == (["id"], set())
 
     def test_scan_unknown_column_rejected(self, db):
         insert_rows(db, 5)

@@ -14,15 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.distributed.master import (
-    METADATA_PLANE,
-    ClusterFileExists,
-    ClusterFileNotFound,
-    Master,
-)
+from repro.distributed.master import METADATA_PLANE, Master
 from repro.distributed.replicated import MasterGroup, ReplicatedMaster
 from repro.distributed.shardmap import ShardedMaster
-from repro.fs.errors import TryAgain, wire_code, wire_error_payload
+from repro.fs.errors import (
+    FileExists,
+    FileNotFound,
+    TryAgain,
+    wire_code,
+    wire_error_payload,
+)
 from repro.raft.log import LogEntry, RaftLog, RaftLogError
 from repro.raft.node import LEADER, NodeCrashed, NotLeaderError, RaftConfig
 from repro.raft.statemachine import (
@@ -340,9 +341,9 @@ class TestMetadataPlane:
         facade = ReplicatedMaster(group)
         facade.create("/a")
         chunk = facade.allocate_chunk("/a")
-        with pytest.raises(ClusterFileExists):
+        with pytest.raises(FileExists):
             facade.create("/a")
-        with pytest.raises(ClusterFileNotFound):
+        with pytest.raises(FileNotFound):
             facade.unlink("/missing")
         with pytest.raises(ValueError):
             facade.extend_chunk("/a", chunk.chunk_id, -1)

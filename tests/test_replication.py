@@ -17,23 +17,28 @@ class TestMasterReplication:
         with pytest.raises(ValueError):
             Master(["a", "b"], replication=0)
 
+    # Mutating metadata RPCs declare require_held(): the caller owns the
+    # master lock (as ClusterClient does around composites).
     def test_replicas_are_distinct_servers(self):
         master = Master(["a", "b", "c"], replication=2)
-        master.create("/f")
-        for __ in range(6):
-            chunk = master.allocate_chunk("/f")
-            assert len(set(chunk.servers)) == 2
+        with master.lock:
+            master.create("/f")
+            for __ in range(6):
+                chunk = master.allocate_chunk("/f")
+                assert len(set(chunk.servers)) == 2
 
     def test_primary_accessor(self):
         master = Master(["a", "b"], replication=2)
-        master.create("/f")
-        chunk = master.allocate_chunk("/f")
+        with master.lock:
+            master.create("/f")
+            chunk = master.allocate_chunk("/f")
         assert chunk.server == chunk.servers[0]
 
     def test_rotation_spreads_primaries(self):
         master = Master(["a", "b", "c"], replication=2)
-        master.create("/f")
-        primaries = [master.allocate_chunk("/f").server for __ in range(6)]
+        with master.lock:
+            master.create("/f")
+            primaries = [master.allocate_chunk("/f").server for __ in range(6)]
         assert set(primaries) == {"a", "b", "c"}
 
 

@@ -41,6 +41,7 @@ from repro.serving import (
     DeficitRoundRobin,
     FramedSocketServer,
     LoopbackTransport,
+    NamespaceFS,
     RemoteFS,
     Server,
     ServerConfig,
@@ -196,6 +197,17 @@ class TestFraming:
         for byte in b"".join(frames):
             seen += decoder.feed(bytes([byte]))
         assert [f.payload["i"] for f in seen] == [0, 1, 2]
+
+    def test_decoder_takes_many_frames_in_one_chunk(self):
+        frames = [
+            protocol.encode_frame(protocol.OPCODES["PING"], i, {"i": i})
+            for i in range(500)
+        ]
+        decoder = protocol.FrameDecoder()
+        seen = decoder.feed(b"".join(frames) + frames[0][:5])
+        assert [f.payload["i"] for f in seen] == list(range(500))
+        # The partial frame behind them stayed buffered.
+        assert [f.request_id for f in decoder.feed(frames[0][5:])] == [0]
 
     def test_decoder_poisons_on_framing_error(self):
         decoder = protocol.FrameDecoder()
@@ -422,6 +434,17 @@ class TestTenantIsolation:
             fs.write_file("/b", b"y" * 400)
         fs.unlink("/a")
         fs.write_file("/b", b"y" * 400)
+
+    def test_rename_over_credits_the_replaced_file_once(self):
+        fs = NamespaceFS(CompressFS(block_size=64), "t")
+        fs.write_file("/a", b"a" * 100)
+        fs.write_file("/b", b"b" * 40)
+        assert (fs.ledger.used_bytes, fs.ledger.used_inodes) == (140, 2)
+        fs.rename("/a", "/b")
+        assert fs.read_file("/b") == b"a" * 100
+        assert (fs.ledger.used_bytes, fs.ledger.used_inodes) == (100, 1)
+        fs.rename("/b", "/b")  # onto itself: replaces nothing
+        assert (fs.ledger.used_bytes, fs.ledger.used_inodes) == (100, 1)
 
     def test_inode_and_fd_quotas(self):
         server = make_server()

@@ -10,8 +10,6 @@ import pytest
 from repro.locks import tracked_lock
 from repro.distributed import (
     ChunkInfo,
-    ClusterFileExists,
-    ClusterFileNotFound,
     FileEntry,
     Master,
     MasterGroup,
@@ -22,6 +20,7 @@ from repro.distributed import (
     build_replicated_cluster,
 )
 from repro.distributed.master import METADATA_PLANE
+from repro.fs.errors import FileExists, FileNotFound
 from repro.distributed.shardmap import ClientShardCache
 
 
@@ -267,7 +266,7 @@ def _drive(master, seed, steps, pinned):
     def call(op, *args):
         try:
             result = getattr(master, op)(*args)
-        except (ClusterFileExists, ClusterFileNotFound, ValueError) as exc:
+        except (FileExists, FileNotFound, ValueError) as exc:
             trace.append((op, type(exc).__name__))
             return None
         if op == "allocate_chunk":
@@ -369,7 +368,7 @@ class TestThreePlanes:
         assert set(METADATA_PLANE) <= seen
         assert {
             outcome for __, outcome in plain if isinstance(outcome, str)
-        } >= {"ClusterFileExists", "ClusterFileNotFound", "ValueError"}
+        } >= {"FileExists", "FileNotFound", "ValueError"}
         for kind in ["replicated", "sharded"] if pinned else ["replicated"]:
             master, groups = _plane(kind)
             trace = _drive(master, seed=20260928, steps=200, pinned=pinned)
