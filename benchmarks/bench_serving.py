@@ -36,11 +36,10 @@ from repro.serving import (
     ServerConfig,
     ServingRequest,
     TenantConfig,
-    exact_percentile,
     jain_fairness,
 )
 from repro.serving.protocol import OPCODES
-from repro.workloads import open_loop_arrivals
+from repro.workloads import open_loop_arrivals, percentile
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
@@ -159,15 +158,15 @@ def fileserver_requests(
 
 
 def _latency_summary(outcome: dict) -> dict:
-    latencies = [lat for entry in outcome.values() for lat in entry["latencies"]]
+    latencies = sorted(lat for entry in outcome.values() for lat in entry["latencies"])
     return {
         "completed": len(latencies),
         "accepted": sum(e["accepted"] for e in outcome.values()),
         "shed": sum(e["shed"] for e in outcome.values()),
         "errors": sum(e["errors"] for e in outcome.values()),
-        "p50_ms": exact_percentile(latencies, 0.50) * 1e3,
-        "p95_ms": exact_percentile(latencies, 0.95) * 1e3,
-        "p99_ms": exact_percentile(latencies, 0.99) * 1e3,
+        "p50_ms": percentile(latencies, 0.50) * 1e3,
+        "p95_ms": percentile(latencies, 0.95) * 1e3,
+        "p99_ms": percentile(latencies, 0.99) * 1e3,
     }
 
 

@@ -13,12 +13,12 @@ Public surface:
 # engine back; the cycle only resolves when it is entered from the fs
 # side, so load it before any core module.
 import repro.fs.errors  # noqa: F401
-from repro.core.compressor import Compressor, CompressorStats
+from repro.core.compressor import Compressor
 from repro.core.engine import BlockHandle, CompressDB
 from repro.core.superblock import PersistenceError
 from repro.core.hashtable import BlockHashTable, hash_block
 from repro.core.holes import Hole, HoleDirectory
-from repro.core.operations import OperationError, OperationModule, OperationStats
+from repro.core.operations import OperationError, OperationModule
 from repro.core.refcount import BlockRefCount
 
 __all__ = [
@@ -27,12 +27,10 @@ __all__ = [
     "BlockRefCount",
     "CompressDB",
     "Compressor",
-    "CompressorStats",
     "Hole",
     "HoleDirectory",
     "OperationError",
     "OperationModule",
-    "OperationStats",
     "PersistenceError",
     "hash_block",
 ]

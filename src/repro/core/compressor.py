@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.hashtable import BlockHashTable
 from repro.core.refcount import BlockRefCount
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterGroup
 from repro.storage.block_device import BlockDevice
 from repro.storage.inode import Inode, Slot
 from repro.storage.journal import require_transaction
@@ -38,38 +38,6 @@ COMPRESSOR_FIELDS = (
 )
 
 
-class CompressorStats:
-    """Counters describing the compressor's behaviour (registry-backed).
-
-    Mutation goes through :meth:`record`; reads through :meth:`snapshot`
-    (``__slots__``: a stray attribute write raises).
-    """
-
-    __slots__ = ("registry", "prefix", "_counters")
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "engine.compressor",
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
-        self._counters = {
-            name: self.registry.counter(f"{prefix}.{name}")
-            for name in COMPRESSOR_FIELDS
-        }
-
-    def record(self, field_name: str, n: int = 1) -> None:
-        self._counters[field_name].inc(n)
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: c.value for name, c in self._counters.items()}
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
-
-
 @dataclass
 class Compressor:
     """Implements Algorithm 1 over a device, hash table, and refcounts."""
@@ -78,7 +46,9 @@ class Compressor:
     hashtable: BlockHashTable
     refcount: BlockRefCount
     dedup: bool = True
-    stats: CompressorStats = field(default_factory=CompressorStats)
+    stats: CounterGroup = field(
+        default_factory=lambda: CounterGroup("engine.compressor", COMPRESSOR_FIELDS)
+    )
 
     def _pad(self, content: bytes) -> bytes:
         block_size = self.device.block_size

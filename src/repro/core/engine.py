@@ -23,14 +23,14 @@ from typing import Iterator, Optional, Sequence
 from dataclasses import dataclass, field
 
 from repro.core import superblock as sb
-from repro.core.compressor import Compressor, CompressorStats
+from repro.core.compressor import COMPRESSOR_FIELDS, Compressor
 from repro.core.hashtable import BlockHashTable
 from repro.core.holes import HoleDirectory
-from repro.core.operations import OperationModule, OperationStats
+from repro.core.operations import OPERATION_FIELDS, OperationModule
 from repro.core.refcount import BlockRefCount
 from repro.fs.errors import FileExists, FileNotFound, InvalidArgument
 from repro.obs import Observability
-from repro.obs.metrics import MetricsSnapshot
+from repro.obs.metrics import CounterGroup, MetricsSnapshot
 from repro.snap.manager import SnapshotManager
 from repro.storage.block_device import BlockDevice, MemoryBlockDevice
 from repro.storage.inode import Inode, Slot
@@ -120,10 +120,13 @@ class CompressDB:
             hashtable=self.hashtable,
             refcount=self.refcount,
             dedup=dedup,
-            stats=CompressorStats(registry=self.obs.registry),
+            stats=CounterGroup(
+                "engine.compressor", COMPRESSOR_FIELDS, self.obs.registry
+            ),
         )
         self.ops = OperationModule(
-            engine=self, stats=OperationStats(registry=self.obs.registry)
+            engine=self,
+            stats=CounterGroup("engine.ops", OPERATION_FIELDS, self.obs.registry),
         )
         self.snapshots = SnapshotManager(self)
         self._c_txn_commits = self.obs.registry.counter("engine.txn.commits")
@@ -235,12 +238,10 @@ class CompressDB:
             return
         buffered = self._pending.pop(path, None)
         if buffered:
-            hooks = self.obs.hooks
-            if hooks.active("engine.coalesce.flush"):
-                hooks.fire(
-                    "engine.coalesce.flush", path=path, nbytes=len(buffered)
-                )
-            self.ops._append_data(self._inode_raw(path), bytes(buffered))
+            with self.obs.tracer.span(
+                "engine.coalesce.flush", path=path, nbytes=len(buffered)
+            ):
+                self.ops._append_data(self._inode_raw(path), bytes(buffered))
 
     def sync(self, path: Optional[str] = None) -> None:
         """Commit coalesced pending appends of ``path`` (or every file).

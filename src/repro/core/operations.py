@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core import match
 from repro.fs.errors import InvalidArgument
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterGroup
 from repro.storage.inode import Inode, Slot
 from repro.storage.journal import require_transaction, transactional
 
@@ -41,38 +41,6 @@ OPERATION_FIELDS = (
     "count",
     "word_count",
 )
-
-
-class OperationStats:
-    """Per-operation invocation counters (registry-backed).
-
-    Mutation goes through :meth:`record`; reads through :meth:`snapshot`
-    (``__slots__``: a stray attribute write raises).
-    """
-
-    __slots__ = ("registry", "prefix", "_counters")
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "engine.ops",
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
-        self._counters = {
-            name: self.registry.counter(f"{prefix}.{name}")
-            for name in OPERATION_FIELDS
-        }
-
-    def record(self, field_name: str, n: int = 1) -> None:
-        self._counters[field_name].inc(n)
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: c.value for name, c in self._counters.items()}
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
 
 
 def _tokenize_block(content: bytes) -> tuple[bool, bytes, Counter, bytes]:
@@ -111,7 +79,7 @@ class OperationModule:
     """Binds the seven pushed-down operations to a CompressDB engine."""
 
     engine: "CompressDB"
-    stats: OperationStats = field(default_factory=OperationStats)
+    stats: CounterGroup
 
     # -- helpers -----------------------------------------------------------
     def _inode(self, path: str) -> Inode:

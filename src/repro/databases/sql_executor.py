@@ -138,8 +138,15 @@ class _Accumulator:
             if self.func.name != "count":
                 raise EvaluationError(f"{self.func.name}(*) is not valid")
             self.count += 1
+        else:
+            self.add_value(evaluate(self.func.argument, row))
+
+    def add_value(self, value: object) -> None:
+        """Accumulate an already-evaluated argument (ignored for ``*``):
+        how the vectorized path feeds decoded values instead of rows."""
+        if isinstance(self.func.argument, Star):
+            self.count += 1
             return
-        value = evaluate(self.func.argument, row)
         if value is None:
             return  # SQL aggregates skip NULLs
         self.count += 1
@@ -287,6 +294,17 @@ def _run_grouped(select: Select, rows: Iterable[Row]) -> list[dict[str, object]]
         for accumulator in groups[key][1].values():
             accumulator.add(row)
 
+    return _finish_groups(select, groups, aggregates)
+
+
+def _finish_groups(
+    select: Select,
+    groups: dict[tuple, tuple[Row, dict[FuncCall, _Accumulator]]],
+    aggregates: Iterable[FuncCall],
+) -> list[dict[str, object]]:
+    """One projected row per accumulated group (``key -> (sample row,
+    accumulators)``): the tail the row and vectorized paths share."""
+    group_columns = [column.name for column in select.group_by]
     if not groups and not group_columns:
         # Aggregate over an empty input still yields one row.
         groups[()] = ({}, {func: _Accumulator(func) for func in aggregates})

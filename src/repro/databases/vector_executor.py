@@ -27,9 +27,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.databases.sql_executor import (
     _Accumulator,
     _collect_aggregates,
-    _evaluate_with_aggregates,
-    _expr_label,
-    _item_name,
+    _finish_groups,
     apply_order_limit,
     contains_aggregate,
     run_select,
@@ -110,24 +108,6 @@ def _block_selection(
     return selected
 
 
-class _VectorAccumulator(_Accumulator):
-    """The shared accumulator, fed decoded values instead of rows."""
-
-    def add_value(self, value: object) -> None:
-        if isinstance(self.func.argument, Star):
-            self.count += 1
-            return
-        if value is None:
-            return  # SQL aggregates skip NULLs
-        self.count += 1
-        if isinstance(value, (int, float)):
-            self.total += value
-        if self.minimum is None or value < self.minimum:  # type: ignore[operator]
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:  # type: ignore[operator]
-            self.maximum = value
-
-
 def try_run_select_vectorized(
     select: Select, table: "ColumnTable"
 ) -> Optional[list[dict[str, object]]]:
@@ -190,7 +170,7 @@ def _run_grouped_vectorized(
             return None  # e.g. sum(a + b): row path handles it
 
     group_columns = [column.name for column in select.group_by]
-    groups: dict[tuple, tuple[dict[str, object], dict[FuncCall, _VectorAccumulator]]] = {}
+    groups: dict[tuple, tuple[dict[str, object], dict[FuncCall, _Accumulator]]] = {}
     for __, __, mask, vectors in blocks:
         selected = _block_selection(mask, vectors, conjuncts)
         if not any(selected):
@@ -204,30 +184,11 @@ def _run_grouped_vectorized(
             if state is None:
                 state = (
                     {name: columns[name][i] for name in names},
-                    {func: _VectorAccumulator(func) for func in aggregates},
+                    {func: _Accumulator(func) for func in aggregates},
                 )
                 groups[key] = state
             for func, accumulator in state[1].items():
                 column = argument_columns[func]
                 accumulator.add_value(None if column is None else columns[column][i])
 
-    if not groups and not group_columns:
-        # Aggregate over an empty input still yields one row.
-        groups[()] = ({}, {func: _VectorAccumulator(func) for func in aggregates})
-
-    output: list[dict[str, object]] = []
-    for key, (sample, accumulators) in groups.items():
-        results = {func: acc.result() for func, acc in accumulators.items()}
-        projected: dict[str, object] = {}
-        for index, item in enumerate(select.items):
-            projected[_item_name(item, index)] = _evaluate_with_aggregates(
-                item.expr, sample, results
-            )
-        for name, value in zip(group_columns, key):
-            projected.setdefault(name, value)
-        for order in select.order_by:
-            if contains_aggregate(order.expr):
-                value = _evaluate_with_aggregates(order.expr, sample, results)
-                projected.setdefault(_expr_label(order.expr), value)
-        output.append(projected)
-    return apply_order_limit(select, output)
+    return apply_order_limit(select, _finish_groups(select, groups, aggregates))

@@ -19,18 +19,17 @@ from repro.distributed.replicated import MasterGroup, ReplicatedMaster
 from repro.distributed.shardmap import ShardedMaster
 from repro.obs import Observability
 from repro.storage.simclock import DATACENTER_LAN, NetworkProfile, SimClock
-from repro.storage.stats import StatsRegistry
+from repro.storage.stats import IOStats
 
 
 @dataclass
 class Cluster:
-    """A running cluster: master, servers, client, clock, stats."""
+    """A running cluster: master, servers, client, clock, observability."""
 
     master: Master
     servers: dict[str, ChunkServer]
     client: ClusterClient
     clock: SimClock
-    stats: StatsRegistry
     obs: Observability
 
     def metrics(self):
@@ -56,9 +55,10 @@ def _build_chunk_servers(
     block_size: int,
     durable: bool,
     racks: int = 0,
-) -> tuple[SimClock, Observability, StatsRegistry, dict[str, ChunkServer]]:
+) -> tuple[SimClock, Observability, dict[str, ChunkServer]]:
     """The data plane both builders share: one clock, one observability
-    bundle, one stats directory, ``nodes`` chunk servers on them.
+    bundle, ``nodes`` chunk servers reporting into it as
+    ``cluster.<name>.device.*``.
 
     ``racks > 0`` labels servers round-robin ``rack0..rack{racks-1}``.
     """
@@ -66,7 +66,6 @@ def _build_chunk_servers(
         raise ValueError("a cluster needs at least one node")
     clock = SimClock()
     obs = Observability(clock=clock)
-    stats = StatsRegistry(metrics=obs.registry)
     servers: dict[str, ChunkServer] = {}
     for index in range(nodes):
         name = f"node{index}"
@@ -75,12 +74,12 @@ def _build_chunk_servers(
             clock=clock,
             compressed=compressed,
             block_size=block_size,
-            stats=stats.register(name, prefix=f"cluster.{name}.device"),
+            stats=IOStats(registry=obs.registry, prefix=f"cluster.{name}.device"),
             durable=durable,
             obs=obs,
             domain=f"rack{index % racks}" if racks > 0 else "",
         )
-    return clock, obs, stats, servers
+    return clock, obs, servers
 
 
 def build_cluster(
@@ -102,16 +101,14 @@ def build_cluster(
     mounts each server's engine behind the journal (group commit after
     every mutating RPC), as the crash-consistency experiments do.
     """
-    clock, obs, stats, servers = _build_chunk_servers(
+    clock, obs, servers = _build_chunk_servers(
         nodes, compressed, block_size, durable
     )
     master = Master(list(servers), chunk_capacity=chunk_capacity, replication=replication)
     client = ClusterClient(
         master, servers, clock=clock, network=network, pushdown=pushdown, obs=obs
     )
-    return Cluster(
-        master=master, servers=servers, client=client, clock=clock, stats=stats, obs=obs
-    )
+    return Cluster(master=master, servers=servers, client=client, clock=clock, obs=obs)
 
 
 @dataclass
@@ -156,7 +153,7 @@ def build_replicated_cluster(
     replicas across; ``racks == 0`` leaves servers unlabelled (each is
     its own domain).
     """
-    clock, obs, stats, servers = _build_chunk_servers(
+    clock, obs, servers = _build_chunk_servers(
         nodes, compressed, block_size, durable, racks
     )
     domains = (
@@ -195,7 +192,6 @@ def build_replicated_cluster(
         servers=servers,
         client=client,
         clock=clock,
-        stats=stats,
         obs=obs,
         groups=groups,
     )

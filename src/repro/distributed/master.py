@@ -24,7 +24,7 @@ step, the replicated facade and the shard router are derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from repro.fs.errors import FileExists, FileNotFound
 from repro.locks import LOCK_TIERS, TrackedLock, tracked_lock
@@ -62,6 +62,12 @@ class FileEntry:
 
 class Master:
     """Metadata-only coordinator."""
+
+    #: Log opcode -> the mutator that applies it, filled in from
+    #: :data:`METADATA_PLANE` below.  The Raft apply step reads it off
+    #: the replica it is handed, so :mod:`repro.raft` imports nothing of
+    #: this package.
+    LOG_MUTATORS: ClassVar[Mapping[str, str]]
 
     def __init__(
         self,
@@ -449,4 +455,10 @@ METADATA_PLANE: Mapping[str, tuple[Optional[str], str]] = {
     "total_logical_bytes": (None, "sum"),
     "chunk_count": (None, "sum"),
     "placement_moves": (None, "concat"),
+}
+
+Master.LOG_MUTATORS = {
+    opcode: method
+    for method, (opcode, __) in sorted(METADATA_PLANE.items())
+    if opcode is not None
 }

@@ -1,18 +1,17 @@
 """``repro.obs`` — the unified observability subsystem (DESIGN.md §9).
 
-One bundle of three facilities, shared by every layer of a running
-stack:
+One bundle of two facilities, shared by every layer of a running
+stack — a layer reports by holding an instrument or by opening a span:
 
 * **metrics** — :class:`~repro.obs.metrics.MetricsRegistry`: typed
   counters/gauges/histograms under dotted names
   (``storage.device.block_reads``, ``engine.txn.commit_ms``,
-  ``cluster.rpc.bytes``) with snapshot/delta/merge semantics;
+  ``cluster.rpc.bytes``) with snapshot/delta/merge semantics, a
+  handful of related counts held together as one
+  :class:`~repro.obs.metrics.CounterGroup`;
 * **tracing** — :class:`~repro.obs.trace.Tracer`: nestable spans with
   deterministic ids, timestamps from the simulated clock, exported as
-  Chrome ``trace_event`` JSON;
-* **hooks** — :class:`~repro.obs.hooks.HookRegistry`: opt-in sampled
-  profiling callbacks at declared sites (cache eviction, journal
-  commit phases, coalescing flushes).
+  Chrome ``trace_event`` JSON.
 
 An :class:`Observability` instance travels with a block device: the
 engine, VFS, journal wrapper, and cluster nodes all adopt the device's
@@ -27,9 +26,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.hooks import HookRegistry, HookSubscription
 from repro.obs.metrics import (
     Counter,
+    CounterGroup,
     Gauge,
     Histogram,
     HistogramSnapshot,
@@ -40,11 +39,10 @@ from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Counter",
+    "CounterGroup",
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
-    "HookRegistry",
-    "HookSubscription",
     "MetricsRegistry",
     "MetricsSnapshot",
     "Observability",
@@ -80,22 +78,21 @@ def global_tracer() -> Optional[Tracer]:
 
 
 class Observability:
-    """The per-stack observability bundle: clock + registry + tracer + hooks.
+    """The per-stack observability bundle: clock + registry + tracer.
 
     Components receiving an existing bundle share everything; a
-    component constructing its own gets a private registry and hook
-    table, a disabled tracer — and, while global tracing is on, the
-    process-wide tracer instead.
+    component constructing its own gets a private registry and a
+    disabled tracer — and, while global tracing is on, the process-wide
+    tracer instead.
     """
 
-    __slots__ = ("clock", "registry", "tracer", "hooks")
+    __slots__ = ("clock", "registry", "tracer")
 
     def __init__(
         self,
         clock=None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        hooks: Optional[HookRegistry] = None,
     ) -> None:
         self.clock = clock
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -106,7 +103,6 @@ class Observability:
         if tracer is None:
             tracer = Tracer(clock=clock)
         self.tracer = tracer
-        self.hooks = hooks if hooks is not None else HookRegistry()
 
     def span(self, name: str, **attrs):
         """Shorthand for ``self.tracer.span(...)``."""

@@ -29,6 +29,7 @@ from typing import Mapping, Optional, Sequence
 
 __all__ = [
     "Counter",
+    "CounterGroup",
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
@@ -155,6 +156,14 @@ class Histogram:
         self.counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
         self.count = 0
+
+    def snapshot(self) -> "HistogramSnapshot":
+        return HistogramSnapshot(
+            bounds=self.bounds,
+            counts=tuple(self.counts),
+            sum=self.sum,
+            count=self.count,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}, n={self.count}, sum={self.sum})"
@@ -386,15 +395,7 @@ class MetricsRegistry:
         snap = MetricsSnapshot(
             counters={name: c.value for name, c in self._counters.items()},
             gauges={name: g.value for name, g in self._gauges.items()},
-            histograms={
-                name: HistogramSnapshot(
-                    bounds=h.bounds,
-                    counts=tuple(h.counts),
-                    sum=h.sum,
-                    count=h.count,
-                )
-                for name, h in self._histograms.items()
-            },
+            histograms={name: h.snapshot() for name, h in self._histograms.items()},
         )
         return snap.filter(prefix) if prefix else snap
 
@@ -405,3 +406,40 @@ class MetricsRegistry:
             for name, instrument in table.items():
                 if dotted is None or name.startswith(dotted):
                     instrument.reset()
+
+
+class CounterGroup:
+    """A fixed set of counters under one prefix, bumped by field name.
+
+    How a layer with a handful of related counts reports them:
+    ``CounterGroup("engine.ops", OPERATION_FIELDS, registry)`` registers
+    ``engine.ops.<field>`` for every field, :meth:`record` bumps one and
+    :meth:`snapshot` reads them all back as a ``field -> value`` dict.
+    Without a ``registry`` the group counts into a private one.
+    ``__slots__`` makes a stray ``group.commits += 1`` an
+    ``AttributeError`` instead of a silent divergence from the registry.
+    """
+
+    __slots__ = ("registry", "prefix", "_counters")
+
+    def __init__(
+        self,
+        prefix: str,
+        fields: Sequence[str],
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.prefix = prefix
+        self._counters = {
+            name: self.registry.counter(f"{prefix}.{name}") for name in fields
+        }
+
+    def record(self, field_name: str, n: int = 1) -> None:
+        self._counters[field_name].inc(n)
+
+    def snapshot(self) -> dict[str, int]:
+        return {name: c.value for name, c in self._counters.items()}
+
+    def reset(self) -> None:
+        for counter in self._counters.values():
+            counter.reset()

@@ -10,12 +10,13 @@ Raft needs two durable structures per node (§5.1 of the Raft paper):
 
 Both live on one block device.  Block 0 holds the hard state as a
 single CRC-tagged record; blocks 1.. hold the log as a sequence of
-batches in exactly the write-ahead journal's wire format
-(:mod:`repro.storage.journal`): descriptor blocks carrying
-``(magic, lsn, n_tags)`` plus per-entry CRC tags, one data block per
-entry, and a checksummed commit record.  The LSN of a batch is the
-Raft index of its first entry, so the journal's torn-tail rule
-transfers verbatim: a crash mid-append leaves a batch without a valid
+batches written and parsed by the write-ahead journal's own codec
+(:func:`repro.storage.journal.encode_batch` / ``parse_batch``):
+descriptor blocks carrying ``(magic, lsn, n_tags)`` plus per-entry CRC
+tags, one data block per entry, and a checksummed commit record.  The
+tag of a data block is its entry's Raft index and the LSN of a batch
+the index of its first entry, so the journal's torn-tail rule is the
+log's: a crash mid-append leaves a batch without a valid
 commit record, recovery stops at the previous batch boundary, and the
 un-acked suffix vanishes — which Raft explicitly tolerates (an entry
 is only *committed* once replicated on a majority).
@@ -31,17 +32,13 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from repro.storage.block_device import BlockDevice
-from repro.storage.journal import (
-    BATCH_CRC,
-    BATCH_DESC,
-    BATCH_TAG,
-    COMMIT_MAGIC,
-    DESC_MAGIC,
-)
+from repro.storage.block_device import BlockDevice, BlockDeviceError
+from repro.storage.journal import encode_batch, parse_batch, tags_per_descriptor
 
-#: Hard-state record: magic, current_term, length of the voted_for name.
+#: Hard-state record: magic, current_term, length of the voted_for name,
+#: then the name and a crc32 of everything before it.
 _HARD = struct.Struct("<QQI")
+_HARD_CRC = struct.Struct("<I")
 HARD_MAGIC = 0x4554415444524148  # "HARDTATE"
 
 #: Per-entry payload header inside a data block: term, command length.
@@ -84,8 +81,7 @@ class RaftLog:
     def __init__(self, device: BlockDevice) -> None:
         self.device = device
         self.block_size = device.block_size
-        self._tags_per_desc = (self.block_size - BATCH_DESC.size) // BATCH_TAG.size
-        if self._tags_per_desc < 1:
+        if tags_per_descriptor(self.block_size) < 1:
             raise RaftLogError(
                 f"block size {self.block_size} too small for a log descriptor"
             )
@@ -109,7 +105,7 @@ class RaftLog:
         self.voted_for = voted_for
         name = (voted_for or "").encode("utf-8")
         body = _HARD.pack(HARD_MAGIC, term, len(name)) + name
-        record = body + BATCH_CRC.pack(zlib.crc32(body))
+        record = body + _HARD_CRC.pack(zlib.crc32(body))
         if len(record) > self.block_size:
             raise RaftLogError("voted_for name does not fit the hard-state block")
         self._ensure_blocks(0)
@@ -123,10 +119,10 @@ class RaftLog:
             magic, term, name_len = _HARD.unpack_from(raw, 0)
         except struct.error:
             return
-        if magic != HARD_MAGIC or _HARD.size + name_len + BATCH_CRC.size > len(raw):
+        if magic != HARD_MAGIC or _HARD.size + name_len + _HARD_CRC.size > len(raw):
             return
         body = raw[: _HARD.size + name_len]
-        (crc,) = BATCH_CRC.unpack_from(raw, _HARD.size + name_len)
+        (crc,) = _HARD_CRC.unpack_from(raw, _HARD.size + name_len)
         if crc != zlib.crc32(body):
             return  # torn hard-state write: fall back to term 0, no vote
         self.current_term = term
@@ -212,9 +208,7 @@ class RaftLog:
     def _persist_batch(self, entries: list[LogEntry]) -> None:
         if not entries:
             return
-        blocks: list[tuple[int, bytes]] = []
-        position = self._next_block
-        payloads = []
+        tagged = []
         for entry in entries:
             payload = _ENTRY.pack(entry.term, len(entry.command)) + entry.command
             if len(payload) > self.block_size:
@@ -222,24 +216,11 @@ class RaftLog:
                     f"command of {len(entry.command)} bytes does not fit a "
                     f"{self.block_size}-byte log block"
                 )
-            payloads.append(payload + b"\x00" * (self.block_size - len(payload)))
-        lsn = entries[0].index
-        remaining = list(zip(entries, payloads))
-        while remaining:
-            group = remaining[: self._tags_per_desc]
-            remaining = remaining[self._tags_per_desc :]
-            header = BATCH_DESC.pack(DESC_MAGIC, lsn, len(group)) + b"".join(
-                BATCH_TAG.pack(entry.index, zlib.crc32(data))
-                for entry, data in group
-            )
-            blocks.append((position, header))
-            position += 1
-            for __, data in group:
-                blocks.append((position, data))
-                position += 1
-        commit = BATCH_DESC.pack(COMMIT_MAGIC, lsn, len(entries))
-        blocks.append((position, commit + BATCH_CRC.pack(zlib.crc32(commit))))
-        position += 1
+            tagged.append((entry.index, payload))
+        blocks = encode_batch(
+            self._next_block, entries[0].index, tagged, self.block_size
+        )
+        position = blocks[-1][0] + 1
         # Terminator: recovery must not run into a stale next batch.
         blocks.append((position, b"\x00" * self.block_size))
         self._ensure_blocks(position)
@@ -247,7 +228,7 @@ class RaftLog:
         self._batches.append(
             _Batch(
                 start_block=self._next_block,
-                first_index=lsn,
+                first_index=entries[0].index,
                 count=len(entries),
                 blocks=position - self._next_block,
             )
@@ -269,12 +250,19 @@ class RaftLog:
         self._load_hard_state()
         position = 1
         while True:
-            parsed = self._recover_batch(position)
+            parsed = parse_batch(self._read_block, position)
             if parsed is None:
                 break
-            entries, consumed = parsed
-            if entries[0].index != self.last_index + 1:
-                break  # stale batch from a truncated longer log
+            __, tagged, consumed = parsed
+            entries = []
+            for index, data in tagged:
+                term, cmd_len = _ENTRY.unpack_from(data, 0)
+                if _ENTRY.size + cmd_len > len(data):
+                    break
+                command = bytes(data[_ENTRY.size : _ENTRY.size + cmd_len])
+                entries.append(LogEntry(term=term, index=index, command=command))
+            if len(entries) < len(tagged) or entries[0].index != self.last_index + 1:
+                break  # malformed, or a stale batch from a truncated longer log
             self._batches.append(
                 _Batch(
                     start_block=position,
@@ -288,61 +276,11 @@ class RaftLog:
 
         self._next_block = position
 
-    def _recover_batch(self, start: int) -> tuple[list[LogEntry], int] | None:
-        position = start
-        entries: list[LogEntry] = []
-        lsn: int | None = None
-        while True:
-            raw = self._read_block(position)
-            if raw is None:
-                return None
-            try:
-                magic, record_lsn, count = BATCH_DESC.unpack_from(raw, 0)
-            except struct.error:
-                return None
-            if magic == COMMIT_MAGIC:
-                (crc,) = BATCH_CRC.unpack_from(raw, BATCH_DESC.size)
-                header = BATCH_DESC.pack(COMMIT_MAGIC, record_lsn, count)
-                if (
-                    lsn is None
-                    or record_lsn != lsn
-                    or count != len(entries)
-                    or crc != zlib.crc32(header)
-                ):
-                    return None
-                return entries, position - start + 1
-            if magic != DESC_MAGIC:
-                return None
-            if lsn is None:
-                lsn = record_lsn
-            elif record_lsn != lsn:
-                return None
-            if not 1 <= count <= self._tags_per_desc:
-                return None
-            offset = BATCH_DESC.size
-            for tag_index in range(count):
-                index, crc = BATCH_TAG.unpack_from(raw, offset)
-                offset += BATCH_TAG.size
-                data = self._read_block(position + 1 + tag_index)
-                if data is None or zlib.crc32(data) != crc:
-                    return None
-                try:
-                    term, cmd_len = _ENTRY.unpack_from(data, 0)
-                except struct.error:
-                    return None
-                if _ENTRY.size + cmd_len > len(data):
-                    return None
-                entries.append(
-                    LogEntry(
-                        term=term,
-                        index=index,
-                        command=bytes(data[_ENTRY.size : _ENTRY.size + cmd_len]),
-                    )
-                )
-            position += 1 + count
-
     def _read_block(self, block_no: int) -> bytes | None:
+        """Block ``block_no``, or ``None`` past the device's allocation
+        high-water mark — the one legitimate end-of-log signal.  Any
+        other failure (a dead device, say) is the caller's to see."""
         try:
             return self.device.read_block(block_no)
-        except Exception:
+        except BlockDeviceError:
             return None

@@ -11,10 +11,13 @@ results) is what makes the replicas interchangeable after a leader
 crash.
 
 Which opcode runs which ``Master`` mutator is one column of
-:data:`~repro.distributed.master.METADATA_PLANE`; the apply step here
-is a lookup in it.  The apply *bodies* are therefore the ``Master``
-mutators, and the determinism rules (enforced by reprolint DET001 on
-this module and on :mod:`repro.distributed.master`) bind them:
+:data:`~repro.distributed.master.METADATA_PLANE`, which every replica
+carries as ``Master.LOG_MUTATORS``; the apply step here is a lookup in
+it, and this package imports nothing of :mod:`repro.distributed` (whose
+package init imports the Raft node back).  The apply *bodies* are
+therefore the ``Master`` mutators, and the determinism rules (enforced
+by reprolint DET001 on this module and on
+:mod:`repro.distributed.master`) bind them:
 
 * no wall-clock reads — any time-dependent argument is computed by the
   *proposer* and carried inside the command;
@@ -27,17 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.distributed.master import METADATA_PLANE, Master
 from repro.fs.errors import FileExists, FileNotFound
 
-#: Log opcode -> the ``Master`` mutator that applies it.
-_MUTATORS = {
-    opcode: method
-    for method, (opcode, __) in sorted(METADATA_PLANE.items())
-    if opcode is not None
-}
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.distributed.master import Master
 
 
 class CommandError(Exception):
@@ -79,11 +77,12 @@ class MetadataStateMachine:
                 f"apply out of order: index {index} after {self.applied_index}"
             )
         op, args = decode_command(command)
+        mutators = self.master.LOG_MUTATORS
         if op == "noop":  # leader barrier: commits the preceding term's tail
             result = None
-        elif op in _MUTATORS:
+        elif op in mutators:
             try:
-                result = getattr(self.master, _MUTATORS[op])(**args)
+                result = getattr(self.master, mutators[op])(**args)
             except (FileExists, FileNotFound, ValueError) as rejected:
                 # A rejected command is a result, not a failed apply: the
                 # mutators validate before they mutate, so it is the same

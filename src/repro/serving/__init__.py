@@ -29,7 +29,7 @@ from repro.serving.server import (
     ServingRequest,
     TenantConfig,
 )
-from repro.serving.slo import TenantSLO, exact_percentile, jain_fairness
+from repro.serving.slo import TenantSLO, jain_fairness
 from repro.serving.transport import FramedSocketServer, SocketTransport
 
 __all__ = [
@@ -56,6 +56,5 @@ __all__ = [
     "ServingRequest",
     "TenantConfig",
     "TenantSLO",
-    "exact_percentile",
     "jain_fairness",
 ]

@@ -7,18 +7,14 @@ error counters and a queue-depth gauge, all registered under
 the issue asks for; percentiles come from
 :meth:`repro.obs.metrics.HistogramSnapshot.percentile`, so they are
 bucket estimates — benchmarks that need exact percentiles keep their
-own sample lists and use :func:`exact_percentile`.
+own sample lists and use :func:`repro.workloads.metrics.percentile`.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    HistogramSnapshot,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 
 _METRIC_SEGMENT_RE = re.compile(r"[^a-z0-9_]+")
 
@@ -66,12 +62,7 @@ class TenantSLO:
     # -- reporting ------------------------------------------------------------
     def report(self) -> dict:
         """The SLO summary for this tenant (latencies in ms)."""
-        snap = HistogramSnapshot(
-            bounds=self.latency_ms.bounds,
-            counts=tuple(self.latency_ms.counts),
-            sum=self.latency_ms.sum,
-            count=self.latency_ms.count,
-        )
+        snap = self.latency_ms.snapshot()
         offered = self.accepted.value + self.shed.value
         return {
             "tenant": self.tenant,
@@ -87,17 +78,6 @@ class TenantSLO:
             "p99_ms": snap.percentile(0.99),
             "mean_ms": (snap.sum / snap.count) if snap.count else 0.0,
         }
-
-
-def exact_percentile(samples: list[float], q: float) -> float:
-    """Exact nearest-rank percentile over raw samples (for benchmarks)."""
-    if not samples:
-        return 0.0
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {q}")
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.999999) - 1))
-    return ordered[rank]
 
 
 def jain_fairness(values: list[float]) -> float:

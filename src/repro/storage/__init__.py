@@ -28,7 +28,7 @@ from repro.storage.simclock import (
     SimClock,
     Stopwatch,
 )
-from repro.storage.stats import IOStats, IOStatsSnapshot, StatsRegistry
+from repro.storage.stats import IOStats, IOStatsSnapshot
 
 __all__ = [
     "BlockDevice",
@@ -54,7 +54,6 @@ __all__ = [
     "RAM_DISK",
     "SimClock",
     "Slot",
-    "StatsRegistry",
     "Stopwatch",
     "Transaction",
     "require_transaction",

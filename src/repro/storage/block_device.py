@@ -227,15 +227,8 @@ class BlockDevice:
         self._cache[block_no] = data
         self._cache.move_to_end(block_no)
         while len(self._cache) > self.cache_blocks:
-            evicted_no, __ = self._cache.popitem(last=False)
+            self._cache.popitem(last=False)
             self._cache_evict_counter.inc()
-            hooks = self.obs.hooks
-            if hooks.active("storage.cache.evict"):
-                hooks.fire(
-                    "storage.cache.evict",
-                    block_no=evicted_no,
-                    cache_blocks=self.cache_blocks,
-                )
 
     def charge_metadata_access(self, write: bool = False) -> None:
         """Charge a metadata (inode / pointer page) access to this device."""

@@ -38,6 +38,12 @@ Batch layout (all integers little-endian)::
     data blocks:       n_tags blocks, verbatim
     ... more descriptor groups as needed, same lsn ...
     commit block:      magic(u64) lsn(u64) n_writes(u32) header_crc(u32)
+
+:func:`encode_batch` and :func:`parse_batch` are the only code that
+knows this layout.  The Raft log (:mod:`repro.raft.log`) persists its
+entries through the same two functions — the tag is then a log index
+and the LSN the index of the batch's first entry — so torn-tail
+recovery is one rule on both logs.
 """
 
 from __future__ import annotations
@@ -50,20 +56,96 @@ from repro.locks import tracked_lock
 from repro.storage.block_device import BlockDevice, BlockDeviceError, DeviceWrapper
 
 _DESC = struct.Struct("<QQI")  # magic, lsn, n_tags / n_writes
-_TAG = struct.Struct("<QI")  # home block number, crc32 of the data block
+_TAG = struct.Struct("<QI")  # tag (here: home block number), crc32 of the data block
 _CRC = struct.Struct("<I")
 
 DESC_MAGIC = 0x435345444424A31  # "1JBDESC" + version nibble
 COMMIT_MAGIC = 0x544D4D4344424A31  # "1JBDCMMT"
 
-#: Public aliases of the batch wire structs.  The Raft log
-#: (:mod:`repro.raft.log`) reuses the journal's LSN/CRC batch format as
-#: its on-disk substrate — descriptor groups, per-block CRC tags, and a
-#: checksummed commit record — so torn-tail recovery semantics are
-#: identical on both logs.
-BATCH_DESC = _DESC
-BATCH_TAG = _TAG
-BATCH_CRC = _CRC
+
+def tags_per_descriptor(block_size: int) -> int:
+    """How many ``(tag, crc32)`` pairs one descriptor block holds."""
+    return (block_size - _DESC.size) // _TAG.size
+
+
+def encode_batch(
+    position: int, lsn: int, tagged: Sequence[tuple[int, bytes]], block_size: int
+) -> list[tuple[int, bytes]]:
+    """Lay one batch of ``(tag, data)`` blocks out from block ``position``.
+
+    Returns the ``(block_no, bytes)`` pairs of consecutive blocks —
+    descriptor groups, each followed by its zero-padded data blocks,
+    then the commit record — ready for one ``write_blocks``.
+    """
+    per_desc = tags_per_descriptor(block_size)
+    padded = [
+        (tag, data + b"\x00" * (block_size - len(data))) for tag, data in tagged
+    ]
+    out: list[tuple[int, bytes]] = []
+    for first in range(0, len(padded), per_desc):
+        group = padded[first : first + per_desc]
+        header = _DESC.pack(DESC_MAGIC, lsn, len(group)) + b"".join(
+            _TAG.pack(tag, zlib.crc32(data)) for tag, data in group
+        )
+        out.append((position, header))
+        position += 1
+        for __, data in group:
+            out.append((position, data))
+            position += 1
+    commit = _DESC.pack(COMMIT_MAGIC, lsn, len(padded))
+    out.append((position, commit + _CRC.pack(zlib.crc32(commit))))
+    return out
+
+
+def parse_batch(
+    block_at: Callable[[int], Optional[bytes]], position: int
+) -> Optional[tuple[int, list[tuple[int, bytes]], int]]:
+    """Parse the batch starting at block ``position``; None if absent or torn.
+
+    ``block_at(n)`` returns block ``n``, or ``None`` past the end of
+    what may be read.  Returns ``(lsn, [(tag, data), ...], blocks
+    consumed)`` only when the batch is intact end to end: every
+    descriptor carries the same LSN, every data block matches its CRC,
+    and the commit record confirms the full block count.  Anything
+    else — no batch at all, a half-written one, a commit from a
+    different epoch — is a torn tail.
+    """
+    start = position
+    tagged: list[tuple[int, bytes]] = []
+    lsn: Optional[int] = None
+    while True:
+        raw = block_at(position)
+        if raw is None:
+            return None
+        magic, record_lsn, count = _DESC.unpack_from(raw, 0)
+        if magic == COMMIT_MAGIC:
+            (header_crc,) = _CRC.unpack_from(raw, _DESC.size)
+            header = _DESC.pack(COMMIT_MAGIC, record_lsn, count)
+            if (
+                lsn is None
+                or record_lsn != lsn
+                or count != len(tagged)
+                or header_crc != zlib.crc32(header)
+            ):
+                return None
+            return lsn, tagged, position - start + 1
+        if magic != DESC_MAGIC:
+            return None
+        if lsn is None:
+            lsn = record_lsn
+        elif record_lsn != lsn:
+            return None
+        if not 1 <= count <= tags_per_descriptor(len(raw)):
+            return None
+        offset = _DESC.size
+        for index in range(count):
+            tag, crc = _TAG.unpack_from(raw, offset)
+            offset += _TAG.size
+            data = block_at(position + 1 + index)
+            if data is None or zlib.crc32(data) != crc:
+                return None
+            tagged.append((tag, data))
+        position += 1 + count
 
 
 class JournalError(Exception):
@@ -127,7 +209,7 @@ class Journal:
         self.start = start
         self.length = length
         self.block_size = block_size
-        self._tags_per_desc = (block_size - _DESC.size) // _TAG.size
+        self._tags_per_desc = tags_per_descriptor(block_size)
         if length and self._tags_per_desc < 1:
             raise JournalError(
                 f"block size {block_size} too small for a journal descriptor"
@@ -154,27 +236,7 @@ class Journal:
                 f"{self.blocks_needed(len(writes))} journal blocks, region "
                 f"has {self.length} — format with a larger journal"
             )
-        padded = [
-            (home, data + b"\x00" * (self.block_size - len(data)))
-            for home, data in writes
-        ]
-        out: list[tuple[int, bytes]] = []
-        position = self.start
-        remaining = padded
-        while remaining:
-            group = remaining[: self._tags_per_desc]
-            remaining = remaining[self._tags_per_desc :]
-            header = _DESC.pack(DESC_MAGIC, lsn, len(group)) + b"".join(
-                _TAG.pack(home, zlib.crc32(data)) for home, data in group
-            )
-            out.append((position, header))
-            position += 1
-            for __, data in group:
-                out.append((position, data))
-                position += 1
-        commit = _DESC.pack(COMMIT_MAGIC, lsn, len(padded))
-        out.append((position, commit + _CRC.pack(zlib.crc32(commit))))
-        return out
+        return encode_batch(self.start, lsn, writes, self.block_size)
 
     def append_batch(
         self, device: BlockDevice, lsn: int, writes: Sequence[tuple[int, bytes]]
@@ -189,55 +251,19 @@ class Journal:
     ) -> Optional[tuple[int, list[tuple[int, bytes]]]]:
         """Parse the region's last batch; None if absent or torn.
 
-        Returns ``(lsn, [(home_block, data), ...])`` only when the
-        batch is intact end to end: every descriptor carries the same
-        LSN, every data block matches its CRC, and the commit record
-        confirms the full write count.  Anything else — an empty
-        region, a half-written batch, a commit from a different epoch —
-        is a torn tail and is discarded.
+        Returns ``(lsn, [(home_block, data), ...])`` only when
+        :func:`parse_batch` finds the batch intact end to end inside the
+        region; a torn tail is discarded.
         """
         if self.length == 0:
             return None
         region = device.read_blocks(
             list(range(self.start, self.start + self.length))
         )
-        writes: list[tuple[int, bytes]] = []
-        lsn: Optional[int] = None
-        position = 0
-        while position < self.length:
-            raw = region[position]
-            magic, record_lsn, count = _DESC.unpack_from(raw, 0)
-            if magic == COMMIT_MAGIC:
-                (header_crc,) = _CRC.unpack_from(raw, _DESC.size)
-                header = _DESC.pack(COMMIT_MAGIC, record_lsn, count)
-                if (
-                    lsn is None
-                    or record_lsn != lsn
-                    or count != len(writes)
-                    or header_crc != zlib.crc32(header)
-                ):
-                    return None
-                return lsn, writes
-            if magic != DESC_MAGIC:
-                return None
-            if lsn is None:
-                lsn = record_lsn
-            elif record_lsn != lsn:
-                return None
-            if not 1 <= count <= self._tags_per_desc:
-                return None
-            if position + 1 + count >= self.length:  # no room left for commit
-                return None
-            offset = _DESC.size
-            for index in range(count):
-                home, crc = _TAG.unpack_from(raw, offset)
-                offset += _TAG.size
-                data = region[position + 1 + index]
-                if zlib.crc32(data) != crc:
-                    return None
-                writes.append((home, data))
-            position += 1 + count
-        return None
+        parsed = parse_batch(
+            lambda position: region[position] if position < self.length else None, 0
+        )
+        return parsed[:2] if parsed else None
 
     def replay(self, device: BlockDevice) -> int:
         """Re-apply the last committed batch to its home locations.
@@ -371,9 +397,7 @@ class JournalDevice(DeviceWrapper):
         overwrites = sorted(
             (no, data) for no, data in txn.staged.items() if no not in txn.fresh
         )
-        obs = self.inner.obs
-        tracer = obs.tracer
-        hooks = obs.hooks
+        tracer = self.inner.obs.tracer
         journal_blocks = 0
         with tracer.span(
             "journal.commit",
@@ -385,43 +409,19 @@ class JournalDevice(DeviceWrapper):
                 with tracer.span("journal.phase.fresh", blocks=len(direct)):
                     self.inner.write_blocks(direct)
                     self.inner.barrier()
-                hooks.fire(
-                    "journal.commit.phase",
-                    phase="fresh",
-                    blocks=len(direct),
-                    lsn=self.lsn,
-                )
             if overwrites:
                 with tracer.span("journal.phase.append", blocks=len(overwrites)):
                     journal_blocks = self.journal.append_batch(
                         self.inner, self.lsn, overwrites
                     )
                     self.inner.barrier()
-                hooks.fire(
-                    "journal.commit.phase",
-                    phase="append",
-                    blocks=journal_blocks,
-                    lsn=self.lsn,
-                )
                 with tracer.span("journal.phase.apply", blocks=len(overwrites)):
                     self.inner.write_blocks(overwrites)
                     self.inner.barrier()
-                hooks.fire(
-                    "journal.commit.phase",
-                    phase="apply",
-                    blocks=len(overwrites),
-                    lsn=self.lsn,
-                )
             if txn.deferred:
                 with tracer.span("journal.phase.frees", blocks=len(txn.deferred)):
                     for block_no in txn.deferred:
                         self.inner.free(block_no)
-                hooks.fire(
-                    "journal.commit.phase",
-                    phase="frees",
-                    blocks=len(txn.deferred),
-                    lsn=self.lsn,
-                )
         self._c_commits.inc()
         self._c_journal_blocks.inc(journal_blocks)
         self._c_fresh_blocks.inc(len(direct))

@@ -129,16 +129,3 @@ def compute_stats(
         registry.gauge("tadoc.dag.terminals").set(stats.terminals)
     return stats
 
-
-def to_networkx(grammar: Grammar):
-    """Export the rule DAG as a ``networkx.DiGraph`` (optional helper)."""
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    for rule_id in grammar.rules:
-        graph.add_node(rule_id)
-    for rule_id, body in grammar.rules.items():
-        for element in body:
-            if isinstance(element, RuleRef):
-                graph.add_edge(rule_id, element.rule_id)
-    return graph

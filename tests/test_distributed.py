@@ -275,7 +275,9 @@ class TestCluster:
     def test_stats_registry_tracks_all_nodes(self):
         cluster = build_cluster(nodes=4)
         cluster.client.write_file("/f", b"x" * 5000)
-        assert cluster.stats.total().block_writes > 0
+        counters = cluster.metrics().counters
+        writes = [counters[f"cluster.node{i}.device.block_writes"] for i in range(4)]
+        assert sum(writes) > 0
 
 
 class TestAggregatePushdown:

@@ -89,6 +89,24 @@ class TestJournalFormat:
         journal.append_batch(device, 5, [(data_start(journal), b"x")])
         assert journal.next_lsn(device) == 6
 
+    def test_batch_bytes_are_frozen(self):
+        """The batch layout is persisted bytes (and the Raft log's too):
+        three tags fit a 64-byte descriptor, so four writes spill into a
+        second group.  Literals recorded from the commit before the
+        journal and the Raft log shared one codec."""
+        writes = [(20, b"alpha"), (21, b"beta" * 4), (33, bytes(range(64))), (40, b"")]
+        encoded = Journal(1, 16, 64).encode_batch(7, writes)
+        assert [(no, data.hex()) for no, data in encoded] == [
+            (1, "314a4244543435040700000000000000030000001400000000000000554a1d0a"
+                "1500000000000000dd5e76c621000000000000008cce0e10"),
+            (2, b"alpha".hex() + "00" * 59),
+            (3, (b"beta" * 4).hex() + "00" * 48),
+            (4, bytes(range(64)).hex()),
+            (5, "314a424454343504070000000000000001000000280000000000000036638d75"),
+            (6, "00" * 64),
+            (7, "314a4244434d4d540700000000000000040000008d1a4bc4"),
+        ]
+
 
 class TestTornBatches:
     def _committed(self, journal_len=8):
@@ -119,6 +137,16 @@ class TestTornBatches:
         device, journal = self._committed()
         device.write_blocks([(journal.start, b"\xff" * BLOCK)])
         assert journal.recover(device) is None
+
+    @pytest.mark.parametrize("victim", ["descriptor", "data", "commit"])
+    def test_one_flipped_byte_discards_batch(self, victim):
+        device, journal = self._committed()
+        block_no = journal.start + {"descriptor": 0, "data": 2, "commit": 3}[victim]
+        raw = bytearray(device.read_block(block_no))
+        raw[9] ^= 0x01  # inside the LSN of a record, the payload of a data block
+        device.write_blocks([(block_no, bytes(raw))])
+        assert journal.recover(device) is None
+        assert journal.replay(device) == 0
 
     def test_commit_lsn_mismatch_discards_batch(self):
         device, journal = self._committed()

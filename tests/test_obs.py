@@ -1,14 +1,13 @@
-"""Tests for repro.obs: metrics, tracing, hooks, exporters, and the
+"""Tests for repro.obs: metrics, tracing, exporters, and the
 redesigned stats surface (DESIGN.md §9).
 
 Covers the registry's typed instruments and snapshot algebra, lexical
 span nesting within one component and *across* layers (a journaled
 CompressFS write producing one connected VFS → engine → journal →
-device trace), the sampled hook sites, byte-stable exporter output
-against golden files, a Prometheus text-format validator over
-``repro stats --prom``, the identity-deduplication fix in
-``StatsRegistry.total()``, and the snapshot-only read surface of the
-stats classes.
+device trace), the spans and the counter that replaced the three hook
+sites, byte-stable exporter output against golden files, a Prometheus
+text-format validator over ``repro stats --prom``, and the
+snapshot-only read surface of the counter groups.
 """
 
 from __future__ import annotations
@@ -20,12 +19,13 @@ import warnings
 
 import pytest
 
-from repro.core.compressor import CompressorStats
+from repro.core.compressor import COMPRESSOR_FIELDS
 from repro.core.engine import CompressDB
 from repro.fs.compressfs import CompressFS
 from repro.fs.fd import O_CREAT, O_RDWR
 from repro.fs.vfs import PassthroughFS
 from repro.obs import (
+    CounterGroup,
     MetricsRegistry,
     Observability,
     Tracer,
@@ -33,11 +33,10 @@ from repro.obs import (
     enable_global_tracing,
 )
 from repro.obs.exporters import chrome_trace_json, metrics_json, prometheus_text
-from repro.obs.hooks import HookRegistry
 from repro.obs.trace import Span
 from repro.storage.block_device import MemoryBlockDevice
 from repro.storage.simclock import SimClock
-from repro.storage.stats import IOStats, IOStatsSnapshot, StatsRegistry
+from repro.storage.stats import IOStats, IOStatsSnapshot
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -255,81 +254,65 @@ class TestCrossLayerTracing:
 
 
 # ---------------------------------------------------------------------------
-# Hooks
+# The former hook sites: a counter and two families of spans
 # ---------------------------------------------------------------------------
 
 class TestHooks:
-    def test_register_fire_unregister(self):
-        hooks = HookRegistry()
-        seen = []
-        sub = hooks.register("storage.cache.evict", lambda site, p: seen.append(p))
-        assert hooks.active("storage.cache.evict")
-        assert hooks.fire("storage.cache.evict", block_no=7, cache_blocks=3) == 1
-        assert seen == [{"block_no": 7, "cache_blocks": 3}]
-        hooks.unregister(sub)
-        assert not hooks.active("storage.cache.evict")
-        assert hooks.fire("storage.cache.evict", block_no=8, cache_blocks=3) == 0
-
-    def test_sampling_delivers_every_nth_event(self):
-        hooks = HookRegistry()
-        seen = []
-        hooks.register("journal.commit.phase", lambda s, p: seen.append(p), sample=3)
-        for i in range(9):
-            hooks.fire("journal.commit.phase", phase="apply", blocks=i, lsn=0)
-        assert [p["blocks"] for p in seen] == [2, 5, 8]
-
-    def test_sample_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HookRegistry().register("x", lambda s, p: None, sample=0)
+    """The hook registry is gone; what its three sites announced is read
+    off the instrument or the span that already carried it."""
 
     def test_cache_eviction_site_fires(self):
         device = MemoryBlockDevice(block_size=64, cache_blocks=2)
-        evicted = []
-        device.obs.hooks.register(
-            "storage.cache.evict", lambda site, p: evicted.append(p["block_no"])
-        )
         blocks = [device.allocate() for __ in range(4)]
         for no in blocks:
             device.write_block(no, b"x" * 64)
         for no in blocks:
             device.read_block(no)
-        assert evicted, "filling a 2-block cache with 4 blocks must evict"
+        evictions = device.obs.registry.counter("storage.device.cache.evictions")
+        assert evictions.value > 0, "filling a 2-block cache with 4 blocks must evict"
 
     def test_journal_commit_phases_fire_in_order(self):
-        engine = CompressDB.mount(
-            MemoryBlockDevice(block_size=1024), journal_blocks=64
-        )
-        events = []
-        engine.obs.hooks.register(
-            "journal.commit.phase",
-            lambda site, p: events.append((p["lsn"], p["phase"])),
-        )
-        engine.create("/f")
-        engine.write("/f", 0, b"y" * 3000)
-        engine.fsync("/f")
-        # Overwriting committed blocks shadows them and defers the frees.
-        engine.write("/f", 0, b"z" * 3000)
-        engine.fsync("/f")
-        assert {"fresh", "frees"} <= {phase for __, phase in events}
+        tracer = enable_global_tracing()
+        try:
+            engine = CompressDB.mount(
+                MemoryBlockDevice(block_size=1024), journal_blocks=64
+            )
+            engine.create("/f")
+            engine.write("/f", 0, b"y" * 3000)
+            engine.fsync("/f")
+            # Overwriting committed blocks shadows them and defers the frees.
+            engine.write("/f", 0, b"z" * 3000)
+            engine.fsync("/f")
+        finally:
+            disable_global_tracing()
+        spans = tracer.spans()
+        commits = {s.span_id: s for s in spans if s.name == "journal.commit"}
         order = {"fresh": 0, "append": 1, "apply": 2, "frees": 3}
-        by_lsn: dict = {}
-        for lsn, phase in events:
-            by_lsn.setdefault(lsn, []).append(order[phase])
-        for ranks in by_lsn.values():  # phases fire in protocol order
+        by_commit: dict = {}
+        for span in spans:  # completion order == protocol order within a commit
+            if span.name.startswith("journal.phase."):
+                assert span.attrs["blocks"] > 0
+                phase = span.name.rsplit(".", 1)[1]
+                by_commit.setdefault(span.parent_id, []).append(order[phase])
+        assert by_commit and set(by_commit) <= set(commits)
+        assert {0, 3} <= {rank for ranks in by_commit.values() for rank in ranks}
+        for ranks in by_commit.values():
             assert ranks == sorted(ranks)
+        lsns = [commits[span_id].attrs["lsn"] for span_id in by_commit]
+        assert lsns == sorted(set(lsns))  # one commit span per epoch
 
     def test_coalesce_flush_site_fires(self):
-        engine = CompressDB(block_size=1024)
-        flushes = []
-        engine.obs.hooks.register(
-            "engine.coalesce.flush", lambda site, p: flushes.append(p)
-        )
-        engine.create("/f")
-        engine.write("/f", 0, b"a" * 100)
-        engine.write("/f", 100, b"b" * 100)  # sequential: coalesces
-        engine.flush()
-        assert flushes and flushes[0]["path"] == "/f"
-        assert flushes[0]["nbytes"] == 200
+        tracer = enable_global_tracing()
+        try:
+            engine = CompressDB(block_size=1024)
+            engine.create("/f")
+            engine.write("/f", 0, b"a" * 100)
+            engine.write("/f", 100, b"b" * 100)  # sequential: coalesces
+            engine.flush()
+        finally:
+            disable_global_tracing()
+        (flush,) = [s for s in tracer.spans() if s.name == "engine.coalesce.flush"]
+        assert flush.attrs == {"path": "/f", "nbytes": 200}
 
 
 # ---------------------------------------------------------------------------
@@ -448,34 +431,14 @@ class TestExporters:
 # Redesigned stats surface: registry-backed classes + legacy shims
 # ---------------------------------------------------------------------------
 
-class TestStatsRegistryDedup:
-    def test_total_counts_aliased_component_once(self):
-        # Regression: total() used to double-count an IOStats object
-        # registered under two names.
-        registry = StatsRegistry()
-        primary = registry.register("node0")
-        registry.attach("primary", primary)
-        primary.record_read(1024)
-        total = registry.total()
-        assert total.block_reads == 1
-        assert total.bytes_read == 1024
-
-    def test_distinct_components_still_sum(self):
-        registry = StatsRegistry()
-        registry.register("a").record_read(10)
-        registry.register("b").record_read(20)
-        assert registry.total().block_reads == 2
-        assert registry.total().bytes_read == 30
-
-
 class TestLegacyShims:
     """The PR 4 attribute shims are gone: counters are read through
     frozen snapshots only."""
 
     def test_legacy_attributes_are_gone(self):
         assert not hasattr(IOStats(), "block_reads")
-        assert not hasattr(CompressorStats(), "dedup_hits")
-        assert not hasattr(StatsRegistry(), "aggregate")
+        group = CounterGroup("engine.compressor", COMPRESSOR_FIELDS)
+        assert not hasattr(group, "dedup_hits")
 
     def test_snapshot_is_frozen(self):
         snap = IOStats().snapshot()

@@ -7,6 +7,7 @@ leases, the NotLeader wire mapping, and the metadata-plane table the
 apply step, the facade and the shard router derive from.
 """
 
+import hashlib
 import inspect
 import json
 import random
@@ -32,7 +33,11 @@ from repro.raft.statemachine import (
     encode_command,
 )
 from repro.serving.client import raise_wire_error
-from repro.storage.block_device import MemoryBlockDevice
+from repro.storage.block_device import (
+    CrashPoint,
+    CrashPointDevice,
+    MemoryBlockDevice,
+)
 from repro.storage.simclock import RAM_DISK, SimClock
 
 
@@ -81,6 +86,71 @@ class TestRaftLog:
         recovered = RaftLog(device)
         assert recovered.last_index == 1
         assert recovered.entry(1).command == b"acked"
+
+    @pytest.mark.parametrize("victim", ["descriptor", "data", "commit"])
+    def test_one_flipped_byte_ends_the_log_at_the_previous_batch(self, victim):
+        device = _device()
+        log = RaftLog(device)
+        log.append(1, [b"acked-1", b"acked-2"])
+        torn = log._next_block  # descriptor, two data blocks, commit
+        log.append(2, [b"torn-1", b"torn-2"])
+        block_no = torn + {"descriptor": 0, "data": 2, "commit": 3}[victim]
+        raw = bytearray(device.read_block(block_no))
+        raw[9] ^= 0x01  # inside the LSN of a record, the header of an entry
+        device.write_blocks([(block_no, bytes(raw))])
+        recovered = RaftLog(device)
+        assert [e.command for e in recovered.entries_from(1)] == [
+            b"acked-1",
+            b"acked-2",
+        ]
+        # ...and the next append lands where the torn batch began.
+        recovered.append(3, [b"again"])
+        assert RaftLog(device).entry(3).command == b"again"
+
+    def test_device_bytes_and_io_are_frozen(self):
+        """On-device bytes, and the reads and writes that produce and
+        recover them, are what every replica's SimClock is charged for.
+        Literals recorded from the commit before the log moved onto the
+        journal's codec; 21 entries spill into a second descriptor group
+        and the truncation lands in the middle of that batch."""
+        device = MemoryBlockDevice(block_size=256)
+        log = RaftLog(device)
+        log.set_hard_state(3, "n1")
+        log.append(3, [b"create:/a", b"create:/b"])
+        log.append(3, [b"x" * 40])
+        log.append_entries(
+            [LogEntry(term=4, index=4 + i, command=b"entry-%02d" % i) for i in range(21)]
+        )
+        log.truncate_from(10)
+        log.append(5, [b"after-truncate"])
+        reopened = RaftLog(device)
+        assert reopened.entries_from(1) == log.entries_from(1)
+        assert (reopened.current_term, reopened.voted_for) == (3, "n1")
+        assert reopened.last_index == 10
+        io = device.stats.snapshot()
+        assert (io.block_reads, io.batched_reads, io.batched_blocks_read) == (20, 0, 0)
+        assert (io.block_writes, io.batched_writes, io.batched_blocks_written) == (
+            48, 5, 47,
+        )
+        digest = hashlib.sha256()
+        for block_no in range(device.total_blocks):
+            digest.update(device._read(block_no))
+        assert device.total_blocks == 33
+        assert digest.hexdigest() == (
+            "0b2632d18264231e1d11e54bda48c496b9556a1739cabb345b4f0fc7aca0581c"
+        )
+
+    def test_recovery_on_a_dead_device_propagates_the_crash(self):
+        """Only a block past the allocation high-water mark means "end
+        of log"; a dead device must not read as an empty one."""
+        inner = _device()
+        RaftLog(inner).append(1, [b"acked"])
+        device = CrashPointDevice(inner, crash_after=1)
+        with pytest.raises(CrashPoint):
+            device.write_blocks([(0, b"dies here")])
+        with pytest.raises(CrashPoint):
+            RaftLog(device)
+        assert RaftLog(inner).last_index == 1
 
     def test_truncate_from_survives_recovery(self):
         device = _device()

@@ -22,10 +22,10 @@ from repro.analysis import (
 )
 from repro.analysis.framework import module_name_for
 from repro.cli import main
-from repro.core.compressor import CompressorStats
+from repro.core.compressor import COMPRESSOR_FIELDS
 from repro.core.engine import CompressDB
-from repro.core.operations import OperationStats
-from repro.obs.metrics import MetricsRegistry
+from repro.core.operations import OPERATION_FIELDS
+from repro.obs.metrics import CounterGroup, MetricsRegistry
 from repro.storage.inode import Inode
 from repro.storage.stats import IOStats
 
@@ -493,7 +493,11 @@ class TestObsMutationRule:
     ``__slots__``, instrument ``value`` is read-only, and
     ``Counter.force`` no longer exists."""
 
-    FACADES = (IOStats, CompressorStats, OperationStats)
+    FACADES = (
+        IOStats,
+        lambda: CounterGroup("engine.compressor", COMPRESSOR_FIELDS),
+        lambda: CounterGroup("engine.ops", OPERATION_FIELDS),
+    )
 
     def test_stats_attribute_write_flagged(self):
         for facade in self.FACADES:
@@ -525,7 +529,7 @@ class TestObsMutationRule:
 
     def test_registry_accessors_pass(self):
         registry = MetricsRegistry()
-        compressor = CompressorStats(registry)
+        compressor = CounterGroup("engine.compressor", COMPRESSOR_FIELDS, registry)
         compressor.record("commits")
         io = IOStats(registry)
         io.record_read(1024)

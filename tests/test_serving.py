@@ -50,13 +50,12 @@ from repro.serving import (
     TenantConfig,
     TokenBucket,
     WireClient,
-    exact_percentile,
     jain_fairness,
 )
 from repro.serving import protocol
 from repro.serving.slo import metric_segment
 from repro.storage.block_device import CrashPointDevice, MemoryBlockDevice
-from repro.workloads import open_loop_arrivals
+from repro.workloads import open_loop_arrivals, percentile
 from tests.conftest import mutate
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -493,13 +492,13 @@ class TestTenantIsolation:
                 )
         outcome = server.run_open_loop(requests)
         quiet_p95 = [
-            exact_percentile(outcome[name]["latencies"], 0.95)
+            percentile(sorted(outcome[name]["latencies"]), 0.95)
             for name in ("q1", "q2", "q3")
         ]
         assert jain_fairness(quiet_p95) > 0.9
         # The flood tenant bears its own queueing; the quiet tenants
         # must not be dragged to its latency.
-        flood_p95 = exact_percentile(outcome["flood"]["latencies"], 0.95)
+        flood_p95 = percentile(sorted(outcome["flood"]["latencies"]), 0.95)
         assert max(quiet_p95) < flood_p95
 
 
@@ -598,11 +597,11 @@ class TestOpenLoop:
             outcome = server.run_open_loop(
                 _write_requests([f"t{i}" for i in range(4)], rate_per_s, 0.25)
             )
-            latencies = [
+            latencies = sorted(
                 lat for r in outcome.values() for lat in r["latencies"]
-            ]
+            )
             shed = sum(r["shed"] for r in outcome.values())
-            return exact_percentile(latencies, 0.99), shed
+            return percentile(latencies, 0.99), shed
 
         uncontended_p99, __ = run(admission=True, rate_per_s=40.0)
         overload_p99, overload_shed = run(admission=True, rate_per_s=700.0)
@@ -639,9 +638,9 @@ class TestOpenLoop:
 class TestSLOHelpers:
     def test_exact_percentile_nearest_rank(self):
         samples = [float(i) for i in range(1, 101)]
-        assert exact_percentile(samples, 0.50) == 50.0
-        assert exact_percentile(samples, 0.99) == 99.0
-        assert exact_percentile(samples, 1.0) == 100.0
+        assert percentile(samples, 0.50) == 50.0
+        assert percentile(samples, 0.99) == 99.0
+        assert percentile(samples, 1.0) == 100.0
 
     def test_jain_fairness(self):
         assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)

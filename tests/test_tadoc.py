@@ -24,7 +24,6 @@ from repro.tadoc import (
     word2rule,
     word_count,
 )
-from repro.tadoc.dag import to_networkx
 from repro.tadoc.sequitur import Grammar, RuleRef
 
 
@@ -70,13 +69,6 @@ class TestDag:
         shallow = compute_stats(compress(tokenize("x y " * 4)))
         deep = compute_stats(compress(tokenize("a b c d e f g h " * 64)))
         assert deep.depth >= shallow.depth
-
-    def test_to_networkx_export(self, grammar):
-        graph = to_networkx(grammar)
-        assert graph.number_of_nodes() == grammar.rule_count()
-        import networkx as nx
-
-        assert nx.is_directed_acyclic_graph(graph)
 
 
 class TestAnalytics:
