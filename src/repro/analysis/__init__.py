@@ -1,9 +1,10 @@
 """reprolint — AST-based invariant analysis for the CompressDB repro.
 
 The engine's hard contracts (refcount balance on every path, batched
-block I/O, the layer cake, cluster lock order, hole-API-only block
-mutation) are invisible to generic linters; this package encodes them
-as checkers over Python ASTs.  Entry points:
+block I/O, the layer cake, cluster lock order) are invisible to generic
+linters; this package encodes them as checkers over Python ASTs.  A
+rule earns its place by firing on a defect seeded into the real tree
+(``SEEDS`` in ``tests/test_reprolint.py``).  Entry points:
 
 * ``repro lint`` (CLI) — lint the tree, exit non-zero on violations;
 * :func:`repro.analysis.runner.run_paths` — programmatic API;
@@ -44,9 +45,7 @@ from repro.analysis import rules_encoding  # noqa: E402,F401
 from repro.analysis import rules_io  # noqa: E402,F401
 from repro.analysis import rules_layering  # noqa: E402,F401
 from repro.analysis import rules_locks  # noqa: E402,F401
-from repro.analysis import rules_mutation  # noqa: E402,F401
 from repro.analysis import rules_refcount  # noqa: E402,F401
-from repro.analysis import rules_txn  # noqa: E402,F401
 
 __all__ = [
     "AnalysisError",

@@ -1,10 +1,9 @@
 """The whole-program index every reprolint rule runs over.
 
 Lexical rules read the parsed files (:attr:`ProgramContext.files`); the
-rules that guard the MVCC arc (lock order across helpers, transaction
-scopes established by callers, refcount obligations handed over a
-``return``) follow *call edges*.  This module builds the index they
-share:
+rules that guard the MVCC arc (lock order across helpers, lock scopes
+established by callers, refcount obligations handed over a ``return``)
+follow *call edges*.  This module builds the index they share:
 
 * a **class index** — every class with its (import-resolved) bases, its
   methods, and the inferred types of its instance attributes;
@@ -31,7 +30,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from repro.analysis.summaries import SummaryIndex, first_witnesses
+from repro.analysis.summaries import SummaryIndex
 from repro.analysis.symbols import dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -500,50 +499,3 @@ def _merge_types(
     direct = tuple(sorted(set(a[0]) | set(b[0])))[:MAX_CANDIDATES]
     elem = tuple(sorted(set(a[1]) | set(b[1])))[:MAX_CANDIDATES]
     return direct, elem
-
-
-def _short(name: str) -> str:
-    return name[len("repro."):] if name.startswith("repro.") else name
-
-
-def program_dot(program: ProgramContext) -> str:
-    """Byte-stable Graphviz rendering: call graph + lock-order graph.
-
-    One ``digraph`` with two clusters so a single ``dot -Tsvg`` renders
-    both; nodes and edges are emitted sorted, so identical trees produce
-    identical bytes (the DESIGN.md-linkable artifact CI can diff).
-    """
-    edges = sorted(
-        {(_short(edge.caller), _short(edge.callee)) for per_caller in
-         program.calls_from.values() for edge, __ in per_caller}
-    )
-    nodes = sorted({name for pair in edges for name in pair})
-    lines = [
-        "digraph reprolint {",
-        "  rankdir=LR;",
-        '  node [shape=box, fontsize=10, fontname="Helvetica"];',
-        "  subgraph cluster_calls {",
-        '    label="call graph";',
-    ]
-    for node in nodes:
-        lines.append(f'    "{node}";')
-    for caller, callee in edges:
-        lines.append(f'    "{caller}" -> "{callee}";')
-    lines.append("  }")
-    lines.append("  subgraph cluster_locks {")
-    lines.append('    label="lock order";')
-    lock_edges = first_witnesses(program.summaries.lock_order_edges()).values()
-    lock_nodes = sorted(
-        {_short(name) for edge in lock_edges for name in (edge.outer, edge.inner)}
-    )
-    for node in lock_nodes:
-        lines.append(f'    "{node}" [shape=ellipse];')
-    for edge in lock_edges:
-        chain = " \\n ".join(_short(hop) for hop in edge.chain)
-        lines.append(
-            f'    "{_short(edge.outer)}" -> "{_short(edge.inner)}" '
-            f'[label="{chain}", fontsize=8];'
-        )
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

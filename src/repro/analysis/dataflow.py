@@ -1,11 +1,10 @@
 """A small intraprocedural dataflow toolkit for reprolint.
 
-Nothing here tries to be a full CFG: the rules that need flow
-information (RC001's incref obligations, MUT001's raw-buffer taint)
-work on *statement order within a block* plus ancestry facts (loops,
-``try`` cleanup).  That is precise enough to model the engine's real
-idioms — incref-then-transfer runs, build-then-publish loops — while
-staying simple enough to trust.
+Nothing here tries to be a full CFG: the rule that needs flow
+information (RC001's incref obligations) works on *statement order
+within a block* plus ancestry facts (loops, ``try`` cleanup).  That is
+precise enough to model the engine's real idioms — incref-then-transfer
+runs, build-then-publish loops — while staying simple enough to trust.
 """
 
 from __future__ import annotations
@@ -132,56 +131,3 @@ def calls_decref(stmts: Sequence[ast.stmt]) -> bool:
             if call_tail(call) == "decref":
                 return True
     return False
-
-
-class TaintTracker:
-    """Forward taint over one function: names bound to raw block bytes.
-
-    Sources are calls whose tail is in ``source_tails``
-    (``read_block``/``read_blocks``/``_slot_content``/...).  Taint
-    propagates through plain assignment and through wrapping calls
-    (``bytearray(raw)``), which is how a checked-out buffer is usually
-    made mutable.
-    """
-
-    def __init__(self, source_tails: frozenset[str]) -> None:
-        self.source_tails = source_tails
-        self.tainted: set[str] = set()
-
-    #: Wrappers whose result aliases (or exposes) their argument's buffer.
-    _ALIASING_WRAPPERS = frozenset({"bytearray", "memoryview"})
-
-    def _expression_tainted(self, expr: ast.AST) -> bool:
-        if isinstance(expr, ast.Call):
-            tail = call_tail(expr)
-            if tail in self.source_tails:
-                return True
-            if tail in self._ALIASING_WRAPPERS:
-                return any(self._expression_tainted(arg) for arg in expr.args)
-            # Any other call returns a fresh object: taint stops here.
-            return False
-        if isinstance(expr, ast.Name):
-            return expr.id in self.tainted
-        return any(
-            self._expression_tainted(child) for child in ast.iter_child_nodes(expr)
-        )
-
-    def scan_function(self, func: ast.AST) -> None:
-        """Single forward pass binding taint to assigned names.
-
-        One pass is enough for the straight-line define-then-mutate
-        idiom this rule targets; loop-carried aliases are out of scope.
-        """
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and self._expression_tainted(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.tainted.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if self._expression_tainted(node.value) and isinstance(
-                    node.target, ast.Name
-                ):
-                    self.tainted.add(node.target.id)
-
-    def name_is_tainted(self, name: str) -> bool:
-        return name in self.tainted

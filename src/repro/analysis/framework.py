@@ -188,13 +188,16 @@ class Analyzer:
         )
 
     def run_contexts(self, contexts: list[FileContext]) -> list[Finding]:
-        program = ProgramContext(contexts)
-        by_path = {ctx.path: ctx for ctx in contexts}
+        return self.run_program(ProgramContext(contexts))
+
+    def run_program(self, program: ProgramContext) -> list[Finding]:
+        """Run the selected rules over an already indexed program."""
+        by_path = {ctx.path: ctx for ctx in program.files}
         findings: list[Finding] = []
         for checker in self.checkers:
             for finding in checker.check(program):
                 findings.append(self._apply_suppression(by_path[finding.path], finding))
-        for ctx in contexts:
+        for ctx in program.files:
             findings.extend(self._suppression_hygiene(ctx))
         return sorted(findings, key=lambda f: f.sort_key)
 

@@ -4,8 +4,8 @@ Both rules read the whole-program call graph
 (:mod:`repro.analysis.callgraph`) and the function summaries
 (:mod:`repro.analysis.summaries`).
 
-CONC001 — shared mutable state mutated outside a lock/transaction scope
------------------------------------------------------------------------
+CONC001 — shared mutable state mutated outside a lock scope
+-----------------------------------------------------------
 
 Two shapes of shared state, in the concurrency-critical packages
 (``repro.distributed`` / ``repro.storage`` / ``repro.core``):
@@ -16,13 +16,12 @@ Two shapes of shared state, in the concurrency-critical packages
   chunk servers, cluster clients) mutated after construction.
 
 A mutation site is accepted when it provably runs under a scope:
-lexically inside ``with <lock>:``; in a ``@transactional`` method; in a
-method that declares its caller's obligation via ``lock.require_held()``
-or ``require_transaction(...)``; or — the escape analysis — in a method
-reachable *only* from ``__init__`` (constructor-local initialization
-never escapes to other sessions) or whose every call site is itself
-scoped (bounded walk over the call graph; unknown callers mean *not*
-scoped).
+lexically inside ``with <lock>:``; in a method that declares its
+caller's obligation via ``lock.require_held()``; or — the escape
+analysis — in a method reachable *only* from ``__init__``
+(constructor-local initialization never escapes to other sessions) or
+whose every call site is itself scoped (bounded walk over the call
+graph; unknown callers mean *not* scoped).
 
 CONC002 — lock acquisition-order cycles
 ---------------------------------------
@@ -114,8 +113,7 @@ class SharedStateChecker(Checker):
     severity = Severity.ERROR
     description = (
         "shared mutable state (module globals, distributed-tier instance "
-        "attributes) must only be mutated under a lock or transaction "
-        "scope after construction"
+        "attributes) must only be mutated under a lock after construction"
     )
 
     def check(self, program: ProgramContext) -> Iterator[Finding]:
@@ -169,7 +167,7 @@ class SharedStateChecker(Checker):
                     ctx,
                     node,
                     f"{qualname}: module-level mutable {target_name!r} "
-                    "mutated outside any lock/transaction scope — shared "
+                    "mutated outside any lock scope — shared "
                     "across sessions once the MVCC arc lands",
                 )
 
@@ -253,7 +251,7 @@ class SharedStateChecker(Checker):
                         ctx,
                         site,
                         f"{node.name}.{method.name}: self.{attr} mutated "
-                        "outside any lock/transaction scope after "
+                        "outside any lock scope after "
                         "construction — will race once sessions interleave",
                     )
 
@@ -283,13 +281,9 @@ class SharedStateChecker(Checker):
         return None
 
     def _declares_scope(self, qualname: str) -> bool:
-        """``@transactional``, or a guard handing the obligation up."""
+        """A ``require_held`` guard handing the obligation up."""
         summary = self._program.summaries.summaries.get(qualname)
-        return summary is not None and (
-            summary.establishes_txn
-            or summary.declares_require_txn
-            or summary.declares_require_held
-        )
+        return summary is not None and summary.declares_require_held
 
     def _method_scoped(self, method_qual: str, class_qual: str) -> bool:
         return (

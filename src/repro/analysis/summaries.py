@@ -6,16 +6,15 @@ cross-call rules compose:
 * **locks** — every ``with <lock>:`` acquisition, under a *canonical*
   lock identity (``repro.distributed.master.Master.lock``) derived by
   typing the receiver chain;
-* **scopes** — whether the function establishes a transaction scope
-  (``@transactional``) or declares its caller's obligation with a
-  ``require_transaction(...)`` / ``lock.require_held()`` guard;
+* **scopes** — whether the function declares its caller's obligation
+  with a ``lock.require_held()`` guard;
 * **refcounts** — whether the function returns a value it incref'd
   (a *counted return*: the caller inherits the discharge obligation).
 
 :class:`SummaryIndex` memoizes the transitive closures the rules need —
 ``transitive_locks`` (what a call may acquire downstream, with the
 witness call chain) and the one global lock-order graph that LOCK001,
-CONC002, ``--callgraph-dot`` and ``--sanitize`` all read — bounded by
+CONC001, CONC002 and ``--sanitize`` all read — bounded by
 :data:`MAX_SUMMARY_DEPTH` so recursion and deep towers degrade to
 "unknown" instead of diverging.
 """
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.analysis import dataflow
-from repro.analysis.symbols import call_tail, dotted_name
+from repro.analysis.symbols import call_tail
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.callgraph import FunctionInfo, ProgramContext
@@ -41,9 +40,13 @@ _WITH_NODES = (ast.With, ast.AsyncWith)
 
 
 def is_lock_expr(expr: ast.expr) -> bool:
-    """Lock expressions are classified by name: anything spelled with
-    ``lock`` in a ``with`` item is one."""
-    return "lock" in ast.unparse(expr).lower()
+    """A ``with`` item is a lock because of what it *is*: the terminal
+    name of its expression (``self._lock``, ``self.master.lock``,
+    ``self._holding_lock()``) ends in ``lock``.  Call arguments never
+    count — ``tracer.span("device.read", blocks=n)`` is a span."""
+    target = expr.func if isinstance(expr, ast.Call) else expr
+    name = (getattr(target, "attr", None) or getattr(target, "id", "")).lower()
+    return name.endswith("lock") and not name.endswith("block")
 
 
 def inside_lock_with(ctx: "FileContext", node: ast.AST) -> bool:
@@ -76,10 +79,6 @@ class FunctionSummary:
     qualname: str
     #: canonical names of the ``with`` acquisitions in the function's own body.
     locks: list[str] = field(default_factory=list)
-    #: decorated ``@transactional`` (one unit of the journal's ambient epoch).
-    establishes_txn: bool = False
-    #: calls ``require_transaction(...)`` — obligation passed to callers.
-    declares_require_txn: bool = False
     #: calls ``<lock>.require_held()`` — obligation passed to callers.
     declares_require_held: bool = False
     #: returns a value the function itself incref'd.
@@ -101,17 +100,13 @@ class SummaryIndex:
     # -- direct facts -------------------------------------------------------
     def _summarize(self, info: "FunctionInfo") -> FunctionSummary:
         summary = FunctionSummary(qualname=info.qualname)
-        summary.establishes_txn = _has_transactional_decorator(info.node)
         for node in ast.walk(info.node):
             if not isinstance(node, (ast.Call,) + _WITH_NODES):
                 continue
             if info.ctx.symbols.enclosing_function(node) is not info.node:
                 continue  # belongs to a nested function
             if isinstance(node, ast.Call):
-                tail = call_tail(node)
-                if tail == "require_transaction":
-                    summary.declares_require_txn = True
-                elif tail == "require_held":
+                if call_tail(node) == "require_held":
                     summary.declares_require_held = True
             else:
                 summary.locks.extend(name for name, __ in self._with_locks(info, node))
@@ -281,17 +276,6 @@ class SummaryIndex:
                                 add(outer, inner, path, line, chain)
         self._lock_edges = [edges[key] for key in sorted(edges)]
         return self._lock_edges
-
-
-def _has_transactional_decorator(func: ast.AST) -> bool:
-    if not isinstance(func, _FUNCTION_NODES):
-        return False
-    for decorator in func.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        dotted = dotted_name(target)
-        if dotted and dotted.rsplit(".", 1)[-1] == "transactional":
-            return True
-    return False
 
 
 def first_witnesses(edges: list[LockEdge]) -> dict[tuple[str, str], LockEdge]:

@@ -322,8 +322,6 @@ def cmd_lint(args) -> int:
                   f"{checker_cls.description}")
         print("SUP001  [error]  suppression without a written justification")
         return 0
-    if args.callgraph_dot:
-        return _lint_callgraph_dot(args)
     if args.sanitize:
         return _lint_sanitize(args)
     try:
@@ -337,22 +335,6 @@ def cmd_lint(args) -> int:
     else:
         print(report.render_text(show_suppressed=args.show_suppressed))
     return report.exit_code
-
-
-def _lint_callgraph_dot(args) -> int:
-    """``repro lint --callgraph-dot PATH``: dump call + lock-order graphs."""
-    from repro.analysis import build_program_for
-    from repro.analysis.callgraph import program_dot
-
-    program = build_program_for(args.paths)
-    text = program_dot(program)
-    if args.callgraph_dot == "-":
-        print(text, end="")
-    else:
-        with open(args.callgraph_dot, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.callgraph_dot}")
-    return 0
 
 
 def _lint_sanitize(args) -> int:
@@ -719,12 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--list-rules", action="store_true", help="list registered rules and exit"
-    )
-    p.add_argument(
-        "--callgraph-dot",
-        metavar="PATH",
-        help="write the call graph and lock-order graph as Graphviz DOT "
-        "(use - for stdout) and exit",
     )
     p.add_argument(
         "--sanitize",

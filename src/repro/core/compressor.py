@@ -23,7 +23,6 @@ from repro.core.refcount import BlockRefCount
 from repro.obs.metrics import CounterGroup
 from repro.storage.block_device import BlockDevice
 from repro.storage.inode import Inode, Slot
-from repro.storage.journal import require_transaction
 
 #: Algorithm 1 outcome counters, registered as ``engine.compressor.*``.
 COMPRESSOR_FIELDS = (
@@ -67,7 +66,6 @@ class Compressor:
         Returns a slot referencing either an existing block (refcount
         incremented) or a freshly allocated one.
         """
-        require_transaction(self.device)
         return self.store_many([(content, used)])[0]
 
     def store_many(self, pieces: Sequence[tuple[bytes, int]]) -> list[Slot]:
@@ -84,7 +82,6 @@ class Compressor:
         observe stale zeroes); duplicates *within* the batch are caught
         by a pending-content map instead, preserving full dedup.
         """
-        require_transaction(self.device)
         slots: list[Slot] = []
         pending: dict[bytes, int] = {}
         to_write: list[tuple[int, bytes]] = []
@@ -125,7 +122,6 @@ class Compressor:
         ``tmp``; the slot is the pointer ``ptr``; the block it currently
         references is ``curr``.
         """
-        require_transaction(self.device)
         self.commit_many(inode, [(slot_index, content, used)])
 
     def commit_many(
@@ -150,7 +146,6 @@ class Compressor:
         Items must reference distinct slot indexes: one batch is one
         pass over a slot run, not a replay log.
         """
-        require_transaction(self.device)
         pending: dict[bytes, int] = {}
         to_write: list[tuple[int, bytes]] = []
         for slot_index, content, used in items:  # reprolint: disable=RC001 -- each iteration transfers its reference into the inode slot same-iteration; in-place updates cannot be rolled back, so a mid-batch failure is left to fsck rather than half-undone
@@ -232,7 +227,6 @@ class Compressor:
     # -- release -----------------------------------------------------------------
     def release(self, slot: Slot) -> None:
         """Drop one reference to the slot's block, freeing it at zero."""
-        require_transaction(self.device)
         self.stats.record("releases")
         remaining = self.refcount.decref(slot.block_no)
         if remaining == 0:
@@ -260,5 +254,5 @@ class Compressor:
                 order.append(slot.block_no)
         # The scan is one scatter-gather sweep over the unique blocks.
         for content, block_no in zip(self.device.read_blocks(order), order):
-            self.hashtable.add_record(block_no, content)  # reprolint: disable=TXN001 -- blockHashTable is memory-only (rebuilt from the live blocks on every mount); reconstructing it mutates nothing durable, so no transaction is needed
+            self.hashtable.add_record(block_no, content)
         return len(order)

@@ -34,7 +34,7 @@ from repro.obs.metrics import CounterGroup, MetricsSnapshot
 from repro.snap.manager import SnapshotManager
 from repro.storage.block_device import BlockDevice, MemoryBlockDevice
 from repro.storage.inode import Inode, Slot
-from repro.storage.journal import Journal, JournalDevice, transactional
+from repro.storage.journal import Journal, JournalDevice
 
 
 @dataclass
@@ -192,7 +192,6 @@ class CompressDB:
             self._flush_pending(path)
 
     # -- namespace -----------------------------------------------------------
-    @transactional
     def create(self, path: str) -> None:
         """Create an empty file at ``path``."""
         if path in self._inodes:
@@ -224,7 +223,6 @@ class CompressDB:
             raise FileNotFound(path) from None
 
     # -- write coalescing -----------------------------------------------------
-    @transactional
     def _flush_pending(self, path: Optional[str] = None) -> None:
         """Commit the coalescing buffer of ``path`` (or of every file).
 
@@ -252,7 +250,6 @@ class CompressDB:
         """
         self._flush_pending(path)
 
-    @transactional
     def unlink(self, path: str) -> None:
         """Delete a file, releasing every block it references."""
         inode = self._inode_raw(path)
@@ -261,7 +258,6 @@ class CompressDB:
             self.compressor.release(slot)
         del self._inodes[path]
 
-    @transactional
     def rename(self, old: str, new: str) -> None:
         """Move a file to a new name, replacing ``new`` if it exists.
 
@@ -283,7 +279,6 @@ class CompressDB:
         if buffered:
             self._pending[new] = buffered
 
-    @transactional
     def copy_file(self, src: str, dst: str) -> None:
         """Reflink-style copy: share every block, touch no data.
 
@@ -355,7 +350,6 @@ class CompressDB:
             path=path, slot_index=slot_index, data=bytearray(raw[: slot.used])
         )
 
-    @transactional
     def release_block(self, handle: BlockHandle) -> None:
         """Release a checked-out block, triggering Algorithm 1.
 
@@ -438,7 +432,6 @@ class CompressDB:
             results.append(b"".join(parts))
         return results
 
-    @transactional
     def write(self, path: str, offset: int, data: bytes) -> int:
         """POSIX ``write``: overwrite in place, extend past end of file.
 
@@ -488,7 +481,6 @@ class CompressDB:
             self.ops.append(path, data[overlap:])
         return len(data)
 
-    @transactional
     def truncate(self, path: str, size: int) -> None:
         """Grow (zero-fill) or shrink the file to exactly ``size`` bytes."""
         inode = self.inode(path)
@@ -503,7 +495,6 @@ class CompressDB:
         """Whole-file read convenience."""
         return self.ops.extract(path, 0, self.inode(path).size)
 
-    @transactional
     def write_file(self, path: str, data: bytes) -> None:
         """Create-or-replace a file with ``data``."""
         if self.exists(path):
@@ -574,7 +565,6 @@ class CompressDB:
         return self.obs.registry.snapshot()
 
     # -- remount / durability -----------------------------------------------------------
-    @transactional
     def flush(self) -> None:
         """Persist the durable structures.
 
@@ -585,7 +575,10 @@ class CompressDB:
         remountable from the raw device in another process.  On a
         journaled device this additionally commits the epoch: the new
         image goes through the write-ahead log, so a crash anywhere
-        lands on exactly the previous or the new image.
+        lands on exactly the previous or the new image.  Sync points
+        (here, ``fsync``, ``close``) are the only commits: no mutator
+        commits partway, which ``TestEngineCrashMatrix`` checks at every
+        device write.
         """
         clock = self.obs.clock
         started = clock.now if clock is not None else 0.0
@@ -732,7 +725,6 @@ class CompressDB:
         }
 
     # -- maintenance ---------------------------------------------------------------------
-    @transactional
     def defragment(self, path: str) -> int:
         """Rewrite a file without holes; returns slots eliminated.
 
@@ -760,7 +752,6 @@ class CompressDB:
             self.compressor.release(slot)
         return before - inode.num_slots
 
-    @transactional
     def fsck(self, repair: bool = True) -> dict[str, int]:
         """Verify (and with ``repair`` restore) cross-structure invariants.
 

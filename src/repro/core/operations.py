@@ -19,7 +19,6 @@ from repro.core import match
 from repro.fs.errors import InvalidArgument
 from repro.obs.metrics import CounterGroup
 from repro.storage.inode import Inode, Slot
-from repro.storage.journal import require_transaction, transactional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import CompressDB
@@ -119,7 +118,6 @@ class OperationModule:
         return self.engine.readv(path, [(offset, size)])[0]
 
     # -- replace ----------------------------------------------------------------
-    @transactional
     def replace(self, path: str, offset: int, data: bytes) -> None:
         """Overwrite ``len(data)`` bytes at ``offset`` in place.
 
@@ -171,7 +169,6 @@ class OperationModule:
         self.engine.compressor.commit_many(inode, items)
 
     # -- insert --------------------------------------------------------------------
-    @transactional
     def insert(self, path: str, offset: int, data: bytes) -> None:
         """Insert ``data`` at logical ``offset`` without moving other blocks.
 
@@ -214,7 +211,6 @@ class OperationModule:
             insert_at += 1
 
     # -- delete ----------------------------------------------------------------------
-    @transactional
     def delete(self, path: str, offset: int, length: int, merge_holes: bool = True) -> None:
         """Remove ``length`` bytes at ``offset``, leaving holes.
 
@@ -261,7 +257,6 @@ class OperationModule:
 
     def _merge_adjacent(self, inode: Inode, left_index: int) -> None:
         """Merge two adjacent holey slots into one block when they fit."""
-        require_transaction(self.engine.device)
         if left_index < 0 or left_index + 1 >= inode.num_slots:
             return
         left = inode.slot_at(left_index)
@@ -276,7 +271,6 @@ class OperationModule:
         self.engine.compressor.commit(inode, left_index, merged, len(merged))
 
     # -- append -----------------------------------------------------------------------
-    @transactional
     def append(self, path: str, data: bytes) -> None:
         """Append ``data`` at the end of the file.
 
@@ -289,7 +283,6 @@ class OperationModule:
         self._append_data(inode, data)
 
     def _append_data(self, inode: Inode, data: bytes) -> None:
-        require_transaction(self.engine.device)
         if not data:
             return
         block_size = inode.block_size

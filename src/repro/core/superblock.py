@@ -149,7 +149,7 @@ def deserialize_metadata(
             for __slot in range(slot_count):
                 block_no, offset = read_varint(payload, offset)
                 used, offset = read_varint(payload, offset)
-                inode.append_slot(Slot(block_no=block_no, used=used))  # reprolint: disable=TXN001 -- deserialisation builds fresh in-memory inodes from an already-durable image at mount time; nothing on the device changes, so there is no transaction to be in
+                inode.append_slot(Slot(block_no=block_no, used=used))
             inodes[path] = inode
     except (VarintError, UnicodeDecodeError, InodeError) as exc:
         raise PersistenceError(f"corrupt metadata image: {exc}") from exc

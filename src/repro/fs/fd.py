@@ -80,6 +80,13 @@ class FDTable:
         self._free.append(fd)
         return state
 
+    def release_all(self) -> int:
+        """Release every open descriptor; returns how many there were."""
+        fds = self.open_fds()
+        for fd in fds:
+            self.release(fd)
+        return len(fds)
+
     def open_count(self, path: str) -> int:
         """Number of descriptors currently open on ``path``."""
         return sum(1 for state in self._open.values() if state.path == path)

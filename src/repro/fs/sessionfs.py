@@ -44,8 +44,7 @@ class SessionFS(CompressFS):
         session.add_cleanup(self._release_all_fds, key=f"sessionfs:{id(self)}")
 
     def _release_all_fds(self) -> None:
-        for fd in self._fds.open_fds():
-            self._fds.release(fd)
+        self._fds.release_all()
 
     def _sync(self, path: str) -> None:
         """No-op: durability happens at the session's group commit."""

@@ -208,11 +208,10 @@ class TrackedLock:
 
     ``order_key`` is the runtime identity matched against the static
     lock-order graph; ``rank`` is the cluster tier (None = unranked,
-    nests freely).  ``require_held()`` is the lock-side counterpart of
-    ``require_transaction``: helpers that mutate shared state without
-    taking the lock themselves declare the caller's obligation, the
-    static CONC001 pass recognizes both calls alike, and this one is
-    also checked at run time while a sanitizer is installed.
+    nests freely).  Helpers that mutate shared state without taking
+    the lock themselves declare the caller's obligation with
+    ``require_held()``: the static CONC001 pass recognizes the call, and
+    it is also checked at run time while a sanitizer is installed.
     """
 
     __slots__ = ("name", "order_key", "rank", "_lock", "_owner")

@@ -30,7 +30,7 @@ Commit protocol (first-committer-wins):
 3. pre-image retention — paths other active sessions may still read
    are frozen and pinned before being overwritten;
 4. buffered contents applied through the ordinary engine mutators
-   in one journal epoch (``commit`` is ``@transactional``);
+   in one journal epoch (``commit`` never commits partway);
 5. the ticket joins the group-commit queue.
 """
 
@@ -50,7 +50,6 @@ from repro.mvcc.session import (
 )
 from repro.mvcc.versions import VersionStore
 from repro.snap.record import FrozenInode
-from repro.storage.journal import transactional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import CompressDB
@@ -100,7 +99,6 @@ class SessionManager:
         self._g_active.set(len(self._active))
         return session
 
-    @transactional
     def commit(self, session: Session) -> CommitTicket:
         """First-committer-wins commit; see the module docstring."""
         if session.read_only:
@@ -255,7 +253,6 @@ class SessionManager:
         for slot in frozen.iter_slots():
             refcount.pin(slot.block_no)
 
-    @transactional
     def _unpin_frozen(self, frozen: FrozenInode) -> None:
         """Release a frozen image's pins, freeing orphaned blocks.
 

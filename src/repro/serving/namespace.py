@@ -240,10 +240,7 @@ class NamespaceFS(FileSystem):
 
     def release_fds(self) -> int:
         """Force-close every open descriptor (connection teardown)."""
-        fds = self._fds.open_fds()
-        for fd in fds:
-            self._fds.release(fd)
-        return len(fds)
+        return self._fds.release_all()
 
     # -- namespace overrides --------------------------------------------------
     def rename(self, old: str, new: str) -> None:

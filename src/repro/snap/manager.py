@@ -7,11 +7,12 @@ copy-on-write machinery does all the work — any live mutation of a
 shared block sees ``refcount > 1`` and diverges, so the frozen image
 stays readable forever at zero incremental cost.
 
-Every mutator is one unit of the journal's ambient epoch
-(``@transactional``), so on a journaled device snapshot create /
+Every mutator is one unit of the journal's ambient epoch and never
+commits partway, so on a journaled device snapshot create /
 delete / rollback / clone commit atomically with the metadata image:
 a crash at any device write recovers to exactly the pre- or
-post-operation state.  Persistence itself happens in
+post-operation state (``TestSnapshotCrashMatrix`` checks every write
+index).  Persistence itself happens in
 :meth:`CompressDB.flush <repro.core.engine.CompressDB.flush>`, which
 writes the serialised table to a dedicated superblock-v4-registered
 metadata chain whenever :attr:`SnapshotManager.dirty` is set.
@@ -30,7 +31,6 @@ from repro.snap.record import (
     serialize_snapshots,
 )
 from repro.storage.inode import Inode, Slot
-from repro.storage.journal import transactional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine owns us)
     from repro.core.engine import CompressDB
@@ -131,7 +131,6 @@ class SnapshotManager:
             yield from record.files.values()
 
     # -- lifecycle ------------------------------------------------------------
-    @transactional
     def create(self, name: str) -> SnapshotRecord:
         """Freeze the whole namespace as snapshot ``name``.
 
@@ -168,7 +167,6 @@ class SnapshotManager:
         self._g_count.set(len(self._records))
         return record
 
-    @transactional
     def delete(self, name: str) -> None:
         """Drop a snapshot, releasing every reference it holds.
 
@@ -186,7 +184,6 @@ class SnapshotManager:
         self._c_deletes.inc()
         self._g_count.set(len(self._records))
 
-    @transactional
     def rollback(self, name: str) -> None:
         """Reset the live namespace to snapshot ``name``.
 
@@ -231,7 +228,6 @@ class SnapshotManager:
                 engine.compressor.release(slot)
         self._c_rollbacks.inc()
 
-    @transactional
     def clone(self, name: str, dest_prefix: str) -> list[str]:
         """Materialise snapshot ``name`` as writable files.
 

@@ -15,8 +15,6 @@ from repro.storage.journal import (
     JournalDevice,
     JournalError,
     Transaction,
-    require_transaction,
-    transactional,
 )
 from repro.storage.simclock import (
     CLOUD_ESSD,
@@ -56,6 +54,4 @@ __all__ = [
     "Slot",
     "Stopwatch",
     "Transaction",
-    "require_transaction",
-    "transactional",
 ]

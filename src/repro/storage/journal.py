@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence
 
 from repro.locks import tracked_lock
 from repro.storage.block_device import BlockDevice, BlockDeviceError, DeviceWrapper
@@ -152,32 +152,16 @@ class JournalError(Exception):
     """Invalid journal geometry or a batch that cannot fit the region."""
 
 
-def require_transaction(device: BlockDevice) -> None:
-    """Declare that the caller must already be inside a ``@transactional``
-    method.  TXN001 and CONC001 read the call statically; nothing is
-    checked at run time, because a journaled device's epoch is open from
-    construction to close and a plain device applies each block write
-    atomically."""
-
-
-_Method = TypeVar("_Method", bound=Callable)
-
-
-def transactional(method: _Method) -> _Method:
-    """Declare a mutating method as one atomic unit of the ambient epoch.
+class Transaction:
+    """Staged state of one commit epoch on a journaled device.
 
     There is one transaction in the program: whatever a
     :class:`JournalDevice` has staged between two :meth:`~JournalDevice.
     commit` calls.  A mutator never commits partway — durability happens
-    only at a sync point (``fsync``/``flush``/``close``) — so the
-    decorator has nothing to do at run time and returns ``method``
-    itself; TXN001 accepts it as proof of transaction scope.
+    only at a sync point (``fsync``/``flush``/``close``) — and the
+    crash-point matrices (``tests/test_failure_injection.py``) check it
+    at every device write.
     """
-    return method
-
-
-class Transaction:
-    """Staged state of one commit epoch on a journaled device."""
 
     def __init__(self) -> None:
         #: block number -> padded bytes staged for this epoch.

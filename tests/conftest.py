@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.analysis import Analyzer, LintReport, build_program_for, default_target
 from repro.core.engine import CompressDB
 from repro.fs.compressfs import CompressFS
 from repro.fs.sessionfs import SessionFS
@@ -30,6 +31,18 @@ def mutate(rng: random.Random, base: bytes) -> bytes:
     else:
         data += rng.randbytes(rng.randint(1, 8))
     return bytes(data)
+
+
+@pytest.fixture(scope="session")
+def shipped_tree():
+    """``(program, report)`` of the shipped ``src/repro`` tree, indexed
+    and linted once per session — every "the shipped tree ..." assertion
+    reads this instead of re-analysing the whole tree."""
+    program = build_program_for([default_target()])
+    report = LintReport(
+        findings=Analyzer().run_program(program), files_scanned=len(program.files)
+    )
+    return program, report
 
 
 @pytest.fixture

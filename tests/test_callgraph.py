@@ -1,8 +1,8 @@
-"""Call graph, summaries, and DOT rendering (reprolint interprocedural).
+"""Call graph and summaries (reprolint interprocedural).
 
 Covers the resolver's contract: module-qualified resolution, ``self``
-dispatch over the class hierarchy, typed-attribute chains, bounded
-recursion in the transitive summaries, and byte-stable DOT output.
+dispatch over the class hierarchy, typed-attribute chains, and bounded
+recursion in the transitive summaries.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import textwrap
 
 from repro.analysis import build_context
-from repro.analysis.callgraph import ProgramContext, program_dot
+from repro.analysis.callgraph import ProgramContext
 from repro.analysis.summaries import find_lock_cycles
 
 
@@ -292,37 +292,3 @@ class TestSummaries:
         ) in pairs
         cycles = find_lock_cycles(edges)
         assert cycles, "the a->b / b->a pair must form a cycle"
-
-
-class TestProgramDot:
-    SOURCE = (
-        "src/repro/distributed/a.py",
-        """
-        class Master:
-            def __init__(self):
-                self.lock = object()
-
-            def mutate(self):
-                with self.lock:
-                    pass
-
-        class Client:
-            def __init__(self, master: Master):
-                self.master = master
-
-            def go(self):
-                self.master.mutate()
-        """,
-    )
-
-    def test_dot_contains_both_clusters(self):
-        text = program_dot(program_for(self.SOURCE))
-        assert "cluster_calls" in text
-        assert "cluster_locks" in text
-        assert '"distributed.a.Client.go" -> "distributed.a.Master.mutate";' in text
-
-    def test_dot_is_byte_stable(self):
-        first = program_dot(program_for(self.SOURCE))
-        second = program_dot(program_for(self.SOURCE))
-        assert first == second
-        assert first.endswith("\n")

@@ -12,8 +12,6 @@ from repro.storage.journal import (
     Journal,
     JournalDevice,
     JournalError,
-    require_transaction,
-    transactional,
 )
 from repro.storage.block_device import (
     BlockDeviceError,
@@ -269,17 +267,3 @@ class TestJournalDevice:
         dev.commit()
         assert dev.lsn == 3
         assert journal.next_lsn(dev.inner) == 3
-
-
-class TestRequireTransaction:
-    def test_plain_device_is_trivially_transactional(self):
-        device = MemoryBlockDevice(block_size=BLOCK)
-        require_transaction(device)  # must not raise
-
-    def test_declarations_have_no_run_time_half(self):
-        def mutate(self):
-            return "done"
-
-        assert transactional(mutate) is mutate
-        dev, __, __ = TestJournalDevice()._journaled()
-        assert require_transaction(dev) is None

@@ -3,20 +3,25 @@
 Each rule gets a positive fixture (the violation is found), a negative
 fixture (idiomatic code passes), and a suppression fixture.  On top of
 that: suppression hygiene (SUP001), stable JSON output, the CLI
-``lint`` subcommand, and — the point of the exercise — the shipped
-source tree linting clean.
+``lint`` subcommand, and — the point of the exercise — two whole-program
+passes over the real tree: the shipped sources lint clean (the
+session-scoped ``shipped_tree`` fixture), and the same sources with
+``SEEDS`` planted trip every rule (``TestSeededTree``).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import textwrap
+from collections import Counter
 
 import pytest
 
 from repro.analysis import (
     Analyzer,
     CHECKER_REGISTRY,
+    collect_files,
     default_target,
     run_paths,
 )
@@ -411,79 +416,6 @@ class TestLockOrderRule:
 
 
 # ---------------------------------------------------------------------------
-# MUT001 — raw block buffer mutation
-# ---------------------------------------------------------------------------
-
-class TestRawMutationRule:
-    PATH = "src/repro/core/mutfixture.py"
-
-    def test_subscript_store_into_raw_block_flagged(self):
-        findings = lint(
-            """
-            def corrupt(device, no):
-                raw = bytearray(device.read_block(no))
-                raw[0] = 1
-            """,
-            self.PATH,
-            rules=["MUT001"],
-        )
-        assert len(active(findings)) == 1
-        assert "raw" in active(findings)[0].message
-
-    def test_mutator_method_on_raw_block_flagged(self):
-        findings = lint(
-            """
-            def corrupt(device, no):
-                raw = bytearray(device.read_block(no))
-                raw.extend(b"tail")
-            """,
-            self.PATH,
-            rules=["MUT001"],
-        )
-        assert len(active(findings)) == 1
-
-    def test_fresh_buffer_mutation_passes(self):
-        findings = lint(
-            """
-            def fine(device, no):
-                header = device.read_block(no)[:4]
-                fresh = bytearray(64)
-                fresh[0] = 1
-                fresh.extend(header)
-                return bytes(fresh)
-            """,
-            self.PATH,
-            rules=["MUT001"],
-        )
-        assert findings == []
-
-    def test_taint_does_not_cross_ordinary_calls(self):
-        findings = lint(
-            """
-            def fine(self, device, no):
-                raw = device.read_block(no)
-                pieces = self._chunk(raw)
-                pieces.append((b"tail", 4))
-            """,
-            self.PATH,
-            rules=["MUT001"],
-        )
-        assert findings == []
-
-    def test_hole_api_module_exempt(self):
-        findings = lint(
-            """
-            def punch(device, no, start, length):
-                raw = bytearray(device.read_block(no))
-                raw[start : start + length] = b"\\x00" * length
-            """,
-            "src/repro/core/holes.py",
-            rules=["MUT001"],
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # OBS001 (retired) — metrics change only through the registry accessors
 # ---------------------------------------------------------------------------
 
@@ -661,107 +593,6 @@ class TestEncodingRule:
 
 
 # ---------------------------------------------------------------------------
-# TXN001 — transaction scoping
-# ---------------------------------------------------------------------------
-
-class TestTransactionRule:
-    PATH = "src/repro/core/txnfixture.py"
-
-    def test_unscoped_metadata_mutation_flagged(self):
-        findings = lint(
-            """
-            def sneaky_delete(self, path):
-                inode = self.inode(path)
-                self.refcount.decref(inode.slot_at(0).block_no)
-                inode.remove_slot(0)
-            """,
-            self.PATH,
-            rules=["TXN001"],
-        )
-        assert len(active(findings)) == 2
-        assert "outside a transaction scope" in active(findings)[0].message
-
-    def test_refcount_set_qualified_by_receiver(self):
-        findings = lint(
-            """
-            def tune(self, options, block_no):
-                options.set("verbose", True)
-                self.refcount.set(block_no, 2)
-            """,
-            self.PATH,
-            rules=["TXN001"],
-        )
-        # Only the refcount.set is a metadata mutation.
-        assert len(active(findings)) == 1
-        assert "refcount.set" in active(findings)[0].message
-
-    def test_transactional_decorator_protects(self):
-        findings = lint(
-            """
-            @transactional
-            def insert(self, inode, slot):
-                self.refcount.incref(slot.block_no)
-                inode.insert_slot(0, slot)
-            """,
-            self.PATH,
-            rules=["TXN001"],
-        )
-        assert active(findings) == []
-
-    def test_require_transaction_guard_protects(self):
-        findings = lint(
-            """
-            def _append_data(self, inode, slot):
-                require_transaction(self.device)
-                inode.append_slot(slot)
-            """,
-            self.PATH,
-            rules=["TXN001"],
-        )
-        assert active(findings) == []
-
-    def test_mutation_after_with_block_still_flagged(self):
-        # The journal's epoch is the only transaction: a ``with`` block
-        # declares nothing, so the mutation inside it is flagged too.
-        findings = lint(
-            """
-            def leaky(self, engine, inode, slot):
-                with engine.transaction():
-                    inode.append_slot(slot)
-                inode.remove_slot(0)
-            """,
-            self.PATH,
-            rules=["TXN001"],
-        )
-        assert len(active(findings)) == 2
-        assert "append_slot" in active(findings)[0].message
-        assert "remove_slot" in active(findings)[1].message
-
-    def test_structure_modules_exempt(self):
-        findings = lint(
-            """
-            def persist(self):
-                self.refcount.set(1, 2)
-            """,
-            "src/repro/core/refcount.py",
-            rules=["TXN001"],
-        )
-        assert active(findings) == []
-
-    def test_suppression_with_justification(self):
-        findings = lint(
-            """
-            def rebuild(self, table, block_no, content):
-                table.add_record(block_no, content)  # reprolint: disable=TXN001 -- memory-only index rebuild
-            """,
-            self.PATH,
-            rules=["TXN001"],
-        )
-        assert active(findings) == []
-        assert len(findings) == 1 and findings[0].suppressed
-
-
-# ---------------------------------------------------------------------------
 # DET001 — deterministic replicated apply paths
 # ---------------------------------------------------------------------------
 
@@ -904,21 +735,21 @@ class TestDeterminismRule:
         assert active(findings) == []
         assert len(findings) == 1 and findings[0].suppressed
 
-    def test_shipped_statemachine_is_deterministic(self):
+    def test_shipped_statemachine_is_deterministic(self, shipped_tree):
         # The apply step is a table lookup; its bodies are the Master
         # mutators.  Both modules must be in scope, and both clean.
         for path in (self.PATH, "src/repro/distributed/master.py"):
             probe = lint("import time\nstamp = time.time()\n", path, rules=["DET001"])
             assert rule_ids(probe) == ["DET001"], f"{path} is out of DET001 scope"
-        result = run_paths([default_target()], rules=["DET001"])
-        assert [f for f in result.findings if not f.suppressed] == []
+        __, report = shipped_tree
+        assert [f for f in report.active if f.rule_id == "DET001"] == []
 
 
 class TestFramework:
     def test_all_five_rules_registered(self):
         assert {
-            "RC001", "IO001", "LAYER001", "LOCK001", "MUT001",
-            "TXN001", "ENC001", "DET001", "CONC001", "CONC002",
+            "RC001", "IO001", "LAYER001", "LOCK001",
+            "ENC001", "DET001", "CONC001", "CONC002",
         } == set(
             CHECKER_REGISTRY
         )
@@ -997,12 +828,37 @@ class TestFramework:
 # ---------------------------------------------------------------------------
 
 class TestLintCLI:
-    def test_shipped_tree_is_clean(self):
-        report = run_paths([default_target()])
+    def test_shipped_tree_is_clean(self, shipped_tree):
+        __, report = shipped_tree
         assert report.files_scanned > 50
         assert report.active == [], "\n" + report.render_text()
         for finding in report.suppressed:
             assert finding.justification, finding.render()
+        # The standing suppressions, by rule: nothing rides in unnoticed.
+        assert Counter(f.rule_id for f in report.suppressed) == {"IO001": 5, "RC001": 3}
+
+    def test_shipped_lock_graph_holds_locks_only(self, shipped_tree):
+        # A ``with`` item is a lock because of what it is, not because
+        # its source text contains "lock": the parent's graph also held
+        # eight tracer spans (``span("device.read", blocks=...)``).
+        summaries = shipped_tree[0].summaries
+        distributed = "repro.distributed."
+        assert {
+            name for summary in summaries.summaries.values() for name in summary.locks
+        } == {
+            distributed + "master.Master.lock",
+            distributed + "chunkserver.ChunkServer._lock",
+            distributed + "replicated.MasterGroup.lock",
+            distributed + "replicated:self._holding_lock()",
+            distributed + "interleave:cluster.master.lock",
+            distributed + "shardmap.ShardMap._map_lock",
+            distributed + "shardmap.ClientShardCache._view_lock",
+            "repro.serving.server.Server._lock",
+            "repro.storage.journal.JournalDevice._commit_lock",
+        }
+        assert {(e.outer, e.inner) for e in summaries.lock_order_edges()} == {
+            (distributed + "master.Master.lock", distributed + "chunkserver.ChunkServer._lock")
+        }
 
     def test_cli_lint_exits_zero_on_tree(self, capsys):
         assert main(["lint"]) == 0
@@ -1048,13 +904,303 @@ class TestLintCLI:
     def test_cli_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in (
-            "RC001", "IO001", "LAYER001", "LOCK001", "MUT001", "CONC002", "SUP001"
-        ):
-            assert rule in out
+        assert [line.split()[0] for line in out.splitlines()] == sorted(
+            CHECKER_REGISTRY
+        ) + ["SUP001"]
 
     def test_cli_missing_target(self, capsys):
         assert main(["lint", "/no/such/tree"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The admission test: a rule stays only if a defect seeded into the real
+# tree trips it
+# ---------------------------------------------------------------------------
+
+APPEND = "append"
+
+#: ``(file under src/repro, anchor text or APPEND, replacement, {rule:
+#: active findings in that file})``.  Each row plants, in the shipped
+#: sources held in memory, a defect of the kind its rule exists for; one
+#: whole-program pass over the seeded tree must report exactly the sum of
+#: the rows.  A rule or documented sub-check with no row has not earned
+#: its lines; a rule whose row stops firing is dead weight or broken.
+SEEDS = [
+    # RC001, loop-carried: copy_file loses its rollback, so a failure in
+    # iteration i leaks the references of iterations 0..i-1.
+    (
+        "core/engine.py",
+        "            for block_no in added:\n"
+        "                self.refcount.decref(block_no)\n"
+        "            raise\n"
+        "        self._inodes[dst] = clone\n",
+        "            raise\n"
+        "        self._inodes[dst] = clone\n",
+        {"RC001": 1},
+    ),
+    # RC001, straight-line: a call that can raise lands between the
+    # incref of the duplicate and the slot that takes ownership of it.
+    (
+        "core/compressor.py",
+        "                self.refcount.incref(dup)\n"
+        "                inode.replace_slot(",
+        "                self.refcount.incref(dup)\n"
+        "                self.device.free(curr.block_no)\n"
+        "                inode.replace_slot(",
+        {"RC001": 1},
+    ),
+    # RC001, counted return: a helper hands back a block it incref'd; one
+    # caller drops the result, another can raise before transferring it.
+    (
+        "core/refcount.py",
+        APPEND,
+        """
+
+        def share(refcount: BlockRefCount, block_no: int) -> int:
+            refcount.incref(block_no)
+            return block_no
+
+
+        def pin(refcount: BlockRefCount, block_no: int) -> None:
+            share(refcount, block_no)
+
+
+        def adopt(refcount: BlockRefCount, inode, block_no: int) -> None:
+            dup = share(refcount, block_no)
+            inode.validate()
+            inode.append_slot(dup)
+        """,
+        {"RC001": 2},
+    ),
+    # LOCK001 (lexical inversion, then re-acquisition through
+    # attach_registry) + CONC002: join_server swaps the lock pair and
+    # takes the chunk server's rank-1 lock before the master's rank-0 one.
+    (
+        "distributed/client.py",
+        '        with self.obs.tracer.span("client.join", server=server.name), self.master.lock:\n',
+        "        with server._lock, self.master.lock:\n",
+        {"LOCK001": 2, "CONC002": 1},
+    ),
+    # LOCK001, across a call chain: the helper every locked caller uses
+    # starts taking the master lock itself.
+    (
+        "distributed/client.py",
+        "        self._charge(0)\n"
+        "        entry = self.master.unlink(path)\n",
+        "        with self.master.lock:\n"
+        "            entry = self.master.unlink(path)\n",
+        {"LOCK001": 2},
+    ),
+    # CONC001: a tracer span is not a lock (the parent's linter passed
+    # this because the span call is spelled ``blocks=``) ...
+    (
+        "distributed/chunkserver.py",
+        "        with self._lock:\n"
+        "            self.online = False\n",
+        '        with self.obs.tracer.span("chunkserver.fail", blocks=1):\n'
+        "            self.online = False\n",
+        {"CONC001": 1},
+    ),
+    # ... nor is no scope at all ...
+    (
+        "distributed/chunkserver.py",
+        "        with self._lock:\n"
+        "            self.online = True\n"
+        "\n"
+        "    def restart",
+        "        self.online = True\n"
+        "\n"
+        "    def restart",
+        {"CONC001": 1},
+    ),
+    # ... and a module-level cache is shared by every session.
+    (
+        "core/hashtable.py",
+        APPEND,
+        """
+
+        _DIGESTS: dict[bytes, int] = {}
+
+
+        def cached_hash(content: bytes) -> int:
+            if content not in _DIGESTS:
+                _DIGESTS[content] = hash_block(content)
+            return _DIGESTS[content]
+        """,
+        {"CONC001": 1},
+    ),
+    # DET001: the replicated apply path reads a wall clock, ...
+    (
+        "distributed/master.py",
+        "        entry = FileEntry(path=path)\n"
+        "        self._files[path] = entry\n",
+        "        import time\n"
+        "\n"
+        "        entry = FileEntry(path=path)\n"
+        "        entry.created = time.time()\n"
+        "        self._files[path] = entry\n",
+        {"DET001": 1},
+    ),
+    # ... draws from the process-wide generator, ...
+    (
+        "distributed/master.py",
+        "            for name in sorted(self.server_names):\n"
+        "                if name in chosen:\n",
+        "            for name in random.sample(sorted(self.server_names), 3):\n"
+        "                if name in chosen:\n",
+        {"DET001": 1},
+    ),
+    # ... walks a dict in insertion order, ...
+    (
+        "distributed/master.py",
+        "        for path in sorted(self._files):\n"
+        "            for chunk in self._files[path].chunks:\n"
+        "                if server_name in chunk.servers:\n",
+        "        for path, entry in self._files.items():\n"
+        "            for chunk in entry.chunks:\n"
+        "                if server_name in chunk.servers:\n",
+        {"DET001": 1},
+    ),
+    # ... and the state machine stamps entries with its own SimClock.
+    (
+        "raft/statemachine.py",
+        "        self.applied_index = index\n"
+        "        return result\n",
+        "        self.applied_index = index\n"
+        "        self.applied_at = self.clock.now\n"
+        "        return result\n",
+        {"DET001": 1},
+    ),
+    # LAYER001: the engine imports a database, ...
+    (
+        "core/engine.py",
+        "from repro.core import superblock as sb\n",
+        "from repro.core import superblock as sb\n"
+        "from repro.databases.minisql import MiniSQL\n",
+        {"LAYER001": 1},
+    ),
+    # ... a database reaches under the VFS for the block device, ...
+    (
+        "databases/minisql.py",
+        "from repro.fs.vfs import FileSystem\n",
+        "from repro.fs.vfs import FileSystem\n"
+        "from repro.storage.block_device import MemoryBlockDevice\n",
+        {"LAYER001": 1},
+    ),
+    # ... a FileSystem primitive raises a builtin across the boundary, ...
+    (
+        "fs/compressfs.py",
+        "    def _pread(self, path: str, offset: int, size: int) -> bytes:\n"
+        "        if offset < 0 or size < 0:\n"
+        "            raise InvalidArgument(",
+        "    def _pread(self, path: str, offset: int, size: int) -> bytes:\n"
+        "        if offset < 0 or size < 0:\n"
+        "            raise ValueError(",
+        {"LAYER001": 1},
+    ),
+    # ... and another lets an engine-internal type through.
+    (
+        "fs/compressfs.py",
+        "    def _truncate(self, path: str, size: int) -> None:\n"
+        "        if self._snapshot_target(path) is not None:\n"
+        "            raise PermissionDenied(",
+        "    def _truncate(self, path: str, size: int) -> None:\n"
+        "        if self._snapshot_target(path) is not None:\n"
+        "            from repro.snap.record import SnapshotError\n"
+        "\n"
+        "            raise SnapshotError(",
+        {"LAYER001": 1},
+    ),
+    # IO001: readv goes back to one device read per block, ...
+    (
+        "core/engine.py",
+        "        contents = self.device.read_blocks(block_nos)\n",
+        "        contents = [self.device.read_block(no) for no in block_nos]\n",
+        {"IO001": 1},
+    ),
+    # ... and defragment to one compressor call per piece.
+    (
+        "core/engine.py",
+        "        for slot in self.compressor.store_many(pieces):\n"
+        "            inode.append_slot(slot)\n"
+        "        # Release the old references",
+        "        for content, used in pieces:\n"
+        "            inode.append_slot(self.compressor.store(content, used))\n"
+        "        # Release the old references",
+        {"IO001": 1},
+    ),
+    # ENC001: the chunk server decodes a column file itself, through a
+    # struct it imported from the codec's private half.
+    (
+        "distributed/chunkserver.py",
+        "from repro.databases.colcodec import fold_int_cells\n",
+        "from repro.databases.colcodec import _INT_CELL, fold_int_cells\n",
+        {"ENC001": 1},
+    ),
+    (
+        "distributed/chunkserver.py",
+        "            return fold_int_cells(self.fs._pread(path, offset, length))\n",
+        '            return _INT_CELL.unpack_from(self.fs.read_file("/t.col"), offset)\n',
+        {"ENC001": 1},
+    ),
+    # SUP001: a suppression loses its written reason.
+    (
+        "core/superblock.py",
+        "  # reprolint: disable=IO001 -- pointer chase: each next-block number "
+        "lives inside the previous block, so the reads are sequentially "
+        "dependent and cannot be batched\n",
+        "  # reprolint: disable=IO001\n",
+        {"SUP001": 1},
+    ),
+]
+
+
+def seeded_sources(seeds=SEEDS):
+    """``(path, source)`` of every file of the shipped tree with
+    ``seeds`` applied — in memory; nothing is written."""
+    root = default_target()
+    sources = {}
+    for path in collect_files([root]):
+        with open(path, encoding="utf-8") as handle:
+            sources[path] = handle.read()
+    for relative, anchor, replacement, __ in seeds:
+        path = os.path.join(root, relative)
+        if anchor == APPEND:
+            sources[path] += textwrap.dedent(replacement)
+            continue
+        assert sources[path].count(anchor) == 1, (
+            f"stale seed: {relative} holds {sources[path].count(anchor)} "
+            f"copies of {anchor!r}"
+        )
+        sources[path] = sources[path].replace(anchor, replacement)
+    return sorted(sources.items())
+
+
+class TestSeededTree:
+    def test_every_seed_trips_its_rule_and_nothing_else_fires(self):
+        root = default_target()
+        findings = Analyzer().run_sources(seeded_sources())
+        tripped = Counter(
+            (f.rule_id, os.path.relpath(f.path, root).replace(os.sep, "/"))
+            for f in active(findings)
+        )
+        expected = Counter()
+        for relative, __, __, trips in SEEDS:
+            for rule, count in trips.items():
+                expected[(rule, relative)] += count
+        assert tripped == expected, "\n".join(f.render() for f in active(findings))
+        # Admission: every registered rule is tripped by some seed, and
+        # dropping a row above without owning up to it here fails.
+        per_rule = Counter(rule for rule, __ in tripped.elements())
+        assert per_rule == {
+            "RC001": 4, "IO001": 2, "LAYER001": 4, "LOCK001": 4, "ENC001": 2,
+            "DET001": 4, "CONC001": 3, "CONC002": 1, "SUP001": 1,
+        }
+        assert set(per_rule) == set(CHECKER_REGISTRY) | {"SUP001"}
+
+    def test_stale_anchor_fails_loudly(self):
+        with pytest.raises(AssertionError, match="stale seed"):
+            seeded_sources([("core/engine.py", "no such line\n", "", {})])
 
 
 # ---------------------------------------------------------------------------
@@ -1241,91 +1387,6 @@ class TestInterproceduralLockRule:
         findings = active(lint_program([helper], rules=["LOCK001"]))
         assert len(findings) == 1
         assert "self-deadlock" in findings[0].message
-
-
-class TestInterproceduralTxnRule:
-    """TXN001 across call edges: calling a require_transaction declarer
-    without establishing a scope."""
-
-    DECLARER = (
-        "src/repro/core/helpers.py",
-        """
-        from repro.storage.journal import require_transaction
-
-        def bump(device, table, block_no):
-            require_transaction(device)
-            table.add_record(block_no, b"")
-        """,
-    )
-
-    def test_intra_mode_is_silent_on_the_broken_caller(self):
-        caller = """
-            from repro.core.helpers import bump
-
-            def entry(device, table, block_no):
-                bump(device, table, block_no)
-            """
-        assert active(lint(caller, "src/repro/core/entry.py", rules=["TXN001"])) == []
-
-    def test_inter_mode_catches_the_broken_edge(self):
-        caller = (
-            "src/repro/core/entry.py",
-            """
-            from repro.core.helpers import bump
-
-            def entry(device, table, block_no):
-                bump(device, table, block_no)
-            """,
-        )
-        findings = active(lint_program([caller, self.DECLARER], rules=["TXN001"]))
-        assert len(findings) == 1
-        assert "requires an active transaction" in findings[0].message
-
-    def test_undecorated_caller_inside_a_with_is_still_flagged(self):
-        caller = (
-            "src/repro/core/entry.py",
-            """
-            from repro.core.helpers import bump
-
-            class Engine:
-                def entry(self, device, table, block_no):
-                    with self.transaction():
-                        bump(device, table, block_no)
-            """,
-        )
-        findings = active(lint_program([caller, self.DECLARER], rules=["TXN001"]))
-        assert [(f.rule_id, f.path, f.line) for f in findings] == [
-            ("TXN001", "src/repro/core/entry.py", 7)
-        ]
-
-    def test_transactional_caller_is_accepted(self):
-        caller = (
-            "src/repro/core/entry.py",
-            """
-            from repro.core.helpers import bump
-            from repro.storage.journal import transactional
-
-            class Engine:
-                @transactional
-                def entry(self, device, table, block_no):
-                    bump(device, table, block_no)
-            """,
-        )
-        assert active(lint_program([caller, self.DECLARER], rules=["TXN001"])) == []
-
-    def test_declaring_caller_passes_obligation_up(self):
-        caller = (
-            "src/repro/core/entry.py",
-            """
-            from repro.core.helpers import bump
-            from repro.storage.journal import require_transaction
-
-            def entry(device, table, block_no):
-                require_transaction(device)
-                bump(device, table, block_no)
-            """,
-        )
-        assert active(lint_program([caller, self.DECLARER], rules=["TXN001"])) == []
 
 
 class TestInterproceduralRefcountRule:
@@ -1587,25 +1648,12 @@ class TestLockGraphRule:
 
 
 class TestInterproceduralCLI:
-    def test_cli_callgraph_dot_stdout(self, capsys):
-        assert main(["lint", "--callgraph-dot", "-"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph reprolint {")
-        assert "cluster_calls" in out
-        assert "cluster_locks" in out
-
-    def test_cli_callgraph_dot_file_is_byte_stable(self, tmp_path, capsys):
-        first = tmp_path / "a.dot"
-        second = tmp_path / "b.dot"
-        assert main(["lint", "--callgraph-dot", str(first)]) == 0
-        assert main(["lint", "--callgraph-dot", str(second)]) == 0
-        capsys.readouterr()
-        assert first.read_bytes() == second.read_bytes()
-        text = first.read_text()
-        # The protocol's signature static edge must be in the dump.
-        assert "distributed.master.Master.lock" in text
-
-    def test_cli_sanitize_smoke_agrees(self, capsys):
+    def test_cli_sanitize_smoke_agrees(self, capsys, monkeypatch, shipped_tree):
+        # The CLI wiring is what is under test; the tree it would index
+        # is the one the session already holds.
+        monkeypatch.setattr(
+            "repro.analysis.build_program_for", lambda paths: shipped_tree[0]
+        )
         assert main(["lint", "--sanitize"]) == 0
         out = capsys.readouterr().out
         assert "static and observed lock order agree" in out

@@ -12,7 +12,6 @@ import inspect
 
 import pytest
 
-from repro.analysis import build_program_for, default_target
 from repro.locks import (
     LockContractError,
     LockOrderSanitizer,
@@ -97,6 +96,28 @@ class TestTrackedLock:
             arity = len(inspect.signature(getattr(master, name)).parameters)
             with pytest.raises(LockContractError):
                 getattr(master, name)(*["x"] * arity)
+
+    def test_every_client_composite_takes_the_master_lock(self, strict_sanitizer):
+        # The client-side half: each public mutating composite of
+        # ClusterClient acquires the lock those commands require.  The
+        # linter cannot see a dropped ``with self.master.lock:`` here
+        # (the guard lives in the callee), so the run-time contract is
+        # the only check.
+        cluster = build_cluster(nodes=3, chunk_capacity=1024)
+        client = cluster.client
+        client.create("/a")
+        client.write("/a", 0, b"hello world")
+        client.append("/a", b"!")
+        client.write_file("/b", b"0123456789" * 400)
+        client.insert("/b", 3, b"abc")
+        client.delete("/b", 0, 2)
+        client.replace("/b", 1, b"XY")
+        client.snapshot("s1")
+        with cluster.master.lock:
+            cluster.master.remove_server("node2")
+        assert client.rebalance()[0] > 0  # a move commits a placement
+        client.unlink("/a")
+        assert client.read_file("/b")[:12] == b"2XYc34567890"
 
     def test_require_held_distinguishes_sessions(self, strict_sanitizer):
         lock = TrackedLock("master.lock")
@@ -193,15 +214,15 @@ class TestCheckAgreement:
 class TestInterleavedSmoke:
     """The acceptance cross-check: static and observed graphs agree."""
 
-    def _static_edges(self):
-        program = build_program_for([default_target()])
+    @pytest.fixture
+    def static(self, shipped_tree):
+        program, __ = shipped_tree
         return {
             (edge.outer, edge.inner)
             for edge in program.summaries.lock_order_edges()
         }
 
-    def test_smoke_clean_and_graphs_agree(self, sanitizer):
-        static = self._static_edges()
+    def test_smoke_clean_and_graphs_agree(self, sanitizer, static):
         sanitizer.static_edges = frozenset(static)
         run_interleaved_sessions(
             sessions=3,
@@ -222,7 +243,7 @@ class TestInterleavedSmoke:
         assert (True, True) in static_pairs
         assert check_agreement(static, observed) == []
 
-    def test_injected_inversion_caught_at_runtime(self, sanitizer):
+    def test_injected_inversion_caught_at_runtime(self, sanitizer, static):
         run_interleaved_sessions(
             sessions=2,
             rounds=1,
@@ -230,9 +251,7 @@ class TestInterleavedSmoke:
             inject_inversion=True,
         )
         assert any("inversion" in v for v in sanitizer.violations)
-        problems = check_agreement(
-            self._static_edges(), sanitizer.observed_edges()
-        )
+        problems = check_agreement(static, sanitizer.observed_edges())
         assert any("tier order" in p for p in problems)
 
     def test_smoke_runs_without_sanitizer(self):
