@@ -12,7 +12,7 @@ is usable from the shell::
     compressdb serve store.img /tmp/compressdb.sock   # unix-socket API
     compressdb lint --json                            # reprolint static analysis
 
-Every mutating command flushes the metadata image before exiting.
+Every mutating command syncs (``engine.flush``) before exiting.
 """
 
 from __future__ import annotations
@@ -223,6 +223,10 @@ def cmd_stats(args) -> int:
           f"(in-place {counter('engine.compressor.in_place_updates')}, "
           f"CoW {counter('engine.compressor.cow_allocations')}, "
           f"fresh {counter('engine.compressor.fresh_allocations')})")
+    print(f"sync points:       {counter('engine.checkpoints')} checkpoints "
+          f"({counter('engine.checkpoint.image_bytes')} image bytes), "
+          f"{counter('engine.delta.record_bytes')} delta-record bytes, "
+          f"journal log {int(gauge('journal.log_used_blocks'))} blocks used")
     return 0
 
 

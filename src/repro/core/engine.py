@@ -34,7 +34,7 @@ from repro.obs.metrics import CounterGroup, MetricsSnapshot
 from repro.snap.manager import SnapshotManager
 from repro.storage.block_device import BlockDevice, MemoryBlockDevice
 from repro.storage.inode import Inode, Slot
-from repro.storage.journal import Journal, JournalDevice
+from repro.storage.journal import Journal, JournalDevice, JournalError
 
 
 @dataclass
@@ -103,11 +103,26 @@ class CompressDB:
         self.obs = obs if obs is not None else Observability()
         self.page_capacity = page_capacity
         self._inodes: dict[str, Inode] = {}
-        # Cached at construction: whether the device carries a superblock
-        # (and therefore whether flush/fsync publish the metadata image).
-        # Probing per sync point would charge a device read to every
-        # fsync on the in-memory database workloads.
-        self._formatted = sb.is_formatted(self.device)
+        # Read once at construction: the superblock of a formatted
+        # (mountable) device, None otherwise — and with it whether
+        # flush/fsync publish anything.  Probing per sync point would
+        # charge a device read to every fsync on the in-memory database
+        # workloads.
+        self._layout: Optional[sb.Layout] = (
+            sb.read_layout(self.device) if sb.is_formatted(self.device) else None
+        )
+        # The durable image the superblock points at: the blocks of its
+        # two chains (freed when the next checkpoint replaces them) and
+        # its size, which is what a delta record is weighed against.
+        self._image_chain: list[int] = []
+        self._snap_chain: list[int] = []
+        self._image_bytes = 0
+        # Paths that left the namespace since the last sync point.
+        self._unlinked: set[str] = set()
+        # Set when the in-memory state stopped being "image + log" in a
+        # way no delta record can express (refcount partition rewritten
+        # by remount(), fsck repairs): the next sync point checkpoints.
+        self._image_stale = False
         self._coalesce_bytes = (
             coalesce_blocks * self.device.block_size if coalesce_writes else 0
         )
@@ -129,6 +144,11 @@ class CompressDB:
             stats=CounterGroup("engine.ops", OPERATION_FIELDS, self.obs.registry),
         )
         self.snapshots = SnapshotManager(self)
+        self._sync_stats = CounterGroup(
+            "engine",
+            ("checkpoints", "checkpoint.image_bytes", "delta.record_bytes"),
+            self.obs.registry,
+        )
         self._c_txn_commits = self.obs.registry.counter("engine.txn.commits")
         self._h_commit_ms = self.obs.registry.histogram("engine.txn.commit_ms")
         # MVCC session manager, created lazily on first use (breaks the
@@ -180,13 +200,12 @@ class CompressDB:
     def fsync(self, path: Optional[str] = None) -> None:
         """Make every completed mutation durable on the device.
 
-        On a formatted (mountable) engine this publishes the full
-        metadata image and, when journaled, commits the journal epoch —
-        data synced here survives a crash at any later device write.
-        On an unformatted in-memory engine there is no durable image to
+        On a formatted (mountable) engine this is :meth:`flush` — data
+        synced here survives a crash at any later device write.  On an
+        unformatted in-memory engine there is no durable image to
         publish, so only the coalescing buffer of ``path`` is flushed.
         """
-        if self._formatted:
+        if self._layout is not None:
             self.flush()
         else:
             self._flush_pending(path)
@@ -196,7 +215,10 @@ class CompressDB:
         """Create an empty file at ``path``."""
         if path in self._inodes:
             raise FileExists(path)
-        self._inodes[path] = Inode(
+        self._inodes[path] = self._new_inode()
+
+    def _new_inode(self) -> Inode:
+        return Inode(
             block_size=self.device.block_size,
             page_capacity=self.page_capacity,
             device=self.device,
@@ -257,16 +279,18 @@ class CompressDB:
         for slot in inode.iter_slots():
             self.compressor.release(slot)
         del self._inodes[path]
+        self._unlinked.add(path)
 
     def rename(self, old: str, new: str) -> None:
         """Move a file to a new name, replacing ``new`` if it exists.
 
         In memory this is a dict move; durably it is atomic, because
-        the namespace only exists inside the serialized metadata image
-        — any published image carries either the old name or the new
-        one, never both or neither.  A replaced target's blocks are
-        released in the same epoch, so that image is also the one that
-        stops referencing them.
+        a sync point publishes the namespace as one unit — the image, or
+        a delta record that drops the old name and carries the whole
+        inode under the new one — so recovery sees either the old name
+        or the new one, never both or neither.  A replaced target's
+        blocks are released in the same epoch, so that sync point is
+        also the one that stops referencing them.
         """
         inode = self._inode_raw(old)
         if old == new:
@@ -275,6 +299,8 @@ class CompressDB:
             self.unlink(new)
         self._inodes[new] = inode
         del self._inodes[old]
+        self._unlinked.add(old)
+        inode.mark_whole()
         buffered = self._pending.pop(old, None)
         if buffered:
             self._pending[new] = buffered
@@ -290,11 +316,7 @@ class CompressDB:
         source = self.inode(src)
         if dst in self._inodes:
             raise FileExists(dst)
-        clone = Inode(
-            block_size=self.device.block_size,
-            page_capacity=self.page_capacity,
-            device=self.device,
-        )
+        clone = self._new_inode()
         added: list[int] = []
         try:
             for slot in source.iter_slots():
@@ -541,14 +563,25 @@ class CompressDB:
         Space and structure figures (files, bytes, compression ratio,
         holes, in-memory index footprints) are refreshed into gauges
         first, so a single snapshot carries both the flow counters and
-        the current state — this is what ``repro stats`` renders.
+        the current state — this is what ``repro stats`` renders.  It
+        has no side effect: the coalescing buffers stay as they are.
         """
         gauge = self.obs.registry.gauge
+        # A read: nothing is flushed.  Bytes still in the coalescing
+        # buffers count as logical but are not stored yet, so the
+        # physical figures are those of the blocks actually held.
+        logical = sum(inode.size for inode in self._inodes.values()) + sum(
+            len(buffered) for buffered in self._pending.values()
+        )
+        unique = len(self.refcount)
+        physical = unique * self.device.block_size
         gauge("engine.space.files").set(len(self._inodes))
-        gauge("engine.space.logical_bytes").set(self.logical_bytes())
-        gauge("engine.space.physical_bytes").set(self.physical_bytes())
-        gauge("engine.space.unique_blocks").set(self.physical_data_blocks())
-        gauge("engine.space.compression_ratio").set(self.compression_ratio())
+        gauge("engine.space.logical_bytes").set(logical)
+        gauge("engine.space.physical_bytes").set(physical)
+        gauge("engine.space.unique_blocks").set(unique)
+        gauge("engine.space.compression_ratio").set(
+            logical / physical if physical else 1.0
+        )
         gauge("engine.holes.count").set(self.holes.total_hole_count())
         gauge("engine.holes.bytes").set(self.holes.total_hole_bytes())
         gauge("engine.snap.count").set(len(self.snapshots))
@@ -566,62 +599,126 @@ class CompressDB:
 
     # -- remount / durability -----------------------------------------------------------
     def flush(self) -> None:
-        """Persist the durable structures.
+        """Make the current state durable: the one sync point.
 
-        Always writes the refcount partition (Section 4.2).  On a
-        *formatted* device (see :meth:`mount`) the full metadata image
-        — namespace, slot tables, partition pointers — is additionally
-        written to the superblock's metadata chain, making the engine
-        remountable from the raw device in another process.  On a
-        journaled device this additionally commits the epoch: the new
-        image goes through the write-ahead log, so a crash anywhere
-        lands on exactly the previous or the new image.  Sync points
-        (here, ``fsync``, ``close``) are the only commits: no mutator
-        commits partway, which ``TestEngineCrashMatrix`` checks at every
-        device write.
+        On an unformatted device only the refcount partition is written
+        (Section 4.2).  On a *formatted* device (see :meth:`mount`) the
+        engine becomes remountable from the raw device in another
+        process, and a sync point writes **what changed since the last
+        one**: a delta record (:func:`repro.core.superblock.
+        serialize_delta`) appended to the journal's log.  The full image
+        is written (:meth:`_checkpoint`) only when it must be — the
+        record does not fit what is left of the log, would be larger
+        than the image, cannot express the change (snapshot table,
+        :meth:`remount`, fsck repairs), or there is no log.  Either way
+        the epoch commits through the write-ahead journal, so a crash
+        anywhere lands on exactly the previous or the new state; with
+        nothing to say, nothing is written.  Sync points (here,
+        ``fsync``, ``close``) are the only commits: no mutator commits
+        partway, which ``TestEngineCrashMatrix`` checks at every device
+        write.
         """
         clock = self.obs.clock
         started = clock.now if clock is not None else 0.0
-        with self.obs.tracer.span("engine.flush", journaled=self.journaled):
+        with self.obs.tracer.span("engine.flush", journaled=self.journaled) as span:
             self._flush_pending()
-            self.refcount.persist()
-            if self._formatted:
-                layout = sb.read_layout(self.device)
-                snap_head = layout.snap_head
-                if layout.meta_head != sb.NO_BLOCK:
-                    __, old_chain = sb.read_chain(self.device, layout.meta_head)
-                    sb.update_superblock(self.device, sb.NO_BLOCK)
-                    for block_no in old_chain:
-                        self.device.free(block_no)
-                if self.snapshots.dirty:
-                    # Same crash discipline as the metadata chain:
-                    # unregister, free the old chain, write the new
-                    # one, then re-register — any crash lands on a
-                    # superblock pointing at a whole chain (or none).
-                    if snap_head != sb.NO_BLOCK:
-                        __, old_snaps = sb.read_chain(self.device, snap_head)
-                        sb.update_superblock(
-                            self.device, sb.NO_BLOCK, snap_head=sb.NO_BLOCK
-                        )
-                        for block_no in old_snaps:
-                            self.device.free(block_no)
-                    if len(self.snapshots):
-                        snap_head = sb.write_chain(
-                            self.device, self.snapshots.serialize()
-                        )
-                    else:
-                        snap_head = sb.NO_BLOCK
-                    self.snapshots.mark_clean()
-                payload = sb.serialize_metadata(
-                    self._inodes, self.refcount.partition_blocks
-                )
-                head = sb.write_chain(self.device, payload)
-                sb.update_superblock(self.device, head, snap_head=snap_head)
-            if self.journaled:
-                self.device.commit()
+            if self._layout is None:
+                self.refcount.persist()
+            else:
+                record_bytes, checkpoint = self._sync_point()
+                span.set(checkpoint=checkpoint, record_bytes=record_bytes)
         self._c_txn_commits.inc()
         if clock is not None:
             self._h_commit_ms.observe((clock.now - started) * 1000.0)
+
+    def _sync_point(self) -> tuple[int, bool]:
+        """Log a delta record or checkpoint; returns (record bytes,
+        checkpointed)."""
+        dirty = {path: inode for path, inode in self._inodes.items() if inode.dirty}
+        unlinked = self._unlinked - self._inodes.keys()
+        record = sb.serialize_delta(unlinked, dirty, self.refcount.dirty_counts())
+        checkpoint = self._image_stale or self.snapshots.dirty
+        if not checkpoint:
+            if self.journaled:
+                checkpoint = len(record) > self._image_bytes or not (
+                    self.device.record_fits(len(record))
+                )
+            else:
+                checkpoint = bool(record)  # no log to append to
+        if checkpoint:
+            self._checkpoint()
+        elif self.journaled:
+            # Also with nothing to say: an empty commit writes nothing
+            # but still stamps queued group-commit waiters.
+            self.device.commit(logical=record)
+            self._sync_stats.record("delta.record_bytes", len(record))
+        if record or checkpoint:
+            for inode in dirty.values():
+                inode.mark_clean()
+            self._unlinked.clear()
+            self.refcount.mark_clean()
+        return len(record), checkpoint
+
+    def _checkpoint(self) -> None:
+        """Publish the full image: the one checkpoint routine.
+
+        Shadow refcount partition, fresh metadata (and, when dirty,
+        snapshot) chain, then the superblock flip — stamped with the LSN
+        of the journal batch that carries it, so recovery knows which
+        log records the image already contains.  The blocks of the image
+        being replaced are freed in the same epoch, i.e. released only
+        once the flip is durable.
+        """
+        layout = self._layout
+        assert layout is not None
+        # Until the flip commits, the in-memory image bookkeeping below
+        # runs ahead of the device: if anything fails on the way (device
+        # full), the next sync point must come back here.
+        self._image_stale = True
+        self.refcount.persist()
+        snap_head = layout.snap_head
+        if not self.journaled and layout.meta_head != sb.NO_BLOCK:
+            # No journal defers the frees below: unregister the chains
+            # first, so any crash lands on a superblock pointing at a
+            # whole chain (or none).
+            sb.write_superblock(
+                self.device,
+                layout._replace(
+                    meta_head=sb.NO_BLOCK,
+                    snap_head=sb.NO_BLOCK if self.snapshots.dirty else snap_head,
+                ),
+            )
+        # Forgotten before they are freed, so such a retry does not free
+        # them twice.
+        old_chain, self._image_chain = self._image_chain, []
+        for block_no in old_chain:
+            self.device.free(block_no)
+        if self.snapshots.dirty:
+            old_chain, self._snap_chain = self._snap_chain, []
+            for block_no in old_chain:
+                self.device.free(block_no)
+            snap_head = sb.NO_BLOCK
+            if len(self.snapshots):
+                snap_head, self._snap_chain = sb.write_chain(
+                    self.device, self.snapshots.serialize()
+                )
+        payload = sb.serialize_metadata(self._inodes, self.refcount.partition_blocks)
+        head, self._image_chain = sb.write_chain(self.device, payload)
+        self._layout = layout._replace(
+            meta_head=head,
+            snap_head=snap_head,
+            checkpoint_lsn=self.device.lsn if self.journaled else 0,
+        )
+        sb.write_superblock(self.device, self._layout)
+        if self.journaled:
+            self.device.commit(truncate=True)
+        self.snapshots.mark_clean()
+        self._image_stale = False
+        self._image_bytes = len(payload) + (
+            self.refcount.partition_block_count * self.device.block_size
+        )
+        self._sync_stats.record("checkpoints")
+        self._sync_stats.record("checkpoint.image_bytes", self._image_bytes)
 
     @classmethod
     def mount(
@@ -634,13 +731,16 @@ class CompressDB:
 
         A fresh device is formatted (block 0 becomes the superblock,
         optionally followed by ``journal_blocks`` write-ahead journal
-        blocks); a device carrying an image has its namespace,
-        refcounts, and free list restored, and the memory-only
-        blockHashTable rebuilt by a single scan of the unique data
-        blocks.  A journaled image first **recovers**: a committed but
-        unapplied journal batch is replayed to its home locations, a
-        torn batch is discarded.  ``journal_blocks`` only matters for a
-        fresh device — the region is fixed at format time.
+        blocks).  A device carrying an image **recovers**: the log's
+        intact batches are walked from the region start (a torn tail is
+        discarded), their overwrites redone at their home locations —
+        which may flip the superblock to a newer checkpoint — then the
+        checkpoint image is loaded (namespace, refcounts) and every
+        delta record newer than it is applied in order.  The free list
+        follows from what that state references, and the memory-only
+        blockHashTable is rebuilt by a single scan of the unique data
+        blocks.  ``journal_blocks`` only matters for a fresh device —
+        the region is fixed at format time.
         """
         if not sb.is_formatted(device):
             if device.total_blocks > 0:
@@ -656,32 +756,56 @@ class CompressDB:
             return cls(device=device, **engine_kwargs)
         layout = sb.read_layout(device)
         journal_region: set[int] = set()
+        records: list[bytes] = []
         if layout.journal_len:
             journal = Journal(layout.journal_start, layout.journal_len, device.block_size)
-            journal.replay(device)
-            # The replayed batch may carry a newer superblock.
-            layout = sb.read_layout(device)
+            # A log no checkpoint has stamped yet (fresh format, or a
+            # v3/v4 image's single batch) starts at whatever LSN its
+            # writer had reached; afterwards at the checkpoint's + 1.
+            log = journal.recover(
+                device, layout.checkpoint_lsn + 1 if layout.checkpoint_lsn else None
+            )
+            try:
+                replayed = journal.replay(device, log)
+            except JournalError as exc:
+                raise sb.PersistenceError(f"corrupt journal: {exc}") from exc
+            if replayed:
+                # The replayed batches may carry a newer superblock.
+                layout = sb.read_layout(device)
+            live = [batch for batch in log if batch.lsn > layout.checkpoint_lsn]
+            records = [record for batch in live if (record := batch.logical)]
             journal_region = journal.region_blocks()
-            device = JournalDevice(device, journal)
+            device = JournalDevice(
+                device,
+                journal,
+                lsn=(log[-1].lsn if log else layout.checkpoint_lsn) + 1,
+                head=sum(batch.blocks for batch in live),
+            )
         engine = cls(device=device, **engine_kwargs)
-        chain_blocks: list[int] = []
         if layout.meta_head != sb.NO_BLOCK:
-            payload, chain_blocks = sb.read_chain(device, layout.meta_head)
+            payload, engine._image_chain = sb.read_chain(device, layout.meta_head)
             inodes, partition = sb.deserialize_metadata(
                 payload, device.block_size, engine.page_capacity, device
             )
             engine._inodes.update(inodes)
             engine.refcount.adopt_partition(partition)
             engine.refcount.restore()
-        snap_chain: list[int] = []
+            engine._image_bytes = len(payload) + len(partition) * device.block_size
+        for record in records:
+            sb.apply_delta(
+                record, engine._inodes, engine.refcount.set, engine._new_inode
+            )
+        for inode in engine._inodes.values():
+            inode.mark_clean()
+        engine.refcount.mark_clean()
         if layout.snap_head != sb.NO_BLOCK:
-            snap_payload, snap_chain = sb.read_chain(device, layout.snap_head)
+            snap_payload, engine._snap_chain = sb.read_chain(device, layout.snap_head)
             engine.snapshots.load(snap_payload)
         used = (
             {sb.SUPERBLOCK_NO}
             | journal_region
-            | set(chain_blocks)
-            | set(snap_chain)
+            | set(engine._image_chain)
+            | set(engine._snap_chain)
             | set(engine.refcount.partition_blocks)
             | set(engine.refcount.live_blocks())
         )
@@ -702,6 +826,9 @@ class CompressDB:
         self._flush_pending()
         self.refcount.persist()
         self.refcount.restore()
+        # The durable image still names the partition blocks persist()
+        # just replaced: only a checkpoint may retire them.
+        self._image_stale = True
         return self.compressor.rebuild_hashtable(self._index_sources())
 
     def describe(self, path: str) -> dict[str, object]:
@@ -792,6 +919,9 @@ class CompressDB:
                 leaked += 1
         holes = self.holes.check_consistency()
         rebuilt = self.compressor.rebuild_hashtable(self._index_sources())
+        if repair and (fixed or leaked):
+            # Re-base the durable state on the verified structures.
+            self._image_stale = True
         return {
             "refcounts_fixed": fixed,
             "blocks_reclaimed": leaked,

@@ -44,7 +44,10 @@ class BlockHashTable:
             raise ValueError("table length must be positive")
         self._reader = reader
         self._length = length
-        self._buckets: list[list[tuple[int, int]]] = [[] for __ in range(length)]
+        # Chains are materialised on first use: a mount (and every
+        # crash-matrix iteration) builds a table, and allocating
+        # ``length`` empty lists up front cost more than the mount.
+        self._buckets: list[Optional[list[tuple[int, int]]]] = [None] * length
         self._block_hash: dict[int, int] = {}
         self._entries = 0
         self.probe_comparisons = 0
@@ -56,7 +59,11 @@ class BlockHashTable:
         return block_no in self._block_hash
 
     def _bucket_for(self, hashed: int) -> list[tuple[int, int]]:
-        return self._buckets[hashed % self._length]
+        index = hashed % self._length
+        bucket = self._buckets[index]
+        if bucket is None:
+            bucket = self._buckets[index] = []
+        return bucket
 
     # -- paper operations -------------------------------------------------
     def find_duplicate(self, content: bytes) -> Optional[int]:
@@ -67,7 +74,7 @@ class BlockHashTable:
         block contents.
         """
         hashed = hash_block(content)
-        for entry_hash, block_no in self._bucket_for(hashed):
+        for entry_hash, block_no in self._buckets[hashed % self._length] or ():
             if entry_hash != hashed:
                 continue
             self.probe_comparisons += 1
@@ -104,7 +111,7 @@ class BlockHashTable:
 
     def clear(self) -> None:
         """Drop every record (the table is not kept across a remount)."""
-        self._buckets = [[] for __ in range(self._length)]
+        self._buckets = [None] * self._length
         self._block_hash.clear()
         self._entries = 0
 
@@ -115,7 +122,7 @@ class BlockHashTable:
         """Verify bucket membership matches the reverse map (for tests)."""
         seen = 0
         for bucket_no, bucket in enumerate(self._buckets):
-            for entry_hash, block_no in bucket:
+            for entry_hash, block_no in bucket or ():
                 if entry_hash % self._length != bucket_no:
                     raise AssertionError("entry in wrong bucket")
                 if self._block_hash.get(block_no) != entry_hash:

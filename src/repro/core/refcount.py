@@ -47,12 +47,18 @@ class BlockRefCount:
       :meth:`persist` deliberately excludes them, so a crash or remount
       — where every session dies — recovers to an image whose counts
       match exactly the durable references, and fsck stays clean.
+
+    Every block whose *durable* count moved since :meth:`mark_clean` is
+    remembered, so a sync point can log just those counts
+    (:meth:`dirty_counts`) instead of rewriting the partition; pins are
+    excluded from that set exactly as :meth:`persist` excludes them.
     """
 
     def __init__(self, device: BlockDevice) -> None:
         self._device = device
         self._counts: dict[int, int] = {}
         self._pins: dict[int, int] = {}
+        self._dirty: set[int] = set()
         self._partition_blocks: list[int] = []
 
     # -- in-memory operations ---------------------------------------------
@@ -63,6 +69,7 @@ class BlockRefCount:
     def incref(self, block_no: int) -> int:
         count = self._counts.get(block_no, 0) + 1
         self._counts[block_no] = count
+        self._dirty.add(block_no)
         return count + self._pins.get(block_no, 0)
 
     def decref(self, block_no: int) -> int:
@@ -82,6 +89,7 @@ class BlockRefCount:
             del self._counts[block_no]
         else:
             self._counts[block_no] = count
+        self._dirty.add(block_no)
         return count + self._pins.get(block_no, 0)
 
     # -- transient pins (MVCC snapshot references) --------------------------
@@ -123,6 +131,17 @@ class BlockRefCount:
             self._counts.pop(block_no, None)
         else:
             self._counts[block_no] = count
+        self._dirty.add(block_no)
+
+    def dirty_counts(self) -> dict[int, int]:
+        """block_no -> durable count now (0 = unreferenced), for every
+        block whose durable count moved since :meth:`mark_clean`."""
+        counts = self._counts
+        return {block_no: counts.get(block_no, 0) for block_no in self._dirty}
+
+    def mark_clean(self) -> None:
+        """The current durable counts have been committed."""
+        self._dirty.clear()
 
     def live_blocks(self) -> list[int]:
         """Block numbers with a positive reference count."""

@@ -1,4 +1,4 @@
-"""On-device persistence: superblock and chained metadata log.
+"""On-device persistence: superblock, chained metadata image, delta records.
 
 The paper persists ``blockRefCount`` in a disk partition so compressed
 data survives a remount (Section 4.2); the file-system metadata itself
@@ -13,7 +13,13 @@ in a different process:
   stream: the refcount-partition block list plus the serialised inode
   table (paths, slot lists, hole boundaries);
 * the device **free list** is not stored — it is reconstructed on
-  mount from the set of referenced blocks.
+  mount from the set of referenced blocks;
+* a **delta record** (:func:`serialize_delta` / :func:`apply_delta`)
+  says what one sync point changed relative to the one before — paths
+  unlinked, the slot operations (or whole slot table) of each dirty
+  inode, the absolute count of each block whose refcount moved.  The
+  journal carries it as a batch's logical record; mount applies the
+  records newer than the image (``checkpoint_lsn``) on top of it.
 
 The volatile ``blockHashTable`` is rebuilt by scanning unique blocks,
 exactly as after the paper's remount.
@@ -22,26 +28,30 @@ exactly as after the paper's remount.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from repro.storage.block_device import BlockDevice
-from repro.storage.inode import Inode, InodeError, Slot
+from repro.storage.inode import OP_ARITY, Inode, InodeError, Slot
 from repro.varint import VarintError, read_varint, write_varint
 
 _MAGIC = 0x434F4D5052444200  # "COMPRDB\0"
-_VERSION = 4
-# v4: magic, version, block size, meta chain head, journal start,
-# journal length, snapshot chain head.  The block size is recorded so an
-# image can never be re-opened (and silently reformatted) under a
-# different geometry than it was written with; the journal region is
-# fixed at format time so recovery can find it before any other
-# structure is trusted; the snapshot chain head (new in v4) registers
-# the serialised snapshot table of :mod:`repro.snap`.
-_SUPERBLOCK = struct.Struct("<QIIQIIQ")
-# v3 lacked the snapshot head; still readable (snap head = NO_BLOCK),
-# and the first metadata publish rewrites the superblock as v4.
+_VERSION = 5
+# v5: magic, version, block size, meta chain head, journal start,
+# journal length, snapshot chain head, checkpoint LSN.  The block size
+# is recorded so an image can never be re-opened (and silently
+# reformatted) under a different geometry than it was written with; the
+# journal region is fixed at format time so recovery can find it before
+# any other structure is trusted; the snapshot chain head (v4) registers
+# the serialised snapshot table of :mod:`repro.snap`; the checkpoint LSN
+# (v5) is the LSN of the journal batch that published this image — the
+# log's records with a higher LSN are what changed since.
+_SUPERBLOCK = struct.Struct("<QIIQIIQQ")
+# v4 lacked the checkpoint LSN and v3 the snapshot head as well; both
+# still read (checkpoint LSN 0, snap head = NO_BLOCK), and the first
+# checkpoint rewrites the superblock as v5.
+_SUPERBLOCK_V4 = struct.Struct("<QIIQIIQ")
 _SUPERBLOCK_V3 = struct.Struct("<QIIQII")
-_READABLE_VERSIONS = (3, _VERSION)
+_READABLE_VERSIONS = (3, 4, _VERSION)
 _CHAIN_HEADER = struct.Struct("<QI")  # next block (NO_BLOCK = end), payload bytes
 NO_BLOCK = 0xFFFFFFFFFFFFFFFF
 
@@ -55,6 +65,7 @@ class Layout(NamedTuple):
     journal_start: int
     journal_len: int
     snap_head: int
+    checkpoint_lsn: int
 
 
 class PersistenceError(Exception):
@@ -63,8 +74,9 @@ class PersistenceError(Exception):
 
 # -- metadata chain ------------------------------------------------------------
 
-def write_chain(device: BlockDevice, payload: bytes) -> int:
-    """Write a byte stream across chained blocks; returns the head."""
+def write_chain(device: BlockDevice, payload: bytes) -> tuple[int, list[int]]:
+    """Write a byte stream across chained blocks; returns the head and
+    the chain's block list (what :func:`read_chain` would walk)."""
     chunk_size = device.block_size - _CHAIN_HEADER.size
     if chunk_size <= 0:
         raise PersistenceError("block size too small for a metadata chain")
@@ -79,7 +91,7 @@ def write_chain(device: BlockDevice, payload: bytes) -> int:
             (blocks[index], _CHAIN_HEADER.pack(next_block, len(chunk)) + chunk)
         )
     device.write_blocks(writes)
-    return blocks[0]
+    return blocks[0], blocks
 
 
 def read_chain(device: BlockDevice, head: int) -> tuple[bytes, list[int]]:
@@ -100,6 +112,19 @@ def read_chain(device: BlockDevice, head: int) -> tuple[bytes, list[int]]:
 
 # -- image serialisation ----------------------------------------------------------
 
+def _write_path(out: bytearray, path: str) -> None:
+    raw_path = path.encode("utf-8")
+    write_varint(out, len(raw_path))
+    out += raw_path
+
+
+def _read_path(payload: bytes, offset: int) -> tuple[str, int]:
+    path_len, offset = read_varint(payload, offset)
+    if offset + path_len > len(payload):
+        raise PersistenceError("path runs past the end of the payload")
+    return payload[offset : offset + path_len].decode("utf-8"), offset + path_len
+
+
 def serialize_metadata(
     inodes: dict[str, Inode], partition_blocks: list[int]
 ) -> bytes:
@@ -110,9 +135,7 @@ def serialize_metadata(
         write_varint(out, block_no)
     write_varint(out, len(inodes))
     for path in sorted(inodes):
-        raw_path = path.encode("utf-8")
-        write_varint(out, len(raw_path))
-        out += raw_path
+        _write_path(out, path)
         inode = inodes[path]
         write_varint(out, inode.num_slots)
         for slot in inode.iter_slots():
@@ -139,11 +162,7 @@ def deserialize_metadata(
         file_count, offset = read_varint(payload, offset)
         inodes: dict[str, Inode] = {}
         for __ in range(file_count):
-            path_len, offset = read_varint(payload, offset)
-            if offset + path_len > len(payload):
-                raise PersistenceError("metadata image: path runs past the end")
-            path = payload[offset : offset + path_len].decode("utf-8")
-            offset += path_len
+            path, offset = _read_path(payload, offset)
             slot_count, offset = read_varint(payload, offset)
             inode = Inode(block_size=block_size, page_capacity=page_capacity, device=device)
             for __slot in range(slot_count):
@@ -154,6 +173,112 @@ def deserialize_metadata(
     except (VarintError, UnicodeDecodeError, InodeError) as exc:
         raise PersistenceError(f"corrupt metadata image: {exc}") from exc
     return inodes, partition_blocks
+
+
+# -- delta records ----------------------------------------------------------------
+
+_WHOLE, _OPS = 0, 1  # how a dirty inode is logged
+
+
+def serialize_delta(
+    unlinked: Iterable[str], dirty: Mapping[str, Inode], counts: Mapping[int, int]
+) -> bytes:
+    """Pack what one sync point changed; b"" when nothing did.
+
+    ``unlinked`` are paths that left the namespace, ``dirty`` the inodes
+    that changed — each logged as the slot operations it recorded, or
+    whole when it has no durable predecessor to apply them to (or the
+    list outgrew it) — and ``counts`` the *absolute* durable refcount of
+    every block whose count moved (0 = no longer referenced), so
+    applying a record twice is harmless.
+    """
+    if not (unlinked or dirty or counts):
+        return b""
+    out = bytearray()
+    gone = sorted(unlinked)
+    write_varint(out, len(gone))
+    for path in gone:
+        _write_path(out, path)
+    write_varint(out, len(dirty))
+    for path in sorted(dirty):
+        _write_path(out, path)
+        inode = dirty[path]
+        ops = inode.delta_ops()
+        if ops is None:
+            write_varint(out, _WHOLE)
+            write_varint(out, inode.num_slots)
+            for slot in inode.iter_slots():
+                write_varint(out, slot.block_no)
+                write_varint(out, slot.used)
+        else:
+            write_varint(out, _OPS)
+            write_varint(out, len(ops))
+            for op in ops:
+                for value in op:
+                    write_varint(out, value)
+    write_varint(out, len(counts))
+    for block_no in sorted(counts):
+        write_varint(out, block_no)
+        write_varint(out, counts[block_no])
+    return bytes(out)
+
+
+def apply_delta(
+    payload: bytes,
+    inodes: dict[str, Inode],
+    set_count: Callable[[int, int], None],
+    new_inode: Callable[[], Inode],
+) -> None:
+    """Redo one :func:`serialize_delta` record on ``inodes`` and, through
+    ``set_count(block_no, count)``, on the refcounts.
+
+    ``payload`` may carry the zero padding of the journal blocks it rode
+    in.  Anything else that does not decode — or names a path, slot or
+    operation the state it is applied to does not have — raises
+    :class:`PersistenceError`, never a stray builtin.
+    """
+    try:
+        offset = 0
+        gone, offset = read_varint(payload, offset)
+        for __ in range(gone):
+            path, offset = _read_path(payload, offset)
+            inodes.pop(path, None)
+        dirty, offset = read_varint(payload, offset)
+        for __ in range(dirty):
+            path, offset = _read_path(payload, offset)
+            kind, offset = read_varint(payload, offset)
+            count, offset = read_varint(payload, offset)
+            if kind == _WHOLE:
+                inode = inodes[path] = new_inode()
+                for __slot in range(count):
+                    block_no, offset = read_varint(payload, offset)
+                    used, offset = read_varint(payload, offset)
+                    inode.append_slot(Slot(block_no=block_no, used=used))
+            elif kind == _OPS and path in inodes:
+                inode = inodes[path]
+                for __op in range(count):
+                    code, offset = read_varint(payload, offset)
+                    arity = OP_ARITY.get(code)
+                    if arity is None:
+                        raise PersistenceError(f"delta record: unknown slot op {code}")
+                    args = []
+                    for __arg in range(arity):
+                        value, offset = read_varint(payload, offset)
+                        args.append(value)
+                    inode.apply_op(code, *args)
+            else:
+                raise PersistenceError(
+                    f"delta record: cannot apply kind {kind} to {path!r}"
+                )
+        changed, offset = read_varint(payload, offset)
+        for __ in range(changed):
+            block_no, offset = read_varint(payload, offset)
+            count, offset = read_varint(payload, offset)
+            set_count(block_no, count)
+    except (VarintError, UnicodeDecodeError, InodeError) as exc:
+        raise PersistenceError(f"corrupt delta record: {exc}") from exc
+    if payload[offset:].strip(b"\x00"):
+        raise PersistenceError("delta record: bytes after the last entry")
 
 
 # -- superblock ------------------------------------------------------------------------
@@ -178,16 +303,14 @@ def format_device(device: BlockDevice, journal_blocks: int = 0) -> None:
                 f"journal region must be contiguous after the superblock, "
                 f"device handed out {claimed}"
             )
-    device.write_block(
-        SUPERBLOCK_NO,
-        _SUPERBLOCK.pack(
-            _MAGIC,
-            _VERSION,
-            device.block_size,
-            NO_BLOCK,
-            journal_start if journal_blocks else 0,
-            journal_blocks,
-            NO_BLOCK,
+    write_superblock(
+        device,
+        Layout(
+            meta_head=NO_BLOCK,
+            journal_start=journal_start if journal_blocks else 0,
+            journal_len=journal_blocks,
+            snap_head=NO_BLOCK,
+            checkpoint_lsn=0,
         ),
     )
 
@@ -209,29 +332,21 @@ def read_layout(device: BlockDevice) -> Layout:
     if not is_formatted(device):
         raise PersistenceError("device carries no CompressDB superblock")
     raw = device.read_block(SUPERBLOCK_NO)
-    __, version, __, __, __, __ = _SUPERBLOCK_V3.unpack_from(raw, 0)
+    __, version, block_size, head, journal_start, journal_len = (
+        _SUPERBLOCK_V3.unpack_from(raw, 0)
+    )
+    # Older images: no snapshot table (v3), no checkpoint stamp (v3, v4).
+    snap_head, checkpoint_lsn = NO_BLOCK, 0
     if version == _VERSION:
-        (
-            __,
-            __,
-            block_size,
-            head,
-            journal_start,
-            journal_len,
-            snap_head,
-        ) = _SUPERBLOCK.unpack_from(raw, 0)
-    else:
-        # v3 image: no snapshot table exists yet.
-        __, __, block_size, head, journal_start, journal_len = (
-            _SUPERBLOCK_V3.unpack_from(raw, 0)
-        )
-        snap_head = NO_BLOCK
+        snap_head, checkpoint_lsn = _SUPERBLOCK.unpack_from(raw, 0)[6:]
+    elif version == 4:
+        snap_head = _SUPERBLOCK_V4.unpack_from(raw, 0)[6]
     if block_size != device.block_size:
         raise PersistenceError(
             f"image was written with {block_size}-byte blocks but the "
             f"device is using {device.block_size}-byte blocks"
         )
-    return Layout(head, journal_start, journal_len, snap_head)
+    return Layout(head, journal_start, journal_len, snap_head, checkpoint_lsn)
 
 
 def read_superblock(device: BlockDevice) -> int:
@@ -239,24 +354,20 @@ def read_superblock(device: BlockDevice) -> int:
     return read_layout(device).meta_head
 
 
-def update_superblock(
-    device: BlockDevice, meta_head: int, snap_head: int | None = None
-) -> None:
-    # Re-read the current superblock so the journal geometry fixed at
-    # format time survives every metadata publish.  ``snap_head=None``
-    # preserves the recorded snapshot chain; the write is always the v4
-    # layout, which is how a v3 image migrates on its first publish.
-    layout = read_layout(device)
+def write_superblock(device: BlockDevice, layout: Layout) -> None:
+    """Write ``layout`` as block 0 — always the current version, which
+    is how a v3 or v4 image migrates at its first checkpoint."""
     device.write_block(
         SUPERBLOCK_NO,
         _SUPERBLOCK.pack(
             _MAGIC,
             _VERSION,
             device.block_size,
-            meta_head,
+            layout.meta_head,
             layout.journal_start,
             layout.journal_len,
-            layout.snap_head if snap_head is None else snap_head,
+            layout.snap_head,
+            layout.checkpoint_lsn,
         ),
     )
 

@@ -104,9 +104,9 @@ class ChunkServer:
         """Cold restart of a *durable* server: remount from the device.
 
         All in-memory state is discarded; the engine recovers from the
-        journal and the persisted metadata image, so the server resumes
-        with every committed chunk mutation — it replays its own log
-        rather than resyncing chunks from the master.
+        checkpoint image and the journal's log of delta records, so the
+        server resumes with every committed chunk mutation — it replays
+        its own log rather than resyncing chunks from the master.
         """
         if not self.durable:
             raise ValueError(f"chunkserver {self.name} is not durable")

@@ -192,10 +192,10 @@ class CompressFS(FileSystem):
     def _sync(self, path: str) -> None:
         """``fsync``/``close`` durability: reach the device, not a buffer.
 
-        On a mounted (formatted) engine this publishes the metadata
-        image and commits the journal epoch with its write barrier; on
-        a plain in-memory engine it degrades to flushing the coalescing
-        buffer.  Frozen ``.snap`` views have nothing to make durable.
+        On a mounted (formatted) engine this is the engine's sync
+        point — what changed is committed through the journal with its
+        write barrier; on a plain in-memory engine it degrades to
+        flushing the coalescing buffer.  Frozen ``.snap`` views have nothing to make durable.
         """
         if self._snapshot_target(path) is not None:
             return

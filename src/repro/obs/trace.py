@@ -40,6 +40,10 @@ class Span:
     def duration(self) -> float:
         return max(0.0, self.end - self.start)
 
+    def set(self, **attrs) -> None:
+        """Attach attributes learned while the span is open."""
+        self.attrs.update(attrs)
+
 
 class _NullSpan:
     """Shared no-op context manager for a disabled tracer."""
@@ -51,6 +55,9 @@ class _NullSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
+
+    def set(self, **attrs) -> None:
+        pass
 
 
 _NULL_SPAN = _NullSpan()

@@ -10,8 +10,9 @@ Raft needs two durable structures per node (§5.1 of the Raft paper):
 
 Both live on one block device.  Block 0 holds the hard state as a
 single CRC-tagged record; blocks 1.. hold the log as a sequence of
-batches written and parsed by the write-ahead journal's own codec
-(:func:`repro.storage.journal.encode_batch` / ``parse_batch``):
+batches written by the write-ahead journal's own codec and recovered
+by its walker (:func:`repro.storage.journal.encode_batch` /
+``walk_batches``):
 descriptor blocks carrying ``(magic, lsn, n_tags)`` plus per-entry CRC
 tags, one data block per entry, and a checksummed commit record.  The
 tag of a data block is its entry's Raft index and the LSN of a batch
@@ -33,7 +34,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.storage.block_device import BlockDevice, BlockDeviceError
-from repro.storage.journal import encode_batch, parse_batch, tags_per_descriptor
+from repro.storage.journal import encode_batch, tags_per_descriptor, walk_batches
 
 #: Hard-state record: magic, current_term, length of the voted_for name,
 #: then the name and a crc32 of everything before it.
@@ -243,37 +244,36 @@ class RaftLog:
     def _recover(self) -> None:
         """Rebuild entries and batch map by walking batches from block 1.
 
-        Stops at the first structurally invalid batch — a torn append.
-        Every batch before it was acked durable, so its entries are the
-        authoritative log prefix.
+        The journal's walker stops at the first structurally invalid or
+        out-of-sequence batch — a torn append.  Every batch before it
+        was acked durable, so its entries are the authoritative log
+        prefix.
         """
         self._load_hard_state()
         position = 1
-        while True:
-            parsed = parse_batch(self._read_block, position)
-            if parsed is None:
-                break
-            __, tagged, consumed = parsed
+        # A batch's LSN is the index of its first entry, so it advances
+        # by one per entry; out of sequence means a stale batch from a
+        # truncated longer log.
+        for batch in walk_batches(self._read_block, position, 1, step=len):
             entries = []
-            for index, data in tagged:
+            for index, data in batch.tagged:
                 term, cmd_len = _ENTRY.unpack_from(data, 0)
                 if _ENTRY.size + cmd_len > len(data):
                     break
                 command = bytes(data[_ENTRY.size : _ENTRY.size + cmd_len])
                 entries.append(LogEntry(term=term, index=index, command=command))
-            if len(entries) < len(tagged) or entries[0].index != self.last_index + 1:
-                break  # malformed, or a stale batch from a truncated longer log
+            if len(entries) < len(batch.tagged) or entries[0].index != batch.lsn:
+                break  # malformed
             self._batches.append(
                 _Batch(
                     start_block=position,
-                    first_index=entries[0].index,
+                    first_index=batch.lsn,
                     count=len(entries),
-                    blocks=consumed,
+                    blocks=batch.blocks,
                 )
             )
             self._entries.extend(entries)
-            position += consumed
-
+            position += batch.blocks
         self._next_block = position
 
     def _read_block(self, block_no: int) -> bytes | None:

@@ -13,9 +13,10 @@ delete / rollback / clone commit atomically with the metadata image:
 a crash at any device write recovers to exactly the pre- or
 post-operation state (``TestSnapshotCrashMatrix`` checks every write
 index).  Persistence itself happens in
-:meth:`CompressDB.flush <repro.core.engine.CompressDB.flush>`, which
-writes the serialised table to a dedicated superblock-v4-registered
-metadata chain whenever :attr:`SnapshotManager.dirty` is set.
+:meth:`CompressDB.flush <repro.core.engine.CompressDB.flush>`: a dirty
+table (:attr:`SnapshotManager.dirty`) makes that sync point a
+checkpoint, which writes the serialised table to its own
+superblock-registered metadata chain.
 """
 
 from __future__ import annotations
@@ -221,7 +222,9 @@ class SnapshotManager:
                 for slot in inode.iter_slots()
             ]
             # Publish the restored namespace in place: engine.holes
-            # aliases this dict, so it must keep its identity.
+            # aliases this dict, so it must keep its identity.  Paths
+            # the snapshot lacks leave the namespace like any unlink.
+            engine._unlinked.update(engine._inodes)
             engine._inodes.clear()
             engine._inodes.update(new_inodes)
             for slot in old_slots:

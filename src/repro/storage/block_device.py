@@ -230,6 +230,16 @@ class BlockDevice:
             self._cache.popitem(last=False)
             self._cache_evict_counter.inc()
 
+    def drop_cached(self, block_nos: Sequence[int]) -> None:
+        """Forget the page-cache copies of ``block_nos``.
+
+        For blocks their writer knows will not be read back — the
+        journal's log is write-only until the next mount — so that they
+        do not evict blocks that will.
+        """
+        for block_no in block_nos:
+            self._cache.pop(block_no, None)
+
     def charge_metadata_access(self, write: bool = False) -> None:
         """Charge a metadata (inode / pointer page) access to this device."""
         self.clock.charge_metadata(self.profile)

@@ -30,6 +30,13 @@ class InodeError(Exception):
     """Raised on out-of-range slot or offset accesses."""
 
 
+#: The five slot mutators as delta-record operations: code -> number of
+#: integer arguments.  An inode records ``(code, *args)`` per mutation
+#: since its last durable commit; :meth:`Inode.apply_op` redoes one.
+OP_APPEND, OP_INSERT, OP_REMOVE, OP_REPLACE, OP_SET_USED = range(5)
+OP_ARITY = {OP_APPEND: 2, OP_INSERT: 3, OP_REMOVE: 1, OP_REPLACE: 3, OP_SET_USED: 2}
+
+
 @dataclass
 class Slot:
     """One leaf pointer: a data block and how many of its bytes are valid."""
@@ -85,6 +92,10 @@ class Inode:
         self._cum_bytes: list[int] = []
         self._cum_slots: list[int] = []
         self._index_dirty = True
+        # Slot operations since the last durable commit, for the delta
+        # record of the next one.  None means "log the whole table": a
+        # new inode has no durable predecessor to apply operations to.
+        self._ops: Optional[list[tuple[int, ...]]] = None
 
     # -- basic properties ----------------------------------------------
     @property
@@ -202,6 +213,49 @@ class Inode:
             offset += slot.used
         return offset
 
+    # -- change tracking ---------------------------------------------------
+    @property
+    def dirty(self) -> bool:
+        """Whether the slot table differs from its last durable commit."""
+        return self._ops is None or bool(self._ops)
+
+    def delta_ops(self) -> Optional[list[tuple[int, ...]]]:
+        """Operations recorded since :meth:`mark_clean`; None = whole."""
+        return self._ops
+
+    def mark_clean(self) -> None:
+        """The current slot table is durable: start recording against it."""
+        self._ops = []
+
+    def mark_whole(self) -> None:
+        """Log the whole table next time (the inode changed identity)."""
+        self._ops = None
+
+    def _record(self, *op: int) -> None:
+        """Note one mutation; callers check ``_ops is not None`` first so
+        an inode that is logged whole anyway pays nothing per mutation."""
+        ops = self._ops
+        ops.append(op)
+        # An operation encodes no smaller than a slot, so a list longer
+        # than the table costs more than the table itself.
+        if len(ops) > self.num_slots:
+            self._ops = None
+
+    def apply_op(self, code: int, *args: int) -> None:
+        """Redo one recorded operation (delta replay at mount)."""
+        if code == OP_APPEND:
+            self.append_slot(Slot(*args))
+        elif code == OP_INSERT:
+            self.insert_slot(args[0], Slot(*args[1:]))
+        elif code == OP_REMOVE:
+            self.remove_slot(*args)
+        elif code == OP_REPLACE:
+            self.replace_slot(args[0], Slot(*args[1:]))
+        elif code == OP_SET_USED:
+            self.set_used(*args)
+        else:
+            raise InodeError(f"unknown slot operation {code}")
+
     # -- mutation ----------------------------------------------------------
     def _account_add(self, slot: Slot) -> None:
         self._size += slot.used
@@ -221,7 +275,8 @@ class Inode:
         """Insert a leaf pointer before global slot ``index``."""
         if not 0 <= slot.used <= self.block_size:
             raise InodeError(f"slot used {slot.used} out of range")
-        if index == self.num_slots:
+        at_end = index == self.num_slots
+        if at_end:
             if not self._pages or len(self._pages[-1]) >= self.page_capacity:
                 self._pages.append(PointerPage())
             self._pages[-1].entries.append(slot)
@@ -234,6 +289,11 @@ class Inode:
         self._account_add(slot)
         self._index_dirty = True
         self._charge_metadata(write=True)
+        if self._ops is not None:
+            if at_end:
+                self._record(OP_APPEND, slot.block_no, slot.used)
+            else:
+                self._record(OP_INSERT, index, slot.block_no, slot.used)
 
     def append_slot(self, slot: Slot) -> None:
         self.insert_slot(self.num_slots, slot)
@@ -248,6 +308,8 @@ class Inode:
         self._account_remove(slot)
         self._index_dirty = True
         self._charge_metadata(write=True)
+        if self._ops is not None:
+            self._record(OP_REMOVE, index)
         return slot
 
     def replace_slot(self, index: int, slot: Slot) -> Slot:
@@ -261,6 +323,8 @@ class Inode:
         self._account_add(slot)
         self._index_dirty = True
         self._charge_metadata(write=True)
+        if self._ops is not None:
+            self._record(OP_REPLACE, index, slot.block_no, slot.used)
         return old
 
     def set_used(self, index: int, used: int) -> None:
@@ -274,6 +338,8 @@ class Inode:
         self._account_add(slot)
         self._index_dirty = True
         self._charge_metadata(write=True)
+        if self._ops is not None:
+            self._record(OP_SET_USED, index, used)
 
     def _split_page(self, page_i: int) -> None:
         """Split an over-full pointer page in two (depth stays constant)."""

@@ -1,4 +1,4 @@
-"""Write-ahead journal: crash-atomic publication of staged block writes.
+"""Write-ahead journal: an append log of crash-atomic sync points.
 
 The engine persists several structures — superblock, metadata chain,
 refcount partition, data blocks — as independent device writes, so a
@@ -16,20 +16,26 @@ module closes that window with a jbd2-style journal:
      one batched write (ordered-mode journaling: they are unreachable
      until the metadata that references them commits, so a crash here
      is harmless);
-  2. overwrites are appended to the journal region as one checksummed,
-     LSN-stamped batch ending in a commit record, through the batched
-     ``write_blocks`` path;
+  2. one checksummed, LSN-stamped batch ending in a commit record is
+     appended at the **log head** through the batched ``write_blocks``
+     path.  It carries the epoch's *logical record* — an opaque payload
+     describing what changed, as data blocks under :data:`LOGICAL_TAG`,
+     a tag no home block can have — followed by the overwrites;
   3. after a write barrier, the overwrites are applied to their home
      locations;
   4. frees deferred during the epoch are released (blocks referenced by
      the previous image must survive until the new image is durable).
 
-One batch is outstanding at a time: each commit rewrites the region
-from its start, so recovery (:meth:`Journal.recover`) parses a single
-batch — replaying it is idempotent, and a torn tail (bad magic, CRC or
-LSN mismatch, truncated data run) discards the batch, leaving the
-previous image intact.  Crashing at *any* device write therefore lands
-on exactly the pre- or post-image of the interrupted commit.
+The region is a log: batch ``n + 1`` starts where batch ``n`` ended and
+carries the next LSN.  Recovery (:func:`walk_batches`) walks batches
+from the region start and stops at the first torn one (bad magic, CRC
+or LSN mismatch, truncated data run) or the first whose LSN is not the
+expected next — LSNs never repeat, so whatever an earlier trip round
+the region left beyond the head is ignored.  Replaying an intact batch
+is idempotent.  A commit with ``truncate=True`` (a checkpoint: the
+overwrite it carries makes every earlier record redundant) sends the
+head back to the region start.  Crashing at *any* device write lands on
+exactly the pre- or post-image of the interrupted commit.
 
 Batch layout (all integers little-endian)::
 
@@ -42,15 +48,16 @@ Batch layout (all integers little-endian)::
 :func:`encode_batch` and :func:`parse_batch` are the only code that
 knows this layout.  The Raft log (:mod:`repro.raft.log`) persists its
 entries through the same two functions — the tag is then a log index
-and the LSN the index of the batch's first entry — so torn-tail
-recovery is one rule on both logs.
+and the LSN the index of the batch's first entry — and recovers them
+with the same :func:`walk_batches`, so torn-tail recovery is one rule
+on both logs.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.locks import tracked_lock
 from repro.storage.block_device import BlockDevice, BlockDeviceError, DeviceWrapper
@@ -61,6 +68,9 @@ _CRC = struct.Struct("<I")
 
 DESC_MAGIC = 0x435345444424A31  # "1JBDESC" + version nibble
 COMMIT_MAGIC = 0x544D4D4344424A31  # "1JBDCMMT"
+#: Tag of the data blocks holding a batch's logical record.  Block
+#: numbers are allocation indexes, so no home block can carry it.
+LOGICAL_TAG = 0xFFFFFFFFFFFFFFFF
 
 
 def tags_per_descriptor(block_size: int) -> int:
@@ -148,8 +158,58 @@ def parse_batch(
         position += 1 + count
 
 
+class Batch(NamedTuple):
+    """One intact batch as :func:`walk_batches` found it."""
+
+    lsn: int
+    tagged: list[tuple[int, bytes]]
+    #: Consecutive blocks the batch occupies, commit record included.
+    blocks: int
+
+    @property
+    def logical(self) -> bytes:
+        """The logical record, zero-padded to whole blocks (b"" if none)."""
+        return b"".join(data for tag, data in self.tagged if tag == LOGICAL_TAG)
+
+    @property
+    def physical(self) -> list[tuple[int, bytes]]:
+        """The ``(home_block, data)`` overwrites, in batch order."""
+        return [(tag, data) for tag, data in self.tagged if tag != LOGICAL_TAG]
+
+
+def walk_batches(
+    block_at: Callable[[int], Optional[bytes]],
+    position: int,
+    first_lsn: Optional[int],
+    step: Callable[[list[tuple[int, bytes]]], int] = lambda tagged: 1,
+) -> Iterator[Batch]:
+    """Yield the intact, LSN-consecutive batches starting at ``position``.
+
+    The one recovery loop of both logs: parse a batch, stop if it is
+    torn or does not carry the expected LSN (a stale batch from an
+    earlier trip round the region, or from a truncated longer Raft
+    log), otherwise yield it and move to the block after its commit
+    record.  ``first_lsn=None`` accepts whatever LSN the first batch
+    carries.  ``step(tagged)`` is how far a batch advances the LSN: one
+    per batch in the journal, one per entry in the Raft log.  Lazy, so
+    a caller that stops early reads no block it does not use.
+    """
+    expected = first_lsn
+    while True:
+        parsed = parse_batch(block_at, position)
+        if parsed is None:
+            return
+        lsn, tagged, consumed = parsed
+        if expected is not None and lsn != expected:
+            return
+        yield Batch(lsn, tagged, consumed)
+        position += consumed
+        expected = lsn + step(tagged)
+
+
 class JournalError(Exception):
-    """Invalid journal geometry or a batch that cannot fit the region."""
+    """Invalid journal geometry, a batch that cannot fit the region, or
+    an intact batch naming a home block the device does not have."""
 
 
 class Transaction:
@@ -204,69 +264,86 @@ class Journal:
         return set(range(self.start, self.start + self.length))
 
     def blocks_needed(self, n_writes: int) -> int:
-        """Region blocks one batch of ``n_writes`` overwrites occupies."""
+        """Region blocks one batch of ``n_writes`` data blocks occupies."""
         groups = -(-n_writes // self._tags_per_desc)
         return n_writes + groups + 1
 
     def encode_batch(
-        self, lsn: int, writes: Sequence[tuple[int, bytes]]
+        self, lsn: int, writes: Sequence[tuple[int, bytes]], position: int = 0
     ) -> list[tuple[int, bytes]]:
-        """Lay one batch out over the region as (block_no, bytes) pairs."""
+        """Lay one batch out as (block_no, bytes) pairs, ``position``
+        blocks into the region."""
         if not writes:
             raise JournalError("refusing to encode an empty batch")
-        if self.blocks_needed(len(writes)) > self.length:
+        if position + self.blocks_needed(len(writes)) > self.length:
             raise JournalError(
-                f"batch of {len(writes)} overwrites needs "
+                f"batch of {len(writes)} blocks needs "
                 f"{self.blocks_needed(len(writes))} journal blocks, region "
-                f"has {self.length} — format with a larger journal"
+                f"has {self.length - position} of {self.length} left"
             )
-        return encode_batch(self.start, lsn, writes, self.block_size)
+        return encode_batch(self.start + position, lsn, writes, self.block_size)
 
     def append_batch(
-        self, device: BlockDevice, lsn: int, writes: Sequence[tuple[int, bytes]]
+        self,
+        device: BlockDevice,
+        lsn: int,
+        writes: Sequence[tuple[int, bytes]],
+        position: int = 0,
     ) -> int:
-        """Write one batch into the region as a single batched transfer."""
-        encoded = self.encode_batch(lsn, writes)
+        """Write one batch into the region as a single batched transfer.
+
+        The log is only read back at mount, so its blocks give up their
+        write-through places in the page cache at once.
+        """
+        encoded = self.encode_batch(lsn, writes, position)
         device.write_blocks(encoded)
+        device.drop_cached([block_no for block_no, __ in encoded])
         return len(encoded)
 
     def recover(
-        self, device: BlockDevice
-    ) -> Optional[tuple[int, list[tuple[int, bytes]]]]:
-        """Parse the region's last batch; None if absent or torn.
+        self, device: BlockDevice, first_lsn: Optional[int] = None
+    ) -> list[Batch]:
+        """The log: every intact batch from the region start, in order.
 
-        Returns ``(lsn, [(home_block, data), ...])`` only when
-        :func:`parse_batch` finds the batch intact end to end inside the
-        region; a torn tail is discarded.
+        ``first_lsn`` is the LSN the batch at the region start must
+        carry to be live (None: any).  A torn tail is discarded.
         """
         if self.length == 0:
-            return None
-        region = device.read_blocks(
-            list(range(self.start, self.start + self.length))
+            return []
+        region_blocks = list(range(self.start, self.start + self.length))
+        region = device.read_blocks(region_blocks)
+        device.drop_cached(region_blocks)
+        return list(
+            walk_batches(
+                lambda position: region[position] if position < self.length else None,
+                0,
+                first_lsn,
+            )
         )
-        parsed = parse_batch(
-            lambda position: region[position] if position < self.length else None, 0
-        )
-        return parsed[:2] if parsed else None
 
-    def replay(self, device: BlockDevice) -> int:
-        """Re-apply the last committed batch to its home locations.
+    def replay(self, device: BlockDevice, batches: Sequence[Batch]) -> int:
+        """Re-apply the overwrites of ``batches`` to their home locations.
 
-        Idempotent: the batch holds the post-image bytes verbatim, so
+        Idempotent: a batch holds the post-image bytes verbatim, so
         replaying it any number of times converges on the same device
-        state.  Returns the number of blocks applied (0 when the region
-        holds no intact batch).
+        state.  Returns the number of blocks applied.
         """
-        recovered = self.recover(device)
-        if recovered is None:
-            return 0
-        __, writes = recovered
-        device.write_blocks(writes)
+        writes: dict[int, bytes] = {}
+        for batch in batches:
+            for home, data in batch.physical:
+                if (
+                    not 0 <= home < device.total_blocks
+                    or 0 <= home - self.start < self.length
+                ):
+                    raise JournalError(
+                        f"batch {batch.lsn} names home block {home}, which "
+                        "the device cannot hold"
+                    )
+                writes[home] = data
+        if writes:
+            device.write_blocks(sorted(writes.items()))
+            device.barrier()
         return len(writes)
-
-    def next_lsn(self, device: BlockDevice) -> int:
-        recovered = self.recover(device)
-        return recovered[0] + 1 if recovered else 1
 
 
 class JournalDevice(DeviceWrapper):
@@ -278,14 +355,19 @@ class JournalDevice(DeviceWrapper):
     reaches the platter until :meth:`commit` runs the 4-phase protocol,
     so a crash at any point leaves the previous committed image — and a
     crash after phase 2 completes is rolled forward by mount-time
-    :meth:`Journal.replay`.
+    recovery.  ``lsn`` and ``head`` are where the log continues: the
+    next batch's LSN and its position in the region (1 and 0 on an
+    empty log; the engine passes what its recovery found).
     """
 
-    def __init__(self, inner: BlockDevice, journal: Journal) -> None:
+    def __init__(
+        self, inner: BlockDevice, journal: Journal, lsn: int = 1, head: int = 0
+    ) -> None:
         super().__init__(inner)
         self.journal = journal
         self.txn = Transaction()
-        self.lsn = journal.next_lsn(inner)
+        self.lsn = lsn
+        self.head = head
         #: Serializes the 4-phase publish: two interleaved commits would
         #: splice their journal appends and tear both atomic units.
         #: Unranked — it nests freely under the cluster tier locks.
@@ -296,6 +378,8 @@ class JournalDevice(DeviceWrapper):
         self._c_fresh_blocks = registry.counter("journal.fresh_blocks")
         self._c_overwrite_blocks = registry.counter("journal.overwrite_blocks")
         self._c_deferred_frees = registry.counter("journal.deferred_frees")
+        self._g_log_used = registry.gauge("journal.log_used_blocks")
+        self._g_log_used.set(head)
         #: Group-commit durability callbacks: each waiter is called with
         #: the LSN of the last durable epoch after the next commit.
         self._ack_waiters: list = []
@@ -350,30 +434,48 @@ class JournalDevice(DeviceWrapper):
             self.txn.staged[block_no] = data + b"\x00" * (block_size - len(data))
 
     # -- commit protocol ----------------------------------------------
-    def commit(self) -> int:
+    def record_fits(self, logical_bytes: int) -> bool:
+        """Whether the open epoch can be appended with a logical record
+        of that size and still leave room for a checkpoint's batch.
+
+        The reserve (one overwrite: the superblock flip) is what lets a
+        full log always be truncated — the checkpoint's batch is
+        appended like any other, because overwriting the log's start
+        before the flip is durable could tear acknowledged records.
+        """
+        txn = self.txn
+        data_blocks = -(-logical_bytes // self.inner.block_size) + sum(
+            1 for block_no in txn.staged if block_no not in txn.fresh
+        )
+        batch = self.journal.blocks_needed(data_blocks) if data_blocks else 0
+        return self.head + batch + self.journal.blocks_needed(1) <= self.journal.length
+
+    def commit(self, logical: bytes = b"", truncate: bool = False) -> int:
         """Publish the epoch durably; returns journal blocks written.
 
-        Phases: direct write of fresh blocks; journal append of
-        overwrites (with barrier); in-place apply (with barrier);
-        deferred frees.  See the module docstring for why each phase is
-        individually crash-safe.
+        Phases: direct write of fresh blocks; journal append of the
+        ``logical`` record and the overwrites (with barrier); in-place
+        apply (with barrier); deferred frees.  See the module docstring
+        for why each phase is individually crash-safe.  ``truncate``
+        declares that this epoch's overwrites supersede every record in
+        the log (a checkpoint): the next batch starts the region over.
         """
         with self._commit_lock:
-            written = self._commit_locked()
+            written = self._commit_locked(logical, truncate)
             if self._ack_waiters:
                 # Everything staged before this point is now durable —
                 # including the case of an empty transaction, where an
                 # earlier commit already published it.  ``lsn`` is the
-                # *next* epoch, so the durable one is its predecessor.
+                # *next* batch's, so the durable one is its predecessor.
                 waiters, self._ack_waiters = self._ack_waiters, []
                 durable_lsn = self.lsn - 1
                 for callback in waiters:
                     callback(durable_lsn)
             return written
 
-    def _commit_locked(self) -> int:
+    def _commit_locked(self, logical: bytes, truncate: bool) -> int:
         txn = self.txn
-        if txn.is_empty():
+        if txn.is_empty() and not logical:
             return 0
         direct = sorted(
             (no, data) for no, data in txn.staged.items() if no in txn.fresh
@@ -381,6 +483,11 @@ class JournalDevice(DeviceWrapper):
         overwrites = sorted(
             (no, data) for no, data in txn.staged.items() if no not in txn.fresh
         )
+        block_size = self.inner.block_size
+        batch = [
+            (LOGICAL_TAG, logical[start : start + block_size])
+            for start in range(0, len(logical), block_size)
+        ] + overwrites
         tracer = self.inner.obs.tracer
         journal_blocks = 0
         with tracer.span(
@@ -393,15 +500,20 @@ class JournalDevice(DeviceWrapper):
                 with tracer.span("journal.phase.fresh", blocks=len(direct)):
                     self.inner.write_blocks(direct)
                     self.inner.barrier()
-            if overwrites:
-                with tracer.span("journal.phase.append", blocks=len(overwrites)):
+            if batch:
+                with tracer.span("journal.phase.append", blocks=len(batch)):
                     journal_blocks = self.journal.append_batch(
-                        self.inner, self.lsn, overwrites
+                        self.inner, self.lsn, batch, self.head
                     )
                     self.inner.barrier()
+                self.head += journal_blocks
+                self.lsn += 1
+            if overwrites:
                 with tracer.span("journal.phase.apply", blocks=len(overwrites)):
                     self.inner.write_blocks(overwrites)
                     self.inner.barrier()
+            if truncate:
+                self.head = 0
             if txn.deferred:
                 with tracer.span("journal.phase.frees", blocks=len(txn.deferred)):
                     for block_no in txn.deferred:
@@ -411,6 +523,6 @@ class JournalDevice(DeviceWrapper):
         self._c_fresh_blocks.inc(len(direct))
         self._c_overwrite_blocks.inc(len(overwrites))
         self._c_deferred_frees.inc(len(txn.deferred))
-        self.lsn += 1
+        self._g_log_used.set(self.head)
         self.txn = Transaction()
         return journal_blocks

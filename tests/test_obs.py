@@ -323,7 +323,11 @@ def _golden_snapshot():
     registry = MetricsRegistry()
     registry.counter("storage.device.block_reads").inc(3)
     registry.counter("engine.txn.commits").inc(1)
+    registry.counter("engine.checkpoints").inc(1)
+    registry.counter("engine.checkpoint.image_bytes").inc(2048)
+    registry.counter("engine.delta.record_bytes").inc(96)
     registry.gauge("engine.space.compression_ratio").set(2.5)
+    registry.gauge("journal.log_used_blocks").set(12)
     h = registry.histogram("engine.txn.commit_ms", bounds=(1.0, 5.0))
     for value in (0.5, 3.0, 42.0):
         h.observe(value)

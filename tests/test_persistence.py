@@ -23,25 +23,25 @@ def fresh_engine(path, block_size=256):
 class TestChain:
     def test_roundtrip_small_payload(self):
         device = MemoryBlockDevice(block_size=64)
-        head = sb.write_chain(device, b"tiny")
+        head, written = sb.write_chain(device, b"tiny")
         payload, blocks = sb.read_chain(device, head)
         assert payload == b"tiny"
-        assert len(blocks) == 1
+        assert blocks == written and len(blocks) == 1
 
     def test_roundtrip_multi_block_payload(self):
         device = MemoryBlockDevice(block_size=64)
         data = bytes(range(256)) * 4
-        head = sb.write_chain(device, data)
+        head, written = sb.write_chain(device, data)
         payload, blocks = sb.read_chain(device, head)
         assert payload == data
-        assert len(blocks) > 1
+        assert blocks == written and len(blocks) > 1
 
     def test_empty_payload(self):
         device = MemoryBlockDevice(block_size=64)
-        head = sb.write_chain(device, b"")
+        head, written = sb.write_chain(device, b"")
         payload, blocks = sb.read_chain(device, head)
         assert payload == b""
-        assert len(blocks) == 1
+        assert blocks == written and len(blocks) == 1
 
 
 class TestMetadataImage:
