@@ -36,8 +36,8 @@ from typing import Any, Iterator, Optional
 
 from repro.locks import LOCK_TIERS, TrackedLock, tracked_lock
 from repro.distributed.master import METADATA_PLANE, Master
-from repro.obs import Observability
-from repro.raft.log import RaftLog
+from repro.obs import CounterGroup, Observability
+from repro.raft.log import LOG_FIELDS, RaftLog
 from repro.raft.node import (
     LEADER,
     NotLeaderError,
@@ -111,7 +111,10 @@ class MasterGroup:
         the committed log (the leader's next contact replays it), so
         membership changes made through commands are never lost."""
         self.lock.require_held()
-        log = RaftLog(self.devices[name])
+        log = RaftLog(
+            self.devices[name],
+            CounterGroup(f"raft.{name}.log", LOG_FIELDS, self.obs.registry),
+        )
         master = Master(lock=self.lock, **self._ctor_args)
         node = RaftNode(
             name=name,

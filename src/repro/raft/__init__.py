@@ -1,7 +1,7 @@
 """Raft consensus for the replicated metadata plane.
 
 Layer map (DESIGN.md §15): :mod:`repro.raft.log` persists terms, votes
-and entries on the journal's batch format; :mod:`repro.raft.node` runs
+and entries as a packed record stream; :mod:`repro.raft.node` runs
 elections, replication and commit; :mod:`repro.raft.statemachine`
 turns committed commands into :class:`~repro.distributed.master.Master`
 mutations.  :mod:`repro.distributed.replicated` assembles nodes into a

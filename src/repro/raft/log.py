@@ -1,4 +1,4 @@
-"""The persistent Raft log, on the journal's LSN/CRC batch substrate.
+"""The persistent Raft log: a packed, CRC-chained record stream.
 
 Raft needs two durable structures per node (§5.1 of the Raft paper):
 
@@ -9,22 +9,27 @@ Raft needs two durable structures per node (§5.1 of the Raft paper):
   must survive any crash.
 
 Both live on one block device.  Block 0 holds the hard state as a
-single CRC-tagged record; blocks 1.. hold the log as a sequence of
-batches written by the write-ahead journal's own codec and recovered
-by its walker (:func:`repro.storage.journal.encode_batch` /
-``walk_batches``):
-descriptor blocks carrying ``(magic, lsn, n_tags)`` plus per-entry CRC
-tags, one data block per entry, and a checksummed commit record.  The
-tag of a data block is its entry's Raft index and the LSN of a batch
-the index of its first entry, so the journal's torn-tail rule is the
-log's: a crash mid-append leaves a batch without a valid
-commit record, recovery stops at the previous batch boundary, and the
-un-acked suffix vanishes — which Raft explicitly tolerates (an entry
-is only *committed* once replicated on a majority).
+single CRC-tagged record; blocks 1.. are one byte stream of records
+``crc32 | term | len | command`` packed back to back across block
+boundaries, so an entry costs its bytes, not a block.  An entry's index
+is its position in the stream; a zero term or a CRC mismatch ends the
+log.  Each CRC is seeded with the CRC of the record before it, so a
+record only validates after the exact prefix it was written after: the
+blocks a longer, discarded suffix left beyond the tail are never
+re-read as entries, whatever is appended later.  (After a byte-identical
+prefix they could be — and would then be, by log matching, entries some
+leader did append after exactly that prefix: an un-committed suffix like
+any other.)
 
-Log truncation (the AppendEntries conflict rule) rewrites from the
-first affected batch and stamps a zeroed terminator block so recovery
-cannot run into stale batches from a longer, discarded suffix.
+An append rewrites the tail block — the acked records in it byte for
+byte, the new ones after them — plus the blocks it spills into, in one
+``write_blocks``.  A crash there, torn or not, leaves every acked byte
+as it was and at most a partial new record, which fails its CRC: the
+un-acked suffix vanishes, which Raft explicitly tolerates (an entry is
+only *committed* once replicated on a majority).  Truncation (the
+AppendEntries conflict rule) cuts the stream at the entry's byte offset
+and zeroes from there to the end of the block — and all of the cut
+record's header, which the chain alone would accept again.
 """
 
 from __future__ import annotations
@@ -32,18 +37,24 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.storage.block_device import BlockDevice, BlockDeviceError
-from repro.storage.journal import encode_batch, tags_per_descriptor, walk_batches
+from repro.obs.metrics import CounterGroup
+from repro.storage.block_device import BlockDevice
 
 #: Hard-state record: magic, current_term, length of the voted_for name,
 #: then the name and a crc32 of everything before it.
 _HARD = struct.Struct("<QQI")
-_HARD_CRC = struct.Struct("<I")
+_CRC = struct.Struct("<I")
 HARD_MAGIC = 0x4554415444524148  # "HARDTATE"
 
-#: Per-entry payload header inside a data block: term, command length.
-_ENTRY = struct.Struct("<QI")
+#: Log record header: crc32 of everything after it in the record, seeded
+#: with the previous record's crc (0 before the first); term; command
+#: length.  The command bytes follow.
+_RECORD = struct.Struct("<IQI")
+
+#: What a log reports, as ``<prefix>.<field>`` counters.
+LOG_FIELDS = ("appends", "blocks_written", "truncations")
 
 
 class RaftLogError(Exception):
@@ -60,16 +71,6 @@ class LogEntry:
     command: bytes
 
 
-@dataclass
-class _Batch:
-    """Where one persisted append landed on the device."""
-
-    start_block: int
-    first_index: int
-    count: int
-    blocks: int
-
-
 class RaftLog:
     """Append-only persistent log plus the node's hard state.
 
@@ -79,18 +80,26 @@ class RaftLog:
     depends on persistence *preceding* the RPC reply.
     """
 
-    def __init__(self, device: BlockDevice) -> None:
+    def __init__(
+        self, device: BlockDevice, stats: Optional[CounterGroup] = None
+    ) -> None:
         self.device = device
         self.block_size = device.block_size
-        if tags_per_descriptor(self.block_size) < 1:
+        if self.block_size <= _RECORD.size:
             raise RaftLogError(
-                f"block size {self.block_size} too small for a log descriptor"
+                f"block size {self.block_size} too small for a log record"
             )
+        if stats is None:
+            stats = CounterGroup("raft.log", LOG_FIELDS)
+        self.stats = stats
         self.current_term = 0
         self.voted_for: str | None = None
         self._entries: list[LogEntry] = []
-        self._batches: list[_Batch] = []
-        self._next_block = 1  # block 0 is the hard state
+        #: ``_marks[i]``: where the stream ends after ``i`` entries, and
+        #: the crc that seeds entry ``i + 1``.
+        self._marks: list[tuple[int, int]] = [(0, 0)]
+        #: The live bytes of the block the stream ends in.
+        self._tail = b""
         self._recover()
 
     # -- hard state ---------------------------------------------------------
@@ -106,24 +115,24 @@ class RaftLog:
         self.voted_for = voted_for
         name = (voted_for or "").encode("utf-8")
         body = _HARD.pack(HARD_MAGIC, term, len(name)) + name
-        record = body + _HARD_CRC.pack(zlib.crc32(body))
+        record = body + _CRC.pack(zlib.crc32(body))
         if len(record) > self.block_size:
             raise RaftLogError("voted_for name does not fit the hard-state block")
         self._ensure_blocks(0)
         self.device.write_blocks([(0, record)])
 
     def _load_hard_state(self) -> None:
-        raw = self._read_block(0)
-        if raw is None:
-            return
+        if not self.device.total_blocks:
+            return  # a device nothing was ever written to
+        raw = self.device.read_block(0)
         try:
             magic, term, name_len = _HARD.unpack_from(raw, 0)
         except struct.error:
             return
-        if magic != HARD_MAGIC or _HARD.size + name_len + _HARD_CRC.size > len(raw):
+        if magic != HARD_MAGIC or _HARD.size + name_len + _CRC.size > len(raw):
             return
         body = raw[: _HARD.size + name_len]
-        (crc,) = _HARD_CRC.unpack_from(raw, _HARD.size + name_len)
+        (crc,) = _CRC.unpack_from(raw, _HARD.size + name_len)
         if crc != zlib.crc32(body):
             return  # torn hard-state write: fall back to term 0, no vote
         self.current_term = term
@@ -158,13 +167,12 @@ class RaftLog:
 
     # -- append / truncate --------------------------------------------------
     def append(self, term: int, commands: list[bytes]) -> list[LogEntry]:
-        """Append fresh leader-proposed commands; one durable batch."""
+        """Append fresh leader-proposed commands; one durable write."""
         entries = [
             LogEntry(term=term, index=self.last_index + 1 + i, command=cmd)
             for i, cmd in enumerate(commands)
         ]
-        self._persist_batch(entries)
-        self._entries.extend(entries)
+        self._persist(entries)
         return entries
 
     def append_entries(self, entries: list[LogEntry]) -> None:
@@ -176,8 +184,7 @@ class RaftLog:
                 f"append at index {entries[0].index} but log ends at "
                 f"{self.last_index}"
             )
-        self._persist_batch(entries)
-        self._entries.extend(entries)
+        self._persist(entries)
 
     def truncate_from(self, index: int) -> None:
         """Discard every entry with index ≥ ``index`` (conflict rule)."""
@@ -185,102 +192,78 @@ class RaftLog:
             return
         if index < 1:
             raise RaftLogError("cannot truncate the sentinel")
-        survivors_of_partial: list[LogEntry] = []
-        kept: list[_Batch] = []
-        rewrite_from = self._next_block
-        for batch in self._batches:
-            batch_end = batch.first_index + batch.count
-            if batch_end <= index:
-                kept.append(batch)
-                continue
-            rewrite_from = min(rewrite_from, batch.start_block)
-            if batch.first_index < index:
-                survivors_of_partial.extend(
-                    self._entries[batch.first_index - 1 : index - 1]
-                )
-        self._entries = self._entries[: index - 1]
-        self._batches = kept
-        self._next_block = rewrite_from
-        if survivors_of_partial:
-            self._persist_batch(survivors_of_partial)
-        else:
-            self._stamp_terminator()
+        cut = self._marks[index - 1][0]
+        first = 1 + cut // self.block_size
+        tail = self.device.read_block(first)[: cut % self.block_size]
+        # The cut record follows the same prefix, so the chain alone
+        # would accept it again: its whole header goes to zero, in the
+        # next block too when it straddles the boundary.
+        self._write(first, tail + bytes(_RECORD.size))
+        self._tail = tail
+        del self._entries[index - 1 :]
+        del self._marks[index:]
+        self.stats.record("truncations")
 
-    def _persist_batch(self, entries: list[LogEntry]) -> None:
-        if not entries:
-            return
-        tagged = []
+    def _persist(self, entries: list[LogEntry]) -> None:
+        """Encode ``entries`` after the tail and write the blocks they
+        touch; memory changes only once the device has them."""
+        end, crc = self._marks[-1]
+        start = end - len(self._tail)
+        stream = bytearray(self._tail)
+        marks = []
         for entry in entries:
-            payload = _ENTRY.pack(entry.term, len(entry.command)) + entry.command
-            if len(payload) > self.block_size:
+            if entry.term < 1:
+                raise RaftLogError("term 0 is the end-of-log marker")
+            if _RECORD.size + len(entry.command) > self.block_size:
                 raise RaftLogError(
                     f"command of {len(entry.command)} bytes does not fit a "
                     f"{self.block_size}-byte log block"
                 )
-            tagged.append((entry.index, payload))
-        blocks = encode_batch(
-            self._next_block, entries[0].index, tagged, self.block_size
-        )
-        position = blocks[-1][0] + 1
-        # Terminator: recovery must not run into a stale next batch.
-        blocks.append((position, b"\x00" * self.block_size))
-        self._ensure_blocks(position)
-        self.device.write_blocks(blocks)
-        self._batches.append(
-            _Batch(
-                start_block=self._next_block,
-                first_index=entries[0].index,
-                count=len(entries),
-                blocks=position - self._next_block,
-            )
-        )
-        self._next_block = position
+            body = _RECORD.pack(0, entry.term, len(entry.command))[_CRC.size :]
+            crc = zlib.crc32(body + entry.command, crc)
+            stream += _CRC.pack(crc) + body + entry.command
+            marks.append((start + len(stream), crc))
+        data = bytes(stream)
+        self._write(1 + start // self.block_size, data)
+        self._tail = data[len(data) - len(data) % self.block_size :]
+        self._entries.extend(entries)
+        self._marks.extend(marks)
+        self.stats.record("appends")
 
-    def _stamp_terminator(self) -> None:
-        self._ensure_blocks(self._next_block)
-        self.device.write_blocks([(self._next_block, b"\x00" * self.block_size)])
+    def _write(self, first: int, data: bytes) -> None:
+        """One ``write_blocks`` of ``data`` (never empty) over the
+        blocks from ``first`` on."""
+        blocks = [
+            (first + at // self.block_size, data[at : at + self.block_size])
+            for at in range(0, len(data), self.block_size)
+        ]
+        self._ensure_blocks(blocks[-1][0])
+        self.device.write_blocks(blocks)
+        self.stats.record("blocks_written", len(blocks))
 
     # -- recovery -----------------------------------------------------------
     def _recover(self) -> None:
-        """Rebuild entries and batch map by walking batches from block 1.
+        """Rebuild the entries by walking records from block 1.
 
-        The journal's walker stops at the first structurally invalid or
-        out-of-sequence batch — a torn append.  Every batch before it
-        was acked durable, so its entries are the authoritative log
-        prefix.
+        The walk stops at the first record that is absent (zero term),
+        cut short, or does not chain from the one before it — a torn
+        append, or what a discarded suffix left behind.  Every record
+        before it was acked durable, so they are the authoritative log
+        prefix; the next append overwrites whatever follows them.
         """
         self._load_hard_state()
-        position = 1
-        # A batch's LSN is the index of its first entry, so it advances
-        # by one per entry; out of sequence means a stale batch from a
-        # truncated longer log.
-        for batch in walk_batches(self._read_block, position, 1, step=len):
-            entries = []
-            for index, data in batch.tagged:
-                term, cmd_len = _ENTRY.unpack_from(data, 0)
-                if _ENTRY.size + cmd_len > len(data):
-                    break
-                command = bytes(data[_ENTRY.size : _ENTRY.size + cmd_len])
-                entries.append(LogEntry(term=term, index=index, command=command))
-            if len(entries) < len(batch.tagged) or entries[0].index != batch.lsn:
-                break  # malformed
-            self._batches.append(
-                _Batch(
-                    start_block=position,
-                    first_index=batch.lsn,
-                    count=len(entries),
-                    blocks=batch.blocks,
-                )
-            )
-            self._entries.extend(entries)
-            position += batch.blocks
-        self._next_block = position
-
-    def _read_block(self, block_no: int) -> bytes | None:
-        """Block ``block_no``, or ``None`` past the device's allocation
-        high-water mark — the one legitimate end-of-log signal.  Any
-        other failure (a dead device, say) is the caller's to see."""
-        try:
-            return self.device.read_block(block_no)
-        except BlockDeviceError:
-            return None
+        blocks = range(1, self.device.total_blocks)
+        stream = b"".join(self.device.read_blocks(blocks)) if blocks else b""
+        at = crc = 0
+        while at + _RECORD.size <= len(stream):
+            stored, term, length = _RECORD.unpack_from(stream, at)
+            end = at + _RECORD.size + length
+            if term == 0 or end - at > self.block_size or end > len(stream):
+                break
+            if zlib.crc32(stream[at + _CRC.size : end], crc) != stored:
+                break
+            command = stream[at + _RECORD.size : end]
+            self._entries.append(LogEntry(term, len(self._entries) + 1, command))
+            self._marks.append((end, stored))
+            at, crc = end, stored
+        self._tail = stream[at - at % self.block_size : at]

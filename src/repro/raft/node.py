@@ -468,7 +468,7 @@ class RaftNode:
         while self.sm.applied_index < self.commit_index:
             entry = self.log.entry(self.sm.applied_index + 1)
             result = self.sm.apply(entry.index, entry.command)
-            if self.role == LEADER:
+            if entry.index in self._results:
                 self._results[entry.index] = result
 
     # -- the client-facing write path ----------------------------------------
@@ -490,17 +490,22 @@ class RaftNode:
             )
         self._maybe_crash("before_append")
         (entry,) = self.log.append(self.log.current_term, [command])
-        self._maybe_crash("after_append")
-        self._replicate_round()
-        self._maybe_crash("before_commit")
-        self._advance_commit_and_apply()
-        self._maybe_crash("after_commit")
+        # The one result anyone collects: no-ops, an inherited prefix and
+        # an entry that commits on a later tick have nobody waiting.
+        self._results[entry.index] = None
+        try:
+            self._maybe_crash("after_append")
+            self._replicate_round()
+            self._maybe_crash("before_commit")
+            self._advance_commit_and_apply()
+            self._maybe_crash("after_commit")
+        finally:
+            result = self._results.pop(entry.index)
         if self.commit_index < entry.index:
             raise TryAgain(
                 f"entry {entry.index} did not reach a majority",
                 retry_after_ms=self.config.heartbeat_interval * 1e3,
             )
-        result = self._results.pop(entry.index, None)
         if isinstance(result, Exception):
             raise result  # the state machine rejected this command
         return result

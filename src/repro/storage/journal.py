@@ -46,11 +46,7 @@ Batch layout (all integers little-endian)::
     commit block:      magic(u64) lsn(u64) n_writes(u32) header_crc(u32)
 
 :func:`encode_batch` and :func:`parse_batch` are the only code that
-knows this layout.  The Raft log (:mod:`repro.raft.log`) persists its
-entries through the same two functions — the tag is then a log index
-and the LSN the index of the batch's first entry — and recovers them
-with the same :func:`walk_batches`, so torn-tail recovery is one rule
-on both logs.
+knows this layout.
 """
 
 from __future__ import annotations
@@ -181,18 +177,15 @@ def walk_batches(
     block_at: Callable[[int], Optional[bytes]],
     position: int,
     first_lsn: Optional[int],
-    step: Callable[[list[tuple[int, bytes]]], int] = lambda tagged: 1,
 ) -> Iterator[Batch]:
     """Yield the intact, LSN-consecutive batches starting at ``position``.
 
-    The one recovery loop of both logs: parse a batch, stop if it is
-    torn or does not carry the expected LSN (a stale batch from an
-    earlier trip round the region, or from a truncated longer Raft
-    log), otherwise yield it and move to the block after its commit
-    record.  ``first_lsn=None`` accepts whatever LSN the first batch
-    carries.  ``step(tagged)`` is how far a batch advances the LSN: one
-    per batch in the journal, one per entry in the Raft log.  Lazy, so
-    a caller that stops early reads no block it does not use.
+    The journal's recovery loop: parse a batch, stop if it is torn or
+    does not carry the expected LSN (a stale batch from an earlier trip
+    round the region), otherwise yield it and move to the block after
+    its commit record.  ``first_lsn=None`` accepts whatever LSN the
+    first batch carries.  Lazy, so a caller that stops early reads no
+    block it does not use.
     """
     expected = first_lsn
     while True:
@@ -204,7 +197,7 @@ def walk_batches(
             return
         yield Batch(lsn, tagged, consumed)
         position += consumed
-        expected = lsn + step(tagged)
+        expected = lsn + 1
 
 
 class JournalError(Exception):

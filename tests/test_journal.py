@@ -15,7 +15,6 @@ from repro.storage.journal import (
     Journal,
     JournalDevice,
     JournalError,
-    walk_batches,
 )
 from repro.storage.block_device import (
     BlockDeviceError,
@@ -373,14 +372,3 @@ class TestAppendLog:
         journal.append_batch(device, 1, [(10_000, b"past the device")])
         with pytest.raises(JournalError):
             journal.replay(device, journal.recover(device))
-
-    def test_walker_step_counts_entries_for_the_raft_log(self):
-        """``step=len`` is the Raft log's sequencing: a batch of n
-        entries advances the LSN (first index) by n."""
-        device, journal = make_device(journal_len=16)
-        journal.append_batch(device, 1, [(1, b"e1"), (2, b"e2")])
-        journal.append_batch(device, 3, [(3, b"e3")], position=4)
-        region = device.read_blocks(sorted(journal.region_blocks()))
-        block_at = lambda n: region[n] if n < len(region) else None  # noqa: E731
-        assert [b.lsn for b in walk_batches(block_at, 0, 1, step=len)] == [1, 3]
-        assert [b.lsn for b in walk_batches(block_at, 0, 1)] == [1]

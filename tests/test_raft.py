@@ -41,6 +41,10 @@ from repro.storage.block_device import (
 from repro.storage.simclock import RAM_DISK, SimClock
 
 
+#: crc32, term and command length in front of every log record.
+_RECORD_HEADER = 16
+
+
 def _device():
     return MemoryBlockDevice(block_size=4096, profile=RAM_DISK, clock=SimClock())
 
@@ -77,12 +81,12 @@ class TestRaftLog:
         device = _device()
         log = RaftLog(device)
         log.append(1, [b"acked"])
-        tail_start = log._batches[-1].start_block + log._batches[-1].blocks
+        acked_end = _RECORD_HEADER + len(b"acked")
         log.append(1, [b"torn"])
-        # Corrupt the second batch's commit record: a torn append.
-        commit_block = log._next_block - 1
-        assert commit_block > tail_start
-        device.write_blocks([(commit_block, b"\xff" * device.block_size)])
+        # A torn append: the tail block as the rewrite left it half way,
+        # acked prefix intact, garbage where the new record was going.
+        raw = device.read_block(1)
+        device.write_blocks([(1, raw[:acked_end] + b"\xff" * (len(raw) - acked_end))])
         recovered = RaftLog(device)
         assert recovered.last_index == 1
         assert recovered.entry(1).command == b"acked"
@@ -92,27 +96,30 @@ class TestRaftLog:
         device = _device()
         log = RaftLog(device)
         log.append(1, [b"acked-1", b"acked-2"])
-        torn = log._next_block  # descriptor, two data blocks, commit
+        torn = 2 * (_RECORD_HEADER + len(b"acked-1"))  # where the next record starts
         log.append(2, [b"torn-1", b"torn-2"])
-        block_no = torn + {"descriptor": 0, "data": 2, "commit": 3}[victim]
-        raw = bytearray(device.read_block(block_no))
-        raw[9] ^= 0x01  # inside the LSN of a record, the header of an entry
-        device.write_blocks([(block_no, bytes(raw))])
+        # One byte of the first un-acked record: its term ("descriptor"),
+        # its command ("data") or its crc ("commit").
+        offset = torn + {"descriptor": 4, "data": _RECORD_HEADER + 2, "commit": 1}[victim]
+        raw = bytearray(device.read_block(1))
+        raw[offset] ^= 0x01
+        device.write_blocks([(1, bytes(raw))])
         recovered = RaftLog(device)
         assert [e.command for e in recovered.entries_from(1)] == [
             b"acked-1",
             b"acked-2",
         ]
-        # ...and the next append lands where the torn batch began.
+        # ...and the next append lands where the damaged record began.
         recovered.append(3, [b"again"])
         assert RaftLog(device).entry(3).command == b"again"
+        assert RaftLog(device).last_index == 3
 
     def test_device_bytes_and_io_are_frozen(self):
         """On-device bytes, and the reads and writes that produce and
         recover them, are what every replica's SimClock is charged for.
-        Literals recorded from the commit before the log moved onto the
-        journal's codec; 21 entries spill into a second descriptor group
-        and the truncation lands in the middle of that batch."""
+        Literals recorded when the log became a packed record stream;
+        the 21-entry append spans three blocks and the truncation cuts
+        inside the second of them."""
         device = MemoryBlockDevice(block_size=256)
         log = RaftLog(device)
         log.set_hard_state(3, "n1")
@@ -128,16 +135,19 @@ class TestRaftLog:
         assert (reopened.current_term, reopened.voted_for) == (3, "n1")
         assert reopened.last_index == 10
         io = device.stats.snapshot()
-        assert (io.block_reads, io.batched_reads, io.batched_blocks_read) == (20, 0, 0)
+        assert (io.block_reads, io.batched_reads, io.batched_blocks_read) == (5, 1, 3)
         assert (io.block_writes, io.batched_writes, io.batched_blocks_written) == (
-            48, 5, 47,
+            10, 3, 7,
         )
+        assert log.stats.snapshot() == {
+            "appends": 4, "blocks_written": 9, "truncations": 1,
+        }
         digest = hashlib.sha256()
         for block_no in range(device.total_blocks):
             digest.update(device._read(block_no))
-        assert device.total_blocks == 33
+        assert device.total_blocks == 4
         assert digest.hexdigest() == (
-            "0b2632d18264231e1d11e54bda48c496b9556a1739cabb345b4f0fc7aca0581c"
+            "6e63ef6c17e69e215aa123c10527601fe5d0bf81cc8c0a908566c61d596ba176"
         )
 
     def test_recovery_on_a_dead_device_propagates_the_crash(self):
@@ -157,7 +167,7 @@ class TestRaftLog:
         log = RaftLog(device)
         log.append(1, [b"a", b"b", b"c"])
         log.append(2, [b"d"])
-        log.truncate_from(2)  # partial batch: keeps "a", rewrites it
+        log.truncate_from(2)  # keeps "a", cuts inside the block
         assert log.last_index == 1
         log.append(3, [b"b2"])
         recovered = RaftLog(device)
@@ -166,7 +176,7 @@ class TestRaftLog:
             (3, b"b2"),
         ]
 
-    def test_truncate_whole_log_stamps_terminator(self):
+    def test_truncate_whole_log_survives_recovery(self):
         device = _device()
         log = RaftLog(device)
         log.append(1, [b"a"])
@@ -423,6 +433,41 @@ class TestMetadataPlane:
         assert len(set(group.state_digests().values())) == 1
         for node in group.nodes.values():
             assert node.sm.applied_index == node.commit_index == node.log.last_index
+
+    def test_leader_keeps_no_result_nobody_is_waiting_for(self):
+        """Only the entry a ``propose`` is blocked on has a reader: not
+        the election no-op, and not an entry whose ``propose`` gave up
+        (``TryAgain`` in a minority) and that commits on a later tick."""
+        group = _group()
+        facade = ReplicatedMaster(group)
+        for index in range(50):
+            facade.create(f"/f{index}")
+        leader = group.leader()
+        followers = [name for name in sorted(group.nodes) if name != leader.name]
+        for name in followers:
+            group.crash(name)
+        with group.lock, pytest.raises(TryAgain):
+            leader.propose(encode_command("create", path="/late"))
+        for name in followers:
+            group.restart(name)
+        _settle(group)
+        assert "/late" in facade.list_files()
+        assert len(set(group.state_digests().values())) == 1
+        for node in group.nodes.values():
+            assert node._results == {}
+
+    def test_group_reports_each_nodes_log_writes(self):
+        group = _group()
+        facade = ReplicatedMaster(group)
+        for index in range(20):
+            facade.create(f"/f{index}")
+        counters = group.obs.registry.snapshot().filter("raft").counters
+        for name in group.nodes:
+            appends = counters[f"raft.{name}.log.appends"]
+            assert appends >= 21  # the election no-op and 20 creates
+            # ~1.5 KiB of records: every append rewrote block 1 and nothing else.
+            assert counters[f"raft.{name}.log.blocks_written"] == appends
+            assert counters[f"raft.{name}.log.truncations"] == 0
 
     def test_digest_exposes_a_follower_with_diverged_placement_state(self):
         group = _group()
