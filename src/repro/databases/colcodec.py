@@ -226,6 +226,8 @@ def encode_plain(type_name: str, values: Sequence[Value]) -> bytes:
 
 
 def decode_plain(type_name: str, payload: bytes) -> list[Value]:
+    if len(payload) % _INT_CELL.size:
+        raise CodecError("plain: payload is not whole cells")
     if type_name == "INT":
         return [_from_storage("INT", cell) for (cell,) in _INT_CELL.iter_unpack(payload)]
     if type_name == "REAL":
@@ -254,15 +256,16 @@ def encode_rle(type_name: str, values: Sequence[Value]) -> bytes:
 
 def decode_rle_runs(type_name: str, payload: bytes) -> tuple[list[Value], list[int]]:
     cell = _INT_RUN if type_name == "INT" else _REAL_RUN
+    if len(payload) < _RUN_HEADER.size:
+        raise CodecError("rle: truncated header")
     (run_count,) = _RUN_HEADER.unpack_from(payload, 0)
+    if len(payload) != _RUN_HEADER.size + run_count * cell.size:
+        raise CodecError(f"rle: {run_count} runs do not fill {len(payload)} bytes")
     run_values: list[Value] = []
     run_lengths: list[int] = []
-    offset = _RUN_HEADER.size
-    for __ in range(run_count):
-        raw, length = cell.unpack_from(payload, offset)
+    for raw, length in cell.iter_unpack(payload[_RUN_HEADER.size :]):
         run_values.append(_from_storage(type_name, raw))
         run_lengths.append(length)
-        offset += cell.size
     return run_values, run_lengths
 
 
@@ -286,8 +289,13 @@ def encode_delta(values: Sequence[int]) -> bytes:
 def decode_delta(payload: bytes, count: int) -> list[Value]:
     if count == 0:
         return []
+    if len(payload) < _DELTA_HEADER.size:
+        raise CodecError("delta: truncated header")
     first, low, width = _DELTA_HEADER.unpack_from(payload, 0)
-    packed = unpack_bits(payload[_DELTA_HEADER.size :], width, count - 1)
+    packed_bytes = payload[_DELTA_HEADER.size :]
+    if width > MAX_DELTA_BITS or len(packed_bytes) * 8 < (count - 1) * width:
+        raise CodecError(f"delta: {count} rows of width {width} exceed the payload")
+    packed = unpack_bits(packed_bytes, width, count - 1)
     out: list[Value] = [first]
     current = first
     for packed_delta in packed:
@@ -323,20 +331,29 @@ def encode_dict(values: Sequence[Value]) -> bytes:
 
 
 def decode_dict_parts(payload: bytes, count: int) -> tuple[list[Value], list[int]]:
-    (entry_count,) = _DICT_HEADER.unpack_from(payload, 0)
-    offset = _DICT_HEADER.size
     dictionary: list[Value] = []
-    for __ in range(entry_count):
-        (length,) = _DICT_ENTRY.unpack_from(payload, offset)
-        offset += _DICT_ENTRY.size
-        if length == _DICT_NULL:
-            dictionary.append(None)
-        else:
-            dictionary.append(payload[offset : offset + length].decode("utf-8"))
-            offset += length
-    (width,) = _CODE_HEADER.unpack_from(payload, offset)
-    offset += _CODE_HEADER.size
-    codes = unpack_bits(payload[offset:], width, count)
+    try:
+        (entry_count,) = _DICT_HEADER.unpack_from(payload, 0)
+        offset = _DICT_HEADER.size
+        # Every entry consumes payload, so a hostile count runs out of
+        # bytes (struct.error) before it runs long.
+        for __ in range(entry_count):
+            (length,) = _DICT_ENTRY.unpack_from(payload, offset)
+            offset += _DICT_ENTRY.size
+            if length == _DICT_NULL:
+                dictionary.append(None)
+            else:
+                dictionary.append(payload[offset : offset + length].decode("utf-8"))
+                offset += length
+        (width,) = _CODE_HEADER.unpack_from(payload, offset)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CodecError(f"dict: {exc}") from None
+    packed_bytes = payload[offset + _CODE_HEADER.size :]
+    if len(packed_bytes) * 8 < count * width:
+        raise CodecError(f"dict: {count} codes of width {width} exceed the payload")
+    codes = unpack_bits(packed_bytes, width, count)
+    if codes and max(codes) >= len(dictionary):
+        raise CodecError("dict: code outside the dictionary")
     return dictionary, codes
 
 
@@ -420,6 +437,8 @@ def decode_vector(
         return PlainVector(decode_plain(type_name, payload))
     if encoding == RLE:
         run_values, run_lengths = decode_rle_runs(type_name, payload)
+        if sum(run_lengths) != count:
+            raise CodecError(f"rle: runs cover {sum(run_lengths)} rows, not {count}")
         return RLEVector(run_values, run_lengths)
     if encoding == DELTA:
         return PlainVector(decode_delta(payload, count))

@@ -15,9 +15,9 @@ formats, chosen per batch by a stats-driven picker
 Scans are *encoding-aware*: surviving blocks (zone maps prune per-batch
 min/max first) are handed to the vectorized executor as encoded column
 vectors, so an RLE run is accepted or rejected once and a dictionary
-predicate tests each distinct string once.  Queries the vector path
-cannot express fall back to the shared row interpreter
-(:mod:`repro.databases.sql_executor`).
+predicate tests each distinct string once
+(:mod:`repro.databases.vector_executor`); :meth:`ColumnTable.scan` is
+the row view of the same block scan.
 
 Writes follow ClickHouse's spirit: INSERTs append encoded blocks;
 UPDATE *demotes* the covering block to the plain format (appending the
@@ -36,13 +36,15 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from repro.databases import colcodec
 from repro.databases.colcodec import (
+    NULL_INT,
     NULL_LENGTH,
+    NULL_REAL,
     PLAIN,
     ColumnVector,
     PlainVector,
 )
 from repro.databases.common import Database, DatabaseError
-from repro.databases.sql_executor import evaluate, run_select
+from repro.databases.sql_executor import evaluate
 from repro.databases.sql_parser import (
     BinaryOp,
     Column,
@@ -59,6 +61,7 @@ from repro.databases.sql_parser import (
     Update,
     parse,
 )
+from repro.databases.vector_executor import matching_rows, run_select_vectorized
 from repro.fs.vfs import FileSystem
 
 _FIXED = struct.Struct("<q")  # INT cell
@@ -71,12 +74,6 @@ _SEGMENT = struct.Struct("<QQQQBB")
 
 #: Directory-entry flag: an in-place UPDATE forced this block to plain.
 _SEG_DEMOTED = 1
-
-#: NULL encodings inside fixed-width cells (canonical values live in
-#: the codec module; re-exported here for existing importers).
-_NULL_INT = colcodec.NULL_INT
-_NULL_REAL = colcodec.NULL_REAL
-_NULL_LENGTH = NULL_LENGTH
 
 
 class ColumnStoreError(DatabaseError):
@@ -132,8 +129,26 @@ class _ColumnFile:
 
     # -- block directory ------------------------------------------------------
     def segments(self) -> list[_Segment]:
+        """The block directory, checked: entries tile the rows from 0,
+        no block holds more rows than an insert writes, and a plain
+        block is exactly its cells."""
         raw = self.fs.read_file(self.seg_path)
-        return [_Segment(*fields) for fields in _SEGMENT.iter_unpack(raw)]
+        if len(raw) % _SEGMENT.size:
+            raise ColumnStoreError(f"{self.seg_path}: truncated block directory")
+        segments = [_Segment(*fields) for fields in _SEGMENT.iter_unpack(raw)]
+        rows = 0
+        for segment in segments:
+            if (
+                segment.start != rows
+                or not 0 < segment.count <= ColumnTable.BLOCK_ROWS
+                or (
+                    segment.encoding == PLAIN
+                    and segment.length != segment.count * self.cell_size
+                )
+            ):
+                raise ColumnStoreError(f"{self.seg_path}: bad entry for row {rows}")
+            rows += segment.count
+        return segments
 
     def _patch_segment(self, index: int, segment: _Segment) -> None:
         self.fs._pwrite(
@@ -153,8 +168,13 @@ class _ColumnFile:
         size = self.fs.stat(self.seg_path).size
         if size == 0:
             return 0
+        entries, torn = divmod(size, _SEGMENT.size)
+        if torn:
+            raise ColumnStoreError(f"{self.seg_path}: truncated block directory")
         raw = self.fs._pread(self.seg_path, size - _SEGMENT.size, _SEGMENT.size)
         last = _Segment(*_SEGMENT.unpack(raw))
+        if last.start + last.count > entries * ColumnTable.BLOCK_ROWS:
+            raise ColumnStoreError(f"{self.seg_path}: bad entry for row {last.start}")
         return last.start + last.count
 
     # -- zone map (sparse min/max index, one entry per insert batch) -----------
@@ -175,6 +195,8 @@ class _ColumnFile:
         if not self.numeric:
             return []
         raw = self.fs.read_file(self.zmap_path)
+        if len(raw) % _ZONE.size:
+            raise ColumnStoreError(f"{self.zmap_path}: truncated zone map")
         return [
             (start, count, low, high, bool(flag))
             for start, count, low, high, flag in _ZONE.iter_unpack(raw)
@@ -229,7 +251,7 @@ class _ColumnFile:
                 offsets = bytearray()
                 for value in values:
                     if value is None:
-                        offsets += _OFFSET.pack(0, _NULL_LENGTH)
+                        offsets += _OFFSET.pack(0, NULL_LENGTH)
                     else:
                         raw = value.encode("utf-8")  # type: ignore[union-attr]
                         offsets += _OFFSET.pack(heap_end + len(heap), len(raw))
@@ -271,17 +293,16 @@ class _ColumnFile:
         return self.read_range(row, 1)[0]
 
     def _plan_spans(
-        self, spans: Sequence[tuple[int, int]]
-    ) -> tuple[list[tuple[int, int, int, int, int]], list[tuple[int, int]], dict[int, int]]:
+        self, segments: Sequence[_Segment], spans: Sequence[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int, int, int, int]], list[tuple[int, int]]]:
         """Map row spans onto blocks and build one vectored read plan.
 
-        Returns ``(parts, requests, payload_request_of_segment)`` where
-        each part is ``(span index, segment index, lo row, hi row,
-        request index)``.  Plain blocks read only the covering cell
-        window; encoded blocks read their whole payload (once, even if
-        several spans touch the same block).
+        Returns ``(parts, requests)`` where each part is ``(span index,
+        segment index, lo row, hi row, request index)``.  Plain blocks
+        read only the covering cell window; encoded blocks read their
+        whole payload (once, even if several spans touch the same
+        block).
         """
-        segments = self.segments()
         starts = [segment.start for segment in segments]
         parts: list[tuple[int, int, int, int, int]] = []
         requests: list[tuple[int, int]] = []
@@ -312,133 +333,84 @@ class _ColumnFile:
                             payload_request[index] = request
                     parts.append((span_index, index, lo, hi, request))
                 index += 1
-        return parts, requests, payload_request
+        return parts, requests
 
     def read_ranges(self, spans: Sequence[tuple[int, int]]) -> list[list[object]]:
-        """Values for several (start row, count) ranges via vectored reads.
-
-        The block payloads of every range go through one ``preadv``,
-        and for TEXT columns the heap spans of all plain blocks go
-        through a second ``preadv`` — so a pruned scan touching k
-        surviving batches costs two vectored requests, not 2k
-        positional reads.
-        """
-        results: list[list[object]] = [[] for __ in spans]
-        parts, requests, __ = self._plan_spans(spans)
-        if not parts:
-            return results
-        raws = self.fs._preadv(self.data_path, requests)
-        segments = self.segments()
-        decoded: dict[int, list[object]] = {}
-        if self.type_name == "TEXT":
-            self._assemble_text(parts, segments, raws, decoded, results)
-            return results
-        for span_index, seg_index, lo, hi, request in parts:
-            segment = segments[seg_index]
-            if segment.encoding == PLAIN:
-                results[span_index].extend(
-                    colcodec.decode_plain(self.type_name, raws[request])
-                )
-                continue
-            values = decoded.get(seg_index)
-            if values is None:
-                values = colcodec.decode_block(
-                    self.type_name, segment.encoding, raws[request], segment.count
-                )
-                decoded[seg_index] = values
-            results[span_index].extend(
-                values[lo - segment.start : hi - segment.start]
-            )
-        return results
-
-    def _assemble_text(
-        self,
-        parts: list[tuple[int, int, int, int, int]],
-        segments: list[_Segment],
-        raws: list[bytes],
-        decoded: dict[int, list[object]],
-        results: list[list[object]],
-    ) -> None:
-        """TEXT assembly: plain parts fetch their heap window in one
-        vectored read; dictionary parts are self-contained."""
-        entry_lists: list[Optional[list[tuple[int, int]]]] = []
-        heap_spans: list[tuple[int, int]] = []
-        for __, seg_index, __, __, request in parts:
-            if segments[seg_index].encoding != PLAIN:
-                entry_lists.append(None)
-                continue
-            entries = list(_OFFSET.iter_unpack(raws[request]))
-            entry_lists.append(entries)
-            live = [(s, n) for s, n in entries if n != _NULL_LENGTH]
-            if not live:
-                heap_spans.append((0, 0))
-                continue
-            span_start = min(s for s, __ in live)
-            span_end = max(s + n for s, n in live)
-            heap_spans.append((span_start, span_end - span_start))
-        heaps = iter(self.fs._preadv(self.heap_path, heap_spans) if heap_spans else [])
-        span_iter = iter(heap_spans)
-        for (span_index, seg_index, lo, hi, request), entries in zip(parts, entry_lists):
-            segment = segments[seg_index]
-            if entries is None:
-                values = decoded.get(seg_index)
-                if values is None:
-                    values = colcodec.decode_block(
-                        "TEXT", segment.encoding, raws[request], segment.count
-                    )
-                    decoded[seg_index] = values
-                results[span_index].extend(
-                    values[lo - segment.start : hi - segment.start]
-                )
-                continue
-            span_start, __ = next(span_iter)
-            heap = next(heaps)
-            for cell_start, length in entries:
-                if length == _NULL_LENGTH:
-                    results[span_index].append(None)
-                else:
-                    base = cell_start - span_start
-                    results[span_index].append(
-                        heap[base : base + length].decode("utf-8")
-                    )
+        """Values for several (start row, count) ranges."""
+        return [vector.materialize() for vector in self.read_vectors(spans)]
 
     def read_vectors(self, spans: Sequence[tuple[int, int]]) -> list[ColumnVector]:
         """One :class:`ColumnVector` per (start, count) span.
 
-        A span that exactly covers one encoded block keeps its encoded
-        form (RLE runs, dictionary codes); everything else — plain
-        blocks, straddling spans — materialises into a plain vector.
+        The block directory is parsed once and the block payloads of
+        every span go through one ``preadv`` (for TEXT columns the heap
+        windows of all plain blocks go through a second) — so a pruned
+        scan touching k surviving batches costs two vectored requests,
+        not 2k positional reads.  A span that exactly covers one encoded
+        block keeps its encoded form (RLE runs, dictionary codes);
+        everything else — plain blocks, straddling spans — materialises
+        into a plain vector.
         """
         segments = self.segments()
-        starts = [segment.start for segment in segments]
-        vectors: list[Optional[ColumnVector]] = [None] * len(spans)
-        pending: list[tuple[int, _Segment]] = []
-        requests: list[tuple[int, int]] = []
-        fallback: list[tuple[int, tuple[int, int]]] = []
-        for span_index, (start, count) in enumerate(spans):
-            index = bisect_right(starts, start) - 1
-            segment = segments[index] if 0 <= index < len(segments) else None
-            if (
-                segment is not None
-                and segment.start == start
-                and segment.count == count
-                and segment.encoding != PLAIN
-            ):
-                requests.append((segment.offset, segment.length))
-                pending.append((span_index, segment))
-            else:
-                fallback.append((span_index, (start, count)))
-        if requests:
-            raws = self.fs._preadv(self.data_path, requests)
-            for (span_index, segment), raw in zip(pending, raws):
-                vectors[span_index] = colcodec.decode_vector(
-                    self.type_name, segment.encoding, raw, segment.count
+        parts, requests = self._plan_spans(segments, spans)
+        raws = self.fs._preadv(self.data_path, requests) if requests else []
+        for (__, size), raw in zip(requests, raws):
+            if len(raw) != size:
+                raise ColumnStoreError(f"{self.data_path}: block payload past end of file")
+        plain_raws = [raws[part[4]] for part in parts if segments[part[1]].encoding == PLAIN]
+        if self.type_name == "TEXT":
+            plain_values = iter(self._decode_plain_text(plain_raws))
+        else:
+            plain_values = (
+                colcodec.decode_plain(self.type_name, raw) for raw in plain_raws
+            )
+        pieces: list[list[ColumnVector]] = [[] for __ in spans]
+        decoded: dict[int, ColumnVector] = {}
+        for span_index, seg_index, lo, hi, request in parts:
+            segment = segments[seg_index]
+            if segment.encoding == PLAIN:
+                pieces[span_index].append(PlainVector(next(plain_values)))
+                continue
+            vector = decoded.get(seg_index)
+            if vector is None:
+                vector = decoded[seg_index] = colcodec.decode_vector(
+                    self.type_name, segment.encoding, raws[request], segment.count
                 )
-        if fallback:
-            value_lists = self.read_ranges([span for __, span in fallback])
-            for (span_index, __), values in zip(fallback, value_lists):
-                vectors[span_index] = PlainVector(values)
-        return vectors  # type: ignore[return-value]
+            if hi - lo < segment.count:
+                vector = PlainVector(
+                    vector.materialize()[lo - segment.start : hi - segment.start]
+                )
+            pieces[span_index].append(vector)
+        return [
+            found[0]
+            if len(found) == 1
+            else PlainVector([value for piece in found for value in piece.materialize()])
+            for found in pieces
+        ]
+
+    def _decode_plain_text(self, raws: Sequence[bytes]) -> list[list[object]]:
+        """Strings of several plain TEXT cell windows: every window's
+        heap extent is fetched in one vectored read."""
+        entry_lists = [list(_OFFSET.iter_unpack(raw)) for raw in raws]
+        extents: list[tuple[int, int]] = []
+        for entries in entry_lists:
+            live = [(s, n) for s, n in entries if n != NULL_LENGTH]
+            low = min((s for s, __ in live), default=0)
+            high = max((s + n for s, n in live), default=0)
+            extents.append((low, high - low))
+        heaps = self.fs._preadv(self.heap_path, extents) if extents else []
+        try:
+            return [
+                [
+                    None
+                    if length == NULL_LENGTH
+                    else heap[cell_start - low : cell_start - low + length].decode("utf-8")
+                    for cell_start, length in entries
+                ]
+                for entries, (low, __), heap in zip(entry_lists, extents, heaps)
+            ]
+        except UnicodeDecodeError as exc:
+            raise ColumnStoreError(f"{self.heap_path}: {exc}") from None
 
     # -- update / morph ---------------------------------------------------------
     def update_cell(self, row: int, value: object) -> None:
@@ -454,18 +426,18 @@ class _ColumnFile:
             return
         cell_offset = segment.offset + (row - segment.start) * self.cell_size
         if self.type_name == "INT":
-            cell = _FIXED.pack(_NULL_INT if value is None else int(value))  # type: ignore[arg-type]
+            cell = _FIXED.pack(NULL_INT if value is None else int(value))  # type: ignore[arg-type]
             self.fs._pwrite(self.data_path, cell_offset, cell)
             return
         if self.type_name == "REAL":
-            cell = _REAL.pack(_NULL_REAL if value is None else float(value))  # type: ignore[arg-type]
+            cell = _REAL.pack(NULL_REAL if value is None else float(value))  # type: ignore[arg-type]
             self.fs._pwrite(self.data_path, cell_offset, cell)
             return
         # TEXT mutation: append the new string to the heap and point the
         # (start, length) entry at it; the old bytes become garbage
         # until a rewrite, like a real columnar mutation.
         if value is None:
-            self.fs._pwrite(self.data_path, cell_offset, _OFFSET.pack(0, _NULL_LENGTH))
+            self.fs._pwrite(self.data_path, cell_offset, _OFFSET.pack(0, NULL_LENGTH))
             return
         if not isinstance(value, str):
             raise ColumnStoreError(f"expected TEXT, got {value!r}")
@@ -674,7 +646,6 @@ class ColumnTable:
     def scan(
         self,
         columns: Optional[Sequence[str]] = None,
-        batch: int = 1024,
         ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]] = None,
     ) -> Iterator[dict[str, object]]:
         """Yield row dicts containing only the requested columns.
@@ -685,16 +656,25 @@ class ColumnTable:
         reading any column data (the sparse-index behaviour of the
         column store the paper evaluates).
         """
-        for __, row in self._scan_batches(columns, batch, ranges):
+        for __, row in self.scan_with_index(columns, ranges):
             yield row
 
     def scan_with_index(
         self,
         columns: Optional[Sequence[str]] = None,
-        batch: int = 1024,
+        ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]] = None,
     ) -> Iterator[tuple[int, dict[str, object]]]:
-        """Like :meth:`scan` but yields (physical row number, row)."""
-        return self._scan_batches(columns, batch, None)
+        """Like :meth:`scan` but yields (physical row number, row): the
+        row view of :meth:`scan_vector_blocks` — every block
+        materialised, lightweight-deleted rows dropped."""
+        names = self._check_columns(columns)
+        for start, __, mask, vectors in self.scan_vector_blocks(names, ranges):
+            values = [vectors[name].materialize() for name in names]
+            for i, dead in enumerate(mask):
+                if not dead:
+                    yield start + i, {
+                        name: column[i] for name, column in zip(names, values)
+                    }
 
     def _check_columns(self, columns: Optional[Sequence[str]]) -> list[str]:
         names = list(columns) if columns is not None else self.column_names
@@ -717,43 +697,21 @@ class ColumnTable:
             for segment in self._files[names[0]].segments()
         ]
 
-    def _scan_batches(
-        self,
-        columns: Optional[Sequence[str]],
-        batch: int,
-        ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]],
-    ) -> Iterator[tuple[int, dict[str, object]]]:
-        names = self._check_columns(columns)
-        mask = self._mask()
-        batches = self._scan_spans(names, ranges)
-        # Prefetch groups of surviving batches per column with one
-        # vectored read each, instead of one positional read per
-        # (batch, column) pair.  The group size bounds memory while a
-        # long scan still pays one device transaction per group.
-        group_size = self.SCAN_PREFETCH_BATCHES
-        for group_start in range(0, len(batches), group_size):
-            group = batches[group_start : group_start + group_size]
-            slices = {name: self._files[name].read_ranges(group) for name in names}
-            for position, (start, count) in enumerate(group):
-                for i in range(count):
-                    row_no = start + i
-                    if mask[row_no]:
-                        continue  # lightweight-deleted row
-                    yield row_no, {
-                        name: slices[name][position][i] for name in names
-                    }
-
     def scan_vector_blocks(
         self,
         columns: Optional[Sequence[str]] = None,
         ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]] = None,
     ) -> Iterator[tuple[int, int, bytes, dict[str, ColumnVector]]]:
-        """Vectorized scan: yield (start, count, deletion-mask slice,
-        column vectors) per surviving block, keeping encoded forms.
+        """The scan: yield (start, count, deletion-mask slice, column
+        vectors) per surviving block, keeping encoded forms.
 
         This is the compressed-domain path: the vectors may still be
         RLE runs or dictionary codes, and the caller (the vectorized
         executor) evaluates predicates and aggregates on them directly.
+        Surviving blocks are prefetched in groups, one vectored read per
+        column per group instead of one positional read per (block,
+        column) pair; the group size bounds memory while a long scan
+        still pays one device transaction per group.
         """
         names = self._check_columns(columns)
         mask = self._mask()
@@ -763,9 +721,12 @@ class ColumnTable:
             group = batches[group_start : group_start + group_size]
             vectors = {name: self._files[name].read_vectors(group) for name in names}
             for position, (start, count) in enumerate(group):
-                yield start, count, mask[start : start + count], {
-                    name: vectors[name][position] for name in names
-                }
+                block = {name: vectors[name][position] for name in names}
+                if any(len(vector) != count for vector in block.values()):
+                    raise ColumnStoreError(
+                        f"table {self.name!r}: columns disagree on block {start}+{count}"
+                    )
+                yield start, count, mask[start : start + count], block
 
     def _prunable_batches(
         self, ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]]
@@ -833,9 +794,12 @@ class MiniColumn(Database):
         vectorized: bool = True,
     ) -> None:
         super().__init__(fs)
+        if not vectorized:
+            # The keyword survives only because the frozen
+            # benchmarks/e2e/workloads/scan_agg.py passes vectorized=True.
+            raise ColumnStoreError("MiniColumn has no row executor: vectorized=False")
         self.directory = directory.rstrip("/")
         self.encodings = encodings
-        self.vectorized = vectorized
         self._catalog_path = f"{self.directory}/catalog.json"
         self._tables: dict[str, ColumnTable] = {}
         if fs.exists(self._catalog_path):
@@ -903,32 +867,20 @@ class MiniColumn(Database):
         """Lightweight delete: mark matching rows in the deletion mask."""
         table = self.table(statement.table)
         needed = sorted(_columns_of(statement.where)) or table.column_names[:1]
-        doomed = [
-            row_no
-            for row_no, row in table.scan_with_index(columns=needed)
-            if statement.where is None or evaluate(statement.where, row)
-        ]
-        table.mark_deleted(doomed)
+        table.mark_deleted(
+            [row_no for row_no, __ in matching_rows(table, needed, statement.where)]
+        )
         return []
 
     def _execute_select(self, statement: Select) -> list[dict[str, object]]:
+        if statement.join is not None:
+            raise ColumnStoreError("MiniColumn does not support JOIN")
         table = self.table(statement.table)
-        metadata_answer = self._try_metadata_answer(statement, table)
-        if metadata_answer is not None:
-            return metadata_answer
-        if self.vectorized:
-            # Compressed-domain vectorized path; None means the query
-            # shape is unsupported and the row interpreter takes over.
-            from repro.databases.vector_executor import try_run_select_vectorized
-
-            vectorized = try_run_select_vectorized(statement, table)
-            if vectorized is not None:
-                table.maybe_morph()
-                return vectorized
-        needed, __ = _scanned_columns(statement, table.column_names)
-        ranges = _range_constraints(statement.where)
-        rows = table.scan(columns=needed, ranges=ranges)
-        return run_select(statement, rows)
+        answer = self._try_metadata_answer(statement, table)
+        if answer is None:
+            answer = run_select_vectorized(statement, table)
+            table.maybe_morph()
+        return answer
 
     def _try_metadata_answer(
         self, statement: Select, table: ColumnTable
@@ -943,7 +895,7 @@ class MiniColumn(Database):
         NULL-only, in which case its placeholder bounds are unusable
         and we fall back to a scan.
         """
-        if statement.where is not None or statement.group_by or statement.join:
+        if statement.where is not None or statement.group_by:
             return None
         if table.deleted_count() > 0:
             return None
@@ -981,15 +933,12 @@ class MiniColumn(Database):
         needed: set[str] = _columns_of(statement.where)
         for __, expr in statement.assignments:
             needed |= _columns_of(expr)
-        read_columns = sorted(needed)
-        updates: list[tuple[int, dict[str, object]]] = []
-        scan_columns = read_columns if read_columns else table.column_names[:1]
-        for row_no, row in table.scan_with_index(columns=scan_columns):
-            if statement.where is None or evaluate(statement.where, row):
-                changes = {
-                    column: evaluate(expr, row) for column, expr in statement.assignments
-                }
-                updates.append((row_no, changes))
+        scan_columns = sorted(needed) or table.column_names[:1]
+        # Decide every change before the first write moves a block.
+        updates = [
+            (row_no, {column: evaluate(expr, row) for column, expr in statement.assignments})
+            for row_no, row in matching_rows(table, scan_columns, statement.where)
+        ]
         for row_no, changes in updates:
             table.update_row(row_no, changes)
         return []
@@ -1087,8 +1036,7 @@ def _columns_of(expr: Optional[Expr]) -> set[str]:
 def _scanned_columns(
     select: Select, column_names: Sequence[str]
 ) -> tuple[list[str], set[str]]:
-    """Projection pruning, shared by the row and the vector path:
-    ``(scanned, required)``.
+    """Projection pruning: ``(scanned, required)``.
 
     ``scanned`` is the table columns the query touches, in table order —
     all of them for ``*``, the cheapest (first) one when it touches none
@@ -1111,15 +1059,3 @@ def _scanned_columns(
         referenced |= _columns_of(order.expr)
     scanned = [name for name in column_names if name in referenced]
     return scanned or list(column_names[:1]), required
-
-
-# Re-exported for callers that referenced the sentinels here (the
-# canonical definitions live in repro.databases.colcodec).
-__all__ = [
-    "ColumnStoreError",
-    "ColumnTable",
-    "MiniColumn",
-    "_NULL_INT",
-    "_NULL_REAL",
-    "_NULL_LENGTH",
-]

@@ -81,14 +81,17 @@ def _evaluate_binary(expr: BinaryOp, row: Row) -> object:
         return equal if expr.op == "=" else not equal
     if left is None or right is None:
         return False if expr.op in ("<", "<=", ">", ">=") else None
-    if expr.op == "<":
-        return left < right  # type: ignore[operator]
-    if expr.op == "<=":
-        return left <= right  # type: ignore[operator]
-    if expr.op == ">":
-        return left > right  # type: ignore[operator]
-    if expr.op == ">=":
-        return left >= right  # type: ignore[operator]
+    try:
+        if expr.op == "<":
+            return left < right  # type: ignore[operator]
+        if expr.op == "<=":
+            return left <= right  # type: ignore[operator]
+        if expr.op == ">":
+            return left > right  # type: ignore[operator]
+        if expr.op == ">=":
+            return left >= right  # type: ignore[operator]
+    except TypeError as exc:  # TEXT ordered against a number
+        raise EvaluationError(str(exc)) from None
     if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
         if expr.op == "+" and isinstance(left, str) and isinstance(right, str):
             return left + right
@@ -231,32 +234,34 @@ def apply_order_limit(
     select: Select, output: list[dict[str, object]]
 ) -> list[dict[str, object]]:
     """ORDER BY + LIMIT tail, shared by the row and vectorized paths."""
-    if select.order_by:
-        # Stable multi-key sort: apply keys right-to-left.
-        for order in reversed(select.order_by):
-            output.sort(
-                key=lambda row: _order_key(order.expr, row),
-                reverse=order.descending,
-            )
+    # Stable multi-key sort: apply keys right-to-left.
+    for position in reversed(range(len(select.order_by))):
+        order, label = select.order_by[position], _stash_label(position)
+        output.sort(
+            key=lambda row: _order_key(order.expr, label, row),
+            reverse=order.descending,
+        )
     if select.limit is not None:
         output = output[: select.limit]
+    for position in range(len(select.order_by)):
+        label = _stash_label(position)
+        for row in output:
+            row.pop(label, None)
     return output
 
 
-def _order_key(expr: Expr, row: Row):
-    if isinstance(expr, Column) and expr.name in row:
+def _order_key(expr: Expr, stash: str, row: Row):
+    if stash in row:
+        # Aggregate order-by value stashed by the grouping pass.
+        value = row[stash]
+    elif isinstance(expr, Column) and expr.name in row:
         value = row[expr.name]
     elif isinstance(expr, Column) and expr.name.rsplit(".", 1)[-1] in row:
         # Ordering by a qualified name over a projection that exposed
         # the bare column name.
         value = row[expr.name.rsplit(".", 1)[-1]]
     else:
-        label = _expr_label(expr)
-        if label in row:
-            # Aggregate order-by value stashed by the grouping pass.
-            value = row[label]
-        else:
-            value = evaluate(expr, row)
+        value = evaluate(expr, row)
     # Sort NULLs first, keep mixed types comparable within a column.
     return (value is not None, value)
 
@@ -275,7 +280,6 @@ def _run_plain(select: Select, rows: Iterable[Row]) -> list[dict[str, object]]:
 
 
 def _run_grouped(select: Select, rows: Iterable[Row]) -> list[dict[str, object]]:
-    group_columns = [column.name for column in select.group_by]
     aggregates: dict[FuncCall, _Accumulator] = {}
     for item in select.items:
         if not isinstance(item.expr, Star):
@@ -285,7 +289,7 @@ def _run_grouped(select: Select, rows: Iterable[Row]) -> list[dict[str, object]]
 
     groups: dict[tuple, tuple[Row, dict[FuncCall, _Accumulator]]] = {}
     for row in rows:
-        key = tuple(row.get(name) for name in group_columns)
+        key = tuple(evaluate(column, row) for column in select.group_by)
         if key not in groups:
             groups[key] = (
                 dict(row),
@@ -322,13 +326,18 @@ def _finish_groups(
         # Expose group keys and aggregate order-by values for sorting.
         for name, value in zip(group_columns, key):
             projected.setdefault(name, value)
-        for order in select.order_by:
+        for position, order in enumerate(select.order_by):
             if contains_aggregate(order.expr):
-                value = _evaluate_with_aggregates(order.expr, sample, results)
-                projected.setdefault(_expr_label(order.expr), value)
+                projected[_stash_label(position)] = _evaluate_with_aggregates(
+                    order.expr, sample, results
+                )
         output.append(projected)
     return output
 
 
-def _expr_label(expr: Expr) -> str:
-    return f"__order_{hash(expr) & 0xFFFFFFFF:08x}"
+def _stash_label(position: int) -> str:
+    """Row key under which a group carries the value of its
+    ``position``-th ORDER BY aggregate until :func:`apply_order_limit`
+    has sorted on it and removed it.  The space keeps it apart from
+    every column name and alias the parser can produce."""
+    return f"ORDER BY {position}"

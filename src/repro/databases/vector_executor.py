@@ -1,35 +1,38 @@
-"""Vectorized, encoding-aware SELECT execution over column blocks.
+"""Vectorized, encoding-aware execution over column blocks.
 
-This is MiniColumn's compressed-domain query path.  The storage layer
+This is MiniColumn's only executor.  The storage layer
 (:meth:`repro.databases.minicolumn.ColumnTable.scan_vector_blocks`)
 yields one :class:`~repro.databases.colcodec.ColumnVector` per column
-per surviving block, *keeping encoded forms*: predicates evaluate an
-RLE run once per run and a dictionary predicate once per distinct
-string, producing a selection vector that is ANDed with the
-deletion-mask complement.  Selected rows then flow into the grouped
-aggregation kernel (or, for plain projections, into the shared row
-projector with the WHERE already applied).
+per zone-surviving block, *keeping encoded forms*.  A WHERE splits into
+its ``column op literal`` conjuncts — evaluated once per RLE run and
+once per distinct dictionary string — and a *residual* expression
+(everything else: OR, NOT, arithmetic, column-vs-column), which the
+shared :func:`~repro.databases.sql_executor.evaluate` decides on the
+rows the conjuncts left.  The resulting selection feeds the grouped
+aggregation kernel, or :func:`matching_rows` — the row stream behind
+plain projections, UPDATE and DELETE.
 
-The entry point :func:`try_run_select_vectorized` returns ``None`` for
-query shapes it does not support — joins, WHERE clauses that are not
-AND-trees of ``column op literal``, aggregate arguments that are not a
-column or ``*`` — and the caller falls back to the row interpreter in
-:mod:`repro.databases.sql_executor`.  Both paths share the aggregate
-result semantics (``_Accumulator``), projection naming, ORDER BY, and
-LIMIT code, so their outputs are identical wherever both apply.
+Aggregate result semantics (``_Accumulator``), projection naming,
+ORDER BY and LIMIT are the code MiniSQL runs, so
+``run_select(select, table.scan())`` is an oracle for every SELECT
+here.  The one difference is *which rows* can raise: a conjunct is
+tested on every value of a surviving block, where the interpreter
+short-circuits row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.databases.sql_executor import (
+    EvaluationError,
     _Accumulator,
     _collect_aggregates,
     _finish_groups,
     apply_order_limit,
     contains_aggregate,
+    evaluate,
     run_select,
 )
 from repro.databases.sql_parser import (
@@ -43,34 +46,34 @@ from repro.databases.sql_parser import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from repro.databases.colcodec import ColumnVector
     from repro.databases.minicolumn import ColumnTable
 
 _COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: Marks an aggregate whose argument is evaluated on the row.
+_BY_ROW = object()
 
 
-def _conjuncts(where: Optional[Expr]) -> Optional[list[tuple[str, str, object]]]:
-    """Flatten an AND-tree of ``column op literal`` comparisons.
-
-    Returns ``None`` when any conjunct has another shape (OR, NOT,
-    arithmetic, column-vs-column) — those queries take the row path.
-    """
+def _conjuncts(
+    where: Optional[Expr],
+) -> tuple[list[tuple[str, str, object]], Optional[Expr]]:
+    """Split a WHERE into ``(column, op, literal)`` conjuncts and the
+    residual expression (``None`` when the conjuncts are all of it)."""
     if where is None:
-        return []
+        return [], None
     if isinstance(where, BinaryOp) and where.op == "AND":
-        left = _conjuncts(where.left)
-        right = _conjuncts(where.right)
-        if left is None or right is None:
-            return None
-        return left + right
+        left, left_rest = _conjuncts(where.left)
+        right, right_rest = _conjuncts(where.right)
+        if left_rest is not None and right_rest is not None:
+            return left + right, BinaryOp("AND", left_rest, right_rest)
+        return left + right, left_rest if right_rest is None else right_rest
     if (
         isinstance(where, BinaryOp)
         and where.op in _COMPARISON_OPS
         and isinstance(where.left, Column)
         and isinstance(where.right, Literal)
     ):
-        return [(where.left.name, where.op, where.right.value)]
-    return None
+        return [(where.left.name, where.op, where.right.value)], None
+    return [], where
 
 
 def _compare(op: str, bound: object) -> Callable[[object], bool]:
@@ -92,90 +95,88 @@ def _compare(op: str, bound: object) -> Callable[[object], bool]:
     return lambda value: value is not None and value >= bound  # type: ignore[operator]
 
 
-def _block_selection(
-    mask: bytes,
-    vectors: dict[str, "ColumnVector"],
-    conjuncts: list[tuple[str, str, object]],
-) -> list[bool]:
-    """Selection vector for one block: live under the deletion mask AND
-    every predicate — evaluated on the encoded vectors directly."""
-    selected = [byte == 0 for byte in mask]
-    for name, op, bound in conjuncts:
-        if not any(selected):
-            break
-        bools = vectors[name].pred_bools(_compare(op, bound))
-        selected = [keep and hit for keep, hit in zip(selected, bools)]
-    return selected
+def _selected_blocks(
+    table: "ColumnTable", names: Sequence[str], where: Optional[Expr]
+) -> Iterator[tuple[int, list[bool], dict[str, list]]]:
+    """The scan loop: ``(start row, selection, materialised columns)``
+    per zone-surviving block with a row that is live under the deletion
+    mask and passes every conjunct.  The selection is exact: the
+    residual has been evaluated on those rows."""
+    from repro.databases.minicolumn import _range_constraints
 
-
-def try_run_select_vectorized(
-    select: Select, table: "ColumnTable"
-) -> Optional[list[dict[str, object]]]:
-    """Run a SELECT through the vectorized path, or return ``None``
-    when its shape is unsupported (the caller falls back to rows)."""
-    from repro.databases.minicolumn import _range_constraints, _scanned_columns
-
-    if select.join is not None:
-        return None
-    conjuncts = _conjuncts(select.where)
-    if conjuncts is None:
-        return None
-    names, required = _scanned_columns(select, table.column_names)
-    if not required.issubset(table.column_names):
-        return None  # unknown column: the row path raises the error
-
-    grouped = bool(select.group_by) or any(
-        contains_aggregate(item.expr) for item in select.items
-    )
-    ranges = _range_constraints(select.where)
-    blocks = table.scan_vector_blocks(names, ranges)
-    if not grouped:
-        rows: list[dict[str, object]] = []
-        for __, __, mask, vectors in blocks:
-            selected = _block_selection(mask, vectors, conjuncts)
+    conjuncts, residual = _conjuncts(where)
+    blocks = table.scan_vector_blocks(names, _range_constraints(where))
+    for start, __, mask, vectors in blocks:
+        selected = [byte == 0 for byte in mask]
+        for name, op, bound in conjuncts:
             if not any(selected):
-                continue
-            columns = {name: vectors[name].materialize() for name in names}
+                break
+            try:
+                bools = vectors[name].pred_bools(_compare(op, bound))
+            except TypeError as exc:  # TEXT ordered against a number
+                raise EvaluationError(str(exc)) from None
+            selected = [keep and hit for keep, hit in zip(selected, bools)]
+        if not any(selected):
+            continue
+        columns = {name: vectors[name].materialize() for name in names}
+        if residual is not None:
             for i, keep in enumerate(selected):
                 if keep:
-                    rows.append({name: columns[name][i] for name in names})
+                    row = {name: columns[name][i] for name in names}
+                    selected[i] = bool(evaluate(residual, row))
+        yield start, selected, columns
+
+
+def matching_rows(
+    table: "ColumnTable", names: Sequence[str], where: Optional[Expr]
+) -> Iterator[tuple[int, dict[str, object]]]:
+    """``(physical row number, row)`` of the live rows satisfying
+    ``where``, pruned by zone map: what a plain projection, an UPDATE
+    and a DELETE consume."""
+    for start, selected, columns in _selected_blocks(table, names, where):
+        for i, keep in enumerate(selected):
+            if keep:
+                yield start + i, {name: columns[name][i] for name in names}
+
+
+def run_select_vectorized(
+    select: Select, table: "ColumnTable"
+) -> list[dict[str, object]]:
+    """Run a single-table SELECT block-at-a-time on encoded vectors."""
+    from repro.databases.minicolumn import _scanned_columns
+
+    names, required = _scanned_columns(select, table.column_names)
+    unknown = sorted(required.difference(table.column_names))
+    if unknown:
+        raise EvaluationError(f"unknown column {unknown[0]!r}")
+    if not select.group_by and not any(
+        contains_aggregate(item.expr) for item in select.items
+    ):
+        rows = [row for __, row in matching_rows(table, names, select.where)]
         # The WHERE is already applied; share projection / order / limit.
         return run_select(replace(select, where=None), rows)
 
-    return _run_grouped_vectorized(select, names, blocks, conjuncts)
-
-
-def _run_grouped_vectorized(
-    select: Select,
-    names: list[str],
-    blocks,
-    conjuncts: list[tuple[str, str, object]],
-) -> Optional[list[dict[str, object]]]:
-    if any(isinstance(item.expr, Star) for item in select.items):
-        return None  # the row path raises "* is not valid..."
     aggregates: dict[FuncCall, _Accumulator] = {}
     for item in select.items:
         _collect_aggregates(item.expr, aggregates)
     for order in select.order_by:
         _collect_aggregates(order.expr, aggregates)
-    argument_columns: dict[FuncCall, Optional[str]] = {}
+    # An aggregate over a scanned column is fed from that column's
+    # values (count(*): from nothing); every other argument — an
+    # expression, sum(*) — goes through the accumulator's row interface,
+    # which evaluates it or raises.
+    argument_columns: dict[FuncCall, object] = {}
     for func in aggregates:
-        if isinstance(func.argument, Star):
-            if func.name != "count":
-                return None  # row path raises the aggregate error
-            argument_columns[func] = None
-        elif isinstance(func.argument, Column):
+        if isinstance(func.argument, Column) and func.argument.name in names:
             argument_columns[func] = func.argument.name
+        elif isinstance(func.argument, Star) and func.name == "count":
+            argument_columns[func] = None
         else:
-            return None  # e.g. sum(a + b): row path handles it
+            argument_columns[func] = _BY_ROW
 
     group_columns = [column.name for column in select.group_by]
     groups: dict[tuple, tuple[dict[str, object], dict[FuncCall, _Accumulator]]] = {}
-    for __, __, mask, vectors in blocks:
-        selected = _block_selection(mask, vectors, conjuncts)
-        if not any(selected):
-            continue
-        columns = {name: vectors[name].materialize() for name in names}
+    for __, selected, columns in _selected_blocks(table, names, select.where):
         for i, keep in enumerate(selected):
             if not keep:
                 continue
@@ -189,6 +190,9 @@ def _run_grouped_vectorized(
                 groups[key] = state
             for func, accumulator in state[1].items():
                 column = argument_columns[func]
-                accumulator.add_value(None if column is None else columns[column][i])
+                if column is _BY_ROW:
+                    accumulator.add({name: columns[name][i] for name in names})
+                else:
+                    accumulator.add_value(None if column is None else columns[column][i])
 
     return apply_order_limit(select, _finish_groups(select, groups, aggregates))

@@ -4,13 +4,17 @@ Three layers of coverage:
 
 * codec round trips (:mod:`repro.databases.colcodec`) over edge cases —
   empty batches, single runs, maximum delta bit width, NULL handling;
-* Hypothesis equivalence: a MiniColumn with encodings + vectorized
-  execution returns exactly what a plain fixed-width MiniColumn with
-  the row interpreter returns, through inserts, updates (which demote
-  encoded blocks), deletes, and ``optimize()`` compaction;
+* Hypothesis equivalence: a MiniColumn with encoded blocks returns
+  exactly what one with plain fixed-width blocks returns, and both
+  return what the row interpreter (``run_select`` over ``scan()``, the
+  oracle) returns, through inserts, updates (which demote encoded
+  blocks), deletes, and ``optimize()`` compaction — plus an
+  error-parity table for the shapes that raise;
 * the update/morph life cycle and the zone-map regression of this PR
   (widening patches only the covering ``.zmap`` entry in place).
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,16 +41,21 @@ from repro.databases.colcodec import (
     pack_bits,
     unpack_bits,
 )
-from repro.databases.minicolumn import MiniColumn
+from repro.databases.minicolumn import ColumnStoreError, MiniColumn
+from repro.databases.sql_executor import EvaluationError, run_select
+from repro.databases.sql_parser import parse
 from repro.fs import PassthroughFS
+from tests.conftest import mutate
 
 
-def _column_db(encodings, vectorized=None):
-    if vectorized is None:
-        vectorized = encodings
-    return MiniColumn(
-        PassthroughFS(block_size=256), encodings=encodings, vectorized=vectorized
-    )
+def _column_db(encodings):
+    return MiniColumn(PassthroughFS(block_size=256), encodings=encodings)
+
+
+def _oracle(db, sql):
+    """The row interpreter over the table's row view."""
+    statement = parse(sql)
+    return run_select(statement, db.table(statement.table).scan())
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +209,7 @@ class TestPicker:
 
 
 # ---------------------------------------------------------------------------
-# property: encoded + vectorized == plain + interpreted
+# property: encoded blocks == plain blocks == the row interpreter
 # ---------------------------------------------------------------------------
 
 _INT_VALUES = st.one_of(st.none(), st.integers(-1000, 1000))
@@ -237,6 +246,15 @@ _QUERIES = [
     "SELECT s, count(*) c, sum(v) sv, min(v) mn, max(v) mx FROM t GROUP BY s",
     "SELECT count(s) c, count(*) n FROM t",
     "SELECT id, v FROM t WHERE v != {lo} ORDER BY v DESC, id LIMIT 7",
+    # The shapes that used to fall back to the row interpreter:
+    "SELECT id FROM t WHERE v < {lo} OR v > {hi}",
+    "SELECT id FROM t WHERE NOT v >= {lo}",
+    "SELECT id, v FROM t WHERE v > id",
+    "SELECT id FROM t WHERE v + id > {hi}",
+    "SELECT * FROM t",
+    "SELECT s, sum(v + id) x FROM t GROUP BY s",
+    "SELECT s, count(v) c FROM t GROUP BY s ORDER BY sum(v) DESC, s",
+    "SELECT id, s FROM t WHERE v >= {lo} AND (s = 'red' OR v > id) AND id >= 2",
 ]
 
 
@@ -246,6 +264,8 @@ def _compare(dbs, bounds):
         sql = query.format(lo=lo, hi=hi)
         results = [db.execute(sql) for db in dbs]
         assert results[0] == results[1], sql
+        for db in dbs:
+            assert results[0] == _oracle(db, sql), sql
 
 
 @given(_workload())
@@ -285,6 +305,55 @@ def _workload_rows(workload):
             next_id += 1
         rows.append(batch_rows)
     return rows, updates, deletes, bounds
+
+
+_ERRORS = [
+    "SELECT *, count(*) FROM t",
+    "SELECT sum(*) FROM t",
+    "SELECT nope FROM t",
+    "SELECT id FROM t WHERE nope = 1",
+    "SELECT id FROM t WHERE v > 0 AND nope + 1 = 2",
+    "SELECT count(*) c FROM t GROUP BY nope",
+    "SELECT sum(nope) FROM t",
+    "SELECT id FROM t WHERE s < 1",
+    "SELECT id FROM t WHERE v > 0 AND (s < 1 OR id = 0)",
+]
+
+
+@pytest.mark.parametrize("encodings", [False, True], ids=["plain", "encoded"])
+class TestErrorParity:
+    """A statement that cannot run fails in ``execute`` with the type
+    and message the row interpreter gives it."""
+
+    @pytest.fixture
+    def db(self, encodings):
+        database = _column_db(encodings)
+        database.execute("CREATE TABLE t (id INT, v INT, s TEXT)")
+        database.table("t").insert_rows(
+            [{"id": i, "v": i % 3 + 1, "s": "ab"[i % 2]} for i in range(12)]
+        )
+        return database
+
+    @pytest.mark.parametrize("sql", _ERRORS)
+    def test_same_error_as_the_row_interpreter(self, db, sql):
+        with pytest.raises(EvaluationError) as expected:
+            _oracle(db, sql)
+        with pytest.raises(EvaluationError) as got:
+            db.execute(sql)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_join_rejected_before_any_io(self, db):
+        db.execute("CREATE TABLE u (id INT)")
+        db.fs.device.stats.reset()
+        with pytest.raises(ColumnStoreError, match="does not support JOIN"):
+            db.execute("SELECT t.id FROM t JOIN u ON t.id = u.id")
+        assert db.fs.device.stats.snapshot().bytes_read == 0
+
+    def test_the_switch_selects_nothing(self, db):
+        MiniColumn(db.fs, vectorized=True)
+        with pytest.raises(ColumnStoreError):
+            MiniColumn(db.fs, vectorized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +449,186 @@ class TestZoneWidening:
         entries = db.table("t")._files["id"].zone_entries()
         assert entries[0][4] is True
         assert db.execute("SELECT count(id) c FROM t")[0]["c"] == 199
+
+
+# ---------------------------------------------------------------------------
+# hostile bytes: block payloads, the block directory, the zone map
+# ---------------------------------------------------------------------------
+
+class TestHostileBytes:
+    """Mutated stored bytes decode or fail with the decoder's own typed
+    error — never ``struct.error``, ``IndexError``, ``UnicodeDecodeError``,
+    ``MemoryError`` or a hang."""
+
+    def test_fuzz_block_payloads(self):
+        rng = random.Random(20261003)
+        blocks = [
+            ("INT", RLE, [4, 4, 4, None, None, 9, 9, 4]),
+            ("REAL", RLE, [1.5, 1.5, None, -2.25, -2.25]),
+            ("INT", DELTA, [10, 13, 19, 19, 40, 41]),
+            ("TEXT", DICT, ["north", None, "south", "north", "", "nörd"]),
+        ]
+        for type_name, encoding, values in blocks:
+            base = encode_block(type_name, encoding, values)
+            for __ in range(1500):
+                try:
+                    vector = decode_vector(
+                        type_name, encoding, mutate(rng, base), len(values)
+                    )
+                except CodecError:
+                    continue
+                assert len(vector.materialize()) == len(values)
+
+    def _table(self):
+        db = _column_db(True)
+        db.execute("CREATE TABLE t (id INT, v INT, s TEXT, w TEXT)")
+        for block in range(4):
+            db.table("t").insert_rows(
+                [
+                    {
+                        "id": block * 20 + i,
+                        "v": block,
+                        "s": "ab"[i % 2],
+                        "w": f"unique-{block}-{i}-" + "x" * 40,
+                    }
+                    for i in range(20)
+                ]
+            )
+        db.execute("UPDATE t SET v = 7 WHERE id = 3")  # a demoted (plain) block
+        assert set(sum(db.table("t").column_encodings().values(), [])) == {
+            PLAIN, RLE, DELTA, DICT,
+        }
+        return db
+
+    _SELECTS = [
+        "SELECT * FROM t",
+        "SELECT s, count(*) c, sum(v) x, min(id) mn FROM t WHERE id >= 15 AND id < 65 GROUP BY s",
+        "SELECT count(*), min(v), max(id) FROM t",
+    ]
+
+    @pytest.mark.parametrize("suffix", ["id.seg", "v.seg", "s.seg", "w.seg", "id.zmap", "v.zmap"])
+    def test_fuzz_directory_and_zone_map(self, suffix):
+        rng = random.Random(sum(suffix.encode()))
+        db = self._table()
+        table = db.table("t")
+        path = f"{table.base}/{suffix}"
+        column = table._files[suffix.split(".")[0]]
+        parse_file = column.segments if suffix.endswith(".seg") else column.zone_entries
+        base = db.fs.read_file(path)
+        for __ in range(500):
+            db.fs.write_file(path, mutate(rng, base))
+            for run in [parse_file] + [
+                lambda sql=sql: db.execute(sql) for sql in self._SELECTS
+            ]:
+                try:
+                    run()
+                except (CodecError, ColumnStoreError):
+                    pass
+        db.fs.write_file(path, base)
+        assert db.execute("SELECT count(*) c FROM t WHERE id >= 0") == [{"c": 80}]
+
+    # -- every crash the fuzzers found, by name ------------------------------
+    @pytest.mark.parametrize(
+        "type_name, encoding, payload",
+        [
+            ("INT", RLE, encode_rle("INT", [7, 7, 8])[:-1]),
+            ("INT", RLE, b"\x01\x00"),
+            ("INT", DELTA, encode_delta([1, 5, 6])[:9]),
+            ("INT", DELTA, encode_delta([1, 5, 6])[:-1]),
+            ("TEXT", DICT, encode_dict(["a", "b", "a"])[:7]),
+            ("TEXT", DICT, encode_dict(["a", "b", "a"])[:-1]),
+        ],
+        ids=["rle-tail", "rle-header", "delta-header", "delta-tail", "dict-entry", "dict-codes"],
+    )
+    def test_regression_truncated_payload_was_struct_error(
+        self, type_name, encoding, payload
+    ):
+        with pytest.raises(CodecError):
+            decode_vector(type_name, encoding, payload, 3)
+
+    def test_regression_rle_run_longer_than_the_block_was_memory_error(self):
+        payload = bytearray(encode_rle("INT", [7, 7, 8]))
+        payload[12:16] = b"\xff\xff\xff\xff"  # first run: 2**32 - 1 rows
+        with pytest.raises(CodecError, match="rows, not 3"):
+            decode_vector("INT", RLE, bytes(payload), 3)
+
+    def test_regression_rle_run_count_is_bounded_by_the_payload(self):
+        payload = b"\xff\xff\xff\xff" + encode_rle("INT", [7])[4:]
+        with pytest.raises(CodecError, match="runs do not fill"):
+            decode_vector("INT", RLE, payload, 1)
+
+    def test_regression_delta_width_beyond_the_packer_was_accepted(self):
+        payload = bytearray(encode_delta([1, 5, 6]))
+        payload[16] = 200
+        with pytest.raises(CodecError, match="width 200"):
+            decode_vector("INT", DELTA, bytes(payload), 3)
+
+    def test_regression_dict_code_outside_dictionary_was_index_error(self):
+        payload = bytearray(encode_dict(["a", "b", "c", "a"]))
+        payload[-1] = 0xFF  # 2-bit codes 3,3,3,3 against three entries
+        with pytest.raises(CodecError, match="outside the dictionary"):
+            decode_vector("TEXT", DICT, bytes(payload), 4)
+
+    def test_regression_dict_invalid_utf8_was_unicode_error(self):
+        payload = encode_dict(["north", "south"]).replace(b"north", b"n\xffrth")
+        with pytest.raises(CodecError, match="utf-8"):
+            decode_vector("TEXT", DICT, payload, 2)
+
+    def test_regression_dict_entry_count_is_bounded_by_the_payload(self):
+        payload = b"\xff\xff\xff\xff" + encode_dict(["a", "b"])[4:]
+        with pytest.raises(CodecError):
+            decode_vector("TEXT", DICT, payload, 2)
+
+    def _patched(self, column="id", index=-1, **fields):
+        """A table whose ``column`` directory entry ``index`` is edited."""
+        db = self._table()
+        target = db.table("t")._files[column]
+        segments = target.segments()
+        position = index % len(segments)
+        target._patch_segment(position, segments[position]._replace(**fields))
+        return db, target
+
+    @pytest.mark.parametrize("suffix", ["id.seg", "id.zmap"])
+    def test_regression_torn_file_was_struct_error(self, suffix):
+        db = self._table()
+        path = f"{db.table('t').base}/{suffix}"
+        db.fs.write_file(path, db.fs.read_file(path)[:-1])
+        with pytest.raises(ColumnStoreError, match="truncated"):
+            db.execute("SELECT id FROM t WHERE id >= 15")
+
+    @pytest.mark.parametrize("column", ["id", "v"])
+    def test_regression_hostile_row_count_was_memory_error(self, column):
+        db, target = self._patched(column, count=1 << 40)
+        with pytest.raises(ColumnStoreError, match="bad entry"):
+            target.segments()
+        with pytest.raises(ColumnStoreError):
+            db.execute("SELECT * FROM t")
+
+    def test_regression_directory_gap_was_index_error(self):
+        db, target = self._patched("v", index=1, start=21)
+        with pytest.raises(ColumnStoreError, match="bad entry for row 20"):
+            db.execute("SELECT * FROM t")
+
+    def test_regression_columns_of_different_height_was_index_error(self):
+        db = self._table()
+        short = db.table("t")._files["s"]
+        raw = db.fs.read_file(short.seg_path)
+        db.fs.write_file(short.seg_path, raw[: len(raw) // 2])
+        with pytest.raises(ColumnStoreError, match="columns disagree"):
+            db.execute("SELECT id, s FROM t")
+
+    @pytest.mark.parametrize("column", ["v", "s"])
+    def test_regression_block_past_end_of_file_was_struct_error(self, column):
+        db, __ = self._patched(column, index=0, offset=1 << 30)
+        with pytest.raises(ColumnStoreError, match="past end of file"):
+            db.execute("SELECT * FROM t")
+
+    def test_regression_plain_text_cells_into_garbage_heap(self):
+        db = self._table()
+        db.execute("UPDATE t SET w = 'é' WHERE id = 0")  # demotes w's block 0
+        column = db.table("t")._files["w"]
+        heap = bytearray(db.fs.read_file(column.heap_path))
+        heap[-2:] = b"\xff\xff"
+        db.fs.write_file(column.heap_path, bytes(heap))
+        with pytest.raises(ColumnStoreError, match="utf-8"):
+            db.execute("SELECT w FROM t WHERE id = 0")

@@ -167,3 +167,43 @@ class TestOrderLimit:
 
     def test_limit_zero(self):
         assert select("SELECT * FROM t LIMIT 0") == []
+
+
+class TestBothEngines:
+    """Executor behaviour visible through MiniSQL and MiniColumn alike."""
+
+    @pytest.fixture(params=["minisql", "minicolumn"])
+    def db(self, request):
+        from repro.databases.minicolumn import MiniColumn
+        from repro.databases.minisql import MiniSQL
+        from repro.fs import PassthroughFS
+
+        engine = MiniSQL if request.param == "minisql" else MiniColumn
+        database = engine(PassthroughFS(block_size=256))
+        database.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT)")
+        for i in range(8):
+            database.execute(f"INSERT INTO t VALUES ({i}, {i * 10}, '{'aab'[i % 3]}')")
+        return database
+
+    def test_regression_order_by_aggregate_leaks_no_sort_key(self, db):
+        """The sort stash used to stay in the rows, under a key named by
+        ``hash(expr)`` — different in every process."""
+        rows = db.execute("SELECT s, count(*) c FROM t GROUP BY s ORDER BY count(*) DESC")
+        assert rows == [{"s": "a", "c": 6}, {"s": "b", "c": 2}]
+        assert [set(row) for row in rows] == [{"s", "c"}] * 2
+        rows = db.execute(
+            "SELECT count(*) c FROM t GROUP BY s ORDER BY sum(v) DESC, max(id) LIMIT 1"
+        )
+        assert rows == [{"c": 6, "s": "a"}]  # group keys ride along, as before
+
+    def test_regression_text_ordered_against_number_is_a_typed_error(self, db):
+        for sql in (
+            "SELECT id FROM t WHERE s < 1",
+            "SELECT id FROM t WHERE id >= 0 AND (s >= 1 OR id = 3)",
+        ):
+            with pytest.raises(EvaluationError, match="not supported between"):
+                db.execute(sql)
+
+    def test_group_by_unknown_column_is_an_error(self, db):
+        with pytest.raises(EvaluationError, match="unknown column 'nope'"):
+            db.execute("SELECT count(*) c FROM t GROUP BY nope")

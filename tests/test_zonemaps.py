@@ -7,6 +7,7 @@ import pytest
 from repro.databases.minicolumn import MiniColumn, _range_constraints
 from repro.databases.sql_parser import parse
 from repro.fs import PassthroughFS
+from repro.storage.block_device import MemoryBlockDevice
 
 
 def where_of(sql):
@@ -188,3 +189,74 @@ class TestMetadataAggregates:
         metadata = db.execute("SELECT min(id) FROM t")
         scanned = db.execute("SELECT min(id) FROM t WHERE id >= 0")
         assert metadata == scanned == [{"column0": 0}]
+
+
+class _ReadLoggingFS(PassthroughFS):
+    """Every read request, as ``(path, offset, size)``."""
+
+    def __init__(self):
+        super().__init__(MemoryBlockDevice(block_size=256))
+        self.requests = []
+
+    def _pread(self, path, offset, size):
+        self.requests.append((path, offset, size))
+        return super()._pread(path, offset, size)
+
+
+@pytest.mark.parametrize("encodings", [False, True], ids=["plain", "encoded"])
+class TestWritePathPruning:
+    """A point UPDATE / DELETE reads column data of one block only —
+    counted in read requests, not wall time."""
+
+    ROWS_PER_BLOCK = 50
+
+    def _table(self, encodings, blocks):
+        fs = _ReadLoggingFS()
+        db = MiniColumn(fs, encodings=encodings)
+        db.execute("CREATE TABLE t (id INT, v INT, s TEXT)")
+        for block in range(blocks):
+            first = block * self.ROWS_PER_BLOCK
+            db.table("t").insert_rows(
+                [
+                    {"id": first + i, "v": block, "s": f"s{i % 3}"}
+                    for i in range(self.ROWS_PER_BLOCK)
+                ]
+            )
+        return db
+
+    def _column_bytes_read(self, db, sql, block):
+        """Run ``sql``; every ``.col`` request must fall inside block
+        ``block`` of its column.  Returns the ``.col`` bytes requested."""
+        table = db.table("t")
+        covering = {
+            column.data_path: column.segments()[block]
+            for column in table._files.values()
+        }
+        db.fs.requests.clear()
+        db.execute(sql)
+        total = 0
+        for path, offset, size in db.fs.requests:
+            if path.endswith(".col"):
+                segment = covering[path]
+                assert segment.offset <= offset, (path, offset)
+                assert offset + size <= segment.offset + segment.length, (path, offset, size)
+                total += size
+        assert total > 0
+        return total
+
+    @pytest.mark.parametrize(
+        "sql, after",
+        [
+            ("UPDATE t SET v = 1 WHERE id = {k}", [{"v": 1}]),
+            ("DELETE FROM t WHERE id = {k}", []),
+        ],
+    )
+    def test_point_write_reads_one_block(self, encodings, sql, after):
+        block = 5
+        key = block * self.ROWS_PER_BLOCK + 7
+        small = self._table(encodings, 16)
+        doubled = self._table(encodings, 32)
+        read = self._column_bytes_read(small, sql.format(k=key), block)
+        assert self._column_bytes_read(doubled, sql.format(k=key), block) == read
+        for db in (small, doubled):
+            assert db.execute(f"SELECT v FROM t WHERE id = {key}") == after
