@@ -28,6 +28,8 @@ and a dictionary may contain a NULL entry.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate, repeat
+from operator import add
 from typing import Callable, Optional, Sequence, Union
 
 from repro.databases.common import DatabaseError
@@ -88,16 +90,24 @@ def pack_bits(values: Sequence[int], width: int) -> bytes:
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> list[int]:
-    """Inverse of :func:`pack_bits` for ``count`` values."""
+    """Inverse of :func:`pack_bits` for ``count`` values.
+
+    Eight values fill exactly ``width`` bytes, so each group of eight is
+    read as one small int and split: no shift ever touches the whole
+    payload, and the cost stays linear in ``count``.
+    """
     if width == 0:
         return [0] * count
-    acc = int.from_bytes(data, "little")
     mask = (1 << width) - 1
-    out = []
-    for __ in range(count):
-        out.append(acc & mask)
-        acc >>= width
-    return out
+    shifts = range(0, 8 * width, width)
+    return [
+        (word >> shift) & mask
+        for word in [
+            int.from_bytes(data[start : start + width], "little")
+            for start in range(0, (count + 7) // 8 * width, width)
+        ]
+        for shift in shifts
+    ][:count]
 
 
 def _bit_width(value: int) -> int:
@@ -128,6 +138,8 @@ class ColumnVector:
     """One column of one block, possibly still encoded."""
 
     encoding: int = PLAIN
+    #: Values are non-NULL and non-decreasing: a range is found by bisection.
+    sorted: bool = False
 
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -144,11 +156,12 @@ class ColumnVector:
 class PlainVector(ColumnVector):
     """Materialised values (plain blocks, or decoded delta blocks)."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "sorted")
     encoding = PLAIN
 
-    def __init__(self, values: list[Value]) -> None:
+    def __init__(self, values: list[Value], sorted: bool = False) -> None:
         self.values = values
+        self.sorted = sorted
 
     def __len__(self) -> int:
         return len(self.values)
@@ -184,9 +197,6 @@ class RLEVector(ColumnVector):
         for value, length in zip(self.run_values, self.run_lengths):
             out.extend([predicate(value)] * length)  # one test per run
         return out
-
-    def runs(self) -> list[tuple[Value, int]]:
-        return list(zip(self.run_values, self.run_lengths))
 
 
 class DictVector(ColumnVector):
@@ -226,13 +236,22 @@ def encode_plain(type_name: str, values: Sequence[Value]) -> bytes:
 
 
 def decode_plain(type_name: str, payload: bytes) -> list[Value]:
-    if len(payload) % _INT_CELL.size:
+    """All cells in one ``struct.unpack``; sentinels become NULL only in
+    a block that holds one."""
+    cells, torn = divmod(len(payload), _INT_CELL.size)
+    if torn:
         raise CodecError("plain: payload is not whole cells")
     if type_name == "INT":
-        return [_from_storage("INT", cell) for (cell,) in _INT_CELL.iter_unpack(payload)]
-    if type_name == "REAL":
-        return [_from_storage("REAL", cell) for (cell,) in _REAL_CELL.iter_unpack(payload)]
-    raise CodecError(f"no plain cell format for {type_name}")
+        values: list[Value] = list(struct.unpack(f"<{cells}q", payload))
+        null: Union[int, float] = NULL_INT
+    elif type_name == "REAL":
+        values = list(struct.unpack(f"<{cells}d", payload))
+        null = NULL_REAL
+    else:
+        raise CodecError(f"no plain cell format for {type_name}")
+    if null in values:
+        return [None if value == null else value for value in values]
+    return values
 
 
 def _runs_of(values: Sequence[Value]) -> list[tuple[Value, int]]:
@@ -296,12 +315,7 @@ def decode_delta(payload: bytes, count: int) -> list[Value]:
     if width > MAX_DELTA_BITS or len(packed_bytes) * 8 < (count - 1) * width:
         raise CodecError(f"delta: {count} rows of width {width} exceed the payload")
     packed = unpack_bits(packed_bytes, width, count - 1)
-    out: list[Value] = [first]
-    current = first
-    for packed_delta in packed:
-        current += packed_delta + low
-        out.append(current)
-    return out
+    return list(accumulate(map(add, packed, repeat(low)), initial=first))
 
 
 def encode_dict(values: Sequence[Value]) -> bytes:
@@ -434,14 +448,21 @@ def decode_vector(
 ) -> ColumnVector:
     """Decode a block payload into its natural vector representation."""
     if encoding == PLAIN:
-        return PlainVector(decode_plain(type_name, payload))
+        cells = decode_plain(type_name, payload)
+        if len(cells) != count:
+            raise CodecError(f"plain: {len(cells)} cells, not {count}")
+        return PlainVector(cells)
     if encoding == RLE:
         run_values, run_lengths = decode_rle_runs(type_name, payload)
         if sum(run_lengths) != count:
             raise CodecError(f"rle: runs cover {sum(run_lengths)} rows, not {count}")
         return RLEVector(run_values, run_lengths)
     if encoding == DELTA:
-        return PlainVector(decode_delta(payload, count))
+        values = decode_delta(payload, count)
+        # Every delta is ``low`` plus a non-negative packed value, so a
+        # frame of reference >= 0 makes the block non-decreasing.
+        ascending = count < 2 or _DELTA_HEADER.unpack_from(payload, 0)[1] >= 0
+        return PlainVector(values, sorted=ascending)
     if encoding == DICT:
         dictionary, codes = decode_dict_parts(payload, count)
         return DictVector(dictionary, codes)
@@ -467,20 +488,10 @@ def fold_int_cells(data: bytes) -> tuple[int, int, Optional[int], Optional[int]]
     server runs locally for a pushed-down aggregate: the cells never
     cross the network, only this 4-tuple does.
     """
-    count = 0
-    total = 0
-    minimum: Optional[int] = None
-    maximum: Optional[int] = None
-    for (cell,) in _INT_CELL.iter_unpack(data):
-        if cell == NULL_INT:
-            continue
-        count += 1
-        total += cell
-        if minimum is None or cell < minimum:
-            minimum = cell
-        if maximum is None or cell > maximum:
-            maximum = cell
-    return count, total, minimum, maximum
+    cells = [cell for cell in decode_plain("INT", data) if isinstance(cell, int)]
+    if not cells:
+        return 0, 0, None, None
+    return len(cells), sum(cells), min(cells), max(cells)
 
 
 def merge_folds(

@@ -15,7 +15,7 @@ results.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.databases.common import DatabaseError
 from repro.databases.sql_parser import (
@@ -145,8 +145,7 @@ class _Accumulator:
             self.add_value(evaluate(self.func.argument, row))
 
     def add_value(self, value: object) -> None:
-        """Accumulate an already-evaluated argument (ignored for ``*``):
-        how the vectorized path feeds decoded values instead of rows."""
+        """Accumulate an already-evaluated argument (ignored for ``*``)."""
         if isinstance(self.func.argument, Star):
             self.count += 1
             return
@@ -159,6 +158,31 @@ class _Accumulator:
             self.minimum = value
         if self.maximum is None or value > self.maximum:  # type: ignore[operator]
             self.maximum = value
+
+    def add_values(self, values: Sequence[object]) -> None:
+        """:meth:`add_value` over a group's slice of a column (for ``*``
+        only its length counts).  INT values fold with ``sum``/``min``/
+        ``max`` (integer addition is exact in any order); anything else —
+        REAL, whose sum must stay the in-order one bit for bit, or TEXT —
+        goes value by value."""
+        if isinstance(self.func.argument, Star):
+            self.count += len(values)
+            return
+        kinds = set(map(type, values))
+        if kinds - {type(None)} != {int}:
+            for value in values:
+                self.add_value(value)
+            return
+        present = values
+        if type(None) in kinds:
+            present = [value for value in values if value is not None]
+        low, high = min(present), max(present)  # type: ignore[type-var]
+        self.count += len(present)
+        self.total += sum(present)  # type: ignore[arg-type]
+        if self.minimum is None or low < self.minimum:  # type: ignore[operator]
+            self.minimum = low
+        if self.maximum is None or high > self.maximum:  # type: ignore[operator]
+            self.maximum = high
 
     def result(self) -> object:
         name = self.func.name

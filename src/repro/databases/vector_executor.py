@@ -3,28 +3,36 @@
 This is MiniColumn's only executor.  The storage layer
 (:meth:`repro.databases.minicolumn.ColumnTable.scan_vector_blocks`)
 yields one :class:`~repro.databases.colcodec.ColumnVector` per column
-per zone-surviving block, *keeping encoded forms*.  A WHERE splits into
-its ``column op literal`` conjuncts — evaluated once per RLE run and
-once per distinct dictionary string — and a *residual* expression
-(everything else: OR, NOT, arithmetic, column-vs-column), which the
-shared :func:`~repro.databases.sql_executor.evaluate` decides on the
-rows the conjuncts left.  The resulting selection feeds the grouped
-aggregation kernel, or :func:`matching_rows` — the row stream behind
-plain projections, UPDATE and DELETE.
+per zone-surviving block, *keeping encoded forms*.  A block's selection
+is a *position list*, started from the rows the deletion mask leaves
+live.  A WHERE's ``column op literal`` conjuncts narrow it in turn — a
+numeric bound on a sorted block (delta-encoded with a non-negative
+frame of reference) by bisection, any other once per RLE run, per
+distinct dictionary string or per value — and the shared
+:func:`~repro.databases.sql_executor.evaluate` decides the *residual*
+(OR, NOT, arithmetic, column-vs-column) on the survivors.  The
+positions feed the grouped aggregation kernel, which splits them by
+group key and folds each group's column slice at once, or
+:func:`matching_rows` — the row stream behind plain projections,
+UPDATE and DELETE.
 
 Aggregate result semantics (``_Accumulator``), projection naming,
 ORDER BY and LIMIT are the code MiniSQL runs, so
 ``run_select(select, table.scan())`` is an oracle for every SELECT
-here.  The one difference is *which rows* can raise: a conjunct is
-tested on every value of a surviving block, where the interpreter
-short-circuits row by row.
+here.  The one difference is *which rows* can raise: a conjunct runs
+only where the previous ones left survivors, and the residual only on
+the survivors, but a conjunct is evaluated on the whole block it
+narrows, where the interpreter short-circuits row by row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
+from repro.databases.colcodec import ColumnVector
 from repro.databases.sql_executor import (
     EvaluationError,
     _Accumulator,
@@ -95,36 +103,62 @@ def _compare(op: str, bound: object) -> Callable[[object], bool]:
     return lambda value: value is not None and value >= bound  # type: ignore[operator]
 
 
+def _narrow(
+    vector: ColumnVector, op: str, bound: object, positions: Sequence[int]
+) -> Sequence[int]:
+    """The ``positions`` (ascending) whose value satisfies ``op bound``.
+
+    On a sorted vector a numeric bound other than ``!=`` is the row
+    range ``[low, high)`` found by bisection; everything else — NULL or
+    TEXT bounds, unsorted vectors — tests the predicate encoding-aware."""
+    if vector.sorted and op != "!=" and isinstance(bound, (int, float)):
+        values = vector.materialize()
+        if op in ("<", "<="):
+            low = 0
+        else:
+            low = (bisect_right if op == ">" else bisect_left)(values, bound)
+        if op in (">", ">="):
+            high = len(values)
+        else:
+            high = (bisect_left if op == "<" else bisect_right)(values, bound)
+        return positions[bisect_left(positions, low) : bisect_left(positions, high)]
+    try:
+        hits = vector.pred_bools(_compare(op, bound))
+    except TypeError as exc:  # TEXT ordered against a number
+        raise EvaluationError(str(exc)) from None
+    return [position for position in positions if hits[position]]
+
+
 def _selected_blocks(
     table: "ColumnTable", names: Sequence[str], where: Optional[Expr]
-) -> Iterator[tuple[int, list[bool], dict[str, list]]]:
-    """The scan loop: ``(start row, selection, materialised columns)``
+) -> Iterator[tuple[int, Sequence[int], dict[str, list]]]:
+    """The scan loop: ``(start row, positions, materialised columns)``
     per zone-surviving block with a row that is live under the deletion
-    mask and passes every conjunct.  The selection is exact: the
-    residual has been evaluated on those rows."""
+    mask and satisfies ``where``.  ``positions`` (ascending, never
+    empty) are exactly those rows' offsets in the block."""
     from repro.databases.minicolumn import _range_constraints
 
     conjuncts, residual = _conjuncts(where)
     blocks = table.scan_vector_blocks(names, _range_constraints(where))
-    for start, __, mask, vectors in blocks:
-        selected = [byte == 0 for byte in mask]
+    for start, count, mask, vectors in blocks:
+        positions: Sequence[int] = range(count)
+        if mask.count(0) != count:
+            positions = [i for i, dead in enumerate(mask) if not dead]
         for name, op, bound in conjuncts:
-            if not any(selected):
+            if not positions:
                 break
-            try:
-                bools = vectors[name].pred_bools(_compare(op, bound))
-            except TypeError as exc:  # TEXT ordered against a number
-                raise EvaluationError(str(exc)) from None
-            selected = [keep and hit for keep, hit in zip(selected, bools)]
-        if not any(selected):
+            positions = _narrow(vectors[name], op, bound, positions)
+        if not positions:
             continue
         columns = {name: vectors[name].materialize() for name in names}
         if residual is not None:
-            for i, keep in enumerate(selected):
-                if keep:
-                    row = {name: columns[name][i] for name in names}
-                    selected[i] = bool(evaluate(residual, row))
-        yield start, selected, columns
+            positions = [
+                i
+                for i in positions
+                if evaluate(residual, {name: columns[name][i] for name in names})
+            ]
+        if positions:
+            yield start, positions, columns
 
 
 def matching_rows(
@@ -133,10 +167,26 @@ def matching_rows(
     """``(physical row number, row)`` of the live rows satisfying
     ``where``, pruned by zone map: what a plain projection, an UPDATE
     and a DELETE consume."""
-    for start, selected, columns in _selected_blocks(table, names, where):
-        for i, keep in enumerate(selected):
-            if keep:
-                yield start + i, {name: columns[name][i] for name in names}
+    for start, positions, columns in _selected_blocks(table, names, where):
+        for i in positions:
+            yield start + i, {name: columns[name][i] for name in names}
+
+
+def _partition(
+    positions: Sequence[int], key_columns: list[list]
+) -> Iterable[tuple[tuple, Sequence[int]]]:
+    """``(group key, positions)`` per group of one block, in order of
+    first appearance; ``key_columns`` are the block's GROUP BY columns."""
+    if not key_columns:
+        return [((), positions)]
+    # One column keys on its raw values: cheaper to hash than 1-tuples.
+    keys = key_columns[0] if len(key_columns) == 1 else list(zip(*key_columns))
+    parts: defaultdict[object, list[int]] = defaultdict(list)
+    for position in positions:
+        parts[keys[position]].append(position)
+    if len(key_columns) == 1:
+        return [((key,), members) for key, members in parts.items()]
+    return parts.items()  # type: ignore[return-value]
 
 
 def run_select_vectorized(
@@ -161,38 +211,40 @@ def run_select_vectorized(
         _collect_aggregates(item.expr, aggregates)
     for order in select.order_by:
         _collect_aggregates(order.expr, aggregates)
-    # An aggregate over a scanned column is fed from that column's
-    # values (count(*): from nothing); every other argument — an
-    # expression, sum(*) — goes through the accumulator's row interface,
-    # which evaluates it or raises.
-    argument_columns: dict[FuncCall, object] = {}
+    # Resolved once per query, in the order of `aggregates` (and so of
+    # each group's accumulators): an aggregate over a scanned column
+    # folds that column's slice (count(*): the slice's length); every
+    # other argument — an expression, sum(*) — goes through the
+    # accumulator's row interface, which evaluates it or raises.
+    plan: list[object] = []
     for func in aggregates:
         if isinstance(func.argument, Column) and func.argument.name in names:
-            argument_columns[func] = func.argument.name
+            plan.append(func.argument.name)
         elif isinstance(func.argument, Star) and func.name == "count":
-            argument_columns[func] = None
+            plan.append(None)
         else:
-            argument_columns[func] = _BY_ROW
+            plan.append(_BY_ROW)
 
     group_columns = [column.name for column in select.group_by]
     groups: dict[tuple, tuple[dict[str, object], dict[FuncCall, _Accumulator]]] = {}
-    for __, selected, columns in _selected_blocks(table, names, select.where):
-        for i, keep in enumerate(selected):
-            if not keep:
-                continue
-            key = tuple(columns[name][i] for name in group_columns)
+    for __, positions, columns in _selected_blocks(table, names, select.where):
+        key_columns = [columns[name] for name in group_columns]
+        for key, members in _partition(positions, key_columns):
             state = groups.get(key)
             if state is None:
-                state = (
-                    {name: columns[name][i] for name in names},
+                first = members[0]
+                state = groups[key] = (
+                    {name: columns[name][first] for name in names},
                     {func: _Accumulator(func) for func in aggregates},
                 )
-                groups[key] = state
-            for func, accumulator in state[1].items():
-                column = argument_columns[func]
+            for accumulator, column in zip(state[1].values(), plan):
                 if column is _BY_ROW:
-                    accumulator.add({name: columns[name][i] for name in names})
+                    for i in members:
+                        accumulator.add({name: columns[name][i] for name in names})
+                elif column is None:
+                    accumulator.add_values(members)  # count(*) takes the length
                 else:
-                    accumulator.add_value(None if column is None else columns[column][i])
+                    values = columns[column]  # type: ignore[index]
+                    accumulator.add_values([values[i] for i in members])
 
     return apply_order_limit(select, _finish_groups(select, groups, aggregates))

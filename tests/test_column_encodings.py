@@ -17,7 +17,7 @@ Three layers of coverage:
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.databases import colcodec
 from repro.databases.colcodec import (
@@ -27,6 +27,7 @@ from repro.databases.colcodec import (
     PLAIN,
     RLE,
     CodecError,
+    PlainVector,
     choose_encoding,
     decode_block,
     decode_delta,
@@ -38,7 +39,9 @@ from repro.databases.colcodec import (
     encode_dict,
     encode_rle,
     estimate_sizes,
+    fold_int_cells,
     pack_bits,
+    pack_int_cells,
     unpack_bits,
 )
 from repro.databases.minicolumn import ColumnStoreError, MiniColumn
@@ -127,6 +130,16 @@ class TestCodecEdgeCases:
         values = [0, 2**60]
         assert decode_delta(encode_delta(values), len(values)) == values
 
+    @pytest.mark.parametrize(
+        "values, ascending",
+        [([3], True), ([1, 1, 2, 2, 9], True), ([4, 5, 6], True), ([5, 3, 4], False)],
+        ids=["single", "duplicate-runs", "strictly-ascending", "descending-step"],
+    )
+    def test_delta_block_is_sorted_when_its_low_is_not_negative(self, values, ascending):
+        vector = decode_vector("INT", DELTA, encode_delta(values), len(values))
+        assert vector.materialize() == values
+        assert vector.sorted is ascending
+
     def test_delta_overflow_raises(self):
         with pytest.raises(CodecError):
             encode_delta([0, 0, 2**MAX_DELTA_BITS])
@@ -182,6 +195,35 @@ class TestCodecEdgeCases:
         assert wanted == [v == "aa" for v in values]
 
 
+def _fold_reference(cells):
+    """The cell-at-a-time fold ``fold_int_cells`` must agree with."""
+    count, total, minimum, maximum = 0, 0, None, None
+    for cell in cells:
+        if cell is None:
+            continue
+        count += 1
+        total += cell
+        if minimum is None or cell < minimum:
+            minimum = cell
+        if maximum is None or cell > maximum:
+            maximum = cell
+    return count, total, minimum, maximum
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [],
+        [None, None, None],
+        [5, None, -3, 2**62, None, 0, -(2**62)],
+        [random.Random(7).randrange(-(2**62), 2**62) for __ in range(500)],
+    ],
+    ids=["empty", "null-only", "mixed", "seeded-500"],
+)
+def test_fold_int_cells_matches_a_reference_loop(cells):
+    assert fold_int_cells(pack_int_cells(cells)) == _fold_reference(cells)
+
+
 class TestPicker:
     def test_constant_column_is_rle(self):
         assert choose_encoding("INT", [5] * 100) == RLE
@@ -214,6 +256,11 @@ class TestPicker:
 
 _INT_VALUES = st.one_of(st.none(), st.integers(-1000, 1000))
 _TEXT_VALUES = st.one_of(st.none(), st.sampled_from(["red", "green", "blue", "x"]))
+#: Magnitudes far apart, so a REAL sum taken in another order (per
+#: block, or compensated) differs in its last bits.
+_REAL_VALUES = st.one_of(
+    st.none(), st.sampled_from([1e16, -1e16, 1.0, 0.1]), st.floats(-1e3, 1e3)
+)
 
 
 @st.composite
@@ -221,7 +268,9 @@ def _workload(draw):
     batches = draw(
         st.lists(
             st.lists(
-                st.tuples(_INT_VALUES, _TEXT_VALUES), min_size=1, max_size=30
+                st.tuples(_INT_VALUES, _TEXT_VALUES, _REAL_VALUES),
+                min_size=1,
+                max_size=30,
             ),
             min_size=1,
             max_size=4,
@@ -255,27 +304,58 @@ _QUERIES = [
     "SELECT s, sum(v + id) x FROM t GROUP BY s",
     "SELECT s, count(v) c FROM t GROUP BY s ORDER BY sum(v) DESC, s",
     "SELECT id, s FROM t WHERE v >= {lo} AND (s = 'red' OR v > id) AND id >= 2",
+    "SELECT s, sum(r) sr, min(r) mn, max(r) mx, count(r) c, avg(r) a FROM t GROUP BY s",
+    "SELECT s, k, count(*) c, sum(v) sv, max(r) mr FROM t GROUP BY s, k",
+    # Bounds on the sorted (delta) columns: id ascends, k = id // 3
+    # repeats each value (a frame of reference of 0).
+    "SELECT id FROM t WHERE id < 2.5",
+    "SELECT id, v FROM t WHERE id >= 3.0 AND k <= 6",
+    "SELECT id FROM t WHERE id = 4",
+    "SELECT k, count(*) c, sum(v) sv FROM t WHERE k > 1 AND k <= 4 GROUP BY k",
+    "SELECT id FROM t WHERE k >= 2 AND k < 4",
+    "SELECT id FROM t WHERE k = 2",
+    "SELECT id FROM t WHERE v < NULL",
+    "SELECT id FROM t WHERE k >= NULL",
+    "SELECT id FROM t WHERE id < 'red'",
 ]
+
+
+def _outcome(run, *args):
+    """The rows ``run(*args)`` returns, or the message it fails with."""
+    try:
+        return run(*args)
+    except EvaluationError as exc:
+        return f"EvaluationError: {exc}"
 
 
 def _compare(dbs, bounds):
     lo, hi = bounds
     for query in _QUERIES:
         sql = query.format(lo=lo, hi=hi)
-        results = [db.execute(sql) for db in dbs]
+        results = [_outcome(db.execute, sql) for db in dbs]
         assert results[0] == results[1], sql
         for db in dbs:
-            assert results[0] == _oracle(db, sql), sql
+            assert results[0] == _outcome(_oracle, db, sql), sql
 
 
 @given(_workload())
+# Two blocks whose REAL cells sum to 1.0 in order, but to 0.0 summed per
+# block and to 2.0 compensated (``sum`` of floats on Python 3.12).
+@example(
+    (
+        [[(1, "red", 1e16), (2, "red", 1.0)], [(3, "red", -1e16), (4, "red", 1.0)]],
+        [],
+        [],
+        [0, 0],
+    )
+)
 @settings(max_examples=25, deadline=None)
 def test_encoded_scan_equals_plain_scan(workload):
     batches, updates, deletes, bounds = _workload_rows(workload)
     dbs = []
     for encodings in (False, True):
         db = _column_db(encodings)
-        db.execute("CREATE TABLE t (id INT, v INT, s TEXT)")
+        db.execute("CREATE TABLE t (id INT, v INT, s TEXT, r REAL, k INT)")
         for batch in batches:
             db.table("t").insert_rows(batch)
         dbs.append(db)
@@ -294,14 +374,38 @@ def test_encoded_scan_equals_plain_scan(workload):
     _compare(dbs, bounds)
 
 
+def test_sorted_block_answers_a_bound_by_bisection(monkeypatch):
+    db = _column_db(True)
+    db.execute("CREATE TABLE t (id INT, k INT)")
+    db.table("t").insert_rows([{"id": i, "k": i // 3} for i in range(40)])
+    assert db.table("t").column_encodings() == {"id": [DELTA], "k": [DELTA]}
+    queries = [
+        "SELECT id FROM t WHERE id < 2.5",
+        "SELECT id FROM t WHERE id >= 3.0 AND k <= 6",
+        "SELECT count(*) c FROM t WHERE id = 4",
+        "SELECT k, count(*) c FROM t WHERE k > 1 AND k <= 4 GROUP BY k",
+        "SELECT id FROM t WHERE k >= 2 AND k < 4",
+        "SELECT id FROM t WHERE k = 2",
+    ]
+    expected = [_oracle(db, sql) for sql in queries]
+
+    def per_row_predicate(vector, predicate):
+        raise AssertionError("a sorted block tested a bound row by row")
+
+    monkeypatch.setattr(PlainVector, "pred_bools", per_row_predicate)
+    assert [db.execute(sql) for sql in queries] == expected
+
+
 def _workload_rows(workload):
     batches, updates, deletes, bounds = workload
     rows = []
     next_id = 0
     for batch in batches:
         batch_rows = []
-        for value, text in batch:
-            batch_rows.append({"id": next_id, "v": value, "s": text})
+        for value, text, real in batch:
+            batch_rows.append(
+                {"id": next_id, "v": value, "s": text, "r": real, "k": next_id // 3}
+            )
             next_id += 1
         rows.append(batch_rows)
     return rows, updates, deletes, bounds
@@ -463,9 +567,12 @@ class TestHostileBytes:
     def test_fuzz_block_payloads(self):
         rng = random.Random(20261003)
         blocks = [
+            ("INT", PLAIN, [5, None, -3, 2**62, 0]),
+            ("REAL", PLAIN, [1.5, None, -2.25, 1e300]),
             ("INT", RLE, [4, 4, 4, None, None, 9, 9, 4]),
             ("REAL", RLE, [1.5, 1.5, None, -2.25, -2.25]),
             ("INT", DELTA, [10, 13, 19, 19, 40, 41]),
+            ("INT", DELTA, [50, 40, 45, 44, 90, 1]),
             ("TEXT", DICT, ["north", None, "south", "north", "", "nörd"]),
         ]
         for type_name, encoding, values in blocks:
@@ -477,7 +584,23 @@ class TestHostileBytes:
                     )
                 except CodecError:
                     continue
-                assert len(vector.materialize()) == len(values)
+                decoded = vector.materialize()
+                assert len(decoded) == len(values)
+                assert not vector.sorted or decoded == sorted(decoded)
+
+    def test_delta_low_flipped_negative_is_not_sorted(self):
+        db = self._table()
+        column = db.table("t")._files["id"]
+        segment = column.segments()[0]
+        assert segment.encoding == DELTA
+        # Header: first value, frame of reference, width.  Ids 0..19 have
+        # low 1; low -1 decodes 0, -1, ..., -19, which is descending.
+        flipped = (-1).to_bytes(8, "little", signed=True)
+        db.fs._pwrite(column.data_path, segment.offset + 8, flipped)
+        payload = db.fs._pread(column.data_path, segment.offset, segment.length)
+        assert not decode_vector("INT", DELTA, payload, segment.count).sorted
+        sql = "SELECT id FROM t WHERE id >= -5 AND id < 10"
+        assert db.execute(sql) == _oracle(db, sql) == [{"id": -i} for i in range(6)]
 
     def _table(self):
         db = _column_db(True)
