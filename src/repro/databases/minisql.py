@@ -160,9 +160,10 @@ class Table:
         self.schema = schema
         self.path = path
         self.page_size = page_size
-        # Directory: parallel lists of first-key and page number, sorted
-        # by first key; pages partition the key space.
-        self._first_keys: list[RowValue] = []
+        # Directory: parallel lists of each page's first key (held as its
+        # _sort_key, so lookups bisect it directly) and page number,
+        # sorted by first key; pages partition the key space.
+        self._first_keys: list[tuple] = []
         self._page_numbers: list[int] = []
         self._page_count = 0
         if fs.exists(path):
@@ -202,12 +203,12 @@ class Table:
     def _load_directory(self) -> None:
         size = self.fs.stat(self.path).size
         self._page_count = size // self.page_size
-        entries: list[tuple[RowValue, int]] = []
+        entries: list[tuple[tuple, int]] = []
         for page_no in range(self._page_count):
             rows = self._read_page(page_no)
             if rows:
-                entries.append((rows[0][self.schema.primary_key], page_no))
-        entries.sort(key=lambda entry: _sort_key(entry[0]))
+                entries.append((_sort_key(rows[0][self.schema.primary_key]), page_no))
+        entries.sort(key=lambda entry: entry[0])
         self._first_keys = [key for key, __ in entries]
         self._page_numbers = [page_no for __, page_no in entries]
 
@@ -216,9 +217,7 @@ class Table:
         """Index of the directory page that should hold ``key``."""
         if not self._first_keys:
             return -1
-        index = bisect.bisect_right(
-            [_sort_key(first) for first in self._first_keys], _sort_key(key)
-        )
+        index = bisect.bisect_right(self._first_keys, _sort_key(key))
         return max(0, index - 1)
 
     # -- operations ------------------------------------------------------------
@@ -228,7 +227,7 @@ class Table:
             raise TableError("primary key must not be NULL")
         if not self._first_keys:
             page_no = self._append_page([row])
-            self._first_keys.append(key)
+            self._first_keys.append(_sort_key(key))
             self._page_numbers.append(page_no)
             return
         slot = self._directory_slot(key)
@@ -248,7 +247,7 @@ class Table:
         )
         if body_size <= self.page_size:
             self._write_page(page_no, rows)
-            self._first_keys[slot] = rows[0][self.schema.primary_key]
+            self._first_keys[slot] = _sort_key(rows[0][self.schema.primary_key])
             return
         half = len(rows) // 2
         left, right = rows[:half], rows[half:]
@@ -256,8 +255,8 @@ class Table:
             raise TableError("row larger than a page")
         self._write_page(page_no, left)
         new_page = self._append_page(right)
-        self._first_keys[slot] = left[0][self.schema.primary_key]
-        self._first_keys.insert(slot + 1, right[0][self.schema.primary_key])
+        self._first_keys[slot] = _sort_key(left[0][self.schema.primary_key])
+        self._first_keys.insert(slot + 1, _sort_key(right[0][self.schema.primary_key]))
         self._page_numbers.insert(slot + 1, new_page)
 
     def get(self, key: RowValue) -> Optional[Row]:
@@ -298,7 +297,7 @@ class Table:
             return False
         self._write_page(page_no, remaining)
         if remaining:
-            self._first_keys[slot] = remaining[0][self.schema.primary_key]
+            self._first_keys[slot] = _sort_key(remaining[0][self.schema.primary_key])
         else:
             del self._first_keys[slot]
             del self._page_numbers[slot]
@@ -315,18 +314,23 @@ class Table:
         """Rows with low <= pk <= high, reading only the covering pages."""
         start_slot = self._directory_slot(low) if low is not None else 0
         start_slot = max(0, start_slot)
+        low_key = _sort_key(low) if low is not None else None
+        high_key = _sort_key(high) if high is not None else None
         for slot in range(start_slot, len(self._page_numbers)):
             rows = self._read_page(self._page_numbers[slot])
             if not rows:
                 continue
             first = rows[0][self.schema.primary_key]
-            if high is not None and _sort_key(first) > _sort_key(high):
+            if high_key is not None and _sort_key(first) > high_key:
                 break
+            if low_key is None and high_key is None:
+                yield from rows
+                continue
             for row in rows:
-                key = row[self.schema.primary_key]
-                if low is not None and _sort_key(key) < _sort_key(low):
+                key = _sort_key(row[self.schema.primary_key])
+                if low_key is not None and key < low_key:
                     continue
-                if high is not None and _sort_key(key) > _sort_key(high):
+                if high_key is not None and key > high_key:
                     return
                 yield row
 
@@ -347,9 +351,9 @@ class SecondaryIndex:
     """A non-unique index: column value -> primary keys.
 
     Persisted as an append-only log of add/remove records (replayed on
-    open), with an in-memory value map and a lazily sorted value list
-    for range lookups.  NULL values are not indexed — SQL comparisons
-    with NULL never match, so the index never has to answer for them.
+    open), with an in-memory value map.  NULL values are not indexed —
+    SQL comparisons with NULL never match, so the index never has to
+    answer for them.
     """
 
     def __init__(self, fs: FileSystem, path: str, name: str, table: str, column: str) -> None:
@@ -359,8 +363,6 @@ class SecondaryIndex:
         self.table = table
         self.column = column
         self._entries: dict[RowValue, set[RowValue]] = {}
-        self._sorted_values: list[RowValue] = []
-        self._sorted_dirty = False
         if fs.exists(path):
             self._replay()
         else:
@@ -378,7 +380,6 @@ class SecondaryIndex:
                     keys.discard(key)
                     if not keys:
                         del self._entries[value]
-        self._sorted_dirty = True
 
     def _log(self, flag: int, value: RowValue, key: RowValue) -> None:
         payload = bytes([flag]) + json.dumps([value, key]).encode("utf-8")
@@ -389,7 +390,6 @@ class SecondaryIndex:
         if value is None:
             return
         self._entries.setdefault(value, set()).add(key)
-        self._sorted_dirty = True
         self._log(0, value, key)
 
     def remove(self, value: RowValue, key: RowValue) -> None:
@@ -401,7 +401,6 @@ class SecondaryIndex:
         keys.discard(key)
         if not keys:
             del self._entries[value]
-        self._sorted_dirty = True
         self._log(1, value, key)
 
     def compact(self) -> None:
@@ -414,28 +413,6 @@ class SecondaryIndex:
     # -- lookups -----------------------------------------------------------------
     def lookup(self, value: RowValue) -> list[RowValue]:
         return sorted(self._entries.get(value, ()), key=_sort_key)
-
-    def _ensure_sorted(self) -> None:
-        if self._sorted_dirty:
-            self._sorted_values = sorted(self._entries, key=_sort_key)
-            self._sorted_dirty = False
-
-    def range(
-        self, low: Optional[RowValue] = None, high: Optional[RowValue] = None
-    ) -> list[RowValue]:
-        """Primary keys with low <= value <= high, in value order."""
-        self._ensure_sorted()
-        keys_sorted = [_sort_key(value) for value in self._sorted_values]
-        start = bisect.bisect_left(keys_sorted, _sort_key(low)) if low is not None else 0
-        stop = (
-            bisect.bisect_right(keys_sorted, _sort_key(high))
-            if high is not None
-            else len(self._sorted_values)
-        )
-        result: list[RowValue] = []
-        for value in self._sorted_values[start:stop]:
-            result.extend(sorted(self._entries[value], key=_sort_key))
-        return result
 
     @property
     def entry_count(self) -> int:

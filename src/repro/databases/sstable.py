@@ -18,6 +18,7 @@ lookup, like the real thing.
 
 from __future__ import annotations
 
+import re
 import struct
 from typing import Iterator, Optional
 
@@ -34,6 +35,7 @@ from repro.fs.vfs import FileSystem
 
 _FOOTER = struct.Struct("<QQQQQ")  # index off/size, bloom off/size, magic
 _MAGIC = 0x5353544142004C45  # "SSTAB.LE"
+_FILLER_RUN = re.compile(rb"\x02*")  # alignment padding between records
 
 #: Sentinel in the public API marking a deletion.
 TOMBSTONE = None
@@ -252,8 +254,8 @@ class SSTableReader:
         offset = 0
         while offset < len(data):
             flag = data[offset]
-            if flag == 2:  # alignment filler
-                offset += 1
+            if flag == 2:  # alignment filler: skip the whole run at once
+                offset = _FILLER_RUN.match(data, offset).end()
                 continue
             offset += 1
             key, offset = decode_bytes(data, offset)

@@ -136,10 +136,18 @@ class UnknownOpcode(ProtocolError):
 # ---------------------------------------------------------------------------
 # payload encoding: deterministic tagged binary values
 # ---------------------------------------------------------------------------
-# Tags: N none, T true, F false, i zigzag-varint int, f 8-byte float,
+# Tags: N none, T true, F false, i zigzag-varint int64, f 8-byte float,
 # s utf-8 string, b raw bytes, l list, d dict (insertion order).
 
-def _pack_value(value: object, out: bytearray) -> None:
+#: Most lists/dicts (the root included) a payload value may sit in, so
+#: a hostile frame cannot exhaust the decoder's stack.
+MAX_NESTING = 64
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _pack_value(value: object, out: bytearray, depth: int = 0) -> None:
+    if depth > MAX_NESTING:
+        raise ProtocolError(f"payload nests deeper than {MAX_NESTING}")
     if value is None:
         out.append(ord("N"))
     elif value is True:
@@ -147,6 +155,8 @@ def _pack_value(value: object, out: bytearray) -> None:
     elif value is False:
         out.append(ord("F"))
     elif isinstance(value, int):
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise ProtocolError(f"payload int {value} is outside int64")
         out.append(ord("i"))
         zigzag = (value << 1) ^ (value >> 63) if value < 0 else value << 1
         write_varint(out, zigzag)
@@ -167,22 +177,24 @@ def _pack_value(value: object, out: bytearray) -> None:
         out.append(ord("l"))
         write_varint(out, len(value))
         for item in value:
-            _pack_value(item, out)
+            _pack_value(item, out, depth + 1)
     elif isinstance(value, dict):
         out.append(ord("d"))
         write_varint(out, len(value))
         for key, item in value.items():
             if not isinstance(key, str):
                 raise ProtocolError(f"payload dict keys must be str, got {key!r}")
-            _pack_value(key, out)
-            _pack_value(item, out)
+            _pack_value(key, out, depth + 1)
+            _pack_value(item, out, depth + 1)
     else:
         raise ProtocolError(f"unencodable payload value {type(value).__name__}")
 
 
-def _unpack_value(data: bytes, offset: int) -> tuple[object, int]:
+def _unpack_value(data: bytes, offset: int, depth: int = 0) -> tuple[object, int]:
     # ``data`` is always one whole CRC-checked payload, so running off
     # its end is a structural error, not "wait for more bytes".
+    if depth > MAX_NESTING:
+        raise ProtocolError(f"payload nests deeper than {MAX_NESTING}")
     if offset >= len(data):
         raise ProtocolError("truncated payload value")
     tag = data[offset]
@@ -211,17 +223,17 @@ def _unpack_value(data: bytes, offset: int) -> tuple[object, int]:
         count, offset = read_varint(data, offset)
         items = []
         for __ in range(count):
-            item, offset = _unpack_value(data, offset)
+            item, offset = _unpack_value(data, offset, depth + 1)
             items.append(item)
         return items, offset
     if tag == ord("d"):
         count, offset = read_varint(data, offset)
         table: dict = {}
         for __ in range(count):
-            key, offset = _unpack_value(data, offset)
+            key, offset = _unpack_value(data, offset, depth + 1)
             if not isinstance(key, str):
                 raise ProtocolError("payload dict key is not a string")
-            table[key], offset = _unpack_value(data, offset)
+            table[key], offset = _unpack_value(data, offset, depth + 1)
         return table, offset
     raise ProtocolError(f"unknown payload tag {tag:#04x}")
 

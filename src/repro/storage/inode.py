@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from repro.storage.block_device import BlockDevice
@@ -50,16 +51,24 @@ class Slot:
 
 
 class PointerPage:
-    """An indirect node holding up to ``capacity`` leaf pointers."""
+    """An indirect node holding up to ``capacity`` leaf pointers.
 
-    __slots__ = ("entries",)
+    ``byte_count`` is kept by the inode's mutators; ``running`` caches
+    the running ``used`` totals until the page next changes (None).
+    """
+
+    __slots__ = ("entries", "byte_count", "running")
 
     def __init__(self, entries: Optional[list[Slot]] = None) -> None:
         self.entries: list[Slot] = entries if entries is not None else []
+        self.byte_count = sum(slot.used for slot in self.entries)
+        self.running: Optional[list[int]] = None
 
-    @property
-    def byte_count(self) -> int:
-        return sum(slot.used for slot in self.entries)
+    def running_used(self) -> list[int]:
+        """Bytes up to and including each slot of this page."""
+        if self.running is None:
+            self.running = list(accumulate(slot.used for slot in self.entries))
+        return self.running
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -69,9 +78,9 @@ class Inode:
     """File metadata: size, pointer pages, and hole accounting.
 
     The inode maintains lazy prefix-sum indexes over its pages so that
-    ``locate(offset)`` is a binary search over pages plus a bounded
-    linear scan within one page.  Structural changes (slot insertion or
-    removal, ``used`` updates) invalidate the index.
+    ``locate(offset)`` is a binary search over pages plus one over the
+    page's running totals.  A mutation marks the prefix sums stale from
+    its page on; the next read recomputes only that suffix.
     """
 
     def __init__(
@@ -91,7 +100,9 @@ class Inode:
         self._hole_slots = 0
         self._cum_bytes: list[int] = []
         self._cum_slots: list[int] = []
-        self._index_dirty = True
+        self._num_slots = 0
+        # First page whose prefix sums are stale; None when all are fresh.
+        self._stale_from: Optional[int] = 0
         # Slot operations since the last durable commit, for the delta
         # record of the next one.  None means "log the whole table": a
         # new inode has no durable predecessor to apply operations to.
@@ -105,7 +116,7 @@ class Inode:
 
     @property
     def num_slots(self) -> int:
-        return sum(len(page) for page in self._pages)
+        return self._num_slots
 
     @property
     def num_pages(self) -> int:
@@ -127,21 +138,27 @@ class Inode:
         return self._hole_slots
 
     # -- index maintenance ----------------------------------------------
-    def _rebuild_index(self) -> None:
-        self._cum_bytes = []
-        self._cum_slots = []
-        bytes_total = 0
-        slots_total = 0
-        for page in self._pages:
+    def _changed(self, page_i: int) -> None:
+        """Page ``page_i`` changed: its prefix sums and all later ones are stale."""
+        if self._stale_from is None or page_i < self._stale_from:
+            self._stale_from = page_i
+        if page_i < len(self._pages):
+            self._pages[page_i].running = None
+
+    def _ensure_index(self) -> None:
+        start = self._stale_from
+        if start is None:
+            return
+        del self._cum_bytes[start:]
+        del self._cum_slots[start:]
+        bytes_total = self._cum_bytes[-1] if start else 0
+        slots_total = self._cum_slots[-1] if start else 0
+        for page in self._pages[start:]:
             bytes_total += page.byte_count
             slots_total += len(page)
             self._cum_bytes.append(bytes_total)
             self._cum_slots.append(slots_total)
-        self._index_dirty = False
-
-    def _ensure_index(self) -> None:
-        if self._index_dirty:
-            self._rebuild_index()
+        self._stale_from = None
 
     def _charge_metadata(self, write: bool) -> None:
         # Only mutations are charged: pointer pages are small and hot,
@@ -195,22 +212,21 @@ class Inode:
         prev_slots = self._cum_slots[page_i - 1] if page_i > 0 else 0
         within = offset - prev_bytes
         self._charge_metadata(write=False)
-        for entry_i, slot in enumerate(self._pages[page_i].entries):
-            if within < slot.used:
-                return prev_slots + entry_i, within
-            within -= slot.used
-        # Only reachable if the page byte counts are inconsistent.
-        raise InodeError(f"offset {offset}: index out of sync")  # pragma: no cover
+        running = self._pages[page_i].running_used()
+        entry_i = bisect.bisect_right(running, within)
+        if entry_i == len(running):
+            # Only reachable if the page byte counts are inconsistent.
+            raise InodeError(f"offset {offset}: index out of sync")  # pragma: no cover
+        return prev_slots + entry_i, within - (running[entry_i - 1] if entry_i else 0)
 
     def offset_of_slot(self, index: int) -> int:
         """Logical byte offset at which slot ``index`` begins."""
         if index == self.num_slots:
             return self._size
         page_i, entry_i = self._page_for_slot(index)
-        self._ensure_index()
         offset = self._cum_bytes[page_i - 1] if page_i > 0 else 0
-        for slot in self._pages[page_i].entries[:entry_i]:
-            offset += slot.used
+        if entry_i:
+            offset += self._pages[page_i].running_used()[entry_i - 1]
         return offset
 
     # -- change tracking ---------------------------------------------------
@@ -275,19 +291,23 @@ class Inode:
         """Insert a leaf pointer before global slot ``index``."""
         if not 0 <= slot.used <= self.block_size:
             raise InodeError(f"slot used {slot.used} out of range")
-        at_end = index == self.num_slots
+        at_end = index == self._num_slots
         if at_end:
             if not self._pages or len(self._pages[-1]) >= self.page_capacity:
                 self._pages.append(PointerPage())
-            self._pages[-1].entries.append(slot)
+            page_i = len(self._pages) - 1
+            page = self._pages[page_i]
+            page.entries.append(slot)
         else:
             page_i, entry_i = self._page_for_slot(index)
             page = self._pages[page_i]
             page.entries.insert(entry_i, slot)
-            if len(page) > self.page_capacity:
-                self._split_page(page_i)
+        page.byte_count += slot.used
+        self._num_slots += 1
+        self._changed(page_i)
+        if len(page) > self.page_capacity:
+            self._split_page(page_i)
         self._account_add(slot)
-        self._index_dirty = True
         self._charge_metadata(write=True)
         if self._ops is not None:
             if at_end:
@@ -303,10 +323,12 @@ class Inode:
         page_i, entry_i = self._page_for_slot(index)
         page = self._pages[page_i]
         slot = page.entries.pop(entry_i)
+        page.byte_count -= slot.used
         if not page.entries:
             self._pages.pop(page_i)
+        self._num_slots -= 1
+        self._changed(page_i)
         self._account_remove(slot)
-        self._index_dirty = True
         self._charge_metadata(write=True)
         if self._ops is not None:
             self._record(OP_REMOVE, index)
@@ -317,11 +339,13 @@ class Inode:
         if not 0 <= slot.used <= self.block_size:
             raise InodeError(f"slot used {slot.used} out of range")
         page_i, entry_i = self._page_for_slot(index)
-        old = self._pages[page_i].entries[entry_i]
-        self._pages[page_i].entries[entry_i] = slot
+        page = self._pages[page_i]
+        old = page.entries[entry_i]
+        page.entries[entry_i] = slot
+        page.byte_count += slot.used - old.used
+        self._changed(page_i)
         self._account_remove(old)
         self._account_add(slot)
-        self._index_dirty = True
         self._charge_metadata(write=True)
         if self._ops is not None:
             self._record(OP_REPLACE, index, slot.block_no, slot.used)
@@ -332,11 +356,13 @@ class Inode:
         if not 0 <= used <= self.block_size:
             raise InodeError(f"used {used} out of range")
         page_i, entry_i = self._page_for_slot(index)
-        slot = self._pages[page_i].entries[entry_i]
+        page = self._pages[page_i]
+        slot = page.entries[entry_i]
         self._account_remove(slot)
+        page.byte_count += used - slot.used
         slot.used = used
+        self._changed(page_i)
         self._account_add(slot)
-        self._index_dirty = True
         self._charge_metadata(write=True)
         if self._ops is not None:
             self._record(OP_SET_USED, index, used)
@@ -347,6 +373,7 @@ class Inode:
         half = len(page) // 2
         right = PointerPage(page.entries[half:])
         page.entries = page.entries[:half]
+        page.byte_count -= right.byte_count
         self._pages.insert(page_i + 1, right)
         self._charge_metadata(write=True)
 
@@ -360,11 +387,20 @@ class Inode:
         size = 0
         hole_bytes = 0
         hole_slots = 0
+        cum_bytes: list[int] = []
+        cum_slots: list[int] = []
         for page in self._pages:
             if not page.entries:
                 raise AssertionError("empty pointer page retained")
             if len(page) > self.page_capacity:
                 raise AssertionError("pointer page exceeds capacity")
+            running = list(accumulate(slot.used for slot in page.entries))
+            if page.byte_count != running[-1]:
+                raise AssertionError(f"page byte count {page.byte_count} != {running[-1]}")
+            if page.running is not None and page.running != running:
+                raise AssertionError("stale running totals on a pointer page")
+            cum_bytes.append(size + running[-1])
+            cum_slots.append((cum_slots[-1] if cum_slots else 0) + len(page))
             for slot in page.entries:
                 size += slot.used
                 hole = slot.hole_size(self.block_size)
@@ -373,6 +409,11 @@ class Inode:
                     hole_slots += 1
         if size != self._size:
             raise AssertionError(f"size mismatch: {size} != {self._size}")
+        if self._num_slots != (cum_slots[-1] if cum_slots else 0):
+            raise AssertionError(f"slot counter {self._num_slots} is stale")
+        self._ensure_index()
+        if (self._cum_bytes, self._cum_slots) != (cum_bytes, cum_slots):
+            raise AssertionError("prefix sums differ from a recomputation")
         if hole_bytes != self._hole_bytes:
             raise AssertionError(
                 f"hole bytes mismatch: {hole_bytes} != {self._hole_bytes}"

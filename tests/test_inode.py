@@ -182,3 +182,67 @@ class TestMetadataCharging:
         inode.locate(0)
         list(inode.iter_slots())
         assert device.clock.now == before
+
+
+class TestIndexModel:
+    """The incrementally kept index (page byte counts, slot counter,
+    prefix sums, per-page running totals) against a flat slot list."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_walk_matches_flat_model(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        block_size = 16
+        inode = make_inode(block_size=block_size, page_capacity=3)
+        inode.mark_clean()
+        model: list[list[int]] = []  # [block_no, used] per slot
+        for step in range(300):
+            # Several mutations between reads, so staleness accumulates.
+            for __ in range(rng.randint(1, 3)):
+                kind = rng.randrange(5) if model else 0
+                used = rng.randint(0, block_size)
+                if kind == 0:
+                    index = rng.randint(0, len(model))
+                    inode.insert_slot(index, Slot(block_no=step, used=used))
+                    model.insert(index, [step, used])
+                elif kind == 1:
+                    index = rng.randrange(len(model))
+                    assert inode.remove_slot(index).block_no == model.pop(index)[0]
+                elif kind == 2:
+                    index = rng.randrange(len(model))
+                    inode.replace_slot(index, Slot(block_no=-step, used=used))
+                    model[index] = [-step, used]
+                elif kind == 3:
+                    index = rng.randrange(len(model))
+                    inode.set_used(index, used)
+                    model[index][1] = used
+                else:  # a burst of appends splits pages
+                    for __ in range(rng.randint(1, 5)):
+                        inode.append_slot(Slot(block_no=step, used=used))
+                        model.append([step, used])
+            inode.check_invariants()
+            assert inode.num_slots == len(model)
+            assert inode.size == sum(used for __, used in model)
+            starts = [0]
+            for index, (block_no, used) in enumerate(model):
+                slot = inode.slot_at(index)
+                assert (slot.block_no, slot.used) == (block_no, used)
+                assert inode.offset_of_slot(index) == starts[-1]
+                starts.append(starts[-1] + used)
+            assert inode.offset_of_slot(len(model)) == inode.size
+            for offset in range(inode.size + 1):
+                index = next(
+                    (i for i, (__, used) in enumerate(model) if offset < starts[i] + used),
+                    len(model),
+                )
+                within = offset - starts[index] if index < len(model) else 0
+                assert inode.locate(offset) == (index, within)
+
+    def test_invariants_catch_a_stale_byte_count(self):
+        inode = make_inode(page_capacity=3)
+        for i in range(7):
+            inode.append_slot(Slot(block_no=i, used=5))
+        inode._pages[1].byte_count += 1
+        with pytest.raises(AssertionError, match="byte count"):
+            inode.check_invariants()

@@ -165,3 +165,63 @@ class TestBenchInterface:
         db.bench_setup()
         db.bench_write("1", "it's quoted")
         assert db.bench_read("1") == "it's quoted"
+
+
+class TestDirectoryModel:
+    """Table pages and their sort-key directory against a sorted model,
+    live and after reopening (which rebuilds the directory from pages)."""
+
+    KEYS = {
+        "INT": lambda rng: rng.randrange(-300, 300),
+        # A REAL key column takes ints too; they come back as floats.
+        "REAL": lambda rng: rng.choice([rng.randrange(-80, 80), rng.randrange(-320, 320) / 4]),
+        "TEXT": lambda rng: "".join(rng.choice("abcXY") for __ in range(rng.randint(0, 4))),
+    }
+
+    @pytest.mark.parametrize("pk_type", ["INT", "REAL", "TEXT"])
+    def test_random_ops_match_sorted_model(self, pk_type):
+        from repro.databases.minisql import Table, TableSchema
+
+        rng = random.Random(pk_type)  # str seeds are hash-seed independent
+        fs = PassthroughFS(block_size=256)
+        schema = TableSchema("m", [("k", pk_type), ("v", "TEXT")], "k")
+        table = Table(fs, schema, "/m.tbl", page_size=128)
+        model: dict = {}
+        draw = self.KEYS[pk_type]
+
+        def norm(key):
+            return float(key) if pk_type == "REAL" else key
+
+        def check(table):
+            ordered = [model[k] for k in sorted(model)]
+            assert list(table.scan()) == ordered
+            for __ in range(5):
+                key = norm(draw(rng))
+                assert table.get(key) == model.get(key)
+                low, high = sorted([norm(draw(rng)), norm(draw(rng))])
+                assert list(table.scan_range(low, high)) == [
+                    row for row in ordered if low <= row["k"] <= high
+                ]
+
+        for step in range(400):
+            key = draw(rng)
+            op = rng.random()
+            value = "x" * rng.randint(0, 24)
+            if op < 0.55:
+                if norm(key) in model:
+                    with pytest.raises(TableError):
+                        table.insert({"k": key, "v": value})
+                else:
+                    table.insert({"k": key, "v": value})
+                    model[norm(key)] = {"k": norm(key), "v": value}
+            elif op < 0.75:
+                assert table.update_by_key(key, {"v": value}) == (norm(key) in model)
+                if norm(key) in model:
+                    model[norm(key)]["v"] = value
+            else:
+                assert table.delete_by_key(key) == (model.pop(norm(key), None) is not None)
+            if step % 20 == 0:
+                check(table)
+        assert len(table._page_numbers) > 3  # pages did split
+        check(table)
+        check(Table(fs, schema, "/m.tbl", page_size=128))

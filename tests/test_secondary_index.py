@@ -42,15 +42,6 @@ class TestIndexObject:
         index.add(None, 1)
         assert index.entry_count == 0
 
-    def test_range(self):
-        fs = PassthroughFS(block_size=256)
-        index = SecondaryIndex(fs, "/i.idx", "i", "t", "c")
-        for value, key in [(5, "a"), (10, "b"), (15, "c"), (10, "d")]:
-            index.add(value, key)
-        assert index.range(8, 12) == ["b", "d"]
-        assert index.range(low=11) == ["c"]
-        assert index.range(high=5) == ["a"]
-
     def test_log_replay(self):
         fs = PassthroughFS(block_size=256)
         index = SecondaryIndex(fs, "/i.idx", "i", "t", "c")

@@ -87,6 +87,16 @@ def checksummed_frame(payload: bytes, request_id: int = 7) -> bytes:
 INVALID_UTF8_PAYLOAD = b"d\x01s\x01ps\x02\xff\xfe"
 
 
+def deeply_nested_payload(rng: random.Random, depth: int) -> bytes:
+    """`d 1 s 1 p` then ``depth`` one-item lists, dicts nesting through
+    a value, or dicts nesting through a key, around a None — far under
+    MAX_PAYLOAD, far over MAX_NESTING."""
+    out = bytearray(b"d\x01s\x01p")
+    for __ in range(depth):
+        out += rng.choice((b"l\x01", b"d\x01s\x01k", b"d\x01"))
+    return bytes(out + b"N")
+
+
 # ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
@@ -295,6 +305,28 @@ class TestFraming:
         with pytest.raises(protocol.ProtocolError):  # poisoned
             decoder.feed(good)
 
+    def test_int64_edges_roundtrip_and_outside_values_are_rejected(self):
+        for value in (-(1 << 63), (1 << 63) - 1):
+            frame, __ = protocol.decode_frame(
+                protocol.encode_frame(protocol.OPCODES["PING"], 1, {"x": value})
+            )
+            assert frame.payload == {"x": value}
+        for value in (-(1 << 63) - 1, 1 << 63, -(2**64), 2**70):
+            with pytest.raises(protocol.ProtocolError, match="int64"):
+                protocol.encode_frame(protocol.OPCODES["PING"], 1, {"x": value})
+
+    def test_nesting_is_capped_both_ways(self):
+        nested: object = None
+        for __ in range(protocol.MAX_NESTING - 1):  # the root dict is one
+            nested = [nested]
+        payload = {"x": nested}
+        assert protocol.unpack_payload(protocol.pack_payload(payload)) == payload
+        with pytest.raises(protocol.ProtocolError, match="nests deeper"):
+            protocol.pack_payload({"x": [nested]})
+        raw = deeply_nested_payload(random.Random(1), protocol.MAX_NESTING)
+        with pytest.raises(protocol.ProtocolError, match="nests deeper"):
+            protocol.unpack_payload(raw)
+
     def test_oversized_payload_rejected_both_ways(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.encode_frame(
@@ -371,6 +403,20 @@ class TestServerRobustness:
         assert frame.is_error and frame.request_id == 0
         assert frame.payload["code"] == WIRE_CODES["ProtocolError"]
         assert make_client(server, "t").ping()["pong"] is True
+
+    def test_regression_deep_nesting_is_answered_not_thrown(self):
+        """5,000 nested lists/dicts in a CRC-valid 10 KiB frame used to
+        raise RecursionError through serve_frame."""
+        server = make_server()
+        server.add_tenant("t")
+        key_chain = b"d\x01" * 5000 + b"N"  # each dict's key is the next dict
+        for payload in (deeply_nested_payload(random.Random(20261015), 5000), key_chain):
+            assert len(payload) < protocol.MAX_PAYLOAD
+            raw = server.serve_frame("t", checksummed_frame(payload))
+            frame, __ = protocol.decode_frame(raw)
+            assert frame.is_error and frame.request_id == 0
+            assert frame.payload["code"] == WIRE_CODES["ProtocolError"]
+            assert make_client(server, "t").ping()["pong"] is True
 
     def test_missing_required_field_is_invalid_argument(self):
         server = make_server()

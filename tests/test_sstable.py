@@ -180,3 +180,77 @@ class TestRecordAlignment:
             writer.add(b"key%04d" % i, value)
         writer.finish()
         assert aligned_fs.physical_bytes() < unaligned_fs.physical_bytes() / 2
+
+
+class TestAlignedRecordModel:
+    """1 KiB-aligned 512 B values — every record sits behind a filler
+    run — against a dict model."""
+
+    def test_get_iterate_and_compaction_match_model(self):
+        import random
+
+        from repro.databases.minileveldb import MiniLevelDB
+
+        rng = random.Random(26)
+        fs = PassthroughFS(block_size=1024)
+        model: dict[bytes, bytes] = {}
+        writer = SSTableWriter(fs, "/t.sst", block_target=4096, align_records=1024)
+        for i in sorted(rng.sample(range(400), 150)):
+            key = b"key%04d" % i
+            model[key] = rng.randbytes(512)
+            writer.add(key, model[key])
+        writer.finish()
+        reader = SSTableReader(fs, "/t.sst")
+        for i in range(400):
+            key = b"key%04d" % i
+            assert reader.get(key) == ((True, model[key]) if key in model else (False, None))
+        ordered = sorted(model.items())
+        for __ in range(30):
+            low, high = sorted(b"key%04d" % rng.randrange(401) for __ in range(2))
+            assert list(reader.iterate(low, high)) == [
+                (k, v) for k, v in ordered if low <= k < high
+            ]
+
+        db = MiniLevelDB(fs, "/db", memtable_limit=4096, l0_limit=2, align_records=1024)
+        live: dict[bytes, bytes] = {}
+        for step in range(300):
+            key = b"k%03d" % rng.randrange(120)
+            if rng.random() < 0.2:
+                db.delete(key)
+                live.pop(key, None)
+            else:
+                live[key] = rng.randbytes(512)
+                db.put(key, live[key])
+        db.flush_memtable()
+        db.compact()
+        assert db.compactions > 0
+        for i in range(130):
+            key = b"k%03d" % i
+            assert db.get(key) == live.get(key)
+        assert list(db.scan()) == sorted(live.items())
+
+    def test_block_ending_in_filler(self):
+        records = b"\x00" + b"\x01a" + b"\x02vv" + b"\x02" * 7 + b"\x01" + b"\x01b"
+        tail = b"\x02" * 900
+        assert list(SSTableReader._iter_records(records + tail)) == [
+            (b"a", b"vv"),
+            (b"b", None),
+        ]
+
+    def test_mutated_blocks_raise_only_corrupt_record(self, fs):
+        import random
+
+        from tests.conftest import mutate
+
+        rng = random.Random(2026)
+        writer = SSTableWriter(fs, "/t.sst", block_target=2048, align_records=512)
+        for i in range(12):
+            writer.add(b"key%02d" % i, rng.randbytes(300) if i % 3 else None)
+        writer.finish()
+        reader = SSTableReader(fs, "/t.sst")
+        for base in reader._load_blocks(list(range(reader.block_count))):
+            for __ in range(400):
+                try:
+                    list(SSTableReader._iter_records(mutate(rng, base)))
+                except CorruptRecord:
+                    pass
