@@ -9,10 +9,8 @@ call inside a loop** — plan the run, then issue one batched request.
 
 The rule flags calls to ``read_block``/``write_block`` (and the
 single-item ``compressor.store``/``commit``) lexically inside a loop or
-comprehension.  Out of scope:
-
-* ``repro.storage`` — the device itself implements the primitives;
-* ``repro.core.compressor`` — the batch implementations' internals.
+comprehension.  Out of scope: ``repro.storage``, the device itself,
+which implements the primitives.
 
 Sites that *must* stay per-block (the baseline cost model in
 ``PassthroughFS``, the pointer-chase in ``superblock.read_chain``)
@@ -32,7 +30,7 @@ from repro.analysis.symbols import call_name, call_tail
 
 _DEVICE_TAILS = frozenset({"read_block", "write_block"})
 _COMPRESSOR_TAILS = frozenset({"store", "commit"})
-_EXEMPT_MODULES = ("repro.storage.", "repro.core.compressor")
+_EXEMPT_MODULES = ("repro.storage.",)
 
 
 def _is_compressor_call(call: ast.Call) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.core.hashtable import BlockHashTable
+from repro.core.hashtable import BlockHashTable, hash_block
 from repro.core.refcount import BlockRefCount
 from repro.obs.metrics import CounterGroup
 from repro.storage.block_device import BlockDevice
@@ -59,6 +59,21 @@ class Compressor:
             content = content + b"\x00" * (block_size - len(content))
         return content
 
+    def _plan(
+        self, contents: Sequence[bytes]
+    ) -> tuple[list[bytes], dict[bytes, int], dict[int, bytes]]:
+        """Pad every block (so an oversize one fails before any side
+        effect), hash each distinct one once, and read each one's first
+        same-hash candidate in one request.  ``find_duplicate`` reads on
+        demand whatever this skipped — all of a batch of one."""
+        blocks = [self._pad(content) for content in contents]
+        hashes = {block: hash_block(block) for block in blocks} if self.dedup else {}
+        if len(hashes) < 2:
+            return blocks, hashes, {}
+        firsts = self.hashtable.first_candidates(hashes.values())
+        fetched = dict(zip(firsts, self.device.read_blocks(firsts))) if firsts else {}
+        return blocks, hashes, fetched
+
     # -- new data ------------------------------------------------------------
     def store(self, content: bytes, used: int) -> Slot:
         """Store new data, reusing an identical live block when possible.
@@ -82,16 +97,16 @@ class Compressor:
         observe stale zeroes); duplicates *within* the batch are caught
         by a pending-content map instead, preserving full dedup.
         """
+        blocks, hashes, fetched = self._plan([content for content, __ in pieces])
         slots: list[Slot] = []
         pending: dict[bytes, int] = {}
         to_write: list[tuple[int, bytes]] = []
-        for content, used in pieces:  # reprolint: disable=RC001 -- each iteration publishes its reference into `slots` same-iteration, so completed items stay individually consistent; references orphaned by a mid-batch failure are repaired by fsck
+        for padded, (__, used) in zip(blocks, pieces):  # reprolint: disable=RC001 -- each iteration publishes its reference into `slots` same-iteration, so completed items stay individually consistent; references orphaned by a mid-batch failure are repaired by fsck
             self.stats.record("stores")
-            padded = self._pad(content)
             if self.dedup:
                 dup = pending.get(padded)
                 if dup is None:
-                    dup = self.hashtable.find_duplicate(padded)
+                    dup = self.hashtable.find_duplicate(padded, hashes[padded], fetched)
                 if dup is not None:
                     self.stats.record("dedup_hits")
                     self.refcount.incref(dup)
@@ -111,7 +126,7 @@ class Compressor:
                 self.device.write_blocks(to_write)
             if self.dedup:
                 for block_no, padded in to_write:
-                    self.hashtable.add_record(block_no, padded)
+                    self.hashtable.add_record(block_no, padded, hashes[padded])
         return slots
 
     # -- Algorithm 1: modification of an existing block ------------------------
@@ -146,17 +161,17 @@ class Compressor:
         Items must reference distinct slot indexes: one batch is one
         pass over a slot run, not a replay log.
         """
+        blocks, hashes, fetched = self._plan([content for __, content, __ in items])
         pending: dict[bytes, int] = {}
         to_write: list[tuple[int, bytes]] = []
-        for slot_index, content, used in items:  # reprolint: disable=RC001 -- each iteration transfers its reference into the inode slot same-iteration; in-place updates cannot be rolled back, so a mid-batch failure is left to fsck rather than half-undone
+        for padded, (slot_index, __, used) in zip(blocks, items):  # reprolint: disable=RC001 -- each iteration transfers its reference into the inode slot same-iteration; in-place updates cannot be rolled back, so a mid-batch failure is left to fsck rather than half-undone
             self.stats.record("commits")
-            padded = self._pad(content)
             curr = inode.slot_at(slot_index)
             dup: Optional[int] = None
             if self.dedup:
                 dup = pending.get(padded)
                 if dup is None:
-                    dup = self.hashtable.find_duplicate(padded)
+                    dup = self.hashtable.find_duplicate(padded, hashes[padded], fetched)
             if dup is not None:
                 if dup == curr.block_no:
                     # Content unchanged; only the hole boundary may move.
@@ -222,7 +237,7 @@ class Compressor:
                 self.device.write_blocks(to_write)
             if self.dedup:
                 for block_no, padded in to_write:
-                    self.hashtable.add_record(block_no, padded)
+                    self.hashtable.add_record(block_no, padded, hashes[padded])
 
     # -- release -----------------------------------------------------------------
     def release(self, slot: Slot) -> None:

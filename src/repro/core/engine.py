@@ -961,11 +961,12 @@ class CompressDB:
             self.hashtable.check_invariants()
             contents: dict[bytes, int] = {}
             order = list(observed)
-            for block_no, content in zip(order, self.device.read_blocks(order)):
+            fetched = dict(zip(order, self.device.read_blocks(order)))
+            for block_no, content in fetched.items():
                 if content in contents:
                     raise AssertionError(
                         f"blocks {contents[content]} and {block_no} share content"
                     )
                 contents[content] = block_no
-                if self.hashtable.find_duplicate(content) != block_no:
+                if self.hashtable.find_duplicate(content, fetched=fetched) != block_no:
                     raise AssertionError(f"block {block_no} not resolvable via hashtable")

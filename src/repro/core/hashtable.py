@@ -15,7 +15,7 @@ Table 3.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 #: Per-entry memory estimate (bytes) used for Table 3 reporting: one
 #: 64-bit hash, one block number, and chain/bucket overhead.
@@ -66,27 +66,40 @@ class BlockHashTable:
         return bucket
 
     # -- paper operations -------------------------------------------------
-    def find_duplicate(self, content: bytes) -> Optional[int]:
+    def find_duplicate(
+        self, content: bytes, hashed: Optional[int] = None, fetched: Mapping[int, bytes] = {}
+    ) -> Optional[int]:
         """Return the block number of a live block with identical content.
 
         This is ``hash_find_duplicate`` from Algorithm 1.  Candidates
-        with the same 64-bit hash are verified by comparing the actual
-        block contents.
+        with the same 64-bit hash (``hashed``, if the caller has it) are
+        verified by comparing the actual block contents: those the
+        caller read in advance (``fetched``), the rest read on demand.
         """
-        hashed = hash_block(content)
+        hashed = hash_block(content) if hashed is None else hashed
         for entry_hash, block_no in self._buckets[hashed % self._length] or ():
             if entry_hash != hashed:
                 continue
             self.probe_comparisons += 1
-            if self._reader(block_no) == content:
+            if (fetched.get(block_no) or self._reader(block_no)) == content:
                 return block_no
         return None
 
-    def add_record(self, block_no: int, content: bytes) -> None:
-        """Register ``block_no`` as holding ``content``."""
+    def first_candidates(self, hashes: Iterable[int]) -> list[int]:
+        """The block :meth:`find_duplicate` would read first, per hash."""
+        firsts = []
+        for hashed in hashes:
+            for entry_hash, block_no in self._buckets[hashed % self._length] or ():
+                if entry_hash == hashed:
+                    firsts.append(block_no)
+                    break
+        return firsts
+
+    def add_record(self, block_no: int, content: bytes, hashed: Optional[int] = None) -> None:
+        """Register ``block_no`` as holding ``content`` (of hash ``hashed``)."""
         if block_no in self._block_hash:
             raise KeyError(f"block {block_no} already recorded")
-        hashed = hash_block(content)
+        hashed = hash_block(content) if hashed is None else hashed
         self._bucket_for(hashed).append((hashed, block_no))
         self._block_hash[block_no] = hashed
         self._entries += 1

@@ -16,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import math
 
+from repro.databases.common import CorruptRecord
+
 
 class BloomFilter:
     """A fixed-size Bloom filter over byte-string keys."""
@@ -65,9 +67,13 @@ class BloomFilter:
 
     @classmethod
     def deserialize(cls, payload: bytes) -> "BloomFilter":
+        """Inverse of :meth:`serialize`.  A header that does not match its
+        payload, or asks for more than 64 probes (a 1e-9 false-positive
+        rate needs 30), raises :class:`CorruptRecord` before allocating."""
         bits = int.from_bytes(payload[:8], "little")
         hashes = int.from_bytes(payload[8:12], "little")
+        if bits <= 0 or not 0 < hashes <= 64 or -(-bits // 8) != len(payload) - 12:
+            raise CorruptRecord(f"bloom header {bits}/{hashes} vs {len(payload)} bytes")
         instance = cls(bits=bits, hashes=hashes)
-        body = payload[12 : 12 + len(instance._array)]
-        instance._array[: len(body)] = body
+        instance._array[:] = payload[12:]
         return instance

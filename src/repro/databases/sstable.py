@@ -168,6 +168,12 @@ class SSTableReader:
         index_offset, index_size, bloom_offset, bloom_size, magic = _FOOTER.unpack(footer)
         if magic != _MAGIC:
             raise CorruptRecord(f"{path}: bad magic")
+        # The writer lays index, bloom and footer end to end.
+        if (
+            index_offset + index_size != bloom_offset
+            or bloom_offset + bloom_size != size - _FOOTER.size
+        ):
+            raise CorruptRecord(f"{path}: footer spans do not tile the file")
         self.bloom = BloomFilter.deserialize(fs._pread(path, bloom_offset, bloom_size))
         self.bloom_negatives = 0
         raw_index = fs._pread(path, index_offset, index_size)
@@ -178,6 +184,8 @@ class SSTableReader:
             last, offset = decode_bytes(raw_index, offset)
             block_offset, offset = decode_varint(raw_index, offset)
             block_size, offset = decode_varint(raw_index, offset)
+            if offset >= index_size or block_offset + block_size > index_offset:
+                raise CorruptRecord(f"{path}: index entry {len(self._blocks)} out of bounds")
             compressed = raw_index[offset] == 1
             offset += 1
             self._blocks.append((first, last, block_offset, block_size, compressed))

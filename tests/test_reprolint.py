@@ -1118,7 +1118,7 @@ SEEDS = [
         "        contents = [self.device.read_block(no) for no in block_nos]\n",
         {"IO001": 1},
     ),
-    # ... and defragment to one compressor call per piece.
+    # ... defragment to one compressor call per piece, ...
     (
         "core/engine.py",
         "        for slot in self.compressor.store_many(pieces):\n"
@@ -1127,6 +1127,14 @@ SEEDS = [
         "        for content, used in pieces:\n"
         "            inode.append_slot(self.compressor.store(content, used))\n"
         "        # Release the old references",
+        {"IO001": 1},
+    ),
+    # ... and Algorithm 1 goes back to one device read per block of a batch.
+    (
+        "core/compressor.py",
+        "            curr = inode.slot_at(slot_index)\n",
+        "            curr = inode.slot_at(slot_index)\n"
+        "            fetched[curr.block_no] = self.device.read_block(curr.block_no)\n",
         {"IO001": 1},
     ),
     # ENC001: the chunk server decodes a column file itself, through a
@@ -1193,7 +1201,7 @@ class TestSeededTree:
         # dropping a row above without owning up to it here fails.
         per_rule = Counter(rule for rule, __ in tripped.elements())
         assert per_rule == {
-            "RC001": 4, "IO001": 2, "LAYER001": 4, "LOCK001": 4, "ENC001": 2,
+            "RC001": 4, "IO001": 3, "LAYER001": 4, "LOCK001": 4, "ENC001": 2,
             "DET001": 4, "CONC001": 3, "CONC002": 1, "SUP001": 1,
         }
         assert set(per_rule) == set(CHECKER_REGISTRY) | {"SUP001"}

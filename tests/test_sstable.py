@@ -1,8 +1,12 @@
 """Tests for the SSTable file format."""
 
+import random
+import struct
+
 import pytest
 
 from repro.compression import SnappyCodec
+from repro.databases.bloom import BloomFilter
 from repro.databases.common import CorruptRecord
 from repro.databases.sstable import SSTableReader, SSTableWriter
 from repro.fs import PassthroughFS
@@ -254,3 +258,73 @@ class TestAlignedRecordModel:
                     list(SSTableReader._iter_records(mutate(rng, base)))
                 except CorruptRecord:
                     pass
+
+
+class TestHostileMetadata:
+    """Footer, index and bloom bytes are decoded on open; hostile ones
+    raise only ``CorruptRecord`` — no ValueError, IndexError or a
+    multi-exabyte allocation."""
+
+    ENTRIES = [(b"k%03d" % i, b"v%03d" % i) for i in range(100)]
+
+    def table(self, fs):
+        """The table's bytes, split at the start of its index."""
+        build_table(fs, self.ENTRIES)
+        raw = fs.read_file("/t.sst")
+        index_offset = struct.unpack_from("<Q", raw, len(raw) - 40)[0]
+        return raw[:index_offset], raw[index_offset:]
+
+    def open_and_read(self, fs, raw):
+        fs.write_file("/bad.sst", raw)
+        reader = SSTableReader(fs, "/bad.sst")
+        for key, __ in self.ENTRIES[::9]:
+            reader.get(key)
+        list(reader.iterate())
+
+    def test_footer_offset_past_the_file(self, fs):
+        """Was ValueError: the bloom span landed on zero bytes."""
+        data, meta = self.table(fs)
+        footer = bytearray(meta[-40:])
+        struct.pack_into("<Q", footer, 16, 1 << 40)  # bloom offset
+        with pytest.raises(CorruptRecord):
+            self.open_and_read(fs, data + meta[:-40] + bytes(footer))
+
+    def test_index_entry_cut_before_its_flag(self, fs):
+        """Was IndexError: the last entry's compressed flag lay past
+        the index span."""
+        data, meta = self.table(fs)
+        index_offset, index_size, bloom_offset, bloom_size, magic = struct.unpack(
+            "<QQQQQ", meta[-40:]
+        )
+        index = meta[:index_size][:-1]  # drop the last flag byte
+        bloom = meta[index_size : index_size + bloom_size]
+        footer = struct.pack(
+            "<QQQQQ", index_offset, len(index), bloom_offset - 1, bloom_size, magic
+        )
+        with pytest.raises(CorruptRecord):
+            self.open_and_read(fs, data + index + bloom + footer)
+
+    @pytest.mark.parametrize("header", [b"\xff" * 12, b"\x00" * 12])
+    def test_bloom_header_out_of_range(self, header):
+        """``\\xff`` * 12 asked for a 2**64-bit array (MemoryError);
+        ``\\x00`` * 12 raised ValueError."""
+        with pytest.raises(CorruptRecord):
+            BloomFilter.deserialize(header)
+
+    def test_bloom_header_must_match_its_payload(self):
+        payload = BloomFilter.for_capacity(100).serialize()
+        assert BloomFilter.deserialize(payload).serialize() == payload
+        for bad in (payload[:-1], payload + b"\x00", payload[:12]):
+            with pytest.raises(CorruptRecord):
+                BloomFilter.deserialize(bad)
+
+    def test_mutation_sweep(self, fs):
+        from tests.conftest import mutate
+
+        rng = random.Random(27)
+        data, meta = self.table(fs)
+        for __ in range(3000):
+            try:
+                self.open_and_read(fs, data + mutate(rng, meta))
+            except CorruptRecord:
+                pass
