@@ -18,6 +18,7 @@ only ever see POSIX-like calls plus the extra pushdown APIs.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Iterator, Optional, Sequence
 
 from dataclasses import dataclass, field
@@ -149,6 +150,7 @@ class CompressDB:
             ("checkpoints", "checkpoint.image_bytes", "delta.record_bytes"),
             self.obs.registry,
         )
+        self._clone_stats = CounterGroup("engine.clone", ("blocks", "refused"), self.obs.registry)
         self._c_txn_commits = self.obs.registry.counter("engine.txn.commits")
         self._h_commit_ms = self.obs.registry.histogram("engine.txn.commit_ms")
         # MVCC session manager, created lazily on first use (breaks the
@@ -306,30 +308,52 @@ class CompressDB:
             self._pending[new] = buffered
 
     def copy_file(self, src: str, dst: str) -> None:
-        """Reflink-style copy: share every block, touch no data.
-
-        A natural capability of a refcounted store — the copy costs
-        one pointer table and ``num_slots`` refcount increments; the
-        files diverge lazily through copy-on-write as either side is
-        modified.
-        """
-        source = self.inode(src)
-        if dst in self._inodes:
-            raise FileExists(dst)
-        clone = self._new_inode()
-        added: list[int] = []
+        """Reflink-style copy: ``create`` + :meth:`clone_range` of all of
+        ``src``, touching no data; a failed copy publishes no ``dst``."""
+        size = self.file_size(src)
+        self.create(dst)
         try:
-            for slot in source.iter_slots():
-                self.refcount.incref(slot.block_no)
-                added.append(slot.block_no)
-                clone.append_slot(Slot(block_no=slot.block_no, used=slot.used))
+            self.clone_range(src, 0, dst, 0, size)
         except BaseException:
-            # The clone is never published on failure, so every reference
-            # taken so far must be returned or the blocks leak forever.
-            for block_no in added:
-                self.refcount.decref(block_no)
+            del self._inodes[dst]
             raise
-        self._inodes[dst] = clone
+
+    def clone_range(self, src: str, src_off: int, dst: str, dst_off: int, length: int) -> bool:
+        """``FICLONERANGE``: append ``src``'s span to ``dst`` by sharing its
+        slots (one incref each, same ``used``) — what writing the bytes
+        does when every block is a dedup hit, with no data I/O.  Refuses
+        (False, nothing changed) unless the span starts and ends on slot
+        boundaries of ``src``, ``dst_off`` is the end of ``dst`` and
+        ``dst``'s last slot is full."""
+        source, target = self.inode(src), self.inode(dst)
+        with self.obs.tracer.span("engine.clone_range", src=src, dst=dst, nbytes=length) as span:
+            first = last = within = tail = -1  # a span out of range is refused
+            if 0 <= src_off <= src_off + length <= source.size and dst_off == target.size:
+                first, within = source.locate(src_off)
+                last, tail = source.locate(src_off + length)
+            last_used = target.slot_at(target.num_slots - 1).used if target.num_slots else 0
+            if within or tail or last_used % self.block_size:
+                span.set(refused=True)
+                self._clone_stats.record("refused")
+                return False
+            slots = list(itertools.islice(source.iter_slots(first), last - first))
+            kept = target.num_slots
+            added: list[int] = []
+            try:
+                for slot in slots:
+                    self.refcount.incref(slot.block_no)
+                    added.append(slot.block_no)
+                    target.append_slot(Slot(block_no=slot.block_no, used=slot.used))
+            except BaseException:
+                # Nothing stays half-cloned: every reference taken so far
+                # is returned and ``dst`` gets its old slot table back.
+                for block_no in added:
+                    self.refcount.decref(block_no)
+                while target.num_slots > kept:
+                    target.remove_slot(target.num_slots - 1)
+                raise
+            self._clone_stats.record("blocks", len(slots))
+        return True
 
     def list_files(self, prefix: str = "") -> list[str]:
         """Paths in the namespace, optionally filtered by prefix."""

@@ -24,6 +24,7 @@ from typing import Iterator, Optional
 
 from repro.compression.lz import Codec, IdentityCodec
 from repro.databases.common import (
+    CorruptRecord,
     Database,
     decode_kv,
     encode_kv,
@@ -78,13 +79,23 @@ class MiniLevelDB(Database):
             self._recover()
         else:
             fs.write_file(self._wal_path, b"")
-            self._save_manifest()
+            self._save_manifest(self._levels)
 
     # -- recovery / manifest ------------------------------------------------
     def _recover(self) -> None:
-        manifest = json.loads(self.fs.read_file(self._manifest_path).decode("utf-8"))
-        self._levels = [list(level) for level in manifest["levels"]]
-        self._next_table = manifest["next_table"]
+        raw = self.fs.read_file(self._manifest_path)
+        try:
+            manifest = json.loads(raw.decode("utf-8"))
+            levels = [list(level) for level in manifest["levels"]]
+            next_table = manifest["next_table"]
+            if len(levels) != 2 or not isinstance(next_table, int) or not all(
+                isinstance(path, str) for level in levels for path in level
+            ):
+                raise ValueError("unexpected shape")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptRecord(f"{self._manifest_path}: malformed: {exc}") from exc
+        self._levels = levels
+        self._next_table = next_table
         if self.fs.exists(self._wal_path):
             for frame in read_frames(self.fs.read_file(self._wal_path)):
                 flag = frame[0]
@@ -93,9 +104,19 @@ class MiniLevelDB(Database):
         else:
             self.fs.write_file(self._wal_path, b"")
 
-    def _save_manifest(self) -> None:
-        payload = {"levels": self._levels, "next_table": self._next_table}
-        self.fs.write_file(self._manifest_path, json.dumps(payload).encode("utf-8"))
+    def _save_manifest(self, levels: list[list[str]]) -> None:
+        """Publish ``levels`` as the table layout, then adopt it.
+
+        The manifest is written aside and renamed over the old one, so
+        a reopen finds the old layout or the new one, never a torn mix.
+        Callers act on the new layout (empty the WAL, unlink compacted
+        tables) only after this returns; if it raises, nothing changed.
+        """
+        payload = {"levels": levels, "next_table": self._next_table}
+        staged = self._manifest_path + ".tmp"
+        self.fs.write_file(staged, json.dumps(payload).encode("utf-8"))
+        self.fs.rename(staged, self._manifest_path)
+        self._levels = levels
 
     def _reader(self, path: str) -> SSTableReader:
         if path not in self._readers:
@@ -148,11 +169,10 @@ class MiniLevelDB(Database):
             value = self._memtable[key]
             writer.add(key, None if value is _DELETED else value)  # type: ignore[arg-type]
         writer.finish()
-        self._levels[0].insert(0, path)  # newest first
+        self._save_manifest([[path] + self._levels[0], self._levels[1]])  # newest first
         self._memtable.clear()
         self._memtable_bytes = 0
         self.fs.write_file(self._wal_path, b"")
-        self._save_manifest()
         if len(self._levels[0]) >= self.l0_limit:
             self.compact()
         return path
@@ -169,7 +189,7 @@ class MiniLevelDB(Database):
         writer: Optional[SSTableWriter] = None
         written = 0
         target_size = self.block_target * 16
-        for key, value in merged:
+        for key, value, extent in merged:
             if writer is None:
                 path = f"{self.directory}/sst_{self._next_table:06d}.sst"
                 self._next_table += 1
@@ -182,38 +202,38 @@ class MiniLevelDB(Database):
                 )
                 new_tables.append(path)
                 written = 0
-            writer.add(key, value)
+            writer.add(key, value, extent)
             written += len(key) + (len(value) if value is not None else 0)
             if written >= target_size:
                 writer.finish()
                 writer = None
         if writer is not None:
             writer.finish()
+        self._save_manifest([[], new_tables])
         for path in sources:
             self._readers.pop(path, None)
             self.fs.unlink(path)
-        self._levels = [[], new_tables]
-        self._save_manifest()
 
     def _merge_tables(
         self, paths: list[str], drop_tombstones: bool
-    ) -> Iterator[tuple[bytes, Optional[bytes]]]:
-        """K-way merge; earlier paths shadow later ones on key ties."""
+    ) -> Iterator[tuple[bytes, Optional[bytes], Optional[tuple]]]:
+        """K-way merge; earlier paths shadow later ones on key ties.  Each
+        record comes with its shareable ``(path, offset, length)`` or None."""
         def tagged(path: str, priority: int):
-            for key, value in self._reader(path).iterate():
-                yield key, priority, value
+            for key, value, extent in self._reader(path).iterate_extents(self.align_records):
+                yield key, priority, value, extent and (path, *extent)
 
         merged = heapq.merge(
             *(tagged(path, priority) for priority, path in enumerate(paths))
         )
         last_key: Optional[bytes] = None
-        for key, __, value in merged:
+        for key, __, value, extent in merged:
             if key == last_key:
                 continue  # an older version of a key we already emitted
             last_key = key
             if value is None and drop_tombstones:
                 continue
-            yield key, value
+            yield key, value, extent
 
     # -- read path --------------------------------------------------------------------
     def get(self, key: bytes) -> Optional[bytes]:

@@ -5,9 +5,11 @@ Layout (all through the VFS)::
     [data block 0][data block 1]...[index][footer]
 
 * data block — concatenated records ``flag(1B) varint(klen) key
-  [varint(vlen) value]``; flag 1 marks a tombstone.  Blocks are cut at
-  ``block_target`` bytes and may be compressed with a pluggable codec
-  (Snappy by default in LevelDB; Section 6.5 toggles it).
+  [varint(vlen) value]``; flag 1 marks a tombstone, 0x02 bytes are
+  filler.  Blocks are cut at ``block_target`` bytes and may be
+  compressed with a pluggable codec (Snappy by default in LevelDB;
+  Section 6.5 toggles it) or, uncompressed, align each large record to
+  whole units so a compaction can share its blocks by reference.
 * index — one entry per block: first key, last key, file offset,
   stored size, compressed flag.
 * footer — fixed struct locating the index.
@@ -76,10 +78,14 @@ class SSTableWriter:
         self._last_key: Optional[bytes] = None
         self._entries = 0
         self._keys: list[bytes] = []
+        self._runs: list[list] = []  # [source, source - buffer offset, start, end]
         fs.write_file(path, b"")
 
-    def add(self, key: bytes, value: Optional[bytes]) -> None:
-        """Append a key with a value, or a tombstone when value is None."""
+    def add(self, key: bytes, value: Optional[bytes], extent: Optional[tuple] = None) -> None:
+        """Append a key with a value, or a tombstone when value is None.
+        ``extent``, ``(path, offset, length)`` of this very record in
+        another table (:meth:`SSTableReader.iterate_extents`), shares
+        that table's storage instead of writing the record."""
         if self._last_key is not None and key <= self._last_key:
             raise ValueError("keys must be added in strictly ascending order")
         self._last_key = key
@@ -89,12 +95,19 @@ class SSTableWriter:
             record = b"\x00" + encode_bytes(key) + encode_bytes(value)
         align = self.align_records
         if align and len(record) > align // 2:
-            # Start large records on an alignment boundary within the
-            # file: blocks start aligned, so buffer-relative padding
-            # suffices.  Filler bytes (0x02) are skipped by the scanner.
-            gap = (align - len(self._buffer) % align) % align
-            if gap:
-                self._buffer += b"\x02" * gap
+            # A large record owns whole alignment units: it starts on a
+            # boundary (blocks start aligned, so buffer-relative padding
+            # suffices) and filler (0x02, skipped by the scanner) runs to
+            # the next, so its units read the same in every table.
+            self._buffer += b"\x02" * (-len(self._buffer) % align)
+            start, size = len(self._buffer), len(record)
+            record += b"\x02" * (-size % align)
+            if extent is not None and extent[2] == size:
+                run = [extent[0], extent[1] - start, start, start + len(record)]
+                if self._runs and self._runs[-1][:2] == run[:2] and self._runs[-1][3] == start:
+                    self._runs[-1][3] = run[3]
+                else:
+                    self._runs.append(run)
         if self._block_first is None:
             self._block_first = key
         self._block_last = key
@@ -115,13 +128,22 @@ class SSTableWriter:
         self._index.append(
             (self._block_first, self._block_last, self._offset, len(payload), use_compressed)
         )
-        self.fs._pwrite(self.path, self._offset, payload)
+        base, written = self._offset, 0  # clones go in file order; refused ones are written
+        for src, delta, start, end in self._runs:
+            if start > written:
+                self.fs._pwrite(self.path, base + written, payload[written:start])
+                written = start
+            if self.fs._clone_range(src, start + delta, self.path, base + start, end - start):
+                written = end
+        if written < len(payload):
+            self.fs._pwrite(self.path, base + written, payload[written:])
         self._offset += len(payload)
         if self.align_records:
             # The next data block starts on an alignment boundary; the
             # gap is dead space the index never references.
             self._offset += (-self._offset) % self.align_records
         self._buffer.clear()
+        self._runs.clear()
         self._block_first = None
         self._block_last = None
 
@@ -259,19 +281,31 @@ class SSTableReader:
 
     @staticmethod
     def _iter_records(data: bytes) -> Iterator[tuple[bytes, Optional[bytes]]]:
+        return ((key, value) for key, value, __ in SSTableReader._iter_extents(data, None, 0))
+
+    @staticmethod
+    def _iter_extents(data: bytes, origin: Optional[int], align: Optional[int]) -> Iterator[tuple]:
+        """Decode a data block at file offset ``origin`` (None: no
+        extents) into ``(key, value, extent)``; ``extent``, ``(offset,
+        length)``, marks a record laid out as SSTableWriter would: on an
+        ``align`` boundary with only filler up to the next, in the block."""
         offset = 0
         while offset < len(data):
             flag = data[offset]
             if flag == 2:  # alignment filler: skip the whole run at once
                 offset = _FILLER_RUN.match(data, offset).end()
                 continue
-            offset += 1
-            key, offset = decode_bytes(data, offset)
-            if flag == 1:
-                yield key, None
-            else:
+            start = offset
+            key, offset = decode_bytes(data, offset + 1)
+            value = None
+            if flag != 1:
                 value, offset = decode_bytes(data, offset)
-                yield key, value
+            extent = None
+            if origin is not None and align and flag < 2 and (origin + start) % align == 0:
+                boundary = offset + (-(origin + offset) % align)
+                if _FILLER_RUN.match(data, offset, boundary).end() == boundary:
+                    extent = (origin + start, offset - start)
+            yield key, value, extent
 
     def iterate(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
@@ -293,17 +327,24 @@ class SSTableReader:
             # Exclude blocks whose first key is already past the range.
             while last_block > first_block and self._blocks[last_block - 1][0] >= end:
                 last_block -= 1
+        for __, data in self._scan(first_block, last_block):
+            for key, value in self._iter_records(data):
+                if start is not None and key < start:
+                    continue
+                if end is not None and key >= end:
+                    return
+                yield key, value
+
+    def iterate_extents(self, align: Optional[int]) -> Iterator[tuple]:
+        """Every entry as ``(key, value, extent)`` (see :meth:`_iter_extents`)."""
+        for index, data in self._scan(0, len(self._blocks)):
+            origin, __, compressed = self._blocks[index][2:]
+            yield from self._iter_extents(data, None if compressed else origin, align)
+
+    def _scan(self, first: int, last: int) -> Iterator[tuple[int, bytes]]:
         # Prefetch the scan in vectored batches: SCAN_BATCH blocks per
         # preadv keeps memory bounded while a long scan still pays one
         # device seek per batch rather than one per block.
-        for batch_start in range(first_block, last_block, self.SCAN_BATCH):
-            indices = list(
-                range(batch_start, min(batch_start + self.SCAN_BATCH, last_block))
-            )
-            for data in self._load_blocks(indices):
-                for key, value in self._iter_records(data):
-                    if start is not None and key < start:
-                        continue
-                    if end is not None and key >= end:
-                        return
-                    yield key, value
+        for batch_start in range(first, last, self.SCAN_BATCH):
+            indices = list(range(batch_start, min(batch_start + self.SCAN_BATCH, last)))
+            yield from zip(indices, self._load_blocks(indices))

@@ -189,6 +189,12 @@ class CompressFS(FileSystem):
             raise PermissionDenied(f"{path}: snapshots are read-only")
         self.store.truncate(path, size)
 
+    def _clone_range(self, src: str, src_off: int, dst: str, dst_off: int, length: int) -> bool:
+        """:meth:`CompressDB.clone_range`; ``/.snap`` paths refuse."""
+        if self._snapshot_target(src) or self._snapshot_target(dst):
+            return False
+        return self.store.clone_range(src, src_off, dst, dst_off, length)
+
     def _sync(self, path: str) -> None:
         """``fsync``/``close`` durability: reach the device, not a buffer.
 

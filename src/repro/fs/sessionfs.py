@@ -31,9 +31,10 @@ class SessionFS(CompressFS):
 
     # A session is already a point-in-time view and its writes wait for
     # its commit: no named-snapshot opens (those go through the base
-    # file system), no immediate whole-file store.
+    # file system), no immediate whole-file store, no block sharing.
     open = FileSystem.open
     write_file = FileSystem.write_file
+    _clone_range = FileSystem._clone_range
 
     def __init__(self, base: CompressFS, session) -> None:
         super().__init__(engine=base.engine)

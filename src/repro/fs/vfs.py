@@ -97,6 +97,12 @@ class FileSystem:
     def _truncate(self, path: str, size: int) -> None:
         raise NotImplementedError
 
+    def _clone_range(self, src: str, src_off: int, dst: str, dst_off: int, length: int) -> bool:
+        """Append ``src``'s span to ``dst`` at ``dst_off`` by sharing storage,
+        or refuse (False, nothing changed) and the caller writes the bytes.
+        The default refuses: the baseline and every wrapper pay for them."""
+        return False
+
     def _sync(self, path: str) -> None:
         """Make the file's completed writes durable on the device.
 

@@ -461,7 +461,7 @@ class TestLogCrashMatrix:
 class TestDeltaReplayProperty:
     OPS = (
         "create", "write", "insert", "delete", "truncate", "rename",
-        "unlink", "copy_file", "fsync", "fsync",
+        "unlink", "copy_file", "clone_range", "fsync", "fsync",
     )
 
     def _step(self, rng, engine, model):
@@ -506,6 +506,16 @@ class TestDeltaReplayProperty:
         elif op == "copy_file" and fresh not in model:
             engine.copy_file(path, fresh)
             model[fresh] = data
+        elif op == "clone_range":
+            # Slot boundaries of the source, and now and then a byte past
+            # one: accepted and refused clones both reach the log.
+            inode = engine.inode(path)
+            bounds = [inode.offset_of_slot(i) for i in range(inode.num_slots + 1)]
+            start = rng.choice(bounds)
+            end = rng.choice([b for b in bounds if b >= start]) + (rng.random() < 0.2)
+            target = rng.choice(paths)
+            if engine.clone_range(path, start, target, len(model[target]), end - start):
+                model[target] += data[start:end]
         return False
 
     @pytest.mark.parametrize("seed", range(25))

@@ -1,8 +1,13 @@
 """Unit tests for the CompressDB engine facade."""
 
+import random
+
 import pytest
 
+from repro.core.engine import CompressDB
 from repro.fs.errors import FileExists, FileNotFound
+from repro.fs.sessionfs import SessionFS
+from repro.storage.inode import Inode
 
 
 class TestNamespace:
@@ -209,6 +214,149 @@ class TestReflinkCopy:
         engine.unlink("/src")
         assert engine.read_file("/dst") == b"survives " * 30
         engine.check_invariants()
+
+
+def _image(engine):
+    """Everything a clone may change: bytes, slot tables, refcounts and
+    hash-table records."""
+    engine.sync()
+    return (
+        {path: engine.read_file(path) for path in engine.list_files()},
+        {
+            path: [(slot.block_no, slot.used) for slot in engine.inode(path).iter_slots()]
+            for path in engine.list_files()
+        },
+        dict(engine.refcount._counts),
+        dict(engine.hashtable._block_hash),
+    )
+
+
+def _clean(engine):
+    report = engine.fsck(repair=False)
+    assert sum(n for key, n in report.items() if key != "index_entries") == 0
+    engine.check_invariants()
+
+
+class TestCloneRange:
+    """The oracle: a clone is indistinguishable from writing the same
+    bytes at the end of ``dst`` (every block a dedup hit)."""
+
+    BLOCK = 64
+
+    def _pair(self, source, prefix):
+        engines = []
+        for __ in range(2):
+            engine = CompressDB(block_size=self.BLOCK, page_capacity=4)
+            engine.write_file("/src", source)
+            engine.write_file("/dst", prefix)
+            engines.append(engine)
+        return engines
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_clone_equals_write(self, seed):
+        rng = random.Random(seed)
+        blocks = rng.randrange(1, 12)
+        # A two-letter alphabet repeats blocks within and across files.
+        source = bytes(rng.choice(b"ab") for __ in range(blocks * self.BLOCK))
+        source += b"t" * rng.randrange(0, self.BLOCK)
+        prefix = bytes(rng.choice(b"ab") for __ in range(rng.randrange(0, 4) * self.BLOCK))
+        cloned, written = self._pair(source, prefix)
+        first = rng.randrange(blocks + 1) * self.BLOCK
+        end = rng.choice([rng.randrange(first // self.BLOCK, blocks + 1) * self.BLOCK, len(source)])
+        assert cloned.clone_range("/src", first, "/dst", len(prefix), end - first)
+        written.write("/dst", len(prefix), source[first:end])
+        assert cloned.read_file("/dst") == prefix + source[first:end]
+        assert _image(cloned) == _image(written)
+        _clean(cloned)
+
+    def test_clone_reads_and_writes_no_data(self, engine):
+        engine.write_file("/src", bytes(range(256)))
+        engine.write_file("/dst", b"")
+        before = engine.device.stats.snapshot()
+        assert engine.clone_range("/src", 64, "/dst", 0, 128)
+        after = engine.device.stats.snapshot()
+        assert (after.block_reads, after.block_writes) == (before.block_reads, before.block_writes)
+        counters = engine.metrics()
+        assert counters.counter("engine.clone.blocks") == 2
+        assert counters.counter("engine.clone.refused") == 0
+
+    def test_clone_onto_itself(self, engine):
+        engine.write_file("/f", b"x" * 64 + b"y" * 64)
+        assert engine.clone_range("/f", 0, "/f", 128, 128)
+        assert engine.read_file("/f") == (b"x" * 64 + b"y" * 64) * 2
+        _clean(engine)
+
+    @pytest.mark.parametrize(
+        "src_off, dst_off_delta, length, dst",
+        [
+            (10, 0, 54, b"d" * 64),  # unaligned start
+            (0, 0, 74, b"d" * 64),  # end mid-slot
+            (0, -64, 64, b"d" * 128),  # dst_off before the end
+            (0, 1, 64, b"d" * 64),  # dst_off past the end
+            (0, 0, 64, b"d" * 100),  # dst's last slot is partial
+            (64, 0, 512, b""),  # span past the end of src
+            (64, 0, -64, b""),  # negative length
+        ],
+    )
+    def test_refusals_change_nothing(self, engine, src_off, dst_off_delta, length, dst):
+        engine.write_file("/src", bytes(range(256)))
+        engine.write_file("/dst", dst)
+        before = _image(engine)
+        assert not engine.clone_range("/src", src_off, "/dst", len(dst) + dst_off_delta, length)
+        assert _image(engine) == before
+        assert engine.metrics().counter("engine.clone.refused") == 1
+        _clean(engine)
+
+    def test_snapshot_and_session_views_refuse(self, compress_fs):
+        engine = compress_fs.engine
+        compress_fs.write_file("/src", bytes(range(256)))
+        compress_fs.write_file("/dst", b"")
+        engine.snapshots.create("s1")
+        before = _image(engine)
+        assert not compress_fs._clone_range("/.snap/s1/src", 0, "/dst", 0, 64)
+        assert not compress_fs._clone_range("/src", 0, "/.snap/s1/dst", 0, 64)
+        view = SessionFS(compress_fs, engine.mvcc.begin())
+        assert not view._clone_range("/src", 0, "/dst", 0, 64)
+        assert _image(engine) == before
+        assert compress_fs._clone_range("/src", 0, "/dst", 0, 64)
+
+    def test_failed_clone_restores_dst_and_counts(self, engine, monkeypatch):
+        engine.write_file("/src", bytes(range(256)))
+        engine.write_file("/dst", b"d" * 64)
+        before = _image(engine)
+        original = engine.refcount.incref
+        calls = []
+
+        def flaky(block_no):
+            calls.append(block_no)
+            if len(calls) == 3:
+                raise RuntimeError("simulated mid-clone failure")
+            return original(block_no)
+
+        monkeypatch.setattr(engine.refcount, "incref", flaky)
+        with pytest.raises(RuntimeError):
+            engine.clone_range("/src", 0, "/dst", 64, 256)
+        monkeypatch.undo()
+        assert _image(engine) == before
+        _clean(engine)
+
+    def test_failed_copy_file_leaks_nothing_and_publishes_no_dst(self, engine, monkeypatch):
+        engine.write_file("/src", bytes(range(256)))
+        before = _image(engine)
+        original = Inode.append_slot
+
+        def flaky(inode, slot):
+            if inode.num_slots == 2:
+                raise RuntimeError("simulated mid-copy failure")
+            return original(inode, slot)
+
+        monkeypatch.setattr(Inode, "append_slot", flaky)
+        with pytest.raises(RuntimeError):
+            engine.copy_file("/src", "/dst")
+        monkeypatch.undo()
+        assert not engine.exists("/dst")
+        assert _image(engine) == before
+        _clean(engine)
 
 
 class TestDescribe:

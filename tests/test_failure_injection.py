@@ -299,6 +299,90 @@ class TestEngineCrashMatrix:
         self._sweep(tear=True)
 
 
+#: A MiniLevelDB whose 200 B values are block-aligned on 256 B blocks, so
+#: a compaction shares them by reference instead of writing them.
+_LSM = dict(memtable_limit=1024, l0_limit=3, block_target=512)
+
+
+def _lsm_value(i, version=0):
+    return (b"v%d.%04d-" % (version, i)) * 25
+
+
+def _lsm_template():
+    """Two L0 tables, an overwritten key, a tombstone and a WAL tail,
+    all committed — the next flush fills L0 and compacts."""
+    device = MemoryBlockDevice(block_size=256)
+    engine = CompressDB.mount(device, journal_blocks=48)
+    db = MiniLevelDB(CompressFS(engine=engine), "/db", **_LSM)
+    model = {}
+    for i in range(12):
+        model[b"k%02d" % i] = _lsm_value(i)
+        db.put(b"k%02d" % i, model[b"k%02d" % i])
+    db.put(b"k03", _lsm_value(3, 1))
+    model[b"k03"] = _lsm_value(3, 1)
+    db.delete(b"k05")
+    del model[b"k05"]
+    assert db.table_count() == 2
+    engine.fsync()
+    return device, model
+
+
+def _compaction_workload(engine, model):
+    """Flush + compaction, then fresh puts; one fsync each.  Yields the
+    model every completed fsync made durable."""
+    db = MiniLevelDB(CompressFS(engine=engine), "/db", **_LSM)
+    compactions = db.compactions
+    db.flush_memtable()
+    assert db.compactions == compactions + 1
+    engine.fsync()
+    yield dict(model)
+    for i in range(12, 16):
+        model[b"k%02d" % i] = _lsm_value(i)
+        db.put(b"k%02d" % i, model[b"k%02d" % i])
+    engine.fsync()
+    yield dict(model)
+
+
+class TestCompactionCrashMatrix:
+    """Kill MiniLevelDB at every device write of a compaction that shares
+    its records' blocks, and of the fsyncs around it: after remount and
+    reopen every put acknowledged before the last completed fsync reads
+    back, and fsck is clean."""
+
+    def _sweep(self, tear):
+        template, model = _lsm_template()
+        counting = CrashPointDevice(copy.deepcopy(template))
+        probe = CompressDB.mount(counting)
+        assert len(list(_compaction_workload(probe, dict(model)))) == 2
+        assert probe.metrics().counter("engine.clone.blocks") > 0
+        k = 1
+        while True:
+            device = copy.deepcopy(template)
+            durable = dict(model)
+            try:
+                engine = CompressDB.mount(CrashPointDevice(device, crash_after=k, tear=tear))
+                for durable in _compaction_workload(engine, dict(model)):
+                    pass
+                break
+            except CrashPoint:
+                pass
+            recovered = CompressDB.mount(device)
+            _assert_clean(recovered)
+            db = MiniLevelDB(CompressFS(engine=recovered), "/db", **_LSM)
+            got = dict(db.scan())
+            assert got.items() >= durable.items(), f"crash at write {k}"
+            assert all(got[key] == _lsm_value(int(key[1:])) for key in got.keys() - durable)
+            assert b"k05" not in got
+            k += 1
+        assert k == counting.writes_seen + 1  # every write was a crash point
+
+    def test_every_crash_point_keeps_the_acknowledged_puts(self):
+        self._sweep(tear=False)
+
+    def test_every_torn_write_keeps_the_acknowledged_puts(self):
+        self._sweep(tear=True)
+
+
 class TestFsyncDurability:
     """Satellite: data synced by fsync survives any later crash."""
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import SnappyCodec
+from repro.databases.common import CorruptRecord
 from repro.databases.minileveldb import MiniLevelDB
 from repro.fs import CompressFS, PassthroughFS
 
@@ -140,6 +141,82 @@ class TestRecovery:
         db.delete(b"k")
         reopened = MiniLevelDB(db.fs, memtable_limit=512, l0_limit=3)
         assert reopened.get(b"k") is None
+
+
+class _SaveFailed(Exception):
+    pass
+
+
+class TestManifestProtocol:
+    """A manifest save that raises, then a reopen, loses no acknowledged
+    put: the WAL is emptied and compaction inputs are unlinked only after
+    the new manifest is in place."""
+
+    def _run(self, db, failing_save, puts):
+        """Put keys until the ``failing_save``-th manifest save (counted
+        from now) raises once, then reopen; returns the acked puts."""
+        manifest = f"{db.directory}/MANIFEST"
+        original = db.fs.write_file
+        saves = []
+
+        def write_file(path, data):
+            if path.startswith(manifest):
+                saves.append(path)
+                if len(saves) == failing_save:
+                    raise _SaveFailed(path)
+            return original(path, data)
+
+        db.fs.write_file = write_file
+        acked = {}
+        for i in range(puts):
+            key, value = b"key%04d" % i, b"value-%04d" % i
+            try:
+                db.put(key, value)
+            except _SaveFailed:
+                break
+            acked[key] = value
+        else:
+            pytest.fail("no manifest save failed")
+        del db.fs.write_file
+        return MiniLevelDB(db.fs, memtable_limit=512, l0_limit=3, block_target=256), acked
+
+    def test_failed_flush_save_keeps_the_wal(self, db):
+        reopened, acked = self._run(db, failing_save=2, puts=200)
+        assert acked and {k: reopened.get(k) for k in acked} == acked
+
+    def test_failed_compaction_save_keeps_its_inputs(self, db):
+        reopened, acked = self._run(db, failing_save=4, puts=200)
+        assert reopened.table_count() == 3  # L0 was full: the save was compact()'s
+        assert {k: reopened.get(k) for k in acked} == acked
+        # The put whose compaction failed is durable, though not acked.
+        assert dict(reopened.scan()).items() >= acked.items()
+
+    def test_failed_save_leaves_the_open_database_usable(self, db):
+        __, acked = self._run(db, failing_save=4, puts=200)
+        for i in range(200, 260):
+            db.put(b"key%04d" % i, b"value-%04d" % i)
+            acked[b"key%04d" % i] = b"value-%04d" % i
+        db.close()
+        reopened = MiniLevelDB(db.fs, memtable_limit=512, l0_limit=3)
+        assert {k: reopened.get(k) for k in acked} == acked
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"",
+            b"\xff\xfe",
+            b'{"levels": [[], []], "next',
+            b"[]",
+            b'{"levels": 5, "next_table": 0}',
+            b'{"levels": [[], [7]], "next_table": 0}',
+            b'{"levels": [[]], "next_table": 0}',
+            b'{"levels": [[], []], "next_table": "x"}',
+        ],
+    )
+    def test_malformed_manifest_is_a_corrupt_record(self, db, raw):
+        db.fs.write_file(f"{db.directory}/MANIFEST", raw)
+        with pytest.raises(CorruptRecord):
+            MiniLevelDB(db.fs)
 
 
 class TestModelBased:

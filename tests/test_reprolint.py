@@ -926,16 +926,14 @@ APPEND = "append"
 #: the rows.  A rule or documented sub-check with no row has not earned
 #: its lines; a rule whose row stops firing is dead weight or broken.
 SEEDS = [
-    # RC001, loop-carried: copy_file loses its rollback, so a failure in
-    # iteration i leaks the references of iterations 0..i-1.
+    # RC001, loop-carried: clone_range loses its refcount rollback, so a
+    # failure in iteration i leaks the references of iterations 0..i-1.
     (
         "core/engine.py",
-        "            for block_no in added:\n"
-        "                self.refcount.decref(block_no)\n"
-        "            raise\n"
-        "        self._inodes[dst] = clone\n",
-        "            raise\n"
-        "        self._inodes[dst] = clone\n",
+        "                for block_no in added:\n"
+        "                    self.refcount.decref(block_no)\n"
+        "                while target.num_slots > kept:\n",
+        "                while target.num_slots > kept:\n",
         {"RC001": 1},
     ),
     # RC001, straight-line: a call that can raise lands between the

@@ -1,5 +1,6 @@
 """Tests for the SSTable file format."""
 
+import json
 import random
 import struct
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro.compression import SnappyCodec
 from repro.databases.bloom import BloomFilter
-from repro.databases.common import CorruptRecord
+from repro.databases.common import CorruptRecord, encode_bytes, encode_varint
 from repro.databases.sstable import SSTableReader, SSTableWriter
 from repro.fs import PassthroughFS
 
@@ -252,12 +253,137 @@ class TestAlignedRecordModel:
             writer.add(b"key%02d" % i, rng.randbytes(300) if i % 3 else None)
         writer.finish()
         reader = SSTableReader(fs, "/t.sst")
-        for base in reader._load_blocks(list(range(reader.block_count))):
+        blocks = reader._load_blocks(list(range(reader.block_count)))
+        for (__, __, origin, __, __), base in zip(reader._blocks, blocks):
             for __ in range(400):
+                mutated = mutate(rng, base)
                 try:
-                    list(SSTableReader._iter_records(mutate(rng, base)))
+                    list(SSTableReader._iter_records(mutated))
                 except CorruptRecord:
                     pass
+                try:
+                    for __, __, extent in SSTableReader._iter_extents(mutated, origin, 512):
+                        # An extent is only ever an aligned run inside the block.
+                        assert extent is None or (
+                            extent[0] % 512 == 0
+                            and origin <= extent[0] < extent[0] + extent[1] <= origin + len(mutated)
+                        )
+                except CorruptRecord:
+                    pass
+
+
+def _parent_layout(fs, path, entries, align=256, block_target=1024):
+    """An SSTable as the writer laid it out before records owned whole
+    alignment units: a large record starts aligned but nothing pads its
+    tail, so a small record may follow it directly and a data block may
+    end in a zero gap before the next aligned block."""
+    raw, index, buffer, keys = bytearray(), [], bytearray(), []
+
+    def flush():
+        offset = len(raw) + (-len(raw) % align)
+        index.append((keys[0], keys[-1], offset, len(buffer)))
+        raw[:] = raw.ljust(offset, b"\x00") + buffer
+        buffer.clear()
+        keys.clear()
+
+    for key, value in entries:
+        record = b"\x00" + encode_bytes(key) + encode_bytes(value)
+        if len(record) > align // 2:
+            buffer += b"\x02" * (-len(buffer) % align)
+        buffer += record
+        keys.append(key)
+        if len(buffer) >= block_target:
+            flush()
+    flush()
+    raw += b"\x00" * (-len(raw) % align)
+    meta = bytearray(encode_varint(len(index)))
+    for first, last, offset, size in index:
+        meta += encode_bytes(first) + encode_bytes(last)
+        meta += encode_varint(offset) + encode_varint(size) + b"\x00"
+    bloom = BloomFilter.for_capacity(len(entries))
+    for key, __ in entries:
+        bloom.add(key)
+    bloom_raw = bloom.serialize()
+    footer = struct.pack(
+        "<QQQQQ", len(raw), len(meta), len(raw) + len(meta), len(bloom_raw), 0x5353544142004C45
+    )
+    fs.write_file(path, bytes(raw + meta + bloom_raw + footer))
+
+
+class TestSharedCompaction:
+    """Compaction shares a record's blocks only where the source bytes
+    prove they are exactly what the writer lays out for it."""
+
+    BIG = [(b"k%d" % i, bytes([65 + i]) * 200) for i in range(8)]
+
+    def _parent_entries(self):
+        big = self.BIG
+        # A (big) + b (small) directly after it; C1..C3 each followed by
+        # filler up to the next aligned start; D ends block 0 before a
+        # zero gap; E ends the table with small f after it.
+        return [big[0], (b"k0b", b"x"), big[1], big[2], big[3], big[4], big[5], (b"k5f", b"y")]
+
+    def _db_over(self, fs, tables):
+        from repro.databases.minileveldb import MiniLevelDB
+
+        fs.write_file("/db/wal.log", b"")
+        manifest = {"levels": [[], tables], "next_table": 9}
+        fs.write_file("/db/MANIFEST", json.dumps(manifest).encode())
+        return MiniLevelDB(fs, "/db", block_target=1024, align_records=256)
+
+    def test_parent_layout_reads_and_compacts_sharing_only_canonical_records(self):
+        from repro.fs import CompressFS
+
+        fs = CompressFS(block_size=256)
+        entries = self._parent_entries()
+        _parent_layout(fs, "/db/old.sst", entries)
+        reader = SSTableReader(fs, "/db/old.sst")
+        assert list(reader.iterate()) == entries
+        assert all(reader.get(key) == (True, value) for key, value in entries)
+        extents = {key: extent for key, __, extent in reader.iterate_extents(256)}
+        assert {key: extent for key, extent in extents.items() if extent} == {
+            b"k1": (256, 206), b"k2": (512, 206), b"k3": (768, 206),
+        }
+        cloned = []
+        original = fs._clone_range
+
+        def spy(src, src_off, dst, dst_off, length):
+            done = original(src, src_off, dst, dst_off, length)
+            cloned.extend(range(src_off, src_off + length, 256) if done else [])
+            return done
+
+        fs._clone_range = spy
+        db = self._db_over(fs, ["/db/old.sst"])
+        db.compact()
+        assert sorted(cloned) == [256, 512, 768]
+        assert list(db.scan()) == entries
+        assert fs.engine.metrics().counter("engine.clone.blocks") == 3
+        fs.engine.check_invariants()
+
+    def test_one_compaction_writes_the_same_bytes_on_both_file_systems(self):
+        import random
+
+        from repro.databases.minileveldb import MiniLevelDB
+        from repro.fs import CompressFS
+
+        outputs = []
+        shared = CompressFS(block_size=256)
+        for fs in (shared, PassthroughFS(block_size=256)):
+            rng = random.Random(31)
+            db = MiniLevelDB(fs, "/db", memtable_limit=2048, l0_limit=3, block_target=1024)
+            for __ in range(120):
+                key = b"key%03d" % rng.randrange(60)
+                if rng.random() < 0.1:
+                    db.delete(key)
+                else:
+                    db.put(key, rng.randbytes(rng.choice((20, 150, 300, 700))))
+            db.flush_memtable()
+            db.compact()
+            assert db.compactions >= 2
+            outputs.append({path: fs.read_file(path) for level in db._levels for path in level})
+        compressed, plain = outputs
+        assert compressed == plain and compressed
+        assert shared.engine.metrics().counter("engine.clone.blocks") > 100
 
 
 class TestHostileMetadata:
