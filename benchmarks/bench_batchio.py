@@ -113,7 +113,7 @@ def bench_random_read(smoke: bool = False) -> dict:
         engine, lambda: [engine.read("/rand", offset, size) for offset, size in spans]
     )
     batched_sim, batched_ops, batched_wall, batched_data = _measure(
-        engine, lambda: engine.readv("/rand", spans)
+        engine, lambda: engine.readv([("/rand", offset, size) for offset, size in spans])
     )
     assert perblock_data == batched_data
     return {

@@ -422,26 +422,31 @@ class CompressDB:
         """POSIX ``read``: short reads at end of file, never an error."""
         return self.ops.extract(path, offset, size)
 
-    def readv(self, path: str, spans: Sequence[tuple[int, int]]) -> list[bytes]:
-        """Vectored read: serve every ``(offset, size)`` span at once.
+    def readv(self, requests: Sequence[tuple[str, int, int]]) -> list[bytes]:
+        """Vectored read: serve every ``(path, offset, size)`` request at once.
 
-        The slot runs covering all spans are planned first, then every
-        needed block is fetched in a single scatter-gather device
-        transaction — a read of N spans costs one batched request, not
-        N sequential ones.  Each span follows POSIX ``read`` semantics
-        (short reads at end of file).
+        The requests may name several files: each is resolved (its
+        coalesced appends flushed) once, the slot runs covering every
+        request are planned, then every needed block is fetched in one
+        scatter-gather device transaction.  Each request follows POSIX
+        ``read`` semantics (short reads at end of file).
         """
-        self._flush_pending(path)
-        inode = self._inode_raw(path)
-        with self.obs.tracer.span("engine.readv", path=path, spans=len(spans)):
-            return self._readv_planned(inode, spans)
+        inodes: dict[str, Inode] = {}
+        for path, __, __ in requests:
+            if path not in inodes:
+                inodes[path] = self._inode_raw(path)
+        for path in inodes:
+            self._flush_pending(path)
+        with self.obs.tracer.span("engine.readv", files=len(inodes), spans=len(requests)):
+            return self._readv_planned(inodes, requests)
 
     def _readv_planned(
-        self, inode: Inode, spans: Sequence[tuple[int, int]]
+        self, inodes: dict[str, Inode], requests: Sequence[tuple[str, int, int]]
     ) -> list[bytes]:
         plans: list[Optional[tuple[int, int, list[Slot]]]] = []
         block_nos: list[int] = []
-        for offset, size in spans:
+        for path, offset, size in requests:
+            inode = inodes[path]
             if offset < 0 or size < 0:
                 raise InvalidArgument("offset and size must be non-negative")
             if offset >= inode.size or size == 0:

@@ -115,7 +115,7 @@ class OperationModule:
         self._inode(path)  # existence check + pending-write flush
         if offset < 0 or size < 0:
             raise OperationError("offset and size must be non-negative")
-        return self.engine.readv(path, [(offset, size)])[0]
+        return self.engine.readv([(path, offset, size)])[0]
 
     # -- replace ----------------------------------------------------------------
     def replace(self, path: str, offset: int, data: bytes) -> None:

@@ -91,6 +91,15 @@ class _Segment(NamedTuple):
     flags: int
 
 
+class _ReadPlan(NamedTuple):
+    """Row spans mapped onto one column's blocks (see ``plan_vectors``)."""
+
+    spans: int
+    segments: list[_Segment]
+    parts: list[tuple[int, int, int, int, int]]
+    requests: list[tuple[str, int, int]]
+
+
 class _ColumnFile:
     """One column of one table: encoded blocks + block directory."""
 
@@ -122,6 +131,15 @@ class _ColumnFile:
     @property
     def numeric(self) -> bool:
         return self.type_name in ("INT", "REAL")
+
+    def paths(self) -> list[str]:
+        """Every file this column owns."""
+        paths = [self.data_path, self.seg_path]
+        if self.type_name == "TEXT":
+            paths.append(self.heap_path)
+        if self.numeric:
+            paths.append(self.zmap_path)
+        return paths
 
     @property
     def cell_size(self) -> int:
@@ -292,20 +310,19 @@ class _ColumnFile:
     def read_one(self, row: int) -> object:
         return self.read_range(row, 1)[0]
 
-    def _plan_spans(
-        self, segments: Sequence[_Segment], spans: Sequence[tuple[int, int]]
-    ) -> tuple[list[tuple[int, int, int, int, int]], list[tuple[int, int]]]:
-        """Map row spans onto blocks and build one vectored read plan.
+    def plan_vectors(self, spans: Sequence[tuple[int, int]]) -> _ReadPlan:
+        """The plan step of :meth:`read_vectors`: map row spans onto blocks.
 
-        Returns ``(parts, requests)`` where each part is ``(span index,
-        segment index, lo row, hi row, request index)``.  Plain blocks
-        read only the covering cell window; encoded blocks read their
-        whole payload (once, even if several spans touch the same
-        block).
+        Each part is ``(span index, segment index, lo row, hi row,
+        request index)``; each request a ``(path, offset, size)`` read of
+        the data file.  Plain blocks read only the covering cell window;
+        encoded blocks read their whole payload (once, even if several
+        spans touch the same block).
         """
+        segments = self.segments()
         starts = [segment.start for segment in segments]
         parts: list[tuple[int, int, int, int, int]] = []
-        requests: list[tuple[int, int]] = []
+        requests: list[tuple[str, int, int]] = []
         payload_request: dict[int, int] = {}
         for span_index, (start, count) in enumerate(spans):
             if count <= 0:
@@ -320,6 +337,7 @@ class _ColumnFile:
                     if segment.encoding == PLAIN:
                         requests.append(
                             (
+                                self.data_path,
                                 segment.offset + (lo - segment.start) * self.cell_size,
                                 (hi - lo) * self.cell_size,
                             )
@@ -328,33 +346,35 @@ class _ColumnFile:
                     else:
                         request = payload_request.get(index, -1)
                         if request < 0:
-                            requests.append((segment.offset, segment.length))
+                            requests.append((self.data_path, segment.offset, segment.length))
                             request = len(requests) - 1
                             payload_request[index] = request
                     parts.append((span_index, index, lo, hi, request))
                 index += 1
-        return parts, requests
+        return _ReadPlan(len(spans), segments, parts, requests)
 
     def read_ranges(self, spans: Sequence[tuple[int, int]]) -> list[list[object]]:
         """Values for several (start row, count) ranges."""
         return [vector.materialize() for vector in self.read_vectors(spans)]
 
     def read_vectors(self, spans: Sequence[tuple[int, int]]) -> list[ColumnVector]:
-        """One :class:`ColumnVector` per (start, count) span.
+        """One :class:`ColumnVector` per (start, count) span: the block
+        payloads of every span go through one ``preadv``."""
+        plan = self.plan_vectors(spans)
+        return self.decode_vectors(plan, self.fs._preadv(plan.requests) if plan.requests else [])
 
-        The block directory is parsed once and the block payloads of
-        every span go through one ``preadv`` (for TEXT columns the heap
-        windows of all plain blocks go through a second) — so a pruned
-        scan touching k surviving batches costs two vectored requests,
-        not 2k positional reads.  A span that exactly covers one encoded
-        block keeps its encoded form (RLE runs, dictionary codes);
-        everything else — plain blocks, straddling spans — materialises
-        into a plain vector.
+    def decode_vectors(self, plan: _ReadPlan, raws: Sequence[bytes]) -> list[ColumnVector]:
+        """The decode step: ``raws`` answer the requests of
+        :meth:`plan_vectors` (for TEXT columns the heap windows of all
+        plain blocks go through a second ``preadv``) — so a pruned scan
+        touching k surviving batches costs two vectored requests, not 2k
+        positional reads.  A span that exactly covers one encoded block
+        keeps its encoded form (RLE runs, dictionary codes); everything
+        else — plain blocks, straddling spans — materialises into a
+        plain vector.
         """
-        segments = self.segments()
-        parts, requests = self._plan_spans(segments, spans)
-        raws = self.fs._preadv(self.data_path, requests) if requests else []
-        for (__, size), raw in zip(requests, raws):
+        span_count, segments, parts, requests = plan
+        for (__, __, size), raw in zip(requests, raws):
             if len(raw) != size:
                 raise ColumnStoreError(f"{self.data_path}: block payload past end of file")
         plain_raws = [raws[part[4]] for part in parts if segments[part[1]].encoding == PLAIN]
@@ -364,7 +384,7 @@ class _ColumnFile:
             plain_values = (
                 colcodec.decode_plain(self.type_name, raw) for raw in plain_raws
             )
-        pieces: list[list[ColumnVector]] = [[] for __ in spans]
+        pieces: list[list[ColumnVector]] = [[] for __ in range(span_count)]
         decoded: dict[int, ColumnVector] = {}
         for span_index, seg_index, lo, hi, request in parts:
             segment = segments[seg_index]
@@ -392,13 +412,13 @@ class _ColumnFile:
         """Strings of several plain TEXT cell windows: every window's
         heap extent is fetched in one vectored read."""
         entry_lists = [list(_OFFSET.iter_unpack(raw)) for raw in raws]
-        extents: list[tuple[int, int]] = []
+        extents: list[tuple[str, int, int]] = []
         for entries in entry_lists:
             live = [(s, n) for s, n in entries if n != NULL_LENGTH]
             low = min((s for s, __ in live), default=0)
             high = max((s + n for s, n in live), default=0)
-            extents.append((low, high - low))
-        heaps = self.fs._preadv(self.heap_path, extents) if extents else []
+            extents.append((self.heap_path, low, high - low))
+        heaps = self.fs._preadv(extents) if extents else []
         try:
             return [
                 [
@@ -407,7 +427,7 @@ class _ColumnFile:
                     else heap[cell_start - low : cell_start - low + length].decode("utf-8")
                     for cell_start, length in entries
                 ]
-                for entries, (low, __), heap in zip(entry_lists, extents, heaps)
+                for entries, (__, low, __), heap in zip(entry_lists, extents, heaps)
             ]
         except UnicodeDecodeError as exc:
             raise ColumnStoreError(f"{self.heap_path}: {exc}") from None
@@ -537,6 +557,9 @@ class ColumnTable:
         #: carrying update-demoted blocks — the morph trigger state.
         self._scans_since_update = 0
         self._demoted_columns: set[str] = set()
+        #: Set when a failed insert could not be rolled back: the column
+        #: files may disagree, so :meth:`MiniColumn.table` refuses it.
+        self.torn = False
         if not fs.exists(self._mask_path):
             fs.write_file(self._mask_path, b"")
 
@@ -600,11 +623,33 @@ class ColumnTable:
 
     def insert_rows(self, rows: Sequence[dict[str, object]]) -> None:
         """Append a batch of rows column by column, one block (and one
-        zone-map entry) per :data:`BLOCK_ROWS` slice of the batch."""
-        for position in range(0, len(rows), self.BLOCK_ROWS):
-            chunk = rows[position : position + self.BLOCK_ROWS]
-            for column in self.column_names:
-                self._files[column].append_values([row.get(column) for row in chunk])
+        zone-map entry) per :data:`BLOCK_ROWS` slice of the batch.
+
+        All or nothing: every column file's size is recorded first and
+        a failed write truncates them all back before the error
+        propagates.  A rollback that fails itself leaves the table
+        :attr:`torn`, and it refuses every further statement.
+        """
+        sizes = {
+            path: self.fs.stat(path).size
+            for column in self._files.values()
+            for path in column.paths()
+        }
+        try:
+            for position in range(0, len(rows), self.BLOCK_ROWS):
+                chunk = rows[position : position + self.BLOCK_ROWS]
+                for column in self.column_names:
+                    self._files[column].append_values([row.get(column) for row in chunk])
+        except BaseException:
+            try:
+                for path, size in sizes.items():
+                    self.fs.truncate(path, size)
+            except Exception as exc:
+                self.torn = True
+                raise ColumnStoreError(
+                    f"table {self.name!r}: insert rollback failed, table is torn"
+                ) from exc
+            raise
 
     # -- morphing ----------------------------------------------------------
     def morph(self, column: Optional[str] = None, encoding: Optional[int] = None) -> int:
@@ -687,15 +732,18 @@ class ColumnTable:
         self,
         names: Sequence[str],
         ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]],
-    ) -> list[tuple[int, int]]:
-        """Surviving (start, count) block spans for a scan."""
+    ) -> tuple[list[tuple[int, int]], int]:
+        """Surviving (start, count) block spans for a scan, and how many
+        batches the table holds."""
         pruned = self._prunable_batches(ranges)
         if pruned is not None:
-            return [(start, count) for start, count in pruned if count > 0]
-        return [
+            surviving, total = pruned
+            return [(start, count) for start, count in surviving if count > 0], total
+        spans = [
             (segment.start, segment.count)
             for segment in self._files[names[0]].segments()
         ]
+        return spans, len(spans)
 
     def scan_vector_blocks(
         self,
@@ -708,31 +756,55 @@ class ColumnTable:
         This is the compressed-domain path: the vectors may still be
         RLE runs or dictionary codes, and the caller (the vectorized
         executor) evaluates predicates and aggregates on them directly.
-        Surviving blocks are prefetched in groups, one vectored read per
-        column per group instead of one positional read per (block,
-        column) pair; the group size bounds memory while a long scan
+        Surviving blocks are prefetched in groups: every column of a
+        group is planned first, then all their block payloads go through
+        one vectored read instead of one positional read per (block,
+        column) pair — the group size bounds memory while a long scan
         still pays one device transaction per group.
+
+        The scan is one ``column.scan`` span on the file system's tracer:
+        the table's batches, those the zone maps pruned, the prefetch
+        groups and the data read requests issued so far.
         """
         names = self._check_columns(columns)
         mask = self._mask()
-        batches = self._scan_spans(names, ranges)
+        batches, total = self._scan_spans(names, ranges)
         group_size = self.SCAN_PREFETCH_BATCHES
-        for group_start in range(0, len(batches), group_size):
-            group = batches[group_start : group_start + group_size]
-            vectors = {name: self._files[name].read_vectors(group) for name in names}
-            for position, (start, count) in enumerate(group):
-                block = {name: vectors[name][position] for name in names}
-                if any(len(vector) != count for vector in block.values()):
-                    raise ColumnStoreError(
-                        f"table {self.name!r}: columns disagree on block {start}+{count}"
-                    )
-                yield start, count, mask[start : start + count], block
+        with self.fs.obs.tracer.span(
+            "column.scan",
+            table=self.name,
+            batches=total,
+            pruned=total - len(batches),
+            groups=-(-len(batches) // group_size),
+            requests=0,
+        ) as span:
+            issued = 0
+            for group_start in range(0, len(batches), group_size):
+                group = batches[group_start : group_start + group_size]
+                plans = {name: self._files[name].plan_vectors(group) for name in names}
+                requests = [request for plan in plans.values() for request in plan.requests]
+                raws = self.fs._preadv(requests) if requests else []
+                issued += len(requests)
+                span.set(requests=issued)
+                vectors = {}
+                for name, plan in plans.items():
+                    taken = len(plan.requests)
+                    vectors[name] = self._files[name].decode_vectors(plan, raws[:taken])
+                    raws = raws[taken:]
+                for position, (start, count) in enumerate(group):
+                    block = {name: vectors[name][position] for name in names}
+                    if any(len(vector) != count for vector in block.values()):
+                        raise ColumnStoreError(
+                            f"table {self.name!r}: columns disagree on block {start}+{count}"
+                        )
+                    yield start, count, mask[start : start + count], block
 
     def _prunable_batches(
         self, ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]]
-    ) -> Optional[list[tuple[int, int]]]:
-        """Surviving (start, count) batches under the zone maps, or None
-        when pruning does not apply (no usable numeric constraint)."""
+    ) -> Optional[tuple[list[tuple[int, int]], int]]:
+        """Surviving (start, count) batches under the zone maps and the
+        batch count, or None when pruning does not apply (no usable
+        numeric constraint)."""
         if not ranges:
             return None
         constrained = [
@@ -763,7 +835,7 @@ class ColumnTable:
             if keep:
                 start, count, __, __, __ = entries[constrained[0]][index]
                 surviving.append((start, count))
-        return surviving
+        return surviving, batch_count
 
     def read_row(self, row: int, columns: Optional[Sequence[str]] = None) -> dict[str, object]:
         names = list(columns) if columns is not None else self.column_names
@@ -824,9 +896,12 @@ class MiniColumn(Database):
 
     def table(self, name: str) -> ColumnTable:
         try:
-            return self._tables[name]
+            table = self._tables[name]
         except KeyError:
             raise ColumnStoreError(f"no such table {name!r}") from None
+        if table.torn:
+            raise ColumnStoreError(f"table {name!r} is torn by a failed insert rollback")
+        return table
 
     # -- SQL --------------------------------------------------------------------
     def execute(self, sql: str) -> list[dict[str, object]]:

@@ -238,8 +238,9 @@ class SSTableReader:
         positional reads — on CompressFS that lands as one
         scatter-gather device transaction.
         """
-        spans = [(self._blocks[i][2], self._blocks[i][3]) for i in indices]
-        payloads = self.fs._preadv(self.path, spans)
+        payloads = self.fs._preadv(
+            [(self.path, self._blocks[i][2], self._blocks[i][3]) for i in indices]
+        )
         return [
             self.codec.decompress(payload) if self._blocks[i][4] else payload
             for i, payload in zip(indices, payloads)

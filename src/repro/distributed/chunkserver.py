@@ -181,25 +181,17 @@ class ChunkServer:
     def readv(self, requests: list[tuple[str, int, int]]) -> list[bytes]:
         """Serve several ``(chunk_id, offset, size)`` reads in one RPC.
 
-        Spans of the same chunk go through the file system's vectored
-        read path, so a client reading N spans from this server costs
-        one request envelope and one scatter-gather device transaction
-        per touched chunk file rather than N independent reads.
+        Every span goes through the file system's vectored read path
+        together, so a client reading N spans from this server costs one
+        request envelope and one scatter-gather device transaction, however
+        many chunk files the spans touch.
         """
         with self.obs.tracer.span(
             "chunkserver.readv", server=self.name, requests=len(requests)
         ):
-            by_chunk: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
-            for index, (chunk_id, offset, size) in enumerate(requests):
-                indices, spans = by_chunk.setdefault(chunk_id, ([], []))
-                indices.append(index)
-                spans.append((offset, size))
-            results: list[bytes] = [b""] * len(requests)
-            for chunk_id, (indices, spans) in by_chunk.items():
-                payloads = self.fs._preadv(self._path(chunk_id), spans)
-                for index, payload in zip(indices, payloads):
-                    results[index] = payload
-            return results
+            return self.fs._preadv(
+                [(self._path(chunk_id), offset, size) for chunk_id, offset, size in requests]
+            )
 
     def write(self, chunk_id: str, offset: int, data: bytes) -> int:
         path = self._path(chunk_id)

@@ -162,18 +162,26 @@ class CompressFS(FileSystem):
             raise PermissionDenied(f"{path}: snapshots are read-only")
         return self.store.write(path, offset, data)
 
-    def _preadv(self, path: str, spans: list[tuple[int, int]]) -> list[bytes]:
-        """Serve every span from one scatter-gather engine read."""
-        for offset, size in spans:
+    def _preadv(self, requests: list[tuple[str, int, int]]) -> list[bytes]:
+        """Serve every live request, whatever its file, from one store
+        read; frozen ``/.snap`` requests read their snapshot image."""
+        frozen: dict = {}
+        for index, (path, offset, size) in enumerate(requests):
             if offset < 0 or size < 0:
                 raise InvalidArgument("offset and size must be non-negative")
-        frozen = self._frozen(path)
-        if frozen is not None:
-            device = self.engine.device
-            return [frozen.read(device, offset, size) for offset, size in spans]
-        if self._snapshot_target(path) is not None:
-            raise FileNotFound(path)
-        return self.store.readv(path, spans)
+            if self._snapshot_target(path) is not None:
+                image = self._frozen(path)
+                if image is None:
+                    raise FileNotFound(path)
+                frozen[index] = image
+        if not frozen:
+            return self.store.readv(requests)
+        live = iter(self.store.readv([r for i, r in enumerate(requests) if i not in frozen]))
+        device = self.engine.device
+        return [
+            frozen[i].read(device, offset, size) if i in frozen else next(live)
+            for i, (__, offset, size) in enumerate(requests)
+        ]
 
     def _pwritev(self, path: str, spans: list[tuple[int, bytes]]) -> int:
         """Vectored write; sequential spans coalesce in the engine buffer."""

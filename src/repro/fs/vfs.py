@@ -77,14 +77,15 @@ class FileSystem:
     def _pwrite(self, path: str, offset: int, data: bytes) -> int:
         raise NotImplementedError
 
-    def _preadv(self, path: str, spans: list[tuple[int, int]]) -> list[bytes]:
-        """Vectored positional read: one result per ``(offset, size)`` span.
+    def _preadv(self, requests: list[tuple[str, int, int]]) -> list[bytes]:
+        """Vectored positional read: one result per ``(path, offset, size)``
+        request; the requests may name several files.
 
         The default is a loop of :meth:`_pread`; file systems with a
-        scatter-gather fast path override this to serve the whole span
-        list in one batched device transaction.
+        scatter-gather fast path override this to serve the whole
+        request list in one batched device transaction.
         """
-        return [self._pread(path, offset, size) for offset, size in spans]
+        return [self._pread(path, offset, size) for path, offset, size in requests]
 
     def _pwritev(self, path: str, spans: list[tuple[int, bytes]]) -> int:
         """Vectored positional write of ``(offset, data)`` spans.
@@ -237,7 +238,7 @@ class FileSystem:
         if not state.readable:
             raise PermissionDenied(f"fd {fd} not open for reading")
         with self.obs.tracer.span("vfs.preadv", path=state.path, spans=len(spans)):
-            return self._preadv(state.path, spans)
+            return self._preadv([(state.path, offset, size) for offset, size in spans])
 
     def pwritev(self, fd: int, spans: list[tuple[int, bytes]]) -> int:
         """``pwritev``: write every ``(offset, data)`` span in one request."""

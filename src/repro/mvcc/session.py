@@ -197,8 +197,8 @@ class Session:
         self.manager._record_read(self, path, offset, size, data)
         return data
 
-    def readv(self, path: str, spans) -> list[bytes]:
-        return [self.read(path, offset, size) for offset, size in spans]
+    def readv(self, requests) -> list[bytes]:
+        return [self.read(path, offset, size) for path, offset, size in requests]
 
     def read_file(self, path: str) -> bytes:
         return self.read(path, 0, self.file_size(path))

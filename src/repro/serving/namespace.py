@@ -172,8 +172,10 @@ class NamespaceFS(FileSystem):
     def _pread(self, path: str, offset: int, size: int) -> bytes:
         return self.base._pread(self._map(path), offset, size)
 
-    def _preadv(self, path: str, spans: list[tuple[int, int]]) -> list[bytes]:
-        return self.base._preadv(self._map(path), spans)
+    def _preadv(self, requests: list[tuple[str, int, int]]) -> list[bytes]:
+        return self.base._preadv(
+            [(self._map(path), offset, size) for path, offset, size in requests]
+        )
 
     def _grown_bytes(self, mapped: str, end: int) -> int:
         return max(0, end - self.base._size(mapped))

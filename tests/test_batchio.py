@@ -17,9 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import CompressDB
-from repro.fs import fd as fdmod
+from repro.databases.minicolumn import MiniColumn
+from repro.distributed.chunkserver import ChunkServer
+from repro.fs import CompressFS, fd as fdmod
+from repro.fs.errors import FileNotFound
 from repro.storage.block_device import BlockDeviceError, MemoryBlockDevice
 from repro.storage.simclock import HDD_5400RPM, SimClock
+from repro.storage.stats import IOStatsSnapshot
+
+from .conftest import build_fs_stack
 
 
 class TestReadBlocks:
@@ -275,7 +281,7 @@ class TestVectoredVFS:
     def test_preadv_matches_pread_loop(self, compress_fs):
         compress_fs.write_file("/f", bytes(range(256)) * 3)
         spans = [(0, 10), (60, 70), (700, 200), (5, 0)]
-        vectored = compress_fs._preadv("/f", spans)
+        vectored = compress_fs._preadv([("/f", o, s) for o, s in spans])
         looped = [compress_fs._pread("/f", o, s) for o, s in spans]
         assert vectored == looped
 
@@ -284,6 +290,95 @@ class TestVectoredVFS:
         compress_fs.pwritev(fd, [(0, b"abc"), (3, b"def")])
         assert compress_fs.preadv(fd, [(0, 6), (3, 3)]) == [b"abcdef", b"def"]
         compress_fs.close(fd)
+
+    @pytest.mark.parametrize("kind", ["passthrough", "compress", "session", "namespace"])
+    def test_cross_file_preadv_matches_pread_loop(self, kind):
+        fs = build_fs_stack(kind)
+        shared = bytes(range(256)) * 2
+        model = {"/a": shared, "/b": shared + b"b-tail", "/c": b"c" * 100 + b"pending"}
+        fs.write_file("/a", model["/a"])
+        fs.write_file("/b", model["/b"])  # dedups with /a block for block
+        fs.write_file("/c", b"c" * 100)
+        fs._pwrite("/c", 100, b"pending")  # an end-of-file append: coalesced
+        if kind == "compress":
+            assert "/c" in fs.engine._pending
+        requests = [
+            ("/a", 0, 70),
+            ("/b", 60, 300),
+            ("/c", 90, 40),
+            ("/a", 500, 0),  # zero-length
+            ("/b", 400, 1000),  # short read at end of file
+            ("/c", 4096, 8),  # past end of file
+            ("/a", 5, 3),
+        ]
+        vectored = fs._preadv(requests)
+        assert vectored == [model[p][o : o + n] for p, o, n in requests]
+        assert vectored == [fs._pread(p, o, n) for p, o, n in requests]
+
+    def test_preadv_mixes_live_and_snapshot_paths(self, compress_fs):
+        compress_fs.write_file("/f", b"old" * 50)
+        compress_fs.engine.snapshots.create("s")
+        compress_fs.write_file("/f", b"new" * 50)
+        requests = [("/f", 0, 6), ("/.snap/s/f", 0, 6), ("/f", 147, 9), ("/.snap/s/f", 3, 0)]
+        vectored = compress_fs._preadv(requests)
+        assert vectored == [b"newnew", b"oldold", b"new", b""]
+        assert vectored == [compress_fs._pread(p, o, n) for p, o, n in requests]
+        with pytest.raises(FileNotFound):
+            compress_fs._preadv([("/f", 0, 1), ("/.snap/missing/f", 0, 1)])
+
+    def test_missing_file_raises_without_side_effects(self, compress_fs):
+        compress_fs.write_file("/a", b"a" * 300)
+        compress_fs._pwrite("/a", 300, b"pending")
+        engine = compress_fs.engine
+        engine.device.stats.reset()
+        with pytest.raises(FileNotFound):
+            compress_fs._preadv([("/a", 0, 10), ("/missing", 0, 10)])
+        assert engine.device.stats.snapshot() == IOStatsSnapshot()
+        assert bytes(engine._pending["/a"]) == b"pending"
+
+    def test_four_column_scan_group_is_one_device_transaction(self):
+        fs = CompressFS(MemoryBlockDevice(block_size=4096, cache_blocks=64))
+        db = MiniColumn(fs)
+        db.execute("CREATE TABLE t (ts INT, grp INT, val INT, fee INT)")
+        names = ["ts", "grp", "val", "fee"]
+        for start in range(0, 400, 100):
+            db.table("t").insert_rows(
+                [
+                    {"ts": i, "grp": i % 7, "val": i * 3, "fee": i * 37 % 101}
+                    for i in range(start, start + 100)
+                ]
+            )
+        fs.engine.sync()  # commit the coalesced appends
+        device = fs.engine.device
+        device.drop_cached(range(device.total_blocks))
+        # Warm the metadata (block directories, deletion mask) only.
+        for name in names:
+            fs.read_file(f"/columndb/t/{name}.seg")
+        fs.read_file("/columndb/t/_deleted.bm")
+        device.stats.reset()
+        blocks = list(db.table("t").scan_vector_blocks(names))
+        assert [(start, count) for start, count, __, __ in blocks] == [
+            (start, 100) for start in range(0, 400, 100)
+        ]
+        stats = device.stats.snapshot()
+        assert stats.batched_reads == 1
+        assert stats.block_reads == stats.batched_blocks_read >= len(names)
+
+    def test_chunkserver_readv_across_chunks_is_one_device_transaction(self):
+        server = ChunkServer("n0", clock=SimClock(), block_size=64)
+        contents = {"c1": bytes(range(200)), "c2": bytes(range(255, 55, -1))}
+        for chunk_id, data in contents.items():
+            server.create_chunk(chunk_id)
+            server.write(chunk_id, 0, data)
+        server.fs.engine.sync()  # commit the coalesced appends
+        device = server.fs.device
+        device.drop_cached(range(device.total_blocks))
+        device.stats.reset()
+        requests = [("c1", 10, 100), ("c2", 0, 150), ("c1", 150, 50)]
+        assert server.readv(requests) == [contents[c][o : o + n] for c, o, n in requests]
+        stats = device.stats.snapshot()
+        assert stats.batched_reads == 1
+        assert stats.block_reads == stats.batched_blocks_read
 
 
 # -- property: batched == per-block, holes included -------------------------
@@ -333,7 +428,7 @@ def test_batched_reads_match_single_block_loop(ops, spans):
     reference = bytearray()
     for op in ops:
         _apply(engine, reference, op)
-    vectored = engine.readv("/f", spans)
+    vectored = engine.readv([("/f", offset, size) for offset, size in spans])
     looped = [engine.read("/f", offset, size) for offset, size in spans]
     assert vectored == looped
     for (offset, size), data in zip(spans, vectored):

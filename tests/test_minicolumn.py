@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.engine import CompressDB
 from repro.databases.minicolumn import ColumnStoreError, MiniColumn, _scanned_columns
 from repro.databases.sql_parser import parse
 from repro.fs import CompressFS, PassthroughFS
+from repro.fs.errors import QuotaExceeded
+from repro.storage.block_device import MemoryBlockDevice
 
 
 @pytest.fixture(params=["passthrough", "compress"])
@@ -162,3 +165,127 @@ class TestBenchInterface:
         db.bench_write("3", "new payload")
         assert db.bench_read("3") == "new payload"
         assert db.bench_read("404") is None
+
+
+def _event_rows(start, count):
+    return [
+        {"ts": i, "grp": i % 4, "val": i * 7, "note": f"n{i % 3}"}
+        for i in range(start, start + count)
+    ]
+
+
+class TestInsertRollback:
+    """An ``insert_rows`` that raises leaves no torn batch: every column
+    file is truncated back, so the table still equals the acknowledged
+    rows, and stays aligned through later inserts, fsync and reopen."""
+
+    def _mount(self, device=None):
+        device = device or MemoryBlockDevice(block_size=256)
+        engine = CompressDB.mount(device, journal_blocks=32)
+        return device, engine, MiniColumn(CompressFS(engine=engine))
+
+    def _loaded(self):
+        device, engine, db = self._mount()
+        db.execute("CREATE TABLE t (ts INT, grp INT, val INT, note TEXT)")
+        db.table("t").insert_rows(_event_rows(0, 64))
+        return device, engine, db
+
+    @staticmethod
+    def _fail_writes(fs, at):
+        """Make the ``at``-th file write from now raise QuotaExceeded;
+        returns the list of writes attempted."""
+        original = fs._pwrite
+        writes = []
+
+        def _pwrite(path, offset, data):
+            writes.append(path)
+            if len(writes) == at:
+                raise QuotaExceeded(f"{path}: injected")
+            return original(path, offset, data)
+
+        fs._pwrite = _pwrite
+        return writes
+
+    @staticmethod
+    def _assert_equals_model(db, model):
+        assert list(db.table("t").scan()) == model
+        assert db.execute("SELECT count(*) c FROM t") == [{"c": len(model)}]
+        assert db.execute("SELECT ts, note FROM t WHERE ts >= 0") == [
+            {"ts": row["ts"], "note": row["note"]} for row in model
+        ]
+
+    def test_every_failed_write_rolls_the_batch_back(self):
+        __, __, probe = self._loaded()
+        writes = self._fail_writes(probe.fs, at=0)
+        probe.table("t").insert_rows(_event_rows(64, 32))
+        assert len(writes) == 11  # 3 INT columns x (zmap, col, seg) + TEXT (col, seg)
+        model = _event_rows(0, 64)
+        for at in range(1, len(writes) + 1):
+            device, engine, db = self._loaded()
+            self._fail_writes(db.fs, at)
+            with pytest.raises(QuotaExceeded):
+                db.table("t").insert_rows(_event_rows(64, 32))
+            del db.fs._pwrite
+            self._assert_equals_model(db, model)
+            db.table("t").insert_rows(_event_rows(1000, 8))
+            engine.fsync()
+            __, __, reopened = self._mount(device)
+            self._assert_equals_model(reopened, model + _event_rows(1000, 8))
+
+    def test_failed_rollback_leaves_the_table_refusing_statements(self):
+        __, __, db = self._loaded()
+        self._fail_writes(db.fs, at=5)
+
+        def _truncate(path, size):
+            raise QuotaExceeded(f"{path}: injected")
+
+        db.fs._truncate = _truncate
+        with pytest.raises(ColumnStoreError, match="torn"):
+            db.table("t").insert_rows(_event_rows(64, 32))
+        for sql in (
+            "SELECT count(*) c FROM t",
+            "SELECT ts FROM t WHERE ts < 10",
+            "INSERT INTO t VALUES (1, 1, 1, 'x')",
+            "DELETE FROM t WHERE ts = 1",
+            "UPDATE t SET val = 0 WHERE ts = 1",
+        ):
+            with pytest.raises(ColumnStoreError, match="torn"):
+                db.execute(sql)
+
+
+class TestScanSpan:
+    """Each scan is one ``column.scan`` span on the file system's tracer."""
+
+    def _db(self):
+        fs = CompressFS(block_size=256)
+        fs.obs.tracer.enabled = True
+        db = MiniColumn(fs)
+        db.execute("CREATE TABLE t (ts INT, grp INT, val INT, note TEXT)")
+        for start in range(0, 40 * 10, 10):  # 40 insert batches of 10 rows
+            db.table("t").insert_rows(_event_rows(start, 10))
+        fs.obs.tracer.clear()
+        return db
+
+    def _scan_span(self, db, sql):
+        db.execute(sql)
+        (span,) = [s for s in db.fs.obs.tracer.spans() if s.name == "column.scan"]
+        return span.attrs
+
+    def test_pruned_range_scan(self):
+        db = self._db()
+        attrs = self._scan_span(
+            db, "SELECT grp, sum(val) s FROM t WHERE ts >= 100 AND ts <= 129 GROUP BY grp"
+        )
+        # Batches 10, 11 and 12 survive the ts zone map; ts, grp and val
+        # are read with one request per surviving block each.
+        assert attrs == {
+            "table": "t", "batches": 40, "pruned": 37, "groups": 1, "requests": 9,
+        }
+
+    def test_full_scan(self):
+        db = self._db()
+        attrs = self._scan_span(db, "SELECT grp, count(*) c FROM t GROUP BY grp")
+        groups = -(-40 // db.table("t").SCAN_PREFETCH_BATCHES)
+        assert attrs == {
+            "table": "t", "batches": 40, "pruned": 0, "groups": groups, "requests": 40,
+        }
