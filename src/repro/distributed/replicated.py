@@ -107,20 +107,23 @@ class MasterGroup:
         """(Re)create a replica from its persistent device.
 
         The Raft log recovers from disk; the local ``Master`` starts
-        from the constructor arguments and is rebuilt by re-applying
-        the committed log (the leader's next contact replays it), so
-        membership changes made through commands are never lost."""
+        from the log's snapshot (or the constructor arguments) and
+        re-applies only the committed tail after it (the leader's next
+        contact replays it), so membership changes made through
+        commands are never lost."""
         self.lock.require_held()
         log = RaftLog(
             self.devices[name],
             CounterGroup(f"raft.{name}.log", LOG_FIELDS, self.obs.registry),
         )
-        master = Master(lock=self.lock, **self._ctor_args)
+        machine = MetadataStateMachine(Master(lock=self.lock, **self._ctor_args))
+        if log.snapshot_index:
+            machine.restore(log.snapshot_index, log.snapshot)
         node = RaftNode(
             name=name,
             peer_names=[f"m{i}" for i in range(len(self.devices))],
             log=log,
-            statemachine=MetadataStateMachine(master),
+            statemachine=machine,
             clock=self.clock,
             transport=self.transport,
             config=self.config,
@@ -172,9 +175,13 @@ class MasterGroup:
         step = self.config.heartbeat_interval / 2
         while self.clock.now < deadline:
             leader = self.leader()
+            if leader is None:
+                # The tick may elect a leader or renew its lease: then
+                # no step is owed.
+                self._tick_locked()
+                leader = self.leader()
             if leader is not None:
                 return leader.name
-            self._tick_locked()
             self.clock.charge(step)
         raise TimeoutError(
             f"no leader within {deadline_s}s of simulated time "

@@ -20,6 +20,10 @@ simplifications a deterministic single-process simulation affords:
   majority at time *t* owns the lease until ``t + lease_duration``
   (strictly below the minimum election timeout, so no rival can have
   been elected while the lease holds).
+* **Snapshots** (§7): a replica compacts its log into a snapshot of its
+  applied state once the live log outgrows both one block and the last
+  snapshot; a follower whose next entry the leader has compacted away
+  gets InstallSnapshot instead of AppendEntries.
 
 Crash injection for the failover test matrix: install a named crash
 point (``before_append`` / ``after_append`` / ``before_commit`` /
@@ -43,7 +47,11 @@ from typing import Any, Optional
 from repro.fs.errors import TryAgain
 from repro.obs import Observability
 from repro.raft.log import LogEntry, RaftLog
-from repro.raft.statemachine import MetadataStateMachine, encode_command
+from repro.raft.statemachine import (
+    MetadataStateMachine,
+    encode_command,
+    encode_state,
+)
 from repro.storage.simclock import DATACENTER_LAN, NetworkProfile, SimClock
 
 FOLLOWER = "follower"
@@ -164,6 +172,13 @@ class RaftTransport:
         self._charge(self.envelope_bytes)
         return reply
 
+    def install_snapshot(self, src: str, dst: str, args: dict) -> dict:
+        self._charge(self.envelope_bytes + len(args["data"]))
+        node = self._deliver(dst)
+        reply = node.handle_install_snapshot(**args)
+        self._charge(self.envelope_bytes)
+        return reply
+
 
 class RaftNode:
     """One replica: persistent log + state machine + consensus role."""
@@ -191,7 +206,8 @@ class RaftNode:
         #: the whole election schedule) replay exactly from the seed.
         self.rng = random.Random(f"{seed}:{name}")
         self.role = FOLLOWER
-        self.commit_index = 0
+        #: A restored snapshot is committed by definition.
+        self.commit_index = statemachine.applied_index
         self.leader_hint: Optional[str] = None
         self.crashed = False
         self.crash_points: set[str] = set()
@@ -206,6 +222,7 @@ class RaftNode:
         prefix = f"raft.{name}"
         self._g_term = obs.registry.gauge(f"{prefix}.term")
         self._g_commit_lag = obs.registry.gauge(f"{prefix}.commit_lag")
+        self._g_live_blocks = obs.registry.gauge(f"{prefix}.log.live_blocks")
         self._c_elections = obs.registry.counter(f"{prefix}.elections")
         self._c_heartbeats = obs.registry.counter(f"{prefix}.heartbeats")
         transport.register(self)
@@ -275,6 +292,7 @@ class RaftNode:
     def _update_gauges(self) -> None:
         self._g_term.set(self.log.current_term)
         self._g_commit_lag.set(self.log.last_index - self.commit_index)
+        self._g_live_blocks.set(self.log.live_blocks)
 
     # -- elections ----------------------------------------------------------
     def _start_election(self) -> None:
@@ -353,15 +371,9 @@ class RaftNode:
                 self._reset_election_deadline()
         return {"term": self.log.current_term, "granted": granted}
 
-    def handle_append_entries(
-        self,
-        term: int,
-        leader: str,
-        prev_index: int,
-        prev_term: int,
-        entries: list[LogEntry],
-        leader_commit: int,
-    ) -> dict:
+    def _heard_from_leader(self, term: int, leader: str) -> Optional[dict]:
+        """What AppendEntries and InstallSnapshot do first: the reply
+        to a stale term, or None once this node follows ``leader``."""
         self._ensure_alive()
         if term < self.log.current_term:
             return {
@@ -373,6 +385,46 @@ class RaftNode:
             self._step_down(term)
         self.leader_hint = leader
         self._reset_election_deadline()
+        return None
+
+    def handle_install_snapshot(
+        self, term: int, leader: str, index: int, last_term: int, data: bytes
+    ) -> dict:
+        stale = self._heard_from_leader(term, leader)
+        if stale is not None:
+            return stale
+        # Delivered in order, it always finds this replica's applied
+        # state behind ``index``: the leader sent it because the
+        # replica's log ended, or diverged, at or below it.
+        with self.obs.tracer.span(
+            "raft.install_snapshot",
+            node=self.name,
+            index=index,
+            term=last_term,
+            snapshot_bytes=len(data),
+        ):
+            # The log first: a replica's applied state never runs past
+            # what its log can restore on a restart.
+            self.log.compact(index, last_term, data)
+            self.sm.restore(index, data)
+            self.commit_index = max(self.commit_index, index)
+        self._update_gauges()
+        # Not caught up yet: like a rejected AppendEntries, the reply
+        # tells the leader where to go on from.
+        return {"term": term, "success": False, "next_hint": index + 1}
+
+    def handle_append_entries(
+        self,
+        term: int,
+        leader: str,
+        prev_index: int,
+        prev_term: int,
+        entries: list[LogEntry],
+        leader_commit: int,
+    ) -> dict:
+        stale = self._heard_from_leader(term, leader)
+        if stale is not None:
+            return stale
         if prev_index > self.log.last_index:
             return {
                 "term": term,
@@ -419,22 +471,26 @@ class RaftNode:
             )
 
     def _replicate_to(self, peer: str) -> bool:
-        next_index = self.next_index.get(peer, self.log.last_index + 1)
-        for __ in range(self.log.last_index + 2):  # bounded backtracking
-            prev_index = next_index - 1
-            prev_term = self.log.term_at(prev_index) if prev_index else 0
+        log = self.log
+        next_index = self.next_index.get(peer, log.last_index + 1)
+        for __ in range(log.last_index + 2):  # bounded backtracking
+            if next_index <= log.snapshot_index:
+                # §7: what the peer needs next is compacted away.
+                send, args = self.transport.install_snapshot, dict(
+                    index=log.snapshot_index,
+                    last_term=log.snapshot_term,
+                    data=log.snapshot,
+                )
+            else:
+                send, args = self.transport.append_entries, dict(
+                    prev_index=next_index - 1,
+                    prev_term=log.term_at(next_index - 1),
+                    entries=log.entries_from(next_index),
+                    leader_commit=self.commit_index,
+                )
             try:
-                reply = self.transport.append_entries(
-                    self.name,
-                    peer,
-                    dict(
-                        term=self.log.current_term,
-                        leader=self.name,
-                        prev_index=prev_index,
-                        prev_term=prev_term,
-                        entries=self.log.entries_from(next_index),
-                        leader_commit=self.commit_index,
-                    ),
+                reply = send(
+                    self.name, peer, dict(args, term=log.current_term, leader=self.name)
                 )
             except NodeCrashed:
                 return False
@@ -470,6 +526,19 @@ class RaftNode:
             result = self.sm.apply(entry.index, entry.command)
             if entry.index in self._results:
                 self._results[entry.index] = result
+        if self.log.compaction_due and self.sm.applied_index > self.log.snapshot_index:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Snapshot the applied state; the log drops what it covers."""
+        index = self.sm.applied_index
+        term = self.log.term_at(index)
+        with self.obs.tracer.span(
+            "raft.compact", node=self.name, index=index, term=term
+        ) as span:
+            snapshot = encode_state(self.sm.master)
+            freed = self.log.compact(index, term, snapshot)
+            span.set(snapshot_bytes=len(snapshot), blocks_freed=freed)
 
     # -- the client-facing write path ----------------------------------------
     def propose(self, command: bytes) -> Any:

@@ -13,8 +13,10 @@ crash.
 Which opcode runs which ``Master`` mutator is one column of
 :data:`~repro.distributed.master.METADATA_PLANE`, which every replica
 carries as ``Master.LOG_MUTATORS``; the apply step here is a lookup in
-it, and this package imports nothing of :mod:`repro.distributed` (whose
-package init imports the Raft node back).  The apply *bodies* are
+it, and this package imports nothing of :mod:`repro.distributed` at
+import time (its package init imports the Raft node back).  A snapshot
+is the whole ``Master`` state as canonical JSON (:func:`encode_state`),
+read back by :meth:`MetadataStateMachine.restore`.  The apply *bodies* are
 therefore the ``Master`` mutators, and the determinism rules (enforced
 by reprolint DET001 on this module and on
 :mod:`repro.distributed.master`) bind them:
@@ -28,6 +30,7 @@ by reprolint DET001 on this module and on
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from typing import TYPE_CHECKING, Any
@@ -95,34 +98,60 @@ class MetadataStateMachine:
         self.applied_index = index
         return result
 
+    def restore(self, index: int, snapshot: bytes) -> None:
+        """Replace this replica's state by ``snapshot``: the state that
+        applying entries 1..``index`` produced."""
+        # Imported here: repro.distributed's package init imports us.
+        from repro.distributed.master import ChunkInfo, FileEntry
+
+        self.master.lock.require_held()
+        try:
+            state = json.loads(snapshot.decode("utf-8"))
+            files = {
+                path: FileEntry(
+                    path, [ChunkInfo(*chunk) for chunk in state["files"][path]]
+                )
+                for path in sorted(state["files"])
+            }
+            values = [state[name] for name in _IMAGED]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CommandError(f"undecodable snapshot at {index}") from exc
+        for name, value in zip(_IMAGED, values):
+            setattr(self.master, name, value)
+        self.master._files = files
+        self.applied_index = index
+
+
+#: The ``Master`` attributes a snapshot stores as they are, besides its
+#: files.  ``server_names`` keeps membership order: the facades serve it.
+_IMAGED = (
+    "_domains", "_next_chunk", "_server_load", "chunk_capacity",
+    "chunk_prefix", "placement_epoch", "replication", "server_names",
+)
+
 
 def snapshot_state(master: Master) -> dict:
-    """Deterministic serialisation of a replica's metadata (divergence
-    checks in tests; a future install-snapshot RPC would ship this)."""
-    files = {}
-    for path in master.list_files():
-        entry = master.lookup(path)
-        files[path] = [
-            {"id": c.chunk_id, "servers": list(c.servers), "length": c.length}
-            for c in entry.chunks
-        ]
-    return {
-        "files": files,
-        "servers": master.server_domains(),
-        "placement_epoch": master.placement_epoch,
-        # What replica-side placement is computed from: a replica that
-        # diverged here hands out colliding ids once it becomes leader.
-        "next_chunk": master._next_chunk,
-        "server_load": dict(sorted(master._server_load.items())),
+    """The whole state of a replica: what a snapshot stores and
+    :func:`state_digest` hashes.  Lists keep their order; dicts are
+    sorted when encoded."""
+    state = {name: copy.copy(getattr(master, name)) for name in _IMAGED}
+    state["files"] = {
+        path: [[c.chunk_id, list(c.servers), c.length] for c in master.lookup(path).chunks]
+        for path in master.list_files()
     }
+    return state
+
+
+def encode_state(master: Master) -> bytes:
+    """Canonical snapshot bytes of a replica's state."""
+    return json.dumps(
+        snapshot_state(master), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
 def state_digest(master: Master) -> str:
     """Stable digest for replica-convergence assertions."""
-    payload = json.dumps(
-        snapshot_state(master), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(encode_state(master)).hexdigest()
 
 
 __all__ = [
@@ -130,6 +159,7 @@ __all__ = [
     "MetadataStateMachine",
     "decode_command",
     "encode_command",
+    "encode_state",
     "snapshot_state",
     "state_digest",
 ]

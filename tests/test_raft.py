@@ -3,8 +3,10 @@
 Covers the persistent log (recovery, torn tails, truncation), leader
 election (safety under a seeded 200-interleaving storm), the
 kill-the-leader crash matrix (zero committed-metadata loss), leader
-leases, the NotLeader wire mapping, and the metadata-plane table the
-apply step, the facade and the shard router derive from.
+leases, the NotLeader wire mapping, the metadata-plane table the
+apply step, the facade and the shard router derive from, and snapshots:
+restore against a full replay, compaction inside the storm,
+InstallSnapshot catch-up, and the space a replica's device holds.
 """
 
 import hashlib
@@ -31,6 +33,8 @@ from repro.raft.statemachine import (
     CommandError,
     MetadataStateMachine,
     encode_command,
+    encode_state,
+    state_digest,
 )
 from repro.serving.client import raise_wire_error
 from repro.storage.block_device import (
@@ -239,6 +243,18 @@ class TestElection:
         group.crash(names[1])
         with pytest.raises(TimeoutError):
             group.elect(deadline_s=2.0)
+
+    def test_first_request_after_a_quiet_spell_owes_no_step(self):
+        """Regression: the tick that renews the lease (or elects) ends
+        the wait; it used to be charged half a heartbeat on top."""
+        config = RaftConfig()
+        group = _group(config=config)
+        group.elect()
+        group.clock.charge(0.3)  # no ticks: the lease has run out
+        assert group.leader() is None
+        start = group.clock.now
+        group.leader_master()
+        assert group.clock.now - start < config.heartbeat_interval / 2
 
     def test_restarted_node_rejoins_as_follower(self):
         group = _group()
@@ -532,3 +548,234 @@ class TestWireMapping:
         raised = excinfo.value
         assert raised.retry_after_ms == 300.0
         assert raised.leader_hint == "m0"
+
+
+def _command_stream(seed, count):
+    """Seeded commands of every opcode, valid and rejected, drawn against
+    the state of the master they are applied to in order; each result
+    as it was when applied (the live objects change later)."""
+    rng = random.Random(seed)
+    lock = Master(["n0"]).lock
+    master = Master(["n2", "n0", "n1"], replication=2, lock=lock, domains={"n0": "r0"})
+    machine = MetadataStateMachine(master)
+    commands, results = [], []
+    for index in range(1, count + 1):
+        files = master.list_files()
+        path = rng.choice(files) if files and rng.random() < 0.8 else f"/f{rng.randrange(40)}"
+        chunks = [c.chunk_id for c in master.lookup(path).chunks] if master.exists(path) else []
+        chunk = rng.choice(chunks) if chunks else "c99999999"
+        servers = rng.sample(sorted(master.server_names), 2)
+        op, args = rng.choice(
+            [
+                ("create", dict(path=path)),
+                ("alloc", dict(path=path, servers=None)),
+                ("alloc", dict(path=path, servers=servers)),
+                ("extend", dict(path=path, chunk_id=chunk, delta=rng.randrange(-50, 500))),
+                ("set_length", dict(path=path, chunk_id=chunk, length=rng.randrange(900))),
+                ("place", dict(path=path, chunk_id=chunk, servers=servers)),
+                ("drop", dict(path=path, chunk_id=chunk)),
+                ("unlink", dict(path=path)),
+                ("register_server", dict(name=rng.choice(["z9", "a7", "n1"]), domain="r1")),
+                ("register_server", dict(name=rng.choice(["z9", "a7", "n1"]), domain="")),
+                ("remove_server", dict(name=rng.choice(["z9", "a7", "n1", "n2"]))),
+            ]
+        )
+        commands.append(encode_command(op, **args))
+        with lock:
+            results.append(repr(machine.apply(index, commands[-1])))
+    return commands, results, master
+
+
+class TestSnapshots:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_restored_master_matches_a_full_replay(self, seed):
+        commands, results, replayed = _command_stream(seed, 400)
+        opcodes = {json.loads(command)["op"] for command in commands}
+        assert {"register_server", "remove_server", "place", "alloc"} <= opcodes
+        lock = Master(["n0"]).lock
+
+        def fresh():
+            return MetadataStateMachine(
+                Master(["n2", "n0", "n1"], replication=2, lock=lock, domains={"n0": "r0"})
+            )
+
+        unsorted = 0
+        for cut in (1, 57, 200, 399):
+            head = fresh()
+            with lock:
+                for index, command in enumerate(commands[:cut], 1):
+                    head.apply(index, command)
+            restored = fresh()
+            with lock:
+                restored.restore(cut, encode_state(head.master))
+            assert state_digest(restored.master) == state_digest(head.master)
+            # Membership keeps the order it was admitted in.
+            assert restored.master.server_names == head.master.server_names
+            unsorted += head.master.server_names != sorted(head.master.server_names)
+            with lock:
+                for index in range(cut + 1, len(commands) + 1):
+                    got = restored.apply(index, commands[index - 1])
+                    assert repr(got) == results[index - 1], (cut, index)
+            assert state_digest(restored.master) == state_digest(replayed)
+        assert unsorted
+
+    def test_election_storm_with_compaction_elects_at_most_one_leader_per_term(self):
+        group = _group(seed=42)
+        rng = random.Random(4321)
+        names = sorted(group.nodes)
+        created = 0
+        for round_no in range(200):
+            crashed = [n for n in names if group.nodes[n].crashed]
+            live = [n for n in names if not group.nodes[n].crashed]
+            action = rng.random()
+            if action < 0.25 and len(live) > 2:
+                group.crash(rng.choice(live))
+            elif action < 0.5 and crashed:
+                group.restart(rng.choice(crashed))
+            for __ in range(rng.randrange(1, 5)):
+                group.tick()
+                group.clock.charge(rng.uniform(0.01, 0.12))
+                for __ in range(rng.randrange(8)):
+                    created += 1
+                    try:
+                        group.propose("create", path=f"/storm/{created:05d}")
+                    except TryAgain:
+                        pass
+        for name in names:
+            if group.nodes[name].crashed:
+                group.restart(name)
+        _settle(group)
+        ledger = group.transport.leaders_by_term()
+        assert len(ledger) > 5
+        for term, leaders in ledger.items():
+            assert len(leaders) <= 1, f"term {term} elected {sorted(leaders)}"
+        assert len(set(group.state_digests().values())) == 1
+        assert all(node.log.snapshot_index > 0 for node in group.nodes.values())
+
+    def test_restarted_follower_catches_up_through_install_snapshot_alone(self):
+        group = _group()
+        group.obs.tracer.enabled = True
+        facade = ReplicatedMaster(group)
+        facade.create("/before")
+        _settle(group)
+        follower = next(n for n, node in sorted(group.nodes.items()) if node.role != LEADER)
+        group.crash(follower)
+        for index in range(300):
+            facade.create(f"/f{index:03d}")
+        leader = group.leader()
+        assert leader.log.snapshot_index > group.nodes[follower].log.last_index
+        appended, installed = [], []
+        transport = group.transport
+        send_entries, send_snapshot = transport.append_entries, transport.install_snapshot
+
+        def append_entries(src, dst, args):
+            if dst == follower:
+                floor = group.nodes[src].log.snapshot_index
+                appended.extend(e.index for e in args["entries"])
+                assert all(e.index > floor for e in args["entries"]), floor
+            return send_entries(src, dst, args)
+
+        def install_snapshot(src, dst, args):
+            installed.append((dst, args["index"], len(args["data"])))
+            return send_snapshot(src, dst, args)
+
+        transport.append_entries = append_entries
+        transport.install_snapshot = install_snapshot
+        bytes_before = transport.bytes_sent
+        group.restart(follower)
+        _settle(group)
+        assert installed and {dst for dst, __, __ in installed} == {follower}
+        # The snapshot was charged its bytes, and the follower's log
+        # holds only what came after it.
+        assert transport.bytes_sent - bytes_before > installed[0][2]
+        node = group.nodes[follower]
+        assert node.log.snapshot_index >= installed[0][1]
+        assert len(set(group.state_digests().values())) == 1
+        spans = [s for s in group.obs.tracer.spans() if s.name == "raft.install_snapshot"]
+        assert [s.attrs["node"] for s in spans] == [follower] * len(installed)
+        assert spans[0].attrs["snapshot_bytes"] == installed[0][2]
+
+    def test_install_of_a_snapshot_whose_manifest_spans_blocks(self):
+        """On 128-byte log blocks a few hundred files make a snapshot of
+        dozens of blocks: the follower that installs it, and every
+        replica that compacts, chain their manifests over several."""
+        group = _group()
+        for name in group.devices:
+            group.devices[name] = MemoryBlockDevice(block_size=128, clock=group.clock)
+            group.restart(name)
+        facade = ReplicatedMaster(group)
+        facade.create("/before")
+        _settle(group)
+        follower = next(n for n, node in sorted(group.nodes.items()) if node.role != LEADER)
+        group.crash(follower)
+        for index in range(300):
+            facade.create(f"/f{index:03d}")
+        assert group.leader().log.snapshot_index > group.nodes[follower].log.last_index
+        group.restart(follower)
+        _settle(group)
+        node = group.nodes[follower]
+        assert len(node.log.snapshot) > 10 * 128 and len(node.log._manifest) > 1
+        assert node.sm.applied_index == node.log.last_index
+        assert len(set(group.state_digests().values())) == 1
+        for name, device in group.devices.items():
+            recovered = RaftLog(device)
+            assert recovered.snapshot == group.nodes[name].log.snapshot
+            assert recovered.live_blocks == device.allocated_blocks
+
+    def test_restart_restores_the_snapshot_and_replays_only_the_tail(self):
+        group = _group()
+        facade = ReplicatedMaster(group)
+        for index in range(150):
+            facade.create(f"/f{index:03d}")
+        _settle(group)
+        name = next(n for n, node in sorted(group.nodes.items()) if node.role != LEADER)
+        before = group.nodes[name]
+        assert before.log.snapshot_index > 0
+        group.crash(name)
+        node = group.restart(name)
+        assert node.sm.applied_index == node.commit_index == node.log.snapshot_index
+        assert node.log.last_index == before.log.last_index
+        _settle(group)
+        assert node.sm.applied_index == node.log.last_index
+        assert len(set(group.state_digests().values())) == 1
+
+    def test_compaction_spans_and_the_live_blocks_gauge(self):
+        group = _group()
+        group.obs.tracer.enabled = True
+        facade = ReplicatedMaster(group)
+        for index in range(200):
+            facade.create(f"/f{index:03d}")
+        _settle(group)
+        spans = [s for s in group.obs.tracer.spans() if s.name == "raft.compact"]
+        assert {s.attrs["node"] for s in spans} == set(group.nodes)
+        for span in spans:
+            node = group.nodes[span.attrs["node"]]
+            assert 0 < span.attrs["index"] <= node.log.snapshot_index
+            assert span.attrs["term"] == node.log.current_term
+            assert span.attrs["snapshot_bytes"] > 0
+            assert span.attrs["blocks_freed"] > 0
+        gauges = group.obs.registry.snapshot().gauges
+        for name, device in group.devices.items():
+            live = gauges[f"raft.{name}.log.live_blocks"]
+            assert live == group.nodes[name].log.live_blocks == device.allocated_blocks
+
+    def test_device_space_is_bounded_by_the_state_not_the_history(self):
+        group = _group()
+        facade = ReplicatedMaster(group)
+        facade.create("/f")
+        chunk = facade.allocate_chunk("/f")
+        peaks = []
+        for total in (1000, 5000):
+            peak = 0
+            for index in range(total):
+                facade.set_chunk_length("/f", chunk.chunk_id, index)
+                peak = max(peak, max(d.allocated_blocks for d in group.devices.values()))
+            peaks.append(peak)
+        _settle(group)
+        # Block 0, the layout mark, the manifest, one snapshot block and
+        # the stream's room: whatever the number of proposals.
+        assert peaks[0] == peaks[1] <= 6, peaks
+        for name, node in group.nodes.items():
+            assert node.log.snapshot_index > 5000
+            assert node.log.live_blocks == group.devices[name].allocated_blocks
+        assert len(set(group.state_digests().values())) == 1
