@@ -24,22 +24,22 @@ snapshot-isolated MVCC transaction scope), ``client.sql`` /
 paper's replace/append/extract are ``client.fs`` positional writes and
 reads) — and raise the same exception types, because the wire protocol
 maps every failure onto the stable code table in :mod:`repro.fs.errors`.
+
+Behind it runs one backend, :class:`~repro.serving.server.Backend`:
+in-process over the engine, or as the server's tenant on the far side
+of a :class:`~repro.serving.client.WireClient`.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Optional, Union
 
 from repro.core.engine import CompressDB
-from repro.core.operations import OperationModule
 from repro.fs.compressfs import CompressFS
-from repro.fs.errors import FileNotFound, InvalidArgument
-from repro.fs.sessionfs import SessionFS
+from repro.fs.errors import InvalidArgument
 from repro.fs.vfs import FileSystem
-from repro.mvcc.session import SessionClosed
 from repro.serving.client import LoopbackTransport, WireClient
-from repro.serving.server import Server, open_database
+from repro.serving.server import Backend, Server
 
 __all__ = ["connect", "Client", "SessionScope", "KVHandle"]
 
@@ -47,7 +47,7 @@ __all__ = ["connect", "Client", "SessionScope", "KVHandle"]
 class KVHandle:
     """``client.kv``: the key-value front end."""
 
-    def __init__(self, backend: "Backend", session: Optional[int] = None) -> None:
+    def __init__(self, backend: WireClient | Backend, session: Optional[int] = None) -> None:
         self._backend = backend
         self._session = session
 
@@ -74,7 +74,7 @@ class SessionScope:
     transaction won first-committer-wins), an exception aborts.
     """
 
-    def __init__(self, backend: "Backend", session: int) -> None:
+    def __init__(self, backend: WireClient | Backend, session: int) -> None:
         self._backend = backend
         self._session = session
         self.fs = backend.fs(session)
@@ -110,7 +110,7 @@ class SessionScope:
 class Client:
     """The unified client; see the module docstring."""
 
-    def __init__(self, backend: "Backend") -> None:
+    def __init__(self, backend: WireClient | Backend) -> None:
         self._backend = backend
         self.fs: FileSystem = backend.fs()
         self.kv = KVHandle(backend)
@@ -157,111 +157,6 @@ class Client:
         self.close()
 
 
-class _DirectBackend:
-    """In-process deployment: engines linked into the caller.
-
-    It has the method signatures of
-    :class:`~repro.serving.client.WireClient` (sessions are named by
-    their integer id on both), so the classes above hold either.
-    """
-
-    def __init__(self, fs: CompressFS) -> None:
-        self._fs = fs
-        self.engine = fs.engine
-        self._dbs: dict[str, object] = {}
-        #: session id -> (session, its SessionFS, its database front ends)
-        self._sessions: dict[int, tuple] = {}
-
-    def _open(self, session: int) -> tuple:
-        view = self._sessions.get(session)
-        if view is None:
-            raise SessionClosed(f"no open session {session}")
-        return view
-
-    def fs(self, session: Optional[int] = None) -> FileSystem:
-        return self._fs if session is None else self._open(session)[1]
-
-    def _db(self, kind: str, session: Optional[int]) -> object:
-        cache = self._dbs if session is None else self._open(session)[2]
-        found = cache.get(kind)
-        if found is None:
-            found = cache[kind] = open_database(kind, self.fs(session))
-        return found
-
-    def sql(self, sql: str, session: Optional[int] = None) -> list[dict]:
-        return self._db("sql", session).execute(sql)
-
-    def column(self, sql: str, session: Optional[int] = None) -> list[dict]:
-        return self._db("column", session).execute(sql)
-
-    def kv_put(self, key: bytes, value: bytes, session: Optional[int] = None) -> None:
-        self._db("kv", session).put(key, value)
-
-    def kv_get(self, key: bytes, session: Optional[int] = None) -> Optional[bytes]:
-        return self._db("kv", session).get(key)
-
-    def kv_delete(self, key: bytes, session: Optional[int] = None) -> None:
-        self._db("kv", session).delete(key)
-
-    def kv_scan(
-        self,
-        start: Optional[bytes] = None,
-        end: Optional[bytes] = None,
-        limit: Optional[int] = None,
-        session: Optional[int] = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        return itertools.islice(self._db("kv", session).scan(start, end), limit)
-
-    def _ops(self, path: str) -> OperationModule:
-        if not self._fs.exists(path):
-            raise FileNotFound(path)
-        return self.engine.ops
-
-    def search(self, path: str, pattern: bytes) -> list[int]:
-        return self._ops(path).search(path, pattern)
-
-    def count(self, path: str, pattern: bytes) -> int:
-        return self._ops(path).count(path, pattern)
-
-    def word_count(self, path: str) -> dict[bytes, int]:
-        return dict(self._ops(path).word_count(path))
-
-    def insert(self, path: str, offset: int, data: bytes) -> None:
-        self._ops(path).insert(path, offset, data)
-
-    def delete(self, path: str, offset: int, length: int) -> None:
-        self._ops(path).delete(path, offset, length)
-
-    def session_begin(self) -> int:
-        session = self.engine.mvcc.begin()
-        self._sessions[session.session_id] = (session, SessionFS(self._fs, session), {})
-        return session.session_id
-
-    def session_commit(self, session: int) -> dict:
-        handle = self._open(session)[0]
-        del self._sessions[session]
-        ticket = handle.commit()
-        return {
-            "csn": ticket.csn,
-            "durable": ticket.durable,
-            "read_only": ticket.read_only,
-        }
-
-    def session_abort(self, session: int) -> None:
-        handle = self._open(session)[0]
-        del self._sessions[session]
-        if handle.active:
-            self.engine.mvcc.abort(handle, "client abort")
-
-    def goodbye(self) -> None:
-        self._dbs.clear()
-
-
-#: What a :class:`Client` holds: one tenant's wire connection, or the
-#: in-process engines behind the same method names.
-Backend = Union[WireClient, _DirectBackend]
-
-
 def connect(
     target: Union[Server, CompressFS, CompressDB, None] = None,
     *,
@@ -296,4 +191,4 @@ def connect(
             f"cannot connect to {type(target).__name__}: expected a Server, "
             "CompressFS, CompressDB, or None"
         )
-    return Client(_DirectBackend(fs))
+    return Client(Backend(fs))

@@ -135,7 +135,7 @@ class WireClient:
     def goodbye(self) -> dict:
         return self.call("GOODBYE")
 
-    def fs(self, session: Optional[int] = None) -> "RemoteFS":
+    def fs(self, session: Optional[int] = None) -> FileSystem:
         """This tenant's namespace (or one open session's view of it)."""
         return RemoteFS(self, session_id=session)
 
@@ -155,9 +155,6 @@ class WireClient:
 
     def column(self, sql: str, session: Optional[int] = None) -> list[dict]:
         return self.call("COLUMN_EXECUTE", sql=sql, session=session)["rows"]
-
-    def aggregate(self, sql: str, session: Optional[int] = None) -> list[dict]:
-        return self.call("AGGREGATE", sql=sql, session=session)["rows"]
 
     def kv_put(self, key: bytes, value: bytes, session: Optional[int] = None) -> None:
         self.call("KV_PUT", key=key, value=value, session=session)

@@ -1,21 +1,22 @@
 """The multi-tenant serving layer (DESIGN.md §14).
 
-One :class:`Server` fronts one CompressDB engine for many tenants.
-Each tenant is provisioned with a :class:`TenantConfig` — namespace
-quotas, a fair-share weight, an admission rate — and gets:
+:class:`Backend` is the one implementation of the client surface: the
+op methods of :class:`~repro.serving.client.WireClient`, with its
+signatures, over one file system.  :func:`repro.api.connect` builds one
+over the caller's CompressFS; a :class:`Server` fronts one CompressDB
+engine for many tenants, each a :class:`TenantBackend` provisioned with
+a :class:`TenantConfig` (namespace quotas, a fair-share weight, an
+admission rate), which differs only in where it runs: in a private
+:class:`~repro.serving.namespace.NamespaceFS` rooted at ``/t/<tenant>/``
+(no request can name another tenant's files), with MVCC sessions
+composed as ``NamespaceFS(SessionFS(base, session))`` so transactional
+writes stay namespaced *and* quota-charged (provisionally, folded on
+commit).  Per-tenant SLO tracking (:class:`~repro.serving.slo.TenantSLO`)
+lives in the shared metrics registry.
 
-* a private :class:`~repro.serving.namespace.NamespaceFS` rooted at
-  ``/t/<tenant>/`` (no request can name another tenant's files),
-* snapshot-isolated MVCC sessions composed as
-  ``NamespaceFS(SessionFS(base, session))`` so transactional writes
-  stay namespaced *and* quota-charged (provisionally, folded on
-  commit),
-* lazily constructed MiniSQL / MiniLevelDB / MiniColumn front ends
-  rooted inside its namespace,
-* SLO tracking (:class:`~repro.serving.slo.TenantSLO`) in the shared
-  metrics registry.
-
-Two serving paths share one dispatch table:
+Each protocol-v1 opcode handler unpacks its payload, makes one call on
+the tenant's backend and packs the reply.  Two serving paths share
+that dispatch table:
 
 * :meth:`Server.serve_frame` — the synchronous wire path: decode one
   protocol-v1 frame, admit (token bucket only), execute, answer with a
@@ -33,8 +34,9 @@ handler result or exception is mapped through
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.locks import LOCK_TIERS, TrackedLock
 from repro.databases.minicolumn import MiniColumn
@@ -58,6 +60,7 @@ from repro.serving.namespace import NamespaceFS, QuotaLedger, seed_ledger
 from repro.serving.protocol import (
     FLAG_ERROR,
     FLAG_RESPONSE,
+    OPCODE_NAMES,
     OPCODES,
     encode_frame,
     pack_payload,
@@ -65,20 +68,14 @@ from repro.serving.protocol import (
 from repro.serving.slo import TenantSLO
 from repro.storage.simclock import DATACENTER_LAN, NetworkProfile, Stopwatch
 
-#: kind -> (front end, directory): the one database layout of both
-#: deployments, so data written in-process is served unchanged when a
+#: kind -> (front end, directory): the one database layout of every
+#: backend, so data written in-process is served unchanged when a
 #: Server is pointed at the same image (under the tenant root).
 DATABASES = {
     "sql": (MiniSQL, "/sql"),
     "kv": (MiniLevelDB, "/kv"),
     "column": (MiniColumn, "/col"),
 }
-
-
-def open_database(kind: str, fs: FileSystem):
-    """The ``kind`` front end over ``fs``, in its place in the layout."""
-    front_end, directory = DATABASES[kind]
-    return front_end(fs, directory=directory)
 
 
 @dataclass(frozen=True)
@@ -135,56 +132,187 @@ class _Payload(dict):
         raise InvalidArgument(f"missing required field {key!r}")
 
 
-@dataclass
-class _SessionView:
-    """One open MVCC session's server-side state."""
+class Backend:
+    """The client surface over one file system.
 
-    session: object
-    fs: NamespaceFS
-    ledger: QuotaLedger
-    dbs: dict = field(default_factory=dict)
+    Its op methods have exactly
+    :class:`~repro.serving.client.WireClient`'s signatures (sessions
+    are named by their integer id on both), so :class:`repro.api.Client`
+    holds either.  Databases open lazily, once per kind for the
+    sessionless view and once per kind for each open session.
+    """
+
+    def __init__(self, fs: CompressFS) -> None:
+        self.engine = fs.engine
+        #: The view sessionless requests run in.
+        self._root: FileSystem = fs
+        self._dbs: dict[str, object] = {}
+        #: session id -> (session, its file-system view, its database front ends)
+        self._sessions: dict[int, tuple] = {}
+
+    def _open(self, session: int) -> tuple:
+        entry = self._sessions.get(session)
+        if entry is None:
+            raise SessionClosed(f"no open session {session}")
+        return entry
+
+    def _session_fs(self, session) -> FileSystem:
+        """A new session's view of :attr:`_root`."""
+        return SessionFS(self._root, session)
+
+    def _detach(self, session: int) -> tuple:
+        """Take ``session`` out of the table; the caller finishes it."""
+        self._open(session)  # SessionClosed unless it is open
+        return self._sessions.pop(session)
+
+    def fs(self, session: Optional[int] = None) -> FileSystem:
+        return self._root if session is None else self._open(session)[1]
+
+    # -- sessions -------------------------------------------------------------
+    def session_begin(self) -> int:
+        session = self.engine.mvcc.begin()
+        self._sessions[session.session_id] = (session, self._session_fs(session), {})
+        return session.session_id
+
+    def session_commit(self, session: int) -> dict:
+        ticket = self._detach(session)[0].commit()
+        return {
+            "csn": ticket.csn,
+            "durable": ticket.durable,
+            "read_only": ticket.read_only,
+        }
+
+    def session_abort(self, session: int) -> dict:
+        handle = self._detach(session)[0]
+        if handle.active:
+            self.engine.mvcc.abort(handle, "client abort")
+        return {"aborted": True}
+
+    def goodbye(self) -> dict:
+        """The connection is closing: abort every session still open."""
+        aborted = 0
+        for session in list(self._sessions):
+            handle = self._detach(session)[0]
+            if handle.active:
+                self.engine.mvcc.abort(handle, "connection closed")
+                aborted += 1
+        return {"sessions_aborted": aborted, "fds_released": 0}
+
+    # -- databases ------------------------------------------------------------
+    def _db(self, kind: str, session: Optional[int]) -> object:
+        cache = self._dbs if session is None else self._open(session)[2]
+        found = cache.get(kind)
+        if found is None:
+            front_end, directory = DATABASES[kind]
+            found = cache[kind] = front_end(self.fs(session), directory=directory)
+        return found
+
+    def sql(self, sql: str, session: Optional[int] = None) -> list[dict]:
+        return self._db("sql", session).execute(sql)
+
+    def column(self, sql: str, session: Optional[int] = None) -> list[dict]:
+        return self._db("column", session).execute(sql)
+
+    def kv_put(self, key: bytes, value: bytes, session: Optional[int] = None) -> None:
+        self._db("kv", session).put(key, value)
+
+    def kv_get(self, key: bytes, session: Optional[int] = None) -> Optional[bytes]:
+        return self._db("kv", session).get(key)
+
+    def kv_delete(self, key: bytes, session: Optional[int] = None) -> None:
+        self._db("kv", session).delete(key)
+
+    def kv_scan(
+        self,
+        start: Optional[bytes] = None,
+        end: Optional[bytes] = None,
+        limit: Optional[int] = None,
+        session: Optional[int] = None,
+    ) -> Iterator[tuple[bytes, bytes]]:
+        if limit is not None and limit < 0:
+            raise InvalidArgument(f"scan limit must be >= 0, got {limit}")
+        return itertools.islice(self._db("kv", session).scan(start, end), limit)
+
+    # -- compressed-domain pushdown -------------------------------------------
+    def _ops_path(self, path: str) -> str:
+        """``path`` as the engine names it; a missing file is FileNotFound."""
+        if not self._root._exists(path):
+            raise FileNotFound(path)
+        return path
+
+    def search(self, path: str, pattern: bytes) -> list[int]:
+        return self.engine.ops.search(self._ops_path(path), pattern)
+
+    def count(self, path: str, pattern: bytes) -> int:
+        return self.engine.ops.count(self._ops_path(path), pattern)
+
+    def insert(self, path: str, offset: int, data: bytes) -> None:
+        self.engine.ops.insert(self._ops_path(path), offset, data)
+
+    def delete(self, path: str, offset: int, length: int) -> None:
+        self.engine.ops.delete(self._ops_path(path), offset, length)
+
+    def word_count(self, path: str) -> dict[bytes, int]:
+        return dict(self.engine.ops.word_count(self._ops_path(path)))
 
 
-class _TenantState:
-    """Everything the server holds for one provisioned tenant."""
+class TenantBackend(Backend):
+    """One provisioned tenant: a :class:`Backend` inside its quota-charged
+    :class:`NamespaceFS`, whose sessions charge a provisional ledger
+    folded in at commit, whose pushdown meters insert/delete, and whose
+    goodbye force-closes the namespace's descriptors."""
 
-    def __init__(
-        self, server: "Server", config: TenantConfig, slo: TenantSLO
-    ) -> None:
+    def __init__(self, fs: CompressFS, config: TenantConfig, slo: TenantSLO) -> None:
+        super().__init__(fs)
         self.config = config
+        self.slo = slo
         self.ledger = QuotaLedger(
             quota_bytes=config.quota_bytes, quota_inodes=config.quota_inodes
         )
-        self.ns = NamespaceFS(
-            server.fs, config.name, ledger=self.ledger, fd_limit=config.fd_limit
+        self.ns = self._root = NamespaceFS(
+            fs, config.name, ledger=self.ledger, fd_limit=config.fd_limit
         )
-        seed_ledger(server.fs, self.ns.root, self.ledger)
-        self.slo = slo
-        self.sessions: dict[int, _SessionView] = {}
-        self._dbs: dict[str, object] = {}
+        seed_ledger(fs, self.ns.root, self.ledger)
 
-    def fs_view(self, session_id: Optional[int]) -> FileSystem:
-        if session_id is None:
-            return self.ns
-        return self.session_view(session_id).fs
-
-    def session_view(self, session_id: int) -> _SessionView:
-        view = self.sessions.get(session_id)
-        if view is None:
-            raise SessionClosed(
-                f"tenant {self.config.name!r} has no open session {session_id}"
-            )
-        return view
-
-    def db(self, kind: str, session_id: Optional[int]) -> object:
-        """The tenant's database front end, cached per (kind, session)."""
-        cache = (
-            self._dbs if session_id is None else self.session_view(session_id).dbs
+    def _session_fs(self, session) -> NamespaceFS:
+        return NamespaceFS(
+            SessionFS(self.ns.base, session),
+            self.config.name,
+            ledger=self.ledger.provisional(),
+            fd_limit=self.config.fd_limit,
         )
-        found = cache.get(kind)
-        if found is None:
-            found = cache[kind] = open_database(kind, self.fs_view(session_id))
-        return found
+
+    def _detach(self, session: int) -> tuple:
+        entry = super()._detach(session)
+        # The view's own descriptors; the SessionFS below it frees its own.
+        entry[1].release_fds()
+        return entry
+
+    def session_commit(self, session: int) -> dict:
+        view = self.fs(session)
+        reply = super().session_commit(session)
+        # On WriteConflict the provisional ledger is simply dropped —
+        # its charges never reached the committed ledger.
+        view.ledger.fold()
+        return reply
+
+    def goodbye(self) -> dict:
+        return {**super().goodbye(), "fds_released": self.ns.release_fds()}
+
+    def _ops_path(self, path: str) -> str:
+        return self.ns._map(super()._ops_path(path))
+
+    def insert(self, path: str, offset: int, data: bytes) -> None:
+        self.ledger.charge(bytes_delta=len(data))
+        try:
+            super().insert(path, offset, data)
+        except BaseException:
+            self.ledger.charge(bytes_delta=-len(data))
+            raise
+
+    def delete(self, path: str, offset: int, length: int) -> None:
+        super().delete(path, offset, length)
+        self.ledger.charge(bytes_delta=-length)
 
 
 class Server:
@@ -209,7 +337,7 @@ class Server:
             max_queue_delay_s=self.config.max_queue_delay_s,
         )
         self.scheduler = DeficitRoundRobin()
-        self._tenants: dict[str, _TenantState] = {}
+        self._tenants: dict[str, TenantBackend] = {}
         self._lock = TrackedLock("serving.state", rank=LOCK_TIERS["serving"])
         self._c_requests = self.registry.counter("serving.server.requests")
         self._c_shed = self.registry.counter("serving.server.shed")
@@ -217,7 +345,7 @@ class Server:
         self._g_tenants = self.registry.gauge("serving.server.tenants")
         # One ``_op_<name>`` method per protocol opcode; an opcode
         # without a handler fails here, not at its first request.
-        self._handlers: dict[int, Callable[[_TenantState, dict], dict]] = {
+        self._handlers: dict[int, Callable[[TenantBackend, dict], dict]] = {
             code: getattr(self, f"_op_{name.lower()}")
             for name, code in OPCODES.items()
         }
@@ -233,7 +361,7 @@ class Server:
             raise InvalidArgument(f"tenant {config.name!r} already provisioned")
         slo = TenantSLO(self.registry, config.name)
         with self._lock:
-            self._tenants[config.name] = _TenantState(self, config, slo)
+            self._tenants[config.name] = TenantBackend(self.fs, config, slo)
             self.scheduler.lane(config.name, weight=config.weight)
             rate = (
                 config.rate_per_s
@@ -248,7 +376,7 @@ class Server:
     def tenants(self) -> list[str]:
         return sorted(self._tenants)
 
-    def _state(self, tenant: str) -> _TenantState:
+    def _state(self, tenant: str) -> TenantBackend:
         state = self._tenants.get(tenant)
         if state is None:
             raise PermissionDenied(f"tenant {tenant!r} is not provisioned")
@@ -258,9 +386,10 @@ class Server:
     def handle(self, tenant: str, opcode: int, payload: dict) -> dict:
         """Execute one request body; raises on failure.
 
-        The shared core of both serving paths and the in-process
-        client: namespaced, quota-enforced, but *not* admission
-        controlled — callers decide whether and how to admit.
+        The shared core of both serving paths: namespaced,
+        quota-enforced, but *not* admission controlled — callers
+        decide whether and how to admit.  With tracing on, the
+        request is one ``serving.handle`` span.
         """
         handler = self._handlers.get(opcode)
         if handler is None:
@@ -268,9 +397,11 @@ class Server:
                 f"opcode 0x{opcode:02X} is not in protocol "
                 f"v{protocol.PROTOCOL_VERSION}"
             )
-        state = self._state(tenant)
-        with self._lock:
-            return handler(state, _Payload(payload))
+        backend = self._state(tenant)
+        with self._lock, self.engine.obs.tracer.span(
+            "serving.handle", tenant=tenant, opcode=OPCODE_NAMES[opcode]
+        ):
+            return handler(backend, _Payload(payload))
 
     def serve_frame(self, tenant: str, data: bytes) -> bytes:
         """The wire path: one request frame in, one response frame out."""
@@ -396,42 +527,33 @@ class Server:
         """Per-tenant SLO summaries, sorted by tenant name."""
         return [self._tenants[name].slo.report() for name in sorted(self._tenants)]
 
-    # -- handlers: connection control -----------------------------------------
-    def _op_hello(self, state: _TenantState, payload: dict) -> dict:
+    # -- handlers: one backend call each --------------------------------------
+    def _op_hello(self, tenant: TenantBackend, payload: dict) -> dict:
         return {
             "server": "compressdb-serving",
             "protocol": protocol.PROTOCOL_VERSION,
-            "tenant": state.config.name,
-            "root": state.ns.root,
+            "tenant": tenant.config.name,
+            "root": tenant.ns.root,
             "block_size": self.engine.block_size,
         }
 
-    def _op_ping(self, state: _TenantState, payload: dict) -> dict:
+    def _op_ping(self, tenant: TenantBackend, payload: dict) -> dict:
         return {"pong": True, "time_s": self.clock.now}
 
-    def _op_goodbye(self, state: _TenantState, payload: dict) -> dict:
-        aborted = 0
-        for view in list(state.sessions.values()):
-            view.fs.release_fds()
-            if view.session.active:
-                self.engine.mvcc.abort(view.session, "connection closed")
-                aborted += 1
-        state.sessions.clear()
-        released = state.ns.release_fds()
-        return {"sessions_aborted": aborted, "fds_released": released}
+    def _op_goodbye(self, tenant: TenantBackend, payload: dict) -> dict:
+        return tenant.goodbye()
 
-    # -- handlers: VFS surface -------------------------------------------------
-    def _op_fs_open(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
+    def _op_fs_open(self, tenant: TenantBackend, payload: dict) -> dict:
+        fs = tenant.fs(payload.get("session"))
         fd = fs.open(payload["path"], payload.get("flags", fdmod.O_RDONLY))
         return {"fd": fd}
 
-    def _op_fs_close(self, state: _TenantState, payload: dict) -> dict:
-        state.fs_view(payload.get("session")).close(payload["fd"])
+    def _op_fs_close(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.fs(payload.get("session")).close(payload["fd"])
         return {"ok": True}
 
-    def _op_fs_pread(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
+    def _op_fs_pread(self, tenant: TenantBackend, payload: dict) -> dict:
+        fs = tenant.fs(payload.get("session"))
         offset, size = payload["offset"], payload["size"]
         if "fd" in payload:
             data = fs.pread(payload["fd"], size, offset)
@@ -439,8 +561,8 @@ class Server:
             data = fs._pread(payload["path"], offset, size)
         return {"data": data}
 
-    def _op_fs_pwrite(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
+    def _op_fs_pwrite(self, tenant: TenantBackend, payload: dict) -> dict:
+        fs = tenant.fs(payload.get("session"))
         offset, data = payload["offset"], payload["data"]
         if "fd" in payload:
             written = fs.pwrite(payload["fd"], data, offset)
@@ -450,164 +572,99 @@ class Server:
             written = fs._pwrite(payload["path"], offset, data)
         return {"written": written}
 
-    def _op_fs_create(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
-        fs._create(payload["path"])
+    def _op_fs_create(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.fs(payload.get("session"))._create(payload["path"])
         return {"ok": True}
 
-    def _op_fs_read_file(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
-        return {"data": fs.read_file(payload["path"])}
+    def _op_fs_read_file(self, tenant: TenantBackend, payload: dict) -> dict:
+        return {"data": tenant.fs(payload.get("session")).read_file(payload["path"])}
 
-    def _op_fs_write_file(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
+    def _op_fs_write_file(self, tenant: TenantBackend, payload: dict) -> dict:
         data = payload["data"]
-        fs.write_file(payload["path"], data)
+        tenant.fs(payload.get("session")).write_file(payload["path"], data)
         return {"written": len(data)}
 
-    def _op_fs_unlink(self, state: _TenantState, payload: dict) -> dict:
-        state.fs_view(payload.get("session")).unlink(payload["path"])
+    def _op_fs_unlink(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.fs(payload.get("session")).unlink(payload["path"])
         return {"ok": True}
 
-    def _op_fs_stat(self, state: _TenantState, payload: dict) -> dict:
-        st = state.fs_view(payload.get("session")).stat(payload["path"])
+    def _op_fs_stat(self, tenant: TenantBackend, payload: dict) -> dict:
+        st = tenant.fs(payload.get("session")).stat(payload["path"])
         return {"path": st.path, "size": st.size, "blocks": st.blocks}
 
-    def _op_fs_list(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
+    def _op_fs_list(self, tenant: TenantBackend, payload: dict) -> dict:
+        fs = tenant.fs(payload.get("session"))
         return {"paths": fs.listdir(payload.get("prefix", ""))}
 
-    def _op_fs_rename(self, state: _TenantState, payload: dict) -> dict:
-        state.fs_view(payload.get("session")).rename(payload["old"], payload["new"])
+    def _op_fs_rename(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.fs(payload.get("session")).rename(payload["old"], payload["new"])
         return {"ok": True}
 
-    def _op_fs_truncate(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
-        fs._truncate(payload["path"], payload["size"])
+    def _op_fs_truncate(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.fs(payload.get("session"))._truncate(payload["path"], payload["size"])
         return {"ok": True}
 
-    def _op_fs_fsync(self, state: _TenantState, payload: dict) -> dict:
-        fs = state.fs_view(payload.get("session"))
+    def _op_fs_fsync(self, tenant: TenantBackend, payload: dict) -> dict:
+        fs = tenant.fs(payload.get("session"))
         if "fd" in payload:
             fs.fsync(payload["fd"])
         else:
             fs._sync(payload["path"])
         return {"ok": True}
 
-    # -- handlers: MVCC sessions ----------------------------------------------
-    def _op_session_begin(self, state: _TenantState, payload: dict) -> dict:
-        session = self.engine.mvcc.begin()
-        provisional = state.ledger.provisional()
-        view = NamespaceFS(
-            SessionFS(self.fs, session),
-            state.config.name,
-            ledger=provisional,
-            fd_limit=state.config.fd_limit,
-        )
-        state.sessions[session.session_id] = _SessionView(
-            session, view, provisional
-        )
-        return {
-            "session": session.session_id,
-            "snapshot_csn": session.snapshot_csn,
-        }
+    def _op_session_begin(self, tenant: TenantBackend, payload: dict) -> dict:
+        session = tenant.session_begin()
+        return {"session": session, "snapshot_csn": tenant._open(session)[0].snapshot_csn}
 
-    def _op_session_commit(self, state: _TenantState, payload: dict) -> dict:
-        view = state.session_view(payload["session"])
-        del state.sessions[payload["session"]]
-        view.fs.release_fds()
-        # On WriteConflict the provisional ledger is simply dropped —
-        # its charges never reached the committed ledger.
-        ticket = view.session.commit()
-        view.ledger.fold()
-        return {
-            "csn": ticket.csn,
-            "durable": ticket.durable,
-            "read_only": ticket.read_only,
-        }
+    def _op_session_commit(self, tenant: TenantBackend, payload: dict) -> dict:
+        return tenant.session_commit(payload["session"])
 
-    def _op_session_abort(self, state: _TenantState, payload: dict) -> dict:
-        view = state.session_view(payload["session"])
-        del state.sessions[payload["session"]]
-        view.fs.release_fds()
-        if view.session.active:
-            self.engine.mvcc.abort(view.session, "client abort")
-        return {"aborted": True}
+    def _op_session_abort(self, tenant: TenantBackend, payload: dict) -> dict:
+        return tenant.session_abort(payload["session"])
 
-    # -- handlers: database front ends ----------------------------------------
-    def _op_sql_execute(self, state: _TenantState, payload: dict) -> dict:
-        db = state.db("sql", payload.get("session"))
-        return {"rows": db.execute(payload["sql"])}
+    def _op_sql_execute(self, tenant: TenantBackend, payload: dict) -> dict:
+        return {"rows": tenant.sql(payload["sql"], payload.get("session"))}
 
-    def _op_kv_put(self, state: _TenantState, payload: dict) -> dict:
-        state.db("kv", payload.get("session")).put(
-            payload["key"], payload["value"]
-        )
+    def _op_column_execute(self, tenant: TenantBackend, payload: dict) -> dict:
+        return {"rows": tenant.column(payload["sql"], payload.get("session"))}
+
+    # Aggregates push down to the column store's compressed-domain
+    # vectorized executor; a separate opcode keeps the intent (and
+    # future pushdown telemetry) visible on the wire.
+    _op_aggregate = _op_column_execute
+
+    def _op_kv_put(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.kv_put(payload["key"], payload["value"], payload.get("session"))
         return {"ok": True}
 
-    def _op_kv_get(self, state: _TenantState, payload: dict) -> dict:
-        value = state.db("kv", payload.get("session")).get(payload["key"])
+    def _op_kv_get(self, tenant: TenantBackend, payload: dict) -> dict:
+        value = tenant.kv_get(payload["key"], payload.get("session"))
         return {"value": value, "found": value is not None}
 
-    def _op_kv_delete(self, state: _TenantState, payload: dict) -> dict:
-        state.db("kv", payload.get("session")).delete(payload["key"])
+    def _op_kv_delete(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.kv_delete(payload["key"], payload.get("session"))
         return {"ok": True}
 
-    def _op_kv_scan(self, state: _TenantState, payload: dict) -> dict:
-        db = state.db("kv", payload.get("session"))
-        limit = payload.get("limit")
-        items: list[list[bytes]] = []
-        for key, value in db.scan(payload.get("start"), payload.get("end")):
-            items.append([key, value])
-            if limit is not None and len(items) >= limit:
-                break
-        return {"items": items}
+    def _op_kv_scan(self, tenant: TenantBackend, payload: dict) -> dict:
+        get = payload.get
+        items = tenant.kv_scan(get("start"), get("end"), get("limit"), get("session"))
+        return {"items": [[key, value] for key, value in items]}
 
-    def _op_column_execute(self, state: _TenantState, payload: dict) -> dict:
-        db = state.db("column", payload.get("session"))
-        return {"rows": db.execute(payload["sql"])}
+    def _op_ops_search(self, tenant: TenantBackend, payload: dict) -> dict:
+        return {"offsets": tenant.search(payload["path"], payload["pattern"])}
 
-    # -- handlers: compressed-domain pushdown ---------------------------------
-    def _mapped_path(self, state: _TenantState, path: str) -> str:
-        if not state.ns._exists(path):
-            raise FileNotFound(path)
-        return state.ns._map(path)
+    def _op_ops_count(self, tenant: TenantBackend, payload: dict) -> dict:
+        return {"count": tenant.count(payload["path"], payload["pattern"])}
 
-    def _op_ops_search(self, state: _TenantState, payload: dict) -> dict:
-        mapped = self._mapped_path(state, payload["path"])
-        return {"offsets": self.engine.ops.search(mapped, payload["pattern"])}
-
-    def _op_ops_count(self, state: _TenantState, payload: dict) -> dict:
-        mapped = self._mapped_path(state, payload["path"])
-        return {"count": self.engine.ops.count(mapped, payload["pattern"])}
-
-    def _op_ops_insert(self, state: _TenantState, payload: dict) -> dict:
-        mapped = self._mapped_path(state, payload["path"])
-        data = payload["data"]
-        state.ledger.charge(bytes_delta=len(data))
-        try:
-            self.engine.ops.insert(mapped, payload["offset"], data)
-        except BaseException:
-            state.ledger.charge(bytes_delta=-len(data))
-            raise
+    def _op_ops_insert(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.insert(payload["path"], payload["offset"], payload["data"])
         return {"ok": True}
 
-    def _op_ops_delete(self, state: _TenantState, payload: dict) -> dict:
-        mapped = self._mapped_path(state, payload["path"])
-        length = payload["length"]
-        self.engine.ops.delete(mapped, payload["offset"], length)
-        state.ledger.charge(bytes_delta=-length)
+    def _op_ops_delete(self, tenant: TenantBackend, payload: dict) -> dict:
+        tenant.delete(payload["path"], payload["offset"], payload["length"])
         return {"ok": True}
 
-    def _op_ops_word_count(self, state: _TenantState, payload: dict) -> dict:
-        mapped = self._mapped_path(state, payload["path"])
-        counts = self.engine.ops.word_count(mapped)
+    def _op_ops_word_count(self, tenant: TenantBackend, payload: dict) -> dict:
+        counts = tenant.word_count(payload["path"])
         # Payload dict keys must be str; words are bytes.
         return {"counts": [[word, n] for word, n in sorted(counts.items())]}
-
-    def _op_aggregate(self, state: _TenantState, payload: dict) -> dict:
-        # Aggregates push down to the column store's compressed-domain
-        # vectorized executor; a separate opcode keeps the intent (and
-        # future pushdown telemetry) visible on the wire.
-        db = state.db("column", payload.get("session"))
-        return {"rows": db.execute(payload["sql"])}

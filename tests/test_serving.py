@@ -15,8 +15,11 @@ Four concerns, matching the layer's four moving parts:
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import random
+import textwrap
 import zlib
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from repro.databases.common import DatabaseError
 from repro.fs.compressfs import CompressFS
 from repro.fs.errors import (
     FileNotFound,
+    InvalidArgument,
     PermissionDenied,
     QuotaExceeded,
     TryAgain,
@@ -35,7 +39,7 @@ from repro.fs.errors import (
     wire_code,
     wire_error_payload,
 )
-from repro.mvcc.session import WriteConflict
+from repro.mvcc.session import SessionClosed, WriteConflict
 from repro.serving import (
     AdmissionController,
     DeficitRoundRobin,
@@ -53,6 +57,7 @@ from repro.serving import (
     jain_fairness,
 )
 from repro.serving import protocol
+from repro.serving.server import Backend, TenantBackend
 from repro.serving.slo import metric_segment
 from repro.storage.block_device import CrashPointDevice, MemoryBlockDevice
 from repro.workloads import open_loop_arrivals, percentile
@@ -436,6 +441,28 @@ class TestServerRobustness:
         with pytest.raises(AttributeError, match="_op_fs_teleport"):
             make_server()
 
+    def test_request_spans_nest_under_serving_handle(self):
+        server = make_server()
+        server.add_tenant("t")
+        tracer = server.engine.obs.tracer
+        tracer.enabled = True
+        raw = server.serve_frame(
+            "t",
+            protocol.encode_frame(
+                protocol.OPCODES["KV_PUT"], 3, {"key": b"k", "value": b"v"}
+            ),
+        )
+        assert not protocol.decode_frame(raw)[0].is_error
+        spans = {span.span_id: span for span in tracer.spans()}
+        (root,) = [span for span in spans.values() if span.name == "serving.handle"]
+        assert root.attrs == {"tenant": "t", "opcode": "KV_PUT"}
+        inner = [span for span in spans.values() if span is not root]
+        assert any(span.name.startswith("engine.") for span in inner)
+        for span in inner:  # every other span's ancestry reaches the root
+            while span.parent_id != root.span_id:
+                assert span.parent_id is not None, span.name
+                span = spans[span.parent_id]
+
     def test_engine_errors_normalize_to_wire_codes(self):
         server = make_server()
         server.add_tenant("t")
@@ -772,7 +799,7 @@ class TestWireDatabases:
         client.column("CREATE TABLE m (a INT, b INT)")
         client.column("INSERT INTO m VALUES (1, 100)")
         client.column("INSERT INTO m VALUES (2, 200)")
-        total = client.aggregate("SELECT SUM(b) FROM m")
+        total = client.call("AGGREGATE", sql="SELECT SUM(b) FROM m")["rows"]
         assert list(total[0].values()) == [300]
 
         RemoteFS(client).write_file("/doc", b"needle in a haystack, needle")
@@ -940,6 +967,18 @@ def drive_facade(client: api.Client) -> dict:
     with pytest.raises(DatabaseError) as syntax:
         client.sql("SELEKT 1")
     fingerprint["syntax_error"] = str(syntax.value)
+    # A scan limit of 0 is an empty scan; a negative one is refused.
+    fingerprint["scan_limit_0"] = list(client._backend.kv_scan(limit=0))
+    fingerprint["scan_limit_1"] = list(client._backend.kv_scan(limit=1))
+    with pytest.raises(InvalidArgument):
+        client._backend.kv_scan(limit=-1)
+    # Closing the client aborts the sessions it left open.
+    txn = client.session()
+    txn.fs.write_file("/dangling", b"x")
+    client.close()
+    with pytest.raises(SessionClosed):
+        txn.commit()
+    fingerprint["dangling"] = client.fs.exists("/dangling")
     return fingerprint
 
 
@@ -962,6 +1001,66 @@ class TestFacade:
         server.add_tenant("t")
         wire = drive_facade(api.connect(server, tenant="t"))
         assert direct == wire
+
+    def test_close_aborts_open_sessions_on_both_backends(self):
+        server = make_server()
+        server.add_tenant("t")
+        direct_fs = CompressFS(block_size=256, page_capacity=8)
+        for client, engine in (
+            (api.connect(server, tenant="t"), server.engine),
+            (api.connect(direct_fs), direct_fs.engine),
+        ):
+            txn = client.session()
+            txn.fs.write_file("/dangling", b"x")
+            client.close()
+            registry = engine.obs.registry
+            assert registry.gauge("mvcc.sessions.active").value == 0
+            assert registry.counter("mvcc.sessions.aborted").value == 1
+            with pytest.raises(SessionClosed):
+                txn.commit()
+            assert not client.fs.exists("/dangling")
+
+    def test_kv_scan_limit_on_both_backends(self):
+        server = make_server()
+        server.add_tenant("t")
+        wire = make_client(server, "t")
+        direct = api.connect(CompressFS(block_size=256, page_capacity=8))._backend
+        for backend in (wire, direct):
+            for key in (b"a", b"b", b"c"):
+                backend.kv_put(key, key.upper())
+            assert list(backend.kv_scan(limit=0)) == []
+            assert list(backend.kv_scan(limit=2)) == [(b"a", b"A"), (b"b", b"B")]
+            assert len(list(backend.kv_scan())) == 3
+            for limit in (-1, -5):
+                with pytest.raises(InvalidArgument):
+                    backend.kv_scan(limit=limit)
+
+    def test_backend_has_the_wire_clients_surface(self):
+        # HELLO / PING and the raw round trip run the connection itself.
+        surface = {
+            name
+            for name, __ in inspect.getmembers(WireClient, inspect.isfunction)
+            if not name.startswith("_")
+        } - {"call", "hello", "ping"}
+        assert {"fs", "sql", "kv_scan", "insert", "session_begin", "goodbye"} <= surface
+        for backend in (Backend, TenantBackend):
+            for name in sorted(surface):
+                assert inspect.signature(getattr(backend, name)) == inspect.signature(
+                    getattr(WireClient, name)
+                ), f"{backend.__name__}.{name}"
+        # The facade classes call nothing on their backend outside it.
+        for facade in (api.Client, api.KVHandle, api.SessionScope):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(facade)))
+            called = {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and (
+                    (isinstance(node.value, ast.Name) and node.value.id == "backend")
+                    or (isinstance(node.value, ast.Attribute) and node.value.attr == "_backend")
+                )
+            }
+            assert called and called <= surface, (facade.__name__, called - surface)
 
     def test_connect_validates_target(self):
         from repro.fs.errors import InvalidArgument
