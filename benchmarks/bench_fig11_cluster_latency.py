@@ -11,7 +11,7 @@ the file tail across the network.
 import random
 
 from repro.bench import print_table
-from repro.distributed import build_cluster
+from repro.distributed import build_replicated_cluster
 from repro.workloads import LatencyRecorder, generate_dataset
 
 OP_NAMES = ("extract", "replace", "insert", "delete", "append", "search", "count")
@@ -19,8 +19,8 @@ OPERATIONS_PER_TYPE = 15
 
 
 def _run_cluster(compressed: bool):
-    cluster = build_cluster(
-        nodes=5, compressed=compressed, pushdown=compressed, chunk_capacity=16 * 1024
+    cluster = build_replicated_cluster(
+        nodes=5, masters=1, compressed=compressed, pushdown=compressed, chunk_capacity=16 * 1024
     )
     data = generate_dataset("A", scale=0.1).concatenated()
     cluster.client.write_file("/target", data)

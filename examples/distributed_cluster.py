@@ -11,7 +11,7 @@ Run with::
     python examples/distributed_cluster.py
 """
 
-from repro.distributed import build_cluster
+from repro.distributed import build_replicated_cluster
 from repro.workloads import generate_dataset
 
 
@@ -21,12 +21,13 @@ def main() -> None:
     print(f"corpus: {len(data)} bytes\n")
     results = {}
     for label, compressed in (("MooseFS baseline", False), ("CompressDB", True)):
-        cluster = build_cluster(
-            nodes=5, compressed=compressed, pushdown=compressed,
+        cluster = build_replicated_cluster(
+            nodes=5, masters=1, compressed=compressed, pushdown=compressed,
             chunk_capacity=32 * 1024,
         )
+        start = cluster.clock.now  # after the builder's leader election
         cluster.client.write_file("/corpus", data)
-        ingest = cluster.clock.now
+        ingest = cluster.clock.now - start
 
         cluster.clock.reset()
         cluster.client.insert("/corpus", 12345, b"[pushed-down insert]")

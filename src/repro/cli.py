@@ -353,7 +353,7 @@ def _lint_sanitize(args) -> int:
         install_sanitizer,
         uninstall_sanitizer,
     )
-    from repro.distributed.cluster import build_cluster
+    from repro.distributed.cluster import build_replicated_cluster
 
     program = build_program_for(args.paths)
     static_edges = {
@@ -369,7 +369,7 @@ def _lint_sanitize(args) -> int:
             sessions=3,
             rounds=2,
             sanitizer=sanitizer,
-            cluster=build_cluster(nodes=3, durable=True),
+            cluster=build_replicated_cluster(nodes=3, masters=1, durable=True),
         )
     finally:
         uninstall_sanitizer()

@@ -17,7 +17,7 @@ redundancy (and CompressDB its dedup opportunities).
 from __future__ import annotations
 
 import json
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.databases.common import Database, DatabaseError, frame_record, read_frames
 from repro.fs.vfs import FileSystem
@@ -138,20 +138,26 @@ class Collection:
 
     def _append_record(self, flag: int, payload: Document) -> int:
         frame = frame_record(bytes([flag]) + json.dumps(payload).encode("utf-8"))
-        if self.align_to and len(frame) > self.align_to // 2:
-            # Start large records on a block boundary (zero padding is
-            # skipped by read_frames; gaps under a header size are
-            # widened so the scanner never misparses them).
-            position = self.fs.stat(self.path).size
-            gap = (self.align_to - position % self.align_to) % self.align_to
-            if 0 < gap < 8:
-                gap += self.align_to
-            if gap:
-                self.fs.append_file(self.path, b"\x00" * gap)
+        gap = self._gap(frame, lambda: self.fs.stat(self.path).size)
+        if gap:
+            self.fs.append_file(self.path, b"\x00" * gap)
         self.fs.append_file(self.path, frame)
         ordinal = len(self._records)
         self._records.append((ordinal, None if flag == 1 else payload))
         return ordinal
+
+    def _gap(self, frame: bytes, end: Callable[[], int]) -> int:
+        """Zero bytes to write before ``frame`` in a file ending at ``end()``.
+
+        Large records start on a block boundary (zero padding is skipped
+        by read_frames; gaps under a header size are widened so the
+        scanner never misparses them).  ``end`` is called only for such
+        a record, so a small append costs no ``stat``.
+        """
+        if not self.align_to or len(frame) <= self.align_to // 2:
+            return 0
+        gap = (self.align_to - end() % self.align_to) % self.align_to
+        return gap + self.align_to if 0 < gap < 8 else gap
 
     # -- secondary field indexes ------------------------------------------
     def create_index(self, field: str) -> None:
@@ -173,8 +179,11 @@ class Collection:
         return sorted(self._field_indexes)
 
     def _save_meta(self) -> None:
+        """Written aside and renamed over the old sidecar, never torn."""
         payload = {"indexes": sorted(self._field_indexes)}
-        self.fs.write_file(self._meta_path, json.dumps(payload).encode("utf-8"))
+        staged = self._meta_path + ".tmp"
+        self.fs.write_file(staged, json.dumps(payload).encode("utf-8"))
+        self.fs.rename(staged, self._meta_path)
 
     def _build_field_index(self, field: str) -> None:
         index: dict[object, set[str]] = {}
@@ -335,17 +344,28 @@ class Collection:
         return self._dead
 
     def compact(self) -> None:
-        """Rewrite the file keeping only the latest live versions."""
-        live = [self._records[ordinal][1] for ordinal in sorted(self._index.values())]
-        self.fs.write_file(self.path, b"")
-        self._records = []
-        self._index = {}
-        self._dead = 0
-        for document in live:
+        """Rewrite the file keeping only the latest live versions.
+
+        The compacted file is written aside and renamed over the old
+        one, and the in-memory index is swapped in only after that: if
+        writing the compacted file raises, the file and the open
+        collection are as they were.
+        """
+        out = bytearray()
+        records: list[tuple[int, Optional[Document]]] = []
+        index: dict[str, int] = {}
+        for ordinal in sorted(self._index.values()):
+            document = self._records[ordinal][1]
             assert document is not None
-            doc_id = document["_id"]
-            assert isinstance(doc_id, str)
-            self._index[doc_id] = self._append_record(0, document)
+            frame = frame_record(b"\x00" + json.dumps(document).encode("utf-8"))
+            out += b"\x00" * self._gap(frame, lambda: len(out))
+            out += frame
+            index[document["_id"]] = len(records)  # type: ignore[index]
+            records.append((len(records), document))
+        staged = self.path + ".compact"
+        self.fs.write_file(staged, bytes(out))
+        self.fs.rename(staged, self.path)
+        self._records, self._index, self._dead = records, index, 0
 
 
 class MiniMongo(Database):

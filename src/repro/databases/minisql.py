@@ -445,26 +445,36 @@ class MiniSQL(Database):
 
     # -- catalog -----------------------------------------------------------
     def _load_catalog(self) -> None:
-        payload = json.loads(self.fs.read_file(self._catalog_path).decode("utf-8"))
-        for entry in payload["tables"]:
-            schema = TableSchema.from_json(entry)
+        raw = self.fs.read_file(self._catalog_path)
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+            schemas = [TableSchema.from_json(entry) for entry in payload["tables"]]
+            indexes = [
+                (entry["name"], entry["table"], entry["column"])
+                for entry in payload.get("indexes", [])
+            ]
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CorruptRecord(f"{self._catalog_path}: malformed: {exc}") from exc
+        for schema in schemas:
             self._tables[schema.name] = Table(
                 self.fs,
                 schema,
                 path=f"{self.directory}/{schema.name}.tbl",
                 page_size=self.page_size,
             )
-        for entry in payload.get("indexes", []):
-            index = SecondaryIndex(
+        for name, table, column in indexes:
+            self._indexes[name] = SecondaryIndex(
                 self.fs,
-                path=f"{self.directory}/{entry['name']}.idx",
-                name=entry["name"],
-                table=entry["table"],
-                column=entry["column"],
+                path=f"{self.directory}/{name}.idx",
+                name=name,
+                table=table,
+                column=column,
             )
-            self._indexes[index.name] = index
 
     def _save_catalog(self) -> None:
+        """Publish the schema: written aside, then renamed over the old
+        catalog, so a reopen finds the old one or the new one, never a
+        truncated file."""
         payload = {
             "tables": [table.schema.to_json() for table in self._tables.values()],
             "indexes": [
@@ -472,7 +482,9 @@ class MiniSQL(Database):
                 for index in self._indexes.values()
             ],
         }
-        self.fs.write_file(self._catalog_path, json.dumps(payload).encode("utf-8"))
+        staged = self._catalog_path + ".tmp"
+        self.fs.write_file(staged, json.dumps(payload).encode("utf-8"))
+        self.fs.rename(staged, self._catalog_path)
 
     def _indexes_on(self, table: str) -> list[SecondaryIndex]:
         return [index for index in self._indexes.values() if index.table == table]

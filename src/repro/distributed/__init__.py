@@ -1,21 +1,17 @@
 """MooseFS-like distributed layer: master, chunk servers, client.
 
-The metadata plane comes in two builds: a single in-process
-:class:`Master` (the original SPOF) and the replicated plane — a Raft
-:class:`~repro.distributed.replicated.MasterGroup` behind the
-:class:`~repro.distributed.replicated.ReplicatedMaster` facade,
-optionally sharded by consistent hashing
-(:class:`~repro.distributed.shardmap.ShardedMaster`).
+The metadata plane has one build: each shard is a Raft
+:class:`~repro.distributed.replicated.MasterGroup` of ``masters``
+replicas (one is MooseFS's single master, with a durable log) behind
+the :class:`~repro.distributed.replicated.ReplicatedMaster` facade,
+and several shards sit behind a fixed consistent-hash ring
+(:class:`~repro.distributed.shardmap.ShardedMaster`).  A plain
+:class:`Master` is each replica's local state.
 """
 
 from repro.distributed.chunkserver import ChunkServer, ServerDown
 from repro.distributed.client import ClusterClient, NoLiveReplica
-from repro.distributed.cluster import (
-    Cluster,
-    ReplicatedCluster,
-    build_cluster,
-    build_replicated_cluster,
-)
+from repro.distributed.cluster import Cluster, build_replicated_cluster
 from repro.distributed.interleave import run_interleaved_sessions
 from repro.distributed.master import (
     ChunkInfo,
@@ -23,18 +19,12 @@ from repro.distributed.master import (
     Master,
 )
 from repro.distributed.replicated import MasterGroup, ReplicatedMaster
-from repro.distributed.shardmap import (
-    ClientShardCache,
-    ShardMap,
-    ShardedMaster,
-    StaleShardMap,
-)
+from repro.distributed.shardmap import ShardMap, ShardedMaster
 from repro.raft.node import NotLeaderError
 
 __all__ = [
     "ChunkInfo",
     "ChunkServer",
-    "ClientShardCache",
     "Cluster",
     "ClusterClient",
     "FileEntry",
@@ -42,13 +32,10 @@ __all__ = [
     "MasterGroup",
     "NoLiveReplica",
     "NotLeaderError",
-    "ReplicatedCluster",
     "ReplicatedMaster",
     "ServerDown",
     "ShardMap",
     "ShardedMaster",
-    "StaleShardMap",
-    "build_cluster",
     "build_replicated_cluster",
     "run_interleaved_sessions",
 ]

@@ -17,6 +17,7 @@ from repro.locks import LOCK_TIERS, tracked_lock
 from repro.core.engine import CompressDB
 from repro.databases.colcodec import fold_int_cells
 from repro.fs.compressfs import CompressFS
+from repro.fs.errors import FSError
 from repro.obs import Observability
 from repro.fs.posix_ops import PosixOperations
 from repro.fs.vfs import PassthroughFS
@@ -26,8 +27,8 @@ from repro.storage.simclock import CLOUD_ESSD, SimClock
 from repro.storage.stats import IOStats
 
 
-class ServerDown(Exception):
-    """The chunk server is offline (simulated node failure)."""
+class ServerDown(FSError):
+    """The chunk server is offline (simulated node failure; EIO)."""
 
 
 class ChunkServer:

@@ -18,6 +18,7 @@ from repro.core.match import count_matches, find_all, find_crossing
 from repro.databases.colcodec import fold_int_cells, merge_folds
 from repro.distributed.chunkserver import ChunkServer
 from repro.distributed.master import Master
+from repro.fs.errors import FSError
 from repro.obs import Observability
 from repro.storage.simclock import DATACENTER_LAN, NetworkProfile, SimClock
 
@@ -33,8 +34,8 @@ _CELL_BYTES = 8
 _FOLD_BYTES = 32
 
 
-class NoLiveReplica(Exception):
-    """Every replica of a chunk is on an offline server."""
+class NoLiveReplica(FSError):
+    """Every replica of a chunk is on an offline server (EIO)."""
 
 
 class ClusterClient:

@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro.locks import LOCK_TIERS, LockOrderSanitizer, TrackedLock
 from repro.core.engine import CompressDB
-from repro.distributed.cluster import Cluster, build_cluster
+from repro.distributed.cluster import Cluster, build_replicated_cluster
 from repro.mvcc import Session, WriteConflict
 from repro.storage.block_device import MemoryBlockDevice
 
@@ -71,7 +71,7 @@ def run_interleaved_sessions(
     cluster for inspection.
     """
     if cluster is None:
-        cluster = build_cluster(nodes=3)
+        cluster = build_replicated_cluster(nodes=3, masters=1)
     scripts = {
         f"s{index}": _session_script(f"s{index}r0") for index in range(sessions)
     }

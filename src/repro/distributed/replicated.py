@@ -13,10 +13,9 @@ quorum round trip on the read path).
 
 Locking: the whole group shares ONE rank-0 master lock.  Composite
 operations in :class:`~repro.distributed.client.ClusterClient` hold it
-across their multi-RPC mutations exactly as with a plain master, and
-because the same lock object is wired into every replica's ``Master``,
-the ``require_held()`` contracts hold on whichever replica happens to
-apply a command.  Group-administrative entry points (tick, elect,
+across their multi-RPC mutations, and because the same lock object is
+wired into every replica's ``Master``, the ``require_held()`` contracts
+hold on whichever replica happens to apply a command.  Group-administrative entry points (tick, elect,
 restart) acquire the lock themselves when the caller does not already
 own it — they can apply committed entries, which mutates master state.
 

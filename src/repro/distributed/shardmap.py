@@ -4,18 +4,13 @@ One Raft group replicates the metadata for availability; *sharding*
 splits the namespace across several groups so metadata capacity and
 command throughput scale with masters.  The shard map is a classic
 consistent-hash ring: every group contributes ``vnodes`` points (SHA-256
-of ``"group:replica"``), a path is owned by the first point clockwise
-of its hash, and adding or removing a group only remaps the ring arcs
-adjacent to its points.
+of ``"group:replica"``), and a path is owned by the first point
+clockwise of its hash, so a ring built over one more or one fewer group
+moves only the arcs adjacent to that group's points.
 
-Clients cache the ring (:class:`ClientShardCache`) and route locally —
-zero metadata RPCs on the happy path.  The cache is invalidated by
-**epoch**: every membership change bumps ``ShardMap.epoch``, and an
-operation arriving with a stale epoch is rejected with
-:class:`StaleShardMap` (a :class:`~repro.fs.errors.TryAgain`, so it
-crosses the serving wire as EAGAIN).  The client refreshes its view
-and retries — the same backoff discipline as a NotLeader redirect, one
-layer up.
+The ring is fixed when the cluster is built: shard split and merge are
+out of scope, so there is no membership change for a client's cached
+route to go stale against, and the router looks paths up directly.
 """
 
 from __future__ import annotations
@@ -23,22 +18,10 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from itertools import chain
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from repro.locks import TrackedLock, tracked_lock
+from repro.locks import TrackedLock
 from repro.distributed.master import METADATA_PLANE, Master
-from repro.fs.errors import TryAgain
-from repro.obs import Observability
-
-
-class StaleShardMap(TryAgain):
-    """The caller routed with an out-of-date shard map epoch."""
-
-    def __init__(
-        self, message: str = "", current_epoch: int = 0, retry_after_ms: float = 0.0
-    ) -> None:
-        super().__init__(message, retry_after_ms=retry_after_ms)
-        self.current_epoch = current_epoch
 
 
 def _point(label: str) -> int:
@@ -64,7 +47,11 @@ def _ring_lookup(ring: list[tuple[int, str]], path: str) -> str:
 
 
 class ShardMapView:
-    """An immutable client-side copy of the ring at one epoch."""
+    """An immutable copy of a ring.
+
+    Nothing in the program builds one; it stays while the end-to-end
+    tracer's ``TARGETS`` (``benchmarks/e2e/trace.py``) names it.
+    """
 
     __slots__ = ("epoch", "_ring")
 
@@ -80,7 +67,7 @@ class ShardMapView:
 
 
 class ShardMap:
-    """The authoritative ring plus its invalidation epoch."""
+    """The ring over a fixed set of groups."""
 
     def __init__(self, groups: list[str], vnodes: int = 64) -> None:
         if vnodes < 1:
@@ -88,86 +75,12 @@ class ShardMap:
         self.vnodes = vnodes
         self._groups = sorted(groups)
         self._ring = _build_ring(self._groups, vnodes)
-        self.epoch = 1
-        #: Unranked: guards only the ring/epoch pair, nests anywhere.
-        self._map_lock = tracked_lock("shardmap.ring.lock")
 
     def group_for(self, path: str) -> str:
         return _ring_lookup(self._ring, path)
 
     def groups(self) -> list[str]:
         return list(self._groups)
-
-    def snapshot(self) -> ShardMapView:
-        return ShardMapView(self.epoch, list(self._ring))
-
-    def check_epoch(self, epoch: int) -> None:
-        """Reject a request routed with a stale cached map."""
-        if epoch != self.epoch:
-            raise StaleShardMap(
-                f"shard map epoch {epoch} is stale (current {self.epoch})",
-                current_epoch=self.epoch,
-            )
-
-    def add_group(self, name: str) -> int:
-        with self._map_lock:
-            if name not in self._groups:
-                self._groups = sorted(self._groups + [name])
-                self._ring = _build_ring(self._groups, self.vnodes)
-                self.epoch += 1
-            return self.epoch
-
-    def remove_group(self, name: str) -> int:
-        with self._map_lock:
-            if name in self._groups:
-                remaining = [g for g in self._groups if g != name]
-                self._ring = _build_ring(remaining, self.vnodes)
-                self._groups = remaining
-                self.epoch += 1
-            return self.epoch
-
-
-class ClientShardCache:
-    """A client's cached routing view, refreshed on epoch rejection."""
-
-    def __init__(
-        self, shardmap: ShardMap, obs: Optional[Observability] = None
-    ) -> None:
-        self._shardmap = shardmap
-        self.view = shardmap.snapshot()
-        obs = obs if obs is not None else Observability()
-        self._c_refresh = obs.registry.counter("shardmap.client.refreshes")
-        self._c_stale = obs.registry.counter("shardmap.client.stale_routes")
-        #: Unranked cache guard (the view swap must be scoped).
-        self._view_lock = tracked_lock("shardmap.cache.lock")
-
-    @property
-    def epoch(self) -> int:
-        return self.view.epoch
-
-    def group_for(self, path: str) -> str:
-        return self.view.group_for(path)
-
-    def refresh(self) -> ShardMapView:
-        with self._view_lock:
-            self.view = self._shardmap.snapshot()
-            self._c_refresh.inc()
-            return self.view
-
-    def call(self, path: str, fn: Callable[[str, int], Any]) -> Any:
-        """Run ``fn(group_name, epoch)`` with stale-epoch retry.
-
-        ``fn`` models the RPC: the server side validates the epoch via
-        :meth:`ShardMap.check_epoch` and raises :class:`StaleShardMap`
-        when the client's view is outdated; one refresh is always
-        enough because the refreshed view carries the rejecting epoch.
-        """
-        try:
-            return fn(self.view.group_for(path), self.view.epoch)
-        except StaleShardMap:
-            self._c_stale.inc()
-            self.refresh()
-            return fn(self.view.group_for(path), self.view.epoch)
 
 
 class ShardedMaster:
@@ -194,10 +107,8 @@ class ShardedMaster:
         self.map = ShardMap(sorted(shards), vnodes=vnodes)
         self.lock = lock
 
-    def shard_for(self, path: str, epoch: Optional[int] = None) -> Any:
-        """The owning shard; validates a client's cached ``epoch``."""
-        if epoch is not None:
-            self.map.check_epoch(epoch)
+    def shard_for(self, path: str) -> Any:
+        """The shard that owns ``path``."""
         return self.shards[self.map.group_for(path)]
 
     def _first(self) -> Any:

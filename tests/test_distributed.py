@@ -8,7 +8,7 @@ from repro.databases.colcodec import pack_int_cells
 from repro.distributed import (
     ChunkServer,
     Master,
-    build_cluster,
+    build_replicated_cluster,
 )
 from repro.core.operations import OperationModule
 from repro.fs.errors import FileExists, FileNotFound
@@ -154,26 +154,26 @@ class TestChunkServer:
 
 class TestCluster:
     def test_write_read_roundtrip(self):
-        cluster = build_cluster(nodes=3, chunk_capacity=64)
+        cluster = build_replicated_cluster(nodes=3, masters=1, chunk_capacity=64)
         data = b"0123456789" * 30
         cluster.client.write_file("/f", data)
         assert cluster.client.read_file("/f") == data
         assert cluster.master.chunk_count() == -(-len(data) // 64)
 
     def test_chunks_spread_across_servers(self):
-        cluster = build_cluster(nodes=3, chunk_capacity=32)
+        cluster = build_replicated_cluster(nodes=3, masters=1, chunk_capacity=32)
         cluster.client.write_file("/f", b"x" * 200)
         populated = [s for s in cluster.servers.values() if s.chunk_ids()]
         assert len(populated) == 3
 
     def test_unlink_removes_chunks(self):
-        cluster = build_cluster(nodes=2, chunk_capacity=32)
+        cluster = build_replicated_cluster(nodes=2, masters=1, chunk_capacity=32)
         cluster.client.write_file("/f", b"x" * 100)
         cluster.client.unlink("/f")
         assert all(not s.chunk_ids() for s in cluster.servers.values())
 
     def test_overwrite_within_file(self):
-        cluster = build_cluster(nodes=2, chunk_capacity=32)
+        cluster = build_replicated_cluster(nodes=2, masters=1, chunk_capacity=32)
         cluster.client.write_file("/f", b"a" * 100)
         cluster.client.write("/f", 30, b"BBBB")
         data = cluster.client.read_file("/f")
@@ -181,7 +181,7 @@ class TestCluster:
 
     @pytest.mark.parametrize("pushdown", [True, False])
     def test_insert_delete_equivalence(self, pushdown):
-        cluster = build_cluster(nodes=3, pushdown=pushdown, chunk_capacity=48)
+        cluster = build_replicated_cluster(nodes=3, masters=1, pushdown=pushdown, chunk_capacity=48)
         reference = bytearray(b"The distributed quick brown fox. " * 20)
         cluster.client.write_file("/f", bytes(reference))
         rng = random.Random(5)
@@ -200,7 +200,7 @@ class TestCluster:
 
     @pytest.mark.parametrize("pushdown", [True, False])
     def test_search_matches_naive(self, pushdown):
-        cluster = build_cluster(nodes=3, pushdown=pushdown, chunk_capacity=40)
+        cluster = build_replicated_cluster(nodes=3, masters=1, pushdown=pushdown, chunk_capacity=40)
         data = b"needle in a haystack, needle again, neeneedle " * 8
         cluster.client.write_file("/f", data)
         expected = []
@@ -212,7 +212,7 @@ class TestCluster:
         assert cluster.client.count("/f", b"needle") == len(expected)
 
     def test_search_finds_cross_chunk_match(self):
-        cluster = build_cluster(nodes=2, chunk_capacity=32)
+        cluster = build_replicated_cluster(nodes=2, masters=1, chunk_capacity=32)
         data = b"a" * 30 + b"SPLIT" + b"b" * 30  # straddles the 32-byte chunk
         cluster.client.write_file("/f", data)
         assert cluster.client.search("/f", b"SPLIT") == [30]
@@ -222,7 +222,7 @@ class TestCluster:
     def test_count_is_len_search_across_short_chunks(self, chunk_capacity, compressed):
         """Chunks shorter than the pattern: a match crosses several
         boundaries and belongs to the first; self-overlapping patterns."""
-        cluster = build_cluster(nodes=3, chunk_capacity=chunk_capacity, compressed=compressed)
+        cluster = build_replicated_cluster(nodes=3, masters=1, chunk_capacity=chunk_capacity, compressed=compressed)
         data = b"aaaaaaaaaa" + b"abaababaab" * 6 + b"aaaa"
         cluster.client.write_file("/f", data)
         cluster.client.insert("/f", 17, b"ab")
@@ -240,7 +240,7 @@ class TestCluster:
 
     def test_count_ships_counts_not_offsets(self):
         """A count's network bytes depend on the chunks, not the matches."""
-        cluster = build_cluster(nodes=2, chunk_capacity=1024)
+        cluster = build_replicated_cluster(nodes=2, masters=1, chunk_capacity=1024)
         cluster.client.write_file("/f", b"a" * 4096)
         counter = cluster.client.obs.registry.counter("cluster.rpc.bytes")
 
@@ -257,8 +257,8 @@ class TestCluster:
 
     def test_pushdown_is_cheaper_than_rewrite(self):
         data = b"payload block " * 4000
-        slow = build_cluster(nodes=3, compressed=False, pushdown=False)
-        fast = build_cluster(nodes=3, compressed=True, pushdown=True)
+        slow = build_replicated_cluster(nodes=3, masters=1, compressed=False, pushdown=False)
+        fast = build_replicated_cluster(nodes=3, masters=1, compressed=True, pushdown=True)
         for cluster in (slow, fast):
             cluster.client.write_file("/f", data)
             cluster.clock.reset()
@@ -267,13 +267,13 @@ class TestCluster:
         assert fast.clock.now < slow.clock.now / 5
 
     def test_compression_ratio_of_redundant_data(self):
-        cluster = build_cluster(nodes=2, compressed=True, chunk_capacity=4096)
+        cluster = build_replicated_cluster(nodes=2, masters=1, compressed=True, chunk_capacity=4096)
         block = b"Z" * 1024
         cluster.client.write_file("/f", block * 64)
         assert cluster.compression_ratio() > 10
 
     def test_stats_registry_tracks_all_nodes(self):
-        cluster = build_cluster(nodes=4)
+        cluster = build_replicated_cluster(nodes=4, masters=1)
         cluster.client.write_file("/f", b"x" * 5000)
         counters = cluster.metrics().counters
         writes = [counters[f"cluster.node{i}.device.block_writes"] for i in range(4)]
@@ -302,14 +302,14 @@ class TestAggregatePushdown:
     def test_matches_local_fold(self, pushdown):
         # chunk_capacity=100 is not a multiple of 8: every chunk boundary
         # splits a cell, exercising the client-side straddle handling.
-        cluster = build_cluster(nodes=3, pushdown=pushdown, chunk_capacity=100)
+        cluster = build_replicated_cluster(nodes=3, masters=1, pushdown=pushdown, chunk_capacity=100)
         values, payload = self._cells(random.Random(11), 200)
         cluster.client.write_file("/cells", payload)
         assert cluster.client.aggregate("/cells") == self._fold(values)
 
     @pytest.mark.parametrize("pushdown", [True, False])
     def test_subrange(self, pushdown):
-        cluster = build_cluster(nodes=2, pushdown=pushdown, chunk_capacity=96)
+        cluster = build_replicated_cluster(nodes=2, masters=1, pushdown=pushdown, chunk_capacity=96)
         values, payload = self._cells(random.Random(12), 150)
         cluster.client.write_file("/cells", payload)
         assert cluster.client.aggregate("/cells", 80, 400) == self._fold(
@@ -317,7 +317,7 @@ class TestAggregatePushdown:
         )
 
     def test_empty_and_misaligned(self):
-        cluster = build_cluster(nodes=1)
+        cluster = build_replicated_cluster(nodes=1, masters=1)
         cluster.client.write_file("/cells", b"")
         assert cluster.client.aggregate("/cells") == (0, 0, None, None)
         cluster.client.write_file("/cells", pack_int_cells([1, 2]))
@@ -328,8 +328,8 @@ class TestAggregatePushdown:
         values, payload = self._cells(random.Random(13), 4000)
         costs = {}
         for pushdown in (True, False):
-            cluster = build_cluster(
-                nodes=3, pushdown=pushdown, chunk_capacity=4096
+            cluster = build_replicated_cluster(
+                nodes=3, masters=1, pushdown=pushdown, chunk_capacity=4096
             )
             cluster.client.write_file("/cells", payload)
             rpc_bytes = cluster.client.obs.registry.counter("cluster.rpc.bytes")

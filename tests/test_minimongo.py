@@ -5,6 +5,7 @@ import pytest
 from repro.databases.minimongo import DuplicateKey, MiniMongo, matches
 from repro.databases.common import DatabaseError
 from repro.fs import CompressFS, PassthroughFS
+from repro.fs.errors import FSError
 
 
 @pytest.fixture(params=["passthrough", "compress"])
@@ -147,6 +148,38 @@ class TestDurabilityAndCompaction:
         collection.compact()
         assert db.fs.stat(collection.path).size < size_before
         assert collection.find_one({"_id": doc_id})["v"] == 29
+
+    @pytest.mark.parametrize("failing_write", [1, 10])
+    def test_failed_compaction_keeps_every_document(self, db, failing_write):
+        """The ``failing_write``-th write to the collection's files during
+        ``compact()`` raises; the open collection and a reopen still hold
+        all 40 documents at their latest version."""
+        collection = db["c"]
+        for i in range(40):
+            collection.insert_one({"_id": f"d{i:02d}", "v": 0})
+            collection.update_one({"_id": f"d{i:02d}"}, {"$set": {"v": 1}})
+        original = db.fs._pwrite
+        writes = []
+
+        def _pwrite(path, offset, data):
+            if path.startswith(collection.path):
+                writes.append(path)
+                if len(writes) == failing_write:
+                    raise FSError("injected compaction write failure")
+            return original(path, offset, data)
+
+        db.fs._pwrite = _pwrite
+        try:
+            collection.compact()
+        except FSError:
+            pass
+        del db.fs._pwrite
+        assert writes
+        for handle in (collection, MiniMongo(db.fs)["c"]):
+            assert handle.count_documents() == 40
+            assert all(
+                handle.find_one({"_id": f"d{i:02d}"})["v"] == 1 for i in range(40)
+            )
 
     def test_dead_record_accounting(self, db):
         collection = db["c"]

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.databases.common import CorruptRecord
 from repro.databases.minisql import MiniSQL, TableError
 from repro.fs import CompressFS, PassthroughFS
+from repro.fs.errors import FSError
 
 
 @pytest.fixture(params=["passthrough", "compress"])
@@ -150,6 +152,54 @@ class TestPersistence:
             db.execute(f"INSERT INTO t VALUES ({i}, 'x{i}', 0.0)")
         reopened = MiniSQL(db.fs, page_size=512)
         assert reopened.execute("SELECT count(*) c FROM t")[0]["c"] == 120
+
+
+class TestCatalogProtocol:
+    """A catalog write that fails, then a reopen: the database opens with
+    the catalog it had, because the new one is written aside and renamed
+    over the old one."""
+
+    def test_failed_catalog_write_keeps_the_old_catalog(self, db):
+        for i in range(30):
+            db.execute(f"INSERT INTO t VALUES ({i}, 'row{i}', 0.5)")
+        catalog = f"{db.directory}/catalog.json"
+        original = db.fs._pwrite
+        failures = []
+
+        def _pwrite(path, offset, data):
+            if path.startswith(catalog) and not failures:
+                failures.append(path)
+                raise FSError("injected catalog write failure")
+            return original(path, offset, data)
+
+        db.fs._pwrite = _pwrite
+        with pytest.raises(FSError):
+            db.execute("CREATE TABLE u (a INT, b TEXT)")
+        del db.fs._pwrite
+        assert failures
+        if isinstance(db.fs, CompressFS):
+            db.fs.engine.fsync()
+        reopened = MiniSQL(db.fs, page_size=512)
+        assert reopened.execute("SELECT count(*) c FROM t")[0]["c"] == 30
+        with pytest.raises(TableError):
+            reopened.table("u")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"",
+            b"\xff\xfe",
+            b'{"tables": [',
+            b"[]",
+            b'{"tables": 5}',
+            b'{"tables": [{"name": "t"}]}',
+            b'{"tables": [], "indexes": [{"name": "i"}]}',
+        ],
+    )
+    def test_malformed_catalog_is_a_corrupt_record(self, db, raw):
+        db.fs.write_file(f"{db.directory}/catalog.json", raw)
+        with pytest.raises(CorruptRecord):
+            MiniSQL(db.fs)
 
 
 class TestBenchInterface:

@@ -1,13 +1,16 @@
 """Tests for chunk replication and node-failure handling."""
 
+import errno
+
 import pytest
 
 from repro.distributed import (
     Master,
     NoLiveReplica,
     ServerDown,
-    build_cluster,
+    build_replicated_cluster,
 )
+from repro.fs.errors import FSError, wire_code
 
 
 class TestMasterReplication:
@@ -44,7 +47,7 @@ class TestMasterReplication:
 
 class TestServerFailure:
     def test_offline_server_rejects_requests(self):
-        cluster = build_cluster(nodes=2)
+        cluster = build_replicated_cluster(nodes=2, masters=1)
         cluster.client.write_file("/f", b"data")
         server = next(iter(cluster.servers.values()))
         server.fail()
@@ -53,7 +56,7 @@ class TestServerFailure:
         server.recover()
 
     def test_recovered_server_serves_again(self):
-        cluster = build_cluster(nodes=1)
+        cluster = build_replicated_cluster(nodes=1, masters=1)
         cluster.client.write_file("/f", b"payload")
         server = cluster.servers["node0"]
         server.fail()
@@ -63,7 +66,7 @@ class TestServerFailure:
 
 class TestReplicatedCluster:
     def test_data_written_to_all_replicas(self):
-        cluster = build_cluster(nodes=3, replication=2, chunk_capacity=64)
+        cluster = build_replicated_cluster(nodes=3, masters=1, replication=2, chunk_capacity=64)
         cluster.client.write_file("/f", b"replicated " * 20)
         for chunk in cluster.master.lookup("/f").chunks:
             contents = {
@@ -73,7 +76,7 @@ class TestReplicatedCluster:
             assert len(contents) == 1  # replicas agree
 
     def test_read_survives_primary_failure(self):
-        cluster = build_cluster(nodes=3, replication=2, chunk_capacity=64)
+        cluster = build_replicated_cluster(nodes=3, masters=1, replication=2, chunk_capacity=64)
         data = b"failover payload " * 30
         cluster.client.write_file("/f", data)
         # Kill the primary of the first chunk.
@@ -82,7 +85,7 @@ class TestReplicatedCluster:
         assert cluster.client.read_file("/f") == data
 
     def test_search_survives_failure(self):
-        cluster = build_cluster(nodes=3, replication=2, chunk_capacity=48)
+        cluster = build_replicated_cluster(nodes=3, masters=1, replication=2, chunk_capacity=48)
         data = b"find the needle in here, the needle " * 10
         cluster.client.write_file("/f", data)
         cluster.servers["node0"].fail()
@@ -94,7 +97,7 @@ class TestReplicatedCluster:
         assert cluster.client.search("/f", b"needle") == expected
 
     def test_manipulation_survives_failure(self):
-        cluster = build_cluster(nodes=3, replication=2, chunk_capacity=64)
+        cluster = build_replicated_cluster(nodes=3, masters=1, replication=2, chunk_capacity=64)
         cluster.client.write_file("/f", b"0123456789" * 20)
         cluster.servers["node1"].fail()
         cluster.client.insert("/f", 5, b"INS")
@@ -102,18 +105,27 @@ class TestReplicatedCluster:
         assert cluster.client.read_file("/f").startswith(b"234INS56789")
 
     def test_unreplicated_chunk_fails_hard(self):
-        cluster = build_cluster(nodes=2, replication=1, chunk_capacity=64)
+        cluster = build_replicated_cluster(nodes=2, masters=1, replication=1, chunk_capacity=64)
         cluster.client.write_file("/f", b"x" * 200)
         for server in cluster.servers.values():
             server.fail()
         with pytest.raises(NoLiveReplica):
             cluster.client.read_file("/f")
 
+    def test_every_replica_offline_is_a_typed_eio(self):
+        cluster = build_replicated_cluster(nodes=3, masters=1, replication=2, chunk_capacity=64)
+        cluster.client.write_file("/f", b"x" * 200)
+        for server in cluster.servers.values():
+            server.fail()
+        with pytest.raises(FSError) as excinfo:
+            cluster.client.read("/f", 0, 64)
+        assert wire_code(excinfo.value) == errno.EIO
+
     def test_replication_doubles_storage(self):
         # Baseline (non-dedup) servers so replica copies are visible;
         # on CompressDB servers identical replicas dedup away locally.
-        single = build_cluster(nodes=3, replication=1, chunk_capacity=64, compressed=False)
-        double = build_cluster(nodes=3, replication=2, chunk_capacity=64, compressed=False)
+        single = build_replicated_cluster(nodes=3, masters=1, replication=1, chunk_capacity=64, compressed=False)
+        double = build_replicated_cluster(nodes=3, masters=1, replication=2, chunk_capacity=64, compressed=False)
         data = bytes(range(256)) * 4
         single.client.write_file("/f", data)
         double.client.write_file("/f", data)
@@ -123,14 +135,14 @@ class TestReplicatedCluster:
         """On CompressDB servers, a replica that lands on a node already
         holding identical blocks costs no extra data blocks — dedup and
         replication compose."""
-        cluster = build_cluster(nodes=2, replication=2, chunk_capacity=1024)
+        cluster = build_replicated_cluster(nodes=2, masters=1, replication=2, chunk_capacity=1024)
         block = b"R" * 1024
         cluster.client.write_file("/f", block * 8)
         for server in cluster.servers.values():
             assert server.physical_bytes() == 1024  # one unique block each
 
     def test_write_after_failure_updates_survivors(self):
-        cluster = build_cluster(nodes=2, replication=2, chunk_capacity=1024)
+        cluster = build_replicated_cluster(nodes=2, masters=1, replication=2, chunk_capacity=1024)
         cluster.client.write_file("/f", b"a" * 100)
         cluster.servers["node0"].fail()
         cluster.client.write("/f", 0, b"B" * 10)
@@ -147,7 +159,7 @@ class TestReplicatedCluster:
 
 class TestResync:
     def test_resync_repairs_stale_replica(self):
-        cluster = build_cluster(nodes=2, replication=2, chunk_capacity=1024)
+        cluster = build_replicated_cluster(nodes=2, masters=1, replication=2, chunk_capacity=1024)
         cluster.client.write_file("/f", b"a" * 100)
         cluster.servers["node0"].fail()
         cluster.client.write("/f", 0, b"B" * 50)  # node0 misses this
@@ -159,13 +171,13 @@ class TestResync:
         assert cluster.client.read_file("/f") == b"B" * 50 + b"a" * 50
 
     def test_resync_noop_when_consistent(self):
-        cluster = build_cluster(nodes=3, replication=2, chunk_capacity=256)
+        cluster = build_replicated_cluster(nodes=3, masters=1, replication=2, chunk_capacity=256)
         cluster.client.write_file("/f", b"consistent " * 40)
         assert cluster.client.resync("node0") == 0
         assert cluster.client.resync("node1") == 0
 
     def test_resync_recreates_missing_chunks(self):
-        cluster = build_cluster(nodes=2, replication=2, chunk_capacity=64)
+        cluster = build_replicated_cluster(nodes=2, masters=1, replication=2, chunk_capacity=64)
         cluster.client.write_file("/f", b"x" * 200)
         # Wipe node0's chunks entirely (disk loss, then recovery).
         node0 = cluster.servers["node0"]
@@ -179,7 +191,23 @@ class TestResync:
     def test_resync_offline_server_rejected(self):
         import pytest as _pytest
 
-        cluster = build_cluster(nodes=2, replication=2)
+        cluster = build_replicated_cluster(nodes=2, masters=1, replication=2)
         cluster.servers["node0"].fail()
         with _pytest.raises(ValueError):
             cluster.client.resync("node0")
+
+
+class TestMasterRestart:
+    def test_single_master_metadata_survives_a_restart(self):
+        """``masters=1`` is one master with a durable metadata log: a
+        crash and a cold restart lose no file."""
+        cluster = build_replicated_cluster(nodes=3, masters=1, chunk_capacity=64)
+        files = {f"/dir/f{i}": (b"file %d " % i) * (20 + 15 * i) for i in range(4)}
+        for path, data in files.items():
+            cluster.client.write_file(path, data)
+        group = cluster.group()
+        assert group.crash_leader() == "m0"
+        group.restart("m0")
+        group.elect()
+        for path, data in files.items():
+            assert cluster.client.read_file(path) == data

@@ -851,8 +851,6 @@ class TestLintCLI:
             distributed + "replicated.MasterGroup.lock",
             distributed + "replicated:self._holding_lock()",
             distributed + "interleave:cluster.master.lock",
-            distributed + "shardmap.ShardMap._map_lock",
-            distributed + "shardmap.ClientShardCache._view_lock",
             "repro.serving.server.Server._lock",
             "repro.storage.journal.JournalDevice._commit_lock",
         }

@@ -23,7 +23,7 @@ from repro.locks import (
     uninstall_sanitizer,
 )
 from repro.distributed import run_interleaved_sessions
-from repro.distributed.cluster import build_cluster
+from repro.distributed.cluster import build_replicated_cluster
 from repro.distributed.master import METADATA_PLANE, Master
 
 
@@ -103,7 +103,7 @@ class TestTrackedLock:
         # linter cannot see a dropped ``with self.master.lock:`` here
         # (the guard lives in the callee), so the run-time contract is
         # the only check.
-        cluster = build_cluster(nodes=3, chunk_capacity=1024)
+        cluster = build_replicated_cluster(nodes=3, masters=1, chunk_capacity=1024)
         client = cluster.client
         client.create("/a")
         client.write("/a", 0, b"hello world")
@@ -228,7 +228,7 @@ class TestInterleavedSmoke:
             sessions=3,
             rounds=2,
             sanitizer=sanitizer,
-            cluster=build_cluster(nodes=2, durable=True),
+            cluster=build_replicated_cluster(nodes=2, masters=1, durable=True),
         )
         assert sanitizer.violations == []
         observed = sanitizer.observed_edges()

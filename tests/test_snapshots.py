@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import superblock as sb
 from repro.core.engine import CompressDB
-from repro.distributed.cluster import build_cluster
+from repro.distributed.cluster import build_replicated_cluster
 from repro.fs import fd as fdmod
 from repro.fs.compressfs import CompressFS
 from repro.fs.errors import FileNotFound, InvalidArgument, PermissionDenied
@@ -511,8 +511,8 @@ class TestCLI:
 
 class TestClusterReplication:
     def _changed_cluster(self):
-        cluster = build_cluster(
-            nodes=3, replication=2, chunk_capacity=4096, block_size=256
+        cluster = build_replicated_cluster(
+            nodes=3, masters=1, replication=2, chunk_capacity=4096, block_size=256
         )
         client = cluster.client
         data = bytes(range(256)) * 64  # 16 KiB across several chunks
