@@ -12,24 +12,70 @@ is usable from the shell::
     compressdb serve store.img /tmp/compressdb.sock   # unix-socket API
     compressdb lint --json                            # reprolint static analysis
 
-Every mutating command syncs (``engine.flush``) before exiting.
+Each subcommand is one row of :data:`COMMANDS`, registered by
+:func:`command`; :func:`build_parser` builds every subparser from the
+table.  :func:`main` owns the lifetime of an image: it mounts the image,
+runs the command, fsyncs (``engine.fsync``) only after a mutating
+command succeeded, and closes the image whatever happened.  A mutating
+command returns its report line, which is printed once the change is
+durable.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.core import superblock as sb
 from repro.core.engine import CompressDB
 from repro.fs.errors import FSError
 from repro.snap.manager import SnapshotError
-from repro.storage.block_device import FileBlockDevice
+from repro.storage.block_device import BlockDeviceError, FileBlockDevice
 
 
 class CLIError(Exception):
     """User-facing command failure (bad arguments, missing files)."""
+
+
+class Command(NamedTuple):
+    """One subcommand: a row of :data:`COMMANDS`."""
+
+    #: ``"put"``, or ``"snap create"`` for a subcommand of a group.
+    name: str
+    help: str
+    #: ``run(args, engine)`` when ``image``, else ``run(args)``; returns
+    #: the exit status, or a report line meaning success.
+    run: Callable
+    #: ``(flags, options)`` pairs for ``add_argument``, after ``image``.
+    arguments: tuple
+    #: Takes an image path as its first argument; :func:`main` mounts it.
+    image: bool
+    #: :func:`main` fsyncs the image once the command has succeeded.
+    mutates: bool
+
+
+#: Every subcommand, in ``--help`` order.
+COMMANDS: list[Command] = []
+
+#: Help lines of the commands that only group subcommands.
+GROUPS = {"snap": "point-in-time snapshots of the whole image"}
+
+
+def arg(*flags: str, **options) -> tuple:
+    """One ``add_argument`` call of a :class:`Command` row."""
+    return flags, options
+
+
+def command(name: str, help: str, *arguments: tuple, image: bool = True,
+            mutates: bool = False) -> Callable:
+    """Register the decorated function as a row of :data:`COMMANDS`."""
+
+    def register(run: Callable) -> Callable:
+        COMMANDS.append(Command(name, help, run, arguments, image, mutates))
+        return run
+
+    return register
 
 
 def _mount(
@@ -43,46 +89,50 @@ def _mount(
     if recorded is not None:
         block_size = recorded
     device = FileBlockDevice(image, block_size=block_size)
-    return CompressDB.mount(device, journal_blocks=journal_blocks)
+    try:
+        return CompressDB.mount(device, journal_blocks=journal_blocks)
+    except BaseException:
+        device.close()
+        raise
 
 
 def _close(engine: CompressDB, flush: bool) -> None:
-    if flush:
-        engine.fsync()
-    # The engine may have wrapped the file device in a journal.
-    device = getattr(engine.device, "inner", engine.device)
-    if isinstance(device, FileBlockDevice):
-        device.close()
+    try:
+        if flush:
+            engine.fsync()
+    finally:
+        # The engine may have wrapped the file device in a journal.
+        device = getattr(engine.device, "inner", engine.device)
+        if isinstance(device, FileBlockDevice):
+            device.close()
 
 
-def cmd_init(args) -> int:
-    engine = _mount(
-        args.image,
-        block_size=args.block_size,
-        journal_blocks=args.journal_blocks,
-    )
-    _close(engine, flush=True)
+@command(
+    "init",
+    "create a new image",
+    arg("--block-size", type=int, default=1024),
+    arg("--journal-blocks", type=int, default=0,
+        help="reserve a write-ahead journal of this many blocks (0 = unjournaled image)"),
+    mutates=True,
+)
+def cmd_init(args, engine: CompressDB) -> str:
     suffix = (
         f", journal {args.journal_blocks} blocks" if args.journal_blocks else ""
     )
-    print(f"initialised {args.image} (block size {args.block_size}{suffix})")
-    return 0
+    return f"initialised {args.image} (block size {args.block_size}{suffix})"
 
 
-def cmd_put(args) -> int:
+@command("put", "store a host file in the image", arg("source"), arg("path"), mutates=True)
+def cmd_put(args, engine: CompressDB) -> str:
     with open(args.source, "rb") as handle:
         data = handle.read()
-    engine = _mount(args.image)
     engine.write_file(args.path, data)
-    _close(engine, flush=True)
-    print(f"stored {len(data)} bytes at {args.path}")
-    return 0
+    return f"stored {len(data)} bytes at {args.path}"
 
 
-def cmd_get(args) -> int:
-    engine = _mount(args.image)
+@command("get", "extract a file from the image", arg("path"), arg("-o", "--output"))
+def cmd_get(args, engine: CompressDB) -> int:
     data = engine.read_file(args.path)
-    _close(engine, flush=False)
     if args.output:
         with open(args.output, "wb") as handle:
             handle.write(data)
@@ -92,28 +142,29 @@ def cmd_get(args) -> int:
     return 0
 
 
-def cmd_ls(args) -> int:
-    engine = _mount(args.image)
+@command("ls", "list files")
+def cmd_ls(args, engine: CompressDB) -> int:
     for path in engine.list_files():
         print(f"{engine.file_size(path):>12}  {path}")
-    _close(engine, flush=False)
     return 0
 
 
-def cmd_rm(args) -> int:
-    engine = _mount(args.image)
+@command("rm", "remove a file", arg("path"), mutates=True)
+def cmd_rm(args, engine: CompressDB) -> str:
     engine.unlink(args.path)
-    _close(engine, flush=True)
-    print(f"removed {args.path}")
-    return 0
+    return f"removed {args.path}"
 
 
-def cmd_cp(args) -> int:
-    engine = _mount(args.image)
+@command("cp", "reflink-clone a file (shares all blocks)", arg("source"), arg("dest"),
+         mutates=True)
+def cmd_cp(args, engine: CompressDB) -> str:
     engine.copy_file(args.source, args.dest)
-    _close(engine, flush=True)
-    print(f"cloned {args.source} -> {args.dest} (no data copied)")
-    return 0
+    return f"cloned {args.source} -> {args.dest} (no data copied)"
+
+
+def _edit_arguments(*offset: tuple) -> tuple:
+    """``path [offset] [data] [--from-file F]``: the in-place edits."""
+    return (arg("path"), *offset, arg("data", nargs="?"), arg("--from-file"))
 
 
 def _payload(args) -> bytes:
@@ -125,60 +176,56 @@ def _payload(args) -> bytes:
     return args.data.encode("utf-8")
 
 
-def cmd_insert(args) -> int:
+@command("insert", "insert bytes directly in the compressed file",
+         *_edit_arguments(arg("offset", type=int)), mutates=True)
+def cmd_insert(args, engine: CompressDB) -> str:
     data = _payload(args)
-    engine = _mount(args.image)
     engine.ops.insert(args.path, args.offset, data)
-    _close(engine, flush=True)
-    print(f"inserted {len(data)} bytes at offset {args.offset}")
-    return 0
+    return f"inserted {len(data)} bytes at offset {args.offset}"
 
 
-def cmd_delete(args) -> int:
-    engine = _mount(args.image)
-    engine.ops.delete(args.path, args.offset, args.length)
-    _close(engine, flush=True)
-    print(f"deleted {args.length} bytes at offset {args.offset}")
-    return 0
-
-
-def cmd_replace(args) -> int:
+@command("replace", "replace bytes directly in the compressed file",
+         *_edit_arguments(arg("offset", type=int)), mutates=True)
+def cmd_replace(args, engine: CompressDB) -> str:
     data = _payload(args)
-    engine = _mount(args.image)
     engine.ops.replace(args.path, args.offset, data)
-    _close(engine, flush=True)
-    print(f"replaced {len(data)} bytes at offset {args.offset}")
-    return 0
+    return f"replaced {len(data)} bytes at offset {args.offset}"
 
 
-def cmd_append(args) -> int:
+@command("append", "append bytes directly in the compressed file", *_edit_arguments(),
+         mutates=True)
+def cmd_append(args, engine: CompressDB) -> str:
     data = _payload(args)
-    engine = _mount(args.image)
     engine.ops.append(args.path, data)
-    _close(engine, flush=True)
-    print(f"appended {len(data)} bytes")
-    return 0
+    return f"appended {len(data)} bytes"
 
 
-def cmd_search(args) -> int:
-    engine = _mount(args.image)
+@command("delete", "delete a byte range in place", arg("path"), arg("offset", type=int),
+         arg("length", type=int), mutates=True)
+def cmd_delete(args, engine: CompressDB) -> str:
+    engine.ops.delete(args.path, args.offset, args.length)
+    return f"deleted {args.length} bytes at offset {args.offset}"
+
+
+@command("search", "search a pattern over the compressed data", arg("path"), arg("pattern"))
+def cmd_search(args, engine: CompressDB) -> int:
     offsets = engine.ops.search(args.path, args.pattern.encode("utf-8"))
-    _close(engine, flush=False)
     for offset in offsets:
         print(offset)
     print(f"{len(offsets)} occurrence(s)", file=sys.stderr)
     return 0
 
 
-def cmd_count(args) -> int:
-    engine = _mount(args.image)
-    total = engine.ops.count(args.path, args.pattern.encode("utf-8"))
-    _close(engine, flush=False)
-    print(total)
+@command("count", "count a pattern over the compressed data", arg("path"), arg("pattern"))
+def cmd_count(args, engine: CompressDB) -> int:
+    print(engine.ops.count(args.path, args.pattern.encode("utf-8")))
     return 0
 
 
-def cmd_stats(args) -> int:
+@command("stats", "space and structure statistics",
+         arg("--json", action="store_true", help="byte-stable JSON metrics snapshot"),
+         arg("--prom", action="store_true", help="Prometheus text exposition format"))
+def cmd_stats(args, engine: CompressDB) -> int:
     """Render statistics from one metrics snapshot (DESIGN.md §9).
 
     Every figure — space gauges, cache hit rate, batching counters,
@@ -187,9 +234,7 @@ def cmd_stats(args) -> int:
     poking component attributes; ``--json`` and ``--prom`` are the
     byte-stable exporter renderings of the same snapshot.
     """
-    engine = _mount(args.image)
     snap = engine.metrics()
-    _close(engine, flush=False)
     if args.json:
         from repro.obs.exporters import metrics_json
 
@@ -230,6 +275,14 @@ def cmd_stats(args) -> int:
     return 0
 
 
+@command(
+    "trace",
+    "run a script or subcommand under tracing, write Chrome JSON",
+    arg("--out", default="trace.json", help="output file (chrome://tracing)"),
+    arg("workload", nargs=argparse.REMAINDER,
+        help="a .py script (plus its argv) or any compressdb subcommand"),
+    image=False,
+)
 def cmd_trace(args) -> int:
     """Run a workload under global tracing; dump Chrome trace_event JSON.
 
@@ -269,30 +322,33 @@ def cmd_trace(args) -> int:
     return status
 
 
-def cmd_wordcount(args) -> int:
-    engine = _mount(args.image)
-    counts = engine.ops.word_count(args.path)
-    _close(engine, flush=False)
-    for word, count in counts.most_common(args.top):
-        print(f"{count:>8}  {word.decode('utf-8', errors='replace')}")
-    return 0
-
-
-def cmd_describe(args) -> int:
-    engine = _mount(args.image)
+@command("describe", "structural summary of one file", arg("path"))
+def cmd_describe(args, engine: CompressDB) -> int:
     info = engine.describe(args.path)
-    _close(engine, flush=False)
     width = max(len(key) for key in info)
     for key, value in info.items():
         print(f"{key.ljust(width)}  {value}")
     return 0
 
 
-def cmd_fsck(args) -> int:
-    engine = _mount(args.image)
+@command("wordcount", "word counts computed on the compressed form", arg("path"),
+         arg("--top", type=int, default=20))
+def cmd_wordcount(args, engine: CompressDB) -> int:
+    counts = engine.ops.word_count(args.path)
+    for word, count in counts.most_common(args.top):
+        print(f"{count:>8}  {word.decode('utf-8', errors='replace')}")
+    return 0
+
+
+@command("fsck", "verify and repair engine metadata",
+         arg("--repair", action="store_true",
+             help="restore invariants (default: verify only, exit 1 on violations)"))
+def cmd_fsck(args, engine: CompressDB) -> int:
     report = engine.fsck(repair=args.repair)
-    # Verify-only runs must leave the image byte-identical.
-    _close(engine, flush=args.repair)
+    # Verify-only runs must leave the image byte-identical, so this is
+    # not a mutating row: only a repair is made durable.
+    if args.repair:
+        engine.fsync()
     print(f"refcounts fixed:  {report['refcounts_fixed']}")
     print(f"blocks reclaimed: {report['blocks_reclaimed']}")
     print(f"hole errors:      {report['hole_inconsistencies']}")
@@ -308,14 +364,24 @@ def cmd_fsck(args) -> int:
     return 0
 
 
-def cmd_defrag(args) -> int:
-    engine = _mount(args.image)
-    saved = engine.defragment(args.path)
-    _close(engine, flush=True)
-    print(f"reclaimed {saved} slot(s)")
-    return 0
+@command("defrag", "rewrite a file without holes", arg("path"), mutates=True)
+def cmd_defrag(args, engine: CompressDB) -> str:
+    return f"reclaimed {engine.defragment(args.path)} slot(s)"
 
 
+@command(
+    "lint",
+    "run reprolint, the engine's invariant analyzer, over a tree",
+    arg("paths", nargs="*", help="files or directories (default: the installed repro package)"),
+    arg("--rule", action="append", metavar="RULE", help="run only this rule (repeatable)"),
+    arg("--json", action="store_true", help="stable JSON output"),
+    arg("--show-suppressed", action="store_true", help="also print suppressed findings"),
+    arg("--list-rules", action="store_true", help="list registered rules and exit"),
+    arg("--sanitize", action="store_true",
+        help="run the multi-session interleaving smoke test under the runtime lock-order "
+        "sanitizer and cross-check against the static lock-order graph"),
+    image=False,
+)
 def cmd_lint(args) -> int:
     """Run the reprolint static analyzer (see :mod:`repro.analysis`)."""
     from repro.analysis import CHECKER_REGISTRY, runner
@@ -389,60 +455,67 @@ def _lint_sanitize(args) -> int:
     return 0
 
 
-def cmd_snap(args) -> int:
-    """Snapshot lifecycle: create / list / diff / rollback / clone / delete."""
-    engine = _mount(args.image)
-    try:
-        if args.snap_command == "create":
-            record = engine.snapshots.create(args.name)
-            _close(engine, flush=True)
-            print(
-                f"snapshot {args.name!r}: {len(record.files)} file(s), "
-                f"{record.logical_bytes} logical bytes frozen"
-            )
-        elif args.snap_command == "list":
-            for name in engine.snapshots.names():
-                record = engine.snapshots.get(name)
-                print(
-                    f"{record.snap_id:>4}  {len(record.files):>5} file(s)  "
-                    f"{record.logical_bytes:>12}  {name}"
-                )
-            _close(engine, flush=False)
-        elif args.snap_command == "delete":
-            engine.snapshots.delete(args.name)
-            _close(engine, flush=True)
-            print(f"deleted snapshot {args.name!r}")
-        elif args.snap_command == "rollback":
-            engine.snapshots.rollback(args.name)
-            _close(engine, flush=True)
-            print(f"rolled back to snapshot {args.name!r}")
-        elif args.snap_command == "clone":
-            created = engine.snapshots.clone(args.name, args.dest)
-            _close(engine, flush=True)
-            print(
-                f"cloned snapshot {args.name!r} -> {args.dest} "
-                f"({len(created)} file(s), no data copied)"
-            )
-        else:  # diff
-            entries = engine.snapshots.diff(args.base, args.target)
-            _close(engine, flush=False)
-            total = 0
-            for entry in entries:
-                total += entry.changed_bytes
-                spans = ", ".join(
-                    f"{extent.offset}+{extent.length}" for extent in entry.extents
-                )
-                print(f"{entry.change:<9} {entry.path}  [{spans}]")
-            target_label = args.target if args.target else "live"
-            print(
-                f"{len(entries)} file(s) changed, {total} byte(s) "
-                f"({args.base} -> {target_label})",
-                file=sys.stderr,
-            )
-        return 0
-    except BaseException:
-        _close(engine, flush=False)
-        raise
+@command("snap create", "freeze the namespace (O(metadata))", arg("name"), mutates=True)
+def cmd_snap_create(args, engine: CompressDB) -> str:
+    record = engine.snapshots.create(args.name)
+    return (
+        f"snapshot {args.name!r}: {len(record.files)} file(s), "
+        f"{record.logical_bytes} logical bytes frozen"
+    )
+
+
+@command("snap list", "list snapshots in creation order")
+def cmd_snap_list(args, engine: CompressDB) -> int:
+    for name in engine.snapshots.names():
+        record = engine.snapshots.get(name)
+        print(
+            f"{record.snap_id:>4}  {len(record.files):>5} file(s)  "
+            f"{record.logical_bytes:>12}  {name}"
+        )
+    return 0
+
+
+@command("snap delete", "drop a snapshot, freeing unshared blocks", arg("name"), mutates=True)
+def cmd_snap_delete(args, engine: CompressDB) -> str:
+    engine.snapshots.delete(args.name)
+    return f"deleted snapshot {args.name!r}"
+
+
+@command("snap rollback", "reset the live namespace to a snapshot", arg("name"), mutates=True)
+def cmd_snap_rollback(args, engine: CompressDB) -> str:
+    engine.snapshots.rollback(args.name)
+    return f"rolled back to snapshot {args.name!r}"
+
+
+@command("snap clone", "materialise a snapshot as writable files (CoW, no copy)", arg("name"),
+         arg("dest", help="destination path prefix for the clone"), mutates=True)
+def cmd_snap_clone(args, engine: CompressDB) -> str:
+    created = engine.snapshots.clone(args.name, args.dest)
+    return (
+        f"cloned snapshot {args.name!r} -> {args.dest} "
+        f"({len(created)} file(s), no data copied)"
+    )
+
+
+@command("snap diff", "changed files and block extents between snapshots", arg("base"),
+         arg("target", nargs="?", default=None,
+             help="second snapshot (default: the live namespace)"))
+def cmd_snap_diff(args, engine: CompressDB) -> int:
+    entries = engine.snapshots.diff(args.base, args.target)
+    total = 0
+    for entry in entries:
+        total += entry.changed_bytes
+        spans = ", ".join(
+            f"{extent.offset}+{extent.length}" for extent in entry.extents
+        )
+        print(f"{entry.change:<9} {entry.path}  [{spans}]")
+    target_label = args.target if args.target else "live"
+    print(
+        f"{len(entries)} file(s) changed, {total} byte(s) "
+        f"({args.base} -> {target_label})",
+        file=sys.stderr,
+    )
+    return 0
 
 
 def _serving_stack(engine: CompressDB, args):
@@ -479,26 +552,47 @@ def _serving_stack(engine: CompressDB, args):
     return server, front
 
 
-def cmd_serve(args) -> int:
-    engine = _mount(args.image)
-    try:
-        __, front = _serving_stack(engine, args)
-        front.start()
-        print(f"serving {args.image} on {args.socket} (protocol v1); Ctrl-C to stop")
-        try:  # pragma: no cover - interactive loop
-            import time
+@command(
+    "serve",
+    "expose the image on a unix socket (framed protocol v1)",
+    arg("socket"),
+    arg("--tenant", action="append", metavar="NAME[:WEIGHT]",
+        help="pre-provision a tenant (repeatable); omit to auto-provision tenants on their "
+        "first HELLO"),
+    arg("--rate", type=float, default=None,
+        help="per-tenant admission rate in requests/s (default: unlimited)"),
+    arg("--no-admission", action="store_true",
+        help="disable admission control (accept everything, queue unboundedly)"),
+    mutates=True,
+)
+def cmd_serve(args, engine: CompressDB) -> int:
+    __, front = _serving_stack(engine, args)
+    front.start()
+    print(f"serving {args.image} on {args.socket} (protocol v1); Ctrl-C to stop")
+    try:  # pragma: no cover - interactive loop
+        import time
 
-            while True:
-                time.sleep(1)
-        except KeyboardInterrupt:  # pragma: no cover - interactive loop
-            pass
-        finally:
-            front.stop()
-        return 0
+        while True:
+            time.sleep(1)
+    except KeyboardInterrupt:  # pragma: no cover - interactive loop
+        pass
     finally:
-        _close(engine, flush=True)
+        front.stop()
+    return 0
 
 
+@command(
+    "cluster",
+    "replicated-metadata demo: kill the Raft leader, prove recovery",
+    arg("--masters", type=int, default=3, help="replicas per master group"),
+    arg("--shards", type=int, default=1, help="consistent-hash metadata shards"),
+    arg("--nodes", type=int, default=5, help="chunk servers"),
+    arg("--racks", type=int, default=0, help="failure domains (0 = per-node)"),
+    arg("--replication", type=int, default=1, help="chunk replica goal"),
+    arg("--files", type=int, default=4, help="files written before the kill"),
+    arg("--seed", type=int, default=0, help="election-timeout RNG seed"),
+    image=False,
+)
 def cmd_cluster(args) -> int:
     """Replicated-metadata demo: build, load, kill the leader, recover."""
     import json
@@ -563,255 +657,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="CompressDB image tool: query and manipulate compressed data in place",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("init", help="create a new image")
-    p.add_argument("image")
-    p.add_argument("--block-size", type=int, default=1024)
-    p.add_argument(
-        "--journal-blocks",
-        type=int,
-        default=0,
-        help="reserve a write-ahead journal of this many blocks "
-        "(0 = unjournaled image)",
-    )
-    p.set_defaults(func=cmd_init)
-
-    p = sub.add_parser("put", help="store a host file in the image")
-    p.add_argument("image")
-    p.add_argument("source")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_put)
-
-    p = sub.add_parser("get", help="extract a file from the image")
-    p.add_argument("image")
-    p.add_argument("path")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_get)
-
-    p = sub.add_parser("ls", help="list files")
-    p.add_argument("image")
-    p.set_defaults(func=cmd_ls)
-
-    p = sub.add_parser("rm", help="remove a file")
-    p.add_argument("image")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_rm)
-
-    p = sub.add_parser("cp", help="reflink-clone a file (shares all blocks)")
-    p.add_argument("image")
-    p.add_argument("source")
-    p.add_argument("dest")
-    p.set_defaults(func=cmd_cp)
-
-    for name, func, extra in (
-        ("insert", cmd_insert, ("offset",)),
-        ("replace", cmd_replace, ("offset",)),
-        ("append", cmd_append, ()),
-    ):
-        p = sub.add_parser(name, help=f"{name} bytes directly in the compressed file")
-        p.add_argument("image")
-        p.add_argument("path")
-        for argument in extra:
-            p.add_argument(argument, type=int)
-        p.add_argument("data", nargs="?")
-        p.add_argument("--from-file")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("delete", help="delete a byte range in place")
-    p.add_argument("image")
-    p.add_argument("path")
-    p.add_argument("offset", type=int)
-    p.add_argument("length", type=int)
-    p.set_defaults(func=cmd_delete)
-
-    for name, func in (("search", cmd_search), ("count", cmd_count)):
-        p = sub.add_parser(name, help=f"{name} a pattern over the compressed data")
-        p.add_argument("image")
-        p.add_argument("path")
-        p.add_argument("pattern")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("stats", help="space and structure statistics")
-    p.add_argument("image")
-    p.add_argument(
-        "--json", action="store_true", help="byte-stable JSON metrics snapshot"
-    )
-    p.add_argument(
-        "--prom",
-        action="store_true",
-        help="Prometheus text exposition format",
-    )
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser(
-        "trace",
-        help="run a script or subcommand under tracing, write Chrome JSON",
-    )
-    p.add_argument(
-        "--out", default="trace.json", help="output file (chrome://tracing)"
-    )
-    p.add_argument(
-        "workload",
-        nargs=argparse.REMAINDER,
-        help="a .py script (plus its argv) or any compressdb subcommand",
-    )
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("describe", help="structural summary of one file")
-    p.add_argument("image")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_describe)
-
-    p = sub.add_parser("wordcount", help="word counts computed on the compressed form")
-    p.add_argument("image")
-    p.add_argument("path")
-    p.add_argument("--top", type=int, default=20)
-    p.set_defaults(func=cmd_wordcount)
-
-    p = sub.add_parser("fsck", help="verify and repair engine metadata")
-    p.add_argument("image")
-    p.add_argument(
-        "--repair",
-        action="store_true",
-        help="restore invariants (default: verify only, exit 1 on violations)",
-    )
-    p.set_defaults(func=cmd_fsck)
-
-    p = sub.add_parser("defrag", help="rewrite a file without holes")
-    p.add_argument("image")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_defrag)
-
-    p = sub.add_parser(
-        "lint",
-        help="run reprolint, the engine's invariant analyzer, over a tree",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories (default: the installed repro package)",
-    )
-    p.add_argument(
-        "--rule",
-        action="append",
-        metavar="RULE",
-        help="run only this rule (repeatable)",
-    )
-    p.add_argument("--json", action="store_true", help="stable JSON output")
-    p.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="also print suppressed findings",
-    )
-    p.add_argument(
-        "--list-rules", action="store_true", help="list registered rules and exit"
-    )
-    p.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run the multi-session interleaving smoke test under the "
-        "runtime lock-order sanitizer and cross-check against the "
-        "static lock-order graph",
-    )
-    p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser("snap", help="point-in-time snapshots of the whole image")
-    snap_sub = p.add_subparsers(dest="snap_command", required=True)
-
-    q = snap_sub.add_parser("create", help="freeze the namespace (O(metadata))")
-    q.add_argument("image")
-    q.add_argument("name")
-    q.set_defaults(func=cmd_snap)
-
-    q = snap_sub.add_parser("list", help="list snapshots in creation order")
-    q.add_argument("image")
-    q.set_defaults(func=cmd_snap)
-
-    q = snap_sub.add_parser("delete", help="drop a snapshot, freeing unshared blocks")
-    q.add_argument("image")
-    q.add_argument("name")
-    q.set_defaults(func=cmd_snap)
-
-    q = snap_sub.add_parser("rollback", help="reset the live namespace to a snapshot")
-    q.add_argument("image")
-    q.add_argument("name")
-    q.set_defaults(func=cmd_snap)
-
-    q = snap_sub.add_parser(
-        "clone", help="materialise a snapshot as writable files (CoW, no copy)"
-    )
-    q.add_argument("image")
-    q.add_argument("name")
-    q.add_argument("dest", help="destination path prefix for the clone")
-    q.set_defaults(func=cmd_snap)
-
-    q = snap_sub.add_parser(
-        "diff", help="changed files and block extents between snapshots"
-    )
-    q.add_argument("image")
-    q.add_argument("base")
-    q.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="second snapshot (default: the live namespace)",
-    )
-    q.set_defaults(func=cmd_snap)
-
-    p = sub.add_parser(
-        "serve", help="expose the image on a unix socket (framed protocol v1)"
-    )
-    p.add_argument("image")
-    p.add_argument("socket")
-    p.add_argument(
-        "--tenant",
-        action="append",
-        metavar="NAME[:WEIGHT]",
-        help="pre-provision a tenant (repeatable); omit to auto-provision "
-        "tenants on their first HELLO",
-    )
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="per-tenant admission rate in requests/s (default: unlimited)",
-    )
-    p.add_argument(
-        "--no-admission",
-        action="store_true",
-        help="disable admission control (accept everything, queue unboundedly)",
-    )
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "cluster",
-        help="replicated-metadata demo: kill the Raft leader, prove recovery",
-    )
-    p.add_argument("--masters", type=int, default=3, help="replicas per master group")
-    p.add_argument("--shards", type=int, default=1, help="consistent-hash metadata shards")
-    p.add_argument("--nodes", type=int, default=5, help="chunk servers")
-    p.add_argument("--racks", type=int, default=0, help="failure domains (0 = per-node)")
-    p.add_argument("--replication", type=int, default=1, help="chunk replica goal")
-    p.add_argument("--files", type=int, default=4, help="files written before the kill")
-    p.add_argument("--seed", type=int, default=0, help="election-timeout RNG seed")
-    p.set_defaults(func=cmd_cluster)
-
+    groups: dict[str, argparse._SubParsersAction] = {}
+    for row in COMMANDS:
+        group, __, name = row.name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group, help=GROUPS[group]).add_subparsers(
+                dest=f"{group}_command", required=True
+            )
+        p = (groups[group] if group else sub).add_parser(name, help=row.help)
+        if row.image:
+            p.add_argument("image")
+        for flags, options in row.arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(row=row)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    row: Command = args.row
     try:
-        return args.func(args)
+        if not row.image:
+            return row.run(args)
+        engine = _mount(
+            args.image,
+            getattr(args, "block_size", 1024),
+            getattr(args, "journal_blocks", None),
+        )
+        succeeded = False
+        try:
+            result = row.run(args, engine)
+            succeeded = True
+        finally:
+            # A failed command is never made durable; the image is
+            # closed even when the fsync itself raises.
+            _close(engine, flush=succeeded and row.mutates)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, FSError, SnapshotError, sb.PersistenceError) as exc:
+    except (
+        FileNotFoundError, FSError, SnapshotError, sb.PersistenceError, BlockDeviceError
+    ) as exc:
         # Engine/VFS failures are expected user-facing conditions (missing
-        # path, bad range), not crashes — report, don't traceback.
+        # path, bad range, a file that is no image), not crashes — report,
+        # don't traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, str):
+        print(result)
+        return 0
+    return result
 
 
 if __name__ == "__main__":  # pragma: no cover

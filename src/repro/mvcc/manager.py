@@ -89,19 +89,34 @@ class SessionManager:
     def begin(self) -> Session:
         """Open a session whose snapshot is the current committed state."""
         session = Session(self, next(self._ids), self.versions.csn)
-        self._active[session.session_id] = session
-        self._c_begun.inc()
-        self._record(
-            kind="begin",
-            session=session.session_id,
-            snapshot_csn=session.snapshot_csn,
-        )
-        self._g_active.set(len(self._active))
-        return session
+        with self.engine.obs.tracer.span(
+            "mvcc.begin", session=session.session_id, snapshot_csn=session.snapshot_csn
+        ):
+            self._active[session.session_id] = session
+            self._c_begun.inc()
+            self._record(
+                kind="begin",
+                session=session.session_id,
+                snapshot_csn=session.snapshot_csn,
+            )
+            self._g_active.set(len(self._active))
+            return session
 
     def commit(self, session: Session) -> CommitTicket:
-        """First-committer-wins commit; see the module docstring."""
+        """First-committer-wins commit; see the module docstring.
+
+        With tracing on, one ``mvcc.commit`` span (``session``,
+        ``writes``, ``outcome``) whose children are ``mvcc.validate``,
+        ``mvcc.lock_wait``, ``mvcc.apply`` and, when this commit fills
+        the group, ``mvcc.group_commit``.
+        """
+        with self.engine.obs.tracer.span("mvcc.commit", session=session.session_id) as span:
+            return self._commit(session, span)
+
+    def _commit(self, session: Session, span) -> CommitTicket:
+        tracer = self.engine.obs.tracer
         if session.read_only:
+            span.set(writes=0, outcome="read_only")
             # Nothing to apply, conflict-check, or journal: the session
             # only pinned snapshots.  Durable by construction.
             ticket = CommitTicket(
@@ -117,36 +132,42 @@ class SessionManager:
             self._finish(session)
             return ticket
         writes = session.write_set()
-        conflicts = self.versions.paths_newer_than(session.snapshot_csn, writes)
-        if conflicts:
-            self._c_conflicts.inc()
-            self.abort(session, f"write conflict on {conflicts}")
-            raise WriteConflict(
-                f"session {session.session_id} (snapshot csn "
-                f"{session.snapshot_csn}) lost first-committer-wins on "
-                f"{conflicts}"
-            )
+        span.set(writes=len(writes))
+        with tracer.span("mvcc.validate"):
+            conflicts = self.versions.paths_newer_than(session.snapshot_csn, writes)
+            if conflicts:
+                span.set(outcome="conflict")
+                self._c_conflicts.inc()
+                self.abort(session, f"write conflict on {conflicts}")
+                raise WriteConflict(
+                    f"session {session.session_id} (snapshot csn "
+                    f"{session.snapshot_csn}) lost first-committer-wins on "
+                    f"{conflicts}"
+                )
         engine = self.engine
         with contextlib.ExitStack() as stack:
-            for path in writes:
-                stack.enter_context(self._inode_lock(path))
-            new_csn = self.versions.next_csn()
-            for path in writes:
-                content = session._buffers[path]
-                if engine.exists(path):
-                    self._retain_pre_image(session, path, new_csn)
-                    if content is None:
-                        engine.unlink(path)
-                    else:
-                        data = bytes(content)
-                        if data:
-                            engine.write(path, 0, data)
-                        engine.truncate(path, len(data))
-                elif content is not None:
-                    engine.create(path)
-                    if content:
-                        engine.write(path, 0, bytes(content))
-            self.versions.record_commit(writes, new_csn)
+            with tracer.span("mvcc.lock_wait", locks=len(writes)):
+                for path in writes:
+                    stack.enter_context(self._inode_lock(path))
+            with tracer.span("mvcc.apply"):
+                new_csn = self.versions.next_csn()
+                for path in writes:
+                    content = session._buffers[path]
+                    if engine.exists(path):
+                        self._retain_pre_image(session, path, new_csn)
+                        if content is None:
+                            engine.unlink(path)
+                        else:
+                            data = bytes(content)
+                            if data:
+                                engine.write(path, 0, data)
+                            engine.truncate(path, len(data))
+                    elif content is not None:
+                        engine.create(path)
+                        if content:
+                            engine.write(path, 0, bytes(content))
+                self.versions.record_commit(writes, new_csn)
+        span.set(outcome="committed")
         ticket = CommitTicket(session.session_id, new_csn)
         session.ticket = ticket
         session.state = SessionState.COMMITTED
@@ -205,17 +226,20 @@ class SessionManager:
         committed over since the snapshot — a path committed later with
         no covering pre-image did not exist at snapshot time.
         """
-        retained = self.versions.visible_retained(path, session.snapshot_csn)
-        if retained is not None:
-            return retained.frozen
-        if self.versions.last_committed(path) > session.snapshot_csn:
-            return None
-        if not self.engine.exists(path):
-            return None
-        frozen = FrozenInode.freeze(self.engine.block_size, self.engine.inode(path))
-        self._pin_frozen(frozen)
-        session._owned[path] = frozen
-        return frozen
+        with self.engine.obs.tracer.span(
+            "mvcc.resolve", session=session.session_id, path=path
+        ):
+            retained = self.versions.visible_retained(path, session.snapshot_csn)
+            if retained is not None:
+                return retained.frozen
+            if self.versions.last_committed(path) > session.snapshot_csn:
+                return None
+            if not self.engine.exists(path):
+                return None
+            frozen = FrozenInode.freeze(self.engine.block_size, self.engine.inode(path))
+            self._pin_frozen(frozen)
+            session._owned[path] = frozen
+            return frozen
 
     def visible_paths(self, session: Session) -> set[str]:
         """Names visible at the session's snapshot (no overlay applied)."""
@@ -315,17 +339,18 @@ class SessionManager:
         group, self._group = self._group, []
         if not group:
             return 0
-        device = self.engine.device
-        enqueue = getattr(device, "enqueue_ack", None)
-        if enqueue is not None:
+        with self.engine.obs.tracer.span("mvcc.group_commit", sessions=len(group)):
+            device = self.engine.device
+            enqueue = getattr(device, "enqueue_ack", None)
+            if enqueue is not None:
+                for ticket in group:
+                    enqueue(ticket._stamp)
+            self.engine.fsync()
             for ticket in group:
-                enqueue(ticket._stamp)
-        self.engine.fsync()
-        for ticket in group:
-            # Non-journaled devices have no LSN to ack with; the fsync
-            # above already persisted everything the ticket covers.
-            if not ticket.durable:
-                ticket.durable = True
+                # Non-journaled devices have no LSN to ack with; the fsync
+                # above already persisted everything the ticket covers.
+                if not ticket.durable:
+                    ticket.durable = True
         self._c_batches.inc()
         self._c_batched.inc(len(group))
         self._h_batch.observe(len(group))

@@ -70,14 +70,15 @@ def raise_wire_error(body: dict) -> None:
 
 
 class LoopbackTransport:
-    """In-process transport: frames go straight to a ``Server``."""
+    """In-process transport: frames go straight to a ``Server``.  Each
+    transport is one connection."""
 
     def __init__(self, server, tenant: str) -> None:
         self.server = server
         self.tenant = tenant
 
     def request(self, data: bytes) -> bytes:
-        return self.server.serve_frame(self.tenant, data)
+        return self.server.serve_frame(self.tenant, data, connection=self)
 
 
 class WireClient:

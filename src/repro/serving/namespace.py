@@ -240,9 +240,14 @@ class NamespaceFS(FileSystem):
             )
         return super().open(path, flags, snapshot=snapshot)
 
-    def release_fds(self) -> int:
-        """Force-close every open descriptor (connection teardown)."""
-        return self._fds.release_all()
+    def release_fds(self, fds: Optional[list[int]] = None) -> int:
+        """Force-close ``fds`` (default: every open descriptor) as their
+        connection or session ends; returns how many."""
+        if fds is None:
+            return self._fds.release_all()
+        for fd in fds:
+            self._fds.release(fd)
+        return len(fds)
 
     # -- namespace overrides --------------------------------------------------
     def rename(self, old: str, new: str) -> None:

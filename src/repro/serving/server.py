@@ -126,7 +126,13 @@ class ServingRequest:
 
 class _Payload(dict):
     """A request body: reading a field the client did not send is the
-    client's error (EINVAL), not a server fault."""
+    client's error (EINVAL), not a server fault.  ``connection`` is the
+    identity of the connection it arrived on: transport state, never a
+    wire field."""
+
+    def __init__(self, fields: dict, connection: object = None) -> None:
+        super().__init__(fields)
+        self.connection = connection
 
     def __missing__(self, key: str):
         raise InvalidArgument(f"missing required field {key!r}")
@@ -190,13 +196,17 @@ class Backend:
 
     def goodbye(self) -> dict:
         """The connection is closing: abort every session still open."""
+        return {"sessions_aborted": self._hang_up(list(self._sessions)), "fds_released": 0}
+
+    def _hang_up(self, sessions: list[int]) -> int:
+        """Abort ``sessions`` as their connection closes; how many were live."""
         aborted = 0
-        for session in list(self._sessions):
+        for session in sessions:
             handle = self._detach(session)[0]
             if handle.active:
                 self.engine.mvcc.abort(handle, "connection closed")
                 aborted += 1
-        return {"sessions_aborted": aborted, "fds_released": 0}
+        return aborted
 
     # -- databases ------------------------------------------------------------
     def _db(self, kind: str, session: Optional[int]) -> object:
@@ -259,8 +269,9 @@ class Backend:
 class TenantBackend(Backend):
     """One provisioned tenant: a :class:`Backend` inside its quota-charged
     :class:`NamespaceFS`, whose sessions charge a provisional ledger
-    folded in at commit, whose pushdown meters insert/delete, and whose
-    goodbye force-closes the namespace's descriptors."""
+    folded in at commit, and whose pushdown meters insert/delete.  Many
+    connections share a tenant; GOODBYE on one of them finishes only the
+    sessions and descriptors that connection opened."""
 
     def __init__(self, fs: CompressFS, config: TenantConfig, slo: TenantSLO) -> None:
         super().__init__(fs)
@@ -273,6 +284,8 @@ class TenantBackend(Backend):
             fs, config.name, ledger=self.ledger, fd_limit=config.fd_limit
         )
         seed_ledger(fs, self.ns.root, self.ledger)
+        #: ("session" | "fd", number) -> the connection that opened it.
+        self.owners: dict[tuple[str, int], object] = {}
 
     def _session_fs(self, session) -> NamespaceFS:
         return NamespaceFS(
@@ -284,6 +297,7 @@ class TenantBackend(Backend):
 
     def _detach(self, session: int) -> tuple:
         entry = super()._detach(session)
+        self.owners.pop(("session", session), None)
         # The view's own descriptors; the SessionFS below it frees its own.
         entry[1].release_fds()
         return entry
@@ -296,8 +310,18 @@ class TenantBackend(Backend):
         view.ledger.fold()
         return reply
 
-    def goodbye(self) -> dict:
-        return {**super().goodbye(), "fds_released": self.ns.release_fds()}
+    def close_connection(self, connection: object) -> dict:
+        """GOODBYE on ``connection``: abort the sessions and release the
+        descriptors it opened; other connections' stay open."""
+        mine = [key for key, owner in self.owners.items() if owner == connection]
+        for key in mine:
+            del self.owners[key]
+        sessions = [number for kind, number in mine if kind == "session"]
+        fds = [number for kind, number in mine if kind == "fd"]
+        return {
+            "sessions_aborted": self._hang_up(sessions),
+            "fds_released": self.ns.release_fds(fds),
+        }
 
     def _ops_path(self, path: str) -> str:
         return self.ns._map(super()._ops_path(path))
@@ -345,7 +369,7 @@ class Server:
         self._g_tenants = self.registry.gauge("serving.server.tenants")
         # One ``_op_<name>`` method per protocol opcode; an opcode
         # without a handler fails here, not at its first request.
-        self._handlers: dict[int, Callable[[TenantBackend, dict], dict]] = {
+        self._handlers: dict[int, Callable[[TenantBackend, _Payload], dict]] = {
             code: getattr(self, f"_op_{name.lower()}")
             for name, code in OPCODES.items()
         }
@@ -383,13 +407,17 @@ class Server:
         return state
 
     # -- dispatch -------------------------------------------------------------
-    def handle(self, tenant: str, opcode: int, payload: dict) -> dict:
+    def handle(
+        self, tenant: str, opcode: int, payload: dict, connection: object = None
+    ) -> dict:
         """Execute one request body; raises on failure.
 
         The shared core of both serving paths: namespaced,
         quota-enforced, but *not* admission controlled — callers
-        decide whether and how to admit.  With tracing on, the
-        request is one ``serving.handle`` span.
+        decide whether and how to admit.  ``connection`` identifies the
+        caller's connection, which owns the sessions and descriptors it
+        opens.  With tracing on, the request is one ``serving.handle``
+        span.
         """
         handler = self._handlers.get(opcode)
         if handler is None:
@@ -401,10 +429,14 @@ class Server:
         with self._lock, self.engine.obs.tracer.span(
             "serving.handle", tenant=tenant, opcode=OPCODE_NAMES[opcode]
         ):
-            return handler(backend, _Payload(payload))
+            return handler(backend, _Payload(payload, connection))
 
-    def serve_frame(self, tenant: str, data: bytes) -> bytes:
-        """The wire path: one request frame in, one response frame out."""
+    def serve_frame(self, tenant: str, data: bytes, connection: object = None) -> bytes:
+        """The wire path: one request frame in, one response frame out.
+
+        ``connection`` is the transport's identity for the peer (one per
+        loopback transport or accepted socket); frames carry no such field.
+        """
         self._c_requests.inc()
         network = self.config.network
         self.clock.charge_transfer(network, len(data))
@@ -424,7 +456,7 @@ class Server:
                 raise TryAgain(shed.reason, retry_after_ms=shed.retry_after_s * 1e3)
             state.slo.on_accept()
             watch = Stopwatch(self.clock)
-            result = self.handle(tenant, frame.opcode, frame.payload)
+            result = self.handle(tenant, frame.opcode, frame.payload, connection)
             response = self._respond(frame.opcode, frame.request_id, result)
             self.scheduler.observe_cost(tenant, watch.elapsed)
             state.slo.on_complete(watch.elapsed)
@@ -540,16 +572,21 @@ class Server:
     def _op_ping(self, tenant: TenantBackend, payload: dict) -> dict:
         return {"pong": True, "time_s": self.clock.now}
 
-    def _op_goodbye(self, tenant: TenantBackend, payload: dict) -> dict:
-        return tenant.goodbye()
+    def _op_goodbye(self, tenant: TenantBackend, payload: _Payload) -> dict:
+        return tenant.close_connection(payload.connection)
 
-    def _op_fs_open(self, tenant: TenantBackend, payload: dict) -> dict:
-        fs = tenant.fs(payload.get("session"))
-        fd = fs.open(payload["path"], payload.get("flags", fdmod.O_RDONLY))
+    def _op_fs_open(self, tenant: TenantBackend, payload: _Payload) -> dict:
+        session = payload.get("session")
+        fd = tenant.fs(session).open(payload["path"], payload.get("flags", fdmod.O_RDONLY))
+        if session is None:  # a session's descriptors close with the session
+            tenant.owners["fd", fd] = payload.connection
         return {"fd": fd}
 
     def _op_fs_close(self, tenant: TenantBackend, payload: dict) -> dict:
-        tenant.fs(payload.get("session")).close(payload["fd"])
+        session = payload.get("session")
+        if session is None:
+            tenant.owners.pop(("fd", payload["fd"]), None)
+        tenant.fs(session).close(payload["fd"])
         return {"ok": True}
 
     def _op_fs_pread(self, tenant: TenantBackend, payload: dict) -> dict:
@@ -612,8 +649,9 @@ class Server:
             fs._sync(payload["path"])
         return {"ok": True}
 
-    def _op_session_begin(self, tenant: TenantBackend, payload: dict) -> dict:
+    def _op_session_begin(self, tenant: TenantBackend, payload: _Payload) -> dict:
         session = tenant.session_begin()
+        tenant.owners["session", session] = payload.connection
         return {"session": session, "snapshot_csn": tenant._open(session)[0].snapshot_csn}
 
     def _op_session_commit(self, tenant: TenantBackend, payload: dict) -> dict:

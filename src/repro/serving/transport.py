@@ -63,7 +63,11 @@ class FramedSocketServer:
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.bind(self.socket_path)
+        try:
+            self._sock.bind(self.socket_path)
+        except OSError:
+            self._sock.close()
+            raise
         self._sock.listen(16)
         self._sock.settimeout(0.2)
         self._running = True
@@ -137,7 +141,7 @@ class FramedSocketServer:
                 try:
                     if tenant is None:
                         tenant = self._bind_tenant(raw)
-                    response = self.server.serve_frame(tenant, raw)
+                    response = self.server.serve_frame(tenant, raw, connection=conn)
                     conn.sendall(response)
                 except OSError:  # pragma: no cover - peer vanished
                     return

@@ -1,8 +1,16 @@
 """Tests for the ``compressdb`` command-line tool."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+# A file handle the CLI (or a test) leaves open fails the test.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 @pytest.fixture
@@ -33,7 +41,7 @@ class TestLifecycle:
         assert "/corpus.txt" in out
         target = str(tmp_path / "out.txt")
         assert main(["get", image, "/corpus.txt", "-o", target]) == 0
-        assert open(target, "rb").read() == open(corpus, "rb").read()
+        assert Path(target).read_bytes() == Path(corpus).read_bytes()
 
     def test_get_to_stdout(self, image, corpus, capsys):
         main(["put", image, corpus, "/c"])
@@ -58,21 +66,21 @@ class TestManipulation:
         assert main(["insert", image, "/c", "4", "INSERTED "]) == 0
         target = str(tmp_path / "after.txt")
         main(["get", image, "/c", "-o", target])
-        assert open(target, "rb").read().startswith(b"the INSERTED quick")
+        assert Path(target).read_bytes().startswith(b"the INSERTED quick")
 
     def test_delete_persists(self, image, corpus, tmp_path):
         main(["put", image, corpus, "/c"])
         assert main(["delete", image, "/c", "0", "4"]) == 0
         target = str(tmp_path / "after.txt")
         main(["get", image, "/c", "-o", target])
-        assert open(target, "rb").read().startswith(b"quick brown")
+        assert Path(target).read_bytes().startswith(b"quick brown")
 
     def test_replace(self, image, corpus, tmp_path):
         main(["put", image, corpus, "/c"])
         assert main(["replace", image, "/c", "0", "THE"]) == 0
         target = str(tmp_path / "after.txt")
         main(["get", image, "/c", "-o", target])
-        assert open(target, "rb").read().startswith(b"THE quick")
+        assert Path(target).read_bytes().startswith(b"THE quick")
 
     def test_append_from_file(self, image, corpus, tmp_path):
         main(["put", image, corpus, "/c"])
@@ -81,7 +89,7 @@ class TestManipulation:
         assert main(["append", image, "/c", "--from-file", str(extra)]) == 0
         target = str(tmp_path / "after.txt")
         main(["get", image, "/c", "-o", target])
-        assert open(target, "rb").read().endswith(b"[tail]")
+        assert Path(target).read_bytes().endswith(b"[tail]")
 
     def test_missing_payload_errors(self, image, corpus, capsys):
         main(["put", image, corpus, "/c"])
@@ -152,7 +160,8 @@ class TestTrace:
         assert main(["trace", "--out", out, "search", image, "/c", "fox"]) == 0
         captured = capsys.readouterr()
         assert "40 occurrence(s)" in captured.err  # workload still ran
-        payload = json.load(open(out))
+        with open(out) as handle:
+            payload = json.load(handle)
         events = payload["traceEvents"]
         assert events, "trace must contain spans"
         cats = {event["cat"] for event in events}
@@ -168,7 +177,8 @@ class TestTrace:
         out = str(tmp_path / "trace.json")
         assert main(["trace", "--out", out, quickstart]) == 0
         capsys.readouterr()
-        payload = json.load(open(out))
+        with open(out) as handle:
+            payload = json.load(handle)
         events = payload["traceEvents"]
         cats = {event["cat"] for event in events}
         assert {"vfs", "engine", "journal", "device"} <= cats
@@ -227,7 +237,7 @@ class TestClone:
         out_b = str(tmp_path / "b.out")
         main(["get", image, "/a", "-o", out_a])
         main(["get", image, "/b", "-o", out_b])
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
 
 class TestDescribe:
@@ -260,3 +270,129 @@ class TestWordcountCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 2
         assert out[0].split()[0] == "80"  # "the" appears 2x per sentence
+
+
+# Each image subcommand with arguments naming something the image lacks.
+MISSING = {
+    "put": ["/no/such/source", "/x"],
+    "get": ["/missing"],
+    "rm": ["/missing"],
+    "cp": ["/missing", "/copy"],
+    "insert": ["/missing", "0", "x"],
+    "replace": ["/missing", "0", "x"],
+    "append": ["/missing", "x"],
+    "delete": ["/missing", "0", "1"],
+    "search": ["/missing", "x"],
+    "count": ["/missing", "x"],
+    "describe": ["/missing"],
+    "wordcount": ["/missing"],
+    "defrag": ["/missing"],
+    "snap delete": ["ghost"],
+    "snap rollback": ["ghost"],
+    "snap clone": ["ghost", "/restore"],
+    "snap diff": ["ghost"],
+    "serve": ["/no/such/dir/s.sock"],
+}
+
+
+@pytest.fixture
+def devices(monkeypatch):
+    """Every FileBlockDevice constructed while the test runs."""
+    from repro.storage.block_device import FileBlockDevice
+
+    opened = []
+    init = FileBlockDevice.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(FileBlockDevice, "__init__", recording)
+    return opened
+
+
+def _contents(image):
+    """Every file in ``image`` with its bytes."""
+    from repro.cli import _close, _mount
+
+    engine = _mount(image)
+    try:
+        return {path: engine.read_file(path) for path in engine.list_files()}
+    finally:
+        _close(engine, flush=False)
+
+
+class TestImageLifetime:
+    def test_every_image_command_naming_a_path_is_probed(self):
+        from repro.cli import COMMANDS
+
+        image_commands = {row.name for row in COMMANDS if row.image}
+        assert set(MISSING) <= image_commands
+        # What is left names nothing inside the image.
+        assert image_commands - set(MISSING) == {
+            "init", "ls", "stats", "fsck", "snap create", "snap list"
+        }
+
+    @pytest.mark.parametrize("name", sorted(MISSING))
+    def test_missing_path_exits_2_and_closes_the_image(
+        self, name, image, devices, capsys
+    ):
+        argv = [*name.split(), image, *MISSING[name]]
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+        assert [d for d in devices if not d._file.closed] == []
+
+    def test_failed_mutation_is_never_made_durable(
+        self, image, corpus, devices, monkeypatch
+    ):
+        from repro.core.engine import CompressDB
+        from repro.fs.errors import FSError
+
+        assert main(["put", image, corpus, "/c"]) == 0
+        before = _contents(image)
+        fsyncs = []
+        monkeypatch.setattr(CompressDB, "fsync", lambda self: fsyncs.append(self))
+
+        def write_then_fail(self, source, dest):
+            self.write_file(dest, b"half a copy")
+            raise FSError("injected failure")
+
+        monkeypatch.setattr(CompressDB, "copy_file", write_then_fail)
+        assert main(["cp", image, "/c", "/d"]) == 2
+        assert fsyncs == []
+        monkeypatch.undo()
+        assert _contents(image) == before
+        assert main(["fsck", image]) == 0
+
+    def test_image_closes_when_the_fsync_raises(
+        self, image, corpus, devices, monkeypatch, capsys
+    ):
+        from repro.core import superblock as sb
+        from repro.core.engine import CompressDB
+
+        assert main(["put", image, corpus, "/c"]) == 0
+
+        def failing_fsync(self):
+            raise sb.PersistenceError("injected fsync failure")
+
+        monkeypatch.setattr(CompressDB, "fsync", failing_fsync)
+        assert main(["rm", image, "/c"]) == 2
+        out = capsys.readouterr()
+        assert "removed" not in out.out  # the report waits for durability
+        assert "injected fsync failure" in out.err
+        assert [d for d in devices if not d._file.closed] == []
+
+    def test_verify_only_fsck_leaves_the_image_byte_identical(self, image, corpus):
+        assert main(["put", image, corpus, "/c"]) == 0
+        assert main(["insert", image, "/c", "10", "holey"]) == 0
+        before = Path(image).read_bytes()
+        assert main(["fsck", image]) == 0
+        assert Path(image).read_bytes() == before
+
+    @pytest.mark.parametrize("size", [2048, 2000])
+    def test_a_foreign_file_exits_2_and_is_closed(self, size, tmp_path, devices, capsys):
+        foreign = tmp_path / "foreign.img"
+        foreign.write_bytes(b"not an image".ljust(size, b"!"))
+        assert main(["ls", str(foreign)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert all(d._file.closed for d in devices)

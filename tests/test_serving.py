@@ -772,6 +772,55 @@ class TestWireSessions:
         assert not RemoteFS(make_client(server, "t")).exists("/dangling")
 
 
+    def test_commit_spans_nest_under_the_request(self):
+        server = make_server()
+        server.add_tenant("t")
+        server.engine.mvcc.group_size = 1  # every commit flushes its group
+        tracer = server.engine.obs.tracer
+        tracer.enabled = True
+        client = make_client(server, "t")
+        winner, loser = client.session_begin(), client.session_begin()
+        RemoteFS(client, session_id=winner).write_file("/hot", b"first")
+        RemoteFS(client, session_id=loser).write_file("/hot", b"second")
+        tracer.clear()
+        client.session_commit(winner)
+        with pytest.raises(WriteConflict):
+            client.session_commit(loser)
+        spans = tracer.spans()
+        by_id = {span.span_id: span for span in spans}
+
+        def children(parent):
+            return [s.name for s in spans if s.parent_id == parent.span_id]
+
+        won, lost = [span for span in spans if span.name == "mvcc.commit"]
+        assert by_id[won.parent_id].name == "serving.handle"
+        assert by_id[won.parent_id].attrs["opcode"] == "SESSION_COMMIT"
+        assert children(won) == [
+            "mvcc.validate", "mvcc.lock_wait", "mvcc.apply", "mvcc.group_commit"
+        ]
+        assert won.attrs["session"] == winner
+        assert won.attrs["writes"] == 1
+        assert won.attrs["outcome"] == "committed"
+        assert by_id[lost.parent_id].name == "serving.handle"
+        assert lost.attrs["outcome"] == "conflict"
+        assert children(lost) == ["mvcc.validate"]
+
+    def test_begin_and_resolve_spans(self):
+        server = make_server()
+        server.add_tenant("t")
+        tracer = server.engine.obs.tracer
+        tracer.enabled = True
+        client = make_client(server, "t")
+        RemoteFS(client).write_file("/seen", b"data")
+        tracer.clear()
+        session = client.session_begin()
+        assert RemoteFS(client, session_id=session).read_file("/seen") == b"data"
+        names = [span.name for span in tracer.spans()]
+        assert "mvcc.begin" in names and "mvcc.resolve" in names
+        begin = next(span for span in tracer.spans() if span.name == "mvcc.begin")
+        assert begin.attrs["session"] == session
+
+
 # ---------------------------------------------------------------------------
 # Databases over the wire
 # ---------------------------------------------------------------------------
@@ -1020,6 +1069,26 @@ class TestFacade:
                 txn.commit()
             assert not client.fs.exists("/dangling")
 
+    def test_close_keeps_another_connections_session(self):
+        server = make_server()
+        server.add_tenant("t")
+        a, b = api.connect(server, tenant="t"), api.connect(server, tenant="t")
+        txn = a.session()
+        txn.fs.write_file("/mine", b"kept")
+        b.close()
+        assert txn.commit()["csn"] > 0
+        assert a.fs.read_file("/mine") == b"kept"
+
+    def test_close_keeps_another_connections_descriptor(self):
+        server = make_server()
+        server.add_tenant("t")
+        a, b = api.connect(server, tenant="t"), api.connect(server, tenant="t")
+        a.fs.write_file("/f", b"payload")
+        fd = a._backend.call("FS_OPEN", path="/f")["fd"]
+        b.close()
+        assert a._backend.call("FS_PREAD", fd=fd, offset=0, size=7)["data"] == b"payload"
+        assert a._backend.goodbye() == {"sessions_aborted": 0, "fds_released": 1}
+
     def test_kv_scan_limit_on_both_backends(self):
         server = make_server()
         server.add_tenant("t")
@@ -1176,6 +1245,21 @@ class TestSocketTransport:
         assert frame.is_error
         assert frame.payload["error"] == "ProtocolError"
         peer.close()
+
+    def test_each_socket_is_its_own_connection(self, stack):
+        __, __, path = stack
+        with SocketTransport(path) as first, SocketTransport(path) as second:
+            a, b = WireClient(first), WireClient(second)
+            a.hello("gold")
+            b.hello("gold")
+            RemoteFS(a).write_file("/f", b"socket")
+            fd = a.call("FS_OPEN", path="/f")["fd"]
+            session = a.session_begin()
+            assert b.goodbye() == {"sessions_aborted": 0, "fds_released": 0}
+            assert a.call("FS_PREAD", fd=fd, offset=0, size=6)["data"] == b"socket"
+            assert a.goodbye() == {"sessions_aborted": 1, "fds_released": 1}
+            with pytest.raises(SessionClosed):
+                a.session_commit(session)
 
     def test_auto_provision_mode(self, tmp_path):
         server = make_server()
