@@ -7,6 +7,9 @@ simplifications a deterministic single-process simulation affords:
   delivers to the peer's handler and returns its reply, charging the
   simulated network for both directions.  There is no message loss,
   only node crashes (an unreachable peer raises :class:`NodeCrashed`).
+  The leader's AppendEntries round and a candidate's vote round are
+  issued "in parallel" (§5.3): each peer's call runs in its own
+  :meth:`SimClock.fork` branch, so a round costs its slowest peer.
 * **Time is the SimClock.**  Election timeouts are randomized per node
   from a seeded :class:`random.Random`, so a "storm" of elections is
   exactly reproducible from its seed.
@@ -304,25 +307,27 @@ class RaftNode:
         self._c_elections.inc()
         self._reset_election_deadline()
         votes = 1
-        for peer in self.peers:
-            try:
-                reply = self.transport.request_vote(
-                    self.name,
-                    peer,
-                    dict(
-                        term=term,
-                        candidate=self.name,
-                        last_log_index=self.log.last_index,
-                        last_log_term=self.log.last_term,
-                    ),
-                )
-            except NodeCrashed:
-                continue
-            if reply["term"] > self.log.current_term:
-                self._step_down(reply["term"])
-                return
-            if reply["granted"]:
-                votes += 1
+        with self.clock.fork() as fork:
+            for peer in self.peers:
+                try:
+                    with fork.branch():
+                        reply = self.transport.request_vote(
+                            self.name,
+                            peer,
+                            dict(
+                                term=term,
+                                candidate=self.name,
+                                last_log_index=self.log.last_index,
+                                last_log_term=self.log.last_term,
+                            ),
+                        )
+                except NodeCrashed:
+                    continue
+                if reply["term"] > self.log.current_term:
+                    self._step_down(reply["term"])
+                    return
+                if reply["granted"]:
+                    votes += 1
         if (
             votes >= self._majority()
             and self.role == CANDIDATE
@@ -460,17 +465,24 @@ class RaftNode:
         majority of successful (or at least reachable, same-term) acks."""
         start = self.clock.now
         acks = 1
-        for peer in self.peers:
-            if self._replicate_to(peer):
-                acks += 1
-            if self.role != LEADER:
-                return  # a higher term surfaced mid-round
+        with self.clock.fork() as fork:
+            for peer in self.peers:
+                with fork.branch(), self.obs.tracer.span(
+                    "raft.replicate", peer=peer
+                ) as span:
+                    ok = self._replicate_to(peer, span)
+                    span.set(ok=ok)
+                acks += ok
+                if self.role != LEADER:
+                    return  # a higher term surfaced mid-round
         if acks >= self._majority():
             self.lease_until = max(
                 self.lease_until, start + self.config.lease_duration
             )
 
-    def _replicate_to(self, peer: str) -> bool:
+    def _replicate_to(self, peer: str, span) -> bool:
+        """Bring ``peer`` up to date; ``span`` learns the last message's
+        ``kind`` and ``entries``."""
         log = self.log
         next_index = self.next_index.get(peer, log.last_index + 1)
         for __ in range(log.last_index + 2):  # bounded backtracking
@@ -488,6 +500,10 @@ class RaftNode:
                     entries=log.entries_from(next_index),
                     leader_commit=self.commit_index,
                 )
+            span.set(
+                kind="snapshot" if "data" in args else "append",
+                entries=len(args.get("entries", ())),
+            )
             try:
                 reply = send(
                     self.name, peer, dict(args, term=log.current_term, leader=self.name)
@@ -507,17 +523,21 @@ class RaftNode:
         return False
 
     def _advance_commit_and_apply(self) -> None:
-        for index in range(self.commit_index + 1, self.log.last_index + 1):
-            if self.log.term_at(index) != self.log.current_term:
-                continue  # §5.4.2: only current-term entries count directly
-            votes = 1 + sum(
-                1
-                for peer in self.peers
-                if self.match_index.get(peer, 0) >= index
-            )
-            if votes >= self._majority():
-                self.commit_index = index
-        self._apply_committed()
+        tracer = self.obs.tracer
+        with tracer.span("raft.commit") as span:
+            for index in range(self.commit_index + 1, self.log.last_index + 1):
+                if self.log.term_at(index) != self.log.current_term:
+                    continue  # §5.4.2: only current-term entries count directly
+                votes = 1 + sum(
+                    1
+                    for peer in self.peers
+                    if self.match_index.get(peer, 0) >= index
+                )
+                if votes >= self._majority():
+                    self.commit_index = index
+            span.set(commit_index=self.commit_index)
+        with tracer.span("raft.apply", from_index=self.sm.applied_index):
+            self._apply_committed()
         self._update_gauges()
 
     def _apply_committed(self) -> None:
@@ -557,19 +577,23 @@ class RaftNode:
                 leader_hint=self.leader_hint,
                 retry_after_ms=self.config.election_timeout_max * 1e3,
             )
-        self._maybe_crash("before_append")
-        (entry,) = self.log.append(self.log.current_term, [command])
-        # The one result anyone collects: no-ops, an inherited prefix and
-        # an entry that commits on a later tick have nobody waiting.
-        self._results[entry.index] = None
-        try:
-            self._maybe_crash("after_append")
-            self._replicate_round()
-            self._maybe_crash("before_commit")
-            self._advance_commit_and_apply()
-            self._maybe_crash("after_commit")
-        finally:
-            result = self._results.pop(entry.index)
+        tracer = self.obs.tracer
+        with tracer.span("raft.propose", term=self.log.current_term) as span:
+            self._maybe_crash("before_append")
+            with tracer.span("raft.append"):
+                (entry,) = self.log.append(self.log.current_term, [command])
+            span.set(index=entry.index)
+            # The one result anyone collects: no-ops, an inherited prefix
+            # and an entry that commits on a later tick have nobody waiting.
+            self._results[entry.index] = None
+            try:
+                self._maybe_crash("after_append")
+                self._replicate_round()
+                self._maybe_crash("before_commit")
+                self._advance_commit_and_apply()
+                self._maybe_crash("after_commit")
+            finally:
+                result = self._results.pop(entry.index)
         if self.commit_index < entry.index:
             raise TryAgain(
                 f"entry {entry.index} did not reach a majority",

@@ -126,7 +126,7 @@ class FramedSocketServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         tenant: Optional[str] = None
         buffer = bytearray()
-        with conn:
+        try:
             while self._running:
                 conn.settimeout(0.5)
                 try:
@@ -148,6 +148,19 @@ class FramedSocketServer:
                 except BaseException as exc:
                     self._hangup(conn, exc)
                     return
+        finally:
+            conn.close()
+            if tenant is not None:
+                self._end_connection(tenant, conn)
+
+    def _end_connection(self, tenant: str, conn: socket.socket) -> None:
+        """However the connection ended — GOODBYE, EOF, an error, a
+        hang-up or :meth:`stop` — end the sessions and descriptors it
+        opened, as GOODBYE does (a no-op after one)."""
+        try:
+            self.server.handle(tenant, protocol.OPCODES["GOODBYE"], {}, conn)
+        except PermissionDenied:
+            pass  # its HELLO named a tenant that was never provisioned
 
     @staticmethod
     def _hangup(conn: socket.socket, exc: BaseException) -> None:

@@ -18,7 +18,9 @@ subtle queueing effect.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,9 @@ class SimClock:
 
     A single clock is usually shared by every component participating
     in one experiment so that the total is the end-to-end simulated
-    time.  The clock is monotone: charges are non-negative.
+    time.  The clock is monotone: charges are non-negative.  The one
+    exception is :meth:`fork`: each of its branches rewinds the clock to
+    the fork's instant, and the join makes time monotone again.
     """
 
     def __init__(self) -> None:
@@ -128,6 +132,34 @@ class SimClock:
 
     def reset(self) -> None:
         self._now = 0.0
+
+    def fork(self) -> "Fork":
+        """Branches side by side in time: ``with clock.fork() as fork:``."""
+        return Fork(self)
+
+
+class Fork:
+    """Concurrent branches: each ``with fork.branch():`` starts at the
+    fork's instant, and leaving the fork (also by ``return`` or an
+    exception) joins at the latest branch end, or where it began."""
+
+    def __init__(self, clock: SimClock) -> None:
+        self._clock = clock
+        self.start = self.end = clock.now
+
+    def __enter__(self) -> "Fork":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._clock._now = self.end
+
+    @contextmanager
+    def branch(self) -> Iterator[None]:
+        self._clock._now = self.start
+        try:
+            yield
+        finally:
+            self.end = max(self.end, self._clock._now)
 
 
 class Stopwatch:

@@ -42,7 +42,7 @@ from repro.storage.block_device import (
     CrashPointDevice,
     MemoryBlockDevice,
 )
-from repro.storage.simclock import RAM_DISK, SimClock
+from repro.storage.simclock import DATACENTER_LAN, RAM_DISK, SimClock
 
 
 #: crc32, term and command length in front of every log record.
@@ -500,6 +500,73 @@ class TestMetadataPlane:
         follower.sm.master._server_load["node2"] -= 1
         follower.sm.master._next_chunk += 1
         assert len(set(group.state_digests().values())) == 2
+
+
+def _create_cost(masters, traced=False):
+    """Simulated seconds one steady-state create takes, and the group."""
+    group = _group(masters=masters)
+    group.elect()
+    facade = ReplicatedMaster(group)
+    facade.create("/warm")
+    group.obs.tracer.enabled = traced
+    start = group.clock.now
+    facade.create("/f")
+    return group.clock.now - start, group
+
+
+class TestParallelRounds:
+    """The leader's AppendEntries and a candidate's RequestVote go to
+    every peer at once (§5.3): a round costs its slowest peer."""
+
+    def test_a_propose_costs_the_same_at_5_masters_as_at_3(self):
+        three, __ = _create_cost(3)
+        five, __ = _create_cost(5)
+        rtt = 2 * DATACENTER_LAN.transfer_cost(RaftConfig.envelope_bytes)
+        assert rtt < three < 2 * rtt
+        assert five == pytest.approx(three)
+
+    @pytest.mark.parametrize("masters", [3, 5])
+    def test_a_vote_round_costs_one_round_trip(self, masters, monkeypatch):
+        group = _group(masters=masters)
+        candidate = group.nodes["m0"]
+        # Stop at the tally: leadership would open a replication round.
+        monkeypatch.setattr(candidate, "_become_leader", lambda: None)
+        start = group.clock.now
+        candidate._start_election()
+        elapsed = group.clock.now - start
+        rtt = 2 * DATACENTER_LAN.transfer_cost(RaftConfig.envelope_bytes)
+        assert candidate.log.current_term == 1
+        assert all(node.log.voted_for == "m0" for node in group.nodes.values())
+        assert rtt < elapsed < 1.5 * rtt
+
+    def test_replicate_spans_start_at_the_fork_and_end_the_propose(self):
+        untraced, __ = _create_cost(3)
+        traced, group = _create_cost(3, traced=True)
+        assert traced == untraced  # spans charge no simulated time
+        spans = group.obs.tracer.spans()
+        (propose,) = [s for s in spans if s.name == "raft.propose"]
+        children = [s for s in spans if s.parent_id == propose.span_id]
+        assert [s.name for s in children] == [
+            "raft.append",
+            "raft.replicate",
+            "raft.replicate",
+            "raft.commit",
+            "raft.apply",
+        ]
+        append, *replicates, commit, apply = children
+        leader = group.leader()
+        assert propose.attrs == {"term": leader.log.current_term, "index": 3}
+        assert {s.attrs["peer"] for s in replicates} == set(leader.peers)
+        for span in replicates:
+            assert span.start == append.end  # the fork instant
+            assert span.attrs | {"peer": None} == {
+                "peer": None,
+                "kind": "append",
+                "entries": 1,
+                "ok": True,
+            }
+        assert propose.end == max(s.end for s in replicates)
+        assert commit.attrs == {"commit_index": 3}
 
 
 class TestLease:

@@ -20,6 +20,7 @@ import inspect
 import json
 import random
 import textwrap
+import time
 import zlib
 from pathlib import Path
 
@@ -1260,6 +1261,29 @@ class TestSocketTransport:
             assert a.goodbye() == {"sessions_aborted": 1, "fds_released": 1}
             with pytest.raises(SessionClosed):
                 a.session_commit(session)
+
+    def test_a_socket_dropped_without_goodbye_ends_its_sessions(self, stack):
+        server, __, path = stack
+        with SocketTransport(path) as transport:
+            client = WireClient(transport)
+            client.hello("gold")
+            RemoteFS(client).write_file("/f", b"dropped")
+            client.call("FS_OPEN", path="/f")
+            client.session_begin()
+        # The peer is gone; its worker notices EOF and hangs up for it.
+        registry = server.engine.obs.registry
+        aborted = registry.counter("mvcc.sessions.aborted")
+        deadline = time.monotonic() + 5.0
+        while aborted.value == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with SocketTransport(path) as transport:
+            # Served under the lock the hang-up held: it has finished.
+            WireClient(transport).hello("gold")
+        assert aborted.value == 1
+        assert registry.gauge("mvcc.sessions.active").value == 0
+        tenant = server._tenants["gold"]
+        assert tenant.owners == {}
+        assert tenant.ns.release_fds() == 0
 
     def test_auto_provision_mode(self, tmp_path):
         server = make_server()

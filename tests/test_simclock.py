@@ -85,6 +85,82 @@ class TestStopwatch:
         assert watch.elapsed == pytest.approx(0.5)
 
 
+class TestFork:
+    def test_branches_start_at_the_fork_and_join_at_the_slowest(self):
+        clock = SimClock()
+        clock.charge(1.0)
+        starts = []
+        with clock.fork() as fork:
+            for cost in (0.5, 2.0, 0.25):
+                with fork.branch():
+                    starts.append(clock.now)
+                    clock.charge(cost)
+        assert starts == [1.0, 1.0, 1.0]
+        assert clock.now == 3.0
+        assert (fork.start, fork.end) == (1.0, 3.0)
+
+    def test_a_fork_without_branches_does_not_move_the_clock(self):
+        clock = SimClock()
+        clock.charge(0.5)
+        with clock.fork():
+            pass
+        assert clock.now == 0.5
+
+    def test_nested_forks(self):
+        clock = SimClock()
+        with clock.fork() as outer:
+            with outer.branch():
+                clock.charge(1.0)
+                with clock.fork() as inner:
+                    for cost in (3.0, 1.0):
+                        with inner.branch():
+                            assert clock.now == 1.0
+                            clock.charge(cost)
+                assert clock.now == 4.0
+            with outer.branch():
+                assert clock.now == 0.0
+                clock.charge(2.0)
+        assert clock.now == 4.0
+
+    def test_an_exception_joins(self):
+        clock = SimClock()
+        with pytest.raises(RuntimeError):
+            with clock.fork() as fork:
+                with fork.branch():
+                    clock.charge(2.0)
+                with fork.branch():
+                    clock.charge(0.5)
+                    raise RuntimeError("peer failed")
+        assert clock.now == 2.0
+
+    def test_an_early_return_joins(self):
+        clock = SimClock()
+
+        def round_until_rejected() -> str:
+            with clock.fork() as fork:
+                for cost in (1.0, 3.0, 5.0):
+                    with fork.branch():
+                        clock.charge(cost)
+                    if cost == 3.0:
+                        return "rejected"
+            return "done"
+
+        assert round_until_rejected() == "rejected"
+        assert clock.now == 3.0
+
+    def test_charges_after_the_join_stay_monotone(self):
+        clock = SimClock()
+        with clock.fork() as fork:
+            for cost in (2.0, 1.0):
+                with fork.branch():
+                    clock.charge(cost)
+        last = clock.now
+        for __ in range(10):
+            clock.charge_transfer(DATACENTER_LAN, 4096)
+            assert clock.now > last
+            last = clock.now
+
+
 class TestCustomProfile:
     def test_metadata_cost(self):
         profile = DeviceProfile("custom", 1e-3, 1e6, 1e-4)
