@@ -3,15 +3,34 @@
 End-to-end workload runs are cached here so that the throughput
 benchmark (Figure 7) and the latency benchmark (Figure 8) measure the
 same runs, exactly as one experiment in the paper produces both
-figures.
+figures.  :func:`trajectory_path` says where a benchmark writes its
+``BENCH_*.json``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from pathlib import Path
 
 from repro.bench import run_database_workload
 from repro.workloads import generate_dataset
+
+#: Where a full standalone run commits its trajectory, and where every
+#: other run (``--smoke``, pytest) writes instead (git-ignored).
+REPO = Path(__file__).resolve().parent.parent
+OUT = Path(__file__).resolve().parent / "out"
+
+
+def trajectory_path(name: str, committed: bool) -> Path:
+    """The file a benchmark writes its ``name`` results to: the
+    committed one at the repo root only when ``committed`` (a full run
+    from ``main``), else ``benchmarks/out/name`` — so a smoke or pytest
+    run never rewrites the numbers the docs cite."""
+    if committed:
+        return REPO / name
+    OUT.mkdir(exist_ok=True)
+    return OUT / name
+
 
 #: (database, dataset) pairs of the end-to-end evaluation, scaled down.
 #: The paper runs A/B/C on the cluster and D/E/F on a single node; we

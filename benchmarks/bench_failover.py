@@ -19,9 +19,10 @@ simulated clock:
    Raft bytes and messages, which grow with the group, not in latency:
    5 masters keep the 3-master ops/s.
 
-Results land in ``BENCH_failover.json``.  Runnable standalone
-(``python benchmarks/bench_failover.py [--smoke]``) or under pytest
-with the benchmark suite.
+A full standalone run writes ``BENCH_failover.json``; a ``--smoke`` or
+pytest run writes ``benchmarks/out/BENCH_failover.json`` instead.
+Runnable standalone (``python benchmarks/bench_failover.py [--smoke]``)
+or under pytest with the benchmark suite.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ import json
 import sys
 from pathlib import Path
 
+from _shared import trajectory_path
+
 from repro.distributed import build_replicated_cluster
 from repro.raft.node import RaftConfig
 
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_failover.json"
+JSON_NAME = "BENCH_failover.json"
 
 FAILOVER_SEEDS_FULL = 20
 FAILOVER_SEEDS_SMOKE = 5
@@ -145,8 +148,8 @@ def run_all(smoke: bool = False) -> dict:
     }
 
 
-def report(results: dict) -> dict:
-    JSON_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+def report(results: dict, path: Path) -> dict:
+    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return results
 
 
@@ -174,7 +177,7 @@ def _check(results: dict) -> None:
 
 def test_failover(benchmark):
     results = benchmark.pedantic(lambda: run_all(smoke=True), rounds=1, iterations=1)
-    _check(report(results))
+    _check(report(results, trajectory_path(JSON_NAME, committed=False)))
 
 
 def main(argv=None) -> int:
@@ -183,8 +186,9 @@ def main(argv=None) -> int:
         "--smoke", action="store_true", help="reduced volume for CI smoke runs"
     )
     args = parser.parse_args(argv)
-    _check(report(run_all(smoke=args.smoke)))
-    print(f"wrote {JSON_PATH}")
+    path = trajectory_path(JSON_NAME, committed=not args.smoke)
+    _check(report(run_all(smoke=args.smoke), path))
+    print(f"wrote {path}")
     return 0
 
 

@@ -11,8 +11,9 @@ session layer (DESIGN.md §13): how many journal commit sequences 64
 concurrent small writers need (group commit must batch them into
 ``<= GROUP_COMMIT_BOUND``), the abort rate under single-file
 contention, and the snapshot read path's simulated-time overhead
-against direct engine reads (``<= READ_OVERHEAD_BOUND``).  Results
-land in ``BENCH_mvcc.json``.  Runnable standalone
+against direct engine reads (``<= READ_OVERHEAD_BOUND``).  A full
+standalone run writes ``BENCH_mvcc.json``; a ``--smoke`` or pytest run
+writes ``benchmarks/out/BENCH_mvcc.json`` instead.  Runnable standalone
 (``python benchmarks/bench_interleaving.py [--smoke]``) or under
 pytest with the benchmark suite.
 """
@@ -24,6 +25,8 @@ import json
 import random
 import sys
 from pathlib import Path
+
+from _shared import trajectory_path
 
 from repro.bench import make_fs, print_table
 from repro.core.engine import CompressDB
@@ -38,7 +41,7 @@ GROUP_COMMIT_BOUND = 8
 #: Snapshot reads may cost at most 10% over direct engine reads.
 READ_OVERHEAD_BOUND = 1.10
 
-MVCC_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_mvcc.json"
+MVCC_JSON_NAME = "BENCH_mvcc.json"
 
 OP_NAMES = ("extract", "replace", "insert", "delete", "append", "search", "count")
 OPS_PER_TYPE = 12
@@ -231,7 +234,7 @@ def run_mvcc(smoke: bool = False) -> dict:
     }
 
 
-def mvcc_report(results: dict) -> dict:
+def mvcc_report(results: dict, path: Path) -> dict:
     group = results["group_commit"]
     contention = results["contention"]
     reads = results["read_overhead"]
@@ -267,7 +270,7 @@ def mvcc_report(results: dict) -> dict:
         ],
         title="MVCC read path: snapshot vs direct",
     )
-    MVCC_JSON_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    path.write_text(json.dumps(results, indent=2) + "\n")
     return results
 
 
@@ -286,7 +289,7 @@ def _check_mvcc(summary: dict) -> None:
 
 def test_mvcc_sessions(benchmark):
     results = benchmark.pedantic(run_mvcc, rounds=1, iterations=1)
-    _check_mvcc(mvcc_report(results))
+    _check_mvcc(mvcc_report(results, trajectory_path(MVCC_JSON_NAME, committed=False)))
 
 
 def main(argv=None) -> int:
@@ -295,8 +298,9 @@ def main(argv=None) -> int:
         "--smoke", action="store_true", help="reduced volume for CI smoke runs"
     )
     args = parser.parse_args(argv)
-    _check_mvcc(mvcc_report(run_mvcc(smoke=args.smoke)))
-    print(f"wrote {MVCC_JSON_PATH}")
+    path = trajectory_path(MVCC_JSON_NAME, committed=not args.smoke)
+    _check_mvcc(mvcc_report(run_mvcc(smoke=args.smoke), path))
+    print(f"wrote {path}")
     return 0
 
 

@@ -12,7 +12,9 @@ executor (:mod:`repro.databases.vector_executor`) over plain
 fixed-width blocks versus delta/RLE/dictionary blocks.  SimClock
 charges device time only, and the encoded working set is a fraction of
 the plain one, so the simulated time drops by ``SPEEDUP_BOUND`` or
-better.  Timings land in ``BENCH_rangescan.json``.
+better.  A full standalone run writes ``BENCH_rangescan.json``; a
+``--smoke`` or pytest run writes ``benchmarks/out/BENCH_rangescan.json``
+instead.
 
 Runnable standalone (``python benchmarks/bench_rangescan.py
 [--smoke]``) or under pytest with the benchmark suite.
@@ -24,6 +26,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+from _shared import trajectory_path
 
 from repro.bench import improvement_percent, make_database, make_fs, print_table
 from repro.databases.minicolumn import MiniColumn
@@ -43,7 +47,7 @@ SMOKE_SCALE = 4
 SPEEDUP_BOUND = 5.0
 GROUPS = 40  # the grouping key domain: id % GROUPS
 
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_rangescan.json"
+JSON_NAME = "BENCH_rangescan.json"
 
 
 def _dataset(rows: int) -> list[dict[str, object]]:
@@ -167,7 +171,7 @@ def run_all(smoke: bool = False) -> dict:
     }
 
 
-def report(results: dict) -> dict:
+def report(results: dict, path: Path) -> dict:
     paper = {"clickhouse": 15.48, "sqlite": 9.62}
     rows = []
     for engine, timings in results["engines"].items():
@@ -225,7 +229,7 @@ def report(results: dict) -> dict:
             "speedup": speedup,
         },
     }
-    JSON_PATH.write_text(json.dumps(summary, indent=2) + "\n")
+    path.write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -241,7 +245,7 @@ def _check(summary: dict) -> None:
 
 def test_rangescan(benchmark):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    _check(report(results))
+    _check(report(results, trajectory_path(JSON_NAME, committed=False)))
 
 
 def main(argv=None) -> int:
@@ -250,8 +254,9 @@ def main(argv=None) -> int:
         "--smoke", action="store_true", help="reduced volume for CI smoke runs"
     )
     args = parser.parse_args(argv)
-    _check(report(run_all(smoke=args.smoke)))
-    print(f"wrote {JSON_PATH}")
+    path = trajectory_path(JSON_NAME, committed=not args.smoke)
+    _check(report(run_all(smoke=args.smoke), path))
+    print(f"wrote {path}")
     return 0
 
 

@@ -18,9 +18,10 @@ offered rate):
    server, every tenant issuing a handful of requests: provisioning
    and per-tenant accounting must not collapse aggregate throughput.
 
-Timings land in ``BENCH_serving.json``.  Runnable standalone
-(``python benchmarks/bench_serving.py [--smoke]``) or under pytest
-with the benchmark suite.
+A full standalone run writes ``BENCH_serving.json``; a ``--smoke`` or
+pytest run writes ``benchmarks/out/BENCH_serving.json`` instead.
+Runnable standalone (``python benchmarks/bench_serving.py [--smoke]``)
+or under pytest with the benchmark suite.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+from _shared import trajectory_path
 
 from repro.fs.compressfs import CompressFS
 from repro.serving import (
@@ -41,7 +44,7 @@ from repro.serving import (
 from repro.serving.protocol import OPCODES
 from repro.workloads import open_loop_arrivals, percentile
 
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
+JSON_NAME = "BENCH_serving.json"
 
 #: 2x-overload experiment (validated: uncontended p99 ~1ms, admitted
 #: overload p99 ~4ms, unadmitted baseline p99 ~450ms).
@@ -280,7 +283,7 @@ def _print_table(headers: list[str], rows: list[list[str]], title: str) -> None:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
 
 
-def report(results: dict) -> dict:
+def report(results: dict, path: Path) -> dict:
     overload = results["overload"]
     rows = []
     for label in ("uncontended", "overload_admitted", "overload_unadmitted"):
@@ -334,7 +337,7 @@ def report(results: dict) -> dict:
         ],
         title="Serving: tenant scale",
     )
-    JSON_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    path.write_text(json.dumps(results, indent=2) + "\n")
     return results
 
 
@@ -364,7 +367,7 @@ def _check(results: dict) -> None:
 
 def test_serving(benchmark):
     results = benchmark.pedantic(lambda: run_all(smoke=True), rounds=1, iterations=1)
-    _check(report(results))
+    _check(report(results, trajectory_path(JSON_NAME, committed=False)))
 
 
 def main(argv=None) -> int:
@@ -373,8 +376,9 @@ def main(argv=None) -> int:
         "--smoke", action="store_true", help="reduced volume for CI smoke runs"
     )
     args = parser.parse_args(argv)
-    _check(report(run_all(smoke=args.smoke)))
-    print(f"wrote {JSON_PATH}")
+    path = trajectory_path(JSON_NAME, committed=not args.smoke)
+    _check(report(run_all(smoke=args.smoke), path))
+    print(f"wrote {path}")
     return 0
 
 

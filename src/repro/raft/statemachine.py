@@ -53,11 +53,17 @@ def encode_command(op: str, **args: Any) -> bytes:
 
 
 def decode_command(raw: bytes) -> tuple[str, dict]:
+    """The ``(op, args)`` of command bytes; :class:`CommandError` for
+    anything that is not a JSON object with a string op and an object
+    of args."""
     try:
         record = json.loads(raw.decode("utf-8"))
-        return record["op"], record["args"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        op, args = record["op"], record["args"]
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise CommandError(f"undecodable command: {raw[:64]!r}") from exc
+    if not isinstance(op, str) or not isinstance(args, dict):
+        raise CommandError(f"malformed command: {raw[:64]!r}")
+    return op, args
 
 
 class MetadataStateMachine:

@@ -16,11 +16,12 @@ module closes that window with a jbd2-style journal:
      one batched write (ordered-mode journaling: they are unreachable
      until the metadata that references them commits, so a crash here
      is harmless);
-  2. one checksummed, LSN-stamped batch ending in a commit record is
-     appended at the **log head** through the batched ``write_blocks``
-     path.  It carries the epoch's *logical record* — an opaque payload
-     describing what changed, as data blocks under :data:`LOGICAL_TAG`,
-     a tag no home block can have — followed by the overwrites;
+  2. one checksummed, LSN-stamped batch is appended at the **log
+     head** through the batched ``write_blocks`` path.  It carries the
+     epoch's *logical record* — an opaque payload describing what
+     changed, inline in its first descriptor when it fits there, else
+     as data blocks under :data:`LOGICAL_TAG`, a tag no home block can
+     have — followed by the overwrites;
   3. after a write barrier, the overwrites are applied to their home
      locations;
   4. frees deferred during the epoch are released (blocks referenced by
@@ -39,11 +40,22 @@ exactly the pre- or post-image of the interrupted commit.
 
 Batch layout (all integers little-endian)::
 
-    descriptor block:  magic(u64) lsn(u64) n_tags(u32)
+    descriptor block:  magic(u64) lsn(u64) n_tags(u32) inline_len(u32) last(u8)
                        then n_tags x [home_block(u64) crc32(u32)]
-    data blocks:       n_tags blocks, verbatim
-    ... more descriptor groups as needed, same lsn ...
-    commit block:      magic(u64) lsn(u64) n_writes(u32) header_crc(u32)
+                       then the inline logical record (first group only)
+                       then crc32(u32) of everything before it
+    data blocks:       n_tags blocks, verbatim, each under its tag's crc32
+    ... more descriptor groups as needed, same lsn, the final one last=1 ...
+
+There is no commit block: the descriptor with ``last`` set seals the
+batch.  A torn descriptor fails its own CRC, a torn data block its tag's,
+and a missing later group — or a stale one an earlier trip round the
+region left — fails the LSN chain.  A small fsync therefore writes one
+block.  Batches written before this layout (``DESC_MAGIC`` groups with
+no CRC of their own, then a ``COMMIT_MAGIC`` block) still parse: v3/v4
+images and v5 logs from older writers carry them.  The reverse does not
+hold — an older reader sees a sealed batch as a torn tail — so images do
+not downgrade, and the superblock version stays 5.
 
 :func:`encode_batch` and :func:`parse_batch` are the only code that
 knows this layout.
@@ -58,49 +70,67 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from repro.locks import tracked_lock
 from repro.storage.block_device import BlockDevice, BlockDeviceError, DeviceWrapper
 
-_DESC = struct.Struct("<QQI")  # magic, lsn, n_tags / n_writes
+_DESC = struct.Struct("<QQI")  # magic, lsn, n_tags: both layouts' prefix (legacy commit: n_writes)
+_SEAL = struct.Struct("<QQIIB")  # magic, lsn, n_tags, inline_len, last
 _TAG = struct.Struct("<QI")  # tag (here: home block number), crc32 of the data block
 _CRC = struct.Struct("<I")
 
-DESC_MAGIC = 0x435345444424A31  # "1JBDESC" + version nibble
-COMMIT_MAGIC = 0x544D4D4344424A31  # "1JBDCMMT"
+SEAL_MAGIC = 0x4C41455344424A31  # "1JBDSEAL"
+DESC_MAGIC = 0x435345444424A31  # "1JBDESC" + version nibble (legacy)
+COMMIT_MAGIC = 0x544D4D4344424A31  # "1JBDCMMT" (legacy)
 #: Tag of the data blocks holding a batch's logical record.  Block
 #: numbers are allocation indexes, so no home block can carry it.
 LOGICAL_TAG = 0xFFFFFFFFFFFFFFFF
 
 
-def tags_per_descriptor(block_size: int) -> int:
-    """How many ``(tag, crc32)`` pairs one descriptor block holds."""
-    return (block_size - _DESC.size) // _TAG.size
+def batch_blocks(block_size: int, logical_len: int, n_overwrites: int) -> int:
+    """Region blocks one batch occupies: descriptors plus data blocks."""
+    room = block_size - _SEAL.size - _CRC.size
+    inline = logical_len if logical_len <= room else 0
+    tags = n_overwrites + -(-(logical_len - inline) // block_size)
+    spill = max(0, tags - (room - inline) // _TAG.size)
+    return 1 + tags + -(-spill // (room // _TAG.size))
 
 
 def encode_batch(
-    position: int, lsn: int, tagged: Sequence[tuple[int, bytes]], block_size: int
+    position: int,
+    lsn: int,
+    tagged: Sequence[tuple[int, bytes]],
+    block_size: int,
+    logical: bytes = b"",
 ) -> list[tuple[int, bytes]]:
     """Lay one batch of ``(tag, data)`` blocks out from block ``position``.
 
-    Returns the ``(block_no, bytes)`` pairs of consecutive blocks —
-    descriptor groups, each followed by its zero-padded data blocks,
-    then the commit record — ready for one ``write_blocks``.
+    ``logical`` rides inline in the first descriptor if it fits there,
+    else whole, in data blocks under :data:`LOGICAL_TAG`.  Returns the
+    ``(block_no, bytes)`` pairs of consecutive blocks — descriptor
+    groups, each followed by its zero-padded data blocks — ready for one
+    ``write_blocks``.
     """
-    per_desc = tags_per_descriptor(block_size)
+    room = block_size - _SEAL.size - _CRC.size
+    inline = logical if len(logical) <= room else b""
+    chunks = range(len(inline), len(logical), block_size)
     padded = [
-        (tag, data + b"\x00" * (block_size - len(data))) for tag, data in tagged
+        (tag, data + b"\x00" * (block_size - len(data)))
+        for tag, data in [(LOGICAL_TAG, logical[i : i + block_size]) for i in chunks] + list(tagged)
     ]
     out: list[tuple[int, bytes]] = []
-    for first in range(0, len(padded), per_desc):
-        group = padded[first : first + per_desc]
-        header = _DESC.pack(DESC_MAGIC, lsn, len(group)) + b"".join(
-            _TAG.pack(tag, zlib.crc32(data)) for tag, data in group
+    first, capacity = 0, (room - len(inline)) // _TAG.size
+    while True:
+        group = padded[first : first + capacity]
+        first += capacity
+        last = first >= len(padded)
+        body = (
+            _SEAL.pack(SEAL_MAGIC, lsn, len(group), len(inline), last)
+            + b"".join(_TAG.pack(tag, zlib.crc32(data)) for tag, data in group)
+            + inline
         )
-        out.append((position, header))
-        position += 1
-        for __, data in group:
-            out.append((position, data))
-            position += 1
-    commit = _DESC.pack(COMMIT_MAGIC, lsn, len(padded))
-    out.append((position, commit + _CRC.pack(zlib.crc32(commit))))
-    return out
+        out.append((position, body + _CRC.pack(zlib.crc32(body))))
+        out += [(position + 1 + i, data) for i, (__, data) in enumerate(group)]
+        position += 1 + len(group)
+        if last:
+            return out
+        inline, capacity = b"", room // _TAG.size
 
 
 def parse_batch(
@@ -111,39 +141,44 @@ def parse_batch(
     ``block_at(n)`` returns block ``n``, or ``None`` past the end of
     what may be read.  Returns ``(lsn, [(tag, data), ...], blocks
     consumed)`` only when the batch is intact end to end: every
-    descriptor carries the same LSN, every data block matches its CRC,
-    and the commit record confirms the full block count.  Anything
-    else — no batch at all, a half-written one, a commit from a
-    different epoch — is a torn tail.
+    descriptor carries the same magic and LSN and (sealed) its own
+    valid CRC, every data block matches its CRC, and the batch is
+    sealed — by a ``last`` descriptor, or a legacy commit record that
+    confirms the full block count.  An inline logical record comes back
+    as a :data:`LOGICAL_TAG` entry.  Anything else — no batch at all, a
+    half-written one, a group or commit from a different epoch — is a
+    torn tail.
     """
     start = position
     tagged: list[tuple[int, bytes]] = []
-    lsn: Optional[int] = None
+    kind = lsn = None
     while True:
         raw = block_at(position)
         if raw is None:
             return None
         magic, record_lsn, count = _DESC.unpack_from(raw, 0)
-        if magic == COMMIT_MAGIC:
-            (header_crc,) = _CRC.unpack_from(raw, _DESC.size)
-            header = _DESC.pack(COMMIT_MAGIC, record_lsn, count)
-            if (
-                lsn is None
-                or record_lsn != lsn
-                or count != len(tagged)
-                or header_crc != zlib.crc32(header)
-            ):
+        if magic == COMMIT_MAGIC and kind == DESC_MAGIC:
+            header, crc = raw[: _DESC.size], raw[_DESC.size : _DESC.size + _CRC.size]
+            if (record_lsn, count, crc) != (lsn, len(tagged), _CRC.pack(zlib.crc32(header))):
                 return None
             return lsn, tagged, position - start + 1
-        if magic != DESC_MAGIC:
+        if kind is None:
+            kind, lsn = magic, record_lsn
+        elif (magic, record_lsn) != (kind, lsn):
             return None
-        if lsn is None:
-            lsn = record_lsn
-        elif record_lsn != lsn:
+        last = False
+        if magic == SEAL_MAGIC:
+            inline_len, last = _SEAL.unpack_from(raw, 0)[3:]
+            end = _SEAL.size + count * _TAG.size + inline_len
+            if raw[end : end + _CRC.size] != _CRC.pack(zlib.crc32(raw[:end])):
+                return None
+            if inline_len:
+                tagged.append((LOGICAL_TAG, raw[end - inline_len : end]))
+            offset = _SEAL.size
+        elif magic == DESC_MAGIC and 1 <= count <= (len(raw) - _DESC.size) // _TAG.size:
+            offset = _DESC.size
+        else:
             return None
-        if not 1 <= count <= tags_per_descriptor(len(raw)):
-            return None
-        offset = _DESC.size
         for index in range(count):
             tag, crc = _TAG.unpack_from(raw, offset)
             offset += _TAG.size
@@ -152,6 +187,8 @@ def parse_batch(
                 return None
             tagged.append((tag, data))
         position += 1 + count
+        if last:
+            return lsn, tagged, position - start
 
 
 class Batch(NamedTuple):
@@ -159,12 +196,13 @@ class Batch(NamedTuple):
 
     lsn: int
     tagged: list[tuple[int, bytes]]
-    #: Consecutive blocks the batch occupies, commit record included.
+    #: Consecutive blocks the batch occupies, descriptors included.
     blocks: int
 
     @property
     def logical(self) -> bytes:
-        """The logical record, zero-padded to whole blocks (b"" if none)."""
+        """The logical record (b"" if none); zero-padded to whole blocks
+        when it did not fit inline."""
         return b"".join(data for tag, data in self.tagged if tag == LOGICAL_TAG)
 
     @property
@@ -183,9 +221,9 @@ def walk_batches(
     The journal's recovery loop: parse a batch, stop if it is torn or
     does not carry the expected LSN (a stale batch from an earlier trip
     round the region), otherwise yield it and move to the block after
-    its commit record.  ``first_lsn=None`` accepts whatever LSN the
-    first batch carries.  Lazy, so a caller that stops early reads no
-    block it does not use.
+    it.  ``first_lsn=None`` accepts whatever LSN the first batch
+    carries.  Lazy, so a caller that stops early reads no block it does
+    not use.
     """
     expected = first_lsn
     while True:
@@ -241,13 +279,12 @@ class Journal:
     def __init__(self, start: int, length: int, block_size: int) -> None:
         if length < 0 or start < 0:
             raise JournalError("journal region must have non-negative geometry")
-        if length and length < 3:
-            raise JournalError("journal region needs at least 3 blocks")
+        if length and length < 2:
+            raise JournalError("journal region needs at least 2 blocks")
         self.start = start
         self.length = length
         self.block_size = block_size
-        self._tags_per_desc = tags_per_descriptor(block_size)
-        if length and self._tags_per_desc < 1:
+        if length and block_size < _SEAL.size + _TAG.size + _CRC.size:
             raise JournalError(
                 f"block size {block_size} too small for a journal descriptor"
             )
@@ -256,25 +293,21 @@ class Journal:
         """Every device block belonging to the journal region."""
         return set(range(self.start, self.start + self.length))
 
-    def blocks_needed(self, n_writes: int) -> int:
-        """Region blocks one batch of ``n_writes`` data blocks occupies."""
-        groups = -(-n_writes // self._tags_per_desc)
-        return n_writes + groups + 1
-
     def encode_batch(
-        self, lsn: int, writes: Sequence[tuple[int, bytes]], position: int = 0
+        self, lsn: int, writes: Sequence[tuple[int, bytes]], position: int = 0, logical: bytes = b""
     ) -> list[tuple[int, bytes]]:
         """Lay one batch out as (block_no, bytes) pairs, ``position``
         blocks into the region."""
-        if not writes:
+        if not (writes or logical):
             raise JournalError("refusing to encode an empty batch")
-        if position + self.blocks_needed(len(writes)) > self.length:
+        needed = batch_blocks(self.block_size, len(logical), len(writes))
+        if position + needed > self.length:
             raise JournalError(
-                f"batch of {len(writes)} blocks needs "
-                f"{self.blocks_needed(len(writes))} journal blocks, region "
-                f"has {self.length - position} of {self.length} left"
+                f"batch of {len(writes)} blocks and a {len(logical)}-byte "
+                f"record needs {needed} journal blocks, region has "
+                f"{self.length - position} of {self.length} left"
             )
-        return encode_batch(self.start + position, lsn, writes, self.block_size)
+        return encode_batch(self.start + position, lsn, writes, self.block_size, logical)
 
     def append_batch(
         self,
@@ -282,13 +315,14 @@ class Journal:
         lsn: int,
         writes: Sequence[tuple[int, bytes]],
         position: int = 0,
+        logical: bytes = b"",
     ) -> int:
         """Write one batch into the region as a single batched transfer.
 
         The log is only read back at mount, so its blocks give up their
         write-through places in the page cache at once.
         """
-        encoded = self.encode_batch(lsn, writes, position)
+        encoded = self.encode_batch(lsn, writes, position, logical)
         device.write_blocks(encoded)
         device.drop_cached([block_no for block_no, __ in encoded])
         return len(encoded)
@@ -437,11 +471,10 @@ class JournalDevice(DeviceWrapper):
         before the flip is durable could tear acknowledged records.
         """
         txn = self.txn
-        data_blocks = -(-logical_bytes // self.inner.block_size) + sum(
-            1 for block_no in txn.staged if block_no not in txn.fresh
-        )
-        batch = self.journal.blocks_needed(data_blocks) if data_blocks else 0
-        return self.head + batch + self.journal.blocks_needed(1) <= self.journal.length
+        overwrites = sum(1 for block_no in txn.staged if block_no not in txn.fresh)
+        size = self.inner.block_size
+        batch = batch_blocks(size, logical_bytes, overwrites) if logical_bytes or overwrites else 0
+        return self.head + batch + batch_blocks(size, 0, 1) <= self.journal.length
 
     def commit(self, logical: bytes = b"", truncate: bool = False) -> int:
         """Publish the epoch durably; returns journal blocks written.
@@ -476,11 +509,6 @@ class JournalDevice(DeviceWrapper):
         overwrites = sorted(
             (no, data) for no, data in txn.staged.items() if no not in txn.fresh
         )
-        block_size = self.inner.block_size
-        batch = [
-            (LOGICAL_TAG, logical[start : start + block_size])
-            for start in range(0, len(logical), block_size)
-        ] + overwrites
         tracer = self.inner.obs.tracer
         journal_blocks = 0
         with tracer.span(
@@ -493,11 +521,12 @@ class JournalDevice(DeviceWrapper):
                 with tracer.span("journal.phase.fresh", blocks=len(direct)):
                     self.inner.write_blocks(direct)
                     self.inner.barrier()
-            if batch:
-                with tracer.span("journal.phase.append", blocks=len(batch)):
+            if overwrites or logical:
+                with tracer.span("journal.phase.append") as span:
                     journal_blocks = self.journal.append_batch(
-                        self.inner, self.lsn, batch, self.head
+                        self.inner, self.lsn, overwrites, self.head, logical
                     )
+                    span.set(blocks=journal_blocks)
                     self.inner.barrier()
                 self.head += journal_blocks
                 self.lsn += 1

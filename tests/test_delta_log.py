@@ -86,11 +86,11 @@ class TestSyncPoint:
         before = _device_writes(device)
         engine.ops.insert("/f07", 3, b"MID")
         engine.fsync()
-        # Two data blocks (the split) + descriptor, record, commit.
-        assert _device_writes(device) - before == 2 + 3
+        # Two data blocks (the split) + one descriptor, the record inline.
+        assert _device_writes(device) - before == 2 + 1
         assert _counter(engine, "engine.checkpoints") == 1
         assert 0 < _counter(engine, "engine.delta.record_bytes") < 64
-        assert engine.obs.registry.snapshot().gauge("journal.log_used_blocks") == 3
+        assert engine.obs.registry.snapshot().gauge("journal.log_used_blocks") == 1
         remounted = CompressDB.mount(device)
         assert _state(remounted) == _state(engine)
         assert _structure(remounted) == _structure(engine)
@@ -166,19 +166,34 @@ class TestSyncPoint:
         assert snap.counter("engine.checkpoints") == 1
         assert snap.counter("engine.delta.record_bytes") == flushes[1]["record_bytes"]
         assert snap.counter("engine.checkpoint.image_bytes") > BLOCK
-        assert snap.gauge("journal.log_used_blocks") == 3
+        assert snap.gauge("journal.log_used_blocks") == 1
 
 
 class TestCheckpointTriggers:
     """Every trigger is a condition the code observes; none is a knob."""
 
     def test_minimum_journal_checkpoints_at_every_fsync(self):
-        device, engine = _mounted(journal_blocks=3)
+        """Two blocks hold only a checkpoint's flip batch."""
+        device, engine = _mounted(journal_blocks=2)
         for index in range(5):
             engine.write_file(f"/f{index}", bytes([65 + index]) * 300)
             engine.fsync()
         assert _counter(engine, "engine.checkpoints") == 5
         assert _counter(engine, "engine.delta.record_bytes") == 0
+        remounted = CompressDB.mount(device)
+        assert _state(remounted) == _state(engine)
+        _assert_clean(remounted)
+
+    def test_three_block_journal_logs_one_record_between_checkpoints(self):
+        device, engine = _mounted(journal_blocks=3)
+        heads = []
+        for index in range(5):
+            engine.write_file(f"/f{index}", bytes([65 + index]) * 300)
+            engine.fsync()
+            heads.append(engine.device.head)
+        assert heads == [0, 1, 0, 1, 0]  # the first sync point has no image yet
+        assert _counter(engine, "engine.checkpoints") == 3
+        assert _counter(engine, "engine.delta.record_bytes") > 0
         remounted = CompressDB.mount(device)
         assert _state(remounted) == _state(engine)
         _assert_clean(remounted)
@@ -205,7 +220,7 @@ class TestCheckpointTriggers:
         assert _counter(engine, "engine.checkpoints") == 2
 
     def test_full_log_checkpoints_then_starts_the_region_over(self):
-        device, engine = _mounted(journal_blocks=12)
+        device, engine = _mounted(journal_blocks=5)
         engine.write_file("/a", b"a" * 600)
         engine.fsync()
         heads = []
@@ -213,9 +228,9 @@ class TestCheckpointTriggers:
             engine.ops.append("/a", bytes([index]) * 10)
             engine.fsync()
             heads.append(engine.device.head)
-        # Three records fit beside the reserve; the fourth sync point is
-        # the checkpoint, whose batch takes the reserve.
-        assert heads == [3, 6, 9, 0, 3, 6, 9, 0]
+        # Three one-block records fit beside the two-block reserve; the
+        # fourth sync point is the checkpoint, whose batch takes the reserve.
+        assert heads == [1, 2, 3, 0, 1, 2, 3, 0]
         assert _counter(engine, "engine.checkpoints") == 3
         assert _counter(engine, "journal.commits") == 9
         assert sb.read_layout(device).checkpoint_lsn == 9
@@ -315,9 +330,10 @@ class TestCheckpointTriggers:
 
 
 def _log_template():
-    """One committed file on a 12-block journal: room for three one-block
-    records beside the checkpoint reserve, so the log fills up early."""
-    device, engine = _mounted(journal_blocks=12)
+    """One committed file on a 5-block journal: room for three one-block
+    records beside the two-block checkpoint reserve, so the log fills up
+    early."""
+    device, engine = _mounted(journal_blocks=5)
     engine.write_file("/keep", b"pre-existing data " * 30)
     engine.fsync()
     return device
@@ -394,7 +410,9 @@ class TestLogCrashMatrix:
             recovered.fsync()
             assert CompressDB.mount(device).read_file("/after") == b"recovered"
             k += 1
-        assert k > 25  # every write of seven sync points was visited
+        # Every write of the seven sync points (3, 3, 1, 6, 1, 2 and 1)
+        # was a crash point; the 18th run finished the workload.
+        assert k == 17 + 1
 
     def test_every_crash_point_recovers_the_acknowledged_prefix(self):
         self._sweep(tear=False)
@@ -408,13 +426,13 @@ class TestLogCrashMatrix:
         workload = _log_workload(engine)
         for __ in range(5):  # ... checkpoint (LSN 5), then one record
             next(workload)
-        journal = Journal(1, 12, BLOCK)
+        journal = Journal(1, 5, BLOCK)
         checkpoint_lsn = sb.read_layout(device).checkpoint_lsn
         assert checkpoint_lsn == 5
-        # Block 3 of the region still holds the previous trip's second
+        # Block 1 of the region still holds the previous trip's second
         # record, intact — only its LSN says it is not part of the log.
         region = device.read_blocks(sorted(journal.region_blocks()))
-        stale = parse_batch(lambda n: region[n] if n < 12 else None, 3)
+        stale = parse_batch(lambda n: region[n] if n < 5 else None, 1)
         assert stale is not None and stale[0] == 3 <= checkpoint_lsn
         assert [b.lsn for b in journal.recover(device, checkpoint_lsn + 1)] == [6]
         assert _state(CompressDB.mount(device)) == _state(engine)
@@ -664,7 +682,7 @@ class TestLegacyImages:
         assert _counter(engine, "engine.checkpoints") == 0 and _version(device) == 4
         again = CompressDB.mount(device)
         assert again.read_file("/b") == _LEGACY + b"!"
-        assert (again.device.lsn, again.device.head) == (4, 6)
+        assert (again.device.lsn, again.device.head) == (4, 4)  # 3 legacy + 1
         _assert_clean(again)
 
     def test_v4_unapplied_batch_is_replayed_whatever_its_lsn(self):
@@ -814,7 +832,20 @@ class TestHostileBytes:
             sizes = {p: recovered.file_size(p) for p in recovered.list_files()}
             assert sizes in prefix_sizes
             outcomes["intact" if sizes == prefix_sizes[-1] else "older"] += 1
-        assert outcomes["older"] > 500 and outcomes["rejected"] > 5
+        # A flipped tag fails its descriptor's CRC: the damage is a torn
+        # tail, never a batch naming an impossible home block.
+        assert outcomes["older"] > 500 and outcomes["rejected"] == 0
+
+    def test_intact_batch_naming_a_home_past_the_device_is_a_typed_error(self):
+        device, engine = _mounted(journal_blocks=16, block_size=128)
+        engine.write_file("/a", b"a" * 500)
+        engine.fsync()
+        journal = Journal(1, 16, 128)
+        journal.append_batch(
+            device, engine.device.lsn, [(device.total_blocks + 5, b"x")], engine.device.head
+        )
+        with pytest.raises(sb.PersistenceError, match="corrupt journal"):
+            CompressDB.mount(device)
 
     def test_mutated_delta_record_fails_only_with_persistence_error(self):
         __, engine = _mounted(block_size=128)

@@ -32,6 +32,7 @@ from repro.raft.node import LEADER, NodeCrashed, NotLeaderError, RaftConfig
 from repro.raft.statemachine import (
     CommandError,
     MetadataStateMachine,
+    decode_command,
     encode_command,
     encode_state,
     state_digest,
@@ -429,6 +430,20 @@ class TestMetadataPlane:
         with pytest.raises(CommandError, match="out of order"):
             machine.apply(3, encode_command("noop"))
         assert machine.applied_index == 0
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"5", b"[]", b"null", b'"op"', b'{"op": 1, "args": {}}', b'{"op": "x", "args": []}'],
+    )
+    def test_decode_command_raises_only_command_error(self, raw):
+        """Valid JSON that is not a command object used to escape as a
+        TypeError."""
+        with pytest.raises(CommandError):
+            decode_command(raw)
+        machine = MetadataStateMachine(Master(["n0"]))
+        with pytest.raises(CommandError):
+            machine.apply(1, raw)
+        assert decode_command(encode_command("noop")) == ("noop", {})
 
     def test_rejected_command_reaches_only_its_proposer(self):
         """A command the state machine rejects is committed like any

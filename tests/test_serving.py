@@ -1160,8 +1160,10 @@ class TestCrashMidRequest:
         engine.fsync()
 
         # Mutations buffer in memory until fsync, so the crash point is
-        # armed on the device writes the FS_FSYNC request issues.
-        wrapped = CrashPointDevice(device, crash_after=3)
+        # armed on the device writes the FS_FSYNC request issues: one
+        # fresh data block, then the one sealed journal block.  The
+        # crash lands on the latter.
+        wrapped = CrashPointDevice(device, crash_after=2)
         engine.device.inner = wrapped  # journal wraps the raw device
         write_frame, __ = protocol.decode_frame(
             server.serve_frame(
